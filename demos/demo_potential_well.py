@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from dnls3.functionals import classify_well, coercivity_certificate, evaluate
+from dnls3.functionals import WellMembership, coercivity_certificate, evaluate
 from dnls3.grid import Grid, norm_h1
 from dnls3.ground_state import SolverConfig, sample_below_level, solve_ground_state
 from dnls3.params import PhysParams, WaveParams
@@ -40,10 +40,10 @@ print("well membership on 300 random states below the level:")
 samples = sample_below_level(grid, phys, wave, res.mu, rng, 300)
 n_plus = n_minus = disagreements = 0
 for state, rep in samples:
-    m = classify_well(state, phys, wave, res.mu)
+    m = WellMembership.from_report(rep, res.mu)
     n_plus += m.aplus
     n_minus += m.aminus
-    if m.aplus != m.bplus or m.aminus != m.bminus:
+    if not m.agree:
         disagreements += 1
 print(f"  {n_plus} inside the well (K > 0), {n_minus} outside (K < 0)")
 print(f"  disagreements between the two descriptions: {disagreements}")

@@ -41,9 +41,10 @@ from .errors import (
     ValidationError,
 )
 from .evolution import decay_rate_fit, evolve, h1_perturbation, stability_experiment
-from .functionals import coercivity_certificate, evaluate
+from .functionals import WellMembership, coercivity_certificate, evaluate
 from .grid import State
 from .ground_state import (
+    fourd_residual,
     h_curve,
     mu_scaling_check,
     pohozaev_residual,
@@ -135,7 +136,7 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     return outdir
 
 
-def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, started: float, threads: int) -> None:
+def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, started: float) -> None:
     _write_json(
         outdir / "manifest.json",
         {
@@ -144,7 +145,6 @@ def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, started: floa
             "seed": cfg.seed,
             "field_format_version": FORMAT_VERSION,
             "wall_clock_seconds": time.time() - started,
-            "threads": threads,
         },
     )
 
@@ -170,13 +170,31 @@ def _cmd_gs(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
+def _load_experiment_field(cfg: RunConfig) -> State:
+    """The snapshot named by experiment.field, placed on the config grid.
+
+    Snapshots do not store the dealiasing flag, so the config grid supplies
+    it; a snapshot whose points or box differ from the config grid is
+    rejected.
+    """
+    path = cfg.experiment["field"]
+    state = load_field(path)
+    g, want = state.grid, cfg.grid
+    if g.n != want.n or g.extent != want.extent:
+        raise ValidationError(
+            "experiment.field",
+            f"{path} holds n={list(g.n)}, extent={list(g.extent)}; the config grid has "
+            f"n={list(want.n)}, extent={list(want.extent)}",
+        )
+    return State(want, state.u)
+
+
 def _initial_state(cfg: RunConfig):
     """Initial data for evolve/stability: solved ground state or a file."""
     exp = cfg.experiment
     source = exp.get("source", "ground_state")
     if source == "file":
-        state = load_field(exp["field"])
-        return state, None, None
+        return _load_experiment_field(cfg), None, None
     res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
     state = res.phi
     scale = float(exp.get("scale", 1.0))
@@ -217,7 +235,7 @@ CHECK_THRESHOLDS = {
 def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
     exp = cfg.experiment
     if "field" in exp:
-        phi = load_field(exp["field"])
+        phi = _load_experiment_field(cfg)
         rep = evaluate(phi, cfg.phys, cfg.wave)
         mu = rep.S
     else:
@@ -226,8 +244,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
 
     identities = rep.identity_residuals()
     poho = pohozaev_residual(phi, cfg.phys, cfg.wave)
-    d = phi.grid.d
-    fourd = abs(2.0 * rep.omega * rep.Q + rep.cP - (4.0 - d) * mu) / ((4.0 - d) * mu)
+    fourd = fourd_residual(rep, mu)
     k_rel = abs(rep.K) / max(1.0, rep.Lqc)
 
     cert = coercivity_certificate(cfg.phys, cfg.wave)
@@ -239,11 +256,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
     for _, srep in samples:
         if srep.Lqc <= 0:
             lqc_nonpositive += 1
-        aplus = srep.K > 0
-        bplus = srep.N > -2.0 * mu
-        aminus = srep.K < 0
-        bminus = srep.N < -2.0 * mu
-        if aplus != bplus or aminus != bminus:
+        if not WellMembership.from_report(srep, mu).agree:
             disagreements += 1
 
     passed = (
@@ -347,7 +360,7 @@ def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
 def _cmd_decay(cfg: RunConfig, outdir: Path) -> int:
     exp = cfg.experiment
     if "field" in exp:
-        phi = load_field(exp["field"])
+        phi = _load_experiment_field(cfg)
     else:
         phi = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver).phi
     window = tuple(exp.get("window", (0.5, 0.9)))
@@ -387,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file or literal JSON text")
         p.add_argument("--seed", type=int, default=None, help="override the solver/perturbation seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=1, help="bound on internal data parallelism")
     return parser
 
 
@@ -401,7 +413,7 @@ def run_subcommand(argv) -> int:
         cfg = _load_config(args, args.subcommand)
         outdir = _prepare_outdir(cfg)
         code = COMMANDS[args.subcommand](cfg, outdir)
-        _write_manifest(outdir, cfg, args.subcommand, started, args.threads)
+        _write_manifest(outdir, cfg, args.subcommand, started)
         return code
     except USER_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -22,12 +22,24 @@ class ResolutionLoss(Dnls3Error):
 
 
 class NoConvergence(Dnls3Error):
-    """Descent hit the iteration cap before reaching the residual tolerance."""
+    """Descent stopped before reaching the residual tolerance.
 
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(f"no convergence after {iterations} iterations (residual {residual:.3e})")
+    ``reason`` says why the (last) descent stopped; it is a key of REASONS.
+    """
+
+    REASONS = {
+        "iteration_cap": "hit the iteration cap",
+        "invalid_step": "stalled: the step fell below 1e-10 while no trial kept the coupling N negative and the action finite",
+        "residual_growth": "stalled: the step fell below 1e-10 while every trial raised the residual or the action",
+    }
+
+    def __init__(self, iterations: int, residual: float, reason: str = "iteration_cap"):
+        super().__init__(
+            f"no convergence after {iterations} iterations (residual {residual:.3e}): {self.REASONS[reason]}"
+        )
         self.iterations = iterations
         self.residual = residual
+        self.reason = reason
 
 
 class DomainTooSmall(Dnls3Error):

@@ -13,6 +13,17 @@ is a first-order-derivative nonlinearity, mild over one step between the
 smoothing linear half-steps), half a linear step. An integrating-factor
 RK4 on the full right side is provided for order studies.
 
+Both schemes work on the spectrum. Each RK stage makes one call to the
+grid's coupling kernel: one batched inverse transform of (u1, u2, div u3),
+zero-padded once onto the 3/2 grid when dealiasing, the three products,
+and one batched forward transform back to the band. ``evolve`` keeps the
+state as a spectrum between records, builds the linear phases once per
+step size, and fuses the closing half-step of one Strang step with the
+opening half-step of the next into one full linear step
+(linear(dt/2) o linear(dt/2) = linear(dt)); it goes back to physical space
+only to record. A Strang step then costs 8 transforms, and ``step`` adds
+one forward and one inverse transform around it.
+
 Charge and momentum are conserved exactly by the linear flow and by the
 coupling flow separately, so their numerical drift is set by the RK4
 truncation of the substep (fourth order); the energy is exchanged between
@@ -29,7 +40,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import FitWindowEmpty, NonFinite
-from .functionals import evaluate, gauge_phases
+from .functionals import WellMembership, evaluate, gauge_phases
 from .grid import Grid, State, norm_h1
 from .params import PhysParams, WaveParams
 
@@ -119,83 +130,81 @@ class EvolutionTrace:
         return self.S + (omega2 - wave.omega) * self.Q + (self.P @ dc)
 
 
+def _coupling_hat(grid: Grid, F: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+    """Spectrum of the coupling-only right side, from the state's spectrum F."""
+    d = grid.d
+    products = grid.coupling_spectra(F, u)
+    out = np.empty_like(F)
+    out[0] = 1j * products[:d]
+    out[1] = 1j * products[d : 2 * d]
+    for k in range(d):
+        out[2, k] = grid.xi[k] * products[2 * d]  # -i grad q
+    return out
+
+
 def coupling_rhs(state: State, phys: PhysParams) -> State:
     """Time derivative of the coupling-only system (no Laplacians)."""
     g = state.grid
-    F3 = g.fft(state.u3)
-    div_u3 = g.ifft(sum(g.ik[k] * F3[k] for k in range(g.d)))
-    q = g.product_sum(state.u1, np.conj(state.u2))
-    grad_q = g.gradient(q)
-    out = np.empty_like(state.u)
-    out[0] = 1j * g.product(div_u3, state.u2)
-    out[1] = 1j * g.product(np.conj(div_u3), state.u1)
-    out[2] = -1j * grad_q
-    return State(g, out)
+    return State(g, g.ifft(_coupling_hat(g, g.fft(state.u), state.u)))
 
 
 def rhs(state: State, phys: PhysParams) -> State:
     """Full right side: linear dispersion plus coupling."""
     g = state.grid
     F = g.fft(state.u)
-    kappa = (phys.alpha, phys.beta, phys.gamma)
-    lin = np.stack([1j * kappa[j] * g.ifft(-g.k2 * F[j]) for j in range(3)])
-    return State(g, lin + coupling_rhs(state, phys).u)
+    lin = -1j * _kappa(g, phys) * g.k2 * F
+    return State(g, g.ifft(lin + _coupling_hat(g, F, state.u)))
 
 
-def _linear_phases(grid: Grid, phys: PhysParams, t: float):
-    return [np.exp(-1j * kappa * grid.k2 * t) for kappa in (phys.alpha, phys.beta, phys.gamma)]
+def _kappa(grid: Grid, phys: PhysParams) -> np.ndarray:
+    """Dispersion coefficients as a (3, 1, ...) column broadcasting over a state."""
+    return np.array([phys.alpha, phys.beta, phys.gamma]).reshape(3, *[1] * (grid.d + 1))
+
+
+def _linear_phases(grid: Grid, phys: PhysParams, t: float) -> np.ndarray:
+    """Symbols exp(-i kappa_j |xi|^2 t) of the linear flow, broadcasting over a spectrum."""
+    return np.exp(-1j * t * _kappa(grid, phys) * grid.k2)
 
 
 def linear_propagator(state: State, phys: PhysParams, t: float) -> State:
     """Exact unitary solution of the decoupled linear system over time t."""
     g = state.grid
-    F = g.fft(state.u)
-    phases = _linear_phases(g, phys, t)
-    out = np.stack([phases[j] * F[j] for j in range(3)])
-    return State(g, g.ifft(out))
+    return State(g, g.ifft(_linear_phases(g, phys, t) * g.fft(state.u)))
 
 
-def _rk4_coupling(state: State, phys: PhysParams, dt: float) -> State:
-    k1 = coupling_rhs(state, phys)
-    k2 = coupling_rhs(State(state.grid, state.u + 0.5 * dt * k1.u), phys)
-    k3 = coupling_rhs(State(state.grid, state.u + 0.5 * dt * k2.u), phys)
-    k4 = coupling_rhs(State(state.grid, state.u + dt * k3.u), phys)
-    return State(state.grid, state.u + (dt / 6.0) * (k1.u + 2 * k2.u + 2 * k3.u + k4.u))
+def _rk4_coupling(grid: Grid, F: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of the coupling-only system, on the spectrum."""
+    k1 = _coupling_hat(grid, F)
+    k2 = _coupling_hat(grid, F + 0.5 * dt * k1)
+    k3 = _coupling_hat(grid, F + 0.5 * dt * k2)
+    k4 = _coupling_hat(grid, F + dt * k3)
+    return F + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _if_rk4_step(state: State, phys: PhysParams, dt: float) -> State:
-    """Integrating-factor RK4 on the full right side (exact linear phases)."""
-    g = state.grid
-    half = _linear_phases(g, phys, dt / 2.0)
-    full = _linear_phases(g, phys, dt)
+def _if_rk4_step(grid: Grid, F0: np.ndarray, dt: float, half: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Integrating-factor RK4 on the full right side (exact linear phases), on the spectrum.
 
-    def apply(phases, F):
-        return np.stack([phases[j] * F[j] for j in range(3)])
-
-    def nl_hat(U):
-        return g.fft(coupling_rhs(U, phys).u)
-
-    F0 = g.fft(state.u)
-    a = nl_hat(state)
-    Ua = g.ifft(apply(half, F0 + 0.5 * dt * a))
-    b = nl_hat(State(g, Ua))
-    Ub = g.ifft(apply(half, F0) + 0.5 * dt * b)
-    c = nl_hat(State(g, Ub))
-    Uc = g.ifft(apply(full, F0) + dt * apply(half, c))
-    d = nl_hat(State(g, Uc))
-    out = apply(full, F0) + (dt / 6.0) * (apply(full, a) + 2.0 * apply(half, b + c) + d)
-    return State(g, g.ifft(out))
+    ``half`` and ``full`` are the linear phases over dt/2 and dt.
+    """
+    a = _coupling_hat(grid, F0)
+    b = _coupling_hat(grid, half * (F0 + 0.5 * dt * a))
+    c = _coupling_hat(grid, half * F0 + 0.5 * dt * b)
+    d = _coupling_hat(grid, full * F0 + dt * half * c)
+    return full * F0 + (dt / 6.0) * (full * a + 2.0 * half * (b + c) + d)
 
 
 def step(state: State, phys: PhysParams, dt: float, scheme: str = "strang") -> State:
     """One time step; order 2 (strang) or 4 (if_rk4)."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    g = state.grid
+    half = _linear_phases(g, phys, dt / 2.0)
+    F = g.fft(state.u)
     if scheme == "strang":
-        out = linear_propagator(state, phys, dt / 2.0)
-        out = _rk4_coupling(out, phys, dt)
-        return linear_propagator(out, phys, dt / 2.0)
-    if scheme == "if_rk4":
-        return _if_rk4_step(state, phys, dt)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        F = half * _rk4_coupling(g, half * F, dt)
+    else:
+        F = _if_rk4_step(g, F, dt, half, _linear_phases(g, phys, dt))
+    return State(g, g.ifft(F))
 
 
 def evolve(
@@ -212,6 +221,11 @@ def evolve(
     orbit is recorded as well; with ``mu`` given, potential-well membership
     flags are recorded. A non-finite state ends the run: the divergence
     time is recorded in the partial trace attached to the NonFinite error.
+
+    The state is carried as its spectrum between records. Strang steps
+    owe their closing linear half-step to the next step, whose opening
+    half-step it fuses with into one full linear step; the debt is paid
+    only before a record.
     """
     if abs((phys.alpha - phys.gamma) * (phys.beta + phys.gamma)) < 1e-14:
         warnings.warn(
@@ -237,8 +251,9 @@ def evolve(
         if reference is not None:
             rows["orbit"].append(orbit_distance(U, reference).distance)
         if mu is not None:
-            rows["aplus"].append(bool(rep.S < mu and rep.K > 0))
-            rows["bplus"].append(bool(rep.S < mu and rep.N > -2.0 * mu))
+            well = WellMembership.from_report(rep, mu)
+            rows["aplus"].append(well.aplus)
+            rows["bplus"].append(well.bplus)
 
     def build_trace(divergence_time=None):
         return EvolutionTrace(
@@ -257,15 +272,34 @@ def evolve(
 
     U = state.copy()
     record(0.0, U)
+    phases = {}  # step size -> linear phases over its half and its whole
+    F = grid.fft(U.u)
+    owed = None  # step size whose closing linear half-step F still owes
     t = 0.0
     for i in range(1, n_steps + 1):
         dt_i = min(dt, config.t_final - t)
-        U = step(U, phys, dt_i, config.scheme)
+        if dt_i not in phases:
+            phases[dt_i] = (_linear_phases(grid, phys, dt_i / 2.0), _linear_phases(grid, phys, dt_i))
+        half, full = phases[dt_i]
+        if config.scheme == "if_rk4":
+            F = _if_rk4_step(grid, F, dt_i, half, full)
+        else:
+            if owed == dt_i:
+                F = full * F  # the owed closing half-step fused with this opening one
+            else:
+                if owed is not None:
+                    F = phases[owed][0] * F
+                F = half * F
+            F = _rk4_coupling(grid, F, dt_i)
+            owed = dt_i
         t = i * dt if i < n_steps else config.t_final
-        if not U.is_finite():
-            trace = build_trace(divergence_time=t)
-            raise NonFinite(t, trace)
+        if not np.all(np.isfinite(F)):
+            raise NonFinite(t, build_trace(divergence_time=t))
         if i % config.record_stride == 0 or i == n_steps:
+            if owed is not None:
+                F = phases[owed][0] * F
+                owed = None
+            U = State(grid, grid.ifft(F))
             record(t, U)
     return U, build_trace()
 

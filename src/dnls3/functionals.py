@@ -36,11 +36,6 @@ from .params import PhysParams, WaveParams
 _KAPPA = ("alpha", "beta", "gamma")
 
 
-def _pair_product(state: State) -> np.ndarray:
-    """Pointwise scalar u1 . conj(u2), the source of the coupling term."""
-    return state.grid.product_sum(state.u1, np.conj(state.u2))
-
-
 def charge(state: State) -> float:
     g = state.grid
     w = np.array([1.0, 0.5, 0.5])
@@ -55,16 +50,19 @@ def kinetic(state: State, phys: PhysParams) -> float:
     return float(0.5 * np.dot(kappa, per_component) * g.weight)
 
 
+def _coupling(grid: Grid, F: np.ndarray, Qhat: np.ndarray) -> float:
+    """N = Re (u3, grad q) by Parseval, from the state and pair-product spectra."""
+    N = 0.0
+    for k in range(grid.d):
+        N += float(np.sum(np.real(F[2, k] * np.conj(grid.ik[k] * Qhat))))
+    return N * grid.weight
+
+
 def potential(state: State) -> float:
     """Coupling term N = Re (u3, grad(u1 . conj(u2)))."""
     g = state.grid
-    q = _pair_product(state)
-    Qhat = g.fft(q)
-    F3 = g.fft(state.u3)
-    acc = 0.0
-    for k in range(g.d):
-        acc += np.sum(np.real(F3[k] * np.conj(g.ik[k] * Qhat)))
-    return float(acc * g.weight)
+    F = g.fft(state.u)
+    return _coupling(g, F, g.coupling_spectra(F, state.u, pair_only=True))
 
 
 def energy(state: State, phys: PhysParams) -> float:
@@ -97,6 +95,40 @@ class FunctionalReport:
     omega: float
     c: np.ndarray
 
+    @classmethod
+    def from_parts(cls, Q: float, L: float, N: float, P: np.ndarray, omega: float, c: np.ndarray) -> "FunctionalReport":
+        """Assemble the report from its four basic functionals."""
+        d = len(P)
+        cP = float(np.dot(c, P))
+        E = L + N
+        S = E + omega * Q + cP
+        K = 2.0 * L + 3.0 * N + 2.0 * omega * Q + 2.0 * cP
+        Lqc = K - 3.0 * N
+        G = (4.0 - 2.0 * d) * omega * Q + (3.0 - d) * cP
+        if d == 1:
+            G_display = omega * Q + cP
+        elif d == 2:
+            G_display = cP
+        else:
+            G_display = None
+        return cls(Q=Q, L=L, N=N, E=E, P=P, S=S, K=K, Lqc=Lqc, G=G, G_display=G_display, omega=omega, c=c)
+
+    def scaled(self, lam: float) -> "FunctionalReport":
+        """Report of lam*U: Q, L and P scale by lam^2, N by lam^3."""
+        lam2 = lam * lam
+        return FunctionalReport.from_parts(
+            lam2 * self.Q, lam2 * self.L, lam2 * lam * self.N, lam2 * self.P, self.omega, self.c
+        )
+
+    def nehari_factor(self) -> float:
+        """lambda = -Lqc / (3N), which puts lambda*U on the zero set of K.
+
+        Raises DegenerateNonlinearity when N is numerically zero.
+        """
+        if abs(self.N) < 1e-14 * (1.0 + abs(self.Lqc)):
+            raise DegenerateNonlinearity(f"N={self.N:.3e} too small relative to Lqc={self.Lqc:.3e}")
+        return -self.Lqc / (3.0 * self.N)
+
     @property
     def cP(self) -> float:
         return float(np.dot(self.c, self.P))
@@ -124,12 +156,14 @@ def evaluate(state: State, phys: PhysParams, wave: WaveParams, warn_inadmissible
             "classification results are meaningless",
             stacklevel=2,
         )
-    g = state.grid
-    d = g.d
-    if wave.d != d:
-        raise ValueError(f"wave speed has {wave.d} components but grid is {d}-dimensional")
+    if wave.d != state.grid.d:
+        raise ValueError(f"wave speed has {wave.d} components but grid is {state.grid.d}-dimensional")
+    return _report(state, state.grid.fft(state.u), phys, wave)
 
-    F = g.fft(state.u)
+
+def _report(state: State, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> FunctionalReport:
+    """The functional report of a state whose spectrum F the caller holds."""
+    g = state.grid
     absF2 = np.abs(F) ** 2
 
     Q = float(np.sum(np.abs(state.u1) ** 2) + 0.5 * np.sum(np.abs(state.u2) ** 2) + 0.5 * np.sum(np.abs(state.u3) ** 2)) * g.weight
@@ -137,34 +171,12 @@ def evaluate(state: State, phys: PhysParams, wave: WaveParams, warn_inadmissible
     kin_parts = np.sum(g.k2 * absF2, axis=spatial)
     L = float(0.5 * (phys.alpha * kin_parts[0] + phys.beta * kin_parts[1] + phys.gamma * kin_parts[2]) * g.weight)
 
-    P = np.empty(d)
-    for k in range(d):
+    P = np.empty(g.d)
+    for k in range(g.d):
         P[k] = -0.5 * float(np.sum(g.xi[k] * absF2)) * g.weight
 
-    q = _pair_product(state)
-    Qhat = g.fft(q)
-    N = 0.0
-    for k in range(d):
-        N += float(np.sum(np.real(F[2, k] * np.conj(g.ik[k] * Qhat))))
-    N *= g.weight
-
-    cP = float(np.dot(wave.c_array, P))
-    E = L + N
-    S = E + wave.omega * Q + cP
-    K = 2.0 * L + 3.0 * N + 2.0 * wave.omega * Q + 2.0 * cP
-    Lqc = K - 3.0 * N
-    G = (4.0 - 2.0 * d) * wave.omega * Q + (3.0 - d) * cP
-    if d == 1:
-        G_display = wave.omega * Q + cP
-    elif d == 2:
-        G_display = cP
-    else:
-        G_display = None
-
-    return FunctionalReport(
-        Q=Q, L=L, N=N, E=E, P=P, S=S, K=K, Lqc=Lqc, G=G, G_display=G_display,
-        omega=wave.omega, c=wave.c_array,
-    )
+    N = _coupling(g, F, g.coupling_spectra(F, state.u, pair_only=True))
+    return FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
 
 
 def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
@@ -177,23 +189,26 @@ def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
     with nonlinear parts -(div u3) u2, -(conj div u3) u1 and +grad(u1.conj(u2)).
     """
     g = state.grid
-    F = g.fft(state.u)
+    return State(g, g.ifft(_gradient_spectrum(state, g.fft(state.u), phys, wave)))
 
-    div_u3 = g.ifft(sum(g.ik[k] * F[2, k] for k in range(g.d)))
-    q = _pair_product(state)
-    Qhat = g.fft(q)
 
+def _gradient_spectrum(state: State, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> np.ndarray:
+    """Spectrum of the action gradient of a state whose spectrum F the caller holds.
+
+    The nonlinear parts come from the same coupling kernel as the coupling
+    functional, so this stays its exact gradient also in dealiased mode.
+    """
+    g = state.grid
+    d = g.d
+    products = g.coupling_spectra(F, state.u)
     out = np.empty_like(F)
-    sym = linear_symbols(g, phys, wave)
-    for j in range(3):
-        out[j] = sym[j] * F[j]
-    out[2] += np.stack([g.ik[k] * Qhat for k in range(g.d)])
-    grad = g.ifft(out)
-    # products evaluated the same way as in the coupling functional, so
-    # this stays its exact gradient also in dealiased mode
-    grad[0] += -g.product(div_u3, state.u2)
-    grad[1] += -g.product(np.conj(div_u3), state.u1)
-    return State(g, grad)
+    for j, sym in enumerate(linear_symbols(g, phys, wave)):
+        out[j] = sym * F[j]
+    out[0] -= products[:d]
+    out[1] -= products[d : 2 * d]
+    for k in range(d):
+        out[2, k] += g.ik[k] * products[2 * d]
+    return out
 
 
 def linear_symbols(grid: Grid, phys: PhysParams, wave: WaveParams):
@@ -216,10 +231,7 @@ def nehari_rescale(state: State, phys: PhysParams, wave: WaveParams):
     so the rescaled state satisfies the constraint to rounding. Raises
     DegenerateNonlinearity when the coupling N is numerically zero.
     """
-    rep = evaluate(state, phys, wave)
-    if abs(rep.N) < 1e-14 * (1.0 + abs(rep.Lqc)):
-        raise DegenerateNonlinearity(f"N={rep.N:.3e} too small relative to Lqc={rep.Lqc:.3e}")
-    lam = -rep.Lqc / (3.0 * rep.N)
+    lam = evaluate(state, phys, wave).nehari_factor()
     return lam, State(state.grid, lam * state.u)
 
 
@@ -278,19 +290,27 @@ class WellMembership:
     def none(self) -> bool:
         return not (self.aplus or self.aminus or self.bplus or self.bminus)
 
+    @property
+    def agree(self) -> bool:
+        """The K-sign and N-position descriptions of the wells coincide."""
+        return self.aplus == self.bplus and self.aminus == self.bminus
+
+    @classmethod
+    def from_report(cls, rep: FunctionalReport, mu: float) -> "WellMembership":
+        """Flags of the state a report describes; the zero state (Q = 0) gets none."""
+        below = rep.Q > 0.0 and rep.S < mu
+        return cls(
+            aplus=below and rep.K > 0.0,
+            aminus=below and rep.K < 0.0,
+            bplus=below and rep.N > -2.0 * mu,
+            bminus=below and rep.N < -2.0 * mu,
+        )
+
 
 def classify_well(state: State, phys: PhysParams, wave: WaveParams, mu: float) -> WellMembership:
     if mu <= 0:
         raise NonpositiveLevel(f"mu={mu} must be positive")
-    rep = evaluate(state, phys, wave)
-    nonzero = float(np.max(np.abs(state.u))) > 0.0
-    below = nonzero and rep.S < mu
-    return WellMembership(
-        aplus=below and rep.K > 0.0,
-        aminus=below and rep.K < 0.0,
-        bplus=below and rep.N > -2.0 * mu,
-        bminus=below and rep.N < -2.0 * mu,
-    )
+    return WellMembership.from_report(evaluate(state, phys, wave), mu)
 
 
 def stability_g(state: State, phys: PhysParams, wave: WaveParams) -> float:

@@ -20,6 +20,7 @@ Conventions fixed here once and used consistently everywhere:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,20 +91,28 @@ class Grid:
         self.k2 = sum(xk**2 for xk in self.xi)
 
         if dealias:
-            # frequency-index maps between this grid and the 3/2-padded one;
-            # the Nyquist mode has no symmetric partner in the band, so it is
+            # quadratic products are formed on the 3/2-padded grid; the
+            # Nyquist mode has no symmetric partner in the band, so it is
             # excluded from dealiased products (its content is at rounding
             # level for resolved fields)
-            self._fine_shape = tuple(3 * nk // 2 for nk in n)
-            self._pad_index = []
+            self._product_shape = tuple(3 * nk // 2 for nk in n)
+            # per axis, the nonnegative modes keep their index and the
+            # negative ones (Nyquist first) move to the top of the padded
+            # axis; the band maps blockwise onto the padded grid
+            halves = []
             nonnyq = np.ones(self.shape)
-            for k in range(d):
-                freqs = np.fft.fftfreq(n[k], d=1.0 / n[k]).astype(int)  # signed mode numbers
-                self._pad_index.append(freqs % self._fine_shape[k])
+            for k, (nk, mk) in enumerate(zip(n, self._product_shape)):
+                h = nk // 2
+                halves.append(((slice(0, h), slice(0, h)), (slice(h, nk), slice(mk - h, mk))))
                 sel = [slice(None)] * d
-                sel[k] = n[k] // 2
+                sel[k] = h
                 nonnyq[tuple(sel)] = 0.0
-            self._nonnyq = nonnyq
+            #: (band block, padded block) index pairs, 2^d of them
+            self._pad_blocks = [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
+            fine_size = int(np.prod(self._product_shape))
+            # unitary band spectrum -> unnormalized fine spectrum, and back
+            self._pad_scale = nonnyq / np.sqrt(self.size)
+            self._unpad_scale = nonnyq * (np.sqrt(self.size) / fine_size)
 
     # -- coordinates -------------------------------------------------------
 
@@ -118,12 +127,24 @@ class Grid:
 
     # -- transforms and multipliers ----------------------------------------
 
+    def _fftn(self, f: np.ndarray, norm: str) -> np.ndarray:
+        # the 1-D entry point skips fftn's per-call axis bookkeeping and
+        # returns the same values bit for bit
+        if self.d == 1:
+            return np.fft.fft(f, norm=norm)
+        return np.fft.fftn(f, axes=self._spatial_axes, norm=norm)
+
+    def _ifftn(self, F: np.ndarray, norm: str) -> np.ndarray:
+        if self.d == 1:
+            return np.fft.ifft(F, norm=norm)
+        return np.fft.ifftn(F, axes=self._spatial_axes, norm=norm)
+
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Unitary forward transform over the trailing spatial axes."""
-        return np.fft.fftn(f, axes=self._spatial_axes, norm="ortho")
+        return self._fftn(f, "ortho")
 
     def ifft(self, F: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(F, axes=self._spatial_axes, norm="ortho")
+        return self._ifftn(F, "ortho")
 
     def apply_multiplier(self, f: np.ndarray, m: np.ndarray) -> np.ndarray:
         """Pointwise multiplication by ``m`` in frequency space.
@@ -166,37 +187,84 @@ class Grid:
         phase = np.exp(sum(-1j * y[k] * self._xi_full[k] for k in range(self.d)))
         return self.ifft(phase * self.fft(f))
 
-    def _pad(self, f: np.ndarray) -> np.ndarray:
-        """Value-preserving interpolation onto the 3/2 grid (Nyquist dropped)."""
-        F = np.fft.fftn(f, axes=self._spatial_axes) * self._nonnyq
-        fine = np.zeros((*f.shape[: f.ndim - self.d], *self._fine_shape), dtype=np.complex128)
-        fine[(..., *np.ix_(*self._pad_index))] = F
-        scale = np.prod(self._fine_shape) / self.size
-        return np.fft.ifftn(fine, axes=self._spatial_axes) * scale
+    # -- quadratic products --------------------------------------------------
 
-    def _unpad(self, f_fine: np.ndarray) -> np.ndarray:
-        """Projection onto the symmetric open band, back from the 3/2 grid."""
-        F = np.fft.fftn(f_fine, axes=self._spatial_axes)
-        coarse = F[(..., *np.ix_(*self._pad_index))] * self._nonnyq
-        scale = self.size / np.prod(self._fine_shape)
-        return np.fft.ifftn(coarse, axes=self._spatial_axes) * scale
+    def _to_product_grid(self, spectra: np.ndarray) -> np.ndarray:
+        """Values on the product grid of fields given by unitary spectra.
 
-    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pointwise product of two band-limited fields.
-
-        With dealiasing enabled the product is evaluated on the 3/2 grid and
-        projected back, which is exact for quadratic terms; otherwise it is
-        a plain grid product.
+        The product grid is the 3/2-padded grid when dealiasing (Nyquist
+        dropped), the grid itself otherwise. Leading axes are batched into
+        one inverse transform.
         """
         if not self.dealias:
-            return a * b
-        return self._unpad(self._pad(a) * self._pad(b))
+            return self.ifft(spectra)
+        scaled = spectra * self._pad_scale
+        fine = np.zeros((*spectra.shape[: spectra.ndim - self.d], *self._product_shape), dtype=np.complex128)
+        for band, padded in self._pad_blocks:
+            fine[(..., *padded)] = scaled[(..., *band)]
+        return self._ifftn(fine, "forward")
+
+    def _from_product_grid(self, values: np.ndarray) -> np.ndarray:
+        """Unitary band spectra of fields given by values on the product grid.
+
+        One batched forward transform; when dealiasing, the result is
+        truncated to the symmetric open band (Nyquist dropped).
+        """
+        if not self.dealias:
+            return self.fft(values)
+        fine = self._fftn(values, "backward")
+        out = np.empty((*values.shape[: values.ndim - self.d], *self.shape), dtype=np.complex128)
+        for band, padded in self._pad_blocks:
+            out[(..., *band)] = fine[(..., *padded)]
+        out *= self._unpad_scale
+        return out
+
+    def coupling_spectra(self, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False) -> np.ndarray:
+        """Spectra of the quadratic coupling products of one state.
+
+        ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``.
+        The fields u1, u2 and div u3 (2d+1 scalars) go to the product grid
+        in one batched inverse transform, the products are formed there, and
+        one batched forward transform brings them back. The result has shape
+        ``(2d+1, *shape)``: rows ``0..d-1`` hold ``(div u3) u2``, rows
+        ``d..2d-1`` hold ``conj(div u3) u1`` and row ``2d`` holds the pair
+        product ``q = u1 . conj(u2)``. With ``pair_only`` only ``q`` is
+        formed and returned, shape ``grid.shape``.
+
+        On a plain grid, ``u`` (the state's values, if the caller holds
+        them) supplies u1 and u2 without transforming them again.
+        """
+        d = self.d
+        if u is not None and not self.dealias:
+            u1, u2 = u[0], u[1]
+            div3 = None if pair_only else self.ifft(sum(self.ik[k] * F[2, k] for k in range(d)))
+        else:
+            fields = F[:2].reshape(2 * d, *self.shape)
+            if not pair_only:
+                div_hat = sum(self.ik[k] * F[2, k] for k in range(d))
+                fields = np.concatenate([fields, div_hat[None]])
+            values = self._to_product_grid(fields)
+            u1, u2 = values[:d], values[d : 2 * d]
+            div3 = None if pair_only else values[2 * d]
+        q = np.sum(u1 * np.conj(u2), axis=0)
+        if pair_only:
+            return self._from_product_grid(q)
+        products = np.empty((2 * d + 1, *q.shape), dtype=np.complex128)
+        products[:d] = div3 * u2
+        products[d : 2 * d] = np.conj(div3) * u1
+        products[2 * d] = q
+        return self._from_product_grid(products)
 
     def product_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Sum over the leading axis of pointwise products a_m * b_m."""
+        """Sum over the leading axis of pointwise products a_m * b_m.
+
+        Alias-free on a dealiased grid: both factors go to the product grid
+        in one batched transform, the same path as :meth:`coupling_spectra`.
+        """
         if not self.dealias:
             return np.sum(a * b, axis=0)
-        return self._unpad(np.sum(self._pad(a) * self._pad(b), axis=0))
+        values = self._to_product_grid(self.fft(np.stack([a, b])))
+        return self.ifft(self._from_product_grid(np.sum(values[0] * values[1], axis=0)))
 
     # -- quadrature, inner products, norms ----------------------------------
 
@@ -288,10 +356,11 @@ class Grid:
             isinstance(other, Grid)
             and self.n == other.n
             and self.extent == other.extent
+            and self.dealias == other.dealias
         )
 
     def __hash__(self):
-        return hash((self.n, self.extent))
+        return hash((self.n, self.extent, self.dealias))
 
     def __repr__(self):
         return f"Grid(n={self.n}, extent={self.extent}, dealias={self.dealias})"

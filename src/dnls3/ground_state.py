@@ -37,12 +37,14 @@ from .errors import (
 )
 from .functionals import (
     FunctionalReport,
+    _gradient_spectrum,
+    _report,
     evaluate,
     l2_scaling,
     linear_symbols,
     nehari_rescale,
 )
-from .grid import Grid, State, norm_h1
+from .grid import Grid, State
 from .params import PhysParams, WaveParams
 
 
@@ -153,38 +155,41 @@ def _descend(grid, phys, wave, config, start: State):
     drop below rounding: when the residual (or, materially, the action)
     grows, the step is undone and halved; after a long streak of clean
     contractions it is grown again, but never past a ceiling recorded at
-    the last instability. Returns (state, report, iterations, residual,
-    action_history).
+    the last instability. The report of each Nehari-rescaled trial follows
+    algebraically from the trial's own report. Returns (state, report,
+    iterations, residual, action_history, termination), where termination
+    is "converged" or one of the NoConvergence reasons.
     """
-    from .functionals import action_gradient
-
-    sym_inv = resolvent_symbols(grid, phys, wave)
+    sym_inv = np.stack(resolvent_symbols(grid, phys, wave))[:, None]
     weights = (1.0 + grid.k2) * grid.weight
 
-    def pgrad(state):
-        Fg = grid.fft(action_gradient(state, phys, wave).u)
-        Fpg = np.stack([sym_inv[j] * Fg[j] for j in range(3)])
-        res = float(np.sqrt(np.sum(weights * np.abs(Fpg) ** 2))) / max(norm_h1(state), 1e-300)
+    def pgrad(state, F):
+        Fpg = sym_inv * _gradient_spectrum(state, F, phys, wave)
+        h1 = np.sqrt(np.sum(weights * np.abs(F) ** 2))
+        res = float(np.sqrt(np.sum(weights * np.abs(Fpg) ** 2))) / max(h1, 1e-300)
         return grid.ifft(Fpg), res
 
     U = start
-    rep = evaluate(U, phys, wave)
+    F = grid.fft(U.u)
+    rep = _report(U, F, phys, wave)
     step = config.step_size
     ceiling = 4.0 * config.step_size
     streak = 0
     s_history = [rep.S]
 
     it = 0
-    pg, residual = pgrad(U)
+    pg, residual = pgrad(U, F)
     while it < config.max_iter:
         it += 1
         if residual < config.residual_tol:
-            return U, rep, it, residual, s_history
+            return U, rep, it, residual, s_history, "converged"
 
         trial = State(grid, U.u - step * pg)
+        F_trial = grid.fft(trial.u)
+        rep_trial = _report(trial, F_trial, phys, wave)
         try:
-            _, projected = nehari_rescale(trial, phys, wave)
-            rep_new = evaluate(projected, phys, wave)
+            lam = rep_trial.nehari_factor()
+            rep_new = rep_trial.scaled(lam)
             valid = rep_new.N < 0 and np.isfinite(rep_new.S)
         except DegenerateNonlinearity:
             valid = False
@@ -192,10 +197,12 @@ def _descend(grid, phys, wave, config, start: State):
             step *= 0.5
             streak = 0
             if step < 1e-10:
-                return U, rep, it, residual, s_history
+                return U, rep, it, residual, s_history, "invalid_step"
             continue
 
-        pg_new, res_new = pgrad(projected)
+        projected = State(grid, lam * trial.u)
+        F_new = lam * F_trial
+        pg_new, res_new = pgrad(projected, F_new)
         worse_res = res_new > residual
         worse_S = rep_new.S > rep.S + 1e-12 * (1.0 + abs(rep.S))
         if worse_res or worse_S:
@@ -203,7 +210,7 @@ def _descend(grid, phys, wave, config, start: State):
             step *= 0.5
             streak = 0
             if step < 1e-10:
-                return U, rep, it, residual, s_history
+                return U, rep, it, residual, s_history, "residual_growth"
             continue
 
         U, rep, pg, residual = projected, rep_new, pg_new, res_new
@@ -213,7 +220,8 @@ def _descend(grid, phys, wave, config, start: State):
             step = min(step * 1.1, 0.9 * ceiling)
             streak = 0
 
-    return U, rep, it, residual, s_history
+    termination = "converged" if residual < config.residual_tol else "iteration_cap"
+    return U, rep, it, residual, s_history, termination
 
 
 def solve_ground_state(
@@ -243,14 +251,14 @@ def solve_ground_state(
                 amplitude=config.ansatz.amplitude * float(rng.uniform(0.7, 1.4)),
             )
         start = initial_ansatz(grid, phys, wave, ansatz, center=center)
-        U, rep, iters, residual, _ = _descend(grid, phys, wave, config, start)
+        U, rep, iters, residual, _, termination = _descend(grid, phys, wave, config, start)
         total_iters += iters
         last_residual = residual
         if residual < config.residual_tol and (best is None or rep.S < best[1].S):
             best = (U, rep, residual)
 
     if best is None:
-        raise NoConvergence(total_iters, last_residual)
+        raise NoConvergence(total_iters, last_residual, termination)
 
     U, rep, residual = best
     mu = rep.S
@@ -287,13 +295,17 @@ def pohozaev_residual(phi: State, phys: PhysParams, wave: WaveParams) -> float:
     return abs(sum(terms)) / (sum(abs(t) for t in terms) + 1e-30)
 
 
+def fourd_residual(rep: FunctionalReport, mu: float) -> float:
+    """Residual of 2 omega Q + c.P = (4-d) mu for the profile a report describes, normalized by (4-d) mu."""
+    d = len(rep.P)
+    lhs = 2.0 * rep.omega * rep.Q + rep.cP
+    rhs = (4.0 - d) * mu
+    return abs(lhs - rhs) / abs(rhs)
+
+
 def identity_4minusd_check(result: GroundStateResult) -> float:
     """Residual of 2 omega Q + c.P = (4-d) mu, normalized by (4-d) mu."""
-    rep = result.report
-    d = result.phi.grid.d
-    lhs = 2.0 * rep.omega * rep.Q + rep.cP
-    rhs = (4.0 - d) * result.mu
-    return abs(lhs - rhs) / abs(rhs)
+    return fourd_residual(result.report, result.mu)
 
 
 @dataclass

@@ -31,3 +31,30 @@ def grid1d_box():
 @pytest.fixture
 def grid2d():
     return Grid((32, 32), (20.0, 20.0))
+
+
+def band_limited_state(grid: Grid, rng: np.random.Generator, fraction: float) -> State:
+    """Seeded random state whose spectrum vanishes at |mode number| >= fraction * n per axis."""
+    shape = (3, grid.d, *grid.shape)
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for k, nk in enumerate(grid.n):
+        modes = np.abs(np.fft.fftfreq(nk, d=1.0 / nk))
+        bshape = [1] * grid.d
+        bshape[k] = nk
+        F = F * (modes < fraction * nk).reshape(bshape)
+    return State(grid, grid.ifft(F))
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts the transforms made through numpy.fft while the test runs."""
+    counter = {"calls": 0}
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            counter["calls"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counter

@@ -224,6 +224,36 @@ class TestCli:
         header = (outdir / "stability.csv").read_text().splitlines()[0]
         assert header.endswith("orbit_dist")
 
+    def test_dealiased_snapshot_keeps_its_identities(self, tmp_path, capsys):
+        # snapshots do not store the dealias flag; check must rebuild the
+        # field on the (dealiased) config grid it was solved on
+        grid = {"n": [128], "extent": [30], "dealias": True}
+        cfg_path, outdir = small_config(tmp_path, "gs_da", grid=grid, wave={"c": [0.3]})
+        assert run_subcommand(["gs", "--config", str(cfg_path)]) == 0
+        field = outdir / "ground_state.ldsf"
+        cfg2, outdir2 = small_config(
+            tmp_path, "check_da", grid=grid, wave={"c": [0.3]}, experiment={"field": str(field), "samples": 20}
+        )
+        assert run_subcommand(["check", "--config", str(cfg2)]) == 0
+        payload = json.loads((outdir2 / "check.json").read_text())
+        assert payload["passed"] is True
+        # on a plain grid the constraint residual reads about 2e-8
+        assert payload["nehari_K_residual"] < 1e-12
+
+        # a snapshot from another grid is refused by name
+        cfg3, _ = small_config(tmp_path, "check_bad", experiment={"field": str(field), "samples": 20})
+        capsys.readouterr()
+        assert run_subcommand(["check", "--config", str(cfg3)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ValidationError"
+        assert "experiment.field" in record["message"]
+
+    def test_no_threads_flag(self, tmp_path):
+        cfg_path, outdir = small_config(tmp_path, "nothreads")
+        assert run_subcommand(["gs", "--config", str(cfg_path), "--threads", "2"]) == 2
+        assert run_subcommand(["gs", "--config", str(cfg_path)]) == 0
+        assert "threads" not in json.loads((outdir / "manifest.json").read_text())
+
     def test_field_snapshot_feeds_check(self, tmp_path):
         cfg_path, outdir = small_config(tmp_path, "gs_for_check")
         assert run_subcommand(["gs", "--config", str(cfg_path)]) == 0

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnls3.errors import FitWindowEmpty, NonFinite
 from dnls3.evolution import (
@@ -21,7 +23,7 @@ from dnls3.functionals import evaluate
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.params import PhysParams, WaveParams
 
-from tests.conftest import random_state
+from tests.conftest import band_limited_state, random_state
 
 PHYS = PhysParams(1.0, 1.0, 1.0)
 WAVE0 = WaveParams(1.0, (0.0,))
@@ -316,3 +318,110 @@ class TestDecayFit:
         g = Grid(64, 20.0)
         with pytest.raises(FitWindowEmpty):
             decay_rate_fit(smooth_state(g), PHYS, WAVE0, window=(0.95, 0.96))
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestSpectralStepping:
+    @pytest.mark.parametrize(
+        "n,extent,dealias",
+        [(128, 20.0, False), (128, 20.0, True), ((32, 32), (12.0, 12.0), True)],
+    )
+    def test_fused_evolve_matches_step_loop(self, n, extent, dealias):
+        g = Grid(n, extent, dealias=dealias)
+        wave = WaveParams(1.0, (0.0,) * g.d)
+        state = smooth_state(g, amp=0.8)
+        dt, t_final = 1e-3, 0.0205  # 21 steps, the last one half as long
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            final, trace = evolve(state, PHYS, wave, EvolveConfig(dt=dt, t_final=t_final, record_stride=7))
+        U, t, records = state, 0.0, [evaluate(state, PHYS, wave).Q]
+        for i in range(1, 22):
+            U = step(U, PHYS, min(dt, t_final - t))
+            t = i * dt
+            if i % 7 == 0 or i == 21:
+                records.append(evaluate(U, PHYS, wave).Q)
+        assert rel_diff(final.u, U.u) <= 1e-12
+        assert rel_diff(trace.Q, np.array(records)) <= 1e-12
+        assert trace.times[-1] == t_final
+
+    def test_if_rk4_evolve_matches_step_loop(self):
+        g = Grid(128, 20.0, dealias=True)
+        state = smooth_state(g, amp=0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            final, _ = evolve(state, PHYS, WAVE0, EvolveConfig(dt=1e-3, t_final=0.01, record_stride=4, scheme="if_rk4"))
+        U = state
+        for _ in range(10):
+            U = step(U, PHYS, 1e-3, "if_rk4")
+        assert rel_diff(final.u, U.u) <= 1e-12
+
+    def test_dealiased_matches_plain_where_alias_free(self, rng):
+        n = 128
+        plain, padded = Grid(n, 20.0), Grid(n, 20.0, dealias=True)
+        # band below n/3: by the 2/3 rule the plain products alias only
+        # onto modes at or above n/3, so the two agree below n/3
+        state = band_limited_state(plain, rng, 1.0 / 3.0)
+        a = plain.fft(coupling_rhs(state, PHYS).u)
+        b = padded.fft(coupling_rhs(State(padded, state.u), PHYS).u)
+        low = np.abs(np.fft.fftfreq(n, d=1.0 / n)) < n / 3.0
+        assert rel_diff(b[..., low], a[..., low]) <= 1e-12
+        # band below n/4: the products stay inside the band, no aliasing at all
+        state = band_limited_state(plain, rng, 0.25)
+        a = coupling_rhs(state, PHYS).u
+        b = coupling_rhs(State(padded, state.u), PHYS).u
+        assert rel_diff(b, a) <= 1e-12
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_transform_counts(self, dealias, fft_calls):
+        g = Grid(64, 20.0, dealias=dealias)
+        state = smooth_state(g, amp=0.8)
+
+        def count(fn):
+            before = fft_calls["calls"]
+            fn()
+            return fft_calls["calls"] - before
+
+        def run(n_steps):
+            cfg = EvolveConfig(dt=1e-3, t_final=n_steps * 1e-3, record_stride=1000)
+            return count(lambda: evolve(state, PHYS, WAVE0, cfg))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # same two records in both runs: the difference is 20 fused steps
+            per_step = (run(40) - run(20)) / 20
+        assert per_step <= 8
+        assert count(lambda: step(state, PHYS, 1e-3)) <= 10
+
+
+# a smooth localized state, fixed once: hypothesis varies the symmetry only
+_SYM_PLAIN = smooth_state(Grid(64, 16.0), amp=0.8)
+_SYM_PADDED = State(Grid(64, 16.0, dealias=True), _SYM_PLAIN.u)
+
+
+class TestStepSymmetries:
+    @settings(max_examples=25, deadline=None)
+    @given(shift=st.integers(0, 63), dealias=st.booleans(), scheme=st.sampled_from(["strang", "if_rk4"]))
+    def test_commutes_with_grid_translation(self, shift, dealias, scheme):
+        state = _SYM_PADDED if dealias else _SYM_PLAIN
+        g = state.grid
+        moved = State(g, np.roll(state.u, shift, axis=-1))
+        a = step(moved, PHYS, 2e-3, scheme).u
+        b = np.roll(step(state, PHYS, 2e-3, scheme).u, shift, axis=-1)
+        assert rel_diff(a, b) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a=st.floats(0.0, 2.0 * np.pi),
+        b=st.floats(0.0, 2.0 * np.pi),
+        dealias=st.booleans(),
+    )
+    def test_commutes_with_two_parameter_gauge(self, a, b, dealias):
+        state = _SYM_PADDED if dealias else _SYM_PLAIN
+        g = state.grid
+        phases = np.exp(1j * np.array([a, b, a - b])).reshape(3, 1, 1)
+        x = step(State(g, phases * state.u), PHYS, 2e-3).u
+        y = phases * step(state, PHYS, 2e-3).u
+        assert rel_diff(x, y) <= 1e-12

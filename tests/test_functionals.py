@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from dnls3.errors import DegenerateNonlinearity, InadmissibleParameters, NonpositiveLevel
 from dnls3.functionals import (
+    WellMembership,
     action_gradient,
     charge,
     classify_well,
@@ -132,6 +133,20 @@ class TestReport:
             predicted = lam**2 * rep.Lqc + 3 * lam**3 * rep.N
             assert abs(rep_s.K - predicted) < 1e-12 * max(1.0, abs(predicted))
 
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_scaled_report_matches_evaluation(self, dealias, rng):
+        g = Grid((16, 16), (7.0, 9.0), dealias=dealias)
+        wave = WaveParams(1.0, (0.2, -0.1))
+        state = random_state(g, rng)
+        rep = evaluate(state, PHYS, wave)
+        for lam in (-0.7, 0.5, 2.0):
+            algebraic = rep.scaled(lam)
+            direct = evaluate(lam * state, PHYS, wave)
+            for name in ("Q", "L", "N", "E", "S", "K", "Lqc", "G", "G_display"):
+                a, b = getattr(algebraic, name), getattr(direct, name)
+                assert abs(a - b) < 1e-12 * max(1.0, abs(b)), name
+            assert np.max(np.abs(algebraic.P - direct.P)) < 1e-12 * max(1.0, np.max(np.abs(direct.P)))
+
     def test_K_is_ray_derivative_of_S(self, rng):
         g = Grid(64, 13.0)
         wave = wave1d(1.0, 0.3)
@@ -206,6 +221,24 @@ class TestActionGradient:
             assert np.min(sym) > 0
 
 
+class TestTransformCounts:
+    """Transforms per call on a plain grid, where values in hand are reused."""
+
+    def test_evaluate(self, rng, fft_calls):
+        g = Grid(64, 13.0)
+        state = random_state(g, rng)
+        before = fft_calls["calls"]
+        evaluate(state, PHYS, wave1d(1.0, 0.2))
+        assert fft_calls["calls"] - before <= 2
+
+    def test_action_gradient(self, rng, fft_calls):
+        g = Grid(64, 13.0)
+        state = random_state(g, rng)
+        before = fft_calls["calls"]
+        action_gradient(state, PHYS, wave1d(1.0, 0.2))
+        assert fft_calls["calls"] - before <= 4
+
+
 class TestNehariRescale:
     def test_fixed_point_on_manifold(self):
         g = Grid(256, 40.0)
@@ -270,6 +303,14 @@ class TestWellClassification:
     def test_zero_state_no_flags(self, grid1d_box):
         m = classify_well(State.zeros(grid1d_box), PHYS, wave1d(), 1.0)
         assert m.none
+
+    def test_report_flags_match_classification(self, rng):
+        g = Grid(64, 13.0)
+        for scale in (0.3, 1.0, 3.0):
+            state = random_state(g, rng, scale=scale)
+            rep = evaluate(state, PHYS, wave1d())
+            mu = abs(rep.S) + 1.0
+            assert WellMembership.from_report(rep, mu) == classify_well(state, PHYS, wave1d(), mu)
 
     def test_small_states_in_plus_wells(self):
         g = Grid(256, 40.0)

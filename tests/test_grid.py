@@ -3,6 +3,8 @@ import pytest
 
 from dnls3.grid import Grid, State, inner_h1, norm_h1, norm_l2
 
+from tests.conftest import band_limited_state, random_state
+
 
 def dft_direct(f):
     """Quadratic-cost unitary DFT, the independent oracle for the FFT path."""
@@ -233,3 +235,65 @@ class TestStateAndScaling:
         assert g.tail_mass(f) < 1e-10
         edge = np.exp(-((x - 9.5) ** 2)).astype(complex)
         assert g.tail_mass(edge) > 0.1
+
+
+class TestCouplingKernel:
+    def test_dealias_flag_in_equality(self):
+        assert Grid(64, 10.0) == Grid(64, 10.0)
+        assert Grid(64, 10.0) != Grid(64, 10.0, dealias=True)
+        assert len({Grid(64, 10.0), Grid(64, 10.0, dealias=True)}) == 2
+
+    @pytest.mark.parametrize("n,extent", [(64, 10.0), ((16, 32), (6.0, 9.0))])
+    def test_padded_product_exact_below_quarter_band(self, n, extent, rng):
+        # factors below n/4 have products inside the band: plain and padded agree
+        plain, padded = Grid(n, extent), Grid(n, extent, dealias=True)
+        state = band_limited_state(plain, rng, 0.25)
+        a, b = state.u1, np.conj(state.u2)
+        exact = plain.product_sum(a, b)
+        assert np.max(np.abs(padded.product_sum(a, b) - exact)) < 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("n,extent", [(32, 10.0), ((16, 8), (6.0, 9.0))])
+    def test_padded_products_match_double_padding(self, n, extent, rng):
+        # independent oracle: the band interpolants (Nyquist dropped) are
+        # multiplied on a 2x grid, where quadratic products are also exact
+        g = Grid(n, extent, dealias=True)
+        state = random_state(g, rng, smooth=False)
+        modes = [np.fft.fftfreq(nk, d=1.0 / nk).astype(int) for nk in g.n]
+        keep = np.ix_(*[m != -nk // 2 for m, nk in zip(modes, g.n)])
+        to_fine = np.ix_(*[m % (2 * nk) for m, nk in zip(modes, g.n)])
+        axes = tuple(range(-g.d, 0))
+
+        def fine_values(F):
+            band = np.zeros_like(F)
+            band[(..., *keep)] = F[(..., *keep)]
+            fine = np.zeros((*F.shape[: F.ndim - g.d], *[2 * nk for nk in g.n]), dtype=complex)
+            fine[(..., *to_fine)] = band
+            return np.fft.ifftn(fine, axes=axes, norm="forward") / np.sqrt(g.size)
+
+        def band_spectrum(values):
+            F = np.fft.fftn(values, axes=axes)[(..., *to_fine)] * np.sqrt(g.size) / 2**g.d / g.size
+            out = np.zeros_like(F)
+            out[(..., *keep)] = F[(..., *keep)]
+            return out
+
+        F = g.fft(state.u)
+        u1, u2 = fine_values(F[0]), fine_values(F[1])
+        div3 = fine_values(sum(g.ik[k] * F[2, k] for k in range(g.d)))
+        expected = band_spectrum(
+            np.concatenate([div3 * u2, np.conj(div3) * u1, [np.sum(u1 * np.conj(u2), axis=0)]])
+        )
+        rows = g.coupling_spectra(F)
+        assert np.max(np.abs(rows - expected)) < 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_kernel_rows(self, dealias, rng):
+        g = Grid((16, 32), (6.0, 9.0), dealias=dealias)
+        state = band_limited_state(g, rng, 0.25)
+        F = g.fft(state.u)
+        rows = g.coupling_spectra(F)
+        div3 = g.divergence(state.u3)
+        expected = np.concatenate([div3 * state.u2, np.conj(div3) * state.u1, [np.sum(state.u1 * np.conj(state.u2), axis=0)]])
+        assert np.max(np.abs(g.ifft(rows) - expected)) < 1e-12 * np.max(np.abs(expected))
+        # the pair-only call and the physical-value shortcut give the same rows
+        assert np.max(np.abs(g.coupling_spectra(F, state.u, pair_only=True) - rows[-1])) < 1e-12 * np.max(np.abs(rows))
+        assert np.max(np.abs(g.coupling_spectra(F, state.u) - rows)) < 1e-12 * np.max(np.abs(rows))

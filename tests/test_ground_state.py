@@ -113,7 +113,7 @@ class TestSolve:
     def test_monotone_descent_history(self, grid1d_box):
         wave = WaveParams(1.0, (0.0,))
         start = initial_ansatz(grid1d_box, PHYS, wave)
-        _, _, _, _, s_hist = _descend(grid1d_box, PHYS, wave, FAST, start)
+        _, _, _, _, s_hist, _ = _descend(grid1d_box, PHYS, wave, FAST, start)
         s_hist = np.asarray(s_hist)
         assert np.all(np.diff(s_hist) <= 1e-12 * (1.0 + np.abs(s_hist[:-1])))
 
@@ -147,7 +147,7 @@ class TestSolve:
         wave = WaveParams(1.0, (0.0,))
         a = solve_ground_state(g, PHYS, wave, SolverConfig(restarts=1, seed=1))
         b_start = initial_ansatz(g, PHYS, wave, AnsatzConfig(), center=(3.0,))
-        b, rep, _, res, _ = _descend(g, PHYS, wave, FAST, b_start)
+        b, rep, _, res, _, _ = _descend(g, PHYS, wave, FAST, b_start)
         assert res < 1e-9
         assert abs(rep.S - a.mu) / a.mu < 1e-6
 
@@ -158,6 +158,25 @@ class TestSolve:
     def test_no_convergence_error(self, grid1d_box):
         with pytest.raises(NoConvergence):
             solve_ground_state(grid1d_box, PHYS, WaveParams(1.0, (0.0,)), SolverConfig(max_iter=3, restarts=1))
+
+    def test_no_convergence_names_iteration_cap(self, grid1d_box):
+        with pytest.raises(NoConvergence) as excinfo:
+            solve_ground_state(grid1d_box, PHYS, WaveParams(1.0, (0.0,)), SolverConfig(max_iter=3, restarts=1))
+        assert excinfo.value.reason == "iteration_cap"
+        assert "iteration cap" in str(excinfo.value)
+
+    def test_no_convergence_names_stall(self, grid1d_box):
+        # below the rounding floor every trial raises the residual, so the
+        # step underflows long before the iteration cap
+        unreachable = SolverConfig(restarts=1, residual_tol=1e-300)
+        with pytest.raises(NoConvergence) as excinfo:
+            solve_ground_state(grid1d_box, PHYS, WaveParams(1.0, (0.0,)), unreachable)
+        assert excinfo.value.reason == "residual_growth"
+        assert excinfo.value.iterations < unreachable.max_iter
+        assert "stalled" in str(excinfo.value)
+        start = initial_ansatz(grid1d_box, PHYS, WaveParams(1.0, (0.0,)))
+        *_, termination = _descend(grid1d_box, PHYS, WaveParams(1.0, (0.0,)), FAST, start)
+        assert termination == "converged"
 
     def test_domain_too_small(self):
         with pytest.raises(DomainTooSmall):
