@@ -166,7 +166,9 @@ def _ground_state_payload(res) -> dict:
 def _cmd_gs(cfg: RunConfig, outdir: Path) -> int:
     res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
     save_field(res.phi, outdir / "ground_state.ldsf")
-    _write_json(outdir / "ground_state.json", _ground_state_payload(res))
+    _, passed = _identity_gates(res.phi, res.report, res.mu, cfg)
+    payload = dict(_ground_state_payload(res), identities_passed=passed, thresholds=CHECK_THRESHOLDS)
+    _write_json(outdir / "ground_state.json", payload)
     return 0
 
 
@@ -232,6 +234,17 @@ CHECK_THRESHOLDS = {
 }
 
 
+def _identity_gates(phi: State, rep, mu: float, cfg: RunConfig):
+    """Residuals of the four identities that CHECK_THRESHOLDS gate, and whether all of them pass."""
+    residuals = {
+        "identity_max": max(rep.identity_residuals().values()),
+        "nehari_K": abs(rep.K) / max(1.0, rep.Lqc),
+        "pohozaev": pohozaev_residual(phi, cfg.phys, cfg.wave),
+        "fourd": fourd_residual(rep, mu),
+    }
+    return residuals, all(residuals[key] < limit for key, limit in CHECK_THRESHOLDS.items())
+
+
 def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
     exp = cfg.experiment
     if "field" in exp:
@@ -242,10 +255,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
         res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
         phi, rep, mu = res.phi, res.report, res.mu
 
-    identities = rep.identity_residuals()
-    poho = pohozaev_residual(phi, cfg.phys, cfg.wave)
-    fourd = fourd_residual(rep, mu)
-    k_rel = abs(rep.K) / max(1.0, rep.Lqc)
+    gates, identities_passed = _identity_gates(phi, rep, mu, cfg)
 
     cert = coercivity_certificate(cfg.phys, cfg.wave)
     rng = np.random.default_rng(cfg.seed)
@@ -259,23 +269,16 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
         if not WellMembership.from_report(srep, mu).agree:
             disagreements += 1
 
-    passed = (
-        max(identities.values()) < CHECK_THRESHOLDS["identity_max"]
-        and k_rel < CHECK_THRESHOLDS["nehari_K"]
-        and poho < CHECK_THRESHOLDS["pohozaev"]
-        and fourd < CHECK_THRESHOLDS["fourd"]
-        and cert.min_coeff > 0
-        and disagreements == 0
-        and lqc_nonpositive == 0
-    )
+    passed = identities_passed and cert.min_coeff > 0 and disagreements == 0 and lqc_nonpositive == 0
     _write_json(
         outdir / "check.json",
         {
             "mu": mu,
-            "identity_residuals": identities,
-            "nehari_K_residual": k_rel,
-            "pohozaev_residual": poho,
-            "fourd_residual": fourd,
+            "identity_residuals": rep.identity_residuals(),
+            "nehari_K_residual": gates["nehari_K"],
+            "pohozaev_residual": gates["pohozaev"],
+            "fourd_residual": gates["fourd"],
+            "identities_passed": identities_passed,
             "coercivity": {
                 "A": [cert.A1, cert.A2, cert.A3],
                 "grad_coeffs": list(cert.grad_coeffs),

@@ -143,11 +143,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
 
     # -- solver ---------------------------------------------------------------
     solver_doc = doc.get("solver", {})
-    _require_keys(
-        solver_doc,
-        {"max_iter", "residual_tol", "step_size", "ansatz", "seed", "restarts"},
-        "solver",
-    )
+    _require_keys(solver_doc, {"max_iter", "residual_tol", "ansatz", "seed", "restarts"}, "solver")
     ansatz_doc = solver_doc.get("ansatz", {})
     _require_keys(ansatz_doc, {"amplitude", "width", "carrier"}, "solver.ansatz")
     ansatz = AnsatzConfig(
@@ -160,7 +156,6 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         solver = SolverConfig(
             max_iter=_get_number(solver_doc, "max_iter", 20000, "solver", positive=True, integer=True),
             residual_tol=_get_number(solver_doc, "residual_tol", 1e-9, "solver", positive=True),
-            step_size=_get_number(solver_doc, "step_size", 0.5, "solver", positive=True),
             ansatz=ansatz,
             seed=seed,
             restarts=_get_number(solver_doc, "restarts", 3, "solver", positive=True, integer=True),
@@ -208,7 +203,6 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         "solver": {
             "max_iter": solver.max_iter,
             "residual_tol": solver.residual_tol,
-            "step_size": solver.step_size,
             "ansatz": {
                 "amplitude": ansatz.amplitude,
                 "width": ansatz.width,

@@ -29,8 +29,8 @@ class NoConvergence(Dnls3Error):
 
     REASONS = {
         "iteration_cap": "hit the iteration cap",
-        "invalid_step": "stalled: the step fell below 1e-10 while no trial kept the coupling N negative and the action finite",
-        "residual_growth": "stalled: the step fell below 1e-10 while every trial raised the residual or the action",
+        "invalid_step": "stalled: halving the step below 1e-10 left no projected trial that is valid and does not raise the action",
+        "residual_growth": "stalled: an accepted step did not lower the residual",
     }
 
     def __init__(self, iterations: int, residual: float, reason: str = "iteration_cap"):

@@ -50,19 +50,22 @@ def kinetic(state: State, phys: PhysParams) -> float:
     return float(0.5 * np.dot(kappa, per_component) * g.weight)
 
 
-def _coupling(grid: Grid, F: np.ndarray, Qhat: np.ndarray) -> float:
-    """N = Re (u3, grad q) by Parseval, from the state and pair-product spectra."""
-    N = 0.0
+def _coupling(grid: Grid, F: np.ndarray, Qhat: np.ndarray) -> complex:
+    """C = (u3, grad q) by Parseval, from the state and pair-product spectra; N = Re C.
+
+    Rotating u3 by e^{i theta} turns C into e^{i theta} C.
+    """
+    C = 0j
     for k in range(grid.d):
-        N += float(np.sum(np.real(F[2, k] * np.conj(grid.ik[k] * Qhat))))
-    return N * grid.weight
+        C += complex(np.sum(F[2, k] * np.conj(grid.ik[k] * Qhat)))
+    return C * grid.weight
 
 
 def potential(state: State) -> float:
     """Coupling term N = Re (u3, grad(u1 . conj(u2)))."""
     g = state.grid
     F = g.fft(state.u)
-    return _coupling(g, F, g.coupling_spectra(F, state.u, pair_only=True))
+    return _coupling(g, F, g.coupling_spectra(F, state.u, pair_only=True)).real
 
 
 def energy(state: State, phys: PhysParams) -> float:
@@ -163,6 +166,15 @@ def evaluate(state: State, phys: PhysParams, wave: WaveParams, warn_inadmissible
 
 def _report(state: State, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> FunctionalReport:
     """The functional report of a state whose spectrum F the caller holds."""
+    Q, L, C, P = _parts(state, F, phys, state.grid.coupling_spectra(F, state.u, pair_only=True))
+    return FunctionalReport.from_parts(Q, L, C.real, P, wave.omega, wave.c_array)
+
+
+def _parts(state: State, F: np.ndarray, phys: PhysParams, Qhat: np.ndarray):
+    """(Q, L, C, P) of a state whose spectrum F and pair-product spectrum Qhat the caller holds.
+
+    C is the complex coupling of _coupling; the coupling functional is N = Re C.
+    """
     g = state.grid
     absF2 = np.abs(F) ** 2
 
@@ -175,8 +187,7 @@ def _report(state: State, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> 
     for k in range(g.d):
         P[k] = -0.5 * float(np.sum(g.xi[k] * absF2)) * g.weight
 
-    N = _coupling(g, F, g.coupling_spectra(F, state.u, pair_only=True))
-    return FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
+    return Q, L, _coupling(g, F, Qhat), P
 
 
 def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
@@ -189,18 +200,18 @@ def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
     with nonlinear parts -(div u3) u2, -(conj div u3) u1 and +grad(u1.conj(u2)).
     """
     g = state.grid
-    return State(g, g.ifft(_gradient_spectrum(state, g.fft(state.u), phys, wave)))
+    F = g.fft(state.u)
+    return State(g, g.ifft(_gradient_spectrum(g, F, g.coupling_spectra(F, state.u), phys, wave)))
 
 
-def _gradient_spectrum(state: State, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> np.ndarray:
-    """Spectrum of the action gradient of a state whose spectrum F the caller holds.
+def _gradient_spectrum(g: Grid, F: np.ndarray, products: np.ndarray, phys: PhysParams, wave: WaveParams) -> np.ndarray:
+    """Spectrum of the action gradient of a state from its spectrum F and coupling products.
 
-    The nonlinear parts come from the same coupling kernel as the coupling
-    functional, so this stays its exact gradient also in dealiased mode.
+    ``products`` is ``g.coupling_spectra(F, ...)``, the same kernel as the
+    coupling functional, so this stays its exact gradient also in dealiased
+    mode.
     """
-    g = state.grid
     d = g.d
-    products = g.coupling_spectra(F, state.u)
     out = np.empty_like(F)
     for j, sym in enumerate(linear_symbols(g, phys, wave)):
         out[j] = sym * F[j]

@@ -1,20 +1,24 @@
 """Ground states: constrained minimization of the action and its diagnostics.
 
 The minimizer of S over the zero set of K (the natural constraint obtained
-by differentiating S along rays) is computed by preconditioned descent:
+by differentiating S along rays) is computed by a projected fixed-step
+iteration of Petviashvili type:
 
     1. evaluate the action gradient,
     2. apply the inverse of its linear part (the three frequency-shifted
        resolvents), which equalizes spectral stiffness,
-    3. step against it, with the step size steered by the residual norm
-       (see _descend), and
-    4. rescale the iterate back onto the constraint with
-       lambda = -Lqc / (3N).
+    3. step against it with the fixed step STEP, and
+    4. project the trial (see _project): rotate u3 so that the complex
+       coupling C = (u3, grad(u1 . conj(u2))) is real and negative, then
+       rescale onto the constraint with lambda = -Lqc / (3N).
 
-On the constraint the quadratic part controls the squared H1 norm
-(coercivity certificate), so plain descent converges; the minimizer is a
-stationary point of the unconstrained action because the constraint's
-Lagrange multiplier vanishes there.
+The phase rotation removes the one direction that neither the gauge nor
+the rescaling controls (the relative phase of u3 against u1 . conj(u2));
+without it no fixed step near 1 converges. The step is halved only while
+a projected trial is invalid or raises the action, and the iteration stops
+when an accepted step fails to lower the preconditioned residual. The
+minimizer is a stationary point of the unconstrained action because the
+constraint's Lagrange multiplier vanishes there.
 
 The module also verifies the structural identities of converged profiles:
 the dilation (Pohozaev-type) identity, the (4-d) charge/momentum identity,
@@ -38,7 +42,7 @@ from .errors import (
 from .functionals import (
     FunctionalReport,
     _gradient_spectrum,
-    _report,
+    _parts,
     evaluate,
     l2_scaling,
     linear_symbols,
@@ -68,7 +72,6 @@ class AnsatzConfig:
 class SolverConfig:
     max_iter: int = 20000
     residual_tol: float = 1e-9
-    step_size: float = 0.5
     ansatz: AnsatzConfig = field(default_factory=AnsatzConfig)
     seed: int = 0
     restarts: int = 3
@@ -76,8 +79,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.residual_tol <= 0 or self.step_size <= 0:
-            raise ValueError("tolerances and step sizes must be positive")
+        if self.residual_tol <= 0:
+            raise ValueError("the residual tolerance must be positive")
 
 
 @dataclass
@@ -147,81 +150,85 @@ def initial_ansatz(
     return state
 
 
-def _descend(grid, phys, wave, config, start: State):
-    """Projected preconditioned descent from one start.
+# The fixed step. At the minimizer the component rescalings (a u1, b u2, c u3)
+# with abc = 1 are exact eigenvectors of the preconditioned Hessian with
+# eigenvalue 2, so a step t scales their error by 1 - 2t: a step of 1 leaves
+# them oscillating undamped, 0.9 contracts them by 0.8 per iteration.
+STEP = 0.9
 
-    The step is monitored retroactively through the preconditioned-residual
-    norm, which stays accurately computable long after action differences
-    drop below rounding: when the residual (or, materially, the action)
-    grows, the step is undone and halved; after a long streak of clean
-    contractions it is grown again, but never past a ceiling recorded at
-    the last instability. The report of each Nehari-rescaled trial follows
-    algebraically from the trial's own report. Returns (state, report,
-    iterations, residual, action_history, termination), where termination
-    is "converged" or one of the NoConvergence reasons.
+
+def _project(grid: Grid, phys: PhysParams, wave: WaveParams, F: np.ndarray):
+    """Align the coupling phase of the state with spectrum F, then rescale it onto the constraint.
+
+    u3 turns by the phase that makes C = (u3, grad(u1 . conj(u2))) real and
+    negative, so N = -|C| while Q, L and P stay; lambda = -Lqc / (3N) then
+    zeroes K. The report and coupling products of the result follow from
+    the trial's one product batch. Returns (F, u, report, products) of the
+    projected state, or None when C vanishes.
+    """
+    d = grid.d
+    u = grid.ifft(F)
+    products = grid.coupling_spectra(F, u)
+    Q, L, C, P = _parts(State(grid, u), F, phys, products[2 * d])
+    rep = FunctionalReport.from_parts(Q, L, -abs(C), P, wave.omega, wave.c_array)
+    try:
+        lam = rep.nehari_factor()
+    except DegenerateNonlinearity:
+        return None
+    phase = -np.conj(C) / abs(C)
+    factors = np.array([lam, lam, lam * phase]).reshape(3, *[1] * (F.ndim - 1))
+    # (div u3) u2 turns with u3, conj(div u3) u1 against it, u1 . conj(u2) not at all
+    products *= lam * lam
+    products[:d] *= phase
+    products[d : 2 * d] *= np.conj(phase)
+    return factors * F, factors * u, rep.scaled(lam), products
+
+
+def _descend(grid, phys, wave, config, start: State):
+    """Projected fixed-step iteration from one start.
+
+    Steps by STEP against the preconditioned gradient and projects the trial
+    (_project), halving the step only while the trial is invalid or raises S
+    beyond a 1e-12 rounding slack; stops with the state before an accepted
+    step that fails to lower the preconditioned residual. Returns (state,
+    report, iterations, residual, action_history, termination), where
+    termination is "converged" or a NoConvergence reason.
     """
     sym_inv = np.stack(resolvent_symbols(grid, phys, wave))[:, None]
     weights = (1.0 + grid.k2) * grid.weight
 
-    def pgrad(state, F):
-        Fpg = sym_inv * _gradient_spectrum(state, F, phys, wave)
-        h1 = np.sqrt(np.sum(weights * np.abs(F) ** 2))
-        res = float(np.sqrt(np.sum(weights * np.abs(Fpg) ** 2))) / max(h1, 1e-300)
-        return grid.ifft(Fpg), res
+    def iterate(F):
+        """The projection of spectrum F with its preconditioned gradient and residual, or None."""
+        projected = _project(grid, phys, wave, F)
+        if projected is None:
+            return None
+        F, u, rep, products = projected
+        Fpg = sym_inv * _gradient_spectrum(grid, F, products, phys, wave)
+        res = float(np.sqrt(np.sum(weights * np.abs(Fpg) ** 2) / np.sum(weights * np.abs(F) ** 2)))
+        return F, u, rep, Fpg, res
 
-    U = start
-    F = grid.fft(U.u)
-    rep = _report(U, F, phys, wave)
-    step = config.step_size
-    ceiling = 4.0 * config.step_size
-    streak = 0
+    current = iterate(grid.fft(start.u))
+    if current is None:
+        raise DegenerateNonlinearity("the start has no valid Nehari projection")
+    F, u, rep, Fpg, residual = current
     s_history = [rep.S]
 
     it = 0
-    pg, residual = pgrad(U, F)
-    while it < config.max_iter:
+    while residual >= config.residual_tol and it < config.max_iter:
         it += 1
-        if residual < config.residual_tol:
-            return U, rep, it, residual, s_history, "converged"
-
-        trial = State(grid, U.u - step * pg)
-        F_trial = grid.fft(trial.u)
-        rep_trial = _report(trial, F_trial, phys, wave)
-        try:
-            lam = rep_trial.nehari_factor()
-            rep_new = rep_trial.scaled(lam)
-            valid = rep_new.N < 0 and np.isfinite(rep_new.S)
-        except DegenerateNonlinearity:
-            valid = False
-        if not valid:
+        step = STEP
+        # a non-finite action fails the comparison too
+        while (trial := iterate(F - step * Fpg)) is None or not trial[2].S <= rep.S + 1e-12 * (1.0 + abs(rep.S)):
             step *= 0.5
-            streak = 0
             if step < 1e-10:
-                return U, rep, it, residual, s_history, "invalid_step"
-            continue
-
-        projected = State(grid, lam * trial.u)
-        F_new = lam * F_trial
-        pg_new, res_new = pgrad(projected, F_new)
-        worse_res = res_new > residual
-        worse_S = rep_new.S > rep.S + 1e-12 * (1.0 + abs(rep.S))
-        if worse_res or worse_S:
-            ceiling = min(ceiling, step)
-            step *= 0.5
-            streak = 0
-            if step < 1e-10:
-                return U, rep, it, residual, s_history, "residual_growth"
-            continue
-
-        U, rep, pg, residual = projected, rep_new, pg_new, res_new
+                return State(grid, u), rep, it, residual, s_history, "invalid_step"
+        if trial[4] >= residual:
+            return State(grid, u), rep, it, residual, s_history, "residual_growth"
+        F, u, rep, Fpg, residual = trial
         s_history.append(rep.S)
-        streak += 1
-        if streak >= 25 and step < 0.9 * ceiling:
-            step = min(step * 1.1, 0.9 * ceiling)
-            streak = 0
 
     termination = "converged" if residual < config.residual_tol else "iteration_cap"
-    return U, rep, it, residual, s_history, termination
+    return State(grid, u), rep, it, residual, s_history, termination
 
 
 def solve_ground_state(

@@ -98,6 +98,13 @@ class TestConfig:
         with pytest.raises(ValidationError):
             parse_config(json.dumps(doc))
 
+    def test_step_size_rejected_by_name(self):
+        doc = json.loads(MINIMAL)
+        doc["solver"] = {"step_size": 0.5}
+        with pytest.raises(ParseError, match="step_size"):
+            parse_config(json.dumps(doc))
+        assert "step_size" not in parse_config(MINIMAL).effective["solver"]
+
     def test_grid_dimension_consistency(self):
         doc = json.loads(MINIMAL)
         doc["grid"] = {"d": 2, "n": [64]}
@@ -247,6 +254,31 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ValidationError"
         assert "experiment.field" in record["message"]
+
+    @pytest.mark.parametrize(
+        "name, grid, resolved",
+        [
+            ("resolved", {"n": [256], "extent": [40]}, True),
+            # Pohozaev and (4-d) residuals read about 9e-6 and 2e-5 here
+            ("coarse", {"n": [128], "extent": [40], "dealias": True}, False),
+        ],
+    )
+    def test_gs_identity_flag_matches_check(self, tmp_path, name, grid, resolved):
+        cfg_path, outdir = small_config(tmp_path, f"gs_{name}", grid=grid, wave={"c": [0.3]})
+        assert run_subcommand(["gs", "--config", str(cfg_path)]) == 0
+        gs = json.loads((outdir / "ground_state.json").read_text())
+        cfg2, outdir2 = small_config(
+            tmp_path,
+            f"check_{name}",
+            grid=grid,
+            wave={"c": [0.3]},
+            experiment={"field": str(outdir / "ground_state.ldsf"), "samples": 20},
+        )
+        code = run_subcommand(["check", "--config", str(cfg2)])
+        check = json.loads((outdir2 / "check.json").read_text())
+        assert gs["thresholds"] == check["thresholds"]
+        assert gs["identities_passed"] is check["identities_passed"] is resolved
+        assert code == (0 if resolved else 3)
 
     def test_no_threads_flag(self, tmp_path):
         cfg_path, outdir = small_config(tmp_path, "nothreads")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnls3.errors import (
     DegenerateNonlinearity,
@@ -8,13 +10,14 @@ from dnls3.errors import (
     NoConvergence,
     WrongDimension,
 )
-from dnls3.functionals import evaluate
+from dnls3.functionals import evaluate, potential
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import (
     AnsatzConfig,
     GroundStateResult,
     SolverConfig,
     _descend,
+    _project,
     gwp2d_threshold,
     h_curve,
     identity_4minusd_check,
@@ -27,6 +30,8 @@ from dnls3.ground_state import (
     stability_margin,
 )
 from dnls3.params import PhysParams, WaveParams
+
+from tests.conftest import random_state
 
 PHYS = PhysParams(1.0, 1.0, 1.0)
 FAST = SolverConfig(restarts=1)
@@ -166,8 +171,8 @@ class TestSolve:
         assert "iteration cap" in str(excinfo.value)
 
     def test_no_convergence_names_stall(self, grid1d_box):
-        # below the rounding floor every trial raises the residual, so the
-        # step underflows long before the iteration cap
+        # below the rounding floor an accepted step no longer lowers the
+        # residual, so the descent stops long before the iteration cap
         unreachable = SolverConfig(restarts=1, residual_tol=1e-300)
         with pytest.raises(NoConvergence) as excinfo:
             solve_ground_state(grid1d_box, PHYS, WaveParams(1.0, (0.0,)), unreachable)
@@ -193,6 +198,66 @@ class TestSolve:
         rep = evaluate(State(gs_1d.phi.grid, 1.2 * gs_1d.phi.u), PHYS, wave)
         assert rep.K < 0
         assert rep.Lqc > 6.0 * gs_1d.mu
+
+
+class TestProjectedIteration:
+    def test_3d_default_config_converges(self):
+        # the relative phase of u3 against u1 . conj(u2) is the stiff
+        # direction here; without the phase alignment the descent stalls
+        g = Grid((32, 32, 32), (20.0, 20.0, 20.0))
+        wave = WaveParams(1.0, (0.0, 0.0, 0.0))
+        start = initial_ansatz(g, PHYS, wave)
+        _, rep, _, residual, s_hist, termination = _descend(g, PHYS, wave, SolverConfig(), start)
+        assert termination == "converged"
+        assert residual < SolverConfig().residual_tol
+        assert abs(rep.K) < 1e-8 * rep.Lqc
+        assert np.all(np.diff(s_hist) <= 1e-12 * (1.0 + np.abs(s_hist[:-1])))
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_transforms_per_iteration(self, dealias, fft_calls):
+        # one inverse transform of the trial and one product batch, which
+        # feeds the trial's report, its alignment and its gradient
+        g = Grid(256, 40.0, dealias=dealias)
+        wave = WaveParams(1.0, (0.3,))
+        start = initial_ansatz(g, PHYS, wave)
+        counts = []
+        for max_iter in (2, 3):
+            fft_calls["calls"] = 0
+            *_, termination = _descend(g, PHYS, wave, SolverConfig(max_iter=max_iter, restarts=1), start)
+            assert termination == "iteration_cap"
+            counts.append(fft_calls["calls"])
+        assert counts[1] - counts[0] <= 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        dealias=st.booleans(),
+        speed=st.floats(-1.0, 1.0),
+    )
+    def test_projection_aligns_phase_and_rescales(self, seed, d, dealias, speed):
+        g = Grid((32,) * d, (12.0,) * d, dealias=dealias)
+        wave = WaveParams(1.0, (speed,) + (0.0,) * (d - 1))
+        state = random_state(g, np.random.default_rng(seed))
+        before = evaluate(state, PHYS, wave)
+        # C = N(U) - i N(U with u3 turned by i): N is the real part of C
+        turned = State(g, state.u * np.array([1.0, 1.0, 1j]).reshape(3, *[1] * (d + 1)))
+        abs_c = np.hypot(before.N, potential(turned))
+
+        F, u, rep, products = _project(g, PHYS, wave, g.fft(state.u))
+        after = evaluate(State(g, u), PHYS, wave)
+        lam2 = after.Q / before.Q
+        lam = np.sqrt(lam2)
+        assert after.L == pytest.approx(lam2 * before.L, rel=1e-12)
+        assert np.allclose(after.P, lam2 * before.P, rtol=1e-12, atol=1e-12 * lam2 * before.Q)
+        assert after.N / lam**3 == pytest.approx(-abs_c, rel=1e-12)
+        assert after.N / lam**3 <= before.N + 1e-12 * abs_c
+        assert abs(after.K) <= 1e-12 * after.Lqc
+        # the report and products carried through the projection are the projected state's own
+        assert rep.S == pytest.approx(after.S, rel=1e-12, abs=1e-12 * after.Lqc)
+        assert np.allclose(F, g.fft(u), rtol=0, atol=1e-12 * np.max(np.abs(F)))
+        direct = g.coupling_spectra(F, u)
+        assert np.allclose(products, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)))
 
 
 class TestIdentities:
