@@ -6,23 +6,29 @@ The flow is
     dt u2 = i (beta  Lap u2 + (div conj(u3)) u1)
     dt u3 = i (gamma Lap u3 - grad(u1 . conj(u2)))
 
-whose linear part is diagonal in frequency and solved exactly by unitary
-multipliers. The default scheme is Strang splitting: half a linear step,
-one full step of the coupling-only system by classical RK4 (the coupling
-is a first-order-derivative nonlinearity, mild over one step between the
+that is, i dt U = -kappa Lap U + dN: the flow is Hamiltonian, i dt U is the
+energy part of the action gradient, and dN = (-(div u3) u2,
+-conj(div u3) u1, grad(u1 . conj(u2))) is its nonlinear part. The linear
+part is diagonal in frequency and solved exactly by unitary multipliers;
+the coupling-only flow has the right side rhs = -i dN. The default scheme
+is Strang splitting: half a linear step, one full step of the
+coupling-only system by classical RK4 (the coupling is a
+first-order-derivative nonlinearity, mild over one step between the
 smoothing linear half-steps), half a linear step. An integrating-factor
 RK4 on the full right side is provided for order studies.
 
 Both schemes work on the spectrum. Each RK stage makes one call to the
-grid's coupling kernel: one batched inverse transform of (u1, u2, div u3),
+grid's kernel for dN (``Grid.nonlinear_gradient``, the same kernel the
+action gradient uses): one batched inverse transform of (u1, u2, div u3),
 zero-padded once onto the 3/2 grid when dealiasing, the three products,
-and one batched forward transform back to the band. ``evolve`` keeps the
-state as a spectrum between records, builds the linear phases once per
-step size, and fuses the closing half-step of one Strang step with the
-opening half-step of the next into one full linear step
-(linear(dt/2) o linear(dt/2) = linear(dt)); it goes back to physical space
-only to record. A Strang step then costs 8 transforms, and ``step`` adds
-one forward and one inverse transform around it.
+and one batched forward transform back to the band. RK4 takes the complex
+step h = -i dt on dN and forms its stage inputs and stage sum in place.
+``evolve`` keeps the state as a spectrum between records, builds the
+linear phases once per step size, and fuses the closing half-step of one
+Strang step with the opening half-step of the next into one full linear
+step (linear(dt/2) o linear(dt/2) = linear(dt)); it goes back to physical
+space only to record. A Strang step then costs 8 transforms, and ``step``
+adds one forward and one inverse transform around it.
 
 Charge and momentum are conserved exactly by the linear flow and by the
 coupling flow separately, so their numerical drift is set by the RK4
@@ -130,30 +136,17 @@ class EvolutionTrace:
         return self.S + (omega2 - wave.omega) * self.Q + (self.P @ dc)
 
 
-def _coupling_hat(grid: Grid, F: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-    """Spectrum of the coupling-only right side, from the state's spectrum F."""
-    d = grid.d
-    products = grid.coupling_spectra(F, u)
-    out = np.empty_like(F)
-    out[0] = 1j * products[:d]
-    out[1] = 1j * products[d : 2 * d]
-    for k in range(d):
-        out[2, k] = grid.xi[k] * products[2 * d]  # -i grad q
-    return out
-
-
 def coupling_rhs(state: State, phys: PhysParams) -> State:
-    """Time derivative of the coupling-only system (no Laplacians)."""
+    """Time derivative of the coupling-only system (no Laplacians): -i dN."""
     g = state.grid
-    return State(g, g.ifft(_coupling_hat(g, g.fft(state.u), state.u)))
+    return State(g, g.ifft(-1j * g.nonlinear_gradient(g.fft(state.u), state.u)))
 
 
 def rhs(state: State, phys: PhysParams) -> State:
     """Full right side: linear dispersion plus coupling."""
     g = state.grid
     F = g.fft(state.u)
-    lin = -1j * _kappa(g, phys) * g.k2 * F
-    return State(g, g.ifft(lin + _coupling_hat(g, F, state.u)))
+    return State(g, g.ifft(-1j * (_kappa(g, phys) * g.k2 * F + g.nonlinear_gradient(F, state.u))))
 
 
 def _kappa(grid: Grid, phys: PhysParams) -> np.ndarray:
@@ -173,24 +166,39 @@ def linear_propagator(state: State, phys: PhysParams, t: float) -> State:
 
 
 def _rk4_coupling(grid: Grid, F: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of the coupling-only system, on the spectrum."""
-    k1 = _coupling_hat(grid, F)
-    k2 = _coupling_hat(grid, F + 0.5 * dt * k1)
-    k3 = _coupling_hat(grid, F + 0.5 * dt * k2)
-    k4 = _coupling_hat(grid, F + dt * k3)
-    return F + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One classical RK4 step of the coupling-only system i dt F = dN, on the spectrum.
+
+    The right side is -i dN, so the stages take the complex step h = -i dt.
+    Stage inputs and the stage sum are formed in place; F is not written.
+    """
+    h = -1j * dt
+    total = grid.nonlinear_gradient(F)  # becomes k1 + 2 k2 + 2 k3 + k4
+    stage = np.multiply(total, 0.5 * h)
+    stage += F
+    for weight in (0.5, 1.0):
+        k = grid.nonlinear_gradient(stage)
+        np.multiply(k, weight * h, out=stage)
+        stage += F
+        k *= 2.0
+        total += k
+    total += grid.nonlinear_gradient(stage)
+    total *= h / 6.0
+    total += F
+    return total
 
 
 def _if_rk4_step(grid: Grid, F0: np.ndarray, dt: float, half: np.ndarray, full: np.ndarray) -> np.ndarray:
     """Integrating-factor RK4 on the full right side (exact linear phases), on the spectrum.
 
-    ``half`` and ``full`` are the linear phases over dt/2 and dt.
+    ``half`` and ``full`` are the linear phases over dt/2 and dt; the
+    coupling stages take the complex step h = -i dt, as in _rk4_coupling.
     """
-    a = _coupling_hat(grid, F0)
-    b = _coupling_hat(grid, half * (F0 + 0.5 * dt * a))
-    c = _coupling_hat(grid, half * F0 + 0.5 * dt * b)
-    d = _coupling_hat(grid, full * F0 + dt * half * c)
-    return full * F0 + (dt / 6.0) * (full * a + 2.0 * half * (b + c) + d)
+    h = -1j * dt
+    a = grid.nonlinear_gradient(F0)
+    b = grid.nonlinear_gradient(half * (F0 + 0.5 * h * a))
+    c = grid.nonlinear_gradient(half * F0 + 0.5 * h * b)
+    d = grid.nonlinear_gradient(full * F0 + h * half * c)
+    return full * F0 + (h / 6.0) * (full * a + 2.0 * half * (b + c) + d)
 
 
 def step(state: State, phys: PhysParams, dt: float, scheme: str = "strang") -> State:
@@ -285,11 +293,11 @@ def evolve(
             F = _if_rk4_step(grid, F, dt_i, half, full)
         else:
             if owed == dt_i:
-                F = full * F  # the owed closing half-step fused with this opening one
+                F *= full  # the owed closing half-step fused with this opening one
             else:
                 if owed is not None:
-                    F = phases[owed][0] * F
-                F = half * F
+                    F *= phases[owed][0]
+                F *= half
             F = _rk4_coupling(grid, F, dt_i)
             owed = dt_i
         t = i * dt if i < n_steps else config.t_final
@@ -297,7 +305,7 @@ def evolve(
             raise NonFinite(t, build_trace(divergence_time=t))
         if i % config.record_stride == 0 or i == n_steps:
             if owed is not None:
-                F = phases[owed][0] * F
+                F *= phases[owed][0]
                 owed = None
             U = State(grid, grid.ifft(F))
             record(t, U)
@@ -353,8 +361,9 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
     of the blockwise weighted cross-spectra; for each shift the phase pair
     reduces to a one-dimensional circle search (the u1 phase has a closed
     form given the relative phase), and the winner is refined over
-    (y, a, b) to tolerance 1e-6 with a simplex search. The result never
-    exceeds ||U - phi||_{H1}.
+    (y, a, b) with a simplex search until the simplex spans less than 1e-8
+    in the parameters and 1e-14 relative in the squared distance. The
+    result never exceeds ||U - phi||_{H1}.
     """
     g = state.grid
     if g != phi.grid:
@@ -392,11 +401,13 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
         return norm2 - 2.0 * gain
 
     x0 = np.concatenate([y0, [a0, b0]])
+    # the objective is a difference of O(norm2) terms, so its rounding floor
+    # is relative to norm2; an absolute tolerance below it is never met
     res = minimize(
         objective,
         x0,
         method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-14, "maxiter": 500 * (g.d + 2)},
+        options={"xatol": 1e-8, "fatol": 1e-14 * norm2, "maxiter": 500 * (g.d + 2)},
     )
     best = min(res.fun, objective(x0))
     dist = float(np.sqrt(max(best, 0.0)))

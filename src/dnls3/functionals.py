@@ -50,22 +50,20 @@ def kinetic(state: State, phys: PhysParams) -> float:
     return float(0.5 * np.dot(kappa, per_component) * g.weight)
 
 
-def _coupling(grid: Grid, F: np.ndarray, Qhat: np.ndarray) -> complex:
-    """C = (u3, grad q) by Parseval, from the state and pair-product spectra; N = Re C.
+def _coupling(grid: Grid, F: np.ndarray, grad_pair: np.ndarray) -> complex:
+    """C = (u3, grad q) by Parseval, from the state's spectrum F and the spectrum of grad q; N = Re C.
 
+    ``grad_pair`` is the third block of dN (``grid.nonlinear_gradient``).
     Rotating u3 by e^{i theta} turns C into e^{i theta} C.
     """
-    C = 0j
-    for k in range(grid.d):
-        C += complex(np.sum(F[2, k] * np.conj(grid.ik[k] * Qhat)))
-    return C * grid.weight
+    return complex(np.vdot(grad_pair, F[2])) * grid.weight
 
 
 def potential(state: State) -> float:
     """Coupling term N = Re (u3, grad(u1 . conj(u2)))."""
     g = state.grid
     F = g.fft(state.u)
-    return _coupling(g, F, g.coupling_spectra(F, state.u, pair_only=True)).real
+    return _coupling(g, F, g.nonlinear_gradient(F, state.u, pair_only=True)).real
 
 
 def energy(state: State, phys: PhysParams) -> float:
@@ -166,12 +164,12 @@ def evaluate(state: State, phys: PhysParams, wave: WaveParams, warn_inadmissible
 
 def _report(state: State, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> FunctionalReport:
     """The functional report of a state whose spectrum F the caller holds."""
-    Q, L, C, P = _parts(state, F, phys, state.grid.coupling_spectra(F, state.u, pair_only=True))
+    Q, L, C, P = _parts(state, F, phys, state.grid.nonlinear_gradient(F, state.u, pair_only=True))
     return FunctionalReport.from_parts(Q, L, C.real, P, wave.omega, wave.c_array)
 
 
-def _parts(state: State, F: np.ndarray, phys: PhysParams, Qhat: np.ndarray):
-    """(Q, L, C, P) of a state whose spectrum F and pair-product spectrum Qhat the caller holds.
+def _parts(state: State, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
+    """(Q, L, C, P) of a state whose spectrum F and grad(u1 . conj(u2)) spectrum the caller holds.
 
     C is the complex coupling of _coupling; the coupling functional is N = Re C.
     """
@@ -187,7 +185,7 @@ def _parts(state: State, F: np.ndarray, phys: PhysParams, Qhat: np.ndarray):
     for k in range(g.d):
         P[k] = -0.5 * float(np.sum(g.xi[k] * absF2)) * g.weight
 
-    return Q, L, _coupling(g, F, Qhat), P
+    return Q, L, _coupling(g, F, grad_pair), P
 
 
 def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
@@ -195,31 +193,17 @@ def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
 
     Component expressions (m1, m2, m3 = 2, 1, 1):
 
-        G_j = -kappa_j Lap(u_j) + m_j omega u_j + i (c.grad) u_j + nonlinear_j
+        G_j = -kappa_j Lap(u_j) + m_j omega u_j + i (c.grad) u_j + dN_j
 
-    with nonlinear parts -(div u3) u2, -(conj div u3) u1 and +grad(u1.conj(u2)).
+    with nonlinear parts dN = (-(div u3) u2, -(conj div u3) u1,
+    +grad(u1.conj(u2))) from the grid's coupling kernel, the same kernel as
+    the coupling functional, so this stays its exact gradient also in
+    dealiased mode.
     """
     g = state.grid
     F = g.fft(state.u)
-    return State(g, g.ifft(_gradient_spectrum(g, F, g.coupling_spectra(F, state.u), phys, wave)))
-
-
-def _gradient_spectrum(g: Grid, F: np.ndarray, products: np.ndarray, phys: PhysParams, wave: WaveParams) -> np.ndarray:
-    """Spectrum of the action gradient of a state from its spectrum F and coupling products.
-
-    ``products`` is ``g.coupling_spectra(F, ...)``, the same kernel as the
-    coupling functional, so this stays its exact gradient also in dealiased
-    mode.
-    """
-    d = g.d
-    out = np.empty_like(F)
-    for j, sym in enumerate(linear_symbols(g, phys, wave)):
-        out[j] = sym * F[j]
-    out[0] -= products[:d]
-    out[1] -= products[d : 2 * d]
-    for k in range(d):
-        out[2, k] += g.ik[k] * products[2 * d]
-    return out
+    symbols = np.stack(linear_symbols(g, phys, wave))[:, None]
+    return State(g, g.ifft(symbols * F + g.nonlinear_gradient(F, state.u)))
 
 
 def linear_symbols(grid: Grid, phys: PhysParams, wave: WaveParams):

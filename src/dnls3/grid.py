@@ -111,8 +111,19 @@ class Grid:
             self._pad_blocks = [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
             fine_size = int(np.prod(self._product_shape))
             # unitary band spectrum -> unnormalized fine spectrum, and back
-            self._pad_scale = nonnyq / np.sqrt(self.size)
-            self._unpad_scale = nonnyq * (np.sqrt(self.size) / fine_size)
+            pad = nonnyq / np.sqrt(self.size)
+            unpad = nonnyq * (np.sqrt(self.size) / fine_size)
+        else:
+            self._product_shape = self.shape
+            self._pad_blocks = [((slice(None),) * d, (slice(None),) * d)]
+            pad = unpad = 1.0 / np.sqrt(self.size)
+        # symbols of the coupling kernel: the pad weights u1 and u2 by the
+        # band scale and u3 by the terms i xi_k of div u3 (state-shaped); the
+        # unpad folds the transform scale into the symbols (-1, -1, i xi) of
+        # the gradient (state rows flattened)
+        ones = np.ones(self.shape)
+        self._pad_symbols = np.array([[pad * ones] * d, [pad * ones] * d, [pad * ik * ones for ik in self.ik]])
+        self._unpad_symbols = np.array([-unpad * ones] * (2 * d) + [unpad * ik * ones for ik in self.ik])
 
     # -- coordinates -------------------------------------------------------
 
@@ -189,82 +200,95 @@ class Grid:
 
     # -- quadratic products --------------------------------------------------
 
-    def _to_product_grid(self, spectra: np.ndarray) -> np.ndarray:
-        """Values on the product grid of fields given by unitary spectra.
+    def _product_values(self, rows: np.ndarray) -> np.ndarray:
+        """Values on the product grid of fields whose pad-weighted spectra are ``rows``.
 
-        The product grid is the 3/2-padded grid when dealiasing (Nyquist
-        dropped), the grid itself otherwise. Leading axes are batched into
-        one inverse transform.
+        The product grid is the 3/2-padded grid when dealiasing, the grid
+        itself otherwise. Leading axes are batched into one inverse transform.
         """
-        if not self.dealias:
-            return self.ifft(spectra)
-        scaled = spectra * self._pad_scale
-        fine = np.zeros((*spectra.shape[: spectra.ndim - self.d], *self._product_shape), dtype=np.complex128)
-        for band, padded in self._pad_blocks:
-            fine[(..., *padded)] = scaled[(..., *band)]
-        return self._ifftn(fine, "forward")
+        if self.dealias:
+            fine = np.zeros((*rows.shape[: rows.ndim - self.d], *self._product_shape), dtype=np.complex128)
+            for band, padded in self._pad_blocks:
+                fine[(..., *padded)] = rows[(..., *band)]
+            rows = fine
+        return self._ifftn(rows, "forward")
 
-    def _from_product_grid(self, values: np.ndarray) -> np.ndarray:
-        """Unitary band spectra of fields given by values on the product grid.
+    def _unpad(self, spectra: np.ndarray, symbols: np.ndarray, out: np.ndarray) -> None:
+        """Cut the band out of unnormalized product-grid spectra into ``out``, times ``symbols``.
 
-        One batched forward transform; when dealiasing, the result is
-        truncated to the symmetric open band (Nyquist dropped).
+        Rows run along the leading axis; rows of ``out`` past those of
+        ``spectra`` take its last row.
         """
-        if not self.dealias:
-            return self.fft(values)
-        fine = self._fftn(values, "backward")
-        out = np.empty((*values.shape[: values.ndim - self.d], *self.shape), dtype=np.complex128)
+        r = len(spectra)
         for band, padded in self._pad_blocks:
-            out[(..., *band)] = fine[(..., *padded)]
-        out *= self._unpad_scale
-        return out
+            source = spectra[(slice(None), *padded)]
+            np.multiply(source, symbols[(slice(0, r), *band)], out=out[(slice(0, r), *band)])
+            if len(out) > r:
+                np.multiply(source[-1], symbols[(slice(r, None), *band)], out=out[(slice(r, None), *band)])
 
-    def coupling_spectra(self, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False) -> np.ndarray:
-        """Spectra of the quadratic coupling products of one state.
+    def nonlinear_gradient(self, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False) -> np.ndarray:
+        """Spectrum of dN, the coupling part of the action gradient, of the state with spectrum F.
 
-        ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``.
-        The fields u1, u2 and div u3 (2d+1 scalars) go to the product grid
-        in one batched inverse transform, the products are formed there, and
-        one batched forward transform brings them back. The result has shape
-        ``(2d+1, *shape)``: rows ``0..d-1`` hold ``(div u3) u2``, rows
-        ``d..2d-1`` hold ``conj(div u3) u1`` and row ``2d`` holds the pair
-        product ``q = u1 . conj(u2)``. With ``pair_only`` only ``q`` is
-        formed and returned, shape ``grid.shape``.
+        ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``;
+        the result has the same shape and holds the spectra of
+
+            dN = (-(div u3) u2, -conj(div u3) u1, grad(u1 . conj(u2))),
+
+        so that the action gradient is its linear part plus dN and the
+        coupling flow is i dt U = dN. The fields u1, u2 and div u3 (2d+1
+        scalars) go to the product grid in one batched inverse transform,
+        the products are formed there, and one batched forward transform
+        brings them back; the transform scale and the symbols (-1, -1, i xi)
+        are folded into the multiply that cuts out the band. With
+        ``pair_only`` only the block grad(u1 . conj(u2)) is formed, shape
+        ``(d, *shape)``.
 
         On a plain grid, ``u`` (the state's values, if the caller holds
-        them) supplies u1 and u2 without transforming them again.
+        them) supplies u1 and u2 without transforming them again. Every
+        array the kernel writes is its own; the result shares no memory
+        with its inputs or with another call's result.
         """
         d = self.d
+        weighted = F * self._pad_symbols
+        rows = weighted.reshape(3 * d, *self.shape)
+        for k in range(1, d):
+            rows[2 * d] += weighted[2, k]  # div u3 collects in the first u3 row
         if u is not None and not self.dealias:
             u1, u2 = u[0], u[1]
-            div3 = None if pair_only else self.ifft(sum(self.ik[k] * F[2, k] for k in range(d)))
+            div = None if pair_only else self._ifftn(rows[2 * d], "forward")
         else:
-            fields = F[:2].reshape(2 * d, *self.shape)
-            if not pair_only:
-                div_hat = sum(self.ik[k] * F[2, k] for k in range(d))
-                fields = np.concatenate([fields, div_hat[None]])
-            values = self._to_product_grid(fields)
+            values = self._product_values(rows[: 2 * d if pair_only else 2 * d + 1])
             u1, u2 = values[:d], values[d : 2 * d]
-            div3 = None if pair_only else values[2 * d]
-        q = np.sum(u1 * np.conj(u2), axis=0)
+            div = None if pair_only else values[2 * d]
+        pair = np.conjugate(u2)
+        pair *= u1
         if pair_only:
-            return self._from_product_grid(q)
-        products = np.empty((2 * d + 1, *q.shape), dtype=np.complex128)
-        products[:d] = div3 * u2
-        products[d : 2 * d] = np.conj(div3) * u1
-        products[2 * d] = q
-        return self._from_product_grid(products)
+            spectrum = self._fftn(np.add.reduce(pair, axis=0, keepdims=True), "backward")
+            out = np.empty((d, *self.shape), dtype=np.complex128)
+            self._unpad(spectrum, self._unpad_symbols[2 * d :], out)
+            return out
+        products = np.empty((2 * d + 1, *self._product_shape), dtype=np.complex128)
+        np.multiply(div, u2, out=products[:d])
+        np.add.reduce(pair, axis=0, out=products[2 * d])
+        np.conjugate(div, out=div)
+        np.multiply(div, u1, out=products[d : 2 * d])
+        out = np.empty(F.shape, dtype=np.complex128)
+        self._unpad(self._fftn(products, "backward"), self._unpad_symbols, out.reshape(3 * d, *self.shape))
+        return out
 
     def product_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sum over the leading axis of pointwise products a_m * b_m.
 
         Alias-free on a dealiased grid: both factors go to the product grid
-        in one batched transform, the same path as :meth:`coupling_spectra`.
+        in one batched transform, the same path as :meth:`nonlinear_gradient`.
         """
         if not self.dealias:
             return np.sum(a * b, axis=0)
-        values = self._to_product_grid(self.fft(np.stack([a, b])))
-        return self.ifft(self._from_product_grid(np.sum(values[0] * values[1], axis=0)))
+        band_scale, unpad_scale = self._pad_symbols[0, 0], -self._unpad_symbols[:1]
+        values = self._product_values(self.fft(np.stack([a, b])) * band_scale)
+        out = np.empty((1, *self.shape), dtype=np.complex128)
+        self._unpad(self._fftn(np.sum(values[0] * values[1], axis=0, keepdims=True), "backward"), unpad_scale, out)
+        return self.ifft(out[0])
 
     # -- quadrature, inner products, norms ----------------------------------
 

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .functionals import (
     FunctionalReport,
-    _gradient_spectrum,
     _parts,
     evaluate,
     l2_scaling,
@@ -162,26 +161,24 @@ def _project(grid: Grid, phys: PhysParams, wave: WaveParams, F: np.ndarray):
 
     u3 turns by the phase that makes C = (u3, grad(u1 . conj(u2))) real and
     negative, so N = -|C| while Q, L and P stay; lambda = -Lqc / (3N) then
-    zeroes K. The report and coupling products of the result follow from
-    the trial's one product batch. Returns (F, u, report, products) of the
+    zeroes K. The report and the nonlinear gradient dN of the result follow
+    from the trial's one product batch. Returns (F, u, report, dN) of the
     projected state, or None when C vanishes.
     """
-    d = grid.d
     u = grid.ifft(F)
-    products = grid.coupling_spectra(F, u)
-    Q, L, C, P = _parts(State(grid, u), F, phys, products[2 * d])
+    dN = grid.nonlinear_gradient(F, u)
+    Q, L, C, P = _parts(State(grid, u), F, phys, dN[2])
     rep = FunctionalReport.from_parts(Q, L, -abs(C), P, wave.omega, wave.c_array)
     try:
         lam = rep.nehari_factor()
     except DegenerateNonlinearity:
         return None
     phase = -np.conj(C) / abs(C)
-    factors = np.array([lam, lam, lam * phase]).reshape(3, *[1] * (F.ndim - 1))
-    # (div u3) u2 turns with u3, conj(div u3) u1 against it, u1 . conj(u2) not at all
-    products *= lam * lam
-    products[:d] *= phase
-    products[d : 2 * d] *= np.conj(phase)
-    return factors * F, factors * u, rep.scaled(lam), products
+    column = (3, *[1] * (F.ndim - 1))
+    factors = np.array([lam, lam, lam * phase]).reshape(column)
+    # -(div u3) u2 turns with u3, -conj(div u3) u1 against it, grad(u1 . conj(u2)) not at all
+    dN *= (lam * lam * np.array([phase, np.conj(phase), 1.0])).reshape(column)
+    return factors * F, factors * u, rep.scaled(lam), dN
 
 
 def _descend(grid, phys, wave, config, start: State):
@@ -202,8 +199,10 @@ def _descend(grid, phys, wave, config, start: State):
         projected = _project(grid, phys, wave, F)
         if projected is None:
             return None
-        F, u, rep, products = projected
-        Fpg = sym_inv * _gradient_spectrum(grid, F, products, phys, wave)
+        F, u, rep, dN = projected
+        # the resolvents invert the linear part of the gradient exactly
+        Fpg = sym_inv * dN
+        Fpg += F
         res = float(np.sqrt(np.sum(weights * np.abs(Fpg) ** 2) / np.sum(weights * np.abs(F) ** 2)))
         return F, u, rep, Fpg, res
 
@@ -490,19 +489,20 @@ def sample_below_level(
     (0.2, 0.95): along the ray, S(sU) = s^2 Lqc/2 + s^3 N rises to its peak
     at the constraint crossing and falls afterwards when N < 0, so the
     rising-branch root gives K > 0 and the falling-branch root K < 0.
-    Returns a list of (state, report) pairs.
+    Returns a list of (state, report) pairs; the report of sU follows from
+    that of U (FunctionalReport.scaled), so each draw is evaluated once.
     """
     out = []
     want_negative = int(round(n * negative_fraction))
+    shape = (3, grid.d, *grid.shape)
+    smoothing = (1.0 + grid.k2) ** 2
     attempts = 0
     while len(out) < n and attempts < 50 * n:
         attempts += 1
         take_negative = len(out) < want_negative
-        shape = (3, grid.d, *grid.shape)
         u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u = grid.ifft(grid.fft(u) / (1.0 + grid.k2) ** 2)
-        state = State(grid, u)
-        rep = evaluate(state, phys, wave)
+        u = grid.ifft(grid.fft(u) / smoothing)
+        rep = evaluate(State(grid, u), phys, wave)
         if take_negative and rep.N >= 0:
             continue
         target = float(rng.uniform(0.2, 0.95)) * mu
@@ -511,13 +511,12 @@ def sample_below_level(
         if not roots:
             continue
         s = roots[-1] if take_negative else roots[0]
-        scaled = State(grid, s * state.u)
-        rep_s = evaluate(scaled, phys, wave)
+        rep_s = rep.scaled(s)
         if rep_s.S >= mu:
             continue
         if take_negative and rep_s.K >= 0:
             continue
         if not take_negative and rep_s.K <= 0:
             continue
-        out.append((scaled, rep_s))
+        out.append((State(grid, s * u), rep_s))
     return out

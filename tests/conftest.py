@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from dnls3.grid import Grid, State
 
@@ -47,14 +48,24 @@ def band_limited_state(grid: Grid, rng: np.random.Generator, fraction: float) ->
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts the transforms made through numpy.fft while the test runs."""
+    """Counts the transforms made through numpy.fft or scipy.fft while the test runs.
+
+    An entry point that calls another wrapped entry point counts once.
+    """
     counter = {"calls": 0}
-    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
-        original = getattr(np.fft, name)
+    depth = [0]
+    for module in (np.fft, scipy.fft):
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
+            original = getattr(module, name)
 
-        def counted(*args, _original=original, **kwargs):
-            counter["calls"] += 1
-            return _original(*args, **kwargs)
+            def counted(*args, _original=original, **kwargs):
+                if depth[0] == 0:
+                    counter["calls"] += 1
+                depth[0] += 1
+                try:
+                    return _original(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
 
-        monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return counter

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnls3 import evolution
 from dnls3.errors import FitWindowEmpty, NonFinite
 from dnls3.evolution import (
     EvolveConfig,
@@ -21,6 +22,7 @@ from dnls3.evolution import (
 )
 from dnls3.functionals import evaluate
 from dnls3.grid import Grid, State, norm_h1
+from dnls3.ground_state import SolverConfig, solve_ground_state
 from dnls3.params import PhysParams, WaveParams
 
 from tests.conftest import band_limited_state, random_state
@@ -293,6 +295,29 @@ class TestOrbitDistance:
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
             orbit_distance(smooth_state(Grid(64, 10.0)), smooth_state(Grid(128, 10.0)))
+
+    def test_refine_converges_on_perturbed_ground_states(self, monkeypatch):
+        # the states of a dealiased 1D stability run: a moved ground state
+        # plus an H1 perturbation of size 1e-2. Its squared norm is O(100),
+        # so an absolute objective tolerance near 1e-14 sits at the rounding
+        # floor and the simplex search runs into its iteration cap
+        g = Grid(512, 40.0, dealias=True)
+        wave = WaveParams(1.0, (0.2,))
+        phi = solve_ground_state(g, PHYS, wave, SolverConfig(restarts=1)).phi
+        statuses = []
+
+        def spy(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        minimize = evolution.minimize
+        monkeypatch.setattr(evolution, "minimize", spy)
+        moved = solitary_wave(phi, wave, 0.5)
+        for seed in range(8):
+            perturbation = h1_perturbation(g, np.random.default_rng(seed))
+            orbit_distance(State(g, moved.u + 1e-2 * perturbation.u), phi)
+        assert statuses == [0] * 8
 
 
 class TestDecayFit:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dnls3.evolution import step
 from dnls3.grid import Grid, State, inner_h1, norm_h1, norm_l2
+from dnls3.params import PhysParams
 
 from tests.conftest import band_limited_state, random_state
 
@@ -237,6 +241,41 @@ class TestStateAndScaling:
         assert g.tail_mass(edge) > 0.1
 
 
+def double_padding_rows(g: Grid, F: np.ndarray) -> np.ndarray:
+    """Band spectra of (div u3) u2, conj(div u3) u1 and u1 . conj(u2), by an independent oracle.
+
+    The band interpolants (Nyquist dropped) are multiplied on a 2x grid,
+    where quadratic products are exact, and truncated back to the band.
+    """
+    modes = [np.fft.fftfreq(nk, d=1.0 / nk).astype(int) for nk in g.n]
+    keep = np.ix_(*[m != -nk // 2 for m, nk in zip(modes, g.n)])
+    to_fine = np.ix_(*[m % (2 * nk) for m, nk in zip(modes, g.n)])
+    axes = tuple(range(-g.d, 0))
+
+    def fine_values(F):
+        band = np.zeros_like(F)
+        band[(..., *keep)] = F[(..., *keep)]
+        fine = np.zeros((*F.shape[: F.ndim - g.d], *[2 * nk for nk in g.n]), dtype=complex)
+        fine[(..., *to_fine)] = band
+        return np.fft.ifftn(fine, axes=axes, norm="forward") / np.sqrt(g.size)
+
+    def band_spectrum(values):
+        F = np.fft.fftn(values, axes=axes)[(..., *to_fine)] * np.sqrt(g.size) / 2**g.d / g.size
+        out = np.zeros_like(F)
+        out[(..., *keep)] = F[(..., *keep)]
+        return out
+
+    u1, u2 = fine_values(F[0]), fine_values(F[1])
+    div3 = fine_values(sum(g.ik[k] * F[2, k] for k in range(g.d)))
+    return band_spectrum(np.concatenate([div3 * u2, np.conj(div3) * u1, [np.sum(u1 * np.conj(u2), axis=0)]]))
+
+
+def gradient_from_rows(g: Grid, rows: np.ndarray) -> np.ndarray:
+    """dN = (-(div u3) u2, -conj(div u3) u1, grad(u1 . conj(u2))) assembled from product rows."""
+    d = g.d
+    return np.stack([-rows[:d], -rows[d : 2 * d], np.stack([ik * rows[2 * d] for ik in g.ik])])
+
+
 class TestCouplingKernel:
     def test_dealias_flag_in_equality(self):
         assert Grid(64, 10.0) == Grid(64, 10.0)
@@ -254,46 +293,68 @@ class TestCouplingKernel:
 
     @pytest.mark.parametrize("n,extent", [(32, 10.0), ((16, 8), (6.0, 9.0))])
     def test_padded_products_match_double_padding(self, n, extent, rng):
-        # independent oracle: the band interpolants (Nyquist dropped) are
-        # multiplied on a 2x grid, where quadratic products are also exact
         g = Grid(n, extent, dealias=True)
         state = random_state(g, rng, smooth=False)
-        modes = [np.fft.fftfreq(nk, d=1.0 / nk).astype(int) for nk in g.n]
-        keep = np.ix_(*[m != -nk // 2 for m, nk in zip(modes, g.n)])
-        to_fine = np.ix_(*[m % (2 * nk) for m, nk in zip(modes, g.n)])
-        axes = tuple(range(-g.d, 0))
-
-        def fine_values(F):
-            band = np.zeros_like(F)
-            band[(..., *keep)] = F[(..., *keep)]
-            fine = np.zeros((*F.shape[: F.ndim - g.d], *[2 * nk for nk in g.n]), dtype=complex)
-            fine[(..., *to_fine)] = band
-            return np.fft.ifftn(fine, axes=axes, norm="forward") / np.sqrt(g.size)
-
-        def band_spectrum(values):
-            F = np.fft.fftn(values, axes=axes)[(..., *to_fine)] * np.sqrt(g.size) / 2**g.d / g.size
-            out = np.zeros_like(F)
-            out[(..., *keep)] = F[(..., *keep)]
-            return out
-
         F = g.fft(state.u)
-        u1, u2 = fine_values(F[0]), fine_values(F[1])
-        div3 = fine_values(sum(g.ik[k] * F[2, k] for k in range(g.d)))
-        expected = band_spectrum(
-            np.concatenate([div3 * u2, np.conj(div3) * u1, [np.sum(u1 * np.conj(u2), axis=0)]])
-        )
-        rows = g.coupling_spectra(F)
-        assert np.max(np.abs(rows - expected)) < 1e-12 * np.max(np.abs(expected))
+        expected = gradient_from_rows(g, double_padding_rows(g, F))
+        dN = g.nonlinear_gradient(F)
+        assert np.max(np.abs(dN - expected)) < 1e-12 * np.max(np.abs(expected))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]), dealias=st.booleans())
+    def test_coupling_flow_matches_double_padding(self, seed, d, dealias):
+        # -i dN is the coupling flow (i (div u3) u2, i conj(div u3) u1,
+        # -i grad q); plain grids are exact only while the products stay in
+        # the band, so they get states below n/4
+        n = {1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d]
+        g = Grid(n, (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        rng = np.random.default_rng(seed)
+        state = random_state(g, rng, smooth=False) if dealias else band_limited_state(g, rng, 0.25)
+        F = g.fft(state.u)
+        rows = double_padding_rows(g, F)
+        expected = np.stack([1j * rows[:d], 1j * rows[d : 2 * d], np.stack([xi * rows[2 * d] for xi in g.xi])])
+        flow = -1j * g.nonlinear_gradient(F)
+        assert np.max(np.abs(flow - expected)) < 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_kernel_rows(self, dealias, rng):
         g = Grid((16, 32), (6.0, 9.0), dealias=dealias)
         state = band_limited_state(g, rng, 0.25)
         F = g.fft(state.u)
-        rows = g.coupling_spectra(F)
+        dN = g.nonlinear_gradient(F)
         div3 = g.divergence(state.u3)
-        expected = np.concatenate([div3 * state.u2, np.conj(div3) * state.u1, [np.sum(state.u1 * np.conj(state.u2), axis=0)]])
-        assert np.max(np.abs(g.ifft(rows) - expected)) < 1e-12 * np.max(np.abs(expected))
-        # the pair-only call and the physical-value shortcut give the same rows
-        assert np.max(np.abs(g.coupling_spectra(F, state.u, pair_only=True) - rows[-1])) < 1e-12 * np.max(np.abs(rows))
-        assert np.max(np.abs(g.coupling_spectra(F, state.u) - rows)) < 1e-12 * np.max(np.abs(rows))
+        expected = np.stack([
+            -div3 * state.u2,
+            -np.conj(div3) * state.u1,
+            g.gradient(np.sum(state.u1 * np.conj(state.u2), axis=0)),
+        ])
+        assert np.max(np.abs(g.ifft(dN) - expected)) < 1e-12 * np.max(np.abs(expected))
+        # the pair-only call and the physical-value shortcut give the same blocks
+        assert np.max(np.abs(g.nonlinear_gradient(F, state.u, pair_only=True) - dN[2])) < 1e-12 * np.max(np.abs(dN))
+        assert np.max(np.abs(g.nonlinear_gradient(F, state.u) - dN)) < 1e-12 * np.max(np.abs(dN))
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("n,extent", [(64, 12.0), ((16, 8), (6.0, 9.0))])
+    def test_results_do_not_alias(self, n, extent, dealias, rng):
+        # a result held from one call must survive later calls on other states
+        g = Grid(n, extent, dealias=dealias)
+        a, b = random_state(g, rng), random_state(g, rng, scale=3.0)
+        Fa, Fb = g.fft(a.u), g.fft(b.u)
+        kept_Fa = Fa.copy()
+        for values_a, values_b in ((None, None), (a.u, b.u)):
+            dN = g.nonlinear_gradient(Fa, values_a)
+            pair = g.nonlinear_gradient(Fa, values_a, pair_only=True)
+            kept, kept_pair = dN.copy(), pair.copy()
+            other = g.nonlinear_gradient(Fb, values_b)
+            g.nonlinear_gradient(Fb, values_b, pair_only=True)
+            assert np.array_equal(dN, kept) and np.array_equal(pair, kept_pair)
+            assert not np.shares_memory(dN, other) and not np.shares_memory(dN, Fa)
+        assert np.array_equal(Fa, kept_Fa)
+        phys = PhysParams(1.0, 1.0, 1.0)
+        kept_a = a.u.copy()
+        for scheme in ("strang", "if_rk4"):
+            first = step(a, phys, 1e-3, scheme)
+            kept = first.u.copy()
+            step(b, phys, 1e-3, scheme)
+            assert np.array_equal(first.u, kept)
+            assert np.array_equal(a.u, kept_a)

@@ -26,6 +26,7 @@ from dnls3.ground_state import (
     pohozaev_residual,
     precondition,
     resolvent_symbols,
+    sample_below_level,
     solve_ground_state,
     stability_margin,
 )
@@ -200,6 +201,29 @@ class TestSolve:
         assert rep.Lqc > 6.0 * gs_1d.mu
 
 
+class TestSampleBelowLevel:
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_reports_are_the_samples_own(self, gs_1d, dealias):
+        # each report is scaled from the unscaled draw's, not re-evaluated
+        g = Grid(256, 40.0, dealias=dealias)
+        samples = sample_below_level(g, PHYS, gs_1d.wave, gs_1d.mu, np.random.default_rng(7), 12)
+        assert len(samples) == 12
+        assert sum(rep.K < 0 for _, rep in samples) == 6
+        for state, rep in samples:
+            direct = evaluate(state, PHYS, gs_1d.wave)
+            for name in ("Q", "L", "N"):
+                assert getattr(rep, name) == pytest.approx(getattr(direct, name), rel=1e-12, abs=0.0), name
+            assert np.all(np.abs(rep.P - direct.P) <= 1e-12 * direct.Q)
+            # on the falling branch S and K are small differences of large
+            # terms, so they are compared on the scale of their terms
+            scale = abs(direct.L) + abs(direct.N) + abs(direct.omega * direct.Q) + abs(direct.cP)
+            for name in ("E", "S", "K", "Lqc", "G", "G_display"):
+                assert abs(getattr(rep, name) - getattr(direct, name)) <= 1e-12 * scale, name
+            assert np.sign(rep.K) == np.sign(direct.K)
+            assert np.sign(rep.N) == np.sign(direct.N)
+            assert rep.S < gs_1d.mu
+
+
 class TestProjectedIteration:
     def test_3d_default_config_converges(self):
         # the relative phase of u3 against u1 . conj(u2) is the stiff
@@ -244,7 +268,7 @@ class TestProjectedIteration:
         turned = State(g, state.u * np.array([1.0, 1.0, 1j]).reshape(3, *[1] * (d + 1)))
         abs_c = np.hypot(before.N, potential(turned))
 
-        F, u, rep, products = _project(g, PHYS, wave, g.fft(state.u))
+        F, u, rep, dN = _project(g, PHYS, wave, g.fft(state.u))
         after = evaluate(State(g, u), PHYS, wave)
         lam2 = after.Q / before.Q
         lam = np.sqrt(lam2)
@@ -253,11 +277,11 @@ class TestProjectedIteration:
         assert after.N / lam**3 == pytest.approx(-abs_c, rel=1e-12)
         assert after.N / lam**3 <= before.N + 1e-12 * abs_c
         assert abs(after.K) <= 1e-12 * after.Lqc
-        # the report and products carried through the projection are the projected state's own
+        # the report and nonlinear gradient carried through the projection are the projected state's own
         assert rep.S == pytest.approx(after.S, rel=1e-12, abs=1e-12 * after.Lqc)
         assert np.allclose(F, g.fft(u), rtol=0, atol=1e-12 * np.max(np.abs(F)))
-        direct = g.coupling_spectra(F, u)
-        assert np.allclose(products, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)))
+        direct = g.nonlinear_gradient(F, u)
+        assert np.allclose(dN, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)))
 
 
 class TestIdentities:
