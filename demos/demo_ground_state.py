@@ -29,7 +29,7 @@ for name in ("Q", "L", "N", "E", "S", "K", "Lqc", "G"):
 print(f"  P    = {rep.P}")
 print()
 print("identities of the minimizer:")
-print(f"  |K| / max(1, Lqc)            = {abs(rep.K) / max(1, rep.Lqc):.2e}   (constraint)")
+print(f"  |K| / max(1, Lqc)            = {rep.nehari_residual():.2e}   (constraint)")
 print(f"  dilation (Pohozaev) residual = {res.pohozaev_residual:.2e}")
 print(f"  (4-d) charge/momentum resid  = {res.fourd_residual:.2e}")
 print(f"  S - K/3 - Lqc/6 (rel)        = {rep.identity_residuals()['S_from_K_Lqc']:.2e}")

@@ -43,14 +43,7 @@ from .errors import (
 from .evolution import decay_rate_fit, evolve, h1_perturbation, stability_experiment
 from .functionals import WellMembership, coercivity_certificate, evaluate
 from .grid import State
-from .ground_state import (
-    fourd_residual,
-    h_curve,
-    mu_scaling_check,
-    pohozaev_residual,
-    sample_below_level,
-    solve_ground_state,
-)
+from .ground_state import h_curve, mu_scaling_check, sample_below_level, solve_ground_state
 from .snapshot import FORMAT_VERSION, load_field, save_field
 
 USER_ERRORS = (
@@ -98,6 +91,17 @@ def _write_csv(path: Path, header: list, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_trace_csv(path: Path, trace) -> None:
+    """One row per record: t, Q, E, P_k, S, K, h1norm, and orbit_dist when the trace has it."""
+    d = trace.P.shape[1]
+    header = ["t", "Q", "E", *[f"P_{k + 1}" for k in range(d)], "S", "K", "h1norm"]
+    columns = [trace.times, trace.Q, trace.E, *trace.P.T, trace.S, trace.K, trace.h1]
+    if trace.orbit_distance is not None:
+        header.append("orbit_dist")
+        columns.append(trace.orbit_distance)
+    _write_csv(path, header, zip(*columns))
 
 
 def _report_dict(rep) -> dict:
@@ -166,7 +170,7 @@ def _ground_state_payload(res) -> dict:
 def _cmd_gs(cfg: RunConfig, outdir: Path) -> int:
     res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
     save_field(res.phi, outdir / "ground_state.ldsf")
-    _, passed = _identity_gates(res.phi, res.report, res.mu, cfg)
+    _, passed = _identity_gates(res.report, res.mu)
     payload = dict(_ground_state_payload(res), identities_passed=passed, thresholds=CHECK_THRESHOLDS)
     _write_json(outdir / "ground_state.json", payload)
     return 0
@@ -212,17 +216,7 @@ def _initial_state(cfg: RunConfig):
 def _cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
     state, reference, _ = _initial_state(cfg)
     _, trace = evolve(state, cfg.phys, cfg.wave, cfg.evolve, reference=reference)
-    d = cfg.grid.d
-    header = ["t", "Q", "E", *[f"P_{k + 1}" for k in range(d)], "S", "K", "h1norm"]
-    if trace.orbit_distance is not None:
-        header.append("orbit_dist")
-    rows = []
-    for i, t in enumerate(trace.times):
-        row = [t, trace.Q[i], trace.E[i], *trace.P[i], trace.S[i], trace.K[i], trace.h1[i]]
-        if trace.orbit_distance is not None:
-            row.append(trace.orbit_distance[i])
-        rows.append(row)
-    _write_csv(outdir / "trace.csv", header, rows)
+    _write_trace_csv(outdir / "trace.csv", trace)
     return 0
 
 
@@ -234,13 +228,13 @@ CHECK_THRESHOLDS = {
 }
 
 
-def _identity_gates(phi: State, rep, mu: float, cfg: RunConfig):
-    """Residuals of the four identities that CHECK_THRESHOLDS gate, and whether all of them pass."""
+def _identity_gates(rep, mu: float):
+    """Residuals of the four identities that CHECK_THRESHOLDS gate, read off the report, and whether all pass."""
     residuals = {
         "identity_max": max(rep.identity_residuals().values()),
-        "nehari_K": abs(rep.K) / max(1.0, rep.Lqc),
-        "pohozaev": pohozaev_residual(phi, cfg.phys, cfg.wave),
-        "fourd": fourd_residual(rep, mu),
+        "nehari_K": rep.nehari_residual(),
+        "pohozaev": rep.pohozaev_residual(),
+        "fourd": rep.fourd_residual(mu),
     }
     return residuals, all(residuals[key] < limit for key, limit in CHECK_THRESHOLDS.items())
 
@@ -255,7 +249,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
         res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
         phi, rep, mu = res.phi, res.report, res.mu
 
-    gates, identities_passed = _identity_gates(phi, rep, mu, cfg)
+    gates, identities_passed = _identity_gates(rep, mu)
 
     cert = coercivity_certificate(cfg.phys, cfg.wave)
     rng = np.random.default_rng(cfg.seed)
@@ -339,14 +333,7 @@ def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
     report = stability_experiment(
         res, delta, cfg.evolve, tau0s=tau0s, seed=int(exp.get("perturbation_seed", cfg.seed))
     )
-    trace = report.trace
-    d = cfg.grid.d
-    header = ["t", "Q", "E", *[f"P_{k + 1}" for k in range(d)], "S", "K", "h1norm", "orbit_dist"]
-    rows = [
-        [t, trace.Q[i], trace.E[i], *trace.P[i], trace.S[i], trace.K[i], trace.h1[i], trace.orbit_distance[i]]
-        for i, t in enumerate(trace.times)
-    ]
-    _write_csv(outdir / "stability.csv", header, rows)
+    _write_trace_csv(outdir / "stability.csv", report.trace)
     _write_json(
         outdir / "verdict.json",
         {

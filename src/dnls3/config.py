@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ParseError, ValidationError
 from .evolution import SCHEMES, EvolveConfig
@@ -95,11 +95,12 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     # -- physics ------------------------------------------------------------
     phys_doc = doc.get("physics", {})
     _require_keys(phys_doc, {"alpha", "beta", "gamma"}, "physics")
+    default = PhysParams()
     try:
         phys = PhysParams(
-            _get_number(phys_doc, "alpha", 1.0, "physics", positive=True),
-            _get_number(phys_doc, "beta", 1.0, "physics", positive=True),
-            _get_number(phys_doc, "gamma", 1.0, "physics", positive=True),
+            _get_number(phys_doc, "alpha", default.alpha, "physics", positive=True),
+            _get_number(phys_doc, "beta", default.beta, "physics", positive=True),
+            _get_number(phys_doc, "gamma", default.gamma, "physics", positive=True),
         )
     except ValueError as exc:
         raise ValidationError("physics", str(exc)) from exc
@@ -146,19 +147,19 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     _require_keys(solver_doc, {"max_iter", "residual_tol", "ansatz", "seed", "restarts"}, "solver")
     ansatz_doc = solver_doc.get("ansatz", {})
     _require_keys(ansatz_doc, {"amplitude", "width", "carrier"}, "solver.ansatz")
+    default = SolverConfig()
     ansatz = AnsatzConfig(
-        amplitude=_get_number(ansatz_doc, "amplitude", 2.0, "solver.ansatz", positive=True),
-        width=_get_number(ansatz_doc, "width", 1.5, "solver.ansatz", positive=True),
-        carrier=_get_bool(ansatz_doc, "carrier", True, "solver.ansatz"),
+        amplitude=_get_number(ansatz_doc, "amplitude", default.ansatz.amplitude, "solver.ansatz", positive=True),
+        width=_get_number(ansatz_doc, "width", default.ansatz.width, "solver.ansatz", positive=True),
+        carrier=_get_bool(ansatz_doc, "carrier", default.ansatz.carrier, "solver.ansatz"),
     )
-    seed = _get_number(solver_doc, "seed", 0, "solver", integer=True)
     try:
         solver = SolverConfig(
-            max_iter=_get_number(solver_doc, "max_iter", 20000, "solver", positive=True, integer=True),
-            residual_tol=_get_number(solver_doc, "residual_tol", 1e-9, "solver", positive=True),
+            max_iter=_get_number(solver_doc, "max_iter", default.max_iter, "solver", positive=True, integer=True),
+            residual_tol=_get_number(solver_doc, "residual_tol", default.residual_tol, "solver", positive=True),
             ansatz=ansatz,
-            seed=seed,
-            restarts=_get_number(solver_doc, "restarts", 3, "solver", positive=True, integer=True),
+            seed=_get_number(solver_doc, "seed", default.seed, "solver", integer=True),
+            restarts=_get_number(solver_doc, "restarts", default.restarts, "solver", positive=True, integer=True),
         )
     except ValueError as exc:
         raise ValidationError("solver", str(exc)) from exc
@@ -166,19 +167,20 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     # -- evolve ---------------------------------------------------------------
     evolve_doc = doc.get("evolve", {})
     _require_keys(evolve_doc, {"dt", "t_final", "record_stride", "scheme"}, "evolve")
-    dt = evolve_doc.get("dt", None)
+    default = EvolveConfig()
+    dt = evolve_doc.get("dt", default.dt)
     if dt is not None:
         dt = _get_number(evolve_doc, "dt", None, "evolve", positive=True)
-    scheme = evolve_doc.get("scheme", "strang")
+    scheme = evolve_doc.get("scheme", default.scheme)
     if scheme not in SCHEMES:
         raise ValidationError("evolve.scheme", f"expected one of {SCHEMES}, got {scheme!r}")
-    t_final = _get_number(evolve_doc, "t_final", 1.0, "evolve")
+    t_final = _get_number(evolve_doc, "t_final", default.t_final, "evolve")
     if t_final < 0:
         raise ValidationError("evolve.t_final", "must be nonnegative")
     evolve_cfg = EvolveConfig(
         dt=dt,
         t_final=t_final,
-        record_stride=_get_number(evolve_doc, "record_stride", 10, "evolve", positive=True, integer=True),
+        record_stride=_get_number(evolve_doc, "record_stride", default.record_stride, "evolve", positive=True, integer=True),
         scheme=scheme,
     )
 
@@ -197,26 +199,11 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     output_dir = out_doc.get("dir", "out")
 
     effective = {
-        "physics": {"alpha": phys.alpha, "beta": phys.beta, "gamma": phys.gamma},
+        "physics": asdict(phys),
         "wave": {"omega": wave.omega, "c": list(wave.c)},
         "grid": {"d": grid.d, "n": list(grid.n), "extent": list(grid.extent), "dealias": grid.dealias},
-        "solver": {
-            "max_iter": solver.max_iter,
-            "residual_tol": solver.residual_tol,
-            "ansatz": {
-                "amplitude": ansatz.amplitude,
-                "width": ansatz.width,
-                "carrier": ansatz.carrier,
-            },
-            "seed": solver.seed,
-            "restarts": solver.restarts,
-        },
-        "evolve": {
-            "dt": evolve_cfg.dt,
-            "t_final": evolve_cfg.t_final,
-            "record_stride": evolve_cfg.record_stride,
-            "scheme": evolve_cfg.scheme,
-        },
+        "solver": asdict(solver),
+        "evolve": asdict(evolve_cfg),
         "experiment": dict(exp_doc),
         "output": {"dir": output_dir},
     }

@@ -40,7 +40,7 @@ the conservation monitors measure.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -96,8 +96,6 @@ class EvolutionTrace:
     K: np.ndarray
     h1: np.ndarray
     orbit_distance: np.ndarray | None = None
-    well_aplus: np.ndarray | None = None
-    well_bplus: np.ndarray | None = None
     divergence_time: float | None = None
 
     @property
@@ -121,19 +119,19 @@ class EvolutionTrace:
         ref = np.where(ref > 0, ref, 1.0)
         return float(np.max(np.abs(series - series[0]) / ref))
 
-    def shifted_K(self, wave: WaveParams, omega2: float, c2) -> np.ndarray:
-        """K at another parameter pair, from the recorded Q, P, K.
+    def shifted(self, wave: WaveParams, omega2: float, c2) -> "EvolutionTrace":
+        """The trace with S and K at another pair (omega2, c2), from the recorded Q, P, S, K.
 
-        K is quadratic in (omega, c): K' = K + 2(omega'-omega)Q + 2(c'-c).P.
+        S and K are affine in (omega, c): S' = S + (omega'-omega)Q + (c'-c).P
+        and K' = K + 2(omega'-omega)Q + 2(c'-c).P; N = K - 2S is unchanged.
         """
-        c2 = np.atleast_1d(np.asarray(c2, dtype=float))
-        dc = c2 - wave.c_array
-        return self.K + 2.0 * (omega2 - wave.omega) * self.Q + 2.0 * (self.P @ dc)
-
-    def shifted_S(self, wave: WaveParams, omega2: float, c2) -> np.ndarray:
-        c2 = np.atleast_1d(np.asarray(c2, dtype=float))
-        dc = c2 - wave.c_array
-        return self.S + (omega2 - wave.omega) * self.Q + (self.P @ dc)
+        dc = np.atleast_1d(np.asarray(c2, dtype=float)) - wave.c_array
+        domega = omega2 - wave.omega
+        return replace(
+            self,
+            S=self.S + domega * self.Q + (self.P @ dc),
+            K=self.K + 2.0 * domega * self.Q + 2.0 * (self.P @ dc),
+        )
 
 
 def coupling_rhs(state: State, phys: PhysParams) -> State:
@@ -221,14 +219,14 @@ def evolve(
     wave: WaveParams,
     config: EvolveConfig,
     reference: State | None = None,
-    mu: float | None = None,
 ):
     """Integrate to t_final, recording functionals every record_stride steps.
 
     With ``reference`` given, the orbit distance to its translation/gauge
-    orbit is recorded as well; with ``mu`` given, potential-well membership
-    flags are recorded. A non-finite state ends the run: the divergence
-    time is recorded in the partial trace attached to the NonFinite error.
+    orbit is recorded as well; potential-well flags of the records are
+    WellMembership.from_report(trace, mu). A non-finite state ends the run:
+    the divergence time is recorded in the partial trace attached to the
+    NonFinite error.
 
     The state is carried as its spectrum between records. Strang steps
     owe their closing linear half-step to the next step, whose opening
@@ -245,7 +243,7 @@ def evolve(
     dt = config.effective_dt(grid, phys)
     n_steps = int(np.ceil(config.t_final / dt - 1e-12)) if config.t_final > 0 else 0
 
-    rows = {k: [] for k in ("t", "Q", "E", "P", "S", "K", "h1", "orbit", "aplus", "bplus")}
+    rows = {k: [] for k in ("t", "Q", "E", "P", "S", "K", "h1", "orbit")}
 
     def record(t, U):
         rep = evaluate(U, phys, wave)
@@ -258,10 +256,6 @@ def evolve(
         rows["h1"].append(norm_h1(U))
         if reference is not None:
             rows["orbit"].append(orbit_distance(U, reference).distance)
-        if mu is not None:
-            well = WellMembership.from_report(rep, mu)
-            rows["aplus"].append(well.aplus)
-            rows["bplus"].append(well.bplus)
 
     def build_trace(divergence_time=None):
         return EvolutionTrace(
@@ -273,8 +267,6 @@ def evolve(
             K=np.asarray(rows["K"]),
             h1=np.asarray(rows["h1"]),
             orbit_distance=np.asarray(rows["orbit"]) if reference is not None else None,
-            well_aplus=np.asarray(rows["aplus"]) if mu is not None else None,
-            well_bplus=np.asarray(rows["bplus"]) if mu is not None else None,
             divergence_time=divergence_time,
         )
 
@@ -502,13 +494,9 @@ def stability_experiment(
         c_m = tuple(wave.c_array * (sw - tau0) / sw)
         mu_p = result.mu * (om_p / wave.omega) ** (2.0 - d / 2.0)
         mu_m = result.mu * (om_m / wave.omega) ** (2.0 - d / 2.0)
-        S_p = trace.shifted_S(wave, om_p, c_p)
-        S_m = trace.shifted_S(wave, om_m, c_m)
-        K_p = trace.shifted_K(wave, om_p, c_p)
-        K_m = trace.shifted_K(wave, om_m, c_m)
-        N = trace.N
-        bplus = (S_p < mu_p) & (N > -2.0 * mu_p)
-        bminus = (S_m < mu_m) & (N < -2.0 * mu_m)
+        plus, minus = trace.shifted(wave, om_p, c_p), trace.shifted(wave, om_m, c_m)
+        bplus = WellMembership.from_report(plus, mu_p).bplus
+        bminus = WellMembership.from_report(minus, mu_m).bminus
         checks.append(
             SandwichCheck(
                 tau0=float(tau0),
@@ -520,8 +508,8 @@ def stability_experiment(
                 in_bminus_initial=bool(bminus[0]),
                 in_bplus_all=bool(np.all(bplus)),
                 in_bminus_all=bool(np.all(bminus)),
-                k_plus_sign_constant=bool(np.all(np.sign(K_p) == np.sign(K_p[0]))),
-                k_minus_sign_constant=bool(np.all(np.sign(K_m) == np.sign(K_m[0]))),
+                k_plus_sign_constant=bool(np.all(np.sign(plus.K) == np.sign(plus.K[0]))),
+                k_minus_sign_constant=bool(np.all(np.sign(minus.K) == np.sign(minus.K[0]))),
             )
         )
 

@@ -38,16 +38,17 @@ _KAPPA = ("alpha", "beta", "gamma")
 
 def charge(state: State) -> float:
     g = state.grid
-    w = np.array([1.0, 0.5, 0.5])
-    return float(np.tensordot(w, np.abs(state.u) ** 2, axes=([0], [0])).sum() * g.weight)
+    return float(np.sum(np.abs(state.u1) ** 2) + 0.5 * np.sum(np.abs(state.u2) ** 2) + 0.5 * np.sum(np.abs(state.u3) ** 2)) * g.weight
 
 
 def kinetic(state: State, phys: PhysParams) -> float:
-    g = state.grid
-    F = g.fft(state.u)
-    per_component = np.sum(g.k2 * np.abs(F) ** 2, axis=tuple(range(1, F.ndim)))
-    kappa = np.array([phys.alpha, phys.beta, phys.gamma])
-    return float(0.5 * np.dot(kappa, per_component) * g.weight)
+    return _kinetic(state.grid, np.abs(state.grid.fft(state.u)) ** 2, phys)
+
+
+def _kinetic(grid: Grid, absF2: np.ndarray, phys: PhysParams) -> float:
+    """L from the squared modulus of the state's spectrum."""
+    parts = np.sum(grid.k2 * absF2, axis=tuple(range(1, absF2.ndim)))
+    return float(0.5 * (phys.alpha * parts[0] + phys.beta * parts[1] + phys.gamma * parts[2]) * grid.weight)
 
 
 def _coupling(grid: Grid, F: np.ndarray, grad_pair: np.ndarray) -> complex:
@@ -71,11 +72,14 @@ def energy(state: State, phys: PhysParams) -> float:
 
 
 def momentum(state: State) -> np.ndarray:
-    g = state.grid
-    F2 = np.abs(g.fft(state.u)) ** 2
-    P = np.empty(g.d)
-    for k in range(g.d):
-        P[k] = -0.5 * np.sum(g.xi[k] * F2) * g.weight
+    return _momentum(state.grid, np.abs(state.grid.fft(state.u)) ** 2)
+
+
+def _momentum(grid: Grid, absF2: np.ndarray) -> np.ndarray:
+    """P from the squared modulus of the state's spectrum."""
+    P = np.empty(grid.d)
+    for k in range(grid.d):
+        P[k] = -0.5 * float(np.sum(grid.xi[k] * absF2)) * grid.weight
     return P
 
 
@@ -144,6 +148,24 @@ class FunctionalReport:
             "K_decomposition": abs(self.K - (2.0 * self.L + 3.0 * self.N + 2.0 * self.omega * self.Q + 2.0 * self.cP)) / scale,
         }
 
+    def nehari_residual(self) -> float:
+        """Distance from the constraint K = 0, |K| / max(1, Lqc)."""
+        return abs(self.K) / max(1.0, self.Lqc)
+
+    def pohozaev_residual(self) -> float:
+        """Normalized residual of the dilation identity 2L + (d/2+1)N + c.P = 0."""
+        d = len(self.P)
+        terms = (2.0 * self.L, (d / 2.0 + 1.0) * self.N, self.cP)
+        return abs(sum(terms)) / (sum(abs(t) for t in terms) + 1e-30)
+
+    def fourd_residual(self, mu: float) -> float:
+        """Residual of 2 omega Q + c.P = (4-d) mu, normalized by (4-d) mu.
+
+        Holds for a minimizer at level mu.
+        """
+        rhs = (4.0 - len(self.P)) * mu
+        return abs(2.0 * self.omega * self.Q + self.cP - rhs) / abs(rhs)
+
 
 def evaluate(state: State, phys: PhysParams, wave: WaveParams, warn_inadmissible: bool = False) -> FunctionalReport:
     """Evaluate the full functional report.
@@ -175,17 +197,7 @@ def _parts(state: State, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray)
     """
     g = state.grid
     absF2 = np.abs(F) ** 2
-
-    Q = float(np.sum(np.abs(state.u1) ** 2) + 0.5 * np.sum(np.abs(state.u2) ** 2) + 0.5 * np.sum(np.abs(state.u3) ** 2)) * g.weight
-    spatial = tuple(range(1, F.ndim))
-    kin_parts = np.sum(g.k2 * absF2, axis=spatial)
-    L = float(0.5 * (phys.alpha * kin_parts[0] + phys.beta * kin_parts[1] + phys.gamma * kin_parts[2]) * g.weight)
-
-    P = np.empty(g.d)
-    for k in range(g.d):
-        P[k] = -0.5 * float(np.sum(g.xi[k] * absF2)) * g.weight
-
-    return Q, L, _coupling(g, F, grad_pair), P
+    return charge(state), _kinetic(g, absF2, phys), _coupling(g, F, grad_pair), _momentum(g, absF2)
 
 
 def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
@@ -274,32 +286,43 @@ class WellMembership:
 
     aplus/aminus use the sign of K, bplus/bminus the position of N relative
     to -2 mu; both require S < mu strictly. Boundary states get no flag.
+    Built from a trace instead of a report, each flag is an array with one
+    entry per record.
     """
 
-    aplus: bool
-    aminus: bool
-    bplus: bool
-    bminus: bool
+    aplus: bool | np.ndarray
+    aminus: bool | np.ndarray
+    bplus: bool | np.ndarray
+    bminus: bool | np.ndarray
 
     @property
-    def none(self) -> bool:
-        return not (self.aplus or self.aminus or self.bplus or self.bminus)
+    def none(self):
+        return _plain(np.logical_not(self.aplus | self.aminus | self.bplus | self.bminus))
 
     @property
-    def agree(self) -> bool:
+    def agree(self):
         """The K-sign and N-position descriptions of the wells coincide."""
-        return self.aplus == self.bplus and self.aminus == self.bminus
+        return _plain((self.aplus == self.bplus) & (self.aminus == self.bminus))
 
     @classmethod
-    def from_report(cls, rep: FunctionalReport, mu: float) -> "WellMembership":
-        """Flags of the state a report describes; the zero state (Q = 0) gets none."""
-        below = rep.Q > 0.0 and rep.S < mu
+    def from_report(cls, rep, mu: float) -> "WellMembership":
+        """Flags of the state a report describes; the zero state (Q = 0) gets none.
+
+        ``rep`` is a FunctionalReport or anything with Q, S, K and N of the
+        same shape, such as an EvolutionTrace; the rule applies elementwise.
+        """
+        below = (rep.Q > 0.0) & (rep.S < mu)
         return cls(
-            aplus=below and rep.K > 0.0,
-            aminus=below and rep.K < 0.0,
-            bplus=below and rep.N > -2.0 * mu,
-            bminus=below and rep.N < -2.0 * mu,
+            aplus=_plain(below & (rep.K > 0.0)),
+            aminus=_plain(below & (rep.K < 0.0)),
+            bplus=_plain(below & (rep.N > -2.0 * mu)),
+            bminus=_plain(below & (rep.N < -2.0 * mu)),
         )
+
+
+def _plain(flags):
+    """A Python bool for a scalar flag, the boolean array otherwise."""
+    return bool(flags) if np.ndim(flags) == 0 else flags
 
 
 def classify_well(state: State, phys: PhysParams, wave: WaveParams, mu: float) -> WellMembership:

@@ -267,23 +267,22 @@ def solve_ground_state(
         raise NoConvergence(total_iters, last_residual, termination)
 
     U, rep, residual = best
-    mu = rep.S
     tail = grid.tail_mass(U.u)
+    # the descent carries the profile's report, so the identities need no second evaluation
     result = GroundStateResult(
         phi=U,
-        mu=mu,
+        mu=rep.S,
         iterations=total_iters,
         final_residual=residual,
         report=rep,
-        pohozaev_residual=pohozaev_residual(U, phys, wave),
-        fourd_residual=0.0,
+        pohozaev_residual=rep.pohozaev_residual(),
+        fourd_residual=rep.fourd_residual(rep.S),
         stability_margin=rep.G / (2.0 * wave.omega),
         tail_mass=tail,
         phys=phys,
         wave=wave,
         domain_converged=tail < 1e-8,
     )
-    result.fourd_residual = identity_4minusd_check(result)
     # box-adequacy guard on the resolved envelope: smoothing filters out
     # band-edge truncation ringing, which is a resolution (not domain) issue
     # and is already visible through result.tail_mass / domain_converged
@@ -295,23 +294,7 @@ def solve_ground_state(
 
 def pohozaev_residual(phi: State, phys: PhysParams, wave: WaveParams) -> float:
     """Normalized residual of the dilation identity 2L + (d/2+1)N + c.P = 0."""
-    rep = evaluate(phi, phys, wave)
-    d = phi.grid.d
-    terms = (2.0 * rep.L, (d / 2.0 + 1.0) * rep.N, rep.cP)
-    return abs(sum(terms)) / (sum(abs(t) for t in terms) + 1e-30)
-
-
-def fourd_residual(rep: FunctionalReport, mu: float) -> float:
-    """Residual of 2 omega Q + c.P = (4-d) mu for the profile a report describes, normalized by (4-d) mu."""
-    d = len(rep.P)
-    lhs = 2.0 * rep.omega * rep.Q + rep.cP
-    rhs = (4.0 - d) * mu
-    return abs(lhs - rhs) / abs(rhs)
-
-
-def identity_4minusd_check(result: GroundStateResult) -> float:
-    """Residual of 2 omega Q + c.P = (4-d) mu, normalized by (4-d) mu."""
-    return fourd_residual(result.report, result.mu)
+    return evaluate(phi, phys, wave).pohozaev_residual()
 
 
 @dataclass
@@ -453,17 +436,14 @@ class StabilityMargin:
 
 
 def stability_margin(result: GroundStateResult, eta_probe: float = 0.0) -> StabilityMargin:
-    """h''(0)/2 - Q evaluated in closed form: equals G/(2 omega).
+    """h''(0)/2 - Q evaluated in closed form: equals G/(2 omega), stored on the result.
 
     ``in_mstar`` reports whether the display quantity (omega Q + c.P for
     d=1, c.P for d=2) reaches the probe level eta.
     """
-    d = result.phi.grid.d
-    if d not in (1, 2):
+    if result.phi.grid.d not in (1, 2):
         raise WrongDimension("the stability margin is defined for d in {1, 2}")
-    rep = result.report
-    margin = rep.G / (2.0 * result.wave.omega)
-    return StabilityMargin(margin, bool(rep.G_display >= eta_probe))
+    return StabilityMargin(result.stability_margin, bool(result.report.G_display >= eta_probe))
 
 
 def gwp2d_threshold(result: GroundStateResult) -> float:

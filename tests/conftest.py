@@ -69,3 +69,20 @@ def fft_calls(monkeypatch):
 
             monkeypatch.setattr(module, name, counted)
     return counter
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """Counts functional evaluations while the test runs, in every module that imports ``evaluate``."""
+    from dnls3 import cli, evolution, functionals, ground_state
+
+    counter = {"calls": 0}
+    original = functionals.evaluate
+
+    def counted(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    for module in (functionals, ground_state, evolution, cli):
+        monkeypatch.setattr(module, "evaluate", counted)
+    return counter

@@ -23,7 +23,7 @@ from dnls3.evolution import (
     solitary_wave,
     stability_experiment,
 )
-from dnls3.functionals import coercivity_certificate, evaluate
+from dnls3.functionals import WellMembership, coercivity_certificate, evaluate
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import (
     SolverConfig,
@@ -314,11 +314,11 @@ def test_invariant_aplus_flow_bound(gs_c0_da):
     samples = sample_below_level(grid, PHYS, wave, gs_c0_da.mu, rng, 10, negative_fraction=0.0)
     ok = True
     for state, rep0 in samples:
-        _, tr = evolve(state, PHYS, wave, EvolveConfig(dt=1e-3, t_final=1.0, record_stride=100), mu=gs_c0_da.mu)
+        _, tr = evolve(state, PHYS, wave, EvolveConfig(dt=1e-3, t_final=1.0, record_stride=100))
         ok &= bool(np.all(tr.K > 0))
         bound = 6.0 * rep0.S / cert.min_coeff * (1.0 + 1e-3)
         ok &= bool(np.all(tr.h1**2 <= bound))
-        ok &= bool(np.all(tr.well_aplus))
+        ok &= bool(np.all(WellMembership.from_report(tr, gs_c0_da.mu).aplus))
     report(
         "invariant (A+ flow invariance and H1 bound)",
         ok,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -13,7 +14,10 @@ from dnls3.errors import (
     UnsupportedVersion,
     ValidationError,
 )
+from dnls3.evolution import EvolveConfig
 from dnls3.grid import Grid, State
+from dnls3.ground_state import SolverConfig
+from dnls3.params import PhysParams
 from dnls3.snapshot import FORMAT_VERSION, load_field, save_field
 
 from tests.conftest import random_state
@@ -75,6 +79,16 @@ class TestConfig:
         assert cfg.effective["solver"]["ansatz"]["width"] == 1.5
         # canonical form is stable
         assert cfg.config_hash() == parse_config(MINIMAL).config_hash()
+
+    @pytest.mark.parametrize("source", ["{}", MINIMAL], ids=["empty", "minimal"])
+    def test_effective_sections_are_the_parsed_objects(self, source):
+        cfg = parse_config(source)
+        assert cfg.effective["physics"] == dataclasses.asdict(cfg.phys)
+        assert cfg.effective["solver"] == dataclasses.asdict(cfg.solver)
+        assert cfg.effective["evolve"] == dataclasses.asdict(cfg.evolve)
+        if source == "{}":
+            # every default is the dataclass's own
+            assert (cfg.phys, cfg.solver, cfg.evolve) == (PhysParams(), SolverConfig(), EvolveConfig())
 
     def test_inadmissible_rejected(self):
         doc = json.loads(MINIMAL)
@@ -139,6 +153,13 @@ class TestCli:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["field_format_version"] == 1
         assert manifest["subcommand"] == "gs"
+
+    def test_gs_evaluates_only_the_ansatz(self, tmp_path, evaluate_calls):
+        cfg_path, outdir = small_config(tmp_path, "gs_once")
+        assert run_subcommand(["gs", "--config", str(cfg_path)]) == 0
+        # the identity verdict is read off the solver's report: no evaluation beyond the ansatz
+        assert evaluate_calls["calls"] == 1
+        assert json.loads((outdir / "ground_state.json").read_text())["identities_passed"] is True
 
     def test_validation_exit_code(self, tmp_path):
         doc = {"physics": {"alpha": 1, "beta": 1, "gamma": 1}, "wave": {"omega": 0.1, "c": [1.0]}}

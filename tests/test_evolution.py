@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dnls3 import evolution
 from dnls3.errors import FitWindowEmpty, NonFinite
 from dnls3.evolution import (
+    EvolutionTrace,
     EvolveConfig,
     coupling_rhs,
     decay_rate_fit,
@@ -20,7 +21,7 @@ from dnls3.evolution import (
     solitary_wave,
     step,
 )
-from dnls3.functionals import evaluate
+from dnls3.functionals import WellMembership, evaluate
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import SolverConfig, solve_ground_state
 from dnls3.params import PhysParams, WaveParams
@@ -450,3 +451,67 @@ class TestStepSymmetries:
         x = step(State(g, phases * state.u), PHYS, 2e-3).u
         y = phases * step(state, PHYS, 2e-3).u
         assert rel_diff(x, y) <= 1e-12
+
+
+def _admissible(omega, fraction, direction):
+    """A wave whose speed is the given fraction of the admissibility bound 2 sqrt(omega / sigma); sigma = 1 for PHYS."""
+    return WaveParams(omega, tuple(fraction * 2.0 * np.sqrt(omega) * direction / np.linalg.norm(direction)))
+
+
+class TestShiftedTraceAndWells:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        omega=st.floats(0.2, 3.0),
+        omega2=st.floats(0.2, 3.0),
+        fraction=st.floats(-0.9, 0.9),
+        fraction2=st.floats(-0.9, 0.9),
+        level=st.floats(0.05, 2.0),
+    )
+    def test_shift_matches_evaluation_and_wells_match_reports(self, seed, d, omega, omega2, fraction, fraction2, level):
+        g = Grid(32, 10.0) if d == 1 else Grid((16, 16), (10.0, 10.0))
+        rng = np.random.default_rng(seed)
+        wave = _admissible(omega, fraction, rng.standard_normal(d))
+        wave2 = _admissible(omega2, fraction2, rng.standard_normal(d))
+        # a ray with N < 0 crosses K = 0 at the Nehari factor: K > 0 before it, K < 0 after
+        base = random_state(g, rng)
+        if evaluate(base, PHYS, wave).N > 0:
+            base.u[2] *= -1.0
+        lam = evaluate(base, PHYS, wave).nehari_factor()
+        states = [State(g, s * lam * base.u) for s in (0.3, 0.9, 1.1, 3.0)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, one = evolve(states[1], PHYS, wave, EvolveConfig(t_final=0.0))
+        moved = one.shifted(wave, wave2.omega, wave2.c)
+        direct = evaluate(states[1], PHYS, wave2)
+        scale = abs(direct.L) + abs(direct.N) + abs(direct.omega * direct.Q) + abs(direct.cP)
+        assert abs(moved.S[0] - direct.S) <= 1e-12 * scale
+        assert abs(moved.K[0] - direct.K) <= 1e-12 * scale
+
+        # the well rule over a trace is the rule over each record's report
+        reports = [evaluate(s, PHYS, wave) for s in states]
+        trace = EvolutionTrace(
+            times=np.arange(len(reports), dtype=float),
+            Q=np.array([r.Q for r in reports]),
+            E=np.array([r.E for r in reports]),
+            P=np.array([r.P for r in reports]),
+            S=np.array([r.S for r in reports]),
+            K=np.array([r.K for r in reports]),
+            h1=np.array([norm_h1(s) for s in states]),
+        )
+        mu = level * reports[1].S  # near the peak of S along the ray, so some records sit above mu
+        wells = WellMembership.from_report(trace.shifted(wave, wave2.omega, wave2.c), mu)
+        for i, state in enumerate(states):
+            rep2 = evaluate(state, PHYS, wave2)
+            scale2 = abs(rep2.L) + abs(rep2.N) + abs(rep2.omega * rep2.Q) + abs(rep2.cP)
+            if min(abs(rep2.S - mu), abs(rep2.K), abs(rep2.N + 2.0 * mu)) <= 1e-10 * scale2:
+                continue  # a boundary case up to rounding: the shift may decide it either way
+            single = WellMembership.from_report(rep2, mu)
+            scalars = (single.aplus, single.aminus, single.bplus, single.bminus, single.agree, single.none)
+            assert all(type(flag) is bool for flag in scalars)
+            assert (wells.aplus[i], wells.aminus[i], wells.bplus[i], wells.bminus[i]) == (
+                single.aplus, single.aminus, single.bplus, single.bminus
+            )
+            assert wells.agree[i] == single.agree and wells.none[i] == single.none

@@ -20,7 +20,6 @@ from dnls3.ground_state import (
     _project,
     gwp2d_threshold,
     h_curve,
-    identity_4minusd_check,
     initial_ansatz,
     mu_scaling_check,
     pohozaev_residual,
@@ -291,12 +290,9 @@ class TestIdentities:
         assert pohozaev_residual(state, PHYS, wave) > 1e-2
 
     def test_fourd_residual_off_minimizer(self, gs_1d):
-        import dataclasses
-
         scaled_phi = State(gs_1d.phi.grid, 1.1 * gs_1d.phi.u)
         rep = evaluate(scaled_phi, gs_1d.phys, gs_1d.wave)
-        fake = dataclasses.replace(gs_1d, phi=scaled_phi, mu=rep.S, report=rep)
-        assert identity_4minusd_check(fake) > 1e-2
+        assert rep.fourd_residual(rep.S) > 1e-2
 
     def test_mu_scaling_small(self):
         # omega=1 point is exact by construction; the dilation cross-check
@@ -305,6 +301,18 @@ class TestIdentities:
         assert pts[0].rel_error == 0.0
         assert pts[1].rel_error < 1e-3
         assert pts[1].q_scaling_error < 1e-6
+
+
+class TestCarriedReport:
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_solved_profile_is_not_evaluated_again(self, evaluate_calls, restarts):
+        wave = WaveParams(1.0, (0.3,))
+        res = solve_ground_state(Grid(256, 40.0), PHYS, wave, SolverConfig(restarts=restarts))
+        # one evaluation per restart, of its ansatz; the descent carries the report after that
+        assert evaluate_calls["calls"] == restarts
+        rep = evaluate(res.phi, PHYS, wave)
+        assert abs(res.pohozaev_residual - pohozaev_residual(res.phi, PHYS, wave)) <= 1e-12
+        assert abs(res.fourd_residual - rep.fourd_residual(res.mu)) <= 1e-12
 
 
 class TestStabilityMarginAndThreshold:
