@@ -26,17 +26,12 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .errors import (
-    DegenerateNonlinearity,
     Dnls3Error,
-    DomainTooSmall,
-    FitWindowEmpty,
     FormatError,
     InadmissibleParameters,
     LengthMismatch,
-    NoConvergence,
     NonFinite,
     ParseError,
-    ResolutionLoss,
     UnsupportedVersion,
     ValidationError,
 )
@@ -53,14 +48,6 @@ USER_ERRORS = (
     FormatError,
     LengthMismatch,
     UnsupportedVersion,
-)
-NUMERICAL_ERRORS = (
-    NoConvergence,
-    DomainTooSmall,
-    NonFinite,
-    DegenerateNonlinearity,
-    ResolutionLoss,
-    FitWindowEmpty,
 )
 
 
@@ -408,14 +395,11 @@ def run_subcommand(argv) -> int:
     except USER_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except Dnls3Error as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NonFinite):
             record["divergence_time"] = exc.time
         print(json.dumps(record), file=sys.stderr)
-        return 3
-    except Dnls3Error as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
 
 

@@ -49,13 +49,16 @@ def _require_keys(group: dict, allowed: set, context: str):
 
 
 def _get_number(group, key, default, context, positive=False, integer=False):
-    value = group.get(key, default)
+    return _number(group.get(key, default), f"{context}.{key}", positive, integer)
+
+
+def _number(value, field, positive=False, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{context}.{key}", f"expected a number, got {value!r}")
-    if integer and int(value) != value:
-        raise ValidationError(f"{context}.{key}", f"expected an integer, got {value!r}")
-    if positive and value <= 0:
-        raise ValidationError(f"{context}.{key}", f"must be positive, got {value!r}")
+        raise ValidationError(field, f"expected a number, got {value!r}")
+    if integer and not (isinstance(value, int) or value.is_integer()):
+        raise ValidationError(field, f"expected an integer, got {value!r}")
+    if positive and not value > 0:
+        raise ValidationError(field, f"must be positive, got {value!r}")
     return int(value) if integer else float(value)
 
 
@@ -113,12 +116,16 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         n = [n]
     if not isinstance(n, list) or not n:
         raise ValidationError("grid.n", f"expected a list of point counts, got {n!r}")
-    d = grid_doc.get("d", len(n))
+    n = [_number(nk, "grid.n", integer=True) for nk in n]
+    d = _get_number(grid_doc, "d", len(n), "grid", integer=True)
     if d != len(n):
         raise ValidationError("grid.d", f"d={d} but n has {len(n)} axes")
     extent = grid_doc.get("extent", [DEFAULT_EXTENT.get(len(n), 40.0)] * len(n))
     if isinstance(extent, (int, float)):
         extent = [extent] * len(n)
+    if not isinstance(extent, list):
+        raise ValidationError("grid.extent", f"expected a list of box lengths, got {extent!r}")
+    extent = [_number(ek, "grid.extent") for ek in extent]
     dealias = _get_bool(grid_doc, "dealias", False, "grid")
     try:
         grid = Grid(n, extent, dealias=dealias)
@@ -134,7 +141,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         c = [c]
     if not isinstance(c, list) or len(c) != grid.d:
         raise ValidationError("wave.c", f"expected {grid.d} speed components, got {c!r}")
-    wave = WaveParams(omega, tuple(float(ck) for ck in c))
+    wave = WaveParams(omega, tuple(_number(ck, "wave.c") for ck in c))
     if experiment in SOLVE_EXPERIMENTS and not wave.admissible(phys):
         raise ValidationError(
             "wave",

@@ -13,10 +13,6 @@ class DegenerateNonlinearity(Dnls3Error):
     """Coupling term vanishes; the Nehari rescaling 1/N is undefined."""
 
 
-class NonpositiveLevel(Dnls3Error):
-    """Potential-well classification requires a positive minimization level."""
-
-
 class ResolutionLoss(Dnls3Error):
     """Spectral rescaling pushed significant mass past the resolvable band."""
 
@@ -64,7 +60,7 @@ class FitWindowEmpty(Dnls3Error):
 
 
 class FormatError(Dnls3Error):
-    """Field snapshot does not start with the expected magic bytes."""
+    """Field snapshot lacks the magic bytes or its header describes no valid grid."""
 
 
 class LengthMismatch(Dnls3Error):

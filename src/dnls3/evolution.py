@@ -157,12 +157,6 @@ def _linear_phases(grid: Grid, phys: PhysParams, t: float) -> np.ndarray:
     return np.exp(-1j * t * _kappa(grid, phys) * grid.k2)
 
 
-def linear_propagator(state: State, phys: PhysParams, t: float) -> State:
-    """Exact unitary solution of the decoupled linear system over time t."""
-    g = state.grid
-    return State(g, g.ifft(_linear_phases(g, phys, t) * g.fft(state.u)))
-
-
 def _rk4_coupling(grid: Grid, F: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of the coupling-only system i dt F = dN, on the spectrum.
 

@@ -29,58 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNonlinearity, NonpositiveLevel
+from .errors import DegenerateNonlinearity
 from .grid import Grid, State
 from .params import PhysParams, WaveParams
-
-_KAPPA = ("alpha", "beta", "gamma")
 
 
 def charge(state: State) -> float:
     g = state.grid
     return float(np.sum(np.abs(state.u1) ** 2) + 0.5 * np.sum(np.abs(state.u2) ** 2) + 0.5 * np.sum(np.abs(state.u3) ** 2)) * g.weight
-
-
-def kinetic(state: State, phys: PhysParams) -> float:
-    return _kinetic(state.grid, np.abs(state.grid.fft(state.u)) ** 2, phys)
-
-
-def _kinetic(grid: Grid, absF2: np.ndarray, phys: PhysParams) -> float:
-    """L from the squared modulus of the state's spectrum."""
-    parts = np.sum(grid.k2 * absF2, axis=tuple(range(1, absF2.ndim)))
-    return float(0.5 * (phys.alpha * parts[0] + phys.beta * parts[1] + phys.gamma * parts[2]) * grid.weight)
-
-
-def _coupling(grid: Grid, F: np.ndarray, grad_pair: np.ndarray) -> complex:
-    """C = (u3, grad q) by Parseval, from the state's spectrum F and the spectrum of grad q; N = Re C.
-
-    ``grad_pair`` is the third block of dN (``grid.nonlinear_gradient``).
-    Rotating u3 by e^{i theta} turns C into e^{i theta} C.
-    """
-    return complex(np.vdot(grad_pair, F[2])) * grid.weight
-
-
-def potential(state: State) -> float:
-    """Coupling term N = Re (u3, grad(u1 . conj(u2)))."""
-    g = state.grid
-    F = g.fft(state.u)
-    return _coupling(g, F, g.nonlinear_gradient(F, state.u, pair_only=True)).real
-
-
-def energy(state: State, phys: PhysParams) -> float:
-    return kinetic(state, phys) + potential(state)
-
-
-def momentum(state: State) -> np.ndarray:
-    return _momentum(state.grid, np.abs(state.grid.fft(state.u)) ** 2)
-
-
-def _momentum(grid: Grid, absF2: np.ndarray) -> np.ndarray:
-    """P from the squared modulus of the state's spectrum."""
-    P = np.empty(grid.d)
-    for k in range(grid.d):
-        P[k] = -0.5 * float(np.sum(grid.xi[k] * absF2)) * grid.weight
-    return P
 
 
 @dataclass
@@ -193,11 +149,17 @@ def _report(state: State, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> 
 def _parts(state: State, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
     """(Q, L, C, P) of a state whose spectrum F and grad(u1 . conj(u2)) spectrum the caller holds.
 
-    C is the complex coupling of _coupling; the coupling functional is N = Re C.
+    C = (u3, grad(u1 . conj(u2))) by Parseval, with ``grad_pair`` the third
+    block of dN (``grid.nonlinear_gradient``); the coupling functional is
+    N = Re C, and rotating u3 by e^{i theta} turns C into e^{i theta} C.
     """
     g = state.grid
     absF2 = np.abs(F) ** 2
-    return charge(state), _kinetic(g, absF2, phys), _coupling(g, F, grad_pair), _momentum(g, absF2)
+    k2_parts = np.sum(g.k2 * absF2, axis=tuple(range(1, absF2.ndim)))
+    L = float(0.5 * (phys.alpha * k2_parts[0] + phys.beta * k2_parts[1] + phys.gamma * k2_parts[2]) * g.weight)
+    C = complex(np.vdot(grad_pair, F[2])) * g.weight
+    P = np.array([-0.5 * float(np.sum(g.xi[k] * absF2)) * g.weight for k in range(g.d)])
+    return charge(state), L, C, P
 
 
 def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
@@ -323,17 +285,6 @@ class WellMembership:
 def _plain(flags):
     """A Python bool for a scalar flag, the boolean array otherwise."""
     return bool(flags) if np.ndim(flags) == 0 else flags
-
-
-def classify_well(state: State, phys: PhysParams, wave: WaveParams, mu: float) -> WellMembership:
-    if mu <= 0:
-        raise NonpositiveLevel(f"mu={mu} must be positive")
-    return WellMembership.from_report(evaluate(state, phys, wave), mu)
-
-
-def stability_g(state: State, phys: PhysParams, wave: WaveParams) -> float:
-    """The raw stability weight G = (4-2d) omega Q + (3-d) c.P."""
-    return evaluate(state, phys, wave).G
 
 
 @dataclass

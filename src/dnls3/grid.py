@@ -59,8 +59,8 @@ class Grid:
             if nk < 8 or not _is_power_of_two(nk):
                 raise ValueError(f"points per axis must be a power of two >= 8, got {nk}")
         for ek in extent:
-            if ek <= 0:
-                raise ValueError(f"extent must be positive, got {ek}")
+            if not 0 < ek < np.inf:
+                raise ValueError(f"extent must be positive and finite, got {ek}")
 
         self.d = d
         self.n = n
@@ -304,10 +304,6 @@ class Grid:
     def norm_l2(self, f: np.ndarray) -> float:
         return float(np.sqrt(np.sum(np.abs(f) ** 2) * self.weight))
 
-    def norm_l2_spectral(self, f: np.ndarray) -> float:
-        """Same norm evaluated from the unitary transform (Parseval)."""
-        return float(np.sqrt(np.sum(np.abs(self.fft(f)) ** 2) * self.weight))
-
     def tail_mass(self, f: np.ndarray, fraction: float = 0.9, smooth: float = 0.0) -> float:
         """Relative quadrature mass beyond ``fraction`` of the half-box.
 
@@ -476,10 +472,3 @@ def norm_h1(state: State) -> float:
     F = g.fft(state.u)
     total += np.sum(g.k2 * np.abs(F) ** 2)
     return float(np.sqrt(total * g.weight))
-
-
-def inner_h1(grid: Grid, f: np.ndarray, g_arr: np.ndarray) -> complex:
-    """H1 pairing <f, g> = <f, g>_L2 + <grad f, grad g>_L2 via Parseval."""
-    F = grid.fft(f)
-    G = grid.fft(g_arr)
-    return complex(np.sum((1.0 + grid.k2) * F * np.conj(G)) * grid.weight)

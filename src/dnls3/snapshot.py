@@ -11,7 +11,7 @@ Layout (all little-endian):
                  each prod(n) complex values as (re f64, im f64), row-major
 
 The payload is exactly 3*d*prod(n)*16 bytes; the loader validates magic,
-version and length before touching the content. Round trips are
+version, length and grid before touching the content. Round trips are
 bit-exact.
 """
 
@@ -63,6 +63,9 @@ def load_field(path) -> State:
     expected = count * 16
     if len(blob) - offset != expected:
         raise LengthMismatch(f"payload is {len(blob) - offset} bytes, header promises {expected}")
+    try:
+        grid = Grid(n, extent)
+    except ValueError as exc:
+        raise FormatError(f"header describes no valid grid: {exc}") from exc
     values = np.frombuffer(blob, dtype="<c16", count=count, offset=offset)
-    grid = Grid(n, extent)
     return State(grid, values.reshape(3, d, *n).astype(np.complex128))

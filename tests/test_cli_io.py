@@ -1,15 +1,18 @@
 import dataclasses
 import json
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
+from dnls3 import cli
 from dnls3.cli import run_subcommand
 from dnls3.config import parse_config
 from dnls3.errors import (
     FormatError,
     LengthMismatch,
+    NonFinite,
     ParseError,
     UnsupportedVersion,
     ValidationError,
@@ -68,6 +71,20 @@ class TestSnapshot:
         with pytest.raises(UnsupportedVersion):
             load_field(path)
 
+    @pytest.mark.parametrize(
+        "n, extent", [(7, 40.0), (16, -40.0), (16, float("nan"))], ids=["n7", "negative_extent", "nan_extent"]
+    )
+    def test_header_without_a_grid(self, tmp_path, capsys, n, extent):
+        # consistent magic, version and length, but no grid has these points or box
+        path = tmp_path / "bad_header.ldsf"
+        path.write_bytes(b"LDSF" + struct.pack("<IIQd", FORMAT_VERSION, 1, n, extent) + bytes(3 * n * 16))
+        with pytest.raises(FormatError):
+            load_field(path)
+        cfg_path, _ = small_config(tmp_path, "check_bad_header", experiment={"field": str(path), "samples": 20})
+        capsys.readouterr()
+        assert run_subcommand(["check", "--config", str(cfg_path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "FormatError"
+
 
 class TestConfig:
     def test_minimal_config_accepts_and_defaults(self):
@@ -77,8 +94,9 @@ class TestConfig:
         assert cfg.solver.residual_tol == 1e-9
         assert cfg.evolve.scheme == "strang"
         assert cfg.effective["solver"]["ansatz"]["width"] == 1.5
-        # canonical form is stable
+        # canonical form is stable, also when a point count is written as an integral float
         assert cfg.config_hash() == parse_config(MINIMAL).config_hash()
+        assert cfg.config_hash() == parse_config(MINIMAL.replace("[512]", "[512.0]")).config_hash()
 
     @pytest.mark.parametrize("source", ["{}", MINIMAL], ids=["empty", "minimal"])
     def test_effective_sections_are_the_parsed_objects(self, source):
@@ -118,6 +136,30 @@ class TestConfig:
         with pytest.raises(ParseError, match="step_size"):
             parse_config(json.dumps(doc))
         assert "step_size" not in parse_config(MINIMAL).effective["solver"]
+
+    @pytest.mark.parametrize(
+        "group, value, field",
+        [
+            ("grid", {"n": [512.7]}, "grid.n"),
+            ("wave", {"c": [True]}, "wave.c"),
+            ("wave", {"c": ["a"]}, "wave.c"),
+            ("grid", {"extent": [True]}, "grid.extent"),
+            ("grid", {"d": True}, "grid.d"),
+            ("evolve", {"dt": float("nan")}, "evolve.dt"),
+        ],
+        ids=["fractional_n", "bool_c", "string_c", "bool_extent", "bool_d", "nan_dt"],
+    )
+    def test_entries_validated(self, tmp_path, capsys, group, value, field):
+        doc = json.loads(MINIMAL)
+        doc.setdefault(group, {}).update(value)
+        with pytest.raises(ValidationError) as info:
+            parse_config(json.dumps(doc))
+        assert info.value.field == field
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_subcommand(["gs", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
 
     def test_grid_dimension_consistency(self):
         doc = json.loads(MINIMAL)
@@ -170,6 +212,28 @@ class TestCli:
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg_path, _ = small_config(tmp_path, "noconv", solver={"max_iter": 2, "restarts": 1})
         assert run_subcommand(["gs", "--config", str(cfg_path)]) == 3
+
+    def test_wrong_dimension_exit_code(self, tmp_path, capsys):
+        cfg_path, _ = small_config(
+            tmp_path, "hc_3d", grid={"d": 3, "n": [8, 8, 8], "extent": [10, 10, 10]}, wave={"c": [0, 0, 0]}
+        )
+        capsys.readouterr()
+        assert run_subcommand(["h-curve", "--config", str(cfg_path)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "WrongDimension"
+
+    def test_divergence_time_in_error_record(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NonFinite(0.5)
+
+        monkeypatch.setattr(cli, "evolve", diverge)
+        cfg_path, _ = small_config(tmp_path, "diverge", evolve={"dt": 1e-3, "t_final": 1.0})
+        capsys.readouterr()
+        assert run_subcommand(["evolve", "--config", str(cfg_path)]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "NonFinite"
+        assert record["divergence_time"] == 0.5
 
     def test_evolve_zero_time_single_row(self, tmp_path):
         cfg_path, outdir = small_config(

@@ -2,22 +2,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dnls3.errors import DegenerateNonlinearity, InadmissibleParameters, NonpositiveLevel
+from dnls3.errors import DegenerateNonlinearity, InadmissibleParameters
 from dnls3.functionals import (
     WellMembership,
     action_gradient,
     charge,
-    classify_well,
     coercivity_certificate,
     evaluate,
     gauge_phases,
-    kinetic,
     l2_scaling,
     linear_symbols,
-    momentum,
     nehari_rescale,
-    potential,
-    stability_g,
 )
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.params import PhysParams, WaveParams
@@ -46,10 +41,11 @@ def gaussian_state(grid, amp=1.0, width=1.0, u3_sign=-1.0):
 class TestBasicFunctionals:
     def test_zero_state(self, grid1d_box):
         z = State.zeros(grid1d_box)
+        rep = evaluate(z, PHYS, wave1d())
         assert charge(z) == 0.0
-        assert kinetic(z, PHYS) == 0.0
-        assert potential(z) == 0.0
-        assert np.all(momentum(z) == 0.0)
+        assert rep.L == 0.0
+        assert rep.N == 0.0
+        assert np.all(rep.P == 0.0)
 
     def test_charge_pure_mode(self):
         g = Grid(64, 2 * np.pi)
@@ -74,7 +70,7 @@ class TestBasicFunctionals:
         prof = np.exp(-(x**2)).astype(complex)
         u = np.zeros((3, 1, 256), dtype=complex)
         u[0, 0] = u[1, 0] = u[2, 0] = prof
-        assert abs(potential(State(g, u))) < 1e-10
+        assert abs(evaluate(State(g, u), PHYS, wave1d()).N) < 1e-10
 
     def test_potential_quadrature_oracle(self):
         # u1 = u2 = g, u3 = g' with g = exp(-x^2): N = 2 int g (g')^2 dx
@@ -82,18 +78,18 @@ class TestBasicFunctionals:
         state = gaussian_state(g, u3_sign=+1.0)
         expected, _ = quad(lambda x: 2 * np.exp(-(x**2)) * (-2 * x * np.exp(-(x**2))) ** 2, -20, 20)
         assert expected > 0
-        assert abs(potential(state) - expected) < 1e-8 * expected
+        assert abs(evaluate(state, PHYS, wave1d()).N - expected) < 1e-8 * expected
 
     def test_momentum_real_state_zero(self, rng):
         g = Grid(64, 11.0)
         u = rng.standard_normal((3, 1, 64)).astype(complex)
-        assert np.max(np.abs(momentum(State(g, u)))) < 1e-13
+        assert np.max(np.abs(evaluate(State(g, u), PHYS, wave1d()).P)) < 1e-13
 
     def test_momentum_plane_wave(self):
         g = Grid(64, 2 * np.pi)
         u = np.zeros((3, 1, 64), dtype=complex)
         u[0, 0] = np.exp(1j * g.axes[0])
-        P = momentum(State(g, u))
+        P = evaluate(State(g, u), PHYS, wave1d()).P
         assert abs(P[0] - (-np.pi)) < 1e-12
 
     def test_momentum_direct_summation_oracle(self, rng):
@@ -105,7 +101,7 @@ class TestBasicFunctionals:
                 f = state.u[j, m]
                 df = g.deriv(f, 0)
                 direct[0] += -0.5 * np.real(g.inner(1j * f, df))
-        P = momentum(state)
+        P = evaluate(state, PHYS, wave1d()).P
         assert abs(P[0] - direct[0]) < 1e-12 * max(1.0, abs(direct[0]))
 
 
@@ -296,42 +292,30 @@ class TestCoercivity:
 
 
 class TestWellClassification:
-    def test_nonpositive_level(self, grid1d_box):
-        with pytest.raises(NonpositiveLevel):
-            classify_well(State.zeros(grid1d_box), PHYS, wave1d(), 0.0)
-
     def test_zero_state_no_flags(self, grid1d_box):
-        m = classify_well(State.zeros(grid1d_box), PHYS, wave1d(), 1.0)
+        m = WellMembership.from_report(evaluate(State.zeros(grid1d_box), PHYS, wave1d()), 1.0)
         assert m.none
-
-    def test_report_flags_match_classification(self, rng):
-        g = Grid(64, 13.0)
-        for scale in (0.3, 1.0, 3.0):
-            state = random_state(g, rng, scale=scale)
-            rep = evaluate(state, PHYS, wave1d())
-            mu = abs(rep.S) + 1.0
-            assert WellMembership.from_report(rep, mu) == classify_well(state, PHYS, wave1d(), mu)
 
     def test_small_states_in_plus_wells(self):
         g = Grid(256, 40.0)
         _, on_manifold = nehari_rescale(gaussian_state(g), PHYS, wave1d())
         mu_proxy = evaluate(on_manifold, PHYS, wave1d()).S  # >= true level
         small = State(g, 0.1 * on_manifold.u)
-        m = classify_well(small, PHYS, wave1d(), mu_proxy)
+        m = WellMembership.from_report(evaluate(small, PHYS, wave1d()), mu_proxy)
         assert m.aplus and m.bplus and not m.aminus and not m.bminus
 
     def test_boundary_state_unclassified(self):
         # a state sitting exactly at its own level is excluded (strict inequalities)
         g = Grid(256, 40.0)
         _, on_manifold = nehari_rescale(gaussian_state(g), PHYS, wave1d())
-        level = evaluate(on_manifold, PHYS, wave1d()).S
-        m = classify_well(on_manifold, PHYS, wave1d(), level)
+        rep = evaluate(on_manifold, PHYS, wave1d())
+        m = WellMembership.from_report(rep, rep.S)
         assert m.none
 
 
 class TestStabilityG:
     def test_zero_state(self, grid1d_box):
-        assert stability_g(State.zeros(grid1d_box), PHYS, wave1d()) == 0.0
+        assert evaluate(State.zeros(grid1d_box), PHYS, wave1d()).G == 0.0
 
     def test_d1_display_is_half_G(self, rng):
         g = Grid(64, 13.0)
