@@ -183,25 +183,26 @@ def _load_experiment_field(cfg: RunConfig) -> State:
 
 
 def _initial_state(cfg: RunConfig):
-    """Initial data for evolve/stability: solved ground state or a file."""
+    """Initial data for evolve and its orbit-distance reference.
+
+    The start is the field named by experiment.field (no reference), else
+    the solved ground state (its own reference); either is perturbed by
+    experiment.delta.
+    """
     exp = cfg.experiment
-    source = exp.get("source", "ground_state")
-    if source == "file":
-        return _load_experiment_field(cfg), None, None
-    res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
-    state = res.phi
-    scale = float(exp.get("scale", 1.0))
-    if scale != 1.0:
-        state = State(state.grid, scale * state.u)
-    delta = float(exp.get("delta", 0.0))
+    if "field" in exp:
+        state, reference = _load_experiment_field(cfg), None
+    else:
+        state = reference = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver).phi
+    delta = exp.get("delta", 0.0)
     if delta != 0.0:
-        rng = np.random.default_rng(int(exp.get("perturbation_seed", cfg.seed)))
+        rng = np.random.default_rng(exp.get("perturbation_seed", cfg.seed))
         state = State(state.grid, state.u + delta * h1_perturbation(state.grid, rng).u)
-    return state, res.phi, res
+    return state, reference
 
 
 def _cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
-    state, reference, _ = _initial_state(cfg)
+    state, reference = _initial_state(cfg)
     _, trace = evolve(state, cfg.phys, cfg.wave, cfg.evolve, reference=reference)
     _write_trace_csv(outdir / "trace.csv", trace)
     return 0
@@ -240,8 +241,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
 
     cert = coercivity_certificate(cfg.phys, cfg.wave)
     rng = np.random.default_rng(cfg.seed)
-    n_samples = int(exp.get("samples", 200))
-    samples = sample_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, n_samples)
+    samples = sample_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, exp.get("samples", 200))
     disagreements = 0
     lqc_nonpositive = 0
     for _, srep in samples:
@@ -304,7 +304,6 @@ def _cmd_h_curve(cfg: RunConfig, outdir: Path) -> int:
             "fd_h2": rep.fd_h2,
             "closed_h1": rep.closed_h1,
             "closed_h2": rep.closed_h2,
-            "rel_h0": rep.rel_h0,
             "rel_h1": rep.rel_h1,
             "rel_h2": rep.rel_h2,
         },
@@ -315,10 +314,10 @@ def _cmd_h_curve(cfg: RunConfig, outdir: Path) -> int:
 def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
     exp = cfg.experiment
     res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
-    delta = float(exp.get("delta", 1e-2))
+    delta = exp.get("delta", 1e-2)
     tau0s = exp.get("tau0s")
     report = stability_experiment(
-        res, delta, cfg.evolve, tau0s=tau0s, seed=int(exp.get("perturbation_seed", cfg.seed))
+        res, delta, cfg.evolve, tau0s=tau0s, seed=exp.get("perturbation_seed", cfg.seed)
     )
     _write_trace_csv(outdir / "stability.csv", report.trace)
     _write_json(

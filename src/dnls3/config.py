@@ -22,6 +22,14 @@ from .params import PhysParams, WaveParams
 # experiments whose wave parameters must be admissible before any solve
 SOLVE_EXPERIMENTS = ("gs", "check", "mu-scan", "h-curve", "stability", "decay", "evolve")
 
+# scalar experiment keys as (key, positive, integer)
+EXPERIMENT_NUMBERS = (
+    ("samples", True, True),
+    ("perturbation_seed", False, True),
+    ("delta", False, False),
+    ("tau_step", True, False),
+)
+
 
 @dataclass
 class RunConfig:
@@ -153,10 +161,9 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     solver_doc = doc.get("solver", {})
     _require_keys(solver_doc, {"max_iter", "residual_tol", "ansatz", "seed", "restarts"}, "solver")
     ansatz_doc = solver_doc.get("ansatz", {})
-    _require_keys(ansatz_doc, {"amplitude", "width", "carrier"}, "solver.ansatz")
+    _require_keys(ansatz_doc, {"width", "carrier"}, "solver.ansatz")
     default = SolverConfig()
     ansatz = AnsatzConfig(
-        amplitude=_get_number(ansatz_doc, "amplitude", default.ansatz.amplitude, "solver.ansatz", positive=True),
         width=_get_number(ansatz_doc, "width", default.ansatz.width, "solver.ansatz", positive=True),
         carrier=_get_bool(ansatz_doc, "carrier", default.ansatz.carrier, "solver.ansatz"),
     )
@@ -192,15 +199,20 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     )
 
     # -- experiment / output ----------------------------------------------------
-    exp_doc = doc.get("experiment", {})
+    exp_doc = dict(doc.get("experiment", {}))
     _require_keys(
         exp_doc,
-        {
-            "source", "field", "scale", "delta", "perturbation_seed",
-            "omegas", "c0", "tau_step", "tau0s", "window", "samples",
-        },
+        {"field", "delta", "perturbation_seed", "omegas", "c0", "tau_step", "tau0s", "window", "samples"},
         "experiment",
     )
+    for key, positive, integer in EXPERIMENT_NUMBERS:
+        if key in exp_doc:
+            exp_doc[key] = _number(exp_doc[key], f"experiment.{key}", positive, integer)
+    if "omegas" in exp_doc:
+        omegas = exp_doc["omegas"]
+        if not isinstance(omegas, list) or not omegas:
+            raise ValidationError("experiment.omegas", f"expected a list of frequencies, got {omegas!r}")
+        exp_doc["omegas"] = [_number(w, "experiment.omegas", positive=True) for w in omegas]
     out_doc = doc.get("output", {})
     _require_keys(out_doc, {"dir"}, "output")
     output_dir = out_doc.get("dir", "out")
@@ -211,7 +223,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         "grid": {"d": grid.d, "n": list(grid.n), "extent": list(grid.extent), "dealias": grid.dealias},
         "solver": asdict(solver),
         "evolve": asdict(evolve_cfg),
-        "experiment": dict(exp_doc),
+        "experiment": exp_doc,
         "output": {"dir": output_dir},
     }
     return RunConfig(

@@ -415,21 +415,6 @@ class State:
     def zeros(cls, grid: Grid) -> "State":
         return cls(grid, np.zeros((3, grid.d, *grid.shape), dtype=np.complex128))
 
-    @classmethod
-    def from_components(cls, grid: Grid, u1, u2, u3) -> "State":
-        comp_shape = (grid.d, *grid.shape)
-        parts = []
-        for uj in (u1, u2, u3):
-            uj = np.asarray(uj, dtype=np.complex128)
-            if uj.shape == grid.shape:  # scalar field: promote to first axis polarization
-                raise ValueError(
-                    f"component shape {uj.shape} lacks the vector axis; expected {comp_shape}"
-                )
-            if uj.shape != comp_shape:
-                raise ValueError(f"component shape {uj.shape} != expected {comp_shape}")
-            parts.append(uj)
-        return cls(grid, np.stack(parts))
-
     @property
     def u1(self) -> np.ndarray:
         return self.u[0]

@@ -28,7 +28,7 @@ derivatives, and the two-dimensional charge threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,22 +53,29 @@ from .params import PhysParams, WaveParams
 
 @dataclass(frozen=True)
 class AnsatzConfig:
-    """Gaussian seed profile: u1 = u2 = a exp(-|x|^2/w^2) e1, u3 = -d1 of it.
+    """Gaussian seed profile: u1 = u2 = exp(-|x|^2/w^2) e1, u3 = -d1 of it.
 
     This polarization makes the coupling term strictly negative, so the
-    Nehari rescaling is well defined. With ``carrier`` enabled and c != 0,
+    Nehari rescaling is well defined. The rescaling fixes the amplitude, so
+    the seed carries none. With ``carrier`` enabled and c != 0,
     gauge-structured plane-wave phases (2k, k, k) with k ~ c/2 (rounded to
     grid wavenumbers) are attached; they lower the initial action without
     touching the coupling term.
     """
 
-    amplitude: float = 2.0
     width: float = 1.5
     carrier: bool = True
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Descent settings.
+
+    ``restarts`` bounds the number of descents: a descent from a translated
+    seed (center drawn from ``seed``) runs only after the previous one
+    failed to converge.
+    """
+
     max_iter: int = 20000
     residual_tol: float = 1e-9
     ansatz: AnsatzConfig = field(default_factory=AnsatzConfig)
@@ -80,6 +87,8 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.residual_tol <= 0:
             raise ValueError("the residual tolerance must be positive")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
@@ -129,7 +138,7 @@ def initial_ansatz(
     if center is None:
         center = np.zeros(grid.d)
     r2 = sum((X - y) ** 2 for X, y in zip(mesh, np.atleast_1d(center)))
-    g = ansatz.amplitude * np.exp(-r2 / ansatz.width**2)
+    g = np.exp(-r2 / ansatz.width**2)
     u = np.zeros((3, grid.d, *grid.shape), dtype=np.complex128)
     u[0, 0] = g
     u[1, 0] = g
@@ -233,40 +242,33 @@ def _descend(grid, phys, wave, config, start: State):
 def solve_ground_state(
     grid: Grid, phys: PhysParams, wave: WaveParams, config: SolverConfig | None = None
 ) -> GroundStateResult:
-    """Best-of-restarts constrained minimization of the action.
+    """Constrained minimization of the action: the first descent that converges.
 
-    Deterministic for a given (config, seed). Raises NoConvergence when no
-    restart meets the residual tolerance, DomainTooSmall when the winner
-    leaks more than 1e-6 of its mass into the outer 10% of the box.
+    The action is invariant under translations and the gauge, and the
+    Nehari projection removes any amplitude, so a descent from the centered
+    seed that converges is final. Only when it fails does a further descent
+    start, from a seed translated by a center drawn from ``config.seed``, up
+    to ``config.restarts`` descents in all. Deterministic for a given
+    (config, seed). Raises NoConvergence when no descent meets the residual
+    tolerance, DomainTooSmall when the profile leaks more than 1e-6 of its
+    mass into the outer 10% of the box.
     """
     config = config or SolverConfig()
     wave.require_admissible(phys)
     rng = np.random.default_rng(config.seed)
 
-    best = None
     total_iters = 0
-    last_residual = np.inf
-    for r in range(max(1, config.restarts)):
-        if r == 0:
-            center = None
-            ansatz = config.ansatz
-        else:
-            center = rng.uniform(-config.ansatz.width, config.ansatz.width, size=grid.d)
-            ansatz = replace(
-                config.ansatz,
-                amplitude=config.ansatz.amplitude * float(rng.uniform(0.7, 1.4)),
-            )
-        start = initial_ansatz(grid, phys, wave, ansatz, center=center)
+    center = None
+    for _ in range(config.restarts):
+        start = initial_ansatz(grid, phys, wave, config.ansatz, center=center)
         U, rep, iters, residual, _, termination = _descend(grid, phys, wave, config, start)
         total_iters += iters
-        last_residual = residual
-        if residual < config.residual_tol and (best is None or rep.S < best[1].S):
-            best = (U, rep, residual)
+        if termination == "converged":
+            break
+        center = rng.uniform(-config.ansatz.width, config.ansatz.width, size=grid.d)
+    else:
+        raise NoConvergence(total_iters, residual, termination)
 
-    if best is None:
-        raise NoConvergence(total_iters, last_residual, termination)
-
-    U, rep, residual = best
     tail = grid.tail_mass(U.u)
     # the descent carries the profile's report, so the identities need no second evaluation
     result = GroundStateResult(
@@ -355,8 +357,10 @@ class HCurveReport:
     """Scaling-curve restriction of the minimal action level around tau = 0.
 
     ``mu_values[i]`` is the independently solved level at parameters
-    ((sqrt(omega)-tau_i)^2, c (sqrt(omega)-tau_i)/sqrt(omega)). Closed forms
-    come from the converged profile at tau = 0:
+    ((sqrt(omega)-tau_i)^2, c (sqrt(omega)-tau_i)/sqrt(omega)), and
+    ``mu_curve_predicted[i]`` the power law ((sqrt(omega)-tau_i)/sqrt(omega))^(4-d)
+    h(0) through the level at tau = 0. Closed forms come from the converged
+    profile at tau = 0:
 
         h(0)   = mu
         h'(0)  = -(2 omega Q + c.P)/sqrt(omega)
@@ -371,7 +375,6 @@ class HCurveReport:
     fd_h2: float
     closed_h1: float
     closed_h2: float
-    rel_h0: float
     rel_h1: float
     rel_h2: float
 
@@ -393,7 +396,6 @@ def h_curve(
     taus = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * s
 
     mus = np.empty(5)
-    center = None
     for i, tau in enumerate(taus):
         w_tau = WaveParams((sw - tau) ** 2, tuple(wave.c_array * (sw - tau) / sw))
         res = solve_ground_state(grid, phys, w_tau, config)
@@ -401,10 +403,8 @@ def h_curve(
         if tau == 0.0:
             center = res
 
-    # closed-form curve from the unit-frequency level via the power law
-    unit_wave = WaveParams(1.0, tuple(wave.c_array / sw))
-    unit = solve_ground_state(grid, phys, unit_wave, config)
-    mu_curve_pred = (sw - taus) ** (4 - d) * unit.mu
+    # closed-form curve from the tau = 0 level via the power law
+    mu_curve_pred = ((sw - taus) / sw) ** (4 - d) * center.mu
 
     fd_h1 = (mus[3] - mus[1]) / (2 * s)
     fd_h2 = (-mus[0] + 16 * mus[1] - 30 * mus[2] + 16 * mus[3] - mus[4]) / (12 * s**2)
@@ -418,12 +418,11 @@ def h_curve(
         taus=taus,
         mu_values=mus,
         mu_curve_predicted=mu_curve_pred,
-        h0=mus[2],
+        h0=center.mu,
         fd_h1=fd_h1,
         fd_h2=fd_h2,
         closed_h1=closed_h1,
         closed_h2=closed_h2,
-        rel_h0=abs(mus[2] - center.mu) / center.mu,
         rel_h1=abs(fd_h1 - closed_h1) / abs(closed_h1),
         rel_h2=abs(fd_h2 - closed_h2) / max(abs(closed_h2), 1e-300),
     )

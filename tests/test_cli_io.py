@@ -18,9 +18,10 @@ from dnls3.errors import (
     ValidationError,
 )
 from dnls3.evolution import EvolveConfig
+from dnls3.functionals import evaluate
 from dnls3.grid import Grid, State
 from dnls3.ground_state import SolverConfig
-from dnls3.params import PhysParams
+from dnls3.params import PhysParams, WaveParams
 from dnls3.snapshot import FORMAT_VERSION, load_field, save_field
 
 from tests.conftest import random_state
@@ -161,6 +162,32 @@ class TestConfig:
         assert run_subcommand(["gs", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
 
+    @pytest.mark.parametrize(
+        "subcommand, value, field",
+        [
+            ("check", {"samples": 0}, "experiment.samples"),
+            ("check", {"samples": -5}, "experiment.samples"),
+            ("check", {"samples": 2.5}, "experiment.samples"),
+            ("check", {"samples": "x"}, "experiment.samples"),
+            ("evolve", {"delta": "big"}, "experiment.delta"),
+            ("evolve", {"delta": 1e-3, "perturbation_seed": 1.5}, "experiment.perturbation_seed"),
+            ("h-curve", {"tau_step": 0}, "experiment.tau_step"),
+            ("mu-scan", {"omegas": 2}, "experiment.omegas"),
+            ("mu-scan", {"omegas": [1.0, -2.0]}, "experiment.omegas"),
+        ],
+        ids=[
+            "zero_samples", "negative_samples", "fractional_samples", "string_samples",
+            "string_delta", "fractional_seed", "zero_tau_step", "scalar_omegas", "negative_omega",
+        ],
+    )
+    def test_experiment_entries_validated(self, tmp_path, capsys, subcommand, value, field):
+        cfg_path, _ = small_config(tmp_path, "bad_experiment", experiment=value)
+        capsys.readouterr()
+        assert run_subcommand([subcommand, "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith(f"{field}:")
+
     def test_grid_dimension_consistency(self):
         doc = json.loads(MINIMAL)
         doc["grid"] = {"d": 2, "n": [64]}
@@ -246,6 +273,26 @@ class TestCli:
         lines = (outdir / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "t,Q,E,P_1,S,K,h1norm,orbit_dist"
         assert len(lines) == 2
+
+    def test_evolve_starts_from_the_field(self, tmp_path, rng, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("evolve solved a ground state although experiment.field is set")
+
+        field = tmp_path / "start.ldsf"
+        start = random_state(Grid(256, 40.0), rng)
+        save_field(start, field)
+        monkeypatch.setattr(cli, "solve_ground_state", no_solve)
+        cfg_path, outdir = small_config(
+            tmp_path, "ev_field", evolve={"dt": 1e-3, "t_final": 0.0}, experiment={"field": str(field)}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_subcommand(["evolve", "--config", str(cfg_path)]) == 0
+        lines = (outdir / "trace.csv").read_text().strip().splitlines()
+        # no solved profile, so no orbit-distance reference
+        assert lines[0] == "t,Q,E,P_1,S,K,h1norm"
+        q_start = evaluate(start, PhysParams(), WaveParams(1.0)).Q
+        assert float(lines[1].split(",")[1]) == pytest.approx(q_start, rel=1e-12)
 
     def test_check_subcommand(self, tmp_path):
         cfg_path, outdir = small_config(tmp_path, "check_run", experiment={"samples": 40})
