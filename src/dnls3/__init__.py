@@ -1,6 +1,6 @@
 """Pseudospectral variational toolbox for a three-component derivative NLS system."""
 
-from .grid import Grid, State, default_extent, norm_h1, norm_l2
+from .grid import Grid, State, norm_h1
 from .params import PhysParams, WaveParams
 
 __all__ = [
@@ -8,9 +8,7 @@ __all__ = [
     "State",
     "PhysParams",
     "WaveParams",
-    "default_extent",
     "norm_h1",
-    "norm_l2",
 ]
 
 __version__ = "0.1.0"

@@ -109,12 +109,12 @@ def _report_dict(rep) -> dict:
 def _load_config(args, experiment: str) -> RunConfig:
     cfg = parse_config(args.config, experiment=experiment)
     if args.seed is not None:
-        cfg.solver = dataclasses.replace(cfg.solver, seed=args.seed)
-        cfg.seed = args.seed
-        cfg.effective["solver"]["seed"] = args.seed
+        try:
+            cfg.solver = dataclasses.replace(cfg.solver, seed=args.seed)
+        except ValueError as exc:
+            raise ValidationError("solver.seed", str(exc)) from exc
     if args.out is not None:
         cfg.output_dir = args.out
-        cfg.effective["output"]["dir"] = args.out
     return cfg
 
 
@@ -133,7 +133,7 @@ def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, started: floa
         {
             "subcommand": subcommand,
             "config_hash": cfg.config_hash(),
-            "seed": cfg.seed,
+            "seed": cfg.solver.seed,
             "field_format_version": FORMAT_VERSION,
             "wall_clock_seconds": time.time() - started,
         },
@@ -163,13 +163,18 @@ def _cmd_gs(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _load_experiment_field(cfg: RunConfig) -> State:
-    """The snapshot named by experiment.field, placed on the config grid.
+def _start_profile(cfg: RunConfig):
+    """The profile a run starts from, and its GroundStateResult when it was solved.
 
-    Snapshots do not store the dealiasing flag, so the config grid supplies
-    it; a snapshot whose points or box differ from the config grid is
-    rejected.
+    With experiment.field the profile is that snapshot, placed on the config
+    grid, and the result is None: snapshots do not store the dealiasing
+    flag, so the config grid supplies it, and a snapshot whose points or box
+    differ from the config grid is rejected. Without it the ground state is
+    solved.
     """
+    if "field" not in cfg.experiment:
+        res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
+        return res.phi, res
     path = cfg.experiment["field"]
     state = load_field(path)
     g, want = state.grid, cfg.grid
@@ -179,30 +184,18 @@ def _load_experiment_field(cfg: RunConfig) -> State:
             f"{path} holds n={list(g.n)}, extent={list(g.extent)}; the config grid has "
             f"n={list(want.n)}, extent={list(want.extent)}",
         )
-    return State(want, state.u)
-
-
-def _initial_state(cfg: RunConfig):
-    """Initial data for evolve and its orbit-distance reference.
-
-    The start is the field named by experiment.field (no reference), else
-    the solved ground state (its own reference); either is perturbed by
-    experiment.delta.
-    """
-    exp = cfg.experiment
-    if "field" in exp:
-        state, reference = _load_experiment_field(cfg), None
-    else:
-        state = reference = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver).phi
-    delta = exp.get("delta", 0.0)
-    if delta != 0.0:
-        rng = np.random.default_rng(exp.get("perturbation_seed", cfg.seed))
-        state = State(state.grid, state.u + delta * h1_perturbation(state.grid, rng).u)
-    return state, reference
+    return State(want, state.u), None
 
 
 def _cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
-    state, reference = _initial_state(cfg)
+    # a solved start is its own orbit-distance reference; a snapshot start has none
+    state, res = _start_profile(cfg)
+    reference = None if res is None else state
+    exp = cfg.experiment
+    delta = exp.get("delta", 0.0)
+    if delta != 0.0:
+        rng = np.random.default_rng(exp.get("perturbation_seed", cfg.solver.seed))
+        state = State(state.grid, state.u + delta * h1_perturbation(state.grid, rng).u)
     _, trace = evolve(state, cfg.phys, cfg.wave, cfg.evolve, reference=reference)
     _write_trace_csv(outdir / "trace.csv", trace)
     return 0
@@ -229,18 +222,14 @@ def _identity_gates(rep, mu: float):
 
 def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
     exp = cfg.experiment
-    if "field" in exp:
-        phi = _load_experiment_field(cfg)
-        rep = evaluate(phi, cfg.phys, cfg.wave)
-        mu = rep.S
-    else:
-        res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
-        phi, rep, mu = res.phi, res.report, res.mu
+    phi, res = _start_profile(cfg)
+    rep = evaluate(phi, cfg.phys, cfg.wave) if res is None else res.report
+    mu = rep.S
 
     gates, identities_passed = _identity_gates(rep, mu)
 
     cert = coercivity_certificate(cfg.phys, cfg.wave)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.solver.seed)
     samples = sample_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, exp.get("samples", 200))
     disagreements = 0
     lqc_nonpositive = 0
@@ -317,7 +306,7 @@ def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
     delta = exp.get("delta", 1e-2)
     tau0s = exp.get("tau0s")
     report = stability_experiment(
-        res, delta, cfg.evolve, tau0s=tau0s, seed=exp.get("perturbation_seed", cfg.seed)
+        res, delta, cfg.evolve, tau0s=tau0s, seed=exp.get("perturbation_seed", cfg.solver.seed)
     )
     _write_trace_csv(outdir / "stability.csv", report.trace)
     _write_json(
@@ -335,10 +324,7 @@ def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
 
 def _cmd_decay(cfg: RunConfig, outdir: Path) -> int:
     exp = cfg.experiment
-    if "field" in exp:
-        phi = _load_experiment_field(cfg)
-    else:
-        phi = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver).phi
+    phi, _ = _start_profile(cfg)
     window = tuple(exp.get("window", (0.5, 0.9)))
     rep = decay_rate_fit(phi, cfg.phys, cfg.wave, window=window)
     _write_json(

@@ -2,9 +2,10 @@
 
 A config document has exactly the key groups "physics", "wave", "grid",
 "solver", "evolve", "experiment" and "output"; unknown keys anywhere are
-rejected by name. ``parse_config`` fills every default and returns both
-the constructed parameter objects and the fully-expanded document, whose
-canonical serialization (sorted keys) is hashed into run manifests.
+rejected by name. ``parse_config`` fills every default and returns the
+constructed parameter objects; the fully-expanded document is built from
+them, and its canonical serialization (sorted keys) is hashed into run
+manifests.
 """
 
 from __future__ import annotations
@@ -16,23 +17,22 @@ from dataclasses import asdict, dataclass
 from .errors import ParseError, ValidationError
 from .evolution import SCHEMES, EvolveConfig
 from .grid import DEFAULT_EXTENT, Grid
-from .ground_state import AnsatzConfig, SolverConfig
+from .ground_state import SolverConfig
 from .params import PhysParams, WaveParams
 
 # experiments whose wave parameters must be admissible before any solve
 SOLVE_EXPERIMENTS = ("gs", "check", "mu-scan", "h-curve", "stability", "decay", "evolve")
 
-# scalar experiment keys as (key, positive, integer)
-EXPERIMENT_NUMBERS = (
-    ("samples", True, True),
-    ("perturbation_seed", False, True),
-    ("delta", False, False),
-    ("tau_step", True, False),
-)
-
 
 @dataclass
 class RunConfig:
+    """The parsed objects of one run; each setting is held once.
+
+    ``effective`` is the fully-defaulted document, built from these objects
+    on every access, so changes to them (the command line's ``--seed`` and
+    ``--out``) show in it and in the hash.
+    """
+
     phys: PhysParams
     wave: WaveParams
     grid: Grid
@@ -40,8 +40,19 @@ class RunConfig:
     evolve: EvolveConfig
     experiment: dict
     output_dir: str
-    seed: int
-    effective: dict
+
+    @property
+    def effective(self) -> dict:
+        g = self.grid
+        return {
+            "physics": asdict(self.phys),
+            "wave": {"omega": self.wave.omega, "c": list(self.wave.c)},
+            "grid": {"d": g.d, "n": list(g.n), "extent": list(g.extent), "dealias": g.dealias},
+            "solver": asdict(self.solver),
+            "evolve": asdict(self.evolve),
+            "experiment": dict(self.experiment),
+            "output": {"dir": self.output_dir},
+        }
 
     def canonical_json(self) -> str:
         return json.dumps(self.effective, sort_keys=True, separators=(",", ":"))
@@ -70,6 +81,38 @@ def _number(value, field, positive=False, integer=False):
     return int(value) if integer else float(value)
 
 
+def _seed(value, field):
+    """A seed for numpy's generator: a nonnegative integer."""
+    seed = _number(value, field, integer=True)
+    if seed < 0:
+        raise ValidationError(field, f"must be nonnegative, got {value!r}")
+    return seed
+
+
+def _numbers(value, field, positive=False):
+    """A non-empty list of numbers."""
+    if not isinstance(value, list) or not value:
+        raise ValidationError(field, f"expected a non-empty list of numbers, got {value!r}")
+    return [_number(v, field, positive) for v in value]
+
+
+def _speed(value, field, d):
+    """A speed vector of d numbers; a bare number stands for a one-entry list."""
+    if isinstance(value, (int, float)):
+        value = [value]
+    if not isinstance(value, list) or len(value) != d:
+        raise ValidationError(field, f"expected {d} speed components, got {value!r}")
+    return [_number(v, field) for v in value]
+
+
+def _window(value, field):
+    """A fit window [lo, hi] of half-box fractions with 0 <= lo < hi."""
+    window = _numbers(value, field)
+    if len(window) != 2 or not 0 <= window[0] < window[1]:
+        raise ValidationError(field, f"expected [lo, hi] with 0 <= lo < hi, got {value!r}")
+    return window
+
+
 def _get_bool(group, key, default, context):
     value = group.get(key, default)
     if not isinstance(value, bool):
@@ -81,7 +124,10 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     """Parse a JSON document (text or path) into a validated RunConfig.
 
     ``experiment`` names the subcommand about to run; admissibility of
-    (omega, c) is enforced for experiments that solve or classify.
+    (omega, c) is enforced for experiments that solve or classify. An
+    unknown key raises ParseError; a value of the wrong type or out of
+    range raises ValidationError naming its field, such as ``solver.seed``
+    (a nonnegative integer) or ``experiment.window``.
     """
     text = source
     if not source.lstrip().startswith("{"):
@@ -144,12 +190,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     wave_doc = doc.get("wave", {})
     _require_keys(wave_doc, {"omega", "c"}, "wave")
     omega = _get_number(wave_doc, "omega", 1.0, "wave")
-    c = wave_doc.get("c", [0.0] * grid.d)
-    if isinstance(c, (int, float)):
-        c = [c]
-    if not isinstance(c, list) or len(c) != grid.d:
-        raise ValidationError("wave.c", f"expected {grid.d} speed components, got {c!r}")
-    wave = WaveParams(omega, tuple(_number(ck, "wave.c") for ck in c))
+    wave = WaveParams(omega, tuple(_speed(wave_doc.get("c", [0.0] * grid.d), "wave.c", grid.d)))
     if experiment in SOLVE_EXPERIMENTS and not wave.admissible(phys):
         raise ValidationError(
             "wave",
@@ -159,24 +200,15 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
 
     # -- solver ---------------------------------------------------------------
     solver_doc = doc.get("solver", {})
-    _require_keys(solver_doc, {"max_iter", "residual_tol", "ansatz", "seed", "restarts"}, "solver")
-    ansatz_doc = solver_doc.get("ansatz", {})
-    _require_keys(ansatz_doc, {"width", "carrier"}, "solver.ansatz")
+    _require_keys(solver_doc, {"max_iter", "residual_tol", "seed", "restarts"}, "solver")
     default = SolverConfig()
-    ansatz = AnsatzConfig(
-        width=_get_number(ansatz_doc, "width", default.ansatz.width, "solver.ansatz", positive=True),
-        carrier=_get_bool(ansatz_doc, "carrier", default.ansatz.carrier, "solver.ansatz"),
+    # the field checks cover every rule of SolverConfig
+    solver = SolverConfig(
+        max_iter=_get_number(solver_doc, "max_iter", default.max_iter, "solver", positive=True, integer=True),
+        residual_tol=_get_number(solver_doc, "residual_tol", default.residual_tol, "solver", positive=True),
+        seed=_seed(solver_doc.get("seed", default.seed), "solver.seed"),
+        restarts=_get_number(solver_doc, "restarts", default.restarts, "solver", positive=True, integer=True),
     )
-    try:
-        solver = SolverConfig(
-            max_iter=_get_number(solver_doc, "max_iter", default.max_iter, "solver", positive=True, integer=True),
-            residual_tol=_get_number(solver_doc, "residual_tol", default.residual_tol, "solver", positive=True),
-            ansatz=ansatz,
-            seed=_get_number(solver_doc, "seed", default.seed, "solver", integer=True),
-            restarts=_get_number(solver_doc, "restarts", default.restarts, "solver", positive=True, integer=True),
-        )
-    except ValueError as exc:
-        raise ValidationError("solver", str(exc)) from exc
 
     # -- evolve ---------------------------------------------------------------
     evolve_doc = doc.get("evolve", {})
@@ -200,40 +232,29 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
 
     # -- experiment / output ----------------------------------------------------
     exp_doc = dict(doc.get("experiment", {}))
-    _require_keys(
-        exp_doc,
-        {"field", "delta", "perturbation_seed", "omegas", "c0", "tau_step", "tau0s", "window", "samples"},
-        "experiment",
-    )
-    for key, positive, integer in EXPERIMENT_NUMBERS:
+    checks = {
+        "samples": lambda v, f: _number(v, f, positive=True, integer=True),
+        "perturbation_seed": _seed,
+        "delta": _number,
+        "tau_step": lambda v, f: _number(v, f, positive=True),
+        "omegas": lambda v, f: _numbers(v, f, positive=True),
+        "tau0s": lambda v, f: _numbers(v, f, positive=True),
+        "window": _window,
+        "c0": lambda v, f: _speed(v, f, grid.d),
+    }
+    _require_keys(exp_doc, {"field", *checks}, "experiment")
+    for key, check in checks.items():
         if key in exp_doc:
-            exp_doc[key] = _number(exp_doc[key], f"experiment.{key}", positive, integer)
-    if "omegas" in exp_doc:
-        omegas = exp_doc["omegas"]
-        if not isinstance(omegas, list) or not omegas:
-            raise ValidationError("experiment.omegas", f"expected a list of frequencies, got {omegas!r}")
-        exp_doc["omegas"] = [_number(w, "experiment.omegas", positive=True) for w in omegas]
+            exp_doc[key] = check(exp_doc[key], f"experiment.{key}")
     out_doc = doc.get("output", {})
     _require_keys(out_doc, {"dir"}, "output")
-    output_dir = out_doc.get("dir", "out")
 
-    effective = {
-        "physics": asdict(phys),
-        "wave": {"omega": wave.omega, "c": list(wave.c)},
-        "grid": {"d": grid.d, "n": list(grid.n), "extent": list(grid.extent), "dealias": grid.dealias},
-        "solver": asdict(solver),
-        "evolve": asdict(evolve_cfg),
-        "experiment": exp_doc,
-        "output": {"dir": output_dir},
-    }
     return RunConfig(
         phys=phys,
         wave=wave,
         grid=grid,
         solver=solver,
         evolve=evolve_cfg,
-        experiment=dict(exp_doc),
-        output_dir=output_dir,
-        seed=solver.seed,
-        effective=effective,
+        experiment=exp_doc,
+        output_dir=out_doc.get("dir", "out"),
     )

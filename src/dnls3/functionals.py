@@ -24,7 +24,6 @@ evaluated spectrally (Parseval), so the identities hold to rounding.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,18 +122,12 @@ class FunctionalReport:
         return abs(2.0 * self.omega * self.Q + self.cP - rhs) / abs(rhs)
 
 
-def evaluate(state: State, phys: PhysParams, wave: WaveParams, warn_inadmissible: bool = False) -> FunctionalReport:
+def evaluate(state: State, phys: PhysParams, wave: WaveParams) -> FunctionalReport:
     """Evaluate the full functional report.
 
     The functionals are defined for any (omega, c); classification and
-    solving require admissibility, so by default no warning is emitted here.
+    solving require admissibility, which is checked where they happen.
     """
-    if warn_inadmissible and not wave.admissible(phys):
-        warnings.warn(
-            f"(omega={wave.omega}, |c|={wave.speed}) is not admissible; "
-            "classification results are meaningless",
-            stacklevel=2,
-        )
     if wave.d != state.grid.d:
         raise ValueError(f"wave speed has {wave.d} components but grid is {state.grid.d}-dimensional")
     return _report(state, state.grid.fft(state.u), phys, wave)
@@ -296,12 +289,12 @@ class ScaledState:
     tail_mass: float
 
 
-def l2_scaling(state: State, lam: float, alias_tol: float = 1e-8) -> ScaledState:
+def l2_scaling(state: State, lam: float) -> ScaledState:
     """Charge-preserving dilation lam^{d/2} U(lam x) by spectral interpolation.
 
     On well-resolved fields and lam in [1/2, 2]: Q is invariant, L scales by
     lam^2, N by lam^{d/2+1} and P by lam. Raises ResolutionLoss when the
-    dilated field leaks more than ``alias_tol`` of its mass past the
+    dilated field leaks more than 1e-8 of its mass past the
     resolvable band.
     """
     from .errors import ResolutionLoss
@@ -311,8 +304,8 @@ def l2_scaling(state: State, lam: float, alias_tol: float = 1e-8) -> ScaledState
     out = State(g, scaled)
     alias = g.aliasing_mass(out.u)
     tail = g.tail_mass(out.u)
-    if alias > alias_tol:
-        raise ResolutionLoss(f"aliasing mass {alias:.3e} exceeds {alias_tol:.1e} at lambda={lam}")
+    if alias > 1e-8:
+        raise ResolutionLoss(f"aliasing mass {alias:.3e} exceeds 1.0e-08 at lambda={lam}")
     return ScaledState(out, alias, tail)
 
 

@@ -304,12 +304,12 @@ class Grid:
     def norm_l2(self, f: np.ndarray) -> float:
         return float(np.sqrt(np.sum(np.abs(f) ** 2) * self.weight))
 
-    def tail_mass(self, f: np.ndarray, fraction: float = 0.9, smooth: float = 0.0) -> float:
-        """Relative quadrature mass beyond ``fraction`` of the half-box.
+    def tail_mass(self, f: np.ndarray, smooth: float = 0.0) -> float:
+        """Relative quadrature mass in the outer 10% of the half-box.
 
         A point is in the tail region when any coordinate exceeds
-        fraction*extent_k/2 in magnitude. Used to flag profiles whose decay
-        is not contained by the box.
+        0.9*extent_k/2 in magnitude. Used to flag profiles whose decay is
+        not contained by the box.
 
         With ``smooth`` > 0 the field is first convolved with a Gaussian of
         that width (a spectral multiplier), which annihilates broadband
@@ -323,7 +323,7 @@ class Grid:
         mesh = self.meshgrid()
         outer = np.zeros(self.shape, dtype=bool)
         for k in range(self.d):
-            outer |= np.abs(mesh[k]) > fraction * self.extent[k] / 2.0
+            outer |= np.abs(mesh[k]) > 0.9 * self.extent[k] / 2.0
         total = np.sum(np.abs(f) ** 2)
         if total == 0.0:
             return 0.0
@@ -386,12 +386,8 @@ class Grid:
         return f"Grid(n={self.n}, extent={self.extent}, dealias={self.dealias})"
 
 
+#: per-axis box length, by dimension, that keeps unit-frequency ground-state tails below 1e-10
 DEFAULT_EXTENT = {1: 40.0, 2: 30.0, 3: 20.0}
-
-
-def default_extent(d: int) -> float:
-    """Per-axis box length that keeps unit-frequency ground-state tails below 1e-10."""
-    return DEFAULT_EXTENT[d]
 
 
 @dataclass
@@ -443,11 +439,6 @@ class State:
         return State(self.grid, self.u * scalar)
 
     __rmul__ = __mul__
-
-
-def norm_l2(state: State) -> float:
-    """L2 norm over all nine scalar fields."""
-    return state.grid.norm_l2(state.u)
 
 
 def norm_h1(state: State) -> float:

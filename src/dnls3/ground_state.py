@@ -28,7 +28,7 @@ derivatives, and the two-dimensional charge threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,33 +52,16 @@ from .params import PhysParams, WaveParams
 
 
 @dataclass(frozen=True)
-class AnsatzConfig:
-    """Gaussian seed profile: u1 = u2 = exp(-|x|^2/w^2) e1, u3 = -d1 of it.
-
-    This polarization makes the coupling term strictly negative, so the
-    Nehari rescaling is well defined. The rescaling fixes the amplitude, so
-    the seed carries none. With ``carrier`` enabled and c != 0,
-    gauge-structured plane-wave phases (2k, k, k) with k ~ c/2 (rounded to
-    grid wavenumbers) are attached; they lower the initial action without
-    touching the coupling term.
-    """
-
-    width: float = 1.5
-    carrier: bool = True
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Descent settings.
 
     ``restarts`` bounds the number of descents: a descent from a translated
-    seed (center drawn from ``seed``) runs only after the previous one
-    failed to converge.
+    seed (center drawn from the nonnegative ``seed``) runs only after the
+    previous one failed to converge.
     """
 
     max_iter: int = 20000
     residual_tol: float = 1e-9
-    ansatz: AnsatzConfig = field(default_factory=AnsatzConfig)
     seed: int = 0
     restarts: int = 3
 
@@ -87,6 +70,8 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.residual_tol <= 0:
             raise ValueError("the residual tolerance must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -124,26 +109,34 @@ def precondition(g_state: State, phys: PhysParams, wave: WaveParams) -> State:
     return State(grid, grid.ifft(out))
 
 
-def initial_ansatz(
-    grid: Grid,
-    phys: PhysParams,
-    wave: WaveParams,
-    ansatz: AnsatzConfig | None = None,
-    center=None,
-) -> State:
-    """Nehari-projected Gaussian seed, optionally shifted to ``center``."""
+# Width of the Gaussian seed and half-width of the range its restart centers
+# are drawn from. The projection fixes the amplitude and the action is
+# invariant under translations and the gauge, so it only sets where the
+# descent starts.
+SEED_WIDTH = 1.5
+
+
+def initial_ansatz(grid: Grid, phys: PhysParams, wave: WaveParams, center=None) -> State:
+    """Nehari-projected Gaussian seed, optionally shifted to ``center``.
+
+    u1 = u2 = exp(-|x - center|^2 / SEED_WIDTH^2) e1 and u3 = -d1 of it: this
+    polarization makes the coupling term strictly negative, so the Nehari
+    rescaling, which fixes the amplitude, is well defined. For c != 0,
+    gauge-structured plane-wave phases (2k, k, k) with k ~ c/2 (rounded to
+    grid wavenumbers) are attached; they lower the initial action without
+    touching the coupling term.
+    """
     wave.require_admissible(phys)
-    ansatz = ansatz or AnsatzConfig()
     mesh = grid.meshgrid()
     if center is None:
         center = np.zeros(grid.d)
     r2 = sum((X - y) ** 2 for X, y in zip(mesh, np.atleast_1d(center)))
-    g = np.exp(-r2 / ansatz.width**2)
+    g = np.exp(-r2 / SEED_WIDTH**2)
     u = np.zeros((3, grid.d, *grid.shape), dtype=np.complex128)
     u[0, 0] = g
     u[1, 0] = g
     u[2, 0] = -grid.deriv(g.astype(complex), 0)
-    if ansatz.carrier and wave.speed > 0:
+    if wave.speed > 0:
         # gauge-structured carrier: phases (2 theta, theta, theta) with a
         # linear theta = k.x, k rounded to grid wavenumbers for periodicity
         theta = np.zeros(grid.shape)
@@ -260,12 +253,12 @@ def solve_ground_state(
     total_iters = 0
     center = None
     for _ in range(config.restarts):
-        start = initial_ansatz(grid, phys, wave, config.ansatz, center=center)
+        start = initial_ansatz(grid, phys, wave, center=center)
         U, rep, iters, residual, _, termination = _descend(grid, phys, wave, config, start)
         total_iters += iters
         if termination == "converged":
             break
-        center = rng.uniform(-config.ansatz.width, config.ansatz.width, size=grid.d)
+        center = rng.uniform(-SEED_WIDTH, SEED_WIDTH, size=grid.d)
     else:
         raise NoConvergence(total_iters, residual, termination)
 
@@ -426,23 +419,6 @@ def h_curve(
         rel_h1=abs(fd_h1 - closed_h1) / abs(closed_h1),
         rel_h2=abs(fd_h2 - closed_h2) / max(abs(closed_h2), 1e-300),
     )
-
-
-@dataclass
-class StabilityMargin:
-    margin: float
-    in_mstar: bool
-
-
-def stability_margin(result: GroundStateResult, eta_probe: float = 0.0) -> StabilityMargin:
-    """h''(0)/2 - Q evaluated in closed form: equals G/(2 omega), stored on the result.
-
-    ``in_mstar`` reports whether the display quantity (omega Q + c.P for
-    d=1, c.P for d=2) reaches the probe level eta.
-    """
-    if result.phi.grid.d not in (1, 2):
-        raise WrongDimension("the stability margin is defined for d in {1, 2}")
-    return StabilityMargin(result.stability_margin, bool(result.report.G_display >= eta_probe))
 
 
 def gwp2d_threshold(result: GroundStateResult) -> float:

@@ -94,7 +94,6 @@ class TestConfig:
         assert cfg.solver.max_iter == 20000
         assert cfg.solver.residual_tol == 1e-9
         assert cfg.evolve.scheme == "strang"
-        assert cfg.effective["solver"]["ansatz"]["width"] == 1.5
         # canonical form is stable, also when a point count is written as an integral float
         assert cfg.config_hash() == parse_config(MINIMAL).config_hash()
         assert cfg.config_hash() == parse_config(MINIMAL.replace("[512]", "[512.0]")).config_hash()
@@ -132,11 +131,20 @@ class TestConfig:
             parse_config(json.dumps(doc))
 
     def test_step_size_rejected_by_name(self):
-        doc = json.loads(MINIMAL)
-        doc["solver"] = {"step_size": 0.5}
-        with pytest.raises(ParseError, match="step_size"):
-            parse_config(json.dumps(doc))
-        assert "step_size" not in parse_config(MINIMAL).effective["solver"]
+        # neither the step size nor the seed profile's shape is a setting
+        for key, value in (("step_size", 0.5), ("ansatz", {"width": 1.5})):
+            doc = json.loads(MINIMAL)
+            doc["solver"] = {key: value}
+            with pytest.raises(ParseError, match=key):
+                parse_config(json.dumps(doc))
+            assert key not in parse_config(MINIMAL).effective["solver"]
+
+    @pytest.mark.parametrize("source", ["{}", MINIMAL], ids=["empty", "minimal"])
+    def test_effective_document_parses_to_itself(self, source):
+        cfg = parse_config(source)
+        again = parse_config(json.dumps(cfg.effective, sort_keys=True, indent=2))
+        assert again.effective == cfg.effective
+        assert again.config_hash() == cfg.config_hash()
 
     @pytest.mark.parametrize(
         "group, value, field",
@@ -147,8 +155,9 @@ class TestConfig:
             ("grid", {"extent": [True]}, "grid.extent"),
             ("grid", {"d": True}, "grid.d"),
             ("evolve", {"dt": float("nan")}, "evolve.dt"),
+            ("solver", {"seed": -1}, "solver.seed"),
         ],
-        ids=["fractional_n", "bool_c", "string_c", "bool_extent", "bool_d", "nan_dt"],
+        ids=["fractional_n", "bool_c", "string_c", "bool_extent", "bool_d", "nan_dt", "negative_seed"],
     )
     def test_entries_validated(self, tmp_path, capsys, group, value, field):
         doc = json.loads(MINIMAL)
@@ -163,7 +172,7 @@ class TestConfig:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
 
     @pytest.mark.parametrize(
-        "subcommand, value, field",
+        "command, value, field",
         [
             ("check", {"samples": 0}, "experiment.samples"),
             ("check", {"samples": -5}, "experiment.samples"),
@@ -174,16 +183,28 @@ class TestConfig:
             ("h-curve", {"tau_step": 0}, "experiment.tau_step"),
             ("mu-scan", {"omegas": 2}, "experiment.omegas"),
             ("mu-scan", {"omegas": [1.0, -2.0]}, "experiment.omegas"),
+            ("evolve", {"delta": 1e-3, "perturbation_seed": -1}, "experiment.perturbation_seed"),
+            ("check --seed -1", {}, "solver.seed"),
+            ("decay", {"window": 5}, "experiment.window"),
+            ("decay", {"window": [0.9, 0.5]}, "experiment.window"),
+            ("decay", {"window": [0.5]}, "experiment.window"),
+            ("stability", {"tau0s": 3}, "experiment.tau0s"),
+            ("stability", {"tau0s": []}, "experiment.tau0s"),
+            ("stability", {"tau0s": [0.05, -0.1]}, "experiment.tau0s"),
+            ("mu-scan", {"c0": "x"}, "experiment.c0"),
+            ("mu-scan", {"c0": [0.1, 0.2]}, "experiment.c0"),
         ],
         ids=[
             "zero_samples", "negative_samples", "fractional_samples", "string_samples",
             "string_delta", "fractional_seed", "zero_tau_step", "scalar_omegas", "negative_omega",
+            "negative_perturbation_seed", "negative_seed_flag", "scalar_window", "reversed_window",
+            "one_bound_window", "scalar_tau0s", "empty_tau0s", "negative_tau0", "string_c0", "long_c0",
         ],
     )
-    def test_experiment_entries_validated(self, tmp_path, capsys, subcommand, value, field):
+    def test_experiment_entries_validated(self, tmp_path, capsys, command, value, field):
         cfg_path, _ = small_config(tmp_path, "bad_experiment", experiment=value)
         capsys.readouterr()
-        assert run_subcommand([subcommand, "--config", str(cfg_path)]) == 2
+        assert run_subcommand([*command.split(), "--config", str(cfg_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
         assert record["message"].startswith(f"{field}:")
@@ -273,6 +294,16 @@ class TestCli:
         lines = (outdir / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "t,Q,E,P_1,S,K,h1norm,orbit_dist"
         assert len(lines) == 2
+
+    def test_effective_config_file_parses_to_itself(self, tmp_path):
+        cfg_path, _ = small_config(tmp_path, "as_written")
+        outdir = tmp_path / "overridden"
+        assert run_subcommand(["gs", "--config", str(cfg_path), "--seed", "7", "--out", str(outdir)]) == 0
+        written = outdir / "effective_config.json"
+        again = parse_config(str(written))
+        assert again.effective == json.loads(written.read_text())
+        assert (again.solver.seed, again.output_dir) == (7, str(outdir))
+        assert again.config_hash() == json.loads((outdir / "manifest.json").read_text())["config_hash"]
 
     def test_evolve_starts_from_the_field(self, tmp_path, rng, monkeypatch):
         def no_solve(*args, **kwargs):

@@ -12,7 +12,6 @@ from dnls3.errors import (
 from dnls3.functionals import evaluate
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import (
-    AnsatzConfig,
     GroundStateResult,
     SolverConfig,
     _descend,
@@ -26,7 +25,6 @@ from dnls3.ground_state import (
     resolvent_symbols,
     sample_below_level,
     solve_ground_state,
-    stability_margin,
 )
 from dnls3.params import PhysParams, WaveParams
 
@@ -164,7 +162,7 @@ class TestSolve:
         g = Grid(256, 40.0)
         wave = WaveParams(1.0, (0.0,))
         a = solve_ground_state(g, PHYS, wave, SolverConfig(restarts=1, seed=1))
-        b_start = initial_ansatz(g, PHYS, wave, AnsatzConfig(), center=(3.0,))
+        b_start = initial_ansatz(g, PHYS, wave, center=(3.0,))
         b, rep, _, res, _, _ = _descend(g, PHYS, wave, FAST, b_start)
         assert res < 1e-9
         assert abs(rep.S - a.mu) / a.mu < 1e-6
@@ -330,20 +328,11 @@ class TestCarriedReport:
 
 class TestStabilityMarginAndThreshold:
     def test_margin_equals_charge_at_zero_speed(self, gs_1d):
-        m = stability_margin(gs_1d)
-        assert abs(m.margin - gs_1d.report.Q) < 1e-10 * gs_1d.report.Q
-        assert m.margin > 0
-        assert m.in_mstar
-
-    def test_margin_rejects_3d(self, gs_1d):
-        import dataclasses
-
-        g3 = Grid((8, 8, 8), (10.0, 10.0, 10.0))
-        fake = dataclasses.replace(
-            gs_1d, phi=State.zeros(g3), wave=WaveParams(1.0, (0.0, 0.0, 0.0))
-        )
-        with pytest.raises(WrongDimension):
-            stability_margin(fake)
+        margin = gs_1d.stability_margin
+        assert abs(margin - gs_1d.report.Q) < 1e-10 * gs_1d.report.Q
+        assert margin > 0
+        # in M*: the display quantity omega Q + c.P reaches the level 0
+        assert gs_1d.report.G_display >= 0
 
     def test_threshold_rejects_1d(self, gs_1d):
         with pytest.raises(WrongDimension):
