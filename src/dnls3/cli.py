@@ -230,7 +230,8 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
 
     cert = coercivity_certificate(cfg.phys, cfg.wave)
     rng = np.random.default_rng(cfg.solver.seed)
-    samples = sample_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, exp.get("samples", 200))
+    wanted = exp.get("samples", 200)
+    samples = sample_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, wanted)
     disagreements = 0
     lqc_nonpositive = 0
     for _, srep in samples:
@@ -239,7 +240,14 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
         if not WellMembership.from_report(srep, mu).agree:
             disagreements += 1
 
-    passed = identities_passed and cert.min_coeff > 0 and disagreements == 0 and lqc_nonpositive == 0
+    # a well check passes on the samples it asked for, not on fewer
+    passed = (
+        identities_passed
+        and cert.min_coeff > 0
+        and len(samples) == wanted
+        and disagreements == 0
+        and lqc_nonpositive == 0
+    )
     _write_json(
         outdir / "check.json",
         {

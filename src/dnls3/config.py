@@ -67,6 +67,14 @@ def _require_keys(group: dict, allowed: set, context: str):
             raise ParseError(f"unknown key {key!r} in {context!r}")
 
 
+def _group(doc: dict, name: str) -> dict:
+    """The key group ``name`` of the document, an object; absent, it is empty."""
+    group = doc.get(name, {})
+    if not isinstance(group, dict):
+        raise ValidationError(name, f"expected an object, got {group!r}")
+    return group
+
+
 def _get_number(group, key, default, context, positive=False, integer=False):
     return _number(group.get(key, default), f"{context}.{key}", positive, integer)
 
@@ -103,6 +111,13 @@ def _speed(value, field, d):
     if not isinstance(value, list) or len(value) != d:
         raise ValidationError(field, f"expected {d} speed components, got {value!r}")
     return [_number(v, field) for v in value]
+
+
+def _path(value, field):
+    """A file or directory path: a non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise ValidationError(field, f"expected a non-empty path, got {value!r}")
+    return value
 
 
 def _window(value, field):
@@ -150,7 +165,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     )
 
     # -- physics ------------------------------------------------------------
-    phys_doc = doc.get("physics", {})
+    phys_doc = _group(doc, "physics")
     _require_keys(phys_doc, {"alpha", "beta", "gamma"}, "physics")
     default = PhysParams()
     try:
@@ -163,7 +178,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         raise ValidationError("physics", str(exc)) from exc
 
     # -- grid ---------------------------------------------------------------
-    grid_doc = doc.get("grid", {})
+    grid_doc = _group(doc, "grid")
     _require_keys(grid_doc, {"d", "n", "extent", "dealias"}, "grid")
     n = grid_doc.get("n", [512])
     if isinstance(n, (int, float)):
@@ -187,7 +202,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         raise ValidationError("grid", str(exc)) from exc
 
     # -- wave ---------------------------------------------------------------
-    wave_doc = doc.get("wave", {})
+    wave_doc = _group(doc, "wave")
     _require_keys(wave_doc, {"omega", "c"}, "wave")
     omega = _get_number(wave_doc, "omega", 1.0, "wave")
     wave = WaveParams(omega, tuple(_speed(wave_doc.get("c", [0.0] * grid.d), "wave.c", grid.d)))
@@ -199,7 +214,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         )
 
     # -- solver ---------------------------------------------------------------
-    solver_doc = doc.get("solver", {})
+    solver_doc = _group(doc, "solver")
     _require_keys(solver_doc, {"max_iter", "residual_tol", "seed", "restarts"}, "solver")
     default = SolverConfig()
     # the field checks cover every rule of SolverConfig
@@ -211,7 +226,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     )
 
     # -- evolve ---------------------------------------------------------------
-    evolve_doc = doc.get("evolve", {})
+    evolve_doc = _group(doc, "evolve")
     _require_keys(evolve_doc, {"dt", "t_final", "record_stride", "scheme"}, "evolve")
     default = EvolveConfig()
     dt = evolve_doc.get("dt", default.dt)
@@ -231,8 +246,9 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     )
 
     # -- experiment / output ----------------------------------------------------
-    exp_doc = dict(doc.get("experiment", {}))
+    exp_doc = dict(_group(doc, "experiment"))
     checks = {
+        "field": _path,
         "samples": lambda v, f: _number(v, f, positive=True, integer=True),
         "perturbation_seed": _seed,
         "delta": _number,
@@ -242,11 +258,11 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         "window": _window,
         "c0": lambda v, f: _speed(v, f, grid.d),
     }
-    _require_keys(exp_doc, {"field", *checks}, "experiment")
+    _require_keys(exp_doc, set(checks), "experiment")
     for key, check in checks.items():
         if key in exp_doc:
             exp_doc[key] = check(exp_doc[key], f"experiment.{key}")
-    out_doc = doc.get("output", {})
+    out_doc = _group(doc, "output")
     _require_keys(out_doc, {"dir"}, "output")
 
     return RunConfig(
@@ -256,5 +272,5 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         solver=solver,
         evolve=evolve_cfg,
         experiment=exp_doc,
-        output_dir=out_doc.get("dir", "out"),
+        output_dir=_path(out_doc.get("dir", "out"), "output.dir"),
     )

@@ -33,9 +33,25 @@ from .grid import Grid, State
 from .params import PhysParams, WaveParams
 
 
-def charge(state: State) -> float:
-    g = state.grid
-    return float(np.sum(np.abs(state.u1) ** 2) + 0.5 * np.sum(np.abs(state.u2) ** 2) + 0.5 * np.sum(np.abs(state.u3) ** 2)) * g.weight
+def charge(grid: Grid, u: np.ndarray):
+    """Q of the state with values u, shape ``(..., 3, d, *grid.shape)``.
+
+    Leading axes are batch axes, and Q has their shape; without them Q is a
+    scalar.
+    """
+    mass, axes = np.abs(u) ** 2, _state_axes(grid, 1)
+    parts = [np.sum(_component(grid, mass, j), axis=axes) for j in range(3)]
+    return (parts[0] + 0.5 * parts[1] + 0.5 * parts[2]) * grid.weight
+
+
+def _component(grid: Grid, u: np.ndarray, j: int) -> np.ndarray:
+    """Component j of a state or of a batch of states, shape ``(..., 3, d, *grid.shape)``."""
+    return u[(..., j, slice(None)) + grid._space]
+
+
+def _state_axes(grid: Grid, rows: int) -> tuple:
+    """The last ``rows`` + d axes of a field, behind any batch axes."""
+    return tuple(range(-grid.d - rows, 0))
 
 
 @dataclass
@@ -58,6 +74,7 @@ class FunctionalReport:
     @classmethod
     def from_parts(cls, Q: float, L: float, N: float, P: np.ndarray, omega: float, c: np.ndarray) -> "FunctionalReport":
         """Assemble the report from its four basic functionals."""
+        Q, L, N = float(Q), float(L), float(N)
         d = len(P)
         cP = float(np.dot(c, P))
         E = L + N
@@ -135,24 +152,36 @@ def evaluate(state: State, phys: PhysParams, wave: WaveParams) -> FunctionalRepo
 
 def _report(state: State, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> FunctionalReport:
     """The functional report of a state whose spectrum F the caller holds."""
-    Q, L, C, P = _parts(state, F, phys, state.grid.nonlinear_gradient(F, state.u, pair_only=True))
+    g = state.grid
+    Q, L, C, P = _parts(g, state.u, F, phys, g.nonlinear_gradient(F, state.u, pair_only=True))
     return FunctionalReport.from_parts(Q, L, C.real, P, wave.omega, wave.c_array)
 
 
-def _parts(state: State, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
-    """(Q, L, C, P) of a state whose spectrum F and grad(u1 . conj(u2)) spectrum the caller holds.
+def _parts(grid: Grid, u: np.ndarray, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
+    """(Q, L, C, P) of the state with values u and spectrum F, whose grad(u1 . conj(u2)) spectrum the caller holds.
 
     C = (u3, grad(u1 . conj(u2))) by Parseval, with ``grad_pair`` the third
     block of dN (``grid.nonlinear_gradient``); the coupling functional is
     N = Re C, and rotating u3 by e^{i theta} turns C into e^{i theta} C.
+
+    ``u`` and ``F`` have shape ``(..., 3, d, *grid.shape)`` and
+    ``grad_pair`` shape ``(..., d, *grid.shape)``: leading axes are batch
+    axes, each part has their shape (P with d entries more), and a state
+    without them gets scalars and a d-vector P.
     """
-    g = state.grid
     absF2 = np.abs(F) ** 2
-    k2_parts = np.sum(g.k2 * absF2, axis=tuple(range(1, absF2.ndim)))
-    L = float(0.5 * (phys.alpha * k2_parts[0] + phys.beta * k2_parts[1] + phys.gamma * k2_parts[2]) * g.weight)
-    C = complex(np.vdot(grad_pair, F[2])) * g.weight
-    P = np.array([-0.5 * float(np.sum(g.xi[k] * absF2)) * g.weight for k in range(g.d)])
-    return charge(state), L, C, P
+    k2_parts = np.sum(grid.k2 * absF2, axis=_state_axes(grid, 1))
+    L = 0.5 * (phys.alpha * k2_parts[..., 0] + phys.beta * k2_parts[..., 1] + phys.gamma * k2_parts[..., 2]) * grid.weight
+    lead, u3 = F.shape[: -grid.d - 2], _component(grid, F, 2)
+    if lead:
+        C = np.einsum("...k,...k->...", grad_pair.reshape(*lead, -1).conj(), u3.reshape(*lead, -1)) * grid.weight
+    else:
+        # a single state keeps BLAS's dot product, which the solver and the stepper's reports have always used
+        C = complex(np.vdot(grad_pair, u3)) * grid.weight
+    P = np.empty((*lead, grid.d))
+    for k in range(grid.d):
+        P[..., k] = -0.5 * np.sum(grid.xi[k] * absF2, axis=_state_axes(grid, 2)) * grid.weight
+    return charge(grid, u), L, C, P
 
 
 def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:

@@ -72,6 +72,10 @@ class Grid:
         #: quadrature weight of one cell
         self.weight = float(np.prod(self.spacing))
         self._spatial_axes = tuple(range(-d, 0))
+        self._space = (slice(None),) * d
+        # the kernel's rows, behind any batch axes: u1 and u2 (and the
+        # products that take their places), and div u3 (and the pair sum)
+        self._kernel_rows = (self._rows(slice(0, d)), self._rows(slice(d, 2 * d)), self._rows(2 * d))
 
         # per-axis coordinates and wavenumbers, broadcastable over the grid
         self.axes = []
@@ -200,6 +204,10 @@ class Grid:
 
     # -- quadratic products --------------------------------------------------
 
+    def _rows(self, index) -> tuple:
+        """Index ``index`` on the row axis, the one in front of the spatial axes, behind any batch axes."""
+        return (..., index) + self._space
+
     def _product_values(self, rows: np.ndarray) -> np.ndarray:
         """Values on the product grid of fields whose pad-weighted spectra are ``rows``.
 
@@ -216,21 +224,27 @@ class Grid:
     def _unpad(self, spectra: np.ndarray, symbols: np.ndarray, out: np.ndarray) -> None:
         """Cut the band out of unnormalized product-grid spectra into ``out``, times ``symbols``.
 
-        Rows run along the leading axis; rows of ``out`` past those of
-        ``spectra`` take its last row.
+        Rows run along the axis in front of the spatial axes, behind any
+        batch axes; rows of ``out`` past those of ``spectra`` take its last row.
         """
-        r = len(spectra)
+        r = spectra.shape[-self.d - 1]
         for band, padded in self._pad_blocks:
-            source = spectra[(slice(None), *padded)]
-            np.multiply(source, symbols[(slice(0, r), *band)], out=out[(slice(0, r), *band)])
-            if len(out) > r:
-                np.multiply(source[-1], symbols[(slice(r, None), *band)], out=out[(slice(r, None), *band)])
+            source = spectra[(..., *padded)]
+            np.multiply(source, symbols[(slice(0, r), *band)], out=out[(..., slice(0, r), *band)])
+            if out.shape[-self.d - 1] > r:
+                np.multiply(
+                    source[self._rows(slice(r - 1, r))],
+                    symbols[(slice(r, None), *band)],
+                    out=out[(..., slice(r, None), *band)],
+                )
 
     def nonlinear_gradient(self, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False) -> np.ndarray:
         """Spectrum of dN, the coupling part of the action gradient, of the state with spectrum F.
 
-        ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``;
-        the result has the same shape and holds the spectra of
+        ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``, or
+        of a batch of states, shape ``(..., 3, d, *shape)``: leading axes are
+        batch axes, and every transform below covers the whole batch in one
+        call. The result has the shape of ``F`` and holds the spectra of
 
             dN = (-(div u3) u2, -conj(div u3) u1, grad(u1 . conj(u2))),
 
@@ -241,39 +255,44 @@ class Grid:
         brings them back; the transform scale and the symbols (-1, -1, i xi)
         are folded into the multiply that cuts out the band. With
         ``pair_only`` only the block grad(u1 . conj(u2)) is formed, shape
-        ``(d, *shape)``.
+        ``(..., d, *shape)``.
 
         On a plain grid, ``u`` (the state's values, if the caller holds
-        them) supplies u1 and u2 without transforming them again. Every
-        array the kernel writes is its own; the result shares no memory
-        with its inputs or with another call's result.
+        them, with the batch axes of ``F``) supplies u1 and u2 without
+        transforming them again. Every array the kernel writes is its own;
+        the result shares no memory with its inputs or with another call's
+        result.
         """
-        d = self.d
+        d, row = self.d, self._rows
+        lead = F.shape[: -d - 2]
+        first, second, last = self._kernel_rows
         weighted = F * self._pad_symbols
-        rows = weighted.reshape(3 * d, *self.shape)
+        rows = weighted.reshape(*lead, 3 * d, *self.shape)
         for k in range(1, d):
-            rows[2 * d] += weighted[2, k]  # div u3 collects in the first u3 row
+            rows[last] += rows[row(2 * d + k)]  # div u3 collects in the first u3 row
         if u is not None and not self.dealias:
-            u1, u2 = u[0], u[1]
-            div = None if pair_only else self._ifftn(rows[2 * d], "forward")
+            values = u.reshape(*lead, 3 * d, *self.shape)
+            div = None if pair_only else self._ifftn(rows[last], "forward")
         else:
-            values = self._product_values(rows[: 2 * d if pair_only else 2 * d + 1])
-            u1, u2 = values[:d], values[d : 2 * d]
-            div = None if pair_only else values[2 * d]
+            values = self._product_values(rows[row(slice(0, 2 * d if pair_only else 2 * d + 1))])
+            div = None if pair_only else values[last]
+        u1, u2 = values[first], values[second]
         pair = np.conjugate(u2)
         pair *= u1
         if pair_only:
-            spectrum = self._fftn(np.add.reduce(pair, axis=0, keepdims=True), "backward")
-            out = np.empty((d, *self.shape), dtype=np.complex128)
+            spectrum = self._fftn(np.add.reduce(pair, axis=-d - 1, keepdims=True), "backward")
+            out = np.empty((*lead, d, *self.shape), dtype=np.complex128)
             self._unpad(spectrum, self._unpad_symbols[2 * d :], out)
             return out
-        products = np.empty((2 * d + 1, *self._product_shape), dtype=np.complex128)
-        np.multiply(div, u2, out=products[:d])
-        np.add.reduce(pair, axis=0, out=products[2 * d])
+        products = np.empty((*lead, 2 * d + 1, *self._product_shape), dtype=np.complex128)
+        # div gets a unit row axis, to pair with each of the d rows of u1 and u2
+        div = div[row(None)]
+        np.multiply(div, u2, out=products[first])
+        np.add.reduce(pair, axis=-d - 1, out=products[last])
         np.conjugate(div, out=div)
-        np.multiply(div, u1, out=products[d : 2 * d])
+        np.multiply(div, u1, out=products[second])
         out = np.empty(F.shape, dtype=np.complex128)
-        self._unpad(self._fftn(products, "backward"), self._unpad_symbols, out.reshape(3 * d, *self.shape))
+        self._unpad(self._fftn(products, "backward"), self._unpad_symbols, out.reshape(*lead, 3 * d, *self.shape))
         return out
 
     def product_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -169,7 +169,7 @@ def _project(grid: Grid, phys: PhysParams, wave: WaveParams, F: np.ndarray):
     """
     u = grid.ifft(F)
     dN = grid.nonlinear_gradient(F, u)
-    Q, L, C, P = _parts(State(grid, u), F, phys, dN[2])
+    Q, L, C, P = _parts(grid, u, F, phys, dN[2])
     rep = FunctionalReport.from_parts(Q, L, -abs(C), P, wave.omega, wave.c_array)
     try:
         lam = rep.nehari_factor()
@@ -429,6 +429,12 @@ def gwp2d_threshold(result: GroundStateResult) -> float:
     return rep.Q - rep.E
 
 
+# Complex points a round of the well sampler draws, over all its states:
+# small states share each round's transforms, and the cap bounds the
+# memory of a round (about 10 draws of a 512-point 1D state, one 2D 128^2 draw).
+SAMPLE_ROUND_POINTS = 2**14
+
+
 def sample_below_level(
     grid: Grid,
     phys: PhysParams,
@@ -444,34 +450,62 @@ def sample_below_level(
     (0.2, 0.95): along the ray, S(sU) = s^2 Lqc/2 + s^3 N rises to its peak
     at the constraint crossing and falls afterwards when N < 0, so the
     rising-branch root gives K > 0 and the falling-branch root K < 0.
-    Returns a list of (state, report) pairs; the report of sU follows from
-    that of U (FunctionalReport.scaled), so each draw is evaluated once.
+    Returns a list of (state, report) pairs, those with K < 0
+    (round(n negative_fraction) of them) first; the report of sU follows
+    from that of U (FunctionalReport.scaled), so each draw is evaluated once.
+
+    Draws come in rounds: each round draws every state still missing, at
+    most SAMPLE_ROUND_POINTS complex points in all, as one batch of shape
+    ``(b, 3, d, *grid.shape)``. The batch is smoothed by one transform pair,
+    evaluated by one batched kernel call and ``_parts``, and its ray
+    equations are solved by one batched eigensolve of their companion
+    matrices (the one ``np.roots`` makes per polynomial). A draw meant for
+    K < 0 whose N is positive has its u3 negated: that maps N to -N and keeps
+    Q, L and P, and the smoothed Gaussian law is symmetric under u3 -> -u3,
+    so the law of the draws kept is that of draws with N < 0. At most 50 n
+    states are drawn; fewer than n are returned only when that cap is hit.
     """
-    out = []
+    found = {True: [], False: []}  # keyed by K < 0
     want_negative = int(round(n * negative_fraction))
     shape = (3, grid.d, *grid.shape)
     smoothing = (1.0 + grid.k2) ** 2
+    per_round = max(1, SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
     attempts = 0
-    while len(out) < n and attempts < 50 * n:
-        attempts += 1
-        take_negative = len(out) < want_negative
-        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        u = grid.ifft(grid.fft(u) / smoothing)
-        rep = evaluate(State(grid, u), phys, wave)
-        if take_negative and rep.N >= 0:
-            continue
-        target = float(rng.uniform(0.2, 0.95)) * mu
-        roots = np.roots([rep.N, rep.Lqc / 2.0, 0.0, -target])
-        roots = sorted(r.real for r in roots if abs(r.imag) < 1e-10 * max(1, abs(r)) and r.real > 0)
-        if not roots:
-            continue
-        s = roots[-1] if take_negative else roots[0]
-        rep_s = rep.scaled(s)
-        if rep_s.S >= mu:
-            continue
-        if take_negative and rep_s.K >= 0:
-            continue
-        if not take_negative and rep_s.K <= 0:
-            continue
-        out.append((State(grid, s * u), rep_s))
-    return out
+    while len(found[True]) + len(found[False]) < n and attempts < 50 * n:
+        missing = n - len(found[True]) - len(found[False])
+        b = min(missing, per_round, 50 * n - attempts)
+        attempts += b
+        negative = np.arange(b) < want_negative - len(found[True])
+        # one call draws the real and imaginary parts of the whole round
+        noise = rng.standard_normal((b, *shape, 2)).view(np.complex128)[..., 0]
+        F = grid.fft(noise) / smoothing
+        u = grid.ifft(F)
+        Q, L, C, P = _parts(grid, u, F, phys, grid.nonlinear_gradient(F, u, pair_only=True))
+        flip = negative & (C.real > 0)
+        u[flip, 2] *= -1.0
+        N = np.where(flip, -C.real, C.real)
+        reports = [FunctionalReport.from_parts(Q[i], L[i], N[i], P[i], wave.omega, wave.c_array) for i in range(b)]
+        target = rng.uniform(0.2, 0.95, size=b) * mu
+        # S(sU) = t mu as the cubic N s^3 + (Lqc/2) s^2 - t mu = 0; a draw with
+        # N exactly 0 (a null event) has no cubic and is not kept
+        live = np.flatnonzero(N != 0.0)
+        companion = np.zeros((len(live), 3, 3))
+        companion[:, 0, 0] = -np.array([reports[i].Lqc for i in live]) / 2.0 / N[live]
+        companion[:, 0, 2] = target[live] / N[live]
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        roots = np.linalg.eigvals(companion)
+        real = (np.abs(roots.imag) < 1e-10 * np.maximum(1.0, np.abs(roots))) & (roots.real > 0)
+        # the falling-branch root is the largest positive one, the rising-branch root the smallest
+        largest = np.where(real, roots.real, -np.inf).max(axis=1)
+        smallest = np.where(real, roots.real, np.inf).min(axis=1)
+        for i, s_high, s_low in zip(live, largest, smallest):
+            s = s_high if negative[i] else s_low
+            if not np.isfinite(s):
+                continue
+            rep_s = reports[i].scaled(s)
+            if rep_s.S >= mu:
+                continue
+            if not (rep_s.K < 0 if negative[i] else rep_s.K > 0):
+                continue
+            found[bool(negative[i])].append((State(grid, s * u[i]), rep_s))
+    return found[True] + found[False]

@@ -156,12 +156,24 @@ class TestConfig:
             ("grid", {"d": True}, "grid.d"),
             ("evolve", {"dt": float("nan")}, "evolve.dt"),
             ("solver", {"seed": -1}, "solver.seed"),
+            ("physics", 5, "physics"),
+            ("experiment", [1], "experiment"),
+            ("experiment", {"field": 5}, "experiment.field"),
+            ("experiment", {"field": ""}, "experiment.field"),
+            ("output", {"dir": 5}, "output.dir"),
         ],
-        ids=["fractional_n", "bool_c", "string_c", "bool_extent", "bool_d", "nan_dt", "negative_seed"],
+        ids=[
+            "fractional_n", "bool_c", "string_c", "bool_extent", "bool_d", "nan_dt", "negative_seed",
+            "scalar_group", "list_group", "int_field", "empty_field", "int_output_dir",
+        ],
     )
     def test_entries_validated(self, tmp_path, capsys, group, value, field):
+        # a dict value is merged into its group, any other value replaces the group
         doc = json.loads(MINIMAL)
-        doc.setdefault(group, {}).update(value)
+        if isinstance(value, dict):
+            doc.setdefault(group, {}).update(value)
+        else:
+            doc[group] = value
         with pytest.raises(ValidationError) as info:
             parse_config(json.dumps(doc))
         assert info.value.field == field
@@ -333,6 +345,18 @@ class TestCli:
         assert payload["passed"] is True
         assert payload["well_disagreements"] == 0
         assert max(payload["identity_residuals"].values()) < 1e-13
+
+    @pytest.mark.parametrize("kept", [9, 0])
+    def test_check_fails_on_fewer_samples(self, tmp_path, monkeypatch, kept):
+        # a sampler that stops short (say at its draw cap) leaves the well equality unchecked
+        sample = cli.sample_below_level
+        monkeypatch.setattr(cli, "sample_below_level", lambda *args: sample(*args)[:kept])
+        cfg_path, outdir = small_config(tmp_path, "short_check", experiment={"samples": 10})
+        assert run_subcommand(["check", "--config", str(cfg_path)]) == 3
+        payload = json.loads((outdir / "check.json").read_text())
+        assert payload["passed"] is False
+        assert payload["identities_passed"] is True
+        assert (payload["well_samples"], payload["well_disagreements"]) == (kept, 0)
 
     def test_byte_reproducibility(self, tmp_path):
         outputs = []

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dnls3.errors import DegenerateNonlinearity, InadmissibleParameters
 from dnls3.functionals import (
     WellMembership,
+    _parts,
     action_gradient,
     charge,
     coercivity_certificate,
@@ -42,7 +45,7 @@ class TestBasicFunctionals:
     def test_zero_state(self, grid1d_box):
         z = State.zeros(grid1d_box)
         rep = evaluate(z, PHYS, wave1d())
-        assert charge(z) == 0.0
+        assert charge(z.grid, z.u) == 0.0
         assert rep.L == 0.0
         assert rep.N == 0.0
         assert np.all(rep.P == 0.0)
@@ -52,7 +55,7 @@ class TestBasicFunctionals:
         u = np.zeros((3, 1, 64), dtype=complex)
         u[0, 0] = np.exp(1j * g.axes[0])
         state = State(g, u)
-        assert abs(charge(state) - 2 * np.pi) < 1e-12
+        assert abs(charge(g, state.u) - 2 * np.pi) < 1e-12
 
     def test_charge_direct_summation_oracle(self, rng):
         g = Grid((16, 16), (5.0, 7.0))
@@ -61,7 +64,7 @@ class TestBasicFunctionals:
         for j, w in zip(range(3), (1.0, 0.5, 0.5)):
             for m in range(g.d):
                 direct += w * np.sum(np.abs(state.u[j, m]) ** 2) * g.weight
-        assert abs(charge(state) - direct) < 1e-12 * direct
+        assert abs(charge(g, state.u) - direct) < 1e-12 * direct
 
     def test_potential_odd_integrand_vanishes(self):
         # u1 = u2 = u3 = real Gaussian: N = int g (g^2)' dx = 0
@@ -165,6 +168,48 @@ class TestReport:
             for name in ("Q", "L", "N", "S", "K", "Lqc", "G"):
                 a, b = getattr(rep, name), getattr(rep_g, name)
                 assert abs(a - b) < 1e-12 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("n,extent,c", [(64, 13.0, (0.3,)), ((16, 16), (7.0, 9.0), (0.2, -0.1))])
+    def test_u3_sign_flip_negates_only_N(self, n, extent, c, dealias, rng):
+        # the well sampler's negative half relies on this: u3 -> -u3 maps N to -N exactly and keeps Q, L and P
+        g = Grid(n, extent, dealias=dealias)
+        wave = WaveParams(1.0, c)
+        state = random_state(g, rng)
+        flipped = state.copy()
+        flipped.u[2] *= -1.0
+        rep, rep_f = evaluate(state, PHYS, wave), evaluate(flipped, PHYS, wave)
+        assert (rep_f.Q, rep_f.L, rep_f.N) == (rep.Q, rep.L, -rep.N)
+        assert np.array_equal(rep_f.P, rep.P)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2]),
+        dealias=st.booleans(),
+        batch=st.sampled_from([(1,), (3,), (2, 2)]),
+    )
+    def test_batched_parts_match_each_state(self, seed, d, dealias, batch):
+        # leading batch axes run the same formulas as one state at a time
+        g = Grid((32, 16)[:d], (7.0, 5.0)[:d], dealias=dealias)
+        phys = PhysParams(1.0, 1.5, 0.7)
+        rng = np.random.default_rng(seed)
+        u = np.stack([random_state(g, rng).u for _ in range(int(np.prod(batch)))]).reshape(*batch, 3, d, *g.shape)
+        F = g.fft(u)
+        for values, pair_only in ((None, False), (u, False), (u, True)):
+            batched = g.nonlinear_gradient(F, values, pair_only=pair_only)
+            for i in np.ndindex(*batch):
+                one = g.nonlinear_gradient(F[i], None if values is None else u[i], pair_only=pair_only)
+                assert np.max(np.abs(batched[i] - one)) <= 1e-12 * np.max(np.abs(one))
+        Q, L, C, P = _parts(g, u, F, phys, g.nonlinear_gradient(F, u, pair_only=True))
+        assert Q.shape == L.shape == C.shape == batch and P.shape == (*batch, d)
+        for i in np.ndindex(*batch):
+            pair = g.nonlinear_gradient(F[i], u[i], pair_only=True)
+            q, l, c, p = _parts(g, u[i], F[i], phys, pair)
+            assert Q[i] == pytest.approx(q, rel=1e-12, abs=0.0)
+            assert L[i] == pytest.approx(l, rel=1e-12, abs=0.0)
+            assert abs(C[i] - c) <= 1e-12 * np.linalg.norm(pair) * np.linalg.norm(F[i][2]) * g.weight
+            assert np.max(np.abs(P[i] - p)) <= 1e-12 * (q + l)
 
     def test_translation_invariance(self, rng):
         g = Grid(64, 13.0)

@@ -211,6 +211,24 @@ class TestSolve:
         assert rep.Lqc > 6.0 * gs_1d.mu
 
 
+class CountingGenerator:
+    """A numpy Generator that counts its calls and the normal variates it draws."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = {"standard_normal": 0, "uniform": 0}
+        self.drawn = 0
+
+    def standard_normal(self, size):
+        self.calls["standard_normal"] += 1
+        self.drawn += int(np.prod(size))
+        return self.rng.standard_normal(size)
+
+    def uniform(self, *args, **kwargs):
+        self.calls["uniform"] += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
 class TestSampleBelowLevel:
     @pytest.mark.parametrize("dealias", [False, True])
     def test_reports_are_the_samples_own(self, gs_1d, dealias):
@@ -232,6 +250,26 @@ class TestSampleBelowLevel:
             assert np.sign(rep.K) == np.sign(direct.K)
             assert np.sign(rep.N) == np.sign(direct.N)
             assert rep.S < gs_1d.mu
+
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_transforms_per_round(self, gs_1d, dealias, fft_calls):
+        # each round smooths its whole batch with one transform pair and
+        # evaluates it with one kernel call; one draw at a time took 4 per draw
+        g = Grid(512, 40.0, dealias=dealias)
+        rng = CountingGenerator(7)
+        samples = sample_below_level(g, PHYS, WaveParams(1.0, (0.3,)), gs_1d.mu, rng, 200)
+        assert len(samples) == 200
+        rounds = rng.calls["standard_normal"]
+        assert rounds <= 40
+        assert fft_calls["calls"] <= 4 * rounds
+
+    def test_draws_stop_at_the_cap(self):
+        # a ray solved for S = t mu with t < 1 ends above a negative level
+        # mu, so every draw is rejected
+        rng = CountingGenerator(7)
+        assert sample_below_level(Grid(256, 40.0), PHYS, WaveParams(1.0, (0.0,)), -1.0, rng, 4) == []
+        assert rng.drawn == 50 * 4 * 3 * 256 * 2
 
 
 class TestProjectedIteration:
