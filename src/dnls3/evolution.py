@@ -43,7 +43,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import FitWindowEmpty, NonFinite
 from .functionals import WellMembership, evaluate, gauge_phases
@@ -51,6 +50,10 @@ from .grid import Grid, State, norm_h1
 from .params import PhysParams, WaveParams
 
 SCHEMES = ("strang", "if_rk4")
+#: Newton steps the orbit-distance refine takes at most; from the scan's start it needs a few
+REFINE_MAX_ITER = 20
+#: A refine step shorter than this, in (y, a, b), ends the refine
+REFINE_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -343,25 +346,38 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
     generically drift the relative u2/u3 phase, so searching only the
     diagonal would grow secularly in time.
 
-    All grid-aligned shifts are scanned at once through inverse transforms
-    of the blockwise weighted cross-spectra; for each shift the phase pair
-    reduces to a one-dimensional circle search (the u1 phase has a closed
-    form given the relative phase), and the winner is refined over
-    (y, a, b) with a simplex search until the simplex spans less than 1e-8
-    in the parameters and 1e-14 relative in the squared distance. The
-    result never exceeds ||U - phi||_{H1}.
+    With the blockwise weighted cross-spectra W_j = sum w FU_j conj(FP_j),
+    the squared distance is ||U||^2 + ||phi||^2 - 2 G(y, a, b), where the
+    gain G = Re(e^{-ia} A1(y) + e^{-ib} A2(y) + e^{-i(a-b)} A3(y)) and
+    A_j(y) = sum_xi W_j e^{i y.xi}. All grid-aligned shifts are scanned at
+    once through inverse transforms of the W_j; for each shift the phase
+    pair reduces to a one-dimensional circle search (the u1 phase has a
+    closed form given the relative phase). The winner is refined over
+    (y, a, b) by a safeguarded Newton ascent on G: G is a trigonometric
+    polynomial, so its gradient and Hessian are exact, read off the moments
+    sum_xi W_j {1, xi_k, xi_k xi_l} e^{i y.xi} in one product per iteration.
+    A Newton step that is not an ascent direction is replaced by a gradient
+    step scaled by a bound on the curvature of G; each step is halved until
+    G does not fall, judged by G's change summed term by term without
+    cancellation. The refine stops when a step falls below REFINE_STEP_TOL
+    or the gradient vanishes (a zero state stops at once), after at most
+    REFINE_MAX_ITER steps. The result's gain is thus at least that of the
+    scan's start, which contains the identity, so the result never exceeds
+    ||U - phi||_{H1}. The distance is computed directly at the result, as
+    the weighted norm of FU - e^{i theta_j} e^{-i y.xi} FP with the
+    derivative wavenumbers xi of the gain: the gain form's difference of
+    O(norm2) terms has a floor near sqrt(eps norm2).
     """
     g = state.grid
     if g != phi.grid:
         raise ValueError("orbit distance requires a shared grid")
+    d, size = g.d, g.size
     w = (1.0 + g.k2) * g.weight
     FU = g.fft(state.u)
     FP = g.fft(phi.u)
-    norm2 = float(np.sum(w * np.abs(FU) ** 2) + np.sum(w * np.abs(FP) ** 2))
 
     # weighted cross-spectra per gauge block
-    W = [np.sum(w * FU[j] * np.conj(FP[j]), axis=0) for j in range(3)]
-    size = g.size
+    W = np.sum(w * FU * np.conj(FP), axis=1)
     # pairings against phi translated to each grid offset
     A1, A2, A3 = (np.fft.ifftn(Wj).reshape(-1) * size for Wj in W)
 
@@ -372,39 +388,78 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
     pair = np.abs(A1[None, :] + eib * A3[None, :]) + np.real(np.conj(eib) * A2[None, :])
     i_b, i_shift = np.unravel_index(np.argmax(pair), pair.shape)
     idx = np.unravel_index(i_shift, g.shape)
-    y0 = np.array([g.spacing[k] * idx[k] for k in range(g.d)])
+    y0 = np.array([g.spacing[k] * idx[k] for k in range(d)])
     b0 = bs[i_b]
     a0 = float(np.angle(A1[i_shift] + np.exp(1j * b0) * A3[i_shift]))
 
-    def objective(params):
-        y = params[: g.d]
-        a, b = params[g.d], params[g.d + 1]
-        phase = np.exp(sum(1j * y[k] * g.xi[k] for k in range(g.d)))
-        a1 = np.sum(W[0] * phase)
-        a2 = np.sum(W[1] * phase)
-        a3 = np.sum(W[2] * phase)
-        gain = np.real(np.exp(-1j * a) * a1 + np.exp(-1j * b) * a2 + np.exp(-1j * (a - b)) * a3)
-        return norm2 - 2.0 * gain
+    # with p = (y, a, b), block j of the gain is Re sum_xi T_j for the terms
+    # T_j = W_j e^{i p.kappa_j}, kappa_j = (xi, -s_j), s_j the block's weights of (a, b)
+    xi = np.array([np.broadcast_to(xk, g.shape).reshape(-1) for xk in g.xi])
+    s = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    upper = np.triu_indices(d)
+    basis = np.concatenate([np.ones((1, size)), xi, xi[upper[0]] * xi[upper[1]]]).T.astype(complex)
+    W = W.reshape(3, size)
+    # G's curvature is at most sum |W_j| |kappa_j|^2: the gradient step's scale
+    curvature = float(np.sum(np.abs(W) * (np.sum(xi**2, axis=0) + np.sum(s**2, axis=1)[:, None])))
 
-    x0 = np.concatenate([y0, [a0, b0]])
-    # the objective is a difference of O(norm2) terms, so its rounding floor
-    # is relative to norm2; an absolute tolerance below it is never met
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-14 * norm2, "maxiter": 500 * (g.d + 2)},
-    )
-    best = min(res.fun, objective(x0))
-    dist = float(np.sqrt(max(best, 0.0)))
-    y_star = res.x[: g.d]
-    y_star = (y_star + np.asarray(g.extent) / 2.0) % np.asarray(g.extent) - np.asarray(g.extent) / 2.0
+    def terms(p):
+        return W * np.exp(-1j * (s @ p[d:]))[:, None] * np.exp(1j * (p[:d] @ xi))
+
+    def rises(T, step):
+        # G's change over the step, Re sum T (e^{ix} - 1) for x = step.kappa,
+        # with e^{ix} - 1 = 2i sin(x/2) e^{ix/2}: it keeps its relative
+        # accuracy near the optimum, where the difference of two gains
+        # drowns in their O(norm2) rounding
+        x = step[:d] @ xi - (s @ step[d:])[:, None]
+        return np.sum((T * (2j * np.sin(x / 2.0) * np.exp(0.5j * x))).real) >= 0.0
+
+    p = np.concatenate([y0, [a0, b0]])
+    T = terms(p)
+    for _ in range(REFINE_MAX_ITER):
+        # moments sum_xi T_j {1, xi_k, xi_k xi_l} give G's gradient and Hessian
+        M = T @ basis
+        m0, m1, m2 = M[:, 0], M[:, 1 : 1 + d], M[:, 1 + d :]
+        grad = np.concatenate([-m1.imag.sum(axis=0), s.T @ m0.imag])
+        if not np.any(grad):
+            break
+        hess = np.empty((d + 2, d + 2))
+        hess[upper] = hess[upper[::-1]] = -m2.real.sum(axis=0)
+        hess[:d, d:] = m1.real.T @ s
+        hess[d:, :d] = hess[:d, d:].T
+        hess[d:, d:] = -(s.T * m0.real) @ s
+        step = _ascent_step(grad, hess, curvature)
+        up = rises(T, step)
+        while not up and np.linalg.norm(step) >= REFINE_STEP_TOL:
+            step = step / 2.0
+            up = rises(T, step)
+        if up:
+            p = p + step
+            T = terms(p)
+        # the last, short step is still taken when G does not fall
+        if np.linalg.norm(step) < REFINE_STEP_TOL:
+            break
+
+    y, phases = p[:d], np.exp(1j * (s @ p[d:]))
+    shifted = phases.reshape(3, 1, *[1] * d) * np.exp(-1j * sum(y[k] * g.xi[k] for k in range(d))) * FP
+    dist = float(np.sqrt(np.sum(w * np.abs(FU - shifted) ** 2)))
+    extent = np.asarray(g.extent)
     return OrbitDistance(
         dist,
-        y_star,
-        float(res.x[g.d] % (2.0 * np.pi)),
-        float(res.x[g.d + 1] % (2.0 * np.pi)),
+        (y + extent / 2.0) % extent - extent / 2.0,
+        float(p[d] % (2.0 * np.pi)),
+        float(p[d + 1] % (2.0 * np.pi)),
     )
+
+
+def _ascent_step(grad: np.ndarray, hess: np.ndarray, curvature: float) -> np.ndarray:
+    """The Newton step of a maximization when it ascends, else the gradient over ``curvature``."""
+    try:
+        step = -np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError:
+        return grad / curvature
+    if not np.all(np.isfinite(step)) or grad @ step <= 0.0:
+        return grad / curvature
+    return step
 
 
 def h1_perturbation(grid: Grid, rng: np.random.Generator) -> State:

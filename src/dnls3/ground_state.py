@@ -456,8 +456,10 @@ def sample_below_level(
 
     Draws come in rounds: each round draws every state still missing, at
     most SAMPLE_ROUND_POINTS complex points in all, as one batch of shape
-    ``(b, 3, d, *grid.shape)``. The batch is smoothed by one transform pair,
-    evaluated by one batched kernel call and ``_parts``, and its ray
+    ``(b, 3, d, *grid.shape)``. Its spectrum is drawn directly (the unitary
+    transform of white complex Gaussian noise is white complex Gaussian
+    noise) and smoothed, then brought to physical space by one inverse
+    transform, evaluated by one batched kernel call and ``_parts``, and its ray
     equations are solved by one batched eigensolve of their companion
     matrices (the one ``np.roots`` makes per polynomial). A draw meant for
     K < 0 whose N is positive has its u3 negated: that maps N to -N and keeps
@@ -476,9 +478,11 @@ def sample_below_level(
         b = min(missing, per_round, 50 * n - attempts)
         attempts += b
         negative = np.arange(b) < want_negative - len(found[True])
-        # one call draws the real and imaginary parts of the whole round
+        # one call draws the real and imaginary parts of the whole round; the
+        # unitary transform of iid complex Gaussian noise has the law of the
+        # noise, so the draw is the white spectrum itself
         noise = rng.standard_normal((b, *shape, 2)).view(np.complex128)[..., 0]
-        F = grid.fft(noise) / smoothing
+        F = noise / smoothing
         u = grid.ifft(F)
         Q, L, C, P = _parts(grid, u, F, phys, grid.nonlinear_gradient(F, u, pair_only=True))
         flip = negative & (C.real > 0)

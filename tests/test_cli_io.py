@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,6 +470,26 @@ class TestCli:
         assert gs["thresholds"] == check["thresholds"]
         assert gs["identities_passed"] is check["identities_passed"] is resolved
         assert code == (0 if resolved else 3)
+
+    def test_cold_start_leaves_scipy_optimize_unloaded(self):
+        # importing the CLI pulls in every library module; importing
+        # scipy.optimize would nearly quadruple a cold start
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import json, sys, dnls3.cli; "
+            "print(json.dumps([dnls3.cli.__file__, [m for m in sys.modules if m.startswith('scipy.optimize')]]))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        where, loaded = json.loads(run.stdout)
+        assert Path(where).resolve() == Path(cli.__file__).resolve()
+        assert loaded == []
 
     def test_no_threads_flag(self, tmp_path):
         cfg_path, outdir = small_config(tmp_path, "nothreads")

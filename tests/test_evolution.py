@@ -300,32 +300,67 @@ class TestOrbitDistance:
         od = orbit_distance(State(g, phi.u + delta * noise.u), phi)
         assert od.distance <= delta * (1 + 1e-6)
 
+    def test_zero_state_distance_is_the_norm(self):
+        # W = 0: the refine stops at once, with no step to scale
+        g = Grid(256, 40.0)
+        phi = smooth_state(g)
+        zero = State.zeros(g)
+        assert abs(orbit_distance(zero, phi).distance - norm_h1(phi)) <= 1e-14 * norm_h1(phi)
+        assert abs(orbit_distance(phi, zero).distance - norm_h1(phi)) <= 1e-14 * norm_h1(phi)
+
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
             orbit_distance(smooth_state(Grid(64, 10.0)), smooth_state(Grid(128, 10.0)))
 
     def test_refine_converges_on_perturbed_ground_states(self, monkeypatch):
         # the states of a dealiased 1D stability run: a moved ground state
-        # plus an H1 perturbation of size 1e-2. Its squared norm is O(100),
-        # so an absolute objective tolerance near 1e-14 sits at the rounding
-        # floor and the simplex search runs into its iteration cap
+        # plus an H1 perturbation of size 1e-2. Within 10 Newton steps the
+        # refine reaches a stationary point of the distance: no move of one
+        # parameter by 1e-4 lowers the squared distance, computed by the
+        # independent oracle, beyond the rounding floor of its O(100) norm
+        monkeypatch.setattr(evolution, "REFINE_MAX_ITER", 10)
         g = Grid(512, 40.0, dealias=True)
         wave = WaveParams(1.0, (0.2,))
         phi = solve_ground_state(g, PHYS, wave, SolverConfig(restarts=1)).phi
-        statuses = []
-
-        def spy(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            statuses.append(res.status)
-            return res
-
-        minimize = evolution.minimize
-        monkeypatch.setattr(evolution, "minimize", spy)
         moved = solitary_wave(phi, wave, 0.5)
         for seed in range(8):
-            perturbation = h1_perturbation(g, np.random.default_rng(seed))
-            orbit_distance(State(g, moved.u + 1e-2 * perturbation.u), phi)
-        assert statuses == [0] * 8
+            U = State(g, moved.u + 1e-2 * h1_perturbation(g, np.random.default_rng(seed)).u)
+            norm2 = norm_h1(U) ** 2 + norm_h1(phi) ** 2
+            od = orbit_distance(U, phi)
+            element = np.array([*od.shift, od.phase1, od.phase2])
+            at = orbit_h1_distance(U, phi, element) ** 2
+            for k in range(len(element)):
+                for sign in (1.0, -1.0):
+                    nearby = element.copy()
+                    nearby[k] += sign * 1e-4
+                    assert orbit_h1_distance(U, phi, nearby) ** 2 >= at - 1e-12 * norm2
+
+    @pytest.mark.parametrize("grid", [Grid(256, 40.0), Grid((64, 64), (16.0, 16.0), dealias=True)], ids=["1d", "2d"])
+    def test_distance_is_the_h1_distance_at_its_element(self, grid, rng):
+        phi = smooth_state(grid)
+        y = 0.37 * np.ones(grid.d)
+        u = phi.u * np.exp(1j * np.array([0.9, 0.2, 0.7])).reshape(3, 1, *[1] * grid.d)
+        U = State(grid, grid.translate(u, y) + 1e-2 * h1_perturbation(grid, rng).u)
+        od = orbit_distance(U, phi)
+        direct = orbit_h1_distance(U, phi, np.array([*od.shift, od.phase1, od.phase2]))
+        assert abs(od.distance - direct) <= 1e-10 * direct
+
+    def test_solitary_wave_snapshot_at_rounding_distance(self):
+        # the gain form sqrt(norm2 - 2 gain) reads 1.6e-8 ||phi|| at t = 1,
+        # and 0 where rounding leaves norm2 - 2 gain negative
+        g = Grid(512, 40.0, dealias=True)
+        wave = WaveParams(1.0, (0.2,))
+        phi = solve_ground_state(g, PHYS, wave, SolverConfig(restarts=1)).phi
+        for t in (0.5, 1.0):
+            assert orbit_distance(solitary_wave(phi, wave, t), phi).distance < 1e-12 * norm_h1(phi)
+
+
+def orbit_h1_distance(U, phi, element):
+    """||U - translate(gauge(phi; a, b), y)||_H1 for element = (y, a, b), built in physical space."""
+    g = phi.grid
+    y, a, b = element[: g.d], element[g.d], element[g.d + 1]
+    u = phi.u * np.exp(1j * np.array([a, b, a - b])).reshape(3, 1, *[1] * g.d)
+    return norm_h1(U - State(g, g.translate(u, y)))
 
 
 class TestDecayFit:

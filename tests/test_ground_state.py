@@ -254,15 +254,16 @@ class TestSampleBelowLevel:
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_transforms_per_round(self, gs_1d, dealias, fft_calls):
-        # each round smooths its whole batch with one transform pair and
-        # evaluates it with one kernel call; one draw at a time took 4 per draw
+        # each round draws its batch's spectrum, brings it to physical space
+        # with one inverse transform and evaluates it with one kernel call;
+        # one draw at a time took 4 per draw
         g = Grid(512, 40.0, dealias=dealias)
         rng = CountingGenerator(7)
         samples = sample_below_level(g, PHYS, WaveParams(1.0, (0.3,)), gs_1d.mu, rng, 200)
         assert len(samples) == 200
         rounds = rng.calls["standard_normal"]
         assert rounds <= 40
-        assert fft_calls["calls"] <= 4 * rounds
+        assert fft_calls["calls"] <= 3 * rounds
 
     def test_draws_stop_at_the_cap(self):
         # a ray solved for S = t mu with t < 1 ends above a negative level
