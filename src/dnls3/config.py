@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import ParseError, ValidationError
@@ -86,6 +87,8 @@ def _number(value, field, positive=False, integer=False):
         raise ValidationError(field, f"expected an integer, got {value!r}")
     if positive and not value > 0:
         raise ValidationError(field, f"must be positive, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(field, f"must be finite, got {value!r}")
     return int(value) if integer else float(value)
 
 

@@ -72,12 +72,13 @@ class EvolveConfig:
     scheme: str = "strang"
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        # each check is written so that NaN and inf fail it
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0 <= self.t_final < np.inf:
+            raise ValueError("t_final must be nonnegative and finite")
+        if not 1 <= self.record_stride < np.inf:
+            raise ValueError("record_stride must be a finite count >= 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 
@@ -143,21 +144,10 @@ def coupling_rhs(state: State, phys: PhysParams) -> State:
     return State(g, g.ifft(-1j * g.nonlinear_gradient(g.fft(state.u), state.u)))
 
 
-def rhs(state: State, phys: PhysParams) -> State:
-    """Full right side: linear dispersion plus coupling."""
-    g = state.grid
-    F = g.fft(state.u)
-    return State(g, g.ifft(-1j * (_kappa(g, phys) * g.k2 * F + g.nonlinear_gradient(F, state.u))))
-
-
-def _kappa(grid: Grid, phys: PhysParams) -> np.ndarray:
-    """Dispersion coefficients as a (3, 1, ...) column broadcasting over a state."""
-    return np.array([phys.alpha, phys.beta, phys.gamma]).reshape(3, *[1] * (grid.d + 1))
-
-
 def _linear_phases(grid: Grid, phys: PhysParams, t: float) -> np.ndarray:
     """Symbols exp(-i kappa_j |xi|^2 t) of the linear flow, broadcasting over a spectrum."""
-    return np.exp(-1j * t * _kappa(grid, phys) * grid.k2)
+    kappa = np.array([phys.alpha, phys.beta, phys.gamma]).reshape(3, *[1] * (grid.d + 1))
+    return np.exp(-1j * t * kappa * grid.k2)
 
 
 def _rk4_coupling(grid: Grid, F: np.ndarray, dt: float) -> np.ndarray:
@@ -364,9 +354,10 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
     REFINE_MAX_ITER steps. The result's gain is thus at least that of the
     scan's start, which contains the identity, so the result never exceeds
     ||U - phi||_{H1}. The distance is computed directly at the result, as
-    the weighted norm of FU - e^{i theta_j} e^{-i y.xi} FP with the
-    derivative wavenumbers xi of the gain: the gain form's difference of
-    O(norm2) terms has a floor near sqrt(eps norm2).
+    the weighted norm of FU - e^{i theta_j} e^{-i y.xi} FP: the gain form's
+    difference of O(norm2) terms has a floor near sqrt(eps norm2). The scan,
+    the refine and the distance move phi with the full wavenumbers
+    ``Grid.xi_full``, as ``Grid.translate`` does.
     """
     g = state.grid
     if g != phi.grid:
@@ -394,7 +385,7 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
 
     # with p = (y, a, b), block j of the gain is Re sum_xi T_j for the terms
     # T_j = W_j e^{i p.kappa_j}, kappa_j = (xi, -s_j), s_j the block's weights of (a, b)
-    xi = np.array([np.broadcast_to(xk, g.shape).reshape(-1) for xk in g.xi])
+    xi = np.array([np.broadcast_to(xk, g.shape).reshape(-1) for xk in g.xi_full])
     s = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
     upper = np.triu_indices(d)
     basis = np.concatenate([np.ones((1, size)), xi, xi[upper[0]] * xi[upper[1]]]).T.astype(complex)
@@ -440,7 +431,7 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
             break
 
     y, phases = p[:d], np.exp(1j * (s @ p[d:]))
-    shifted = phases.reshape(3, 1, *[1] * d) * np.exp(-1j * sum(y[k] * g.xi[k] for k in range(d))) * FP
+    shifted = phases.reshape(3, 1, *[1] * d) * np.exp(-1j * sum(y[k] * g.xi_full[k] for k in range(d))) * FP
     dist = float(np.sqrt(np.sum(w * np.abs(FU - shifted) ** 2)))
     extent = np.asarray(g.extent)
     return OrbitDistance(
@@ -466,12 +457,10 @@ def h1_perturbation(grid: Grid, rng: np.random.Generator) -> State:
     """Smoothed Gaussian noise with unit H1 norm.
 
     White noise is shaped by the inverse of (1 - Lap) so the perturbation
-    is H1-generic but not dominated by the highest modes.
+    is H1-generic but not dominated by the highest modes; it is drawn as a
+    spectrum by ``Grid.noise_spectrum`` and has no Nyquist mode.
     """
-    shape = (3, grid.d, *grid.shape)
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    smooth = grid.ifft(grid.fft(raw) / (1.0 + grid.k2))
-    state = State(grid, smooth)
+    state = State(grid, grid.ifft(grid.noise_spectrum(rng, (3, grid.d), 1)))
     return State(grid, state.u / norm_h1(state))
 
 

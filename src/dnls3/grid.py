@@ -9,11 +9,14 @@ the three-component unknown is a ``State`` holding an array of shape
 Conventions fixed here once and used consistently everywhere:
 
 * transforms are unitary (``norm="ortho"``),
-* the derivative multiplier ``i*xi`` has the Nyquist mode zeroed, and the
-  Laplacian is built from those same zeroed wavenumbers, so that
-  ``divergence(gradient(f)) == laplacian(f)`` holds exactly in spectral
-  space and every resolvent/propagator symbol matches the differential
-  operators it is meant to invert or exponentiate,
+* one rule for the Nyquist mode: derivatives zero it, translations move
+  it, and library noise has none. The derivative wavenumbers ``xi`` (and
+  ``ik`` and ``k2`` built from them) are 0 at the Nyquist index, so every
+  resolvent/propagator symbol matches the differential operators it is
+  meant to invert or exponentiate; translations use the full set
+  ``xi_full``, so grid-aligned shifts are exact circular rolls; noise is
+  drawn through ``noise_spectrum``, whose ``band`` mask is 0 at every
+  mode with a Nyquist index on some axis,
 * quadrature is the rectangle rule with weight ``prod(spacing)``, which is
   spectrally exact for resolved trigonometric polynomials.
 """
@@ -79,8 +82,10 @@ class Grid:
 
         # per-axis coordinates and wavenumbers, broadcastable over the grid
         self.axes = []
-        self._xi_full = []
+        self.xi_full = []  # translation wavenumbers (Nyquist included)
         self.xi = []  # derivative wavenumbers (Nyquist zeroed)
+        #: 0 at every mode with a Nyquist index on some axis, 1 elsewhere
+        self.band = np.ones(self.shape)
         for k in range(d):
             x = -extent[k] / 2.0 + self.spacing[k] * np.arange(n[k])
             xi = 2.0 * np.pi * np.fft.fftfreq(n[k], d=self.spacing[k])
@@ -89,8 +94,9 @@ class Grid:
             bshape = [1] * d
             bshape[k] = n[k]
             self.axes.append(x)
-            self._xi_full.append(xi.reshape(bshape))
+            self.xi_full.append(xi.reshape(bshape))
             self.xi.append(xi_d.reshape(bshape))
+            self.band[(slice(None),) * k + (n[k] // 2,)] = 0.0
         self.ik = [1j * xk for xk in self.xi]
         self.k2 = sum(xk**2 for xk in self.xi)
 
@@ -104,19 +110,15 @@ class Grid:
             # negative ones (Nyquist first) move to the top of the padded
             # axis; the band maps blockwise onto the padded grid
             halves = []
-            nonnyq = np.ones(self.shape)
-            for k, (nk, mk) in enumerate(zip(n, self._product_shape)):
+            for nk, mk in zip(n, self._product_shape):
                 h = nk // 2
                 halves.append(((slice(0, h), slice(0, h)), (slice(h, nk), slice(mk - h, mk))))
-                sel = [slice(None)] * d
-                sel[k] = h
-                nonnyq[tuple(sel)] = 0.0
             #: (band block, padded block) index pairs, 2^d of them
             self._pad_blocks = [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
             fine_size = int(np.prod(self._product_shape))
             # unitary band spectrum -> unnormalized fine spectrum, and back
-            pad = nonnyq / np.sqrt(self.size)
-            unpad = nonnyq * (np.sqrt(self.size) / fine_size)
+            pad = self.band / np.sqrt(self.size)
+            unpad = self.band * (np.sqrt(self.size) / fine_size)
         else:
             self._product_shape = self.shape
             self._pad_blocks = [((slice(None),) * d, (slice(None),) * d)]
@@ -178,20 +180,6 @@ class Grid:
             raise ValueError(f"axis {axis} out of range for d={self.d}")
         return self.ifft(self.ik[axis] * self.fft(f))
 
-    def gradient(self, f: np.ndarray) -> np.ndarray:
-        """All spatial derivatives, stacked on a new leading axis."""
-        F = self.fft(f)
-        return np.stack([self.ifft(self.ik[k] * F) for k in range(self.d)])
-
-    def divergence(self, v: np.ndarray) -> np.ndarray:
-        """Sum of partial_k v_k over the leading component axis."""
-        if v.shape[0] != self.d:
-            raise ValueError(f"vector field needs {self.d} components, got {v.shape[0]}")
-        return sum(self.deriv(v[k], k) for k in range(self.d))
-
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        return self.ifft(-self.k2 * self.fft(f))
-
     def translate(self, f: np.ndarray, y) -> np.ndarray:
         """Evaluate f(x - y) by a spectral phase shift.
 
@@ -199,8 +187,19 @@ class Grid:
         shifts reproduce an exact circular roll.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        phase = np.exp(sum(-1j * y[k] * self._xi_full[k] for k in range(self.d)))
+        phase = np.exp(sum(-1j * y[k] * self.xi_full[k] for k in range(self.d)))
         return self.ifft(phase * self.fft(f))
+
+    def noise_spectrum(self, rng: np.random.Generator, lead: tuple, power: int) -> np.ndarray:
+        """Unitary spectrum of smoothed Gaussian noise, shape ``(*lead, *shape)``.
+
+        White complex Gaussian noise is drawn as a spectrum (its unitary
+        transform has the same law, so no transform is spent on it) and
+        multiplied by ``band / (1 + k2)^power``: the noise has no Nyquist mode.
+        """
+        noise = rng.standard_normal((*lead, *self.shape, 2)).view(np.complex128)[..., 0]
+        noise *= self.band / (1.0 + self.k2) ** power
+        return noise
 
     # -- quadratic products --------------------------------------------------
 
@@ -309,19 +308,7 @@ class Grid:
         self._unpad(self._fftn(np.sum(values[0] * values[1], axis=0, keepdims=True), "backward"), unpad_scale, out)
         return self.ifft(out[0])
 
-    # -- quadrature, inner products, norms ----------------------------------
-
-    def integrate(self, f: np.ndarray) -> complex:
-        return complex(np.sum(f, axis=self._spatial_axes).sum() * self.weight)
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """L2 pairing (f, g) = integral of f * conj(g)."""
-        if f.shape != g.shape:
-            raise ValueError(f"shape mismatch: {f.shape} vs {g.shape}")
-        return complex(np.vdot(g, f) * self.weight)
-
-    def norm_l2(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(np.abs(f) ** 2) * self.weight))
+    # -- diagnostics ---------------------------------------------------------
 
     def tail_mass(self, f: np.ndarray, smooth: float = 0.0) -> float:
         """Relative quadrature mass in the outer 10% of the half-box.
@@ -357,8 +344,8 @@ class Grid:
         F = F.reshape(-1, *self.shape).sum(axis=0)
         outer = np.zeros(self.shape, dtype=bool)
         for k in range(self.d):
-            cut = (2.0 / 3.0) * np.abs(self._xi_full[k]).max()
-            outer |= np.abs(self._xi_full[k]) > cut
+            cut = (2.0 / 3.0) * np.abs(self.xi_full[k]).max()
+            outer |= np.abs(self.xi_full[k]) > cut
         total = F.sum()
         if total == 0.0:
             return 0.0
@@ -379,7 +366,7 @@ class Grid:
         out = self.fft(f)
         for k in range(self.d):
             nk = self.n[k]
-            xi_full = self._xi_full[k].reshape(nk)
+            xi_full = self.xi_full[k].reshape(nk)
             # Fourier-series coefficients relative to e^{i xi x}
             coeff_phase = np.exp(1j * xi_full * self.extent[k] / 2.0) / np.sqrt(nk)
             eval_matrix = np.exp(1j * np.outer(lam * self.axes[k], xi_full)) * coeff_phase
@@ -447,17 +434,6 @@ class State:
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.u)))
-
-    def __add__(self, other: "State") -> "State":
-        return State(self.grid, self.u + other.u)
-
-    def __sub__(self, other: "State") -> "State":
-        return State(self.grid, self.u - other.u)
-
-    def __mul__(self, scalar) -> "State":
-        return State(self.grid, self.u * scalar)
-
-    __rmul__ = __mul__
 
 
 def norm_h1(state: State) -> float:

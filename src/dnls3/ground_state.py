@@ -66,14 +66,15 @@ class SolverConfig:
     restarts: int = 3
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.residual_tol <= 0:
-            raise ValueError("the residual tolerance must be positive")
-        if self.seed < 0:
+        # each check is written so that NaN and inf fail it
+        if not 1 <= self.max_iter < np.inf:
+            raise ValueError("max_iter must be a finite count >= 1")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError("the residual tolerance must be positive and finite")
+        if not 0 <= self.seed < np.inf:
             raise ValueError("seed must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        if not 1 <= self.restarts < np.inf:
+            raise ValueError("restarts must be a finite count >= 1")
 
 
 @dataclass
@@ -456,21 +457,19 @@ def sample_below_level(
 
     Draws come in rounds: each round draws every state still missing, at
     most SAMPLE_ROUND_POINTS complex points in all, as one batch of shape
-    ``(b, 3, d, *grid.shape)``. Its spectrum is drawn directly (the unitary
-    transform of white complex Gaussian noise is white complex Gaussian
-    noise) and smoothed, then brought to physical space by one inverse
-    transform, evaluated by one batched kernel call and ``_parts``, and its ray
-    equations are solved by one batched eigensolve of their companion
-    matrices (the one ``np.roots`` makes per polynomial). A draw meant for
-    K < 0 whose N is positive has its u3 negated: that maps N to -N and keeps
-    Q, L and P, and the smoothed Gaussian law is symmetric under u3 -> -u3,
-    so the law of the draws kept is that of draws with N < 0. At most 50 n
-    states are drawn; fewer than n are returned only when that cap is hit.
+    ``(b, 3, d, *grid.shape)``. Its spectrum is drawn directly and smoothed
+    by ``Grid.noise_spectrum`` (power 2, no Nyquist mode), then brought to
+    physical space by one inverse transform, evaluated by one batched kernel
+    call and ``_parts``, and its ray equations are solved by one batched
+    eigensolve of their companion matrices (the one ``np.roots`` makes per
+    polynomial). A draw meant for K < 0 whose N is positive has its u3
+    negated: that maps N to -N and keeps Q, L and P, and the smoothed
+    Gaussian law is symmetric under u3 -> -u3, so the law of the draws kept
+    is that of draws with N < 0. At most 50 n states are drawn; fewer than n
+    are returned only when that cap is hit.
     """
     found = {True: [], False: []}  # keyed by K < 0
     want_negative = int(round(n * negative_fraction))
-    shape = (3, grid.d, *grid.shape)
-    smoothing = (1.0 + grid.k2) ** 2
     per_round = max(1, SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
     attempts = 0
     while len(found[True]) + len(found[False]) < n and attempts < 50 * n:
@@ -478,11 +477,7 @@ def sample_below_level(
         b = min(missing, per_round, 50 * n - attempts)
         attempts += b
         negative = np.arange(b) < want_negative - len(found[True])
-        # one call draws the real and imaginary parts of the whole round; the
-        # unitary transform of iid complex Gaussian noise has the law of the
-        # noise, so the draw is the white spectrum itself
-        noise = rng.standard_normal((b, *shape, 2)).view(np.complex128)[..., 0]
-        F = noise / smoothing
+        F = grid.noise_spectrum(rng, (b, 3, grid.d), 2)
         u = grid.ifft(F)
         Q, L, C, P = _parts(grid, u, F, phys, grid.nonlinear_gradient(F, u, pair_only=True))
         flip = negative & (C.real > 0)

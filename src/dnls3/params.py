@@ -29,8 +29,9 @@ class PhysParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) <= 0:
-            raise ValueError("dispersion coefficients must be positive")
+        # written so that NaN and inf fail it
+        if not all(0 < v < np.inf for v in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("dispersion coefficients must be positive and finite")
 
     @property
     def sigma(self) -> float:

@@ -112,6 +112,30 @@ class TestConfig:
             # every default is the dataclass's own
             assert (cfg.phys, cfg.solver, cfg.evolve) == (PhysParams(), SolverConfig(), EvolveConfig())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: PhysParams(alpha=x),
+            lambda x: PhysParams(gamma=x),
+            lambda x: SolverConfig(max_iter=x),
+            lambda x: SolverConfig(residual_tol=x),
+            lambda x: SolverConfig(seed=x),
+            lambda x: SolverConfig(restarts=x),
+            lambda x: EvolveConfig(dt=x),
+            lambda x: EvolveConfig(t_final=x),
+            lambda x: EvolveConfig(record_stride=x),
+        ],
+        ids=[
+            "alpha", "gamma", "max_iter", "residual_tol", "seed", "restarts", "dt", "t_final", "record_stride",
+        ],
+    )
+    def test_parameter_objects_reject_nonfinite(self, build, bad):
+        # a NaN made evolve return one record, or fail converting a step
+        # count, and made the solver raise NoConvergence after 0 iterations
+        with pytest.raises(ValueError):
+            build(bad)
+
     def test_inadmissible_rejected(self):
         doc = json.loads(MINIMAL)
         doc["wave"] = {"omega": 0.1, "c": [1.0]}
@@ -159,6 +183,9 @@ class TestConfig:
             ("grid", {"extent": [True]}, "grid.extent"),
             ("grid", {"d": True}, "grid.d"),
             ("evolve", {"dt": float("nan")}, "evolve.dt"),
+            ("evolve", {"dt": float("inf")}, "evolve.dt"),
+            ("evolve", {"t_final": float("nan")}, "evolve.t_final"),
+            ("solver", {"residual_tol": float("inf")}, "solver.residual_tol"),
             ("solver", {"seed": -1}, "solver.seed"),
             ("physics", 5, "physics"),
             ("experiment", [1], "experiment"),
@@ -167,8 +194,8 @@ class TestConfig:
             ("output", {"dir": 5}, "output.dir"),
         ],
         ids=[
-            "fractional_n", "bool_c", "string_c", "bool_extent", "bool_d", "nan_dt", "negative_seed",
-            "scalar_group", "list_group", "int_field", "empty_field", "int_output_dir",
+            "fractional_n", "bool_c", "string_c", "bool_extent", "bool_d", "nan_dt", "inf_dt", "nan_t_final",
+            "inf_residual_tol", "negative_seed", "scalar_group", "list_group", "int_field", "empty_field", "int_output_dir",
         ],
     )
     def test_entries_validated(self, tmp_path, capsys, group, value, field):

@@ -17,7 +17,6 @@ from dnls3.evolution import (
     gauge_apply,
     h1_perturbation,
     orbit_distance,
-    rhs,
     solitary_wave,
     step,
 )
@@ -54,9 +53,17 @@ def fd_deriv(f, h, axis):
     ) / (12 * h)
 
 
+def rhs(state):
+    """Full right side -i (kappa k2 F + dN) of the flow, in physical space, from the grid's kernel."""
+    g = state.grid
+    kappa = np.array([PHYS.alpha, PHYS.beta, PHYS.gamma]).reshape(3, *[1] * (g.d + 1))
+    F = g.fft(state.u)
+    return g.ifft(-1j * (kappa * g.k2 * F + g.nonlinear_gradient(F)))
+
+
 class TestRhs:
     def test_zero_state(self, grid1d_box):
-        assert np.max(np.abs(rhs(State.zeros(grid1d_box), PHYS).u)) == 0.0
+        assert np.max(np.abs(rhs(State.zeros(grid1d_box)))) == 0.0
 
     def test_linear_when_uncoupled(self):
         g = Grid(128, 20.0)
@@ -64,10 +71,10 @@ class TestRhs:
         u = state.u.copy()
         u[1] = 0.0
         u[2] = 0.0
-        out = rhs(State(g, u), PHYS)
-        expected = 1j * PHYS.alpha * g.laplacian(u[0])
-        assert np.max(np.abs(out.u[0] - expected)) < 1e-12
-        assert np.max(np.abs(out.u[1:])) < 1e-13
+        out = rhs(State(g, u))
+        expected = 1j * PHYS.alpha * g.deriv(g.deriv(u[0], 0), 0)
+        assert np.max(np.abs(out[0] - expected)) < 1e-12
+        assert np.max(np.abs(out[1:])) < 1e-13
 
     def test_matches_finite_difference_oracle(self):
         def discrepancy(n):
@@ -82,7 +89,7 @@ class TestRhs:
             fd[0, 0] = 1j * (PHYS.alpha * lap(u1[0]) + div_u3 * u2[0])
             fd[1, 0] = 1j * (PHYS.beta * lap(u2[0]) + np.conj(div_u3) * u1[0])
             fd[2, 0] = 1j * (PHYS.gamma * lap(u3[0]) - fd_deriv(q, h, -1))
-            out = rhs(state, PHYS).u
+            out = rhs(state)
             return np.max(np.abs(out - fd)), h, np.max(np.abs(out))
 
         err64, h, scale = discrepancy(64)
@@ -347,12 +354,14 @@ class TestOrbitDistance:
 
     def test_solitary_wave_snapshot_at_rounding_distance(self):
         # the gain form sqrt(norm2 - 2 gain) reads 1.6e-8 ||phi|| at t = 1,
-        # and 0 where rounding leaves norm2 - 2 gain negative
-        g = Grid(512, 40.0, dealias=True)
+        # and 0 where rounding leaves norm2 - 2 gain negative; the plain
+        # grid's profile has Nyquist content, which the refine must move as
+        # translate does
         wave = WaveParams(1.0, (0.2,))
-        phi = solve_ground_state(g, PHYS, wave, SolverConfig(restarts=1)).phi
-        for t in (0.5, 1.0):
-            assert orbit_distance(solitary_wave(phi, wave, t), phi).distance < 1e-12 * norm_h1(phi)
+        for g, times in ((Grid(512, 40.0, dealias=True), (0.5, 1.0)), (Grid(256, 40.0), (0.37, 0.5, 1.0))):
+            phi = solve_ground_state(g, PHYS, wave, SolverConfig(restarts=1)).phi
+            for t in times:
+                assert orbit_distance(solitary_wave(phi, wave, t), phi).distance < 1e-12 * norm_h1(phi)
 
 
 def orbit_h1_distance(U, phi, element):
@@ -360,7 +369,7 @@ def orbit_h1_distance(U, phi, element):
     g = phi.grid
     y, a, b = element[: g.d], element[g.d], element[g.d + 1]
     u = phi.u * np.exp(1j * np.array([a, b, a - b])).reshape(3, 1, *[1] * g.d)
-    return norm_h1(U - State(g, g.translate(u, y)))
+    return norm_h1(State(g, U.u - g.translate(u, y)))
 
 
 class TestDecayFit:

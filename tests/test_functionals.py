@@ -103,7 +103,7 @@ class TestBasicFunctionals:
             for m in range(1):
                 f = state.u[j, m]
                 df = g.deriv(f, 0)
-                direct[0] += -0.5 * np.real(g.inner(1j * f, df))
+                direct[0] += -0.5 * np.real(np.vdot(df, 1j * f)) * g.weight
         P = evaluate(state, PHYS, wave1d()).P
         assert abs(P[0] - direct[0]) < 1e-12 * max(1.0, abs(direct[0]))
 
@@ -128,7 +128,7 @@ class TestReport:
         state = random_state(g, rng)
         rep = evaluate(state, PHYS, wave)
         for lam in (0.5, 2.0):
-            rep_s = evaluate(lam * state, PHYS, wave)
+            rep_s = evaluate(State(g, lam * state.u), PHYS, wave)
             predicted = lam**2 * rep.Lqc + 3 * lam**3 * rep.N
             assert abs(rep_s.K - predicted) < 1e-12 * max(1.0, abs(predicted))
 
@@ -140,7 +140,7 @@ class TestReport:
         rep = evaluate(state, PHYS, wave)
         for lam in (-0.7, 0.5, 2.0):
             algebraic = rep.scaled(lam)
-            direct = evaluate(lam * state, PHYS, wave)
+            direct = evaluate(State(g, lam * state.u), PHYS, wave)
             for name in ("Q", "L", "N", "E", "S", "K", "Lqc", "G", "G_display"):
                 a, b = getattr(algebraic, name), getattr(direct, name)
                 assert abs(a - b) < 1e-12 * max(1.0, abs(b)), name
@@ -152,8 +152,8 @@ class TestReport:
         state = random_state(g, rng)
         rep = evaluate(state, PHYS, wave)
         eps = 1e-5
-        Sp = evaluate((1 + eps) * state, PHYS, wave).S
-        Sm = evaluate((1 - eps) * state, PHYS, wave).S
+        Sp = evaluate(State(g, (1 + eps) * state.u), PHYS, wave).S
+        Sm = evaluate(State(g, (1 - eps) * state.u), PHYS, wave).S
         fd = (Sp - Sm) / (2 * eps)
         assert abs(rep.K - fd) < 1e-6 * max(1.0, abs(fd))
 
@@ -248,7 +248,7 @@ class TestActionGradient:
             U = random_state(g, rng)
             V = random_state(g, rng)
             grad = action_gradient(U, PHYS, wave)
-            pairing = float(np.real(g.inner(grad.u, V.u)))
+            pairing = float(np.real(np.vdot(V.u, grad.u))) * g.weight
             Sp = evaluate(State(g, U.u + eps * V.u), PHYS, wave).S
             Sm = evaluate(State(g, U.u - eps * V.u), PHYS, wave).S
             fd = (Sp - Sm) / (2 * eps)

@@ -92,7 +92,7 @@ class TestPrecondition:
 
         wave = WaveParams(1.0, (0.5,))
         state = random_state(grid1d_box, rng)
-        val = np.real(grid1d_box.inner(state.u, precondition(state, PHYS, wave).u))
+        val = np.real(np.vdot(precondition(state, PHYS, wave).u, state.u))
         assert val > 0
 
 
