@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -150,13 +151,25 @@ def _ground_state_payload(res) -> dict:
         "stability_margin": res.stability_margin,
         "tail_mass": res.tail_mass,
         "domain_converged": res.domain_converged,
+        "termination": list(res.terminations),
         "report": _report_dict(res.report),
     }
+
+
+def _write_solver_history(path: Path, res) -> None:
+    """One row per state of each descent: its start (iteration 0), then each accepted step."""
+    rows = [
+        (k, i, h.S[i], h.residual[i], h.step[i], int(h.momentum[i]))
+        for k, h in enumerate(res.histories)
+        for i in range(len(h))
+    ]
+    _write_csv(path, ["descent", "iteration", "S", "residual", "step", "momentum"], rows)
 
 
 def _cmd_gs(cfg: RunConfig, outdir: Path) -> int:
     res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
     save_field(res.phi, outdir / "ground_state.ldsf")
+    _write_solver_history(outdir / "solver_history.csv", res)
     _, passed = _identity_gates(res.report, res.mu)
     payload = dict(_ground_state_payload(res), identities_passed=passed, thresholds=CHECK_THRESHOLDS)
     _write_json(outdir / "ground_state.json", payload)
@@ -232,13 +245,10 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
     rng = np.random.default_rng(cfg.solver.seed)
     wanted = exp.get("samples", 200)
     samples = sample_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, wanted)
-    disagreements = 0
-    lqc_nonpositive = 0
-    for _, srep in samples:
-        if srep.Lqc <= 0:
-            lqc_nonpositive += 1
-        if not WellMembership.from_report(srep, mu).agree:
-            disagreements += 1
+    # the flags of all samples at once, from their stacked reports
+    stacked = SimpleNamespace(**{k: np.array([getattr(r, k) for _, r in samples]) for k in ("Q", "S", "K", "N", "Lqc")})
+    disagreements = int(np.count_nonzero(~WellMembership.from_report(stacked, mu).agree))
+    lqc_nonpositive = int(np.count_nonzero(stacked.Lqc <= 0))
 
     # a well check passes on the samples it asked for, not on fewer
     passed = (

@@ -339,10 +339,13 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
     With the blockwise weighted cross-spectra W_j = sum w FU_j conj(FP_j),
     the squared distance is ||U||^2 + ||phi||^2 - 2 G(y, a, b), where the
     gain G = Re(e^{-ia} A1(y) + e^{-ib} A2(y) + e^{-i(a-b)} A3(y)) and
-    A_j(y) = sum_xi W_j e^{i y.xi}. All grid-aligned shifts are scanned at
+    A_j(y) = sum_xi W_j e^{i y.xi}. All grid-aligned shifts are paired at
     once through inverse transforms of the W_j; for each shift the phase
     pair reduces to a one-dimensional circle search (the u1 phase has a
-    closed form given the relative phase). The winner is refined over
+    closed form given the relative phase), made only at the shifts whose
+    bound |A1| + |A2| + |A3| reaches the best gain of the shift with the
+    largest bound, which leaves the winner that of a scan of every shift.
+    The winner is refined over
     (y, a, b) by a safeguarded Newton ascent on G: G is a trigonometric
     polynomial, so its gradient and Hessian are exact, read off the moments
     sum_xi W_j {1, xi_k, xi_k xi_l} e^{i y.xi} in one product per iteration.
@@ -376,8 +379,21 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
     # u3 term, leaving a circle search over b
     bs = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     eib = np.exp(1j * bs)[:, None]
-    pair = np.abs(A1[None, :] + eib * A3[None, :]) + np.real(np.conj(eib) * A2[None, :])
-    i_b, i_shift = np.unravel_index(np.argmax(pair), pair.shape)
+
+    def scan(shifts):
+        return np.abs(A1[shifts] + eib * A3[shifts]) + np.real(np.conj(eib) * A2[shifts])
+
+    # no phase gains more than |A1| + |A2| + |A3| at a shift, so only the
+    # shifts whose bound reaches the best phase of the most promising one
+    # (less a rounding slack) can hold the winner; scanning them in index
+    # order keeps the winner, ties included, that of the full scan
+    bound = np.abs(A1) + np.abs(A2) + np.abs(A3)
+    top = int(np.argmax(bound))
+    floor = scan(np.array([top])).max() - 1e-12 * bound[top]
+    shifts = np.flatnonzero(~(bound < floor))
+    pair = scan(shifts)
+    i_b, i_cand = np.unravel_index(np.argmax(pair), pair.shape)
+    i_shift = shifts[i_cand]
     idx = np.unravel_index(i_shift, g.shape)
     y0 = np.array([g.spacing[k] * idx[k] for k in range(d)])
     b0 = bs[i_b]

@@ -287,6 +287,26 @@ class TestCli:
         assert manifest["field_format_version"] == 1
         assert manifest["subcommand"] == "gs"
 
+    def test_gs_solver_history(self, tmp_path):
+        # the descent's history and termination are deterministic outputs too
+        runs = []
+        for name in ("hist_a", "hist_b"):
+            cfg_path, outdir = small_config(tmp_path, name, solver={"restarts": 2})
+            assert run_subcommand(["gs", "--config", str(cfg_path), "--seed", "5"]) == 0
+            names = ("solver_history.csv", "ground_state.json", "ground_state.ldsf")
+            runs.append({name: (outdir / name).read_bytes() for name in names})
+        assert runs[0] == runs[1]
+        payload = json.loads(runs[0]["ground_state.json"])
+        assert payload["termination"] == ["converged"]
+        lines = runs[0]["solver_history.csv"].decode().splitlines()
+        assert lines[0] == "descent,iteration,S,residual,step,momentum"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert len(rows) == payload["iterations"] + 1
+        assert np.array_equal(rows[:, 1], np.arange(len(rows)))
+        assert rows[-1, 2] == payload["mu"]
+        assert rows[-1, 3] == payload["final_residual"]
+        assert set(rows[:, 5]) == {0.0, 1.0}
+
     def test_gs_evaluates_only_the_ansatz(self, tmp_path, evaluate_calls):
         cfg_path, outdir = small_config(tmp_path, "gs_once")
         assert run_subcommand(["gs", "--config", str(cfg_path)]) == 0

@@ -364,6 +364,44 @@ class TestOrbitDistance:
                 assert orbit_distance(solitary_wave(phi, wave, t), phi).distance < 1e-12 * norm_h1(phi)
 
 
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(256, 40.0), Grid(256, 40.0, dealias=True), Grid((32, 32), (16.0, 16.0))],
+        ids=["1d-plain", "1d-dealiased", "2d"],
+    )
+    def test_pruned_scan_keeps_the_full_scan_winner(self, monkeypatch, grid):
+        # without the refine the result is the scan's start, which must be,
+        # bit for bit, the first maximum over every phase and every shift;
+        # the states run from near the orbit (a peaked bound) to pure noise,
+        # a plane wave (a flat bound) and zero (all ties)
+        monkeypatch.setattr(evolution, "REFINE_MAX_ITER", 0)
+        phi = smooth_state(grid)
+        rng = np.random.default_rng(3)
+        x = grid.meshgrid()[0]
+        plane_wave = np.broadcast_to(np.exp(2j * np.pi * x / grid.extent[0]), phi.u.shape).copy()
+        states = [State(grid, plane_wave), State.zeros(grid)]
+        for delta in (1e-3, 1e-1, 1.0, 10.0):
+            y = rng.uniform(-5.0, 5.0, grid.d)
+            moved = grid.translate(phi.u, y) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            states.append(State(grid, moved + delta * h1_perturbation(grid, rng).u))
+            states.append(State(grid, delta * h1_perturbation(grid, rng).u))
+        extent = np.asarray(grid.extent)
+        w = (1.0 + grid.k2) * grid.weight
+        for U in states:
+            W = np.sum(w * grid.fft(U.u) * np.conj(grid.fft(phi.u)), axis=1)
+            A1, A2, A3 = (np.fft.ifftn(Wj).reshape(-1) * grid.size for Wj in W)
+            bs = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+            eib = np.exp(1j * bs)[:, None]
+            full = np.abs(A1[None, :] + eib * A3[None, :]) + np.real(np.conj(eib) * A2[None, :])
+            i_b, i_shift = np.unravel_index(np.argmax(full), full.shape)
+            y0 = np.array(np.unravel_index(i_shift, grid.shape)) * np.asarray(grid.spacing)
+            a0 = float(np.angle(A1[i_shift] + np.exp(1j * bs[i_b]) * A3[i_shift]))
+            od = orbit_distance(U, phi)
+            assert np.array_equal(od.shift, (y0 + extent / 2.0) % extent - extent / 2.0)
+            assert od.phase1 == a0 % (2.0 * np.pi)
+            assert od.phase2 == bs[i_b] % (2.0 * np.pi)
+
+
 def orbit_h1_distance(U, phi, element):
     """||U - translate(gauge(phi; a, b), y)||_H1 for element = (y, a, b), built in physical space."""
     g = phi.grid

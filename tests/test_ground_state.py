@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dnls3.ground_state as ground_state
 from dnls3.errors import (
     DomainTooSmall,
     InadmissibleParameters,
     NoConvergence,
     WrongDimension,
 )
+from dnls3.evolution import orbit_distance
 from dnls3.functionals import evaluate
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import (
@@ -331,6 +333,74 @@ class TestProjectedIteration:
         assert np.allclose(F, g.fft(u), rtol=0, atol=1e-12 * np.max(np.abs(F)))
         direct = g.nonlinear_gradient(F, u)
         assert np.allclose(dN, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)))
+
+
+class TestMomentum:
+    @pytest.mark.parametrize(
+        "grid, c",
+        [
+            (Grid(256, 40.0), (0.3,)),
+            (Grid(256, 40.0, dealias=True), (0.2,)),
+            (Grid((32, 32), (16.0, 16.0)), (0.2, 0.0)),
+        ],
+        ids=["1d-plain", "1d-dealiased", "2d"],
+    )
+    def test_same_minimizer_as_plain_iteration(self, monkeypatch, grid, c):
+        # the iteration without momentum is the oracle: the same level, and
+        # the same profile up to the translations and the gauge
+        wave = WaveParams(1.0, c)
+        start = initial_ansatz(grid, PHYS, wave)
+        heavy, rep, iters, _, history, termination = _descend(grid, PHYS, wave, FAST, start)
+        monkeypatch.setattr(ground_state, "MOMENTUM", 0.0)
+        plain, rep0, iters0, _, history0, termination0 = _descend(grid, PHYS, wave, FAST, start)
+        assert termination == termination0 == "converged"
+        assert abs(rep.S - rep0.S) <= 1e-12 * rep0.S
+        assert orbit_distance(heavy, plain).distance <= 1e-7 * norm_h1(plain)
+        assert iters < iters0
+        assert history.momentum.any() and not history0.momentum.any()
+
+    def test_rejected_and_restarted_momentum_still_converges(self, monkeypatch):
+        # a heavier ball overshoots: some trials with momentum raise S and are
+        # retried without it, some accepted ones raise the residual and
+        # restart the momentum; the descent still reaches the plain level
+        g = Grid(256, 40.0)
+        wave = WaveParams(1.0, (0.3,))
+        start = initial_ansatz(g, PHYS, wave)
+        monkeypatch.setattr(ground_state, "MOMENTUM", 0.0)
+        _, rep0, *_ = _descend(g, PHYS, wave, FAST, start)
+        projections = {"calls": 0}
+        project = ground_state._project
+
+        def counting(*args):
+            projections["calls"] += 1
+            return project(*args)
+
+        monkeypatch.setattr(ground_state, "_project", counting)
+        monkeypatch.setattr(ground_state, "MOMENTUM", 0.6)
+        _, rep, iters, residual, history, termination = _descend(g, PHYS, wave, FAST, start)
+        assert termination == "converged"
+        assert residual < FAST.residual_tol
+        assert abs(rep.S - rep0.S) <= 1e-12 * rep0.S
+        # one projection of the start and one per iteration, plus the rejected trials
+        assert projections["calls"] > iters + 1
+        # after the first step a move is always on hand, so a plain step is a drop or a restart
+        assert not history.momentum[2:].all()
+        s_hist = np.asarray(history)
+        assert np.all(np.diff(s_hist) <= 1e-12 * (1.0 + np.abs(s_hist[:-1])))
+
+    def test_history_rows(self):
+        g = Grid(256, 40.0)
+        wave = WaveParams(1.0, (0.3,))
+        res = solve_ground_state(g, PHYS, wave, FAST)
+        (history,) = res.histories
+        assert res.terminations == ("converged",)
+        assert len(history) == res.iterations + 1
+        assert history.step[0] == 0.0 and not history.momentum[0]
+        assert np.all(history.step[1:] > 0.0)
+        assert history.S[-1] == res.mu
+        assert history.residual[-1] == res.final_residual
+        # the first step has no previous move to carry
+        assert not history.momentum[1]
 
 
 class TestIdentities:
