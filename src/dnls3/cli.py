@@ -9,8 +9,12 @@ Every run writes into its output directory:
 
 Exit codes: 0 success, 2 invalid configuration or input files, 3 numerical
 failure (no convergence, divergence, domain too small). Errors also emit a
-one-line JSON record on stderr. All outputs other than the manifest (which
-records the wall clock) are byte-reproducible for a fixed config and seed.
+one-line JSON record on stderr. A failed run keeps what explains it: a
+``gs`` whose descents all fail writes solver_history.csv and adds each
+descent's termination to its record, and a diverging ``evolve`` or
+``stability`` writes its trace up to the divergence. All outputs other than
+the manifest (which records the wall clock) are byte-reproducible for a
+fixed config and seed.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import (
     FormatError,
     InadmissibleParameters,
     LengthMismatch,
+    NoConvergence,
     NonFinite,
     ParseError,
     UnsupportedVersion,
@@ -90,6 +95,12 @@ def _write_trace_csv(path: Path, trace) -> None:
         header.append("orbit_dist")
         columns.append(trace.orbit_distance)
     _write_csv(path, header, zip(*columns))
+
+
+def _write_partial_trace(path: Path, exc: NonFinite) -> None:
+    """The records of a diverging run, up to the divergence, when the error carries them."""
+    if exc.trace is not None:
+        _write_trace_csv(path, exc.trace)
 
 
 def _report_dict(rep) -> dict:
@@ -157,7 +168,11 @@ def _ground_state_payload(res) -> dict:
 
 
 def _write_solver_history(path: Path, res) -> None:
-    """One row per state of each descent: its start (iteration 0), then each accepted step."""
+    """One row per state of each descent: its start (iteration 0), then each accepted step.
+
+    ``res`` is a GroundStateResult, or the NoConvergence of a solve whose
+    descents all failed.
+    """
     rows = [
         (k, i, h.S[i], h.residual[i], h.step[i], int(h.momentum[i]))
         for k, h in enumerate(res.histories)
@@ -167,7 +182,12 @@ def _write_solver_history(path: Path, res) -> None:
 
 
 def _cmd_gs(cfg: RunConfig, outdir: Path) -> int:
-    res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
+    try:
+        res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
+    except NoConvergence as exc:
+        # the failed descents explain the failure
+        _write_solver_history(outdir / "solver_history.csv", exc)
+        raise
     save_field(res.phi, outdir / "ground_state.ldsf")
     _write_solver_history(outdir / "solver_history.csv", res)
     _, passed = _identity_gates(res.report, res.mu)
@@ -209,7 +229,11 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
     if delta != 0.0:
         rng = np.random.default_rng(exp.get("perturbation_seed", cfg.solver.seed))
         state = State(state.grid, state.u + delta * h1_perturbation(state.grid, rng).u)
-    _, trace = evolve(state, cfg.phys, cfg.wave, cfg.evolve, reference=reference)
+    try:
+        _, trace = evolve(state, cfg.phys, cfg.wave, cfg.evolve, reference=reference)
+    except NonFinite as exc:
+        _write_partial_trace(outdir / "trace.csv", exc)
+        raise
     _write_trace_csv(outdir / "trace.csv", trace)
     return 0
 
@@ -323,9 +347,13 @@ def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
     res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
     delta = exp.get("delta", 1e-2)
     tau0s = exp.get("tau0s")
-    report = stability_experiment(
-        res, delta, cfg.evolve, tau0s=tau0s, seed=exp.get("perturbation_seed", cfg.solver.seed)
-    )
+    try:
+        report = stability_experiment(
+            res, delta, cfg.evolve, tau0s=tau0s, seed=exp.get("perturbation_seed", cfg.solver.seed)
+        )
+    except NonFinite as exc:
+        _write_partial_trace(outdir / "stability.csv", exc)
+        raise
     _write_trace_csv(outdir / "stability.csv", report.trace)
     _write_json(
         outdir / "verdict.json",
@@ -402,6 +430,8 @@ def run_subcommand(argv) -> int:
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, NonFinite):
             record["divergence_time"] = exc.time
+        if isinstance(exc, NoConvergence):
+            record["termination"] = list(exc.terminations)
         print(json.dumps(record), file=sys.stderr)
         return 3
 

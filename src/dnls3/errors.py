@@ -21,6 +21,8 @@ class NoConvergence(Dnls3Error):
     """Descent stopped before reaching the residual tolerance.
 
     ``reason`` says why the (last) descent stopped; it is a key of REASONS.
+    ``histories`` and ``terminations`` hold each failed descent's history
+    and termination, as a converged result holds its own.
     """
 
     REASONS = {
@@ -29,13 +31,15 @@ class NoConvergence(Dnls3Error):
         "residual_growth": "stalled: an accepted step without momentum did not lower the residual",
     }
 
-    def __init__(self, iterations: int, residual: float, reason: str = "iteration_cap"):
+    def __init__(self, iterations: int, residual: float, reason: str = "iteration_cap", histories=(), terminations=()):
         super().__init__(
             f"no convergence after {iterations} iterations (residual {residual:.3e}): {self.REASONS[reason]}"
         )
         self.iterations = iterations
         self.residual = residual
         self.reason = reason
+        self.histories = tuple(histories)
+        self.terminations = tuple(terminations)
 
 
 class DomainTooSmall(Dnls3Error):

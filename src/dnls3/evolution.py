@@ -30,6 +30,18 @@ step (linear(dt/2) o linear(dt/2) = linear(dt)); it goes back to physical
 space only to record. A Strang step then costs 8 transforms, and ``step``
 adds one forward and one inverse transform around it.
 
+Where a step's time goes: 8 transforms is the floor for Strang splitting
+with an RK4 substep and 3/2 padding, and on the dealiased 512-point 1D
+grid they take about half of a step. Each is a batch of 3 rows of 768
+points, and about a third of its time is a fixed cost per call: numpy's
+Python wrapper, and the pocketfft plan that numpy builds anew on every
+call (BENCH_13.json has the figures). The rest of the step is about 9
+small numpy calls per kernel call, 13 in-place RK4 stage operations and
+the finiteness check. Each costs little beyond numpy's per-call overhead
+on arrays of this size. ``scipy.fft`` transforms these shapes faster, but
+importing it adds 0.3-0.4 s and about 20 MB to every process, so the
+transforms stay in ``numpy.fft``.
+
 Charge and momentum are conserved exactly by the linear flow and by the
 coupling flow separately, so their numerical drift is set by the RK4
 truncation of the substep (fourth order); the energy is exchanged between
@@ -280,7 +292,7 @@ def evolve(
             F = _rk4_coupling(grid, F, dt_i)
             owed = dt_i
         t = i * dt if i < n_steps else config.t_final
-        if not np.all(np.isfinite(F)):
+        if not np.isfinite(F).all():
             raise NonFinite(t, build_trace(divergence_time=t))
         if i % config.record_stride == 0 or i == n_steps:
             if owed is not None:

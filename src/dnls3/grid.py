@@ -23,7 +23,6 @@ Conventions fixed here once and used consistently everywhere:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,10 +74,15 @@ class Grid:
         #: quadrature weight of one cell
         self.weight = float(np.prod(self.spacing))
         self._spatial_axes = tuple(range(-d, 0))
-        self._space = (slice(None),) * d
+        self._space = space = (slice(None),) * d
         # the kernel's rows, behind any batch axes: u1 and u2 (and the
-        # products that take their places), and div u3 (and the pair sum)
-        self._kernel_rows = (self._rows(slice(0, d)), self._rows(slice(d, 2 * d)), self._rows(2 * d))
+        # products that take their places), the pair sum, div u3 (the last
+        # row, kept as a unit row axis), and u2 with div u3 behind it
+        self._kernel_rows = tuple(
+            (..., index, *space) for index in (slice(0, d), slice(d, 2 * d), 2 * d, slice(-1, None), slice(d, None))
+        )
+        #: each single row 0..d, behind any batch axes
+        self._single_rows = tuple((..., k, *space) for k in range(d))
 
         # per-axis coordinates and wavenumbers, broadcastable over the grid
         self.axes = []
@@ -108,20 +112,19 @@ class Grid:
             self._product_shape = tuple(3 * nk // 2 for nk in n)
             # per axis, the nonnegative modes keep their index and the
             # negative ones (Nyquist first) move to the top of the padded
-            # axis; the band maps blockwise onto the padded grid
-            halves = []
-            for nk, mk in zip(n, self._product_shape):
-                h = nk // 2
-                halves.append(((slice(0, h), slice(0, h)), (slice(h, nk), slice(mk - h, mk))))
-            #: (band block, padded block) index pairs, 2^d of them
-            self._pad_blocks = [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
+            # axis: split into halves of n/2 modes, the band's two halves are
+            # the first and the third of the padded axis's three, so one
+            # strided view of the padded grid holds the whole band
+            self._band_split = tuple(v for nk in n for v in (2, nk // 2))
+            self._product_split = tuple(v for nk in n for v in (3, nk // 2))
+            band_modes = (slice(None, None, 2), slice(None)) * d
             fine_size = int(np.prod(self._product_shape))
             # unitary band spectrum -> unnormalized fine spectrum, and back
             pad = self.band / np.sqrt(self.size)
             unpad = self.band * (np.sqrt(self.size) / fine_size)
         else:
-            self._product_shape = self.shape
-            self._pad_blocks = [((slice(None),) * d, (slice(None),) * d)]
+            self._product_shape = self._band_split = self._product_split = self.shape
+            band_modes = space
             pad = unpad = 1.0 / np.sqrt(self.size)
         # symbols of the coupling kernel: the pad weights u1 and u2 by the
         # band scale and u3 by the terms i xi_k of div u3 (state-shaped); the
@@ -130,6 +133,40 @@ class Grid:
         ones = np.ones(self.shape)
         self._pad_symbols = np.array([[pad * ones] * d, [pad * ones] * d, [pad * ik * ones for ik in self.ik]])
         self._unpad_symbols = np.array([-unpad * ones] * (2 * d) + [unpad * ik * ones for ik in self.ik])
+
+        # the kernel's index plans, built once, on the split layout: the
+        # indices carry the batch ellipsis, the rows (F's 3d rows u1, u2, u3,
+        # or the product rows) and the band's modes, and the symbols are
+        # views of the symbol arrays
+        pad_rows = self._pad_symbols.reshape(3 * d, *self._band_split)
+        unpad_rows = self._unpad_symbols.reshape(3 * d, *self._band_split)
+        split = (slice(None),) * len(self._band_split)
+        #: the band's modes on the split product grid
+        self._band_modes = (..., *band_modes)
+
+        def pad_plan(start, stop, div):
+            """Rows start..stop of F, times their symbols, into the band of the product rows; with ``div``, each further term of div u3 adds to the last row."""
+            terms = [((..., 2 * d + k, *split), pad_rows[2 * d + k], (..., -1, *band_modes)) for k in range(1, d)]
+            source = ((..., slice(start, stop), *split), pad_rows[start:stop], self._band_modes)
+            return stop - start, source, terms if div else []
+
+        def unpad_plan(r, first):
+            """The band of product rows 0..r times the symbols of gradient rows first..3d; rows past r read row r - 1."""
+            rows = 3 * d - first
+            cut = r if r == rows else r - 1
+            groups = [(slice(0, cut), slice(0, cut))] if cut else []
+            if cut < rows:
+                groups.append((slice(r - 1, r), slice(cut, rows)))
+            steps = [
+                ((..., source, *band_modes), unpad_rows[first + target.start : first + target.stop], (..., target, *split))
+                for source, target in groups
+            ]
+            return rows, steps
+
+        #: by kernel mode: u1 and u2 alone, u1, u2 and div u3, or div u3 alone
+        self._pad_plans = {"pair": pad_plan(0, 2 * d, False), "full": pad_plan(0, 2 * d + 1, True), "div": pad_plan(2 * d, 2 * d + 1, True)}
+        #: by kernel mode: the pair sum to grad(u1 . conj(u2)), or the 2d+1 products to dN
+        self._unpad_plans = {"pair": unpad_plan(1, 2 * d), "full": unpad_plan(2 * d + 1, 0)}
 
     # -- coordinates -------------------------------------------------------
 
@@ -203,39 +240,30 @@ class Grid:
 
     # -- quadratic products --------------------------------------------------
 
-    def _rows(self, index) -> tuple:
-        """Index ``index`` on the row axis, the one in front of the spatial axes, behind any batch axes."""
-        return (..., index) + self._space
-
-    def _product_values(self, rows: np.ndarray) -> np.ndarray:
-        """Values on the product grid of fields whose pad-weighted spectra are ``rows``.
+    def _pad(self, F: np.ndarray, mode: str, lead: tuple) -> np.ndarray:
+        """The rows of ``mode`` of split band spectra F (3d rows), times the pad symbols, on the product grid.
 
         The product grid is the 3/2-padded grid when dealiasing, the grid
-        itself otherwise. Leading axes are batched into one inverse transform.
+        itself otherwise. The band is multiplied straight into place on the
+        zeroed padded grid; div u3 collects in the last row.
         """
-        if self.dealias:
-            fine = np.zeros((*rows.shape[: rows.ndim - self.d], *self._product_shape), dtype=np.complex128)
-            for band, padded in self._pad_blocks:
-                fine[(..., *padded)] = rows[(..., *band)]
-            rows = fine
-        return self._ifftn(rows, "forward")
+        rows, (source, symbols, band), terms = self._pad_plans[mode]
+        alloc = np.zeros if self.dealias else np.empty
+        fine = alloc((*lead, rows, *self._product_split), dtype=np.complex128)
+        np.multiply(F[source], symbols, out=fine[band])
+        for source, symbols, target in terms:
+            div = fine[target]
+            np.add(div, F[source] * symbols, out=div)
+        return fine.reshape(*lead, rows, *self._product_shape)
 
-    def _unpad(self, spectra: np.ndarray, symbols: np.ndarray, out: np.ndarray) -> None:
-        """Cut the band out of unnormalized product-grid spectra into ``out``, times ``symbols``.
-
-        Rows run along the axis in front of the spatial axes, behind any
-        batch axes; rows of ``out`` past those of ``spectra`` take its last row.
-        """
-        r = spectra.shape[-self.d - 1]
-        for band, padded in self._pad_blocks:
-            source = spectra[(..., *padded)]
-            np.multiply(source, symbols[(slice(0, r), *band)], out=out[(..., slice(0, r), *band)])
-            if out.shape[-self.d - 1] > r:
-                np.multiply(
-                    source[self._rows(slice(r - 1, r))],
-                    symbols[(slice(r, None), *band)],
-                    out=out[(..., slice(r, None), *band)],
-                )
+    def _unpad(self, spectra: np.ndarray, mode: str, lead: tuple) -> np.ndarray:
+        """The band of unnormalized product-grid spectra times the unpad symbols of ``mode``, in split rows."""
+        rows, steps = self._unpad_plans[mode]
+        spectra = spectra.reshape(*lead, -1, *self._product_split)
+        out = np.empty((*lead, rows, *self._band_split), dtype=np.complex128)
+        for source, symbols, target in steps:
+            np.multiply(spectra[source], symbols, out=out[target])
+        return out
 
     def nonlinear_gradient(self, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False) -> np.ndarray:
         """Spectrum of dN, the coupling part of the action gradient, of the state with spectrum F.
@@ -258,41 +286,42 @@ class Grid:
 
         On a plain grid, ``u`` (the state's values, if the caller holds
         them, with the batch axes of ``F``) supplies u1 and u2 without
-        transforming them again. Every array the kernel writes is its own;
-        the result shares no memory with its inputs or with another call's
-        result.
+        transforming them again, and only div u3 is padded. Every array the
+        kernel writes is its own; the result shares no memory with its inputs
+        or with another call's result.
         """
-        d, row = self.d, self._rows
+        d = self.d
         lead = F.shape[: -d - 2]
-        first, second, last = self._kernel_rows
-        weighted = F * self._pad_symbols
-        rows = weighted.reshape(*lead, 3 * d, *self.shape)
-        for k in range(1, d):
-            rows[last] += rows[row(2 * d + k)]  # div u3 collects in the first u3 row
+        first, second, last, div_row, tail = self._kernel_rows
+        F = F.reshape(*lead, 3 * d, *self._band_split)
         if u is not None and not self.dealias:
             values = u.reshape(*lead, 3 * d, *self.shape)
-            div = None if pair_only else self._ifftn(rows[last], "forward")
+            conj = np.conjugate(values[second])
+            if not pair_only:
+                div = self._ifftn(self._pad(F, "div", lead), "forward")
+                conj_div = np.conjugate(div)
         else:
-            values = self._product_values(rows[row(slice(0, 2 * d if pair_only else 2 * d + 1))])
-            div = None if pair_only else values[last]
+            values = div = self._ifftn(self._pad(F, "pair" if pair_only else "full", lead), "forward")
+            # conj(u2), and conj(div u3) behind it, in one call
+            conj = conj_div = np.conjugate(values[tail])
         u1, u2 = values[first], values[second]
-        pair = np.conjugate(u2)
-        pair *= u1
+        rows = self._single_rows
         if pair_only:
-            spectrum = self._fftn(np.add.reduce(pair, axis=-d - 1, keepdims=True), "backward")
-            out = np.empty((*lead, d, *self.shape), dtype=np.complex128)
-            self._unpad(spectrum, self._unpad_symbols[2 * d :], out)
-            return out
-        products = np.empty((*lead, 2 * d + 1, *self._product_shape), dtype=np.complex128)
-        # div gets a unit row axis, to pair with each of the d rows of u1 and u2
-        div = div[row(None)]
-        np.multiply(div, u2, out=products[first])
-        np.add.reduce(pair, axis=-d - 1, out=products[last])
-        np.conjugate(div, out=div)
-        np.multiply(div, u1, out=products[second])
-        out = np.empty(F.shape, dtype=np.complex128)
-        self._unpad(self._fftn(products, "backward"), self._unpad_symbols, out.reshape(*lead, 3 * d, *self.shape))
-        return out
+            products = np.empty((*lead, 1, *self._product_shape), dtype=np.complex128)
+            pair = products[rows[0]]
+        else:
+            products = np.empty((*lead, 2 * d + 1, *self._product_shape), dtype=np.complex128)
+            pair = products[last]
+        # the pair sum u1 . conj(u2), row by row
+        np.multiply(conj[rows[0]], u1[rows[0]], out=pair)
+        for row in rows[1:]:
+            np.add(pair, conj[row] * u1[row], out=pair)
+        if pair_only:
+            return self._unpad(self._fftn(products, "backward"), "pair", lead).reshape(*lead, d, *self.shape)
+        # div u3 and its conjugate keep a unit row axis, to pair with each of the d rows of u1 and u2
+        np.multiply(div[div_row], u2, out=products[first])
+        np.multiply(conj_div[div_row], u1, out=products[second])
+        return self._unpad(self._fftn(products, "backward"), "full", lead).reshape(*lead, 3, d, *self.shape)
 
     def product_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sum over the leading axis of pointwise products a_m * b_m.
@@ -302,11 +331,15 @@ class Grid:
         """
         if not self.dealias:
             return np.sum(a * b, axis=0)
-        band_scale, unpad_scale = self._pad_symbols[0, 0], -self._unpad_symbols[:1]
-        values = self._product_values(self.fft(np.stack([a, b])) * band_scale)
-        out = np.empty((1, *self.shape), dtype=np.complex128)
-        self._unpad(self._fftn(np.sum(values[0] * values[1], axis=0, keepdims=True), "backward"), unpad_scale, out)
-        return self.ifft(out[0])
+        spectra = self.fft(np.stack([a, b]))
+        lead = spectra.shape[: -self.d]
+        band_scale = self._pad_symbols[0, 0].reshape(self._band_split)
+        fine = np.zeros((*lead, *self._product_split), dtype=np.complex128)
+        np.multiply(spectra.reshape(*lead, *self._band_split), band_scale, out=fine[self._band_modes])
+        values = self._ifftn(fine.reshape(*lead, *self._product_shape), "forward")
+        spectrum = self._fftn(np.sum(values[0] * values[1], axis=0), "backward").reshape(self._product_split)
+        unpad_scale = -self._unpad_symbols[0].reshape(self._band_split)
+        return self.ifft((spectrum[self._band_modes] * unpad_scale).reshape(self.shape))
 
     # -- diagnostics ---------------------------------------------------------
 

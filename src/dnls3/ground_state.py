@@ -304,9 +304,10 @@ def solve_ground_state(
     start, from a seed translated by a center drawn from ``config.seed``, up
     to ``config.restarts`` descents in all. The result keeps each
     descent's DescentHistory and termination. Deterministic for a given
-    (config, seed). Raises NoConvergence when no descent meets the residual
-    tolerance, DomainTooSmall when the profile leaks more than 1e-6 of its
-    mass into the outer 10% of the box.
+    (config, seed). Raises NoConvergence, carrying every descent's history
+    and termination, when no descent meets the residual tolerance, and
+    DomainTooSmall when the profile leaks more than 1e-6 of its mass into
+    the outer 10% of the box.
     """
     config = config or SolverConfig()
     wave.require_admissible(phys)
@@ -325,7 +326,7 @@ def solve_ground_state(
             break
         center = rng.uniform(-SEED_WIDTH, SEED_WIDTH, size=grid.d)
     else:
-        raise NoConvergence(total_iters, residual, termination)
+        raise NoConvergence(total_iters, residual, termination, histories, terminations)
 
     tail = grid.tail_mass(U.u)
     # the descent carries the profile's report, so the identities need no second evaluation

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -86,3 +88,88 @@ def evaluate_calls(monkeypatch):
     for module in (functionals, ground_state, evolution, cli):
         monkeypatch.setattr(module, "evaluate", counted)
     return counter
+
+
+def reference_nonlinear_gradient(g: Grid, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False) -> np.ndarray:
+    """The coupling kernel written plainly: an exact oracle for ``Grid.nonlinear_gradient``.
+
+    Every symbol, product and sum is formed by the same floating-point
+    operations in the same order as the library's kernel, by plainer
+    means: the whole spectrum is weighted, zero-padded by copying blocks,
+    and cut back block by block with per-call indices. Results must agree
+    bit for bit.
+    """
+    d = g.d
+    space = (slice(None),) * d
+
+    def row(index):
+        return (..., index) + space
+
+    if g.dealias:
+        product_shape = tuple(3 * nk // 2 for nk in g.n)
+        halves = [
+            ((slice(0, nk // 2), slice(0, nk // 2)), (slice(nk // 2, nk), slice(mk - nk // 2, mk)))
+            for nk, mk in zip(g.n, product_shape)
+        ]
+        blocks = [tuple(zip(*pairs)) for pairs in itertools.product(*halves)]
+        pad = g.band / np.sqrt(g.size)
+        unpad = g.band * (np.sqrt(g.size) / int(np.prod(product_shape)))
+    else:
+        product_shape = g.shape
+        blocks = [(space, space)]
+        pad = unpad = 1.0 / np.sqrt(g.size)
+    ones = np.ones(g.shape)
+    pad_symbols = np.array([[pad * ones] * d, [pad * ones] * d, [pad * ik * ones for ik in g.ik]])
+    unpad_symbols = np.array([-unpad * ones] * (2 * d) + [unpad * ik * ones for ik in g.ik])
+
+    def fftn(f, norm):
+        return np.fft.fft(f, norm=norm) if d == 1 else np.fft.fftn(f, axes=tuple(range(-d, 0)), norm=norm)
+
+    def ifftn(f, norm):
+        return np.fft.ifft(f, norm=norm) if d == 1 else np.fft.ifftn(f, axes=tuple(range(-d, 0)), norm=norm)
+
+    def product_values(rows):
+        if g.dealias:
+            fine = np.zeros((*rows.shape[: rows.ndim - d], *product_shape), dtype=np.complex128)
+            for band, padded in blocks:
+                fine[(..., *padded)] = rows[(..., *band)]
+            rows = fine
+        return ifftn(rows, "forward")
+
+    def cut(spectra, symbols, out):
+        r = spectra.shape[-d - 1]
+        for band, padded in blocks:
+            source = spectra[(..., *padded)]
+            np.multiply(source, symbols[(slice(0, r), *band)], out=out[(..., slice(0, r), *band)])
+            if out.shape[-d - 1] > r:
+                np.multiply(source[row(slice(r - 1, r))], symbols[(slice(r, None), *band)], out=out[(..., slice(r, None), *band)])
+
+    lead = F.shape[: -d - 2]
+    first, second, last = row(slice(0, d)), row(slice(d, 2 * d)), row(2 * d)
+    weighted = F * pad_symbols
+    rows = weighted.reshape(*lead, 3 * d, *g.shape)
+    for k in range(1, d):
+        rows[last] += rows[row(2 * d + k)]
+    if u is not None and not g.dealias:
+        values = u.reshape(*lead, 3 * d, *g.shape)
+        div = None if pair_only else ifftn(rows[last], "forward")
+    else:
+        values = product_values(rows[row(slice(0, 2 * d if pair_only else 2 * d + 1))])
+        div = None if pair_only else values[last]
+    u1, u2 = values[first], values[second]
+    pair = np.conjugate(u2)
+    pair *= u1
+    if pair_only:
+        spectrum = fftn(np.add.reduce(pair, axis=-d - 1, keepdims=True), "backward")
+        out = np.empty((*lead, d, *g.shape), dtype=np.complex128)
+        cut(spectrum, unpad_symbols[2 * d :], out)
+        return out
+    products = np.empty((*lead, 2 * d + 1, *product_shape), dtype=np.complex128)
+    div = div[row(None)]
+    np.multiply(div, u2, out=products[first])
+    np.add.reduce(pair, axis=-d - 1, out=products[last])
+    np.conjugate(div, out=div)
+    np.multiply(div, u1, out=products[second])
+    out = np.empty(F.shape, dtype=np.complex128)
+    cut(fftn(products, "backward"), unpad_symbols, out.reshape(*lead, 3 * d, *g.shape))
+    return out

@@ -324,6 +324,40 @@ class TestCli:
         cfg_path, _ = small_config(tmp_path, "noconv", solver={"max_iter": 2, "restarts": 1})
         assert run_subcommand(["gs", "--config", str(cfg_path)]) == 3
 
+    def test_gs_keeps_failed_descents(self, tmp_path, capsys):
+        # every descent fails: their histories and terminations still reach the output
+        cfg_path, outdir = small_config(tmp_path, "noconv_hist", solver={"max_iter": 3, "restarts": 2})
+        capsys.readouterr()
+        assert run_subcommand(["gs", "--config", str(cfg_path)]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "NoConvergence"
+        assert record["termination"] == ["iteration_cap", "iteration_cap"]
+        lines = (outdir / "solver_history.csv").read_text().splitlines()
+        assert lines[0] == "descent,iteration,S,residual,step,momentum"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(rows[:, 0], np.repeat([0.0, 1.0], 4))
+        assert np.array_equal(rows[:, 1], np.tile(np.arange(4.0), 2))
+        assert not (outdir / "ground_state.json").exists()
+
+    @pytest.mark.parametrize("subcommand,name", [("evolve", "trace.csv"), ("stability", "stability.csv")])
+    def test_diverging_run_keeps_its_trace(self, tmp_path, capsys, subcommand, name):
+        # a kick of 200 on a step of 0.05 overflows the state: the records before it are kept
+        cfg_path, outdir = small_config(
+            tmp_path, f"diverge_{subcommand}", evolve={"dt": 0.05, "t_final": 1.0}, experiment={"delta": 200}
+        )
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run_subcommand([subcommand, "--config", str(cfg_path)]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "NonFinite"
+        assert record["divergence_time"] == pytest.approx(0.15)
+        lines = (outdir / name).read_text().splitlines()
+        assert lines[0] == "t,Q,E,P_1,S,K,h1norm,orbit_dist"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert len(rows) >= 1 and rows[0, 0] == 0.0
+        assert np.all(rows[:, 0] < record["divergence_time"]) and np.all(np.isfinite(rows))
+
     def test_wrong_dimension_exit_code(self, tmp_path, capsys):
         cfg_path, _ = small_config(
             tmp_path, "hc_3d", grid={"d": 3, "n": [8, 8, 8], "extent": [10, 10, 10]}, wave={"c": [0, 0, 0]}

@@ -25,7 +25,7 @@ from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import SolverConfig, solve_ground_state
 from dnls3.params import PhysParams, WaveParams
 
-from tests.conftest import band_limited_state, random_state
+from tests.conftest import band_limited_state, random_state, reference_nonlinear_gradient
 
 PHYS = PhysParams(1.0, 1.0, 1.0)
 WAVE0 = WaveParams(1.0, (0.0,))
@@ -509,6 +509,71 @@ class TestSpectralStepping:
             per_step = (run(40) - run(20)) / 20
         assert per_step <= 8
         assert count(lambda: step(state, PHYS, 1e-3)) <= 10
+
+
+def reference_rk4_coupling(g, F, dt):
+    """The RK4 coupling substep, operation for operation, on the reference kernel."""
+    h = -1j * dt
+    total = reference_nonlinear_gradient(g, F)
+    stage = np.multiply(total, 0.5 * h)
+    stage += F
+    for weight in (0.5, 1.0):
+        k = reference_nonlinear_gradient(g, stage)
+        np.multiply(k, weight * h, out=stage)
+        stage += F
+        k *= 2.0
+        total += k
+    total += reference_nonlinear_gradient(g, stage)
+    total *= h / 6.0
+    total += F
+    return total
+
+
+def reference_evolve(state, wave, dt, t_final, stride, reference):
+    """Strang steps with fused linear half-steps, as ``evolve`` takes them, on the reference substep: final state and records."""
+    g = state.grid
+    n_steps = int(np.ceil(t_final / dt - 1e-12))
+    records = []
+
+    def record(t, U):
+        rep = evaluate(U, PHYS, wave)
+        records.append([t, rep.Q, rep.E, *rep.P, rep.S, rep.K, norm_h1(U), orbit_distance(U, reference).distance])
+
+    record(0.0, state)
+    F, owed, t, U = g.fft(state.u), None, 0.0, state
+    for i in range(1, n_steps + 1):
+        dt_i = min(dt, t_final - t)
+        if owed == dt_i:
+            F = F * _linear_phases(g, PHYS, dt_i)
+        else:
+            if owed is not None:
+                F = F * _linear_phases(g, PHYS, owed / 2.0)
+            F = F * _linear_phases(g, PHYS, dt_i / 2.0)
+        F = reference_rk4_coupling(g, F, dt_i)
+        owed = dt_i
+        t = i * dt if i < n_steps else t_final
+        if i % stride == 0 or i == n_steps:
+            F = F * _linear_phases(g, PHYS, owed / 2.0)
+            owed = None
+            U = State(g, g.ifft(F))
+            record(t, U)
+    return U, np.array(records)
+
+
+class TestStepperBitForBit:
+    @pytest.mark.parametrize("n,extent", [(512, 40.0), ((32, 32), (12.0, 12.0))])
+    def test_evolve_matches_reference_loop(self, n, extent):
+        g = Grid(n, extent, dealias=True)
+        wave = WaveParams(1.0, (0.2,) + (0.0,) * (g.d - 1))
+        state = State(g, smooth_state(g, amp=0.8).u + random_state(g, np.random.default_rng(8), scale=0.1).u)
+        dt, t_final = 1e-3, 0.0205  # 21 steps, the last one half as long
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            final, trace = evolve(state, PHYS, wave, EvolveConfig(dt=dt, t_final=t_final, record_stride=7), reference=state)
+        expected_final, expected = reference_evolve(state, wave, dt, t_final, 7, state)
+        assert np.array_equal(final.u, expected_final.u)
+        recorded = np.column_stack([trace.times, trace.Q, trace.E, trace.P, trace.S, trace.K, trace.h1, trace.orbit_distance])
+        assert np.array_equal(recorded, expected)
 
 
 # a smooth localized state, fixed once: hypothesis varies the symmetry only

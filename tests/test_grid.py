@@ -8,7 +8,7 @@ from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import sample_below_level
 from dnls3.params import PhysParams, WaveParams
 
-from tests.conftest import band_limited_state, random_state
+from tests.conftest import band_limited_state, random_state, reference_nonlinear_gradient
 
 
 def dft_direct(f):
@@ -366,3 +366,30 @@ class TestCouplingKernel:
             step(b, phys, 1e-3, scheme)
             assert np.array_equal(first.u, kept)
             assert np.array_equal(a.u, kept_a)
+
+
+class TestKernelOracle:
+    """The lean kernel against the reference kernel, bit for bit, in every mode."""
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 2)])
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_exactly(self, d, dealias, lead):
+        g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        rng = np.random.default_rng(100 * d + 10 * dealias + len(lead))
+        shape = (*lead, 3, d, *g.shape)
+        u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
+        F = g.fft(u)
+        kept_F, kept_u = F.copy(), u.copy()
+        for values in (None, u):
+            for pair_only in (False, True):
+                result = g.nonlinear_gradient(F, values, pair_only=pair_only)
+                expected = reference_nonlinear_gradient(g, F, values, pair_only=pair_only)
+                assert result.shape == expected.shape
+                assert np.array_equal(result, expected)
+                # the contract: the result is the kernel's own
+                other = g.nonlinear_gradient(F, values, pair_only=pair_only)
+                assert not np.shares_memory(result, F)
+                assert not np.shares_memory(result, u)
+                assert not np.shares_memory(result, other)
+        assert np.array_equal(F, kept_F) and np.array_equal(u, kept_u)
