@@ -20,7 +20,7 @@ print("=" * 68)
 res = solve_ground_state(grid, phys, wave, SolverConfig(restarts=1))
 rep = res.report
 
-print(f"converged in {res.iterations} iterations, residual {res.final_residual:.2e}")
+print(f"converged in {res.iterations} iterations, residual {res.histories[-1].residual[-1]:.2e}")
 print(f"minimal action level  mu = {res.mu:.12f}")
 print()
 print("functional report:")
@@ -30,11 +30,11 @@ print(f"  P    = {rep.P}")
 print()
 print("identities of the minimizer:")
 print(f"  |K| / max(1, Lqc)            = {rep.nehari_residual():.2e}   (constraint)")
-print(f"  dilation (Pohozaev) residual = {res.pohozaev_residual:.2e}")
-print(f"  (4-d) charge/momentum resid  = {res.fourd_residual:.2e}")
+print(f"  dilation (Pohozaev) residual = {rep.pohozaev_residual():.2e}")
+print(f"  (4-d) charge/momentum resid  = {rep.fourd_residual(res.mu):.2e}")
 print(f"  S - K/3 - Lqc/6 (rel)        = {rep.identity_residuals()['S_from_K_Lqc']:.2e}")
 print()
-print(f"stability margin G/(2 omega) = {res.stability_margin:.6f}  (positive favors stability)")
+print(f"stability margin G/(2 omega) = {rep.stability_margin():.6f}  (positive favors stability)")
 print(f"tail mass in outer 10% of box = {res.tail_mass:.2e}")
 
 # profile amplitudes along the axis

@@ -44,7 +44,7 @@ from .errors import (
 from .evolution import decay_rate_fit, evolve, h1_perturbation, stability_experiment
 from .functionals import WellMembership, coercivity_certificate, evaluate
 from .grid import State
-from .ground_state import h_curve, mu_scaling_check, sample_below_level, solve_ground_state
+from .ground_state import MuScalePoint, h_curve, mu_scaling_check, sample_below_level, solve_ground_state
 from .snapshot import FORMAT_VERSION, load_field, save_field
 
 USER_ERRORS = (
@@ -152,31 +152,12 @@ def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, started: floa
     )
 
 
-def _ground_state_payload(res) -> dict:
-    return {
-        "mu": res.mu,
-        "iterations": res.iterations,
-        "final_residual": res.final_residual,
-        "pohozaev_residual": res.pohozaev_residual,
-        "fourd_residual": res.fourd_residual,
-        "stability_margin": res.stability_margin,
-        "tail_mass": res.tail_mass,
-        "domain_converged": res.domain_converged,
-        "termination": list(res.terminations),
-        "report": _report_dict(res.report),
-    }
-
-
-def _write_solver_history(path: Path, res) -> None:
-    """One row per state of each descent: its start (iteration 0), then each accepted step.
-
-    ``res`` is a GroundStateResult, or the NoConvergence of a solve whose
-    descents all failed.
-    """
+def _write_solver_history(path: Path, histories) -> None:
+    """One row per state of each descent: its start (iteration 0), then each accepted step."""
     rows = [
         (k, i, h.S[i], h.residual[i], h.step[i], int(h.momentum[i]))
-        for k, h in enumerate(res.histories)
-        for i in range(len(h))
+        for k, h in enumerate(histories)
+        for i in range(len(h.S))
     ]
     _write_csv(path, ["descent", "iteration", "S", "residual", "step", "momentum"], rows)
 
@@ -186,13 +167,28 @@ def _cmd_gs(cfg: RunConfig, outdir: Path) -> int:
         res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
     except NoConvergence as exc:
         # the failed descents explain the failure
-        _write_solver_history(outdir / "solver_history.csv", exc)
+        _write_solver_history(outdir / "solver_history.csv", exc.histories)
         raise
     save_field(res.phi, outdir / "ground_state.ldsf")
-    _write_solver_history(outdir / "solver_history.csv", res)
-    _, passed = _identity_gates(res.report, res.mu)
-    payload = dict(_ground_state_payload(res), identities_passed=passed, thresholds=CHECK_THRESHOLDS)
-    _write_json(outdir / "ground_state.json", payload)
+    _write_solver_history(outdir / "solver_history.csv", res.histories)
+    gates, passed = _identity_gates(res.report, res.mu)
+    _write_json(
+        outdir / "ground_state.json",
+        {
+            "mu": res.mu,
+            "iterations": res.iterations,
+            "final_residual": res.histories[-1].residual[-1],
+            "pohozaev_residual": gates["pohozaev"],
+            "fourd_residual": gates["fourd"],
+            "stability_margin": res.report.stability_margin(),
+            "tail_mass": res.tail_mass,
+            "domain_converged": res.domain_converged,
+            "termination": [h.termination for h in res.histories],
+            "identities_passed": passed,
+            "thresholds": CHECK_THRESHOLDS,
+            "report": _report_dict(res.report),
+        },
+    )
     return 0
 
 
@@ -313,32 +309,19 @@ def _cmd_mu_scan(cfg: RunConfig, outdir: Path) -> int:
     c0 = exp.get("c0", list(cfg.wave.c))
     omegas = exp.get("omegas", [0.5, 1.0, 2.0, 4.0])
     points = mu_scaling_check(cfg.grid, cfg.phys, c0, omegas, cfg.solver)
-    rows = [
-        [p.omega, p.mu, p.mu_predicted, p.rel_error, p.q_scaling_error] for p in points
-    ]
-    _write_csv(outdir / "mu_scan.csv", ["omega", "mu", "mu_predicted", "rel_error", "q_scaling_error"], rows)
+    header = [f.name for f in dataclasses.fields(MuScalePoint)]
+    _write_csv(outdir / "mu_scan.csv", header, map(dataclasses.astuple, points))
     return 0
 
 
 def _cmd_h_curve(cfg: RunConfig, outdir: Path) -> int:
     tau_step = cfg.experiment.get("tau_step")
     rep = h_curve(cfg.grid, cfg.phys, cfg.wave, tau_step=tau_step, config=cfg.solver)
-    rows = [
-        [rep.taus[i], rep.mu_values[i], rep.mu_curve_predicted[i]] for i in range(len(rep.taus))
-    ]
-    _write_csv(outdir / "h_curve.csv", ["tau", "mu", "mu_curve_predicted"], rows)
-    _write_json(
-        outdir / "h_curve.json",
-        {
-            "h0": rep.h0,
-            "fd_h1": rep.fd_h1,
-            "fd_h2": rep.fd_h2,
-            "closed_h1": rep.closed_h1,
-            "closed_h2": rep.closed_h2,
-            "rel_h1": rep.rel_h1,
-            "rel_h2": rep.rel_h2,
-        },
-    )
+    # the three series go to the CSV, every scalar field to the JSON
+    series = ("taus", "mu_values", "mu_curve_predicted")
+    _write_csv(outdir / "h_curve.csv", ["tau", "mu", "mu_curve_predicted"], zip(*(getattr(rep, k) for k in series)))
+    scalars = {k: v for k, v in dataclasses.asdict(rep).items() if k not in series}
+    _write_json(outdir / "h_curve.json", scalars)
     return 0
 
 
@@ -373,16 +356,7 @@ def _cmd_decay(cfg: RunConfig, outdir: Path) -> int:
     phi, _ = _start_profile(cfg)
     window = tuple(exp.get("window", (0.5, 0.9)))
     rep = decay_rate_fit(phi, cfg.phys, cfg.wave, window=window)
-    _write_json(
-        outdir / "decay.json",
-        {
-            "rates": list(rep.rates),
-            "p_max": rep.p_max,
-            "half_bound": rep.half_bound,
-            "window": list(rep.window),
-            "fit_residuals": list(rep.fit_residuals),
-        },
-    )
+    _write_json(outdir / "decay.json", dataclasses.asdict(rep))
     return 0
 
 
@@ -431,7 +405,7 @@ def run_subcommand(argv) -> int:
         if isinstance(exc, NonFinite):
             record["divergence_time"] = exc.time
         if isinstance(exc, NoConvergence):
-            record["termination"] = list(exc.terminations)
+            record["termination"] = [h.termination for h in exc.histories]
         print(json.dumps(record), file=sys.stderr)
         return 3
 

@@ -171,14 +171,12 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     phys_doc = _group(doc, "physics")
     _require_keys(phys_doc, {"alpha", "beta", "gamma"}, "physics")
     default = PhysParams()
-    try:
-        phys = PhysParams(
-            _get_number(phys_doc, "alpha", default.alpha, "physics", positive=True),
-            _get_number(phys_doc, "beta", default.beta, "physics", positive=True),
-            _get_number(phys_doc, "gamma", default.gamma, "physics", positive=True),
-        )
-    except ValueError as exc:
-        raise ValidationError("physics", str(exc)) from exc
+    # the field checks cover the one rule of PhysParams
+    phys = PhysParams(
+        _get_number(phys_doc, "alpha", default.alpha, "physics", positive=True),
+        _get_number(phys_doc, "beta", default.beta, "physics", positive=True),
+        _get_number(phys_doc, "gamma", default.gamma, "physics", positive=True),
+    )
 
     # -- grid ---------------------------------------------------------------
     grid_doc = _group(doc, "grid")

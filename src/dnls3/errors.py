@@ -18,11 +18,12 @@ class ResolutionLoss(Dnls3Error):
 
 
 class NoConvergence(Dnls3Error):
-    """Descent stopped before reaching the residual tolerance.
+    """Every descent stopped before reaching the residual tolerance.
 
-    ``reason`` says why the (last) descent stopped; it is a key of REASONS.
-    ``histories`` and ``terminations`` hold each failed descent's history
-    and termination, as a converged result holds its own.
+    ``histories`` holds each failed descent's DescentHistory, as a converged
+    result holds its own; the rest is read off them. ``iterations`` counts
+    the iterations of all descents, ``residual`` is the last descent's final
+    residual and ``reason``, a key of REASONS, says why it stopped.
     """
 
     REASONS = {
@@ -31,15 +32,15 @@ class NoConvergence(Dnls3Error):
         "residual_growth": "stalled: an accepted step without momentum did not lower the residual",
     }
 
-    def __init__(self, iterations: int, residual: float, reason: str = "iteration_cap", histories=(), terminations=()):
-        super().__init__(
-            f"no convergence after {iterations} iterations (residual {residual:.3e}): {self.REASONS[reason]}"
-        )
-        self.iterations = iterations
-        self.residual = residual
-        self.reason = reason
+    def __init__(self, histories):
         self.histories = tuple(histories)
-        self.terminations = tuple(terminations)
+        self.iterations = sum(h.iterations for h in self.histories)
+        self.residual = self.histories[-1].residual[-1]
+        self.reason = self.histories[-1].termination
+        super().__init__(
+            f"no convergence after {self.iterations} iterations (residual {self.residual:.3e}): "
+            f"{self.REASONS[self.reason]}"
+        )
 
 
 class DomainTooSmall(Dnls3Error):

@@ -73,9 +73,11 @@ class EvolveConfig:
     """Time-stepping parameters.
 
     ``dt=None`` selects the conservative default 1e-3 * min(spacing)^2 /
-    max(alpha, beta, gamma): the linear phases are handled exactly, so this
-    simply keeps the coupling substep far below its stability and accuracy
-    limits. The acceptance-scale experiments override it explicitly.
+    max(alpha, beta, gamma). The linear phases are handled exactly; the
+    step's limit is the split-step resonance edge near
+    dt * kappa * xi_max^2 = pi, about 300 times above this default on the
+    512-point, extent-40 grid (ROADMAP item 2). The acceptance-scale
+    experiments override it explicitly.
     """
 
     dt: float | None = None

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNonlinearity
+from .errors import DegenerateNonlinearity, ResolutionLoss
 from .grid import Grid, State
 from .params import PhysParams, WaveParams
 
@@ -138,6 +138,10 @@ class FunctionalReport:
         rhs = (4.0 - len(self.P)) * mu
         return abs(2.0 * self.omega * self.Q + self.cP - rhs) / abs(rhs)
 
+    def stability_margin(self) -> float:
+        """G / (2 omega); positive favors stability."""
+        return self.G / (2.0 * self.omega)
+
 
 def evaluate(state: State, phys: PhysParams, wave: WaveParams) -> FunctionalReport:
     """Evaluate the full functional report.
@@ -147,12 +151,8 @@ def evaluate(state: State, phys: PhysParams, wave: WaveParams) -> FunctionalRepo
     """
     if wave.d != state.grid.d:
         raise ValueError(f"wave speed has {wave.d} components but grid is {state.grid.d}-dimensional")
-    return _report(state, state.grid.fft(state.u), phys, wave)
-
-
-def _report(state: State, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> FunctionalReport:
-    """The functional report of a state whose spectrum F the caller holds."""
     g = state.grid
+    F = g.fft(state.u)
     Q, L, C, P = _parts(g, state.u, F, phys, g.nonlinear_gradient(F, state.u, pair_only=True))
     return FunctionalReport.from_parts(Q, L, C.real, P, wave.omega, wave.c_array)
 
@@ -309,16 +309,7 @@ def _plain(flags):
     return bool(flags) if np.ndim(flags) == 0 else flags
 
 
-@dataclass
-class ScaledState:
-    """Result of the charge-preserving dilation, with resolution diagnostics."""
-
-    state: State
-    aliasing_mass: float
-    tail_mass: float
-
-
-def l2_scaling(state: State, lam: float) -> ScaledState:
+def l2_scaling(state: State, lam: float) -> State:
     """Charge-preserving dilation lam^{d/2} U(lam x) by spectral interpolation.
 
     On well-resolved fields and lam in [1/2, 2]: Q is invariant, L scales by
@@ -326,16 +317,12 @@ def l2_scaling(state: State, lam: float) -> ScaledState:
     dilated field leaks more than 1e-8 of its mass past the
     resolvable band.
     """
-    from .errors import ResolutionLoss
-
     g = state.grid
-    scaled = lam ** (g.d / 2.0) * g.scale_coordinates(state.u, lam)
-    out = State(g, scaled)
+    out = State(g, lam ** (g.d / 2.0) * g.scale_coordinates(state.u, lam))
     alias = g.aliasing_mass(out.u)
-    tail = g.tail_mass(out.u)
     if alias > 1e-8:
         raise ResolutionLoss(f"aliasing mass {alias:.3e} exceeds 1.0e-08 at lambda={lam}")
-    return ScaledState(out, alias, tail)
+    return out
 
 
 def gauge_phases(theta: float) -> np.ndarray:

@@ -425,7 +425,9 @@ class Grid:
         return f"Grid(n={self.n}, extent={self.extent}, dealias={self.dealias})"
 
 
-#: per-axis box length, by dimension, that keeps unit-frequency ground-state tails below 1e-10
+#: per-axis box length by dimension. At unit frequency the 1D default keeps the
+#: ground-state tail at 3e-16 (n = 512); the 2D default misses the Pohozaev gate
+#: of ``check`` and the 3D default raises DomainTooSmall (ROADMAP item 3)
 DEFAULT_EXTENT = {1: 40.0, 2: 30.0, 3: 20.0}
 
 

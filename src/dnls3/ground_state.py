@@ -82,21 +82,36 @@ class SolverConfig:
 
 @dataclass
 class GroundStateResult:
+    """A converged ground state: its profile, its report and every descent made.
+
+    ``histories`` holds one DescentHistory per descent, in order; the last
+    one converged. The level, the identity residuals
+    (``report.pohozaev_residual()``, ``report.fourd_residual(mu)``), the
+    stability margin (``report.stability_margin()``), the final residual
+    and the terminations are read off the report and the histories.
+    """
+
     phi: State
-    mu: float
-    iterations: int
-    final_residual: float
     report: FunctionalReport
-    pohozaev_residual: float
-    fourd_residual: float
-    stability_margin: float
     tail_mass: float
     phys: PhysParams
     wave: WaveParams
-    domain_converged: bool
-    # one entry per descent made, in order; the last one converged
     histories: tuple
-    terminations: tuple
+
+    @property
+    def mu(self) -> float:
+        """The minimal action level: the action of the profile."""
+        return self.report.S
+
+    @property
+    def iterations(self) -> int:
+        """Iterations of all descents."""
+        return sum(h.iterations for h in self.histories)
+
+    @property
+    def domain_converged(self) -> bool:
+        """The profile leaves less than 1e-8 of its mass in the outer 10% of the box."""
+        return self.tail_mass < 1e-8
 
 
 def resolvent_symbols(grid: Grid, phys: PhysParams, wave: WaveParams):
@@ -202,27 +217,23 @@ def _project(grid: Grid, phys: PhysParams, wave: WaveParams, F: np.ndarray):
 
 @dataclass(frozen=True)
 class DescentHistory:
-    """One descent, one row per state: the start, then each accepted trial.
+    """One descent: one row per state (the start, then each accepted trial) and how it ended.
 
     ``S`` and ``residual`` are the projected state's action and
     preconditioned residual, ``step`` the step that reached it (0 at the
-    start) and ``momentum`` whether its trial carried the previous move. As
-    an array, and under indexing, the history reads as its S column.
+    start) and ``momentum`` whether its trial carried the previous move.
+    ``termination`` is "converged" or a NoConvergence reason.
+    ``iterations`` counts the iterations begun: one per accepted trial,
+    plus the last one when its trial was rejected ("invalid_step",
+    "residual_growth").
     """
 
     S: np.ndarray
     residual: np.ndarray
     step: np.ndarray
     momentum: np.ndarray
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.S, dtype=dtype)
-
-    def __getitem__(self, index):
-        return self.S[index]
-
-    def __len__(self):
-        return len(self.S)
+    iterations: int
+    termination: str
 
 
 def _descend(grid, phys, wave, config, start: State):
@@ -237,9 +248,7 @@ def _descend(grid, phys, wave, config, start: State):
     the next trial carries no momentum; a plain one that fails ends the
     descent with the state before it. S thus never rises, and each
     iteration makes one projection unless a trial is rejected. Returns
-    (state, report, iterations, residual, history, termination), where
-    history is a DescentHistory and termination is "converged" or a
-    NoConvergence reason.
+    (state, report, history), history a DescentHistory.
     """
     sym_inv = np.stack(resolvent_symbols(grid, phys, wave))[:, None]
     weights = (1.0 + grid.k2) * grid.weight
@@ -264,7 +273,7 @@ def _descend(grid, phys, wave, config, start: State):
 
     def finish(termination):
         S, res, steps, carried = (np.array(column) for column in zip(*rows))
-        return State(grid, u), rep, it, residual, DescentHistory(S, res, steps, carried), termination
+        return State(grid, u), rep, DescentHistory(S, res, steps, carried, it, termination)
 
     it = 0
     move = None  # F_k - F_{k-1}, or None when the next trial carries no momentum
@@ -303,56 +312,35 @@ def solve_ground_state(
     seed that converges is final. Only when it fails does a further descent
     start, from a seed translated by a center drawn from ``config.seed``, up
     to ``config.restarts`` descents in all. The result keeps each
-    descent's DescentHistory and termination. Deterministic for a given
-    (config, seed). Raises NoConvergence, carrying every descent's history
-    and termination, when no descent meets the residual tolerance, and
-    DomainTooSmall when the profile leaks more than 1e-6 of its mass into
-    the outer 10% of the box.
+    descent's DescentHistory. Deterministic for a given (config, seed).
+    Raises NoConvergence, carrying every descent's history, when no descent
+    meets the residual tolerance, and DomainTooSmall when the profile leaks
+    more than 1e-6 of its mass into the outer 10% of the box.
     """
     config = config or SolverConfig()
     wave.require_admissible(phys)
     rng = np.random.default_rng(config.seed)
 
-    total_iters = 0
     center = None
-    histories, terminations = [], []
+    histories = []
     for _ in range(config.restarts):
         start = initial_ansatz(grid, phys, wave, center=center)
-        U, rep, iters, residual, history, termination = _descend(grid, phys, wave, config, start)
-        total_iters += iters
+        # the descent carries the profile's report, so the identities need no second evaluation
+        U, rep, history = _descend(grid, phys, wave, config, start)
         histories.append(history)
-        terminations.append(termination)
-        if termination == "converged":
+        if history.termination == "converged":
             break
         center = rng.uniform(-SEED_WIDTH, SEED_WIDTH, size=grid.d)
     else:
-        raise NoConvergence(total_iters, residual, termination, histories, terminations)
+        raise NoConvergence(histories)
 
-    tail = grid.tail_mass(U.u)
-    # the descent carries the profile's report, so the identities need no second evaluation
-    result = GroundStateResult(
-        phi=U,
-        mu=rep.S,
-        iterations=total_iters,
-        final_residual=residual,
-        report=rep,
-        pohozaev_residual=rep.pohozaev_residual(),
-        fourd_residual=rep.fourd_residual(rep.S),
-        stability_margin=rep.G / (2.0 * wave.omega),
-        tail_mass=tail,
-        phys=phys,
-        wave=wave,
-        domain_converged=tail < 1e-8,
-        histories=tuple(histories),
-        terminations=tuple(terminations),
-    )
     # box-adequacy guard on the resolved envelope: smoothing filters out
     # band-edge truncation ringing, which is a resolution (not domain) issue
-    # and is already visible through result.tail_mass / domain_converged
+    # and is already visible through the result's tail_mass / domain_converged
     envelope_tail = grid.tail_mass(U.u, smooth=3.0 * max(grid.spacing))
     if envelope_tail > 1e-6:
         raise DomainTooSmall(f"resolved-profile tail mass {envelope_tail:.3e} > 1e-6; enlarge the box")
-    return result
+    return GroundStateResult(U, rep, grid.tail_mass(U.u), phys, wave, tuple(histories))
 
 
 def pohozaev_residual(phi: State, phys: PhysParams, wave: WaveParams) -> float:
@@ -403,7 +391,7 @@ def mu_scaling_check(
         # profile is not resolvable on this grid
         try:
             scaled = l2_scaling(base.phi, float(np.sqrt(omega)))
-            psi_omega = State(grid, omega ** ((2.0 - d) / 4.0) * scaled.state.u)
+            psi_omega = State(grid, omega ** ((2.0 - d) / 4.0) * scaled.u)
             q_scaled = evaluate(psi_omega, phys, wave).Q
             q_pred = omega ** (1.0 - d / 2.0) * base.report.Q
             q_err = abs(q_scaled - q_pred) / abs(q_pred)
@@ -510,7 +498,6 @@ def sample_below_level(
     mu: float,
     rng: np.random.Generator,
     n: int,
-    negative_fraction: float = 0.5,
 ):
     """Random states with action strictly below ``mu``, on both sides of K = 0.
 
@@ -519,7 +506,7 @@ def sample_below_level(
     at the constraint crossing and falls afterwards when N < 0, so the
     rising-branch root gives K > 0 and the falling-branch root K < 0.
     Returns a list of (state, report) pairs, those with K < 0
-    (round(n negative_fraction) of them) first; the report of sU follows
+    (round(n / 2) of them) first; the report of sU follows
     from that of U (FunctionalReport.scaled), so each draw is evaluated once.
 
     Draws come in rounds: each round draws every state still missing, at
@@ -536,7 +523,7 @@ def sample_below_level(
     are returned only when that cap is hit.
     """
     found = {True: [], False: []}  # keyed by K < 0
-    want_negative = int(round(n * negative_fraction))
+    want_negative = round(n / 2)
     per_round = max(1, SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
     attempts = 0
     while len(found[True]) + len(found[False]) < n and attempts < 50 * n:

@@ -80,12 +80,10 @@ def test_criterion_01_identity_suite(gs_c0, gs_c05):
     for res in (gs_c0, gs_c05):
         k_res = abs(res.report.K) / max(1.0, res.report.Lqc)
         ident = max(res.report.identity_residuals().values())
-        ok &= k_res < 1e-8 and res.pohozaev_residual < 1e-6
-        ok &= res.fourd_residual < 1e-6 and ident < 1e-13
-        details.append(
-            f"c={res.wave.c[0]}: |K|={k_res:.1e} poho={res.pohozaev_residual:.1e} "
-            f"4-d={res.fourd_residual:.1e} skl={ident:.1e}"
-        )
+        poho, fourd = res.report.pohozaev_residual(), res.report.fourd_residual(res.mu)
+        ok &= k_res < 1e-8 and poho < 1e-6
+        ok &= fourd < 1e-6 and ident < 1e-13
+        details.append(f"c={res.wave.c[0]}: |K|={k_res:.1e} poho={poho:.1e} 4-d={fourd:.1e} skl={ident:.1e}")
     elapsed = time.time() - t0
     ok &= elapsed < 120.0
     report("criterion 1 (identity suite)", ok, "; ".join(details) + f"; {elapsed:.0f}s")
@@ -311,8 +309,9 @@ def test_invariant_aplus_flow_bound(gs_c0_da):
     wave = gs_c0_da.wave
     cert = coercivity_certificate(PHYS, wave)
     rng = np.random.default_rng(9)
-    samples = sample_below_level(grid, PHYS, wave, gs_c0_da.mu, rng, 10, negative_fraction=0.0)
-    ok = True
+    # half the draws have K < 0; the flow is run on the 10 with K > 0
+    samples = [(s, r) for s, r in sample_below_level(grid, PHYS, wave, gs_c0_da.mu, rng, 20) if r.K > 0]
+    ok = len(samples) == 10
     for state, rep0 in samples:
         _, tr = evolve(state, PHYS, wave, EvolveConfig(dt=1e-3, t_final=1.0, record_stride=100))
         ok &= bool(np.all(tr.K > 0))

@@ -382,7 +382,7 @@ class TestL2Scaling:
         g = Grid(128, 40.0)
         state = gaussian_state(g)
         out = l2_scaling(state, 1.0)
-        assert np.max(np.abs(out.state.u - state.u)) < 1e-10
+        assert np.max(np.abs(out.u - state.u)) < 1e-10
 
     def test_scaling_laws_1d(self):
         g = Grid(512, 40.0)
@@ -391,7 +391,7 @@ class TestL2Scaling:
         rep = evaluate(state, PHYS, wave)
         for lam in (0.5, 2.0):
             out = l2_scaling(state, lam)
-            rep_s = evaluate(out.state, PHYS, wave)
+            rep_s = evaluate(out, PHYS, wave)
             assert abs(rep_s.Q - rep.Q) < 1e-8 * rep.Q
             assert abs(rep_s.L - lam**2 * rep.L) < 1e-6 * rep.L
             assert abs(rep_s.N - lam ** (g.d / 2 + 1) * rep.N) < 1e-6 * abs(rep.N)
@@ -405,7 +405,7 @@ class TestL2Scaling:
         state = State(g, state.u * carrier)
         P = evaluate(state, PHYS, wave1d()).P
         out = l2_scaling(state, 2.0)
-        P_s = evaluate(out.state, PHYS, wave1d()).P
+        P_s = evaluate(out, PHYS, wave1d()).P
         assert abs(P_s[0] - 2.0 * P[0]) < 1e-6 * abs(P[0])
 
     def test_resolution_loss(self):

@@ -103,16 +103,15 @@ class TestSolve:
         res = gs_1d
         assert res.mu > 0
         assert abs(res.report.K) <= 1e-8 * max(1.0, res.report.Lqc)
-        assert res.final_residual < 1e-9
-        assert res.pohozaev_residual < 1e-6
-        assert res.fourd_residual < 1e-6
+        assert res.histories[-1].residual[-1] < 1e-9
+        assert res.report.pohozaev_residual() < 1e-6
+        assert res.report.fourd_residual(res.mu) < 1e-6
         assert res.domain_converged
 
     def test_monotone_descent_history(self, grid1d_box):
         wave = WaveParams(1.0, (0.0,))
         start = initial_ansatz(grid1d_box, PHYS, wave)
-        _, _, _, _, s_hist, _ = _descend(grid1d_box, PHYS, wave, FAST, start)
-        s_hist = np.asarray(s_hist)
+        s_hist = _descend(grid1d_box, PHYS, wave, FAST, start)[2].S
         assert np.all(np.diff(s_hist) <= 1e-12 * (1.0 + np.abs(s_hist[:-1])))
 
     def test_resolution_robustness(self, gs_1d):
@@ -127,7 +126,7 @@ class TestSolve:
             Grid(1024, 60.0), PHYS, wave, SolverConfig(restarts=1, residual_tol=1e-11)
         )
         assert abs(base.mu - oracle.mu) / oracle.mu < 1e-4
-        assert base.pohozaev_residual < 1e-6
+        assert base.report.pohozaev_residual() < 1e-6
         assert abs(base.report.K) < 1e-8
 
     def test_deterministic_given_seed(self):
@@ -165,8 +164,8 @@ class TestSolve:
         wave = WaveParams(1.0, (0.0,))
         a = solve_ground_state(g, PHYS, wave, SolverConfig(restarts=1, seed=1))
         b_start = initial_ansatz(g, PHYS, wave, center=(3.0,))
-        b, rep, _, res, _, _ = _descend(g, PHYS, wave, FAST, b_start)
-        assert res < 1e-9
+        b, rep, history = _descend(g, PHYS, wave, FAST, b_start)
+        assert history.residual[-1] < 1e-9
         assert abs(rep.S - a.mu) / a.mu < 1e-6
 
     def test_inadmissible_rejected(self, grid1d_box):
@@ -193,8 +192,7 @@ class TestSolve:
         assert excinfo.value.iterations < unreachable.max_iter
         assert "stalled" in str(excinfo.value)
         start = initial_ansatz(grid1d_box, PHYS, WaveParams(1.0, (0.0,)))
-        *_, termination = _descend(grid1d_box, PHYS, WaveParams(1.0, (0.0,)), FAST, start)
-        assert termination == "converged"
+        assert _descend(grid1d_box, PHYS, WaveParams(1.0, (0.0,)), FAST, start)[2].termination == "converged"
 
     def test_domain_too_small(self):
         with pytest.raises(DomainTooSmall):
@@ -282,10 +280,11 @@ class TestProjectedIteration:
         g = Grid((32, 32, 32), (20.0, 20.0, 20.0))
         wave = WaveParams(1.0, (0.0, 0.0, 0.0))
         start = initial_ansatz(g, PHYS, wave)
-        _, rep, _, residual, s_hist, termination = _descend(g, PHYS, wave, SolverConfig(), start)
-        assert termination == "converged"
-        assert residual < SolverConfig().residual_tol
+        _, rep, history = _descend(g, PHYS, wave, SolverConfig(), start)
+        assert history.termination == "converged"
+        assert history.residual[-1] < SolverConfig().residual_tol
         assert abs(rep.K) < 1e-8 * rep.Lqc
+        s_hist = history.S
         assert np.all(np.diff(s_hist) <= 1e-12 * (1.0 + np.abs(s_hist[:-1])))
 
     @pytest.mark.parametrize("dealias", [False, True])
@@ -298,8 +297,8 @@ class TestProjectedIteration:
         counts = []
         for max_iter in (2, 3):
             fft_calls["calls"] = 0
-            *_, termination = _descend(g, PHYS, wave, SolverConfig(max_iter=max_iter, restarts=1), start)
-            assert termination == "iteration_cap"
+            history = _descend(g, PHYS, wave, SolverConfig(max_iter=max_iter, restarts=1), start)[2]
+            assert history.termination == "iteration_cap"
             counts.append(fft_calls["calls"])
         assert counts[1] - counts[0] <= 3
 
@@ -350,13 +349,13 @@ class TestMomentum:
         # the same profile up to the translations and the gauge
         wave = WaveParams(1.0, c)
         start = initial_ansatz(grid, PHYS, wave)
-        heavy, rep, iters, _, history, termination = _descend(grid, PHYS, wave, FAST, start)
+        heavy, rep, history = _descend(grid, PHYS, wave, FAST, start)
         monkeypatch.setattr(ground_state, "MOMENTUM", 0.0)
-        plain, rep0, iters0, _, history0, termination0 = _descend(grid, PHYS, wave, FAST, start)
-        assert termination == termination0 == "converged"
+        plain, rep0, history0 = _descend(grid, PHYS, wave, FAST, start)
+        assert history.termination == history0.termination == "converged"
         assert abs(rep.S - rep0.S) <= 1e-12 * rep0.S
         assert orbit_distance(heavy, plain).distance <= 1e-7 * norm_h1(plain)
-        assert iters < iters0
+        assert history.iterations < history0.iterations
         assert history.momentum.any() and not history0.momentum.any()
 
     def test_rejected_and_restarted_momentum_still_converges(self, monkeypatch):
@@ -367,7 +366,7 @@ class TestMomentum:
         wave = WaveParams(1.0, (0.3,))
         start = initial_ansatz(g, PHYS, wave)
         monkeypatch.setattr(ground_state, "MOMENTUM", 0.0)
-        _, rep0, *_ = _descend(g, PHYS, wave, FAST, start)
+        _, rep0, _ = _descend(g, PHYS, wave, FAST, start)
         projections = {"calls": 0}
         project = ground_state._project
 
@@ -377,15 +376,15 @@ class TestMomentum:
 
         monkeypatch.setattr(ground_state, "_project", counting)
         monkeypatch.setattr(ground_state, "MOMENTUM", 0.6)
-        _, rep, iters, residual, history, termination = _descend(g, PHYS, wave, FAST, start)
-        assert termination == "converged"
-        assert residual < FAST.residual_tol
+        _, rep, history = _descend(g, PHYS, wave, FAST, start)
+        assert history.termination == "converged"
+        assert history.residual[-1] < FAST.residual_tol
         assert abs(rep.S - rep0.S) <= 1e-12 * rep0.S
         # one projection of the start and one per iteration, plus the rejected trials
-        assert projections["calls"] > iters + 1
+        assert projections["calls"] > history.iterations + 1
         # after the first step a move is always on hand, so a plain step is a drop or a restart
         assert not history.momentum[2:].all()
-        s_hist = np.asarray(history)
+        s_hist = history.S
         assert np.all(np.diff(s_hist) <= 1e-12 * (1.0 + np.abs(s_hist[:-1])))
 
     def test_history_rows(self):
@@ -393,14 +392,32 @@ class TestMomentum:
         wave = WaveParams(1.0, (0.3,))
         res = solve_ground_state(g, PHYS, wave, FAST)
         (history,) = res.histories
-        assert res.terminations == ("converged",)
-        assert len(history) == res.iterations + 1
+        assert history.termination == "converged"
+        assert len(history.S) == res.iterations + 1
         assert history.step[0] == 0.0 and not history.momentum[0]
         assert np.all(history.step[1:] > 0.0)
         assert history.S[-1] == res.mu
-        assert history.residual[-1] == res.final_residual
         # the first step has no previous move to carry
         assert not history.momentum[1]
+
+    def test_iterations_count_the_rejected_last_trial(self, grid1d_box):
+        # a converged descent begins one iteration per accepted trial; one
+        # that stops on a rejected trial has begun that iteration too
+        wave = WaveParams(1.0, (0.0,))
+        start = initial_ansatz(grid1d_box, PHYS, wave)
+        converged = _descend(grid1d_box, PHYS, wave, FAST, start)[2]
+        assert converged.termination == "converged"
+        assert converged.iterations == len(converged.S) - 1
+        unreachable = SolverConfig(restarts=2, residual_tol=1e-300)
+        stalled = _descend(grid1d_box, PHYS, wave, unreachable, start)[2]
+        assert stalled.termination == "residual_growth"
+        assert stalled.iterations == len(stalled.S)
+        with pytest.raises(NoConvergence) as excinfo:
+            solve_ground_state(grid1d_box, PHYS, wave, unreachable)
+        histories = excinfo.value.histories
+        assert [h.termination for h in histories] == ["residual_growth"] * 2
+        assert excinfo.value.iterations == sum(h.iterations for h in histories) == sum(len(h.S) for h in histories)
+        assert excinfo.value.residual == histories[-1].residual[-1]
 
 
 class TestIdentities:
@@ -431,13 +448,13 @@ class TestCarriedReport:
         # one evaluation, of the first ansatz: its descent converges and carries the report
         assert evaluate_calls["calls"] == 1
         rep = evaluate(res.phi, PHYS, wave)
-        assert abs(res.pohozaev_residual - pohozaev_residual(res.phi, PHYS, wave)) <= 1e-12
-        assert abs(res.fourd_residual - rep.fourd_residual(res.mu)) <= 1e-12
+        assert abs(res.report.pohozaev_residual() - pohozaev_residual(res.phi, PHYS, wave)) <= 1e-12
+        assert abs(res.report.fourd_residual(res.mu) - rep.fourd_residual(res.mu)) <= 1e-12
 
 
 class TestStabilityMarginAndThreshold:
     def test_margin_equals_charge_at_zero_speed(self, gs_1d):
-        margin = gs_1d.stability_margin
+        margin = gs_1d.report.stability_margin()
         assert abs(margin - gs_1d.report.Q) < 1e-10 * gs_1d.report.Q
         assert margin > 0
         # in M*: the display quantity omega Q + c.P reaches the level 0
