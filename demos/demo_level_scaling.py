@@ -1,6 +1,6 @@
-# The minimal action level obeys a frequency power law, and its restriction
-# to the scaling curve has closed-form derivatives; both are checked against
-# independent solves.
+# The minimal action level and the charge obey frequency power laws, and the
+# level's restriction to the scaling curve has closed-form derivatives; all
+# are checked against independent solves.
 
 from dnls3.grid import Grid
 from dnls3.ground_state import SolverConfig, h_curve, mu_scaling_check
@@ -10,10 +10,11 @@ phys = PhysParams(1.0, 1.0, 1.0)
 grid = Grid(512, 40.0)
 solver = SolverConfig(restarts=1)
 
-print("frequency power law  mu(omega, sqrt(omega) c0) = omega^(2 - d/2) mu(1, c0)")
-print(f"{'omega':>7s} {'mu (solved)':>16s} {'mu (power law)':>16s} {'rel error':>12s}")
+print("frequency power laws  mu(omega, sqrt(omega) c0) = omega^(2 - d/2) mu(1, c0)")
+print("                      Q(omega, sqrt(omega) c0)  = omega^(1 - d/2) Q(1, c0)")
+print(f"{'omega':>7s} {'mu (solved)':>16s} {'mu (power law)':>16s} {'mu rel error':>13s} {'Q rel error':>12s}")
 for p in mu_scaling_check(grid, phys, (0.0,), [0.5, 1.0, 2.0, 4.0], solver):
-    print(f"{p.omega:7.2f} {p.mu:16.10f} {p.mu_predicted:16.10f} {p.rel_error:12.2e}")
+    print(f"{p.omega:7.2f} {p.mu:16.10f} {p.mu_predicted:16.10f} {p.rel_error:13.2e} {p.q_scaling_error:12.2e}")
 
 print()
 print("scaling-curve derivatives at tau = 0 (five-point stencil vs closed form)")

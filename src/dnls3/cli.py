@@ -344,7 +344,7 @@ def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
             "delta": delta,
             "max_orbit_distance": report.max_orbit_distance,
             "final_orbit_distance": report.final_orbit_distance,
-            "bounded_by_10_delta": report.max_orbit_distance < 10 * delta if delta > 0 else None,
+            "bounded_by_10_delta": report.max_orbit_distance < 10 * abs(delta) if delta != 0 else None,
             "sandwich": [dataclasses.asdict(c) for c in report.sandwich],
         },
     )

@@ -13,10 +13,6 @@ class DegenerateNonlinearity(Dnls3Error):
     """Coupling term vanishes; the Nehari rescaling 1/N is undefined."""
 
 
-class ResolutionLoss(Dnls3Error):
-    """Spectral rescaling pushed significant mass past the resolvable band."""
-
-
 class NoConvergence(Dnls3Error):
     """Every descent stopped before reaching the residual tolerance.
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNonlinearity, ResolutionLoss
+from .errors import DegenerateNonlinearity
 from .grid import Grid, State
 from .params import PhysParams, WaveParams
 
@@ -307,22 +307,6 @@ class WellMembership:
 def _plain(flags):
     """A Python bool for a scalar flag, the boolean array otherwise."""
     return bool(flags) if np.ndim(flags) == 0 else flags
-
-
-def l2_scaling(state: State, lam: float) -> State:
-    """Charge-preserving dilation lam^{d/2} U(lam x) by spectral interpolation.
-
-    On well-resolved fields and lam in [1/2, 2]: Q is invariant, L scales by
-    lam^2, N by lam^{d/2+1} and P by lam. Raises ResolutionLoss when the
-    dilated field leaks more than 1e-8 of its mass past the
-    resolvable band.
-    """
-    g = state.grid
-    out = State(g, lam ** (g.d / 2.0) * g.scale_coordinates(state.u, lam))
-    alias = g.aliasing_mass(out.u)
-    if alias > 1e-8:
-        raise ResolutionLoss(f"aliasing mass {alias:.3e} exceeds 1.0e-08 at lambda={lam}")
-    return out
 
 
 def gauge_phases(theta: float) -> np.ndarray:

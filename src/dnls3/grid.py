@@ -371,45 +371,6 @@ class Grid:
         mass = mass.reshape(-1, *self.shape).sum(axis=0)
         return float(mass[outer].sum() / total)
 
-    def aliasing_mass(self, f: np.ndarray) -> float:
-        """Relative spectral mass above 2/3 of the Nyquist band."""
-        F = np.abs(self.fft(f)) ** 2
-        F = F.reshape(-1, *self.shape).sum(axis=0)
-        outer = np.zeros(self.shape, dtype=bool)
-        for k in range(self.d):
-            cut = (2.0 / 3.0) * np.abs(self.xi_full[k]).max()
-            outer |= np.abs(self.xi_full[k]) > cut
-        total = F.sum()
-        if total == 0.0:
-            return 0.0
-        return float(F[outer].sum() / total)
-
-    def scale_coordinates(self, f: np.ndarray, lam: float) -> np.ndarray:
-        """Evaluate the trigonometric interpolant of f at the points lam*x.
-
-        Points mapped outside the box are set to zero (the decaying
-        extension of f, not the periodic wrap), so for lam > 1 the result
-        is faithful provided the tails of f are negligible. Exact for
-        band-limited data as long as lam*xi stays resolvable; content
-        pushed past the band wraps around (caller checks
-        :meth:`aliasing_mass` / :meth:`tail_mass` of the result).
-        """
-        if lam <= 0:
-            raise ValueError("scaling factor must be positive")
-        out = self.fft(f)
-        for k in range(self.d):
-            nk = self.n[k]
-            xi_full = self.xi_full[k].reshape(nk)
-            # Fourier-series coefficients relative to e^{i xi x}
-            coeff_phase = np.exp(1j * xi_full * self.extent[k] / 2.0) / np.sqrt(nk)
-            eval_matrix = np.exp(1j * np.outer(lam * self.axes[k], xi_full)) * coeff_phase
-            inside = np.abs(lam * self.axes[k]) <= self.extent[k] / 2.0
-            eval_matrix *= inside[:, None]
-            out = np.moveaxis(out, -self.d + k, -1)
-            out = out @ eval_matrix.T
-            out = np.moveaxis(out, -1, -self.d + k)
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Grid)

@@ -27,7 +27,6 @@ from dnls3.functionals import WellMembership, coercivity_certificate, evaluate
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import (
     SolverConfig,
-    gwp2d_threshold,
     h_curve,
     mu_scaling_check,
     sample_below_level,
@@ -109,7 +108,7 @@ def test_criterion_03_2d_zero_energy():
     grid2 = Grid((256, 256), (30.0, 30.0))
     res = solve_ground_state(grid2, PHYS, WaveParams(1.0, (0.0, 0.0)), SOLVER)
     e_over_l = abs(res.report.E) / res.report.L
-    thr = gwp2d_threshold(res)
+    thr = res.report.Q - res.report.E
     thr_err = abs(thr - res.mu) / res.mu
     ok = e_over_l < 1e-6 and thr_err < 1e-6
     report(

@@ -478,6 +478,8 @@ class TestCli:
         lines = (outdir / "mu_scan.csv").read_text().strip().splitlines()
         assert lines[0] == "omega,mu,mu_predicted,rel_error,q_scaling_error"
         assert len(lines) == 3
+        q_errors = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert all(np.isfinite(q) and q < 1e-4 for q in q_errors)
 
     def test_h_curve_subcommand(self, tmp_path):
         cfg_path, outdir = small_config(tmp_path, "hc_run")
@@ -487,12 +489,14 @@ class TestCli:
         assert payload["rel_h2"] < 5e-2
         assert len((outdir / "h_curve.csv").read_text().strip().splitlines()) == 6
 
-    def test_stability_subcommand(self, tmp_path):
+    @pytest.mark.parametrize("delta", [1e-3, -1e-3])
+    def test_stability_subcommand(self, tmp_path, delta):
+        # a negative delta perturbs as much as a positive one
         cfg_path, outdir = small_config(
             tmp_path,
             "stab_run",
             evolve={"dt": 1e-3, "t_final": 0.2, "record_stride": 50},
-            experiment={"delta": 1e-3},
+            experiment={"delta": delta},
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

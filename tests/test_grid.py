@@ -200,18 +200,6 @@ class TestStateAndScaling:
         shifted = g.translate(f, 3 * g.spacing[0])
         assert np.max(np.abs(shifted - np.roll(f, 3))) < 1e-11
 
-    def test_scale_coordinates_identity(self, rng):
-        g = Grid(32, 9.0)
-        f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        assert np.max(np.abs(g.scale_coordinates(f, 1.0) - f)) < 1e-11
-
-    def test_scale_coordinates_gaussian(self):
-        g = Grid(128, 30.0)
-        x = g.axes[0]
-        f = np.exp(-(x**2)).astype(complex)
-        out = g.scale_coordinates(f, 2.0)
-        assert np.max(np.abs(out - np.exp(-((2 * x) ** 2)))) < 1e-10
-
     def test_tail_and_alias_mass(self):
         g = Grid(64, 20.0)
         x = g.axes[0]

@@ -18,7 +18,6 @@ from dnls3.ground_state import (
     SolverConfig,
     _descend,
     _project,
-    gwp2d_threshold,
     h_curve,
     initial_ansatz,
     mu_scaling_check,
@@ -432,12 +431,22 @@ class TestIdentities:
         assert rep.fourd_residual(rep.S) > 1e-2
 
     def test_mu_scaling_small(self):
-        # omega=1 point is exact by construction; the dilation cross-check
-        # needs the finer grid to keep the sqrt(2)-dilated profile in band
+        # omega=1 point is exact by construction
         pts = mu_scaling_check(Grid(512, 40.0), PHYS, (0.0,), [1.0, 2.0], FAST)
         assert pts[0].rel_error == 0.0
         assert pts[1].rel_error < 1e-3
         assert pts[1].q_scaling_error < 1e-6
+
+    def test_q_scaling_error_is_the_charge_law_of_separate_solves(self):
+        # Q(omega, sqrt(omega) c0) = omega^{1-d/2} Q(1, c0) between independent solves
+        grid, c0, omegas = Grid(512, 40.0), 0.3, [0.5, 2.0]
+        pts = mu_scaling_check(grid, PHYS, (c0,), omegas, FAST)
+        q1 = solve_ground_state(grid, PHYS, WaveParams(1.0, (c0,)), FAST).report.Q
+        for pt, omega in zip(pts, omegas):
+            q = solve_ground_state(grid, PHYS, WaveParams(omega, (np.sqrt(omega) * c0,)), FAST).report.Q
+            law = omega ** (1 - grid.d / 2) * q1
+            assert abs(pt.q_scaling_error - abs(q - law) / law) <= 1e-12
+            assert pt.q_scaling_error < 1e-8
 
 
 class TestCarriedReport:
@@ -459,10 +468,6 @@ class TestStabilityMarginAndThreshold:
         assert margin > 0
         # in M*: the display quantity omega Q + c.P reaches the level 0
         assert gs_1d.report.G_display >= 0
-
-    def test_threshold_rejects_1d(self, gs_1d):
-        with pytest.raises(WrongDimension):
-            gwp2d_threshold(gs_1d)
 
 
 class TestHCurve:
