@@ -6,7 +6,7 @@ import numpy as np
 
 from dnls3.functionals import WellMembership, coercivity_certificate, evaluate
 from dnls3.grid import Grid, norm_h1
-from dnls3.ground_state import SolverConfig, sample_below_level, solve_ground_state
+from dnls3.ground_state import SolverConfig, reports_below_level, solve_ground_state
 from dnls3.params import PhysParams, WaveParams
 
 phys = PhysParams(1.0, 1.0, 1.0)
@@ -37,9 +37,9 @@ print(f"  observed min Lqc/||U||^2 over 200 random states: {worst:.4f}")
 
 print()
 print("well membership on 300 random states below the level:")
-samples = sample_below_level(grid, phys, wave, res.mu, rng, 300)
+reports = reports_below_level(grid, phys, wave, res.mu, rng, 300)
 n_plus = n_minus = disagreements = 0
-for state, rep in samples:
+for rep in reports:
     m = WellMembership.from_report(rep, res.mu)
     n_plus += m.aplus
     n_minus += m.aminus

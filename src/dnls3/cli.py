@@ -44,7 +44,7 @@ from .errors import (
 from .evolution import decay_rate_fit, evolve, h1_perturbation, stability_experiment
 from .functionals import WellMembership, coercivity_certificate, evaluate
 from .grid import State
-from .ground_state import MuScalePoint, h_curve, mu_scaling_check, sample_below_level, solve_ground_state
+from .ground_state import MuScalePoint, h_curve, mu_scaling_check, reports_below_level, solve_ground_state
 from .snapshot import FORMAT_VERSION, load_field, save_field
 
 USER_ERRORS = (
@@ -155,11 +155,11 @@ def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, started: floa
 def _write_solver_history(path: Path, histories) -> None:
     """One row per state of each descent: its start (iteration 0), then each accepted step."""
     rows = [
-        (k, i, h.S[i], h.residual[i], h.step[i], int(h.momentum[i]))
+        (k, i, h.S[i], h.residual[i], h.step[i], int(h.mixed[i]))
         for k, h in enumerate(histories)
         for i in range(len(h.S))
     ]
-    _write_csv(path, ["descent", "iteration", "S", "residual", "step", "momentum"], rows)
+    _write_csv(path, ["descent", "iteration", "S", "residual", "step", "mixed"], rows)
 
 
 def _cmd_gs(cfg: RunConfig, outdir: Path) -> int:
@@ -264,9 +264,9 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
     cert = coercivity_certificate(cfg.phys, cfg.wave)
     rng = np.random.default_rng(cfg.solver.seed)
     wanted = exp.get("samples", 200)
-    samples = sample_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, wanted)
-    # the flags of all samples at once, from their stacked reports
-    stacked = SimpleNamespace(**{k: np.array([getattr(r, k) for _, r in samples]) for k in ("Q", "S", "K", "N", "Lqc")})
+    # the flags of all samples at once, from their stacked reports; the states are not kept
+    reports = reports_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, wanted)
+    stacked = SimpleNamespace(**{k: np.array([getattr(r, k) for r in reports]) for k in ("Q", "S", "K", "N", "Lqc")})
     disagreements = int(np.count_nonzero(~WellMembership.from_report(stacked, mu).agree))
     lqc_nonpositive = int(np.count_nonzero(stacked.Lqc <= 0))
 
@@ -274,7 +274,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
     passed = (
         identities_passed
         and cert.min_coeff > 0
-        and len(samples) == wanted
+        and len(reports) == wanted
         and disagreements == 0
         and lqc_nonpositive == 0
     )
@@ -293,7 +293,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
                 "mass_coeffs": list(cert.mass_coeffs),
                 "min_coeff": cert.min_coeff,
             },
-            "well_samples": len(samples),
+            "well_samples": len(reports),
             "well_disagreements": disagreements,
             "lqc_nonpositive": lqc_nonpositive,
             "thresholds": CHECK_THRESHOLDS,

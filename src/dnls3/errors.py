@@ -25,7 +25,7 @@ class NoConvergence(Dnls3Error):
     REASONS = {
         "iteration_cap": "hit the iteration cap",
         "invalid_step": "stalled: halving the step below 1e-10 left no projected trial that is valid and does not raise the action",
-        "residual_growth": "stalled: an accepted step without momentum did not lower the residual",
+        "residual_growth": "stalled: MEMORY + 1 steps in a row did not lower the best residual",
     }
 
     def __init__(self, histories):

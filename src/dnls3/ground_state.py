@@ -1,27 +1,28 @@
 """Ground states: constrained minimization of the action and its diagnostics.
 
 The minimizer of S over the zero set of K (the natural constraint obtained
-by differentiating S along rays) is computed by a projected heavy-ball
-iteration of Petviashvili type:
+by differentiating S along rays) is computed by a projected fixed-point
+iteration of Petviashvili type, accelerated by Anderson mixing:
 
     1. evaluate the action gradient,
     2. apply the inverse of its linear part (the three frequency-shifted
        resolvents), which equalizes spectral stiffness,
-    3. step against it with the fixed step STEP and add MOMENTUM times the
-       previous move (Polyak's heavy ball), and
+    3. step against it with the fixed step STEP, and combine that step with
+       the last MEMORY ones so that the preconditioned gradients'
+       differences best cancel the current one (Anderson, J. ACM 12, 1965),
+       and
     4. project the trial (see _project): rotate u3 so that the complex
        coupling C = (u3, grad(u1 . conj(u2))) is real and negative, then
        rescale onto the constraint with lambda = -Lqc / (3N).
 
 The phase rotation removes the one direction that neither the gauge nor
 the rescaling controls (the relative phase of u3 against u1 . conj(u2));
-without it no fixed step near 1 converges. A trial with momentum that is
-invalid or raises the action is retried without it, and only a plain step
-is halved; an accepted step with momentum that fails to lower the
-preconditioned residual restarts the momentum, and the iteration stops
-when a plain one does. The minimizer is a stationary point of the
-unconstrained action because the constraint's Lagrange multiplier
-vanishes there.
+without it no fixed step near 1 converges. A mixed trial that is invalid or
+raises the action is retried as a plain step and the history is dropped,
+and only a plain step is halved; the iteration stops when MEMORY + 1
+steps in a row fail to lower the best preconditioned residual.
+The minimizer is a stationary point of the unconstrained action because
+the constraint's Lagrange multiplier vanishes there.
 
 The module also verifies the structural identities of converged profiles:
 the dilation (Pohozaev-type) identity, the (4-d) charge/momentum identity,
@@ -177,15 +178,20 @@ def initial_ansatz(grid: Grid, phys: PhysParams, wave: WaveParams, center=None) 
 # them oscillating undamped, 0.9 contracts them by 0.8 per iteration.
 STEP = 0.9
 
-# The heavy-ball weight beta of the previous move F_k - F_{k-1} carried into
-# each trial. With step alpha, a mode of the preconditioned Hessian with
-# eigenvalue lambda contracts by sqrt(beta) per iteration whenever
-# (1 - sqrt(beta))^2 < alpha lambda < (1 + sqrt(beta))^2, which for
-# alpha = 0.9 and beta = 0.4 is 0.15 < lambda < 2.96. That covers the exact
-# eigenvalue 2 of the component rescalings and the lower edge near 0.16 that
-# the plain iteration's measured rate 1 - 0.9 lambda = 0.853 (1D, 512
-# points, extent 40) implies: sqrt(0.4) = 0.63 per iteration instead.
-MOMENTUM = 0.4
+# The depth of the Anderson mixing: how many of the latest differences of
+# iterates and of their preconditioned gradients each trial combines. On a
+# linear map, mixing with unbounded depth is GMRES (Walker & Ni, SIAM J.
+# Numer. Anal. 49, 2011), so the depth is the Krylov space kept: it has to
+# hold the outlying eigenvalues of the preconditioned Hessian (2 for the
+# component rescalings) beside the bulk, whose lower edge near 0.16 sets the
+# plain iteration's rate 0.85. The depth also sets the stall window (MEMORY
+# + 1 accepted steps), and the 3D 32^3, extent-12 descent holds its best
+# residual for 6 steps while S falls, so a depth of 4 stops it early.
+# Summed over 21 1D grids and waves, depths 6, 8, 10 and 16 take 599, 504,
+# 466 and 436 iterations (the 2D 128^2 and 3D 32^3 descents 20 to 22 and 30
+# or 31 at all four), while each difference held costs two arrays of the
+# state's size: 8 takes most of the gain at half the memory of 16.
+MEMORY = 8
 
 
 def _project(grid: Grid, phys: PhysParams, wave: WaveParams, F: np.ndarray):
@@ -219,7 +225,7 @@ class DescentHistory:
 
     ``S`` and ``residual`` are the projected state's action and
     preconditioned residual, ``step`` the step that reached it (0 at the
-    start) and ``momentum`` whether its trial carried the previous move.
+    start) and ``mixed`` whether its trial was mixed from the history.
     ``termination`` is "converged" or a NoConvergence reason.
     ``iterations`` counts the iterations begun: one per accepted trial,
     plus the last one when its trial was rejected ("invalid_step",
@@ -229,30 +235,37 @@ class DescentHistory:
     S: np.ndarray
     residual: np.ndarray
     step: np.ndarray
-    momentum: np.ndarray
+    mixed: np.ndarray
     iterations: int
     termination: str
 
 
 def _descend(grid, phys, wave, config, start: State):
-    """Projected heavy-ball iteration from one start.
+    """Projected fixed-point iteration from one start, with Anderson mixing.
 
-    The trial F_k - STEP Fpg_k + MOMENTUM (F_k - F_{k-1}) steps against the
-    preconditioned gradient Fpg_k and carries the previous move; it is
-    projected (_project) and accepted when it is valid and does not raise S
-    beyond a 1e-12 rounding slack. A trial with momentum that fails is
-    retried without it; only a plain step is halved. An accepted step with
-    momentum that fails to lower the preconditioned residual is kept, but
-    the next trial carries no momentum; a plain one that fails ends the
-    descent with the state before it. S thus never rises, and each
+    The map is G(F) = F - STEP Fpg(F), a step against the preconditioned
+    gradient. The trial G(F_k) - sum_i gamma_i (G(F_{i+1}) - G(F_i)) runs
+    over the last MEMORY iterates, gamma being the least-squares fit of
+    Fpg_k by the differences Fpg_{i+1} - Fpg_i in the residual's weighted
+    inner product. The trial is projected (_project) and accepted when it
+    is valid and does not raise S beyond a 1e-12 rounding slack. A mixed
+    trial that fails is retried plain, G(F_k), and the history is dropped;
+    only a plain step is halved. An accepted trial that does not lower the
+    best residual so far, after MEMORY accepted ones that did not either,
+    ends the descent with the state before it. S thus never rises, and each
     iteration makes one projection unless a trial is rejected. Returns
     (state, report, history), history a DescentHistory.
     """
     sym_inv = np.stack(resolvent_symbols(grid, phys, wave))[:, None]
     weights = (1.0 + grid.k2) * grid.weight
+    root = np.sqrt(weights)
 
     def iterate(F):
-        """The projection of spectrum F with its preconditioned gradient and residual, or None."""
+        """The projection of spectrum F with its preconditioned gradient and residual, or None.
+
+        The gradient comes twice: as Fpg, and weighted as real numbers (wpg),
+        whose dot products are the residual's inner product.
+        """
         projected = _project(grid, phys, wave, F)
         if projected is None:
             return None
@@ -260,42 +273,63 @@ def _descend(grid, phys, wave, config, start: State):
         # the resolvents invert the linear part of the gradient exactly
         Fpg = sym_inv * dN
         Fpg += F
-        res = float(np.sqrt(np.sum(weights * np.abs(Fpg) ** 2) / np.sum(weights * np.abs(F) ** 2)))
-        return F, u, rep, Fpg, res
+        wpg = (root * Fpg).view(np.float64).ravel()
+        res = float(np.sqrt(np.dot(wpg, wpg) / np.sum(weights * np.abs(F) ** 2)))
+        return F, u, rep, Fpg, wpg, res
 
     current = iterate(grid.fft(start.u))
     if current is None:
         raise DegenerateNonlinearity("the start has no valid Nehari projection")
-    F, u, rep, Fpg, residual = current
+    F, u, rep, Fpg, wpg, residual = current
     rows = [(rep.S, residual, 0.0, False)]
 
     def finish(termination):
-        S, res, steps, carried = (np.array(column) for column in zip(*rows))
-        return State(grid, u), rep, DescentHistory(S, res, steps, carried, it, termination)
+        S, res, steps, mixed = (np.array(column) for column in zip(*rows))
+        return State(grid, u), rep, DescentHistory(S, res, steps, mixed, it, termination)
 
+    # the history, oldest first: differences of G and of the weighted gradient,
+    # and in the leading block of gram the Gram matrix of the latter
+    dG, dW, gram = [], [], np.empty((MEMORY, MEMORY))
+    best, stale = residual, 0
     it = 0
-    move = None  # F_k - F_{k-1}, or None when the next trial carries no momentum
     while residual >= config.residual_tol and it < config.max_iter:
         it += 1
-        step, beta = STEP, MOMENTUM if move is not None else 0.0
+        step, mixed = STEP, bool(dG)
+        if mixed:
+            k = len(dW)
+            gamma = np.linalg.lstsq(gram[:k, :k], [np.dot(w, wpg) for w in dW], rcond=None)[0]
         while True:
-            plain = F - step * Fpg
-            trial = iterate(plain + beta * move if beta else plain)
+            F_trial = F - step * Fpg
+            if mixed:
+                for g, d in zip(gamma, dG):
+                    F_trial -= g * d
+            trial = iterate(F_trial)
             # a non-finite action fails the comparison too
             if trial is not None and trial[2].S <= rep.S + 1e-12 * (1.0 + abs(rep.S)):
                 break
-            if beta:
-                beta = 0.0
+            if mixed:
+                mixed = False
+                dG, dW = [], []
                 continue
             step *= 0.5
             if step < 1e-10:
                 return finish("invalid_step")
-        if trial[4] >= residual and not beta:
+        if trial[5] < best:
+            best, stale = trial[5], 0
+        elif stale == MEMORY:
             return finish("residual_growth")
-        # a step with momentum that did not lower the residual restarts the momentum
-        move = trial[0] - F if trial[4] < residual else None
-        F, u, rep, Fpg, residual = trial
-        rows.append((rep.S, residual, step, bool(beta)))
+        else:
+            stale += 1
+        dG.append((trial[0] - F) - STEP * (trial[3] - Fpg))
+        dW.append(trial[4] - wpg)
+        if len(dG) > MEMORY:
+            del dG[0], dW[0]
+            gram[:-1, :-1] = gram[1:, 1:]
+        k = len(dW)
+        if k:
+            gram[k - 1, :k] = gram[:k, k - 1] = [np.dot(w, dW[-1]) for w in dW]
+        F, u, rep, Fpg, wpg, residual = trial
+        rows.append((rep.S, residual, step, mixed))
 
     return finish("converged" if residual < config.residual_tol else "iteration_cap")
 
@@ -509,6 +543,26 @@ def sample_below_level(
     is that of draws with N < 0. At most 50 n states are drawn; fewer than n
     are returned only when that cap is hit.
     """
+    return _below_level(grid, phys, wave, mu, rng, n, lambda s, u, rep: (State(grid, s * u), rep))
+
+
+def reports_below_level(
+    grid: Grid,
+    phys: PhysParams,
+    wave: WaveParams,
+    mu: float,
+    rng: np.random.Generator,
+    n: int,
+):
+    """The reports of ``sample_below_level``'s states for the same rng, without the states.
+
+    Only the current round's batch is held, so the memory does not grow with n.
+    """
+    return _below_level(grid, phys, wave, mu, rng, n, lambda s, u, rep: rep)
+
+
+def _below_level(grid, phys, wave, mu, rng, n, keep):
+    """The draws of sample_below_level, each kept as keep(s, U, report of sU), K < 0 first."""
     found = {True: [], False: []}  # keyed by K < 0
     want_negative = round(n / 2)
     per_round = max(1, SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
@@ -547,5 +601,5 @@ def sample_below_level(
                 continue
             if not (rep_s.K < 0 if negative[i] else rep_s.K > 0):
                 continue
-            found[bool(negative[i])].append((State(grid, s * u[i]), rep_s))
+            found[bool(negative[i])].append(keep(s, u[i], rep_s))
     return found[True] + found[False]

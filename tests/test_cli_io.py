@@ -299,7 +299,7 @@ class TestCli:
         payload = json.loads(runs[0]["ground_state.json"])
         assert payload["termination"] == ["converged"]
         lines = runs[0]["solver_history.csv"].decode().splitlines()
-        assert lines[0] == "descent,iteration,S,residual,step,momentum"
+        assert lines[0] == "descent,iteration,S,residual,step,mixed"
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert len(rows) == payload["iterations"] + 1
         assert np.array_equal(rows[:, 1], np.arange(len(rows)))
@@ -333,7 +333,7 @@ class TestCli:
         assert record["error"] == "NoConvergence"
         assert record["termination"] == ["iteration_cap", "iteration_cap"]
         lines = (outdir / "solver_history.csv").read_text().splitlines()
-        assert lines[0] == "descent,iteration,S,residual,step,momentum"
+        assert lines[0] == "descent,iteration,S,residual,step,mixed"
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.array_equal(rows[:, 0], np.repeat([0.0, 1.0], 4))
         assert np.array_equal(rows[:, 1], np.tile(np.arange(4.0), 2))
@@ -434,8 +434,8 @@ class TestCli:
     @pytest.mark.parametrize("kept", [9, 0])
     def test_check_fails_on_fewer_samples(self, tmp_path, monkeypatch, kept):
         # a sampler that stops short (say at its draw cap) leaves the well equality unchecked
-        sample = cli.sample_below_level
-        monkeypatch.setattr(cli, "sample_below_level", lambda *args: sample(*args)[:kept])
+        sample = cli.reports_below_level
+        monkeypatch.setattr(cli, "reports_below_level", lambda *args: sample(*args)[:kept])
         cfg_path, outdir = small_config(tmp_path, "short_check", experiment={"samples": 10})
         assert run_subcommand(["check", "--config", str(cfg_path)]) == 3
         payload = json.loads((outdir / "check.json").read_text())

@@ -23,6 +23,7 @@ from dnls3.ground_state import (
     mu_scaling_check,
     pohozaev_residual,
     precondition,
+    reports_below_level,
     resolvent_symbols,
     sample_below_level,
     solve_ground_state,
@@ -250,6 +251,14 @@ class TestSampleBelowLevel:
             assert np.sign(rep.N) == np.sign(direct.N)
             assert rep.S < gs_1d.mu
 
+    def test_reports_without_states_are_the_same(self, gs_1d):
+        # the same rng stream gives the same reports, in the same order, and leaves the rng in the same place
+        g, wave = Grid(512, 40.0), WaveParams(1.0, (0.3,))
+        rng_states, rng_reports = np.random.default_rng(7), np.random.default_rng(7)
+        samples = sample_below_level(g, PHYS, wave, gs_1d.mu, rng_states, 200)
+        reports = reports_below_level(g, PHYS, wave, gs_1d.mu, rng_reports, 200)
+        assert reports == [rep for _, rep in samples]
+        assert rng_states.random() == rng_reports.random()
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_transforms_per_round(self, gs_1d, dealias, fft_calls):
@@ -344,28 +353,29 @@ class TestMomentum:
         ids=["1d-plain", "1d-dealiased", "2d"],
     )
     def test_same_minimizer_as_plain_iteration(self, monkeypatch, grid, c):
-        # the iteration without momentum is the oracle: the same level, and
+        # the iteration without mixing is the oracle: the same level, and
         # the same profile up to the translations and the gauge
         wave = WaveParams(1.0, c)
         start = initial_ansatz(grid, PHYS, wave)
-        heavy, rep, history = _descend(grid, PHYS, wave, FAST, start)
-        monkeypatch.setattr(ground_state, "MOMENTUM", 0.0)
+        mixed, rep, history = _descend(grid, PHYS, wave, FAST, start)
+        monkeypatch.setattr(ground_state, "MEMORY", 0)
         plain, rep0, history0 = _descend(grid, PHYS, wave, FAST, start)
         assert history.termination == history0.termination == "converged"
         assert abs(rep.S - rep0.S) <= 1e-12 * rep0.S
-        assert orbit_distance(heavy, plain).distance <= 1e-7 * norm_h1(plain)
+        assert orbit_distance(mixed, plain).distance <= 1e-7 * norm_h1(plain)
         assert history.iterations < history0.iterations
-        assert history.momentum.any() and not history0.momentum.any()
+        assert history.mixed.any() and not history0.mixed.any()
 
-    def test_rejected_and_restarted_momentum_still_converges(self, monkeypatch):
-        # a heavier ball overshoots: some trials with momentum raise S and are
-        # retried without it, some accepted ones raise the residual and
-        # restart the momentum; the descent still reaches the plain level
-        g = Grid(256, 40.0)
-        wave = WaveParams(1.0, (0.3,))
+    def test_rejected_mixed_trials_still_converge(self, monkeypatch):
+        # on this coarse 2D grid a mixed trial raises S: it is retried as a
+        # plain step and the history is dropped; the descent still reaches
+        # the plain level
+        g = Grid((32, 32), (16.0, 16.0))
+        wave = WaveParams(1.0, (0.2, 0.0))
         start = initial_ansatz(g, PHYS, wave)
-        monkeypatch.setattr(ground_state, "MOMENTUM", 0.0)
+        monkeypatch.setattr(ground_state, "MEMORY", 0)
         _, rep0, _ = _descend(g, PHYS, wave, FAST, start)
+        monkeypatch.undo()
         projections = {"calls": 0}
         project = ground_state._project
 
@@ -374,15 +384,48 @@ class TestMomentum:
             return project(*args)
 
         monkeypatch.setattr(ground_state, "_project", counting)
-        monkeypatch.setattr(ground_state, "MOMENTUM", 0.6)
         _, rep, history = _descend(g, PHYS, wave, FAST, start)
         assert history.termination == "converged"
         assert history.residual[-1] < FAST.residual_tol
         assert abs(rep.S - rep0.S) <= 1e-12 * rep0.S
         # one projection of the start and one per iteration, plus the rejected trials
         assert projections["calls"] > history.iterations + 1
-        # after the first step a move is always on hand, so a plain step is a drop or a restart
-        assert not history.momentum[2:].all()
+        # after the first step the history is never empty, so a plain step is a retry
+        assert not history.mixed[2:].all()
+        s_hist = history.S
+        assert np.all(np.diff(s_hist) <= 1e-12 * (1.0 + np.abs(s_hist[:-1])))
+
+    # Iterations a projected heavy-ball descent (step 0.9 plus 0.4 times the
+    # previous move, the same safeguards, stopping when a plain step does not
+    # lower the residual) takes from the same seed to stall at
+    # residual_tol = 1e-300.
+    HEAVY_BALL_STALL = {
+        ("plain-64", 0.0): 81,
+        ("plain-64", 0.9): 81,
+        ("plain-64", 1.9): 78,
+        ("plain-256", 0.0): 80,
+        ("plain-256", 0.9): 100,
+        ("plain-256", 1.9): 81,
+        ("dealiased-512", 0.0): 97,
+        ("dealiased-512", 0.9): 86,
+        ("dealiased-512", 1.9): 76,
+    }
+    GRIDS = {"plain-64": Grid(64, 40.0), "plain-256": Grid(256, 40.0), "dealiased-512": Grid(512, 40.0, dealias=True)}
+
+    @pytest.mark.parametrize("grid, c", list(HEAVY_BALL_STALL), ids=[f"{g}-c{c}" for g, c in HEAVY_BALL_STALL])
+    def test_unreachable_tolerance_stalls(self, grid, c):
+        # below the rounding floor the best residual stops falling: the
+        # descent ends MEMORY + 1 accepted steps later, sooner than heavy-ball
+        g, wave = self.GRIDS[grid], WaveParams(1.0, (c,))
+        unreachable = SolverConfig(restarts=1, residual_tol=1e-300)
+        _, rep, history = _descend(g, PHYS, wave, unreachable, initial_ansatz(g, PHYS, wave))
+        assert history.termination == "residual_growth"
+        assert history.iterations < self.HEAVY_BALL_STALL[grid, c]
+        # the rejected last trial is the MEMORY + 1st in a row not to lower the best residual
+        best = np.minimum.accumulate(history.residual)
+        window = ground_state.MEMORY + 1
+        assert history.residual[-window] == best[-1] < best[-window - 1]
+        assert history.residual.min() < 1e-14
         s_hist = history.S
         assert np.all(np.diff(s_hist) <= 1e-12 * (1.0 + np.abs(s_hist[:-1])))
 
@@ -393,11 +436,11 @@ class TestMomentum:
         (history,) = res.histories
         assert history.termination == "converged"
         assert len(history.S) == res.iterations + 1
-        assert history.step[0] == 0.0 and not history.momentum[0]
+        assert history.step[0] == 0.0 and not history.mixed[0]
         assert np.all(history.step[1:] > 0.0)
         assert history.S[-1] == res.mu
-        # the first step has no previous move to carry
-        assert not history.momentum[1]
+        # the first step has no history to mix
+        assert not history.mixed[1]
 
     def test_iterations_count_the_rejected_last_trial(self, grid1d_box):
         # a converged descent begins one iteration per accepted trial; one
