@@ -201,10 +201,10 @@ def _start_profile(cfg: RunConfig):
     differ from the config grid is rejected. Without it the ground state is
     solved.
     """
-    if "field" not in cfg.experiment:
+    path = cfg.experiment["field"]
+    if path is None:
         res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
         return res.phi, res
-    path = cfg.experiment["field"]
     state = load_field(path)
     g, want = state.grid, cfg.grid
     if g.n != want.n or g.extent != want.extent:
@@ -220,10 +220,9 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
     # a solved start is its own orbit-distance reference; a snapshot start has none
     state, res = _start_profile(cfg)
     reference = None if res is None else state
-    exp = cfg.experiment
-    delta = exp.get("delta", 0.0)
+    delta = cfg.experiment["delta"]
     if delta != 0.0:
-        rng = np.random.default_rng(exp.get("perturbation_seed", cfg.solver.seed))
+        rng = np.random.default_rng(cfg.solver.seed)
         state = State(state.grid, state.u + delta * h1_perturbation(state.grid, rng).u)
     try:
         _, trace = evolve(state, cfg.phys, cfg.wave, cfg.evolve, reference=reference)
@@ -254,7 +253,6 @@ def _identity_gates(rep, mu: float):
 
 
 def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
-    exp = cfg.experiment
     phi, res = _start_profile(cfg)
     rep = evaluate(phi, cfg.phys, cfg.wave) if res is None else res.report
     mu = rep.S
@@ -263,7 +261,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
 
     cert = coercivity_certificate(cfg.phys, cfg.wave)
     rng = np.random.default_rng(cfg.solver.seed)
-    wanted = exp.get("samples", 200)
+    wanted = cfg.experiment["samples"]
     # the flags of all samples at once, from their stacked reports; the states are not kept
     reports = reports_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, wanted)
     stacked = SimpleNamespace(**{k: np.array([getattr(r, k) for r in reports]) for k in ("Q", "S", "K", "N", "Lqc")})
@@ -305,18 +303,14 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_mu_scan(cfg: RunConfig, outdir: Path) -> int:
-    exp = cfg.experiment
-    c0 = exp.get("c0", list(cfg.wave.c))
-    omegas = exp.get("omegas", [0.5, 1.0, 2.0, 4.0])
-    points = mu_scaling_check(cfg.grid, cfg.phys, c0, omegas, cfg.solver)
+    points = mu_scaling_check(cfg.grid, cfg.phys, cfg.wave.c, cfg.experiment["omegas"], cfg.solver)
     header = [f.name for f in dataclasses.fields(MuScalePoint)]
     _write_csv(outdir / "mu_scan.csv", header, map(dataclasses.astuple, points))
     return 0
 
 
 def _cmd_h_curve(cfg: RunConfig, outdir: Path) -> int:
-    tau_step = cfg.experiment.get("tau_step")
-    rep = h_curve(cfg.grid, cfg.phys, cfg.wave, tau_step=tau_step, config=cfg.solver)
+    rep = h_curve(cfg.grid, cfg.phys, cfg.wave, tau_step=cfg.experiment["tau_step"], config=cfg.solver)
     # the three series go to the CSV, every scalar field to the JSON
     series = ("taus", "mu_values", "mu_curve_predicted")
     _write_csv(outdir / "h_curve.csv", ["tau", "mu", "mu_curve_predicted"], zip(*(getattr(rep, k) for k in series)))
@@ -326,14 +320,10 @@ def _cmd_h_curve(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
-    exp = cfg.experiment
     res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
-    delta = exp.get("delta", 1e-2)
-    tau0s = exp.get("tau0s")
+    delta = cfg.experiment["delta"]
     try:
-        report = stability_experiment(
-            res, delta, cfg.evolve, tau0s=tau0s, seed=exp.get("perturbation_seed", cfg.solver.seed)
-        )
+        report = stability_experiment(res, delta, cfg.evolve, tau0s=cfg.experiment["tau0s"], seed=cfg.solver.seed)
     except NonFinite as exc:
         _write_partial_trace(outdir / "stability.csv", exc)
         raise
@@ -352,10 +342,8 @@ def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_decay(cfg: RunConfig, outdir: Path) -> int:
-    exp = cfg.experiment
     phi, _ = _start_profile(cfg)
-    window = tuple(exp.get("window", (0.5, 0.9)))
-    rep = decay_rate_fit(phi, cfg.phys, cfg.wave, window=window)
+    rep = decay_rate_fit(phi, cfg.phys, cfg.wave, window=tuple(cfg.experiment["window"]))
     _write_json(outdir / "decay.json", dataclasses.asdict(rep))
     return 0
 
@@ -380,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file or literal JSON text")
-        p.add_argument("--seed", type=int, default=None, help="override the solver/perturbation seed")
+        p.add_argument("--seed", type=int, default=None, help="the run seed: overrides solver.seed")
         p.add_argument("--out", default=None, help="override the output directory")
     return parser
 

@@ -1,8 +1,11 @@
 """Run configuration: strict JSON with materialized defaults.
 
 A config document has exactly the key groups "physics", "wave", "grid",
-"solver", "evolve", "experiment" and "output"; unknown keys anywhere are
-rejected by name. ``parse_config`` fills every default and returns the
+"solver", "evolve", "experiment" and "output". The keys and defaults of
+"physics", "solver" and "evolve" are the fields of their dataclasses, and
+each value passes its field's own rule; the experiment keys a subcommand
+reads, and their defaults, are its row of ``EXPERIMENTS``. Unknown keys
+are rejected by name. ``parse_config`` fills every default and returns the
 constructed parameter objects; the fully-expanded document is built from
 them, and its canonical serialization (sorted keys) is hashed into run
 manifests.
@@ -13,16 +16,25 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ParseError, ValidationError
-from .evolution import SCHEMES, EvolveConfig
+from .evolution import EvolveConfig
 from .grid import DEFAULT_EXTENT, Grid
 from .ground_state import SolverConfig
 from .params import PhysParams, WaveParams
 
-# experiments whose wave parameters must be admissible before any solve
-SOLVE_EXPERIMENTS = ("gs", "check", "mu-scan", "h-curve", "stability", "decay", "evolve")
+# the experiment keys each subcommand reads, with their defaults; None is
+# "no snapshot" for field and "derived from omega" for tau_step and tau0s
+EXPERIMENTS = {
+    "gs": {},
+    "evolve": {"field": None, "delta": 0.0},
+    "check": {"field": None, "samples": 200},
+    "mu-scan": {"omegas": [0.5, 1.0, 2.0, 4.0]},
+    "h-curve": {"tau_step": None},
+    "stability": {"delta": 1e-2, "tau0s": None},
+    "decay": {"field": None, "window": [0.5, 0.9]},
+}
 
 
 @dataclass
@@ -62,7 +74,7 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-def _require_keys(group: dict, allowed: set, context: str):
+def _require_keys(group: dict, allowed, context: str):
     for key in group:
         if key not in allowed:
             raise ParseError(f"unknown key {key!r} in {context!r}")
@@ -74,10 +86,6 @@ def _group(doc: dict, name: str) -> dict:
     if not isinstance(group, dict):
         raise ValidationError(name, f"expected an object, got {group!r}")
     return group
-
-
-def _get_number(group, key, default, context, positive=False, integer=False):
-    return _number(group.get(key, default), f"{context}.{key}", positive, integer)
 
 
 def _number(value, field, positive=False, integer=False):
@@ -92,28 +100,11 @@ def _number(value, field, positive=False, integer=False):
     return int(value) if integer else float(value)
 
 
-def _seed(value, field):
-    """A seed for numpy's generator: a nonnegative integer."""
-    seed = _number(value, field, integer=True)
-    if seed < 0:
-        raise ValidationError(field, f"must be nonnegative, got {value!r}")
-    return seed
-
-
 def _numbers(value, field, positive=False):
     """A non-empty list of numbers."""
     if not isinstance(value, list) or not value:
         raise ValidationError(field, f"expected a non-empty list of numbers, got {value!r}")
     return [_number(v, field, positive) for v in value]
-
-
-def _speed(value, field, d):
-    """A speed vector of d numbers; a bare number stands for a one-entry list."""
-    if isinstance(value, (int, float)):
-        value = [value]
-    if not isinstance(value, list) or len(value) != d:
-        raise ValidationError(field, f"expected {d} speed components, got {value!r}")
-    return [_number(v, field) for v in value]
 
 
 def _path(value, field):
@@ -131,21 +122,51 @@ def _window(value, field):
     return window
 
 
-def _get_bool(group, key, default, context):
-    value = group.get(key, default)
-    if not isinstance(value, bool):
-        raise ValidationError(f"{context}.{key}", f"expected true/false, got {value!r}")
-    return value
+# the rule of each experiment key, whichever subcommand reads it
+_EXPERIMENT_RULES = {
+    "field": _path,
+    "samples": lambda v, f: _number(v, f, positive=True, integer=True),
+    "delta": _number,
+    "tau_step": lambda v, f: _number(v, f, positive=True),
+    "omegas": lambda v, f: _numbers(v, f, positive=True),
+    "tau0s": lambda v, f: _numbers(v, f, positive=True),
+    "window": _window,
+}
+
+
+def _params(doc: dict, name: str, cls):
+    """The key group ``name`` read into the dataclass ``cls``.
+
+    Its keys and defaults are the fields of ``cls``. A value is read as a
+    number (an integer where the default is one) unless the default is a
+    string or both it and the value are null; it then passes its field's
+    own rule, ``cls``'s ``__post_init__``, and a failure names the field.
+    """
+    group = _group(doc, name)
+    defaults = {f.name: f.default for f in fields(cls)}
+    _require_keys(group, defaults, name)
+    values = {}
+    for key, value in group.items():
+        field, default = f"{name}.{key}", defaults[key]
+        if not (isinstance(default, str) or (default is None and value is None)):
+            value = _number(value, field, integer=isinstance(default, int))
+        try:
+            cls(**{key: value})
+        except ValueError as exc:
+            raise ValidationError(field, str(exc)) from exc
+        values[key] = value
+    return cls(**values)
 
 
 def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     """Parse a JSON document (text or path) into a validated RunConfig.
 
-    ``experiment`` names the subcommand about to run; admissibility of
-    (omega, c) is enforced for experiments that solve or classify. An
-    unknown key raises ParseError; a value of the wrong type or out of
-    range raises ValidationError naming its field, such as ``solver.seed``
-    (a nonnegative integer) or ``experiment.window``.
+    ``experiment`` names the subcommand about to run and selects its row of
+    ``EXPERIMENTS``: the experiment keys it accepts, whose defaults fill
+    ``RunConfig.experiment``. (omega, c) must be admissible. An unknown key,
+    an experiment key included, raises ParseError naming it; a value of the
+    wrong type or out of range raises ValidationError naming its field,
+    such as ``solver.seed`` (a nonnegative integer) or ``experiment.window``.
     """
     text = source
     if not source.lstrip().startswith("{"):
@@ -166,17 +187,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         {"physics", "wave", "grid", "solver", "evolve", "experiment", "output"},
         "config",
     )
-
-    # -- physics ------------------------------------------------------------
-    phys_doc = _group(doc, "physics")
-    _require_keys(phys_doc, {"alpha", "beta", "gamma"}, "physics")
-    default = PhysParams()
-    # the field checks cover the one rule of PhysParams
-    phys = PhysParams(
-        _get_number(phys_doc, "alpha", default.alpha, "physics", positive=True),
-        _get_number(phys_doc, "beta", default.beta, "physics", positive=True),
-        _get_number(phys_doc, "gamma", default.gamma, "physics", positive=True),
-    )
+    phys = _params(doc, "physics", PhysParams)
 
     # -- grid ---------------------------------------------------------------
     grid_doc = _group(doc, "grid")
@@ -187,7 +198,7 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     if not isinstance(n, list) or not n:
         raise ValidationError("grid.n", f"expected a list of point counts, got {n!r}")
     n = [_number(nk, "grid.n", integer=True) for nk in n]
-    d = _get_number(grid_doc, "d", len(n), "grid", integer=True)
+    d = _number(grid_doc.get("d", len(n)), "grid.d", integer=True)
     if d != len(n):
         raise ValidationError("grid.d", f"d={d} but n has {len(n)} axes")
     extent = grid_doc.get("extent", [DEFAULT_EXTENT.get(len(n), 40.0)] * len(n))
@@ -196,7 +207,9 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     if not isinstance(extent, list):
         raise ValidationError("grid.extent", f"expected a list of box lengths, got {extent!r}")
     extent = [_number(ek, "grid.extent") for ek in extent]
-    dealias = _get_bool(grid_doc, "dealias", False, "grid")
+    dealias = grid_doc.get("dealias", False)
+    if not isinstance(dealias, bool):
+        raise ValidationError("grid.dealias", f"expected true/false, got {dealias!r}")
     try:
         grid = Grid(n, extent, dealias=dealias)
     except ValueError as exc:
@@ -205,64 +218,32 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     # -- wave ---------------------------------------------------------------
     wave_doc = _group(doc, "wave")
     _require_keys(wave_doc, {"omega", "c"}, "wave")
-    omega = _get_number(wave_doc, "omega", 1.0, "wave")
-    wave = WaveParams(omega, tuple(_speed(wave_doc.get("c", [0.0] * grid.d), "wave.c", grid.d)))
-    if experiment in SOLVE_EXPERIMENTS and not wave.admissible(phys):
+    omega = _number(wave_doc.get("omega", 1.0), "wave.omega")
+    c = wave_doc.get("c", [0.0] * grid.d)
+    if isinstance(c, (int, float)):
+        c = [c]
+    if not isinstance(c, list) or len(c) != grid.d:
+        raise ValidationError("wave.c", f"expected {grid.d} speed components, got {c!r}")
+    wave = WaveParams(omega, tuple(_number(ck, "wave.c") for ck in c))
+    if not wave.admissible(phys):
         raise ValidationError(
             "wave",
             f"omega={omega} <= sigma*|c|^2/4={phys.sigma * wave.speed ** 2 / 4.0}: "
             "not admissible",
         )
 
-    # -- solver ---------------------------------------------------------------
-    solver_doc = _group(doc, "solver")
-    _require_keys(solver_doc, {"max_iter", "residual_tol", "seed", "restarts"}, "solver")
-    default = SolverConfig()
-    # the field checks cover every rule of SolverConfig
-    solver = SolverConfig(
-        max_iter=_get_number(solver_doc, "max_iter", default.max_iter, "solver", positive=True, integer=True),
-        residual_tol=_get_number(solver_doc, "residual_tol", default.residual_tol, "solver", positive=True),
-        seed=_seed(solver_doc.get("seed", default.seed), "solver.seed"),
-        restarts=_get_number(solver_doc, "restarts", default.restarts, "solver", positive=True, integer=True),
-    )
-
-    # -- evolve ---------------------------------------------------------------
-    evolve_doc = _group(doc, "evolve")
-    _require_keys(evolve_doc, {"dt", "t_final", "record_stride", "scheme"}, "evolve")
-    default = EvolveConfig()
-    dt = evolve_doc.get("dt", default.dt)
-    if dt is not None:
-        dt = _get_number(evolve_doc, "dt", None, "evolve", positive=True)
-    scheme = evolve_doc.get("scheme", default.scheme)
-    if scheme not in SCHEMES:
-        raise ValidationError("evolve.scheme", f"expected one of {SCHEMES}, got {scheme!r}")
-    t_final = _get_number(evolve_doc, "t_final", default.t_final, "evolve")
-    if t_final < 0:
-        raise ValidationError("evolve.t_final", "must be nonnegative")
-    evolve_cfg = EvolveConfig(
-        dt=dt,
-        t_final=t_final,
-        record_stride=_get_number(evolve_doc, "record_stride", default.record_stride, "evolve", positive=True, integer=True),
-        scheme=scheme,
-    )
+    solver = _params(doc, "solver", SolverConfig)
+    evolve_cfg = _params(doc, "evolve", EvolveConfig)
 
     # -- experiment / output ----------------------------------------------------
-    exp_doc = dict(_group(doc, "experiment"))
-    checks = {
-        "field": _path,
-        "samples": lambda v, f: _number(v, f, positive=True, integer=True),
-        "perturbation_seed": _seed,
-        "delta": _number,
-        "tau_step": lambda v, f: _number(v, f, positive=True),
-        "omegas": lambda v, f: _numbers(v, f, positive=True),
-        "tau0s": lambda v, f: _numbers(v, f, positive=True),
-        "window": _window,
-        "c0": lambda v, f: _speed(v, f, grid.d),
-    }
-    _require_keys(exp_doc, set(checks), "experiment")
-    for key, check in checks.items():
-        if key in exp_doc:
-            exp_doc[key] = check(exp_doc[key], f"experiment.{key}")
+    row = EXPERIMENTS[experiment]
+    exp_doc = _group(doc, "experiment")
+    _require_keys(exp_doc, row, f"experiment of {experiment}")
+    exp = {}
+    for key, default in row.items():
+        value = exp_doc.get(key, default)
+        # null stays null where the default is; each rule returns a fresh value
+        exp[key] = None if value is None and default is None else _EXPERIMENT_RULES[key](value, f"experiment.{key}")
     out_doc = _group(doc, "output")
     _require_keys(out_doc, {"dir"}, "output")
 
@@ -272,6 +253,6 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         grid=grid,
         solver=solver,
         evolve=evolve_cfg,
-        experiment=exp_doc,
+        experiment=exp,
         output_dir=_path(out_doc.get("dir", "out"), "output.dir"),
     )

@@ -18,8 +18,9 @@ class NoConvergence(Dnls3Error):
 
     ``histories`` holds each failed descent's DescentHistory, as a converged
     result holds its own; the rest is read off them. ``iterations`` counts
-    the iterations of all descents, ``residual`` is the last descent's final
-    residual and ``reason``, a key of REASONS, says why it stopped.
+    the iterations of all descents, ``residual`` is the best residual the
+    last descent reached and ``reason``, a key of REASONS, says why it
+    stopped.
     """
 
     REASONS = {
@@ -31,7 +32,7 @@ class NoConvergence(Dnls3Error):
     def __init__(self, histories):
         self.histories = tuple(histories)
         self.iterations = sum(h.iterations for h in self.histories)
-        self.residual = self.histories[-1].residual[-1]
+        self.residual = min(self.histories[-1].residual)
         self.reason = self.histories[-1].termination
         super().__init__(
             f"no convergence after {self.iterations} iterations (residual {self.residual:.3e}): "

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnls3 import cli
+from dnls3 import cli, config
 from dnls3.cli import run_subcommand
 from dnls3.config import parse_config
 from dnls3.errors import (
@@ -169,10 +169,42 @@ class TestConfig:
 
     @pytest.mark.parametrize("source", ["{}", MINIMAL], ids=["empty", "minimal"])
     def test_effective_document_parses_to_itself(self, source):
-        cfg = parse_config(source)
-        again = parse_config(json.dumps(cfg.effective, sort_keys=True, indent=2))
-        assert again.effective == cfg.effective
-        assert again.config_hash() == cfg.config_hash()
+        # each subcommand's document lists exactly the experiment keys it reads, defaults included
+        rows = {
+            "gs": {},
+            "evolve": {"field": None, "delta": 0.0},
+            "check": {"field": None, "samples": 200},
+            "mu-scan": {"omegas": [0.5, 1.0, 2.0, 4.0]},
+            "h-curve": {"tau_step": None},
+            "stability": {"delta": 0.01, "tau0s": None},
+            "decay": {"field": None, "window": [0.5, 0.9]},
+        }
+        assert set(rows) == set(cli.COMMANDS)
+        for command, row in rows.items():
+            cfg = parse_config(source, experiment=command)
+            written = json.dumps(cfg.effective, sort_keys=True, indent=2)
+            assert json.loads(written)["experiment"] == row
+            again = parse_config(written, experiment=command)
+            assert again.effective == cfg.effective
+            assert again.config_hash() == cfg.config_hash()
+
+    def test_every_subcommand_has_an_experiment_row(self):
+        assert config.EXPERIMENTS.keys() == cli.COMMANDS.keys()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("gs", "delta", 1e-3), ("stability", "field", "ground_state.ldsf"), ("check", "window", [0.5, 0.9])],
+        ids=["gs_delta", "stability_field", "check_window"],
+    )
+    def test_key_the_subcommand_does_not_read(self, tmp_path, capsys, command, key, value):
+        cfg_path, _ = small_config(tmp_path, "unread_key", experiment={key: value})
+        with pytest.raises(ParseError, match=key):
+            parse_config(str(cfg_path), experiment=command)
+        capsys.readouterr()
+        assert run_subcommand([command, "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ParseError"
+        assert repr(key) in record["message"]
 
     @pytest.mark.parametrize(
         "group, value, field",
@@ -187,6 +219,8 @@ class TestConfig:
             ("evolve", {"t_final": float("nan")}, "evolve.t_final"),
             ("solver", {"residual_tol": float("inf")}, "solver.residual_tol"),
             ("solver", {"seed": -1}, "solver.seed"),
+            ("solver", {"seed": 1.5}, "solver.seed"),
+            ("wave", {"c": [0.1, 0.2]}, "wave.c"),
             ("physics", 5, "physics"),
             ("experiment", [1], "experiment"),
             ("experiment", {"field": 5}, "experiment.field"),
@@ -195,23 +229,25 @@ class TestConfig:
         ],
         ids=[
             "fractional_n", "bool_c", "string_c", "bool_extent", "bool_d", "nan_dt", "inf_dt", "nan_t_final",
-            "inf_residual_tol", "negative_seed", "scalar_group", "list_group", "int_field", "empty_field", "int_output_dir",
+            "inf_residual_tol", "negative_seed", "fractional_seed", "long_c", "scalar_group", "list_group", "int_field",
+            "empty_field", "int_output_dir",
         ],
     )
     def test_entries_validated(self, tmp_path, capsys, group, value, field):
-        # a dict value is merged into its group, any other value replaces the group
+        # a dict value is merged into its group, any other value replaces the group;
+        # check is a subcommand that reads experiment.field
         doc = json.loads(MINIMAL)
         if isinstance(value, dict):
             doc.setdefault(group, {}).update(value)
         else:
             doc[group] = value
         with pytest.raises(ValidationError) as info:
-            parse_config(json.dumps(doc))
+            parse_config(json.dumps(doc), experiment="check")
         assert info.value.field == field
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert run_subcommand(["gs", "--config", str(path)]) == 2
+        assert run_subcommand(["check", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ValidationError"
 
     @pytest.mark.parametrize(
@@ -222,11 +258,9 @@ class TestConfig:
             ("check", {"samples": 2.5}, "experiment.samples"),
             ("check", {"samples": "x"}, "experiment.samples"),
             ("evolve", {"delta": "big"}, "experiment.delta"),
-            ("evolve", {"delta": 1e-3, "perturbation_seed": 1.5}, "experiment.perturbation_seed"),
             ("h-curve", {"tau_step": 0}, "experiment.tau_step"),
             ("mu-scan", {"omegas": 2}, "experiment.omegas"),
             ("mu-scan", {"omegas": [1.0, -2.0]}, "experiment.omegas"),
-            ("evolve", {"delta": 1e-3, "perturbation_seed": -1}, "experiment.perturbation_seed"),
             ("check --seed -1", {}, "solver.seed"),
             ("decay", {"window": 5}, "experiment.window"),
             ("decay", {"window": [0.9, 0.5]}, "experiment.window"),
@@ -234,14 +268,11 @@ class TestConfig:
             ("stability", {"tau0s": 3}, "experiment.tau0s"),
             ("stability", {"tau0s": []}, "experiment.tau0s"),
             ("stability", {"tau0s": [0.05, -0.1]}, "experiment.tau0s"),
-            ("mu-scan", {"c0": "x"}, "experiment.c0"),
-            ("mu-scan", {"c0": [0.1, 0.2]}, "experiment.c0"),
         ],
         ids=[
             "zero_samples", "negative_samples", "fractional_samples", "string_samples",
-            "string_delta", "fractional_seed", "zero_tau_step", "scalar_omegas", "negative_omega",
-            "negative_perturbation_seed", "negative_seed_flag", "scalar_window", "reversed_window",
-            "one_bound_window", "scalar_tau0s", "empty_tau0s", "negative_tau0", "string_c0", "long_c0",
+            "string_delta", "zero_tau_step", "scalar_omegas", "negative_omega", "negative_seed_flag",
+            "scalar_window", "reversed_window", "one_bound_window", "scalar_tau0s", "empty_tau0s", "negative_tau0",
         ],
     )
     def test_experiment_entries_validated(self, tmp_path, capsys, command, value, field):
@@ -472,7 +503,7 @@ class TestCli:
 
     def test_mu_scan_subcommand(self, tmp_path):
         cfg_path, outdir = small_config(
-            tmp_path, "scan_run", experiment={"omegas": [1.0, 2.0], "c0": [0.0]}
+            tmp_path, "scan_run", experiment={"omegas": [1.0, 2.0]}
         )
         assert run_subcommand(["mu-scan", "--config", str(cfg_path)]) == 0
         lines = (outdir / "mu_scan.csv").read_text().strip().splitlines()
