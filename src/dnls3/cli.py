@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -58,7 +59,7 @@ USER_ERRORS = (
 
 
 def _fmt(x) -> str:
-    return f"{x:.17g}"
+    return x if isinstance(x, str) else f"{x:.17g}"
 
 
 def _jsonable(obj):
@@ -306,7 +307,8 @@ def _cmd_mu_scan(cfg: RunConfig, outdir: Path) -> int:
     points = mu_scaling_check(cfg.grid, cfg.phys, cfg.wave.c, cfg.experiment["omegas"], cfg.solver)
     header = [f.name for f in dataclasses.fields(MuScalePoint)]
     _write_csv(outdir / "mu_scan.csv", header, map(dataclasses.astuple, points))
-    return 0
+    # the points that solved are written; a run with a failed point still fails
+    return 0 if all(p.status == "ok" for p in points) else 3
 
 
 def _cmd_h_curve(cfg: RunConfig, outdir: Path) -> int:
@@ -359,7 +361,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused by every call in the process."""
     parser = argparse.ArgumentParser(
         prog="dnls3",
         description="Ground states, evolution and identity checks for the three-component derivative NLS system",

@@ -31,16 +31,19 @@ space only to record. A Strang step then costs 8 transforms, and ``step``
 adds one forward and one inverse transform around it.
 
 Where a step's time goes: 8 transforms is the floor for Strang splitting
-with an RK4 substep and 3/2 padding, and on the dealiased 512-point 1D
-grid they take about half of a step. Each is a batch of 3 rows of 768
-points, and about a third of its time is a fixed cost per call: numpy's
-Python wrapper, and the pocketfft plan that numpy builds anew on every
-call (BENCH_13.json has the figures). The rest of the step is about 9
-small numpy calls per kernel call, 13 in-place RK4 stage operations and
-the finiteness check. Each costs little beyond numpy's per-call overhead
-on arrays of this size. ``scipy.fft`` transforms these shapes faster, but
-importing it adds 0.3-0.4 s and about 20 MB to every process, so the
-transforms stay in ``numpy.fft``.
+with an RK4 substep and 3/2 padding. On the dealiased 512-point 1D grid
+each kernel call makes two, each a batch of 3 rows of 768 points, and
+they take about 70% of the call (75 of 106 us) and about two thirds of a
+step; about an eighth of a transform's time is numpy's Python wrapper
+(BENCH_18.json has the figures). The kernel works in scratch it keeps on
+the grid and both transforms write into it, so a call allocates only its
+result. The rest of the call is 10 small numpy calls (the pad, the
+conjugates and products, and the copies into and out of the band), and
+the rest of the step is 13 in-place RK4 stage operations, the linear
+phases and the finiteness check. Each costs little beyond numpy's
+per-call overhead on arrays of this size. ``scipy.fft`` transforms the
+kernel's rows about 13% faster, but importing it costs 0.32-0.40 s in
+every fresh process, so the transforms stay in ``numpy.fft``.
 
 Charge and momentum are conserved exactly by the linear flow and by the
 coupling flow separately, so their numerical drift is set by the RK4
@@ -386,8 +389,8 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
 
     # weighted cross-spectra per gauge block
     W = np.sum(w * FU * np.conj(FP), axis=1)
-    # pairings against phi translated to each grid offset
-    A1, A2, A3 = (np.fft.ifftn(Wj).reshape(-1) * size for Wj in W)
+    # pairings against phi translated to each grid offset, the three blocks in one transform
+    A1, A2, A3 = g._ifftn(W, "forward").reshape(3, -1)
 
     # best u1-phase given the relative phase b: |A1 + e^{ib} A3| absorbs the
     # u3 term, leaving a circle search over b

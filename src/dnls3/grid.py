@@ -24,6 +24,7 @@ Conventions fixed here once and used consistently everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,6 +48,11 @@ class Grid:
         same guarantee the 2/3 rule targets but without discarding the top
         band of the fields themselves. Off by default: the states of
         interest are spectrally well resolved, where aliasing is negligible.
+
+    The coupling kernel (``nonlinear_gradient``) keeps scratch on the grid,
+    one set of buffers that its modes share, built on its first call and
+    reused by every later one. So one Grid must not be used from several
+    threads at once; give each thread its own Grid.
     """
 
     def __init__(self, n, extent, dealias: bool = False):
@@ -76,11 +82,9 @@ class Grid:
         self._spatial_axes = tuple(range(-d, 0))
         self._space = space = (slice(None),) * d
         # the kernel's rows, behind any batch axes: u1 and u2 (and the
-        # products that take their places), the pair sum, div u3 (the last
-        # row, kept as a unit row axis), and u2 with div u3 behind it
-        self._kernel_rows = tuple(
-            (..., index, *space) for index in (slice(0, d), slice(d, 2 * d), 2 * d, slice(-1, None), slice(d, None))
-        )
+        # products that take their places), the pair sum, and div u3 (the
+        # last row, kept as a unit row axis)
+        self._kernel_rows = tuple((..., index, *space) for index in (slice(0, d), slice(d, 2 * d), 2 * d, slice(-1, None)))
         #: each single row 0..d, behind any batch axes
         self._single_rows = tuple((..., k, *space) for k in range(d))
 
@@ -134,39 +138,11 @@ class Grid:
         self._pad_symbols = np.array([[pad * ones] * d, [pad * ones] * d, [pad * ik * ones for ik in self.ik]])
         self._unpad_symbols = np.array([-unpad * ones] * (2 * d) + [unpad * ik * ones for ik in self.ik])
 
-        # the kernel's index plans, built once, on the split layout: the
-        # indices carry the batch ellipsis, the rows (F's 3d rows u1, u2, u3,
-        # or the product rows) and the band's modes, and the symbols are
-        # views of the symbol arrays
-        pad_rows = self._pad_symbols.reshape(3 * d, *self._band_split)
-        unpad_rows = self._unpad_symbols.reshape(3 * d, *self._band_split)
-        split = (slice(None),) * len(self._band_split)
         #: the band's modes on the split product grid
         self._band_modes = (..., *band_modes)
-
-        def pad_plan(start, stop, div):
-            """Rows start..stop of F, times their symbols, into the band of the product rows; with ``div``, each further term of div u3 adds to the last row."""
-            terms = [((..., 2 * d + k, *split), pad_rows[2 * d + k], (..., -1, *band_modes)) for k in range(1, d)]
-            source = ((..., slice(start, stop), *split), pad_rows[start:stop], self._band_modes)
-            return stop - start, source, terms if div else []
-
-        def unpad_plan(r, first):
-            """The band of product rows 0..r times the symbols of gradient rows first..3d; rows past r read row r - 1."""
-            rows = 3 * d - first
-            cut = r if r == rows else r - 1
-            groups = [(slice(0, cut), slice(0, cut))] if cut else []
-            if cut < rows:
-                groups.append((slice(r - 1, r), slice(cut, rows)))
-            steps = [
-                ((..., source, *band_modes), unpad_rows[first + target.start : first + target.stop], (..., target, *split))
-                for source, target in groups
-            ]
-            return rows, steps
-
-        #: by kernel mode: u1 and u2 alone, u1, u2 and div u3, or div u3 alone
-        self._pad_plans = {"pair": pad_plan(0, 2 * d, False), "full": pad_plan(0, 2 * d + 1, True), "div": pad_plan(2 * d, 2 * d + 1, True)}
-        #: by kernel mode: the pair sum to grad(u1 . conj(u2)), or the 2d+1 products to dN
-        self._unpad_plans = {"pair": unpad_plan(1, 2 * d), "full": unpad_plan(2 * d + 1, 0)}
+        #: the batch axes the kernel's scratch is built for, and the scratch (see _kernel_scratch)
+        self._scratch_lead = None
+        self._scratch = None
 
     # -- coordinates -------------------------------------------------------
 
@@ -181,17 +157,18 @@ class Grid:
 
     # -- transforms and multipliers ----------------------------------------
 
-    def _fftn(self, f: np.ndarray, norm: str) -> np.ndarray:
+    def _fftn(self, f: np.ndarray, norm: str, out: np.ndarray | None = None) -> np.ndarray:
         # the 1-D entry point skips fftn's per-call axis bookkeeping and
-        # returns the same values bit for bit
+        # returns the same values bit for bit; with ``out`` (which may be
+        # ``f``) every axis is transformed into it, with no temporaries
         if self.d == 1:
-            return np.fft.fft(f, norm=norm)
-        return np.fft.fftn(f, axes=self._spatial_axes, norm=norm)
+            return np.fft.fft(f, norm=norm, out=out)
+        return np.fft.fftn(f, axes=self._spatial_axes, norm=norm, out=out)
 
-    def _ifftn(self, F: np.ndarray, norm: str) -> np.ndarray:
+    def _ifftn(self, F: np.ndarray, norm: str, out: np.ndarray | None = None) -> np.ndarray:
         if self.d == 1:
-            return np.fft.ifft(F, norm=norm)
-        return np.fft.ifftn(F, axes=self._spatial_axes, norm=norm)
+            return np.fft.ifft(F, norm=norm, out=out)
+        return np.fft.ifftn(F, axes=self._spatial_axes, norm=norm, out=out)
 
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Unitary forward transform over the trailing spatial axes."""
@@ -240,30 +217,74 @@ class Grid:
 
     # -- quadratic products --------------------------------------------------
 
-    def _pad(self, F: np.ndarray, mode: str, lead: tuple) -> np.ndarray:
-        """The rows of ``mode`` of split band spectra F (3d rows), times the pad symbols, on the product grid.
+    def _kernel_scratch(self, lead: tuple) -> dict:
+        """The coupling kernel's scratch for batch axes ``lead``: its views by kernel mode.
 
-        The product grid is the 3/2-padded grid when dealiasing, the grid
-        itself otherwise. The band is multiplied straight into place on the
-        zeroed padded grid; div u3 collects in the last row.
+        Built on the first call and kept; a call with other batch axes
+        replaces it. The band spectra times their pad symbols (3d rows), then
+        three buffers of 2d+1 rows on the product grid: the padded spectra,
+        zeroed once (only the band is ever written, so the padding stays
+        zero), the values (on a plain grid, the padded spectra transformed in
+        place) and the products, transformed in place. A mode pads F's rows
+        u1 and u2 (``pair``), u1, u2 and u3 (``full``) or u3 alone (``div``),
+        the terms of div u3 summed into row 2d, into the same rows of the
+        padded spectra, and forms the pair sum in the last product row.
         """
-        rows, (source, symbols, band), terms = self._pad_plans[mode]
-        alloc = np.zeros if self.dealias else np.empty
-        fine = alloc((*lead, rows, *self._product_split), dtype=np.complex128)
-        np.multiply(F[source], symbols, out=fine[band])
-        for source, symbols, target in terms:
-            div = fine[target]
-            np.add(div, F[source] * symbols, out=div)
-        return fine.reshape(*lead, rows, *self._product_shape)
+        if lead == self._scratch_lead:
+            return self._scratch
+        d = self.d
+        rows = 2 * d + 1
+        first, second, last, div_row = self._kernel_rows
+        split, band = (slice(None),) * len(self._band_split), self._band_modes[1:]
+        weighted = np.empty((*lead, 3 * d, *self._band_split), dtype=np.complex128)
+        fine = np.zeros((*lead, rows, *self._product_split), dtype=np.complex128)
+        padded = fine.reshape(*lead, rows, *self._product_shape)
+        values = np.empty_like(padded) if self.dealias else padded
+        products = np.empty_like(padded)
+        spectra = products.reshape(fine.shape)
+        pad_rows = self._pad_symbols.reshape(3 * d, *self._band_split)
+        unpad_rows = self._unpad_symbols.reshape(3 * d, *self._band_split)
+        # the band of the pair sum's spectrum times the symbols i xi of grad
+        pair_cut = (spectra[(..., slice(2 * d, rows), *band)], unpad_rows[2 * d :])
+        # gradient rows 0..2d from the same product rows, then grad from the pair row (for d = 1, the same row)
+        cut = 3 * d if d == 1 else 2 * d
+        full_cut = [(spectra[(..., slice(0, cut), *band)], unpad_rows[:cut], (..., slice(0, cut), *split))]
+        if d > 1:
+            full_cut.append((*pair_cut, (..., slice(2 * d, 3 * d), *split)))
 
-    def _unpad(self, spectra: np.ndarray, mode: str, lead: tuple) -> np.ndarray:
-        """The band of unnormalized product-grid spectra times the unpad symbols of ``mode``, in split rows."""
-        rows, steps = self._unpad_plans[mode]
-        spectra = spectra.reshape(*lead, -1, *self._product_split)
-        out = np.empty((*lead, rows, *self._band_split), dtype=np.complex128)
-        for source, symbols, target in steps:
-            np.multiply(spectra[source], symbols, out=out[target])
-        return out
+        def mode(start, stop, conj, transformed, unpad, shape):
+            """F's rows start..stop padded, conj(u2) formed in ``conj``; the ``transformed`` products cut by ``unpad`` into a result of ``shape``."""
+            source = (..., slice(start, stop), *split)
+            kept = slice(start, min(stop, rows))
+            div_terms = range(1, d) if stop == 3 * d else ()
+            chosen = (..., kept, *self._space)
+            return SimpleNamespace(
+                pad=(source, pad_rows[start:stop], weighted[source], weighted[(..., kept, *split)], fine[(..., kept, *band)]),
+                terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in div_terms],
+                padded=padded[chosen],
+                values=values[chosen],
+                u1=values[first],
+                u2=values[second],
+                div=values[div_row],
+                conj=conj,
+                pair=products[last],
+                div_u2=products[first],
+                conj_div_u1=products[second],
+                transformed=transformed,
+                unpad=unpad,
+                shape=shape,
+            )
+
+        state_shape = (3, d, *self.shape)
+        pair_rows = products[(..., slice(2 * d, rows), *self._space)]
+        # conj(u2) goes to rows that are free until the products take them
+        self._scratch = {
+            "full": mode(0, 3 * d, products[second], products, full_cut, state_shape),
+            "pair": mode(0, 2 * d, values[second], pair_rows, [(*pair_cut, (..., slice(0, d), *split))], (d, *self.shape)),
+            "div": mode(2 * d, 3 * d, products[second], products, full_cut, state_shape),
+        }
+        self._scratch_lead = lead
+        return self._scratch
 
     def nonlinear_gradient(self, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False) -> np.ndarray:
         """Spectrum of dN, the coupling part of the action gradient, of the state with spectrum F.
@@ -286,42 +307,52 @@ class Grid:
 
         On a plain grid, ``u`` (the state's values, if the caller holds
         them, with the batch axes of ``F``) supplies u1 and u2 without
-        transforming them again, and only div u3 is padded. Every array the
-        kernel writes is its own; the result shares no memory with its inputs
-        or with another call's result.
+        transforming them again, and only div u3 is padded. Every
+        intermediate lives in the grid's scratch (``_kernel_scratch``) and
+        both transforms write into it, so a call allocates little beyond its
+        result; the result is a new array and shares no memory with the
+        inputs, the scratch or another call's result.
         """
         d = self.d
         lead = F.shape[: -d - 2]
-        first, second, last, div_row, tail = self._kernel_rows
-        F = F.reshape(*lead, 3 * d, *self._band_split)
-        if u is not None and not self.dealias:
+        given = u is not None and not self.dealias
+        mode = self._kernel_scratch(lead)["pair" if pair_only else "div" if given else "full"]
+        if not (pair_only and given):
+            # the band is weighted in contiguous rows, then copied into the
+            # padded grid: a ufunc writing the strided band would buffer it
+            source, symbols, weighted, kept, band = mode.pad
+            np.multiply(F.reshape(*lead, 3 * d, *self._band_split)[source], symbols, out=weighted)
+            for div, term in mode.terms:
+                np.add(div, term, out=div)
+            np.copyto(band, kept)
+            self._ifftn(mode.padded, "forward", out=mode.values)
+        if given:
+            first, second = self._kernel_rows[:2]
             values = u.reshape(*lead, 3 * d, *self.shape)
-            conj = np.conjugate(values[second])
-            if not pair_only:
-                div = self._ifftn(self._pad(F, "div", lead), "forward")
-                conj_div = np.conjugate(div)
+            u1, u2 = values[first], values[second]
         else:
-            values = div = self._ifftn(self._pad(F, "pair" if pair_only else "full", lead), "forward")
-            # conj(u2), and conj(div u3) behind it, in one call
-            conj = conj_div = np.conjugate(values[tail])
-        u1, u2 = values[first], values[second]
+            u1, u2 = mode.u1, mode.u2
+        conj, pair = np.conjugate(u2, out=mode.conj), mode.pair
         rows = self._single_rows
-        if pair_only:
-            products = np.empty((*lead, 1, *self._product_shape), dtype=np.complex128)
-            pair = products[rows[0]]
-        else:
-            products = np.empty((*lead, 2 * d + 1, *self._product_shape), dtype=np.complex128)
-            pair = products[last]
         # the pair sum u1 . conj(u2), row by row
         np.multiply(conj[rows[0]], u1[rows[0]], out=pair)
         for row in rows[1:]:
-            np.add(pair, conj[row] * u1[row], out=pair)
-        if pair_only:
-            return self._unpad(self._fftn(products, "backward"), "pair", lead).reshape(*lead, d, *self.shape)
-        # div u3 and its conjugate keep a unit row axis, to pair with each of the d rows of u1 and u2
-        np.multiply(div[div_row], u2, out=products[first])
-        np.multiply(conj_div[div_row], u1, out=products[second])
-        return self._unpad(self._fftn(products, "backward"), "full", lead).reshape(*lead, 3, d, *self.shape)
+            np.multiply(conj[row], u1[row], out=conj[row])
+            np.add(pair, conj[row], out=pair)
+        if not pair_only:
+            # div u3 and its conjugate keep a unit row axis, to pair with each of the d rows of u1 and u2
+            np.multiply(mode.div, u2, out=mode.div_u2)
+            np.multiply(np.conjugate(mode.div, out=mode.div), u1, out=mode.conj_div_u1)
+        self._fftn(mode.transformed, "backward", out=mode.transformed)
+        out = np.empty((*lead, *mode.shape), dtype=np.complex128)
+        cut = out.reshape(*lead, -1, *self._band_split)
+        # the band is copied out before it is multiplied: a ufunc reading the
+        # strided band would buffer a copy of it beside the result
+        for source, symbols, target in mode.unpad:
+            band = cut[target]
+            np.copyto(band, source)
+            np.multiply(band, symbols, out=band)
+        return out
 
     def product_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sum over the leading axis of pointwise products a_m * b_m.

@@ -387,6 +387,8 @@ class MuScalePoint:
     mu_predicted: float
     rel_error: float
     q_scaling_error: float
+    #: "ok", or the name of the error that stopped the point's solve (its values are then NaN)
+    status: str = "ok"
 
 
 def mu_scaling_check(
@@ -406,21 +408,28 @@ def mu_scaling_check(
         Q(omega, sqrt(omega) c0)  = omega^{1-d/2} Q(1, c0)    (q_scaling_error)
 
     Each point is an independent solve, compared with the law through the
-    unit-frequency solve.
+    unit-frequency solve. A point whose solve fails (NoConvergence,
+    DomainTooSmall or DegenerateNonlinearity) is kept with NaN values and
+    the error's name as its ``status``; when the unit-frequency solve
+    fails, every point carries that failure.
     """
     config = config or SolverConfig()
     c0 = np.atleast_1d(np.asarray(c0, dtype=float))
     d = grid.d
-    base_wave = WaveParams(1.0, tuple(c0))
-    base = solve_ground_state(grid, phys, base_wave, config)
 
+    def solve(omega):
+        try:
+            return solve_ground_state(grid, phys, WaveParams(float(omega), tuple(np.sqrt(omega) * c0)), config)
+        except (NoConvergence, DomainTooSmall, DegenerateNonlinearity) as exc:
+            return type(exc).__name__
+
+    base = solve(1.0)
     out = []
     for omega in omegas:
-        wave = WaveParams(float(omega), tuple(np.sqrt(omega) * c0))
-        if omega == 1.0:
-            res = base
-        else:
-            res = solve_ground_state(grid, phys, wave, config)
+        res = base if omega == 1.0 or isinstance(base, str) else solve(omega)
+        if isinstance(res, str):
+            out.append(MuScalePoint(float(omega), np.nan, np.nan, np.nan, np.nan, res))
+            continue
         predicted = omega ** (2.0 - d / 2.0) * base.mu
         rel = abs(res.mu - predicted) / res.mu
 

@@ -507,10 +507,26 @@ class TestCli:
         )
         assert run_subcommand(["mu-scan", "--config", str(cfg_path)]) == 0
         lines = (outdir / "mu_scan.csv").read_text().strip().splitlines()
-        assert lines[0] == "omega,mu,mu_predicted,rel_error,q_scaling_error"
+        assert lines[0] == "omega,mu,mu_predicted,rel_error,q_scaling_error,status"
         assert len(lines) == 3
-        q_errors = [float(line.split(",")[-1]) for line in lines[1:]]
+        q_errors = [float(line.split(",")[-2]) for line in lines[1:]]
         assert all(np.isfinite(q) and q < 1e-4 for q in q_errors)
+        assert all(line.endswith(",ok") for line in lines[1:])
+
+    def test_mu_scan_writes_the_points_that_solve(self, tmp_path):
+        # at c = 0.3 the omega = 4 profile leaves too much tail in the 40-box:
+        # the run fails, and still writes the three points that solved
+        cfg_path, outdir = small_config(tmp_path, "scan_fail", wave={"c": [0.3]})
+        assert run_subcommand(["mu-scan", "--config", str(cfg_path)]) == 3
+        lines = (outdir / "mu_scan.csv").read_text().strip().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["0.5", "1", "2", "4"]
+        assert [row[-1] for row in rows] == ["ok", "ok", "ok", "DomainTooSmall"]
+        for row in rows[:3]:
+            assert all(np.isfinite(float(v)) for v in row[1:-1])
+            assert float(row[-2]) < 1e-4
+        assert all(v == "nan" for v in rows[3][1:-1])
+        assert (outdir / "manifest.json").exists()
 
     def test_h_curve_subcommand(self, tmp_path):
         cfg_path, outdir = small_config(tmp_path, "hc_run")

@@ -286,6 +286,16 @@ class TestOrbitDistance:
         assert abs(od.phase2 - 0.7) < 1e-5
         assert abs(od.theta - 0.7) < 1e-5
 
+    @pytest.mark.parametrize("n,extent", [(256, 40.0), ((16, 32), (6.0, 9.0))])
+    def test_transform_count(self, n, extent, fft_calls):
+        # the spectra of U and phi, then the three gauge blocks' pairings in one batched transform
+        g = Grid(n, extent)
+        phi = smooth_state(g)
+        moved = gauge_apply(phi, 0.3)
+        before = fft_calls["calls"]
+        orbit_distance(moved, phi)
+        assert fft_calls["calls"] - before == 3
+
     def test_relative_phase_recovery(self):
         # a state gauged off the diagonal is still on the minimizer orbit
         g = Grid(256, 40.0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,3 +383,33 @@ class TestKernelOracle:
                 assert not np.shares_memory(result, u)
                 assert not np.shares_memory(result, other)
         assert np.array_equal(F, kept_F) and np.array_equal(u, kept_u)
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_reused_scratch_matches_reference(self, d, dealias):
+        # one grid keeps its scratch across calls: interleave the modes, with
+        # and without values, over batch shapes, each call on a new state, so
+        # a stale pad region or a buffer two modes share would show
+        g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        rng = np.random.default_rng(7 + 10 * d + dealias)
+        for lead in ((), (2,), (3,), ()):
+            for with_values, pair_only in ((False, False), (True, True), (True, False), (False, True), (False, False)):
+                shape = (*lead, 3, d, *g.shape)
+                u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
+                F, values = g.fft(u), u if with_values else None
+                result = g.nonlinear_gradient(F, values, pair_only=pair_only)
+                assert np.array_equal(result, reference_nonlinear_gradient(g, F, values, pair_only=pair_only))
+
+    @pytest.mark.parametrize("pair_only", [False, True])
+    def test_call_allocates_only_its_result(self, pair_only, rng):
+        # after a first call has built the scratch, a call allocates little beyond its result
+        g = Grid((32, 32), (10.0, 10.0), dealias=True)
+        F = g.fft(random_state(g, rng).u)
+        g.nonlinear_gradient(F, pair_only=pair_only)
+        tracemalloc.start()
+        try:
+            result = g.nonlinear_gradient(F, pair_only=pair_only)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * result.nbytes

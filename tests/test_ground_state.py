@@ -482,6 +482,16 @@ class TestIdentities:
         assert pts[1].rel_error < 1e-3
         assert pts[1].q_scaling_error < 1e-6
 
+    def test_mu_scaling_unit_failure_marks_every_point(self, monkeypatch):
+        # the laws go through the unit-frequency solve: without it no point has a value
+        def fail(grid, phys, wave, config):
+            raise DomainTooSmall("tail")
+
+        monkeypatch.setattr(ground_state, "solve_ground_state", fail)
+        pts = mu_scaling_check(Grid(64, 10.0), PHYS, (0.0,), [0.5, 1.0], FAST)
+        assert [p.status for p in pts] == ["DomainTooSmall"] * 2
+        assert all(np.isnan([p.mu, p.mu_predicted, p.rel_error, p.q_scaling_error]).all() for p in pts)
+
     def test_q_scaling_error_is_the_charge_law_of_separate_solves(self):
         # Q(omega, sqrt(omega) c0) = omega^{1-d/2} Q(1, c0) between independent solves
         grid, c0, omegas = Grid(512, 40.0), 0.3, [0.5, 2.0]
