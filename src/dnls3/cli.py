@@ -133,10 +133,13 @@ def _load_config(args, experiment: str) -> RunConfig:
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "effective_config.json", "w") as fh:
-        fh.write(json.dumps(cfg.effective, sort_keys=True, indent=2))
-        fh.write("\n")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        with open(outdir / "effective_config.json", "w") as fh:
+            fh.write(json.dumps(cfg.effective, sort_keys=True, indent=2))
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError("output.dir", f"{outdir} is not a writable directory: {exc}") from exc
     return outdir
 
 
@@ -206,7 +209,10 @@ def _start_profile(cfg: RunConfig):
     if path is None:
         res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
         return res.phi, res
-    state = load_field(path)
+    try:
+        state = load_field(path)
+    except OSError as exc:
+        raise ValidationError("experiment.field", f"cannot read {path}: {exc}") from exc
     g, want = state.grid, cfg.grid
     if g.n != want.n or g.extent != want.extent:
         raise ValidationError(

@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FitWindowEmpty, NonFinite
+from .errors import FitWindowEmpty, InadmissibleParameters, NonFinite
 from .functionals import WellMembership, evaluate, gauge_phases
 from .grid import Grid, State, norm_h1
 from .params import PhysParams, WaveParams
@@ -158,7 +158,7 @@ class EvolutionTrace:
 def coupling_rhs(state: State, phys: PhysParams) -> State:
     """Time derivative of the coupling-only system (no Laplacians): -i dN."""
     g = state.grid
-    return State(g, g.ifft(-1j * g.nonlinear_gradient(g.fft(state.u), state.u)))
+    return State(g, g.ifft(-1j * g.nonlinear_gradient(g.fft(state.u))))
 
 
 def _linear_phases(grid: Grid, phys: PhysParams, t: float) -> np.ndarray:
@@ -544,20 +544,25 @@ def stability_experiment(
     frequency-shifted potential wells is monitored for each tau0 (default
     0.05 sqrt(omega)); the shifted minimization levels come from the
     frequency power law mu(omega') = mu(omega) (omega'/omega)^{2-d/2}.
+    Each tau0 must lie in (0, sqrt(omega)), where both shifted pairs are
+    admissible with (omega, c); another raises InadmissibleParameters first.
     """
     phi = result.phi
     grid = phi.grid
     phys, wave = result.phys, result.wave
     d = grid.d
+    sw = float(np.sqrt(wave.omega))
+    if tau0s is None:
+        tau0s = [0.05 * sw]
+    for tau0 in tau0s:
+        if not 0.0 < tau0 < sw:
+            raise InadmissibleParameters(f"tau0={tau0:g} is not in (0, sqrt(omega)) = (0, {sw:g})")
 
     rng = np.random.default_rng(seed)
     U0 = phi if delta == 0.0 else State(grid, phi.u + delta * h1_perturbation(grid, rng).u)
 
     _, trace = evolve(U0, phys, wave, config, reference=phi)
 
-    sw = float(np.sqrt(wave.omega))
-    if tau0s is None:
-        tau0s = [0.05 * sw]
     checks = []
     for tau0 in tau0s:
         om_p, om_m = (sw + tau0) ** 2, (sw - tau0) ** 2

@@ -33,22 +33,6 @@ from .grid import Grid, State
 from .params import PhysParams, WaveParams
 
 
-def charge(grid: Grid, u: np.ndarray):
-    """Q of the state with values u, shape ``(..., 3, d, *grid.shape)``.
-
-    Leading axes are batch axes, and Q has their shape; without them Q is a
-    scalar.
-    """
-    mass, axes = np.abs(u) ** 2, _state_axes(grid, 1)
-    parts = [np.sum(_component(grid, mass, j), axis=axes) for j in range(3)]
-    return (parts[0] + 0.5 * parts[1] + 0.5 * parts[2]) * grid.weight
-
-
-def _component(grid: Grid, u: np.ndarray, j: int) -> np.ndarray:
-    """Component j of a state or of a batch of states, shape ``(..., 3, d, *grid.shape)``."""
-    return u[(..., j, slice(None)) + grid._space]
-
-
 def _state_axes(grid: Grid, rows: int) -> tuple:
     """The last ``rows`` + d axes of a field, behind any batch axes."""
     return tuple(range(-grid.d - rows, 0))
@@ -153,26 +137,31 @@ def evaluate(state: State, phys: PhysParams, wave: WaveParams) -> FunctionalRepo
         raise ValueError(f"wave speed has {wave.d} components but grid is {state.grid.d}-dimensional")
     g = state.grid
     F = g.fft(state.u)
-    Q, L, C, P = _parts(g, state.u, F, phys, g.nonlinear_gradient(F, state.u, pair_only=True))
+    Q, L, C, P = _parts(g, F, phys, g.nonlinear_gradient(F, state.u, pair_only=True))
     return FunctionalReport.from_parts(Q, L, C.real, P, wave.omega, wave.c_array)
 
 
-def _parts(grid: Grid, u: np.ndarray, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
-    """(Q, L, C, P) of the state with values u and spectrum F, whose grad(u1 . conj(u2)) spectrum the caller holds.
+def _parts(grid: Grid, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
+    """(Q, L, C, P) of the state with spectrum F, whose grad(u1 . conj(u2)) spectrum the caller holds.
 
-    C = (u3, grad(u1 . conj(u2))) by Parseval, with ``grad_pair`` the third
-    block of dN (``grid.nonlinear_gradient``); the coupling functional is
-    N = Re C, and rotating u3 by e^{i theta} turns C into e^{i theta} C.
+    Every part is read off the spectrum: the transform is unitary, so Q sums
+    |F|^2 as it would |u|^2. C = (u3, grad(u1 . conj(u2))) by Parseval, with
+    ``grad_pair`` the third block of dN (``grid.nonlinear_gradient``); the
+    coupling functional is N = Re C, and rotating u3 by e^{i theta} turns C
+    into e^{i theta} C.
 
-    ``u`` and ``F`` have shape ``(..., 3, d, *grid.shape)`` and
-    ``grad_pair`` shape ``(..., d, *grid.shape)``: leading axes are batch
-    axes, each part has their shape (P with d entries more), and a state
-    without them gets scalars and a d-vector P.
+    ``F`` has shape ``(..., 3, d, *grid.shape)`` and ``grad_pair`` shape
+    ``(..., d, *grid.shape)``: leading axes are batch axes, each part has
+    their shape (P with d entries more), and a state without them gets
+    scalars and a d-vector P.
     """
     absF2 = np.abs(F) ** 2
-    k2_parts = np.sum(grid.k2 * absF2, axis=_state_axes(grid, 1))
+    axes = _state_axes(grid, 1)
+    mass = np.sum(absF2, axis=axes)
+    Q = (mass[..., 0] + 0.5 * mass[..., 1] + 0.5 * mass[..., 2]) * grid.weight
+    k2_parts = np.sum(grid.k2 * absF2, axis=axes)
     L = 0.5 * (phys.alpha * k2_parts[..., 0] + phys.beta * k2_parts[..., 1] + phys.gamma * k2_parts[..., 2]) * grid.weight
-    lead, u3 = F.shape[: -grid.d - 2], _component(grid, F, 2)
+    lead, u3 = F.shape[: -grid.d - 2], F[(..., 2, slice(None), *grid._space)]
     if lead:
         C = np.einsum("...k,...k->...", grad_pair.reshape(*lead, -1).conj(), u3.reshape(*lead, -1)) * grid.weight
     else:
@@ -181,7 +170,7 @@ def _parts(grid: Grid, u: np.ndarray, F: np.ndarray, phys: PhysParams, grad_pair
     P = np.empty((*lead, grid.d))
     for k in range(grid.d):
         P[..., k] = -0.5 * np.sum(grid.xi[k] * absF2, axis=_state_axes(grid, 2)) * grid.weight
-    return charge(grid, u), L, C, P
+    return Q, L, C, P
 
 
 def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
@@ -199,7 +188,7 @@ def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
     g = state.grid
     F = g.fft(state.u)
     symbols = np.stack(linear_symbols(g, phys, wave))[:, None]
-    return State(g, g.ifft(symbols * F + g.nonlinear_gradient(F, state.u)))
+    return State(g, g.ifft(symbols * F + g.nonlinear_gradient(F)))
 
 
 def linear_symbols(grid: Grid, phys: PhysParams, wave: WaveParams):

@@ -226,9 +226,9 @@ class Grid:
         zeroed once (only the band is ever written, so the padding stays
         zero), the values (on a plain grid, the padded spectra transformed in
         place) and the products, transformed in place. A mode pads F's rows
-        u1 and u2 (``pair``), u1, u2 and u3 (``full``) or u3 alone (``div``),
-        the terms of div u3 summed into row 2d, into the same rows of the
-        padded spectra, and forms the pair sum in the last product row.
+        u1 and u2 (``pair``) or u1, u2 and u3 (``full``), the terms of div u3
+        summed into row 2d, into the same rows of the padded spectra, and
+        forms the pair sum in the last product row.
         """
         if lead == self._scratch_lead:
             return self._scratch
@@ -252,14 +252,14 @@ class Grid:
         if d > 1:
             full_cut.append((*pair_cut, (..., slice(2 * d, 3 * d), *split)))
 
-        def mode(start, stop, conj, transformed, unpad, shape):
-            """F's rows start..stop padded, conj(u2) formed in ``conj``; the ``transformed`` products cut by ``unpad`` into a result of ``shape``."""
-            source = (..., slice(start, stop), *split)
-            kept = slice(start, min(stop, rows))
+        def mode(stop, conj, transformed, unpad, shape):
+            """F's rows 0..stop padded, conj(u2) formed in ``conj``; the ``transformed`` products cut by ``unpad`` into a result of ``shape``."""
+            source = (..., slice(0, stop), *split)
+            kept = slice(0, min(stop, rows))
             div_terms = range(1, d) if stop == 3 * d else ()
             chosen = (..., kept, *self._space)
             return SimpleNamespace(
-                pad=(source, pad_rows[start:stop], weighted[source], weighted[(..., kept, *split)], fine[(..., kept, *band)]),
+                pad=(source, pad_rows[:stop], weighted[source], weighted[(..., kept, *split)], fine[(..., kept, *band)]),
                 terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in div_terms],
                 padded=padded[chosen],
                 values=values[chosen],
@@ -279,9 +279,8 @@ class Grid:
         pair_rows = products[(..., slice(2 * d, rows), *self._space)]
         # conj(u2) goes to rows that are free until the products take them
         self._scratch = {
-            "full": mode(0, 3 * d, products[second], products, full_cut, state_shape),
-            "pair": mode(0, 2 * d, values[second], pair_rows, [(*pair_cut, (..., slice(0, d), *split))], (d, *self.shape)),
-            "div": mode(2 * d, 3 * d, products[second], products, full_cut, state_shape),
+            "full": mode(3 * d, products[second], products, full_cut, state_shape),
+            "pair": mode(2 * d, values[second], pair_rows, [(*pair_cut, (..., slice(0, d), *split))], (d, *self.shape)),
         }
         self._scratch_lead = lead
         return self._scratch
@@ -305,19 +304,24 @@ class Grid:
         ``pair_only`` only the block grad(u1 . conj(u2)) is formed, shape
         ``(..., d, *shape)``.
 
-        On a plain grid, ``u`` (the state's values, if the caller holds
-        them, with the batch axes of ``F``) supplies u1 and u2 without
-        transforming them again, and only div u3 is padded. Every
-        intermediate lives in the grid's scratch (``_kernel_scratch``) and
-        both transforms write into it, so a call allocates little beyond its
-        result; the result is a new array and shares no memory with the
-        inputs, the scratch or another call's result.
+        ``u``, the state's values with the batch axes of ``F``, is read only
+        with ``pair_only`` on a plain grid: there it supplies u1 and u2, and
+        the call makes its forward transform alone. Otherwise u is not read
+        and every value comes from F. Every intermediate lives in the grid's
+        scratch (``_kernel_scratch``) and both transforms write into it, so a
+        call allocates little beyond its result; the result is a new array
+        and shares no memory with the inputs, the scratch or another call's
+        result.
         """
         d = self.d
         lead = F.shape[: -d - 2]
-        given = u is not None and not self.dealias
-        mode = self._kernel_scratch(lead)["pair" if pair_only else "div" if given else "full"]
-        if not (pair_only and given):
+        given = u is not None and pair_only and not self.dealias
+        mode = self._kernel_scratch(lead)["pair" if pair_only else "full"]
+        if given:
+            first, second = self._kernel_rows[:2]
+            values = u.reshape(*lead, 3 * d, *self.shape)
+            u1, u2 = values[first], values[second]
+        else:
             # the band is weighted in contiguous rows, then copied into the
             # padded grid: a ufunc writing the strided band would buffer it
             source, symbols, weighted, kept, band = mode.pad
@@ -326,11 +330,6 @@ class Grid:
                 np.add(div, term, out=div)
             np.copyto(band, kept)
             self._ifftn(mode.padded, "forward", out=mode.values)
-        if given:
-            first, second = self._kernel_rows[:2]
-            values = u.reshape(*lead, 3 * d, *self.shape)
-            u1, u2 = values[first], values[second]
-        else:
             u1, u2 = mode.u1, mode.u2
         conj, pair = np.conjugate(u2, out=mode.conj), mode.pair
         rows = self._single_rows
@@ -464,9 +463,6 @@ class State:
 
 
 def norm_h1(state: State) -> float:
-    """H1 norm: sqrt(sum_j ||u_j||^2 + ||grad u_j||^2)."""
+    """H1 norm: sqrt(sum_j ||u_j||^2 + ||grad u_j||^2), read off the unitary spectrum."""
     g = state.grid
-    total = np.sum(np.abs(state.u) ** 2)
-    F = g.fft(state.u)
-    total += np.sum(g.k2 * np.abs(F) ** 2)
-    return float(np.sqrt(total * g.weight))
+    return float(np.sqrt(np.sum((1.0 + g.k2) * np.abs(g.fft(state.u)) ** 2) * g.weight))

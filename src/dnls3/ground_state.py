@@ -200,12 +200,12 @@ def _project(grid: Grid, phys: PhysParams, wave: WaveParams, F: np.ndarray):
     u3 turns by the phase that makes C = (u3, grad(u1 . conj(u2))) real and
     negative, so N = -|C| while Q, L and P stay; lambda = -Lqc / (3N) then
     zeroes K. The report and the nonlinear gradient dN of the result follow
-    from the trial's one product batch. Returns (F, u, report, dN) of the
-    projected state, or None when C vanishes.
+    from the trial's spectrum and its one product batch, with no transform
+    of the trial to physical space. Returns (F, report, dN) of the projected
+    state, or None when C vanishes.
     """
-    u = grid.ifft(F)
-    dN = grid.nonlinear_gradient(F, u)
-    Q, L, C, P = _parts(grid, u, F, phys, dN[2])
+    dN = grid.nonlinear_gradient(F)
+    Q, L, C, P = _parts(grid, F, phys, dN[2])
     rep = FunctionalReport.from_parts(Q, L, -abs(C), P, wave.omega, wave.c_array)
     try:
         lam = rep.nehari_factor()
@@ -216,7 +216,7 @@ def _project(grid: Grid, phys: PhysParams, wave: WaveParams, F: np.ndarray):
     factors = np.array([lam, lam, lam * phase]).reshape(column)
     # -(div u3) u2 turns with u3, -conj(div u3) u1 against it, grad(u1 . conj(u2)) not at all
     dN *= (lam * lam * np.array([phase, np.conj(phase), 1.0])).reshape(column)
-    return factors * F, factors * u, rep.scaled(lam), dN
+    return factors * F, rep.scaled(lam), dN
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,9 @@ def _descend(grid, phys, wave, config, start: State):
     only a plain step is halved. An accepted trial that does not lower the
     best residual so far, after MEMORY accepted ones that did not either,
     ends the descent with the state before it. S thus never rises, and each
-    iteration makes one projection unless a trial is rejected. Returns
-    (state, report, history), history a DescentHistory.
+    iteration makes one projection unless a trial is rejected. The descent
+    holds spectra only; its final state is transformed once, when it ends.
+    Returns (state, report, history), history a DescentHistory.
     """
     sym_inv = np.stack(resolvent_symbols(grid, phys, wave))[:, None]
     weights = (1.0 + grid.k2) * grid.weight
@@ -269,23 +270,23 @@ def _descend(grid, phys, wave, config, start: State):
         projected = _project(grid, phys, wave, F)
         if projected is None:
             return None
-        F, u, rep, dN = projected
+        F, rep, dN = projected
         # the resolvents invert the linear part of the gradient exactly
         Fpg = sym_inv * dN
         Fpg += F
         wpg = (root * Fpg).view(np.float64).ravel()
         res = float(np.sqrt(np.dot(wpg, wpg) / np.sum(weights * np.abs(F) ** 2)))
-        return F, u, rep, Fpg, wpg, res
+        return F, rep, Fpg, wpg, res
 
     current = iterate(grid.fft(start.u))
     if current is None:
         raise DegenerateNonlinearity("the start has no valid Nehari projection")
-    F, u, rep, Fpg, wpg, residual = current
+    F, rep, Fpg, wpg, residual = current
     rows = [(rep.S, residual, 0.0, False)]
 
     def finish(termination):
         S, res, steps, mixed = (np.array(column) for column in zip(*rows))
-        return State(grid, u), rep, DescentHistory(S, res, steps, mixed, it, termination)
+        return State(grid, grid.ifft(F)), rep, DescentHistory(S, res, steps, mixed, it, termination)
 
     # the history, oldest first: differences of G and of the weighted gradient,
     # and in the leading block of gram the Gram matrix of the latter
@@ -305,7 +306,7 @@ def _descend(grid, phys, wave, config, start: State):
                     F_trial -= g * d
             trial = iterate(F_trial)
             # a non-finite action fails the comparison too
-            if trial is not None and trial[2].S <= rep.S + 1e-12 * (1.0 + abs(rep.S)):
+            if trial is not None and trial[1].S <= rep.S + 1e-12 * (1.0 + abs(rep.S)):
                 break
             if mixed:
                 mixed = False
@@ -314,21 +315,21 @@ def _descend(grid, phys, wave, config, start: State):
             step *= 0.5
             if step < 1e-10:
                 return finish("invalid_step")
-        if trial[5] < best:
-            best, stale = trial[5], 0
+        if trial[4] < best:
+            best, stale = trial[4], 0
         elif stale == MEMORY:
             return finish("residual_growth")
         else:
             stale += 1
-        dG.append((trial[0] - F) - STEP * (trial[3] - Fpg))
-        dW.append(trial[4] - wpg)
+        dG.append((trial[0] - F) - STEP * (trial[2] - Fpg))
+        dW.append(trial[3] - wpg)
         if len(dG) > MEMORY:
             del dG[0], dW[0]
             gram[:-1, :-1] = gram[1:, 1:]
         k = len(dW)
         if k:
             gram[k - 1, :k] = gram[:k, k - 1] = [np.dot(w, dW[-1]) for w in dW]
-        F, u, rep, Fpg, wpg, residual = trial
+        F, rep, Fpg, wpg, residual = trial
         rows.append((rep.S, residual, step, mixed))
 
     return finish("converged" if residual < config.residual_tol else "iteration_cap")
@@ -583,7 +584,7 @@ def _below_level(grid, phys, wave, mu, rng, n, keep):
         negative = np.arange(b) < want_negative - len(found[True])
         F = grid.noise_spectrum(rng, (b, 3, grid.d), 2)
         u = grid.ifft(F)
-        Q, L, C, P = _parts(grid, u, F, phys, grid.nonlinear_gradient(F, u, pair_only=True))
+        Q, L, C, P = _parts(grid, F, phys, grid.nonlinear_gradient(F, u, pair_only=True))
         flip = negative & (C.real > 0)
         u[flip, 2] *= -1.0
         N = np.where(flip, -C.real, C.real)

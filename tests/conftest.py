@@ -96,7 +96,8 @@ def reference_nonlinear_gradient(g: Grid, F: np.ndarray, u: np.ndarray | None = 
     Every symbol, product and sum is formed by the same floating-point
     operations in the same order as the library's kernel, by plainer
     means: the whole spectrum is weighted, zero-padded by copying blocks,
-    and cut back block by block with per-call indices. Results must agree
+    and cut back block by block with per-call indices. Like the kernel, it
+    reads ``u`` only with ``pair_only`` on a plain grid. Results must agree
     bit for bit.
     """
     d = g.d
@@ -150,9 +151,9 @@ def reference_nonlinear_gradient(g: Grid, F: np.ndarray, u: np.ndarray | None = 
     rows = weighted.reshape(*lead, 3 * d, *g.shape)
     for k in range(1, d):
         rows[last] += rows[row(2 * d + k)]
-    if u is not None and not g.dealias:
+    if u is not None and pair_only and not g.dealias:
         values = u.reshape(*lead, 3 * d, *g.shape)
-        div = None if pair_only else ifftn(rows[last], "forward")
+        div = None
     else:
         values = product_values(rows[row(slice(0, 2 * d if pair_only else 2 * d + 1))])
         div = None if pair_only else values[last]

@@ -399,6 +399,51 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "WrongDimension"
 
+    @pytest.mark.parametrize(
+        "case, field",
+        [
+            ("missing_field", "experiment.field"),
+            ("directory_field", "experiment.field"),
+            ("outdir_is_a_file", "output.dir"),
+            ("outdir_under_a_file", "output.dir"),
+        ],
+    )
+    def test_unreadable_input_or_output_exit_code(self, tmp_path, capsys, case, field):
+        # a path the operating system refuses is an invalid input, named by its config field
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        experiment, outdir = {
+            "missing_field": ({"field": str(tmp_path / "absent.ldsf"), "samples": 20}, None),
+            "directory_field": ({"field": str(tmp_path), "samples": 20}, None),
+            "outdir_is_a_file": ({"samples": 20}, blocker),
+            "outdir_under_a_file": ({"samples": 20}, blocker / "out"),
+        }[case]
+        overrides = {"experiment": experiment}
+        if outdir is not None:
+            overrides["output"] = {"dir": str(outdir)}
+        cfg_path, _ = small_config(tmp_path, case, **overrides)
+        capsys.readouterr()
+        assert run_subcommand(["check", "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith(f"{field}:")
+
+    @pytest.mark.parametrize("tau0s", [[1.0, 1.5, 2.5], [2.5]], ids=["omega_minus_zero", "omega_minus_above"])
+    def test_stability_rejects_tau0_off_the_curve(self, tmp_path, capsys, tau0s):
+        # at omega = 1 a tau0 >= 1 moves the lower shifted pair off the scaling curve
+        cfg_path, outdir = small_config(
+            tmp_path,
+            "stab_tau0",
+            wave={"c": [0.3]},
+            evolve={"dt": 1e-3, "t_final": 0.01},
+            experiment={"tau0s": tau0s},
+        )
+        capsys.readouterr()
+        assert run_subcommand(["stability", "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InadmissibleParameters"
+        assert not (outdir / "verdict.json").exists()
+
     def test_divergence_time_in_error_record(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
             raise NonFinite(0.5)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnls3 import evolution
-from dnls3.errors import FitWindowEmpty, NonFinite
+from dnls3.errors import FitWindowEmpty, InadmissibleParameters, NonFinite
 from dnls3.evolution import (
     EvolutionTrace,
     EvolveConfig,
@@ -18,6 +18,7 @@ from dnls3.evolution import (
     h1_perturbation,
     orbit_distance,
     solitary_wave,
+    stability_experiment,
     step,
 )
 from dnls3.functionals import WellMembership, evaluate
@@ -679,3 +680,19 @@ class TestShiftedTraceAndWells:
                 single.aplus, single.aminus, single.bplus, single.bminus
             )
             assert wells.agree[i] == single.agree and wells.none[i] == single.none
+
+
+class TestStabilityExperiment:
+    @pytest.mark.parametrize("tau0", [1.0, 2.5, 0.0])
+    def test_tau0_off_the_scaling_curve_raises(self, monkeypatch, tau0):
+        # at omega = 1 the lower shifted pair ((1 - tau0)^2, c (1 - tau0)) is
+        # admissible only for 0 < tau0 < 1: tau0 = 1 gives omega = 0, tau0 =
+        # 2.5 a frequency above omega; the check comes before any evolution
+        res = solve_ground_state(Grid(256, 40.0), PHYS, WaveParams(1.0, (0.3,)))
+
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolved although a tau0 is off the scaling curve")
+
+        monkeypatch.setattr(evolution, "evolve", no_evolve)
+        with pytest.raises(InadmissibleParameters, match="tau0"):
+            stability_experiment(res, 1e-3, EvolveConfig(dt=1e-3, t_final=0.01), tau0s=[0.5, tau0])

@@ -297,8 +297,8 @@ class TestProjectedIteration:
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_transforms_per_iteration(self, dealias, fft_calls):
-        # one inverse transform of the trial and one product batch, which
-        # feeds the trial's report, its alignment and its gradient
+        # one product batch, which feeds the trial's report, its alignment
+        # and its gradient: the trial is never transformed to physical space
         g = Grid(256, 40.0, dealias=dealias)
         wave = WaveParams(1.0, (0.3,))
         start = initial_ansatz(g, PHYS, wave)
@@ -308,7 +308,7 @@ class TestProjectedIteration:
             history = _descend(g, PHYS, wave, SolverConfig(max_iter=max_iter, restarts=1), start)[2]
             assert history.termination == "iteration_cap"
             counts.append(fft_calls["calls"])
-        assert counts[1] - counts[0] <= 3
+        assert counts[1] - counts[0] <= 2
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -326,8 +326,8 @@ class TestProjectedIteration:
         turned = State(g, state.u * np.array([1.0, 1.0, 1j]).reshape(3, *[1] * (d + 1)))
         abs_c = np.hypot(before.N, evaluate(turned, PHYS, wave).N)
 
-        F, u, rep, dN = _project(g, PHYS, wave, g.fft(state.u))
-        after = evaluate(State(g, u), PHYS, wave)
+        F, rep, dN = _project(g, PHYS, wave, g.fft(state.u))
+        after = evaluate(State(g, g.ifft(F)), PHYS, wave)
         lam2 = after.Q / before.Q
         lam = np.sqrt(lam2)
         assert after.L == pytest.approx(lam2 * before.L, rel=1e-12)
@@ -337,8 +337,7 @@ class TestProjectedIteration:
         assert abs(after.K) <= 1e-12 * after.Lqc
         # the report and nonlinear gradient carried through the projection are the projected state's own
         assert rep.S == pytest.approx(after.S, rel=1e-12, abs=1e-12 * after.Lqc)
-        assert np.allclose(F, g.fft(u), rtol=0, atol=1e-12 * np.max(np.abs(F)))
-        direct = g.nonlinear_gradient(F, u)
+        direct = g.nonlinear_gradient(F)
         assert np.allclose(dN, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)))
 
 
