@@ -26,7 +26,6 @@ import json
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,20 +41,13 @@ from .errors import (
     UnsupportedVersion,
     ValidationError,
 )
-from .evolution import decay_rate_fit, evolve, h1_perturbation, stability_experiment
-from .functionals import WellMembership, coercivity_certificate, evaluate
+from .evolution import decay_rate_fit, evolve, perturbed, sandwich_points, stability_experiment
+from .functionals import FunctionalReport, WellMembership, coercivity_certificate, evaluate
 from .grid import State
-from .ground_state import MuScalePoint, h_curve, mu_scaling_check, reports_below_level, solve_ground_state
+from .ground_state import MuScalePoint, h_curve, h_curve_points, mu_scaling_check, reports_below_level, solve_ground_state
 from .snapshot import FORMAT_VERSION, load_field, save_field
 
-USER_ERRORS = (
-    ParseError,
-    ValidationError,
-    InadmissibleParameters,
-    FormatError,
-    LengthMismatch,
-    UnsupportedVersion,
-)
+USER_ERRORS = (ParseError, ValidationError, InadmissibleParameters, FormatError, LengthMismatch, UnsupportedVersion)
 
 
 def _fmt(x) -> str:
@@ -105,18 +97,8 @@ def _write_partial_trace(path: Path, exc: NonFinite) -> None:
 
 
 def _report_dict(rep) -> dict:
-    return {
-        "Q": rep.Q,
-        "L": rep.L,
-        "N": rep.N,
-        "E": rep.E,
-        "P": list(rep.P),
-        "S": rep.S,
-        "K": rep.K,
-        "Lqc": rep.Lqc,
-        "G": rep.G,
-        "G_display": rep.G_display,
-    }
+    """The report's fields, less the pair (omega, c) it was evaluated at."""
+    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name not in ("omega", "c")}
 
 
 def _load_config(args, experiment: str) -> RunConfig:
@@ -166,7 +148,7 @@ def _write_solver_history(path: Path, histories) -> None:
     _write_csv(path, ["descent", "iteration", "S", "residual", "step", "mixed"], rows)
 
 
-def _cmd_gs(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_gs(cfg: RunConfig, outdir: Path, field) -> int:
     try:
         res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
     except NoConvergence as exc:
@@ -196,19 +178,15 @@ def _cmd_gs(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _start_profile(cfg: RunConfig):
-    """The profile a run starts from, and its GroundStateResult when it was solved.
+def _read_field(cfg: RunConfig) -> State | None:
+    """The snapshot named by experiment.field, placed on the config grid; None without one.
 
-    With experiment.field the profile is that snapshot, placed on the config
-    grid, and the result is None: snapshots do not store the dealiasing
-    flag, so the config grid supplies it, and a snapshot whose points or box
-    differ from the config grid is rejected. Without it the ground state is
-    solved.
+    Snapshots do not store the dealiasing flag, so the config grid supplies
+    it; a snapshot on other points or another box is rejected.
     """
-    path = cfg.experiment["field"]
+    path = cfg.experiment.get("field")
     if path is None:
-        res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
-        return res.phi, res
+        return None
     try:
         state = load_field(path)
     except OSError as exc:
@@ -220,17 +198,22 @@ def _start_profile(cfg: RunConfig):
             f"{path} holds n={list(g.n)}, extent={list(g.extent)}; the config grid has "
             f"n={list(want.n)}, extent={list(want.extent)}",
         )
-    return State(want, state.u), None
+    return State(want, state.u)
 
 
-def _cmd_evolve(cfg: RunConfig, outdir: Path) -> int:
+def _start_profile(cfg: RunConfig, field: State | None):
+    """The profile a run starts from, the ``field`` snapshot or the solved ground state, and the solve's result or None."""
+    if field is not None:
+        return field, None
+    res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
+    return res.phi, res
+
+
+def _cmd_evolve(cfg: RunConfig, outdir: Path, field) -> int:
     # a solved start is its own orbit-distance reference; a snapshot start has none
-    state, res = _start_profile(cfg)
+    state, res = _start_profile(cfg, field)
     reference = None if res is None else state
-    delta = cfg.experiment["delta"]
-    if delta != 0.0:
-        rng = np.random.default_rng(cfg.solver.seed)
-        state = State(state.grid, state.u + delta * h1_perturbation(state.grid, rng).u)
+    state = perturbed(state, cfg.experiment["delta"], cfg.solver.seed)
     try:
         _, trace = evolve(state, cfg.phys, cfg.wave, cfg.evolve, reference=reference)
     except NonFinite as exc:
@@ -259,8 +242,8 @@ def _identity_gates(rep, mu: float):
     return residuals, all(residuals[key] < limit for key, limit in CHECK_THRESHOLDS.items())
 
 
-def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
-    phi, res = _start_profile(cfg)
+def _cmd_check(cfg: RunConfig, outdir: Path, field) -> int:
+    phi, res = _start_profile(cfg, field)
     rep = evaluate(phi, cfg.phys, cfg.wave) if res is None else res.report
     mu = rep.S
 
@@ -271,9 +254,11 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
     wanted = cfg.experiment["samples"]
     # the flags of all samples at once, from their stacked reports; the states are not kept
     reports = reports_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, wanted)
-    stacked = SimpleNamespace(**{k: np.array([getattr(r, k) for r in reports]) for k in ("Q", "S", "K", "N", "Lqc")})
-    disagreements = int(np.count_nonzero(~WellMembership.from_report(stacked, mu).agree))
-    lqc_nonpositive = int(np.count_nonzero(stacked.Lqc <= 0))
+    Q, L, N = (np.array([getattr(r, k) for r in reports]) for k in "QLN")
+    P = np.reshape([r.P for r in reports], (len(reports), phi.grid.d))
+    batch = FunctionalReport.from_parts(Q, L, N, P, cfg.wave.omega, cfg.wave.c_array)
+    disagreements = int(np.count_nonzero(~WellMembership.from_report(batch, mu).agree))
+    lqc_nonpositive = int(np.count_nonzero(batch.Lqc <= 0))
 
     # a well check passes on the samples it asked for, not on fewer
     passed = (
@@ -309,7 +294,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path) -> int:
     return 0 if passed else 3
 
 
-def _cmd_mu_scan(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_mu_scan(cfg: RunConfig, outdir: Path, field) -> int:
     points = mu_scaling_check(cfg.grid, cfg.phys, cfg.wave.c, cfg.experiment["omegas"], cfg.solver)
     header = [f.name for f in dataclasses.fields(MuScalePoint)]
     _write_csv(outdir / "mu_scan.csv", header, map(dataclasses.astuple, points))
@@ -317,7 +302,7 @@ def _cmd_mu_scan(cfg: RunConfig, outdir: Path) -> int:
     return 0 if all(p.status == "ok" for p in points) else 3
 
 
-def _cmd_h_curve(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_h_curve(cfg: RunConfig, outdir: Path, field) -> int:
     rep = h_curve(cfg.grid, cfg.phys, cfg.wave, tau_step=cfg.experiment["tau_step"], config=cfg.solver)
     # the three series go to the CSV, every scalar field to the JSON
     series = ("taus", "mu_values", "mu_curve_predicted")
@@ -327,7 +312,7 @@ def _cmd_h_curve(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
+def _cmd_stability(cfg: RunConfig, outdir: Path, field) -> int:
     res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
     delta = cfg.experiment["delta"]
     try:
@@ -349,12 +334,19 @@ def _cmd_stability(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _cmd_decay(cfg: RunConfig, outdir: Path) -> int:
-    phi, _ = _start_profile(cfg)
+def _cmd_decay(cfg: RunConfig, outdir: Path, field) -> int:
+    phi, _ = _start_profile(cfg, field)
     rep = decay_rate_fit(phi, cfg.phys, cfg.wave, window=tuple(cfg.experiment["window"]))
     _write_json(outdir / "decay.json", dataclasses.asdict(rep))
     return 0
 
+
+# the subcommands that check their scaling-curve points, beside reading
+# experiment.field, before the output directory exists and before any solve
+PRECHECKS = {
+    "h-curve": lambda cfg: h_curve_points(cfg.wave, cfg.experiment["tau_step"]),
+    "stability": lambda cfg: sandwich_points(cfg.wave, cfg.experiment["tau0s"]),
+}
 
 COMMANDS = {
     "gs": _cmd_gs,
@@ -391,8 +383,12 @@ def run_subcommand(argv) -> int:
     started = time.time()
     try:
         cfg = _load_config(args, args.subcommand)
+        # a run's inputs are read and checked before it writes anything
+        field = _read_field(cfg)
+        if args.subcommand in PRECHECKS:
+            PRECHECKS[args.subcommand](cfg)
         outdir = _prepare_outdir(cfg)
-        code = COMMANDS[args.subcommand](cfg, outdir)
+        code = COMMANDS[args.subcommand](cfg, outdir, field)
         _write_manifest(outdir, cfg, args.subcommand, started)
         return code
     except USER_ERRORS as exc:

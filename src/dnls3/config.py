@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-from .errors import ParseError, ValidationError
+from .errors import InadmissibleParameters, ParseError, ValidationError
 from .evolution import EvolveConfig
 from .grid import DEFAULT_EXTENT, Grid
 from .ground_state import SolverConfig
@@ -225,12 +225,10 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     if not isinstance(c, list) or len(c) != grid.d:
         raise ValidationError("wave.c", f"expected {grid.d} speed components, got {c!r}")
     wave = WaveParams(omega, tuple(_number(ck, "wave.c") for ck in c))
-    if not wave.admissible(phys):
-        raise ValidationError(
-            "wave",
-            f"omega={omega} <= sigma*|c|^2/4={phys.sigma * wave.speed ** 2 / 4.0}: "
-            "not admissible",
-        )
+    try:
+        wave.require_admissible(phys)
+    except InadmissibleParameters as exc:
+        raise ValidationError("wave", str(exc)) from exc
 
     solver = _params(doc, "solver", SolverConfig)
     evolve_cfg = _params(doc, "evolve", EvolveConfig)

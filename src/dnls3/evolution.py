@@ -55,12 +55,12 @@ the conservation monitors measure.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FitWindowEmpty, InadmissibleParameters, NonFinite
-from .functionals import WellMembership, evaluate, gauge_phases
+from .functionals import FunctionalReport, WellMembership, evaluate, gauge_phases
 from .grid import Grid, State, norm_h1
 from .params import PhysParams, WaveParams
 
@@ -139,20 +139,6 @@ class EvolutionTrace:
             ref = np.maximum(ref, abs(self.Q[0]))
         ref = np.where(ref > 0, ref, 1.0)
         return float(np.max(np.abs(series - series[0]) / ref))
-
-    def shifted(self, wave: WaveParams, omega2: float, c2) -> "EvolutionTrace":
-        """The trace with S and K at another pair (omega2, c2), from the recorded Q, P, S, K.
-
-        S and K are affine in (omega, c): S' = S + (omega'-omega)Q + (c'-c).P
-        and K' = K + 2(omega'-omega)Q + 2(c'-c).P; N = K - 2S is unchanged.
-        """
-        dc = np.atleast_1d(np.asarray(c2, dtype=float)) - wave.c_array
-        domega = omega2 - wave.omega
-        return replace(
-            self,
-            S=self.S + domega * self.Q + (self.P @ dc),
-            K=self.K + 2.0 * domega * self.Q + 2.0 * (self.P @ dc),
-        )
 
 
 def coupling_rhs(state: State, phys: PhysParams) -> State:
@@ -251,12 +237,9 @@ def evolve(
 
     def record(t, U):
         rep = evaluate(U, phys, wave)
+        for key in ("Q", "E", "P", "S", "K"):
+            rows[key].append(getattr(rep, key))
         rows["t"].append(t)
-        rows["Q"].append(rep.Q)
-        rows["E"].append(rep.E)
-        rows["P"].append(rep.P)
-        rows["S"].append(rep.S)
-        rows["K"].append(rep.K)
         rows["h1"].append(norm_h1(U))
         if reference is not None:
             rows["orbit"].append(orbit_distance(U, reference).distance)
@@ -264,14 +247,11 @@ def evolve(
     def build_trace(divergence_time=None):
         return EvolutionTrace(
             times=np.asarray(rows["t"]),
-            Q=np.asarray(rows["Q"]),
-            E=np.asarray(rows["E"]),
-            P=np.asarray(rows["P"]).reshape(len(rows["t"]), grid.d),
-            S=np.asarray(rows["S"]),
-            K=np.asarray(rows["K"]),
+            P=np.reshape(rows["P"], (len(rows["t"]), grid.d)),
             h1=np.asarray(rows["h1"]),
             orbit_distance=np.asarray(rows["orbit"]) if reference is not None else None,
             divergence_time=divergence_time,
+            **{key: np.asarray(rows[key]) for key in ("Q", "E", "S", "K")},
         )
 
     U = state.copy()
@@ -310,7 +290,7 @@ def evolve(
 
 def gauge_apply(state: State, theta: float) -> State:
     """Multiply components by the gauge phases (e^{2i theta}, e^{i theta}, e^{i theta})."""
-    return State(state.grid, gauge_phases(theta).reshape(3, 1, *([1] * state.grid.d)) * state.u)
+    return State(state.grid, gauge_phases(2.0 * theta, theta).reshape(3, 1, *([1] * state.grid.d)) * state.u)
 
 
 def solitary_wave(phi: State, wave: WaveParams, t: float) -> State:
@@ -463,7 +443,7 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
         if np.linalg.norm(step) < REFINE_STEP_TOL:
             break
 
-    y, phases = p[:d], np.exp(1j * (s @ p[d:]))
+    y, phases = p[:d], gauge_phases(p[d], p[d + 1])
     shifted = phases.reshape(3, 1, *[1] * d) * np.exp(-1j * sum(y[k] * g.xi_full[k] for k in range(d))) * FP
     dist = float(np.sqrt(np.sum(w * np.abs(FU - shifted) ** 2)))
     extent = np.asarray(g.extent)
@@ -495,6 +475,13 @@ def h1_perturbation(grid: Grid, rng: np.random.Generator) -> State:
     """
     state = State(grid, grid.ifft(grid.noise_spectrum(rng, (3, grid.d), 1)))
     return State(grid, state.u / norm_h1(state))
+
+
+def perturbed(phi: State, delta: float, seed: int) -> State:
+    """phi + delta h, h the ``h1_perturbation`` drawn from ``default_rng(seed)``; phi itself when delta is 0."""
+    if delta == 0.0:
+        return phi
+    return State(phi.grid, phi.u + delta * h1_perturbation(phi.grid, np.random.default_rng(seed)).u)
 
 
 @dataclass
@@ -529,6 +516,25 @@ class StabilityReport:
     sandwich: list
 
 
+def sandwich_points(wave: WaveParams, tau0s=None) -> list:
+    """(tau0, plus, minus) for each tau0 (default 0.05 sqrt(omega)) of the stability sandwich.
+
+    ``plus`` and ``minus`` are the (scale, pair) of ``wave.on_curve`` at scales 1 +- tau0/sqrt(omega).
+    A tau0 outside (0, sqrt(omega)) raises InadmissibleParameters naming it: from sqrt(omega) on,
+    the lower point is off the curve's branch.
+    """
+    sw = float(np.sqrt(wave.omega))
+    points = []
+    for tau0 in [0.05 * sw] if tau0s is None else tau0s:
+        if not tau0 > 0.0:
+            raise InadmissibleParameters(f"tau0={tau0:g} is not positive")
+        try:
+            points.append((tau0, wave.on_curve(1.0 + tau0 / sw), wave.on_curve(1.0 - tau0 / sw)))
+        except InadmissibleParameters as exc:
+            raise InadmissibleParameters(f"tau0={tau0:g} is not below sqrt(omega)={sw:g}: {exc}") from None
+    return points
+
+
 def stability_experiment(
     result,
     delta: float,
@@ -538,46 +544,34 @@ def stability_experiment(
 ) -> StabilityReport:
     """Evolve a perturbed ground state and monitor orbital closeness.
 
-    The profile is perturbed by ``delta`` times a unit-H1 random field,
-    evolved to t_final, and compared at every record time against the
-    translation/gauge orbit of the unperturbed profile. Membership in the
-    frequency-shifted potential wells is monitored for each tau0 (default
-    0.05 sqrt(omega)); the shifted minimization levels come from the
-    frequency power law mu(omega') = mu(omega) (omega'/omega)^{2-d/2}.
-    Each tau0 must lie in (0, sqrt(omega)), where both shifted pairs are
-    admissible with (omega, c); another raises InadmissibleParameters first.
+    The profile is perturbed by ``delta`` times a unit-H1 random field
+    (``perturbed``), evolved to t_final, and compared at every record time
+    against the translation/gauge orbit of the unperturbed profile.
+    Membership in the frequency-shifted potential wells is monitored at the
+    points of ``sandwich_points``, checked before anything is evolved: the
+    records' report there follows from their Q, L = E - N, N and P, and the
+    level there is s^(4-d) mu for the point's scale s.
     """
     phi = result.phi
-    grid = phi.grid
     phys, wave = result.phys, result.wave
-    d = grid.d
-    sw = float(np.sqrt(wave.omega))
-    if tau0s is None:
-        tau0s = [0.05 * sw]
-    for tau0 in tau0s:
-        if not 0.0 < tau0 < sw:
-            raise InadmissibleParameters(f"tau0={tau0:g} is not in (0, sqrt(omega)) = (0, {sw:g})")
+    d = phi.grid.d
+    points = sandwich_points(wave, tau0s)
 
-    rng = np.random.default_rng(seed)
-    U0 = phi if delta == 0.0 else State(grid, phi.u + delta * h1_perturbation(grid, rng).u)
+    _, trace = evolve(perturbed(phi, delta, seed), phys, wave, config, reference=phi)
 
-    _, trace = evolve(U0, phys, wave, config, reference=phi)
-
+    L, N = trace.E - trace.N, trace.N
     checks = []
-    for tau0 in tau0s:
-        om_p, om_m = (sw + tau0) ** 2, (sw - tau0) ** 2
-        c_p = tuple(wave.c_array * (sw + tau0) / sw)
-        c_m = tuple(wave.c_array * (sw - tau0) / sw)
-        mu_p = result.mu * (om_p / wave.omega) ** (2.0 - d / 2.0)
-        mu_m = result.mu * (om_m / wave.omega) ** (2.0 - d / 2.0)
-        plus, minus = trace.shifted(wave, om_p, c_p), trace.shifted(wave, om_m, c_m)
+    for tau0, (s_p, w_p), (s_m, w_m) in points:
+        plus = FunctionalReport.from_parts(trace.Q, L, N, trace.P, w_p.omega, w_p.c_array)
+        minus = FunctionalReport.from_parts(trace.Q, L, N, trace.P, w_m.omega, w_m.c_array)
+        mu_p, mu_m = s_p ** (4 - d) * result.mu, s_m ** (4 - d) * result.mu
         bplus = WellMembership.from_report(plus, mu_p).bplus
         bminus = WellMembership.from_report(minus, mu_m).bminus
         checks.append(
             SandwichCheck(
                 tau0=float(tau0),
-                omega_plus=om_p,
-                omega_minus=om_m,
+                omega_plus=w_p.omega,
+                omega_minus=w_m.omega,
                 mu_plus=mu_p,
                 mu_minus=mu_m,
                 in_bplus_initial=bool(bplus[0]),
@@ -631,9 +625,7 @@ def decay_rate_fit(
     if not np.any(mask):
         raise FitWindowEmpty(f"no grid points with radius in [{r_lo:.3g}, {r_hi:.3g}]")
 
-    sigma = phys.sigma
-    sigma0 = phys.sigma0
-    p_max = float(np.sqrt(4.0 * wave.omega * sigma0) * (1.0 - np.sqrt(sigma / (4.0 * wave.omega)) * wave.speed))
+    p_max = float(np.sqrt(4.0 * wave.omega * phys.sigma0) * (1.0 - np.sqrt(phys.sigma / (4.0 * wave.omega)) * wave.speed))
 
     rates = np.empty(3)
     residuals = np.empty(3)

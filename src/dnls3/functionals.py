@@ -40,7 +40,10 @@ def _state_axes(grid: Grid, rows: int) -> tuple:
 
 @dataclass
 class FunctionalReport:
-    """Every functional of one state at one (omega, c), evaluated in one pass."""
+    """Every functional of one state, or of a batch of states or records, at one (omega, c).
+
+    A batch report holds an array over the batch in each field, P a row of d per state.
+    """
 
     Q: float
     L: float
@@ -56,29 +59,28 @@ class FunctionalReport:
     c: np.ndarray
 
     @classmethod
-    def from_parts(cls, Q: float, L: float, N: float, P: np.ndarray, omega: float, c: np.ndarray) -> "FunctionalReport":
-        """Assemble the report from its four basic functionals."""
-        Q, L, N = float(Q), float(L), float(N)
-        d = len(P)
-        cP = float(np.dot(c, P))
+    def from_parts(cls, Q, L, N, P: np.ndarray, omega: float, c: np.ndarray) -> "FunctionalReport":
+        """Assemble the report from its four basic functionals, of one state or of a batch.
+
+        P has the shape of Q, L and N plus a last axis of d. A batch's fields are
+        those of its states' own reports, bit for bit: cP is summed row by row.
+        """
+        P = np.asarray(P)
+        d = P.shape[-1]
+        cP = (P * c).sum(axis=-1)
         E = L + N
         S = E + omega * Q + cP
         K = 2.0 * L + 3.0 * N + 2.0 * omega * Q + 2.0 * cP
         Lqc = K - 3.0 * N
         G = (4.0 - 2.0 * d) * omega * Q + (3.0 - d) * cP
-        if d == 1:
-            G_display = omega * Q + cP
-        elif d == 2:
-            G_display = cP
-        else:
-            G_display = None
+        G_display = {1: omega * Q + cP, 2: cP}.get(d)
         return cls(Q=Q, L=L, N=N, E=E, P=P, S=S, K=K, Lqc=Lqc, G=G, G_display=G_display, omega=omega, c=c)
 
-    def scaled(self, lam: float) -> "FunctionalReport":
-        """Report of lam*U: Q, L and P scale by lam^2, N by lam^3."""
+    def scaled(self, lam) -> "FunctionalReport":
+        """Report of lam*U, lam a scalar or one per state: Q, L and P scale by lam^2, N by lam^3."""
         lam2 = lam * lam
         return FunctionalReport.from_parts(
-            lam2 * self.Q, lam2 * self.L, lam2 * lam * self.N, lam2 * self.P, self.omega, self.c
+            lam2 * self.Q, lam2 * self.L, lam2 * lam * self.N, np.asarray(lam2)[..., None] * self.P, self.omega, self.c
         )
 
     def nehari_factor(self) -> float:
@@ -92,7 +94,7 @@ class FunctionalReport:
 
     @property
     def cP(self) -> float:
-        return float(np.dot(self.c, self.P))
+        return (self.P * self.c).sum(axis=-1)
 
     def identity_residuals(self) -> dict:
         """Relative residuals of the linear report identities."""
@@ -110,7 +112,7 @@ class FunctionalReport:
 
     def pohozaev_residual(self) -> float:
         """Normalized residual of the dilation identity 2L + (d/2+1)N + c.P = 0."""
-        d = len(self.P)
+        d = self.P.shape[-1]
         terms = (2.0 * self.L, (d / 2.0 + 1.0) * self.N, self.cP)
         return abs(sum(terms)) / (sum(abs(t) for t in terms) + 1e-30)
 
@@ -119,7 +121,7 @@ class FunctionalReport:
 
         Holds for a minimizer at level mu.
         """
-        rhs = (4.0 - len(self.P)) * mu
+        rhs = (4.0 - self.P.shape[-1]) * mu
         return abs(2.0 * self.omega * self.Q + self.cP - rhs) / abs(rhs)
 
     def stability_margin(self) -> float:
@@ -259,8 +261,8 @@ class WellMembership:
 
     aplus/aminus use the sign of K, bplus/bminus the position of N relative
     to -2 mu; both require S < mu strictly. Boundary states get no flag.
-    Built from a trace instead of a report, each flag is an array with one
-    entry per record.
+    Built from the report of a batch, each flag is an array with one entry
+    per state or record.
     """
 
     aplus: bool | np.ndarray
@@ -279,10 +281,11 @@ class WellMembership:
 
     @classmethod
     def from_report(cls, rep, mu: float) -> "WellMembership":
-        """Flags of the state a report describes; the zero state (Q = 0) gets none.
+        """Flags of the states a report describes; the zero state (Q = 0) gets none.
 
-        ``rep`` is a FunctionalReport or anything with Q, S, K and N of the
-        same shape, such as an EvolutionTrace; the rule applies elementwise.
+        ``rep`` is a FunctionalReport, of one state or of a batch, or anything
+        with Q, S, K and N of one shape, such as an EvolutionTrace at its own
+        pair; the rule applies elementwise.
         """
         below = (rep.Q > 0.0) & (rep.S < mu)
         return cls(
@@ -298,6 +301,9 @@ def _plain(flags):
     return bool(flags) if np.ndim(flags) == 0 else flags
 
 
-def gauge_phases(theta: float) -> np.ndarray:
-    """Column of phases (e^{2 i theta}, e^{i theta}, e^{i theta})."""
-    return np.array([np.exp(2j * theta), np.exp(1j * theta), np.exp(1j * theta)])
+def gauge_phases(a, b) -> np.ndarray:
+    """Phases (e^{ia}, e^{ib}, e^{i(a-b)}) of the two-parameter gauge, stacked on a new first axis.
+
+    The solitary wave's gauge at angle theta is a = 2 theta, b = theta.
+    """
+    return np.array([np.exp(1j * a), np.exp(1j * b), np.exp(1j * (a - b))])

@@ -36,19 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateNonlinearity,
-    DomainTooSmall,
-    NoConvergence,
-    WrongDimension,
-)
-from .functionals import (
-    FunctionalReport,
-    _parts,
-    evaluate,
-    linear_symbols,
-    nehari_rescale,
-)
+from .errors import DegenerateNonlinearity, DomainTooSmall, InadmissibleParameters, NoConvergence, WrongDimension
+from .functionals import FunctionalReport, _parts, evaluate, gauge_phases, linear_symbols, nehari_rescale
 from .grid import Grid, State
 from .params import PhysParams, WaveParams
 
@@ -165,9 +154,7 @@ def initial_ansatz(grid: Grid, phys: PhysParams, wave: WaveParams, center=None) 
             dk = 2 * np.pi / grid.extent[k]
             kk = np.round(wave.c[k] / 2.0 / dk) * dk
             theta = theta + kk * mesh[k]
-        u[0] *= np.exp(2j * theta)
-        u[1] *= np.exp(1j * theta)
-        u[2] *= np.exp(1j * theta)
+        u *= gauge_phases(2.0 * theta, theta)[:, None]
     _, state = nehari_rescale(State(grid, u), phys, wave)
     return state
 
@@ -401,12 +388,12 @@ def mu_scaling_check(
 ) -> list[MuScalePoint]:
     """Verify the frequency power laws of the solved ground states.
 
-    The map Psi(x) -> sqrt(omega) Psi(sqrt(omega) x) takes the ground state
-    at (1, c0) to the one at (omega, sqrt(omega) c0), so the level and the
-    charge follow
+    Each omega is solved at exactly that frequency, at the point (omega, s c0)
+    of the scaling curve through (1, c0) (``WaveParams.on_curve``), where
+    s = sqrt(omega) and the level and the charge follow
 
-        mu(omega, sqrt(omega) c0) = omega^{2-d/2} mu(1, c0)   (rel_error)
-        Q(omega, sqrt(omega) c0)  = omega^{1-d/2} Q(1, c0)    (q_scaling_error)
+        mu(omega, s c0) = s^(4-d) mu(1, c0)   (rel_error)
+        Q(omega, s c0)  = s^(2-d) Q(1, c0)    (q_scaling_error)
 
     Each point is an independent solve, compared with the law through the
     unit-frequency solve. A point whose solve fails (NoConvergence,
@@ -415,28 +402,29 @@ def mu_scaling_check(
     fails, every point carries that failure.
     """
     config = config or SolverConfig()
-    c0 = np.atleast_1d(np.asarray(c0, dtype=float))
+    unit = WaveParams(1.0, tuple(np.atleast_1d(np.asarray(c0, dtype=float))))
     d = grid.d
 
-    def solve(omega):
+    def solve(wave):
         try:
-            return solve_ground_state(grid, phys, WaveParams(float(omega), tuple(np.sqrt(omega) * c0)), config)
+            return solve_ground_state(grid, phys, wave, config)
         except (NoConvergence, DomainTooSmall, DegenerateNonlinearity) as exc:
             return type(exc).__name__
 
-    base = solve(1.0)
+    base = solve(unit)
     out = []
     for omega in omegas:
-        res = base if omega == 1.0 or isinstance(base, str) else solve(omega)
+        s, wave = unit.on_curve(omega=omega)
+        res = base if omega == 1.0 or isinstance(base, str) else solve(wave)
         if isinstance(res, str):
-            out.append(MuScalePoint(float(omega), np.nan, np.nan, np.nan, np.nan, res))
+            out.append(MuScalePoint(wave.omega, np.nan, np.nan, np.nan, np.nan, res))
             continue
-        predicted = omega ** (2.0 - d / 2.0) * base.mu
+        predicted = s ** (4 - d) * base.mu
         rel = abs(res.mu - predicted) / res.mu
 
-        q_pred = omega ** (1.0 - d / 2.0) * base.report.Q
+        q_pred = s ** (2 - d) * base.report.Q
         q_err = abs(res.report.Q - q_pred) / abs(q_pred)
-        out.append(MuScalePoint(float(omega), res.mu, predicted, rel, q_err))
+        out.append(MuScalePoint(wave.omega, res.mu, predicted, rel, q_err))
     return out
 
 
@@ -444,11 +432,11 @@ def mu_scaling_check(
 class HCurveReport:
     """Scaling-curve restriction of the minimal action level around tau = 0.
 
-    ``mu_values[i]`` is the independently solved level at parameters
-    ((sqrt(omega)-tau_i)^2, c (sqrt(omega)-tau_i)/sqrt(omega)), and
-    ``mu_curve_predicted[i]`` the power law ((sqrt(omega)-tau_i)/sqrt(omega))^(4-d)
-    h(0) through the level at tau = 0. Closed forms come from the converged
-    profile at tau = 0:
+    ``mu_values[i]`` is the independently solved level h(tau_i) at the
+    point of the scaling curve through (omega, c) with scale
+    s_i = 1 - tau_i/sqrt(omega), and ``mu_curve_predicted[i]`` the level
+    law s_i^(4-d) h(0) through the level at tau = 0. Closed forms come from
+    the converged profile at tau = 0:
 
         h(0)   = mu
         h'(0)  = -(2 omega Q + c.P)/sqrt(omega)
@@ -467,6 +455,21 @@ class HCurveReport:
     rel_h2: float
 
 
+def h_curve_points(wave: WaveParams, tau_step: float | None = None):
+    """The taus -2..2 tau_step of ``h_curve`` (tau_step defaults to 0.05 sqrt(omega)) and their points.
+
+    Each point is the (scale, pair) of ``wave.on_curve`` at scale 1 - tau/sqrt(omega);
+    2 tau_step >= sqrt(omega) takes the last one off the branch: InadmissibleParameters.
+    """
+    sw = float(np.sqrt(wave.omega))
+    step = 0.05 * sw if tau_step is None else tau_step
+    taus = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * step
+    try:
+        return taus, [wave.on_curve(1.0 - tau / sw) for tau in taus]
+    except InadmissibleParameters as exc:
+        raise InadmissibleParameters(f"tau_step={step:g}: 2 tau_step must be below sqrt(omega)={sw:g}; {exc}") from None
+
+
 def h_curve(
     grid: Grid,
     phys: PhysParams,
@@ -474,46 +477,32 @@ def h_curve(
     tau_step: float | None = None,
     config: SolverConfig | None = None,
 ) -> HCurveReport:
-    """Compare finite-difference derivatives of the level curve to closed forms."""
+    """Compare finite-difference derivatives of the level curve to closed forms.
+
+    Its points (``h_curve_points``) are checked before the first solve.
+    """
     d = grid.d
     if d not in (1, 2):
         raise WrongDimension("scaling-curve analysis is defined for d in {1, 2}")
     config = config or SolverConfig()
-    sw = float(np.sqrt(wave.omega))
-    s = tau_step if tau_step is not None else 0.05 * sw
-    taus = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * s
+    taus, points = h_curve_points(wave, tau_step)
+    results = [solve_ground_state(grid, phys, w_tau, config) for _, w_tau in points]
+    mus = np.array([res.mu for res in results])
+    center = results[2]
 
-    mus = np.empty(5)
-    for i, tau in enumerate(taus):
-        w_tau = WaveParams((sw - tau) ** 2, tuple(wave.c_array * (sw - tau) / sw))
-        res = solve_ground_state(grid, phys, w_tau, config)
-        mus[i] = res.mu
-        if tau == 0.0:
-            center = res
+    # the level law along the curve, through the tau = 0 level
+    mu_curve_pred = np.array([s for s, _ in points]) ** (4 - d) * center.mu
 
-    # closed-form curve from the tau = 0 level via the power law
-    mu_curve_pred = ((sw - taus) / sw) ** (4 - d) * center.mu
+    step = taus[3]  # the taus are -2, -1, 0, 1 and 2 steps
+    fd_h1 = (mus[3] - mus[1]) / (2 * step)
+    fd_h2 = (-mus[0] + 16 * mus[1] - 30 * mus[2] + 16 * mus[3] - mus[4]) / (12 * step**2)
 
-    fd_h1 = (mus[3] - mus[1]) / (2 * s)
-    fd_h2 = (-mus[0] + 16 * mus[1] - 30 * mus[2] + 16 * mus[3] - mus[4]) / (12 * s**2)
-
-    rep = center.report
-    qp = 2.0 * wave.omega * rep.Q + rep.cP
-    closed_h1 = -qp / sw
+    qp = 2.0 * wave.omega * center.report.Q + center.report.cP
+    closed_h1 = -qp / np.sqrt(wave.omega)
     closed_h2 = (3.0 - d) * qp / wave.omega
-
-    return HCurveReport(
-        taus=taus,
-        mu_values=mus,
-        mu_curve_predicted=mu_curve_pred,
-        h0=center.mu,
-        fd_h1=fd_h1,
-        fd_h2=fd_h2,
-        closed_h1=closed_h1,
-        closed_h2=closed_h2,
-        rel_h1=abs(fd_h1 - closed_h1) / abs(closed_h1),
-        rel_h2=abs(fd_h2 - closed_h2) / max(abs(closed_h2), 1e-300),
-    )
+    rel_h1 = abs(fd_h1 - closed_h1) / abs(closed_h1)
+    rel_h2 = abs(fd_h2 - closed_h2) / max(abs(closed_h2), 1e-300)
+    return HCurveReport(taus, mus, mu_curve_pred, center.mu, fd_h1, fd_h2, closed_h1, closed_h2, rel_h1, rel_h2)
 
 
 # Complex points a round of the well sampler draws, over all its states:
@@ -545,13 +534,13 @@ def sample_below_level(
     ``(b, 3, d, *grid.shape)``. Its spectrum is drawn directly and smoothed
     by ``Grid.noise_spectrum`` (power 2, no Nyquist mode), then brought to
     physical space by one inverse transform, evaluated by one batched kernel
-    call and ``_parts``, and its ray equations are solved by one batched
-    eigensolve of their companion matrices (the one ``np.roots`` makes per
-    polynomial). A draw meant for K < 0 whose N is positive has its u3
-    negated: that maps N to -N and keeps Q, L and P, and the smoothed
-    Gaussian law is symmetric under u3 -> -u3, so the law of the draws kept
-    is that of draws with N < 0. At most 50 n states are drawn; fewer than n
-    are returned only when that cap is hit.
+    call and ``_parts`` into one batch report, and its ray equations are
+    solved by one batched eigensolve of their companion matrices (the one
+    ``np.roots`` makes per polynomial). A draw meant for K < 0 whose N is
+    positive has its u3 negated: that maps N to -N and keeps Q, L and P,
+    and the smoothed Gaussian law is symmetric under u3 -> -u3, so the law
+    of the draws kept is that of draws with N < 0. At most 50 n states are
+    drawn; fewer than n are returned only when that cap is hit.
     """
     return _below_level(grid, phys, wave, mu, rng, n, lambda s, u, rep: (State(grid, s * u), rep))
 
@@ -588,13 +577,13 @@ def _below_level(grid, phys, wave, mu, rng, n, keep):
         flip = negative & (C.real > 0)
         u[flip, 2] *= -1.0
         N = np.where(flip, -C.real, C.real)
-        reports = [FunctionalReport.from_parts(Q[i], L[i], N[i], P[i], wave.omega, wave.c_array) for i in range(b)]
+        batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
         target = rng.uniform(0.2, 0.95, size=b) * mu
         # S(sU) = t mu as the cubic N s^3 + (Lqc/2) s^2 - t mu = 0; a draw with
         # N exactly 0 (a null event) has no cubic and is not kept
         live = np.flatnonzero(N != 0.0)
         companion = np.zeros((len(live), 3, 3))
-        companion[:, 0, 0] = -np.array([reports[i].Lqc for i in live]) / 2.0 / N[live]
+        companion[:, 0, 0] = -batch.Lqc[live] / 2.0 / N[live]
         companion[:, 0, 2] = target[live] / N[live]
         companion[:, 1, 0] = companion[:, 2, 1] = 1.0
         roots = np.linalg.eigvals(companion)
@@ -602,14 +591,13 @@ def _below_level(grid, phys, wave, mu, rng, n, keep):
         # the falling-branch root is the largest positive one, the rising-branch root the smallest
         largest = np.where(real, roots.real, -np.inf).max(axis=1)
         smallest = np.where(real, roots.real, np.inf).min(axis=1)
-        for i, s_high, s_low in zip(live, largest, smallest):
-            s = s_high if negative[i] else s_low
-            if not np.isfinite(s):
-                continue
-            rep_s = reports[i].scaled(s)
-            if rep_s.S >= mu:
-                continue
-            if not (rep_s.K < 0 if negative[i] else rep_s.K > 0):
-                continue
-            found[bool(negative[i])].append(keep(s, u[i], rep_s))
+        # a draw without its root keeps s = NaN, which fails both tests below
+        s = np.full(b, np.nan)
+        s[live] = np.where(negative[live], largest, smallest)
+        s[np.isinf(s)] = np.nan
+        at = batch.scaled(s)
+        kept = (at.S < mu) & np.where(negative, at.K < 0.0, at.K > 0.0)
+        for i in np.flatnonzero(kept):
+            rep_s = FunctionalReport.from_parts(at.Q[i], at.L[i], at.N[i], at.P[i], wave.omega, wave.c_array)
+            found[bool(negative[i])].append(keep(s[i], u[i], rep_s))
     return found[True] + found[False]

@@ -8,6 +8,7 @@ frequency-shifted resolvent symbols strictly positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ class PhysParams:
 
 @dataclass(frozen=True)
 class WaveParams:
-    """Frequency omega and speed vector c of a solitary wave."""
+    """Frequency omega and speed vector c of a solitary wave; ``on_curve`` maps it along its scaling curve."""
 
     omega: float
     c: tuple = field(default=(0.0,))
@@ -69,8 +70,24 @@ class WaveParams:
     def admissible(self, phys: PhysParams) -> bool:
         return self.omega > phys.sigma * self.speed**2 / 4.0
 
+    def on_curve(self, scale: float | None = None, omega: float | None = None) -> tuple:
+        """(s, pair) for the point (s^2 omega, s c) of the scaling curve through this pair.
+
+        Give s, or the point's frequency, kept exactly, with s = sqrt(frequency / omega).
+        Psi(x) -> s Psi(s x) maps the profiles here to those at the point, so the level
+        scales by s^(4-d) and the charge by s^(2-d); admissibility is kept. Raises
+        InadmissibleParameters unless s > 0, the branch through this pair.
+        """
+        if omega is None:
+            omega = scale * scale * self.omega
+        else:
+            scale = math.sqrt(max(omega / self.omega, 0.0))
+        if not scale > 0.0:
+            raise InadmissibleParameters(f"scale {scale:g} is off the branch s > 0 of the scaling curve (s^2 omega, s c)")
+        return scale, WaveParams(float(omega), tuple(scale * self.c_array))
+
     def require_admissible(self, phys: PhysParams) -> None:
         if not self.admissible(phys):
             raise InadmissibleParameters(
-                f"omega={self.omega} <= sigma*|c|^2/4={phys.sigma * self.speed ** 2 / 4.0}"
+                f"omega={self.omega} <= sigma*|c|^2/4={phys.sigma * self.speed ** 2 / 4.0}: not admissible"
             )

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnls3 import cli, config
+from dnls3 import cli, config, ground_state
 from dnls3.cli import run_subcommand
 from dnls3.config import parse_config
 from dnls3.errors import (
@@ -305,6 +305,10 @@ def small_config(tmp_path, outname, **overrides):
     return path, tmp_path / outname
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved although the run's inputs are invalid")
+
+
 class TestCli:
     def test_gs_subcommand(self, tmp_path):
         cfg_path, outdir = small_config(tmp_path, "gs_run")
@@ -421,15 +425,18 @@ class TestCli:
         overrides = {"experiment": experiment}
         if outdir is not None:
             overrides["output"] = {"dir": str(outdir)}
-        cfg_path, _ = small_config(tmp_path, case, **overrides)
+        cfg_path, default_out = small_config(tmp_path, case, **overrides)
         capsys.readouterr()
         assert run_subcommand(["check", "--config", str(cfg_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ValidationError"
         assert record["message"].startswith(f"{field}:")
+        if field == "experiment.field":
+            # the input is read before the output directory is made
+            assert not default_out.exists()
 
     @pytest.mark.parametrize("tau0s", [[1.0, 1.5, 2.5], [2.5]], ids=["omega_minus_zero", "omega_minus_above"])
-    def test_stability_rejects_tau0_off_the_curve(self, tmp_path, capsys, tau0s):
+    def test_stability_rejects_tau0_off_the_curve(self, tmp_path, capsys, monkeypatch, tau0s):
         # at omega = 1 a tau0 >= 1 moves the lower shifted pair off the scaling curve
         cfg_path, outdir = small_config(
             tmp_path,
@@ -438,11 +445,25 @@ class TestCli:
             evolve={"dt": 1e-3, "t_final": 0.01},
             experiment={"tau0s": tau0s},
         )
+        monkeypatch.setattr(cli, "solve_ground_state", _no_solve)
         capsys.readouterr()
         assert run_subcommand(["stability", "--config", str(cfg_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "InadmissibleParameters"
-        assert not (outdir / "verdict.json").exists()
+        assert "tau0=" in record["message"]
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("tau_step", [0.5, 2.8])
+    def test_h_curve_rejects_tau_step_off_the_curve(self, tmp_path, capsys, monkeypatch, tau_step):
+        # at omega = 1 the point at tau = 2 tau_step leaves the scaling curve once 2 tau_step >= 1
+        cfg_path, outdir = small_config(tmp_path, "hc_tau", experiment={"tau_step": tau_step})
+        monkeypatch.setattr(ground_state, "solve_ground_state", _no_solve)
+        capsys.readouterr()
+        assert run_subcommand(["h-curve", "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InadmissibleParameters"
+        assert "tau_step=" in record["message"]
+        assert not outdir.exists()
 
     def test_divergence_time_in_error_record(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
@@ -615,13 +636,14 @@ class TestCli:
         # on a plain grid the constraint residual reads about 2e-8
         assert payload["nehari_K_residual"] < 1e-12
 
-        # a snapshot from another grid is refused by name
-        cfg3, _ = small_config(tmp_path, "check_bad", experiment={"field": str(field), "samples": 20})
+        # a snapshot from another grid is refused by name, before the output directory is made
+        cfg3, outdir3 = small_config(tmp_path, "check_bad", experiment={"field": str(field), "samples": 20})
         capsys.readouterr()
         assert run_subcommand(["check", "--config", str(cfg3)]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ValidationError"
         assert "experiment.field" in record["message"]
+        assert not outdir3.exists()
 
     @pytest.mark.parametrize(
         "name, grid, resolved",

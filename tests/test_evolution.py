@@ -17,11 +17,12 @@ from dnls3.evolution import (
     gauge_apply,
     h1_perturbation,
     orbit_distance,
+    sandwich_points,
     solitary_wave,
     stability_experiment,
     step,
 )
-from dnls3.functionals import WellMembership, evaluate
+from dnls3.functionals import FunctionalReport, WellMembership, evaluate
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import SolverConfig, solve_ground_state
 from dnls3.params import PhysParams, WaveParams
@@ -649,7 +650,8 @@ class TestShiftedTraceAndWells:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, one = evolve(states[1], PHYS, wave, EvolveConfig(t_final=0.0))
-        moved = one.shifted(wave, wave2.omega, wave2.c)
+        # S and K are affine in (omega, c): the record's Q, L = E - N, N and P give its report at any pair
+        moved = FunctionalReport.from_parts(one.Q, one.E - one.N, one.N, one.P, wave2.omega, wave2.c_array)
         direct = evaluate(states[1], PHYS, wave2)
         scale = abs(direct.L) + abs(direct.N) + abs(direct.omega * direct.Q) + abs(direct.cP)
         assert abs(moved.S[0] - direct.S) <= 1e-12 * scale
@@ -667,7 +669,8 @@ class TestShiftedTraceAndWells:
             h1=np.array([norm_h1(s) for s in states]),
         )
         mu = level * reports[1].S  # near the peak of S along the ray, so some records sit above mu
-        wells = WellMembership.from_report(trace.shifted(wave, wave2.omega, wave2.c), mu)
+        at2 = FunctionalReport.from_parts(trace.Q, trace.E - trace.N, trace.N, trace.P, wave2.omega, wave2.c_array)
+        wells = WellMembership.from_report(at2, mu)
         for i, state in enumerate(states):
             rep2 = evaluate(state, PHYS, wave2)
             scale2 = abs(rep2.L) + abs(rep2.N) + abs(rep2.omega * rep2.Q) + abs(rep2.cP)
@@ -696,3 +699,6 @@ class TestStabilityExperiment:
         monkeypatch.setattr(evolution, "evolve", no_evolve)
         with pytest.raises(InadmissibleParameters, match="tau0"):
             stability_experiment(res, 1e-3, EvolveConfig(dt=1e-3, t_final=0.01), tau0s=[0.5, tau0])
+        # the same rule, through the scaling-curve map, is what the CLI checks before it solves
+        with pytest.raises(InadmissibleParameters, match="tau0"):
+            sandwich_points(res.wave, [0.5, tau0])

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy.integrate import quad
 
 from dnls3.errors import DegenerateNonlinearity, InadmissibleParameters
 from dnls3.functionals import (
+    FunctionalReport,
     WellMembership,
     _parts,
     action_gradient,
@@ -162,7 +165,7 @@ class TestReport:
         state = random_state(g, rng)
         rep = evaluate(state, PHYS, wave)
         for theta in (0.3, 1.7, np.pi):
-            phases = gauge_phases(theta).reshape(3, 1, 1)
+            phases = gauge_phases(2.0 * theta, theta).reshape(3, 1, 1)
             rep_g = evaluate(State(g, phases * state.u), PHYS, wave)
             for name in ("Q", "L", "N", "S", "K", "Lqc", "G"):
                 a, b = getattr(rep, name), getattr(rep_g, name)
@@ -232,6 +235,43 @@ class TestReport:
         for name in ("Q", "L", "N", "S", "K"):
             a, b = getattr(rep, name), getattr(rep_t, name)
             assert abs(a - b) < 1e-12 * max(1.0, abs(a))
+
+
+def _same_field(a, b) -> bool:
+    """Equal bit for bit: the same value, the same None, or the same array."""
+    return (a is None and b is None) or np.array_equal(a, b)
+
+
+class TestBatchReport:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]), b=st.integers(0, 6))
+    def test_stacked_parts_give_each_states_report(self, seed, d, b):
+        rng = np.random.default_rng(seed)
+        Q, L = rng.uniform(0.0, 10.0, (2, b))
+        N, P = rng.normal(size=b), rng.normal(size=(b, d))
+        omega, c, lam = rng.uniform(0.1, 3.0), rng.normal(size=d), rng.uniform(0.1, 3.0, b)
+        batch = FunctionalReport.from_parts(Q, L, N, P, omega, c)
+        scaled = batch.scaled(lam)
+        for report in (batch, scaled):
+            assert report.S.shape == (b,) and report.P.shape == (b, d)
+            assert (report.G_display is None) == (d == 3)
+        for i in range(b):
+            single = FunctionalReport.from_parts(Q[i], L[i], N[i], P[i], omega, c)
+            for one, many in ((single, batch), (single.scaled(lam[i]), scaled)):
+                for f in fields(FunctionalReport):
+                    value = getattr(many, f.name)
+                    row = value if f.name in ("omega", "c") or value is None else value[i]
+                    assert _same_field(getattr(one, f.name), row), f.name
+            mu = 0.5 * single.S
+            wells, flags = WellMembership.from_report(single, mu), WellMembership.from_report(batch, mu)
+            assert (wells.aplus, wells.bminus, wells.agree) == (flags.aplus[i], flags.bminus[i], flags.agree[i])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_of_zero(self, d):
+        empty = FunctionalReport.from_parts(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((0, d)), 1.0, np.ones(d))
+        assert empty.S.shape == empty.K.shape == empty.cP.shape == (0,)
+        assert empty.scaled(np.zeros(0)).P.shape == (0, d)
+        assert WellMembership.from_report(empty, 1.0).agree.shape == (0,)
 
 
 class TestActionGradient:

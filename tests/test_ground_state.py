@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -503,6 +505,46 @@ class TestIdentities:
             assert pt.q_scaling_error < 1e-8
 
 
+class TestScalingCurve:
+    @pytest.mark.parametrize("scale", [0.0, -0.5, np.nan])
+    def test_off_the_branch_raises(self, scale):
+        wave = WaveParams(2.0, (0.3,))
+        with pytest.raises(InadmissibleParameters, match="branch"):
+            wave.on_curve(scale)
+        with pytest.raises(InadmissibleParameters, match="branch"):
+            wave.on_curve(omega=scale)
+
+    def test_point_keeps_its_frequency_and_admissibility(self):
+        wave = WaveParams(2.0, (0.3, -0.4))
+        s, point = wave.on_curve(omega=0.5)
+        assert (s, point.omega) == (0.5, 0.5)
+        assert point.c == (0.15, -0.2)
+        s, point = wave.on_curve(1.5)
+        assert point.omega == 4.5 and np.array_equal(point.c_array, 1.5 * wave.c_array)
+        # sigma = 1: (2, |c| = 0.5) is admissible, and so is every point of its curve
+        assert point.admissible(PHYS) and wave.admissible(PHYS)
+
+    def test_mu_scaling_solves_at_exactly_the_listed_omegas(self, monkeypatch):
+        # sqrt(omega)^2 differs from omega in the last bit for most omegas (0.5 among them)
+        omegas = [0.5, 0.7, 1.0, 3.0, 10.0]
+        assert any(np.sqrt(w) ** 2 != w for w in omegas)
+        solved = []
+
+        def record(grid, phys, wave, config):
+            solved.append(wave)
+            return SimpleNamespace(mu=1.0, report=SimpleNamespace(Q=1.0))
+
+        monkeypatch.setattr(ground_state, "solve_ground_state", record)
+        pts = mu_scaling_check(Grid(64, 10.0), PHYS, (0.3,), omegas, FAST)
+        assert [w.omega for w in solved] == [1.0, 0.5, 0.7, 3.0, 10.0]
+        assert [w.c for w in solved] == [(0.3,)] + [(np.sqrt(w) * 0.3,) for w in (0.5, 0.7, 3.0, 10.0)]
+        assert [p.omega for p in pts] == omegas
+        # d = 1: the level law s^3 and the charge law s through the unit solve
+        for p in pts:
+            assert abs(p.mu_predicted - p.omega**1.5) <= 1e-14 * p.omega**1.5
+            assert abs(p.q_scaling_error - abs(1.0 - np.sqrt(p.omega)) / np.sqrt(p.omega)) <= 1e-14
+
+
 class TestCarriedReport:
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_solved_profile_is_not_evaluated_again(self, evaluate_calls, restarts):
@@ -531,6 +573,30 @@ class TestHCurve:
         assert rep.rel_h2 < 5e-2
         # closed-form curve should track the solved levels
         assert np.max(np.abs(rep.mu_values - rep.mu_curve_predicted) / rep.mu_values) < 1e-3
+
+    @pytest.mark.parametrize("tau_step", [0.5, 0.8])
+    def test_tau_step_off_the_curve_raises_before_solving(self, monkeypatch, tau_step):
+        # at omega = 1 the point at tau = 2 tau_step has scale 1 - 2 tau_step <= 0
+        solves = []
+        monkeypatch.setattr(ground_state, "solve_ground_state", lambda *args: solves.append(args))
+        with pytest.raises(InadmissibleParameters, match="tau_step"):
+            h_curve(Grid(256, 40.0), PHYS, WaveParams(1.0, (0.3,)), tau_step=tau_step, config=FAST)
+        assert solves == []
+
+    def test_tau_step_just_below_the_bound_passes(self, monkeypatch):
+        omega = 16.0
+        tau_step = 0.5 * np.sqrt(omega) * (1.0 - 1e-9)
+        solved = []
+
+        def solve(grid, phys, wave, config):
+            solved.append(wave)
+            return SimpleNamespace(mu=1.0, report=SimpleNamespace(Q=1.0, cP=0.0))
+
+        monkeypatch.setattr(ground_state, "solve_ground_state", solve)
+        rep = h_curve(Grid(256, 40.0), PHYS, WaveParams(omega, (0.3,)), tau_step=tau_step, config=FAST)
+        assert len(solved) == 5 and all(w.omega > 0 and w.c[0] > 0 for w in solved)
+        assert solved[2] == WaveParams(omega, (0.3,))
+        assert rep.mu_curve_predicted[-1] < 1e-20
 
     def test_h_curve_rejects_3d(self):
         g3 = Grid((8, 8, 8), (10.0, 10.0, 10.0))
