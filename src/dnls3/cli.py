@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .evolution import decay_rate_fit, evolve, perturbed, sandwich_points, stability_experiment
-from .functionals import FunctionalReport, WellMembership, coercivity_certificate, evaluate
+from .functionals import WellMembership, coercivity_certificate, evaluate
 from .grid import State
 from .ground_state import MuScalePoint, h_curve, h_curve_points, mu_scaling_check, reports_below_level, solve_ground_state
 from .snapshot import FORMAT_VERSION, load_field, save_field
@@ -252,11 +252,9 @@ def _cmd_check(cfg: RunConfig, outdir: Path, field) -> int:
     cert = coercivity_certificate(cfg.phys, cfg.wave)
     rng = np.random.default_rng(cfg.solver.seed)
     wanted = cfg.experiment["samples"]
-    # the flags of all samples at once, from their stacked reports; the states are not kept
-    reports = reports_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, wanted)
-    Q, L, N = (np.array([getattr(r, k) for r in reports]) for k in "QLN")
-    P = np.reshape([r.P for r in reports], (len(reports), phi.grid.d))
-    batch = FunctionalReport.from_parts(Q, L, N, P, cfg.wave.omega, cfg.wave.c_array)
+    # the flags of all samples at once, from their batch report; the states are not kept
+    batch = reports_below_level(phi.grid, cfg.phys, cfg.wave, mu, rng, wanted)
+    samples = len(batch.Q)
     disagreements = int(np.count_nonzero(~WellMembership.from_report(batch, mu).agree))
     lqc_nonpositive = int(np.count_nonzero(batch.Lqc <= 0))
 
@@ -264,7 +262,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path, field) -> int:
     passed = (
         identities_passed
         and cert.min_coeff > 0
-        and len(reports) == wanted
+        and samples == wanted
         and disagreements == 0
         and lqc_nonpositive == 0
     )
@@ -283,7 +281,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path, field) -> int:
                 "mass_coeffs": list(cert.mass_coeffs),
                 "min_coeff": cert.min_coeff,
             },
-            "well_samples": len(reports),
+            "well_samples": samples,
             "well_disagreements": disagreements,
             "lqc_nonpositive": lqc_nonpositive,
             "thresholds": CHECK_THRESHOLDS,

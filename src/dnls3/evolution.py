@@ -594,11 +594,14 @@ def stability_experiment(
 
 @dataclass
 class DecayReport:
-    """Tail decay rates per component against the admissibility bound.
+    """Tail decay rates per component against the admissibility bound and the exact rates.
 
     ``rates[j]`` is the fitted slope of -log|phi_j| over the radial window;
     the analysis guarantees exponential decay with any rate below
     p_max / 2 where p_max = sqrt(4 omega sigma0) (1 - sqrt(sigma/(4 omega)) |c|).
+    ``exact_rates[j]`` is the rate of the linear tail equation
+    (``WaveParams.tail_rates``), which a fit on a resolved grid meets; a fit
+    far from it measures something else, such as a resolution floor.
     """
 
     rates: np.ndarray
@@ -606,6 +609,7 @@ class DecayReport:
     half_bound: float
     window: tuple
     fit_residuals: np.ndarray
+    exact_rates: np.ndarray
 
 
 def decay_rate_fit(
@@ -654,4 +658,5 @@ def decay_rate_fit(
         half_bound=p_max / 2.0,
         window=(float(r_lo), float(r_hi)),
         fit_residuals=residuals,
+        exact_rates=wave.tail_rates(phys),
     )

@@ -33,11 +33,6 @@ from .grid import Grid, State
 from .params import PhysParams, WaveParams
 
 
-def _state_axes(grid: Grid, rows: int) -> tuple:
-    """The last ``rows`` + d axes of a field, behind any batch axes."""
-    return tuple(range(-grid.d - rows, 0))
-
-
 @dataclass
 class FunctionalReport:
     """Every functional of one state, or of a batch of states or records, at one (omega, c).
@@ -147,31 +142,50 @@ def _parts(grid: Grid, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
     """(Q, L, C, P) of the state with spectrum F, whose grad(u1 . conj(u2)) spectrum the caller holds.
 
     Every part is read off the spectrum: the transform is unitary, so Q sums
-    |F|^2 as it would |u|^2. C = (u3, grad(u1 . conj(u2))) by Parseval, with
-    ``grad_pair`` the third block of dN (``grid.nonlinear_gradient``); the
-    coupling functional is N = Re C, and rotating u3 by e^{i theta} turns C
-    into e^{i theta} C.
+    |F|^2 as it would |u|^2. Q, L and P are moments of |F|^2: per axis k,
+    the marginal of |F|^2 over the vector rows and the other axes, one row
+    per component, times the moment rows (1, xi_k^2, xi_k) of
+    ``Grid.moments`` gives each component's mass, its sum xi_k^2 |F|^2
+    (k2 = sum_k xi_k^2) and its sum xi_k |F|^2, with no full-grid product.
+    |F|^2 is held as the squares of F's real and imaginary parts, side by
+    side as F's float64 view has them; the last axis's moment rows take
+    them in pairs. In 1D the marginal is those squares, reshaped; in d >= 2
+    they are summed over the vector rows as they are formed, which leaves
+    2/d of |F|^2's entries as the only array of the grid's size.
+    C = (u3, grad(u1 . conj(u2)))
+    by Parseval, with ``grad_pair`` the third block of dN
+    (``grid.nonlinear_gradient``); the coupling functional is N = Re C, and
+    rotating u3 by e^{i theta} turns C into e^{i theta} C.
 
-    ``F`` has shape ``(..., 3, d, *grid.shape)`` and ``grad_pair`` shape
-    ``(..., d, *grid.shape)``: leading axes are batch axes, each part has
-    their shape (P with d entries more), and a state without them gets
-    scalars and a d-vector P.
+    ``F`` has shape ``(..., 3, d, *grid.shape)``, contiguous, and
+    ``grad_pair`` shape ``(..., d, *grid.shape)``: leading axes are batch
+    axes, each part has their shape (P with d entries more), and a state
+    without them gets scalars and a d-vector P.
     """
-    absF2 = np.abs(F) ** 2
-    axes = _state_axes(grid, 1)
-    mass = np.sum(absF2, axis=axes)
+    d = grid.d
+    lead = F.shape[: -d - 2]
+    real = F.view(np.float64)
+    if d == 1:
+        squares = real * real
+    else:
+        rows = real.reshape(*lead, 3, d, -1)
+        squares = np.einsum("...vx,...vx->...x", rows, rows).reshape(*lead, 3, *grid.shape[:-1], -1)
+    spatial = tuple(range(-d, 0))
+    moments = []
+    for k, rows in enumerate(grid.moments):
+        marginal = squares if d == 1 else squares.sum(axis=spatial[:k] + spatial[k + 1 :])
+        moments.append((marginal.reshape(-1, len(rows)) @ rows).reshape(*lead, 3, 3))
+    mass = moments[0][..., 0]
     Q = (mass[..., 0] + 0.5 * mass[..., 1] + 0.5 * mass[..., 2]) * grid.weight
-    k2_parts = np.sum(grid.k2 * absF2, axis=axes)
+    k2_parts = sum(m[..., 1] for m in moments)
     L = 0.5 * (phys.alpha * k2_parts[..., 0] + phys.beta * k2_parts[..., 1] + phys.gamma * k2_parts[..., 2]) * grid.weight
-    lead, u3 = F.shape[: -grid.d - 2], F[(..., 2, slice(None), *grid._space)]
+    u3 = F[(..., 2, slice(None), *grid._space)]
     if lead:
         C = np.einsum("...k,...k->...", grad_pair.reshape(*lead, -1).conj(), u3.reshape(*lead, -1)) * grid.weight
     else:
         # a single state keeps BLAS's dot product, which the solver and the stepper's reports have always used
         C = complex(np.vdot(grad_pair, u3)) * grid.weight
-    P = np.empty((*lead, grid.d))
-    for k in range(grid.d):
-        P[..., k] = -0.5 * np.sum(grid.xi[k] * absF2, axis=_state_axes(grid, 2)) * grid.weight
+    P = np.stack([m[..., 2].sum(axis=-1) for m in moments], axis=-1) * (-0.5 * grid.weight)
     return Q, L, C, P
 
 

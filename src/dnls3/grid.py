@@ -81,12 +81,10 @@ class Grid:
         self.weight = float(np.prod(self.spacing))
         self._spatial_axes = tuple(range(-d, 0))
         self._space = space = (slice(None),) * d
-        # the kernel's rows, behind any batch axes: u1 and u2 (and the
+        # the kernel's rows, in front of any batch axes: u1 and u2 (and the
         # products that take their places), the pair sum, and div u3 (the
         # last row, kept as a unit row axis)
-        self._kernel_rows = tuple((..., index, *space) for index in (slice(0, d), slice(d, 2 * d), 2 * d, slice(-1, None)))
-        #: each single row 0..d, behind any batch axes
-        self._single_rows = tuple((..., k, *space) for k in range(d))
+        self._kernel_rows = (slice(0, d), slice(d, 2 * d), 2 * d, slice(-1, None))
 
         # per-axis coordinates and wavenumbers, broadcastable over the grid
         self.axes = []
@@ -107,6 +105,15 @@ class Grid:
             self.band[(slice(None),) * k + (n[k] // 2,)] = 0.0
         self.ik = [1j * xk for xk in self.xi]
         self.k2 = sum(xk**2 for xk in self.xi)
+        #: per axis k, the moment rows (1, xi_k^2, xi_k) as the columns of an (n_k, 3)
+        #: array: a marginal of |F|^2 along axis k times them gives its mass, its
+        #: sum of xi_k^2 |F|^2 and its sum of xi_k |F|^2. The last axis's rows come
+        #: twice each, (2 n_k, 3), to meet the squares of a spectrum's real and
+        #: imaginary parts side by side, as its float64 view holds them
+        self.moments = []
+        for k, xk in enumerate(self.xi):
+            rows = np.stack([np.ones(n[k]), xk.ravel() ** 2, xk.ravel()], axis=-1)
+            self.moments.append(np.repeat(rows, 2, axis=0) if k == d - 1 else rows)
 
         if dealias:
             # quadratic products are formed on the 3/2-padded grid; the
@@ -130,13 +137,13 @@ class Grid:
             self._product_shape = self._band_split = self._product_split = self.shape
             band_modes = space
             pad = unpad = 1.0 / np.sqrt(self.size)
-        # symbols of the coupling kernel: the pad weights u1 and u2 by the
-        # band scale and u3 by the terms i xi_k of div u3 (state-shaped); the
-        # unpad folds the transform scale into the symbols (-1, -1, i xi) of
-        # the gradient (state rows flattened)
+        # symbols of the coupling kernel, one per state row on the split band:
+        # the pad weights u1 and u2 by the band scale and u3 by the terms
+        # i xi_k of div u3; the unpad folds the transform scale into the
+        # symbols (-1, -1, i xi) of the gradient
         ones = np.ones(self.shape)
-        self._pad_symbols = np.array([[pad * ones] * d, [pad * ones] * d, [pad * ik * ones for ik in self.ik]])
-        self._unpad_symbols = np.array([-unpad * ones] * (2 * d) + [unpad * ik * ones for ik in self.ik])
+        self._pad_rows = np.array([pad * ones] * (2 * d) + [pad * ik * ones for ik in self.ik]).reshape(3 * d, *self._band_split)
+        self._unpad_rows = np.array([-unpad * ones] * (2 * d) + [unpad * ik * ones for ik in self.ik]).reshape(3 * d, *self._band_split)
 
         #: the band's modes on the split product grid
         self._band_modes = (..., *band_modes)
@@ -221,14 +228,17 @@ class Grid:
         """The coupling kernel's scratch for batch axes ``lead``: its views by kernel mode.
 
         Built on the first call and kept; a call with other batch axes
-        replaces it. The band spectra times their pad symbols (3d rows), then
-        three buffers of 2d+1 rows on the product grid: the padded spectra,
-        zeroed once (only the band is ever written, so the padding stays
-        zero), the values (on a plain grid, the padded spectra transformed in
-        place) and the products, transformed in place. A mode pads F's rows
-        u1 and u2 (``pair``) or u1, u2 and u3 (``full``), the terms of div u3
-        summed into row 2d, into the same rows of the padded spectra, and
-        forms the pair sum in the last product row.
+        replaces it. The band spectra times their pad symbols (3d rows, in
+        F's layout), then three buffers of 2d+1 rows on the product grid: the
+        padded spectra, zeroed once (only the band is ever written, so the
+        padding stays zero), the values (on a plain grid, the padded spectra
+        transformed in place) and the products, transformed in place. These
+        three hold their rows in front of the batch axes, so the rows a mode
+        transforms are one contiguous block whatever the batch: a transform of
+        a strided block costs numpy a copy of it. A mode pads F's rows u1 and
+        u2 (``pair``) or u1, u2 and u3 (``full``), the terms of div u3 summed
+        into row 2d, into the same rows of the padded spectra, and forms the
+        pair sum in the last product row.
         """
         if lead == self._scratch_lead:
             return self._scratch
@@ -237,32 +247,35 @@ class Grid:
         first, second, last, div_row = self._kernel_rows
         split, band = (slice(None),) * len(self._band_split), self._band_modes[1:]
         weighted = np.empty((*lead, 3 * d, *self._band_split), dtype=np.complex128)
-        fine = np.zeros((*lead, rows, *self._product_split), dtype=np.complex128)
-        padded = fine.reshape(*lead, rows, *self._product_shape)
+        fine = np.zeros((rows, *lead, *self._product_split), dtype=np.complex128)
+        padded = fine.reshape(rows, *lead, *self._product_shape)
         values = np.empty_like(padded) if self.dealias else padded
         products = np.empty_like(padded)
         spectra = products.reshape(fine.shape)
-        pad_rows = self._pad_symbols.reshape(3 * d, *self._band_split)
-        unpad_rows = self._unpad_symbols.reshape(3 * d, *self._band_split)
+        unpad_rows, batch = self._unpad_rows, len(lead)
+
+        def band_of(index):
+            """The band of product rows ``index``, in F's layout (behind the batch axes)."""
+            return np.moveaxis(spectra[(index, ..., *band)], 0, batch)
+
         # the band of the pair sum's spectrum times the symbols i xi of grad
-        pair_cut = (spectra[(..., slice(2 * d, rows), *band)], unpad_rows[2 * d :])
+        pair_cut = (band_of(slice(2 * d, rows)), unpad_rows[2 * d :])
         # gradient rows 0..2d from the same product rows, then grad from the pair row (for d = 1, the same row)
         cut = 3 * d if d == 1 else 2 * d
-        full_cut = [(spectra[(..., slice(0, cut), *band)], unpad_rows[:cut], (..., slice(0, cut), *split))]
+        full_cut = [(band_of(slice(0, cut)), unpad_rows[:cut], (..., slice(0, cut), *split))]
         if d > 1:
             full_cut.append((*pair_cut, (..., slice(2 * d, 3 * d), *split)))
 
         def mode(stop, conj, transformed, unpad, shape):
             """F's rows 0..stop padded, conj(u2) formed in ``conj``; the ``transformed`` products cut by ``unpad`` into a result of ``shape``."""
-            source = (..., slice(0, stop), *split)
             kept = slice(0, min(stop, rows))
             div_terms = range(1, d) if stop == 3 * d else ()
-            chosen = (..., kept, *self._space)
             return SimpleNamespace(
-                pad=(source, pad_rows[:stop], weighted[source], weighted[(..., kept, *split)], fine[(..., kept, *band)]),
+                pad=(weighted[(..., kept, *split)], np.moveaxis(fine[(kept, ..., *band)], 0, batch)),
+                weighted=weighted,
                 terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in div_terms],
-                padded=padded[chosen],
-                values=values[chosen],
+                padded=padded[kept],
+                values=values[kept],
                 u1=values[first],
                 u2=values[second],
                 div=values[div_row],
@@ -276,11 +289,10 @@ class Grid:
             )
 
         state_shape = (3, d, *self.shape)
-        pair_rows = products[(..., slice(2 * d, rows), *self._space)]
         # conj(u2) goes to rows that are free until the products take them
         self._scratch = {
             "full": mode(3 * d, products[second], products, full_cut, state_shape),
-            "pair": mode(2 * d, values[second], pair_rows, [(*pair_cut, (..., slice(0, d), *split))], (d, *self.shape)),
+            "pair": mode(2 * d, values[second], products[2 * d :], [(*pair_cut, (..., slice(0, d), *split))], (d, *self.shape)),
         }
         self._scratch_lead = lead
         return self._scratch
@@ -319,23 +331,23 @@ class Grid:
         mode = self._kernel_scratch(lead)["pair" if pair_only else "full"]
         if given:
             first, second = self._kernel_rows[:2]
-            values = u.reshape(*lead, 3 * d, *self.shape)
+            values = np.moveaxis(u.reshape(*lead, 3 * d, *self.shape), len(lead), 0)
             u1, u2 = values[first], values[second]
         else:
-            # the band is weighted in contiguous rows, then copied into the
-            # padded grid: a ufunc writing the strided band would buffer it
-            source, symbols, weighted, kept, band = mode.pad
-            np.multiply(F.reshape(*lead, 3 * d, *self._band_split)[source], symbols, out=weighted)
+            # all 3d rows of the band are weighted, one contiguous block whatever
+            # the batch, then the mode's rows are copied into the padded grid: a
+            # ufunc on a strided block (the band, or some rows of a batch) buffers it
+            kept, band = mode.pad
+            np.multiply(F.reshape(*lead, 3 * d, *self._band_split), self._pad_rows, out=mode.weighted)
             for div, term in mode.terms:
                 np.add(div, term, out=div)
             np.copyto(band, kept)
             self._ifftn(mode.padded, "forward", out=mode.values)
             u1, u2 = mode.u1, mode.u2
         conj, pair = np.conjugate(u2, out=mode.conj), mode.pair
-        rows = self._single_rows
         # the pair sum u1 . conj(u2), row by row
-        np.multiply(conj[rows[0]], u1[rows[0]], out=pair)
-        for row in rows[1:]:
+        np.multiply(conj[0], u1[0], out=pair)
+        for row in range(1, d):
             np.multiply(conj[row], u1[row], out=conj[row])
             np.add(pair, conj[row], out=pair)
         if not pair_only:
@@ -363,12 +375,12 @@ class Grid:
             return np.sum(a * b, axis=0)
         spectra = self.fft(np.stack([a, b]))
         lead = spectra.shape[: -self.d]
-        band_scale = self._pad_symbols[0, 0].reshape(self._band_split)
+        band_scale = self._pad_rows[0]
         fine = np.zeros((*lead, *self._product_split), dtype=np.complex128)
         np.multiply(spectra.reshape(*lead, *self._band_split), band_scale, out=fine[self._band_modes])
         values = self._ifftn(fine.reshape(*lead, *self._product_shape), "forward")
         spectrum = self._fftn(np.sum(values[0] * values[1], axis=0), "backward").reshape(self._product_split)
-        unpad_scale = -self._unpad_symbols[0].reshape(self._band_split)
+        unpad_scale = -self._unpad_rows[0]
         return self.ifft((spectrum[self._band_modes] * unpad_scale).reshape(self.shape))
 
     # -- diagnostics ---------------------------------------------------------

@@ -505,9 +505,11 @@ def h_curve(
     return HCurveReport(taus, mus, mu_curve_pred, center.mu, fd_h1, fd_h2, closed_h1, closed_h2, rel_h1, rel_h2)
 
 
-# Complex points a round of the well sampler draws, over all its states:
-# small states share each round's transforms, and the cap bounds the
-# memory of a round (about 10 draws of a 512-point 1D state, one 2D 128^2 draw).
+#: Complex points a round of the well sampler draws, over all its states:
+#: small states share each round's transforms, and the cap bounds the memory
+#: of a round (about 10 draws of a 512-point 1D state, one 2D 128^2 draw).
+#: It fixes the rounds and so the order of the rng calls: a given rng gives
+#: the same draws whatever the sampler keeps of them.
 SAMPLE_ROUND_POINTS = 2**14
 
 
@@ -526,23 +528,32 @@ def sample_below_level(
     at the constraint crossing and falls afterwards when N < 0, so the
     rising-branch root gives K > 0 and the falling-branch root K < 0.
     Returns a list of (state, report) pairs, those with K < 0
-    (round(n / 2) of them) first; the report of sU follows
-    from that of U (FunctionalReport.scaled), so each draw is evaluated once.
+    (round(n / 2) of them) first, each side in draw order; the reports are
+    the rows of ``reports_below_level``'s batch for the same rng, and the
+    states come from one inverse transform of the kept draws' spectra.
 
     Draws come in rounds: each round draws every state still missing, at
     most SAMPLE_ROUND_POINTS complex points in all, as one batch of shape
     ``(b, 3, d, *grid.shape)``. Its spectrum is drawn directly and smoothed
-    by ``Grid.noise_spectrum`` (power 2, no Nyquist mode), then brought to
-    physical space by one inverse transform, evaluated by one batched kernel
-    call and ``_parts`` into one batch report, and its ray equations are
-    solved by one batched eigensolve of their companion matrices (the one
-    ``np.roots`` makes per polynomial). A draw meant for K < 0 whose N is
-    positive has its u3 negated: that maps N to -N and keeps Q, L and P,
-    and the smoothed Gaussian law is symmetric under u3 -> -u3, so the law
-    of the draws kept is that of draws with N < 0. At most 50 n states are
-    drawn; fewer than n are returned only when that cap is hit.
+    by ``Grid.noise_spectrum`` (power 2, no Nyquist mode). It is evaluated
+    off the spectrum into one batch report, by ``_parts`` and one batched
+    kernel call, whose inverse transform carries only the rows u1 and u2,
+    and its ray equations are solved by one batched eigensolve of their
+    companion matrices (the one ``np.roots`` makes per polynomial); the
+    report of sU follows from that of U (FunctionalReport.scaled). A draw
+    meant for K < 0 whose N is positive has its u3 negated: that maps N to
+    -N and keeps Q, L and P, and the smoothed Gaussian law is symmetric
+    under u3 -> -u3, so the law of the draws kept is that of draws with
+    N < 0. At most 50 n states are drawn; fewer than n are returned only
+    when that cap is hit.
     """
-    return _below_level(grid, phys, wave, mu, rng, n, lambda s, u, rep: (State(grid, s * u), rep))
+    spectra = []
+    report, order = _stacked(wave, _below_level(grid, phys, wave, mu, rng, n, spectra))
+    if not order.size:
+        return []
+    u = grid.ifft(np.concatenate([F for F, _ in spectra])[order])
+    s = np.concatenate([s for _, s in spectra])[order]
+    return [(State(grid, s[i] * u[i]), _row(report, i)) for i in range(len(order))]
 
 
 def reports_below_level(
@@ -552,30 +563,53 @@ def reports_below_level(
     mu: float,
     rng: np.random.Generator,
     n: int,
-):
-    """The reports of ``sample_below_level``'s states for the same rng, without the states.
+) -> FunctionalReport:
+    """One batch report of ``sample_below_level``'s states for the same rng, without the states.
 
-    Only the current round's batch is held, so the memory does not grow with n.
+    Its rows are the kept draws, those with K < 0 first, each side in draw
+    order, and the rng is left where ``sample_below_level`` leaves it. Each
+    round keeps only the report rows of its kept draws, so the memory holds
+    one round's batch and n rows of scalars.
     """
-    return _below_level(grid, phys, wave, mu, rng, n, lambda s, u, rep: rep)
+    return _stacked(wave, _below_level(grid, phys, wave, mu, rng, n))[0]
 
 
-def _below_level(grid, phys, wave, mu, rng, n, keep):
-    """The draws of sample_below_level, each kept as keep(s, U, report of sU), K < 0 first."""
-    found = {True: [], False: []}  # keyed by K < 0
+def _stacked(wave: WaveParams, rounds: list):
+    """The batch report of the rounds' kept draws, K < 0 first and each side in draw order, and that order.
+
+    Each round holds its kept draws' K < 0 flags and (Q, L, N, P) rows, as ``_below_level`` returns them.
+    """
+    empty = (np.zeros(0, dtype=bool), (np.zeros(0),) * 3 + (np.zeros((0, wave.d)),))
+    negative, parts = zip(empty, *rounds)
+    order = np.argsort(~np.concatenate(negative), kind="stable")
+    Q, L, N, P = (np.concatenate(column)[order] for column in zip(*parts))
+    return FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array), order
+
+
+def _row(report: FunctionalReport, i: int) -> FunctionalReport:
+    """The report of the i-th state of a batch report."""
+    return FunctionalReport.from_parts(report.Q[i], report.L[i], report.N[i], report.P[i], report.omega, report.c)
+
+
+def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None) -> list:
+    """The draws of sample_below_level, one (negative, (Q, L, N, P)) per round for the draws it kept.
+
+    ``negative`` flags the kept draws meant for K < 0 and (Q, L, N, P) are
+    the report parts of their sU, in draw order. Given a list ``spectra``,
+    each round also appends (spectra, s) of its kept draws, u3 negated where
+    the draw was flipped; without it no spectrum outlives its round.
+    """
+    rounds = []
+    taken = taken_negative = attempts = 0  # draws kept, those among them meant for K < 0, draws made
     want_negative = round(n / 2)
     per_round = max(1, SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
-    attempts = 0
-    while len(found[True]) + len(found[False]) < n and attempts < 50 * n:
-        missing = n - len(found[True]) - len(found[False])
-        b = min(missing, per_round, 50 * n - attempts)
+    while taken < n and attempts < 50 * n:
+        b = min(n - taken, per_round, 50 * n - attempts)
         attempts += b
-        negative = np.arange(b) < want_negative - len(found[True])
+        negative = np.arange(b) < want_negative - taken_negative
         F = grid.noise_spectrum(rng, (b, 3, grid.d), 2)
-        u = grid.ifft(F)
-        Q, L, C, P = _parts(grid, F, phys, grid.nonlinear_gradient(F, u, pair_only=True))
+        Q, L, C, P = _parts(grid, F, phys, grid.nonlinear_gradient(F, pair_only=True))
         flip = negative & (C.real > 0)
-        u[flip, 2] *= -1.0
         N = np.where(flip, -C.real, C.real)
         batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
         target = rng.uniform(0.2, 0.95, size=b) * mu
@@ -596,8 +630,12 @@ def _below_level(grid, phys, wave, mu, rng, n, keep):
         s[live] = np.where(negative[live], largest, smallest)
         s[np.isinf(s)] = np.nan
         at = batch.scaled(s)
-        kept = (at.S < mu) & np.where(negative, at.K < 0.0, at.K > 0.0)
-        for i in np.flatnonzero(kept):
-            rep_s = FunctionalReport.from_parts(at.Q[i], at.L[i], at.N[i], at.P[i], wave.omega, wave.c_array)
-            found[bool(negative[i])].append(keep(s[i], u[i], rep_s))
-    return found[True] + found[False]
+        kept = np.flatnonzero((at.S < mu) & np.where(negative, at.K < 0.0, at.K > 0.0))
+        kept_negative = negative[kept]
+        taken += len(kept)
+        taken_negative += int(np.count_nonzero(kept_negative))
+        rounds.append((kept_negative, (at.Q[kept], at.L[kept], at.N[kept], at.P[kept])))
+        if spectra is not None:
+            F[flip, 2] *= -1.0
+            spectra.append((F[kept], s[kept]))
+    return rounds

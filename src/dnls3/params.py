@@ -68,7 +68,23 @@ class WaveParams:
         return float(np.linalg.norm(self.c_array))
 
     def admissible(self, phys: PhysParams) -> bool:
-        return self.omega > phys.sigma * self.speed**2 / 4.0
+        """omega > sigma |c|^2 / 4, written as 4 min(2 alpha, beta, gamma) omega > |c|^2.
+
+        That form rounds as ``tail_rates`` does, so the two agree to the last bit.
+        """
+        return 4.0 * min(2.0 * phys.alpha, phys.beta, phys.gamma) * self.omega > self.speed**2
+
+    def tail_rates(self, phys: PhysParams) -> np.ndarray:
+        """Exact decay rates r_j = sqrt(4 m_j kappa_j omega - |c|^2) / (2 kappa_j) of a profile's tails.
+
+        In the tail the profile equation is linear, -kappa_j Lap u_j +
+        m_j omega u_j + i c.grad u_j = 0 with m = (2, 1, 1) and
+        kappa = (alpha, beta, gamma), so |u_j| falls as exp(-r_j |x|) (in
+        d >= 2 times |x|^{-(d-1)/2}). A component whose root is not real
+        gets 0, so min_j r_j > 0 exactly when the pair is admissible.
+        """
+        kappa = np.array([phys.alpha, phys.beta, phys.gamma])
+        return np.sqrt(np.maximum(4.0 * np.array([2.0, 1.0, 1.0]) * kappa * self.omega - self.speed**2, 0.0)) / (2.0 * kappa)
 
     def on_curve(self, scale: float | None = None, omega: float | None = None) -> tuple:
         """(s, pair) for the point (s^2 omega, s c) of the scaling curve through this pair.

@@ -52,17 +52,23 @@ def band_limited_state(grid: Grid, rng: np.random.Generator, fraction: float) ->
 def fft_calls(monkeypatch):
     """Counts the transforms made through numpy.fft or scipy.fft while the test runs.
 
-    An entry point that calls another wrapped entry point counts once.
+    ``calls`` counts the calls, ``points`` the points of their inputs and
+    ``inverse_points`` those of the inverse transforms alone. An entry point
+    that calls another wrapped entry point counts once.
     """
-    counter = {"calls": 0}
+    counter = {"calls": 0, "points": 0, "inverse_points": 0}
     depth = [0]
     for module in (np.fft, scipy.fft):
         for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
             original = getattr(module, name)
 
-            def counted(*args, _original=original, **kwargs):
+            def counted(*args, _original=original, _inverse=name.startswith("i"), **kwargs):
                 if depth[0] == 0:
                     counter["calls"] += 1
+                    # numpy.fft names the input a, scipy.fft x
+                    points = np.size(args[0] if args else kwargs.get("a", kwargs.get("x")))
+                    counter["points"] += points
+                    counter["inverse_points"] += points if _inverse else 0
                 depth[0] += 1
                 try:
                     return _original(*args, **kwargs)

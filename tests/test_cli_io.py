@@ -22,7 +22,7 @@ from dnls3.errors import (
     ValidationError,
 )
 from dnls3.evolution import EvolveConfig
-from dnls3.functionals import evaluate
+from dnls3.functionals import FunctionalReport, evaluate
 from dnls3.grid import Grid, State
 from dnls3.ground_state import SolverConfig
 from dnls3.params import PhysParams, WaveParams
@@ -532,7 +532,12 @@ class TestCli:
     def test_check_fails_on_fewer_samples(self, tmp_path, monkeypatch, kept):
         # a sampler that stops short (say at its draw cap) leaves the well equality unchecked
         sample = cli.reports_below_level
-        monkeypatch.setattr(cli, "reports_below_level", lambda *args: sample(*args)[:kept])
+
+        def first(*args):
+            batch = sample(*args)
+            return FunctionalReport.from_parts(batch.Q[:kept], batch.L[:kept], batch.N[:kept], batch.P[:kept], batch.omega, batch.c)
+
+        monkeypatch.setattr(cli, "reports_below_level", first)
         cfg_path, outdir = small_config(tmp_path, "short_check", experiment={"samples": 10})
         assert run_subcommand(["check", "--config", str(cfg_path)]) == 3
         payload = json.loads((outdir / "check.json").read_text())
@@ -566,6 +571,8 @@ class TestCli:
         payload = json.loads((outdir / "decay.json").read_text())
         assert payload["half_bound"] == 1.0
         assert min(payload["rates"]) > 0.9
+        # the exact rates at (omega, c) = (1, 0): sqrt(8)/2 and 1
+        assert payload["exact_rates"] == pytest.approx([np.sqrt(2.0), 1.0, 1.0], rel=1e-15)
 
     def test_mu_scan_subcommand(self, tmp_path):
         cfg_path, outdir = small_config(
@@ -670,13 +677,14 @@ class TestCli:
         assert gs["identities_passed"] is check["identities_passed"] is resolved
         assert code == (0 if resolved else 3)
 
-    def test_cold_start_leaves_scipy_optimize_unloaded(self):
-        # importing the CLI pulls in every library module; importing
-        # scipy.optimize would nearly quadruple a cold start
+    def test_cold_start_leaves_scipy_unloaded(self):
+        # importing the CLI pulls in every library module, which need numpy
+        # alone; scipy.fft adds about 0.3 s to a cold start and scipy.optimize
+        # would nearly quadruple it
         src = Path(cli.__file__).resolve().parents[1]
         code = (
             "import json, sys, dnls3.cli; "
-            "print(json.dumps([dnls3.cli.__file__, [m for m in sys.modules if m.startswith('scipy.optimize')]]))"
+            "print(json.dumps([dnls3.cli.__file__, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]]))"
         )
         run = subprocess.run(
             [sys.executable, "-c", code],

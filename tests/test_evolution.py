@@ -441,6 +441,36 @@ class TestDecayFit:
         factor = 1.0 - np.sqrt(PHYS.sigma / 4.0) * 0.8
         assert abs(rep_c.p_max - rep0.p_max * factor) < 1e-12
 
+    @pytest.mark.parametrize("kappa", [(1.0, 1.0, 1.0), (1.0, 2.0, 1.0)])
+    def test_fit_meets_the_exact_rates(self, kappa):
+        # on a resolved grid the fitted tail rates are those of the linear tail equation
+        phys, wave = PhysParams(*kappa), WaveParams(1.0, (0.3,))
+        res = solve_ground_state(Grid(512, 40.0, dealias=True), phys, wave, SolverConfig(residual_tol=1e-11))
+        rep = decay_rate_fit(res.phi, phys, res.wave)
+        assert np.all(np.abs(rep.rates - rep.exact_rates) <= 5e-3 * rep.exact_rates)
+
+    def test_exact_rates(self):
+        # r_j = sqrt(4 m_j kappa_j omega - |c|^2) / (2 kappa_j), m = (2, 1, 1)
+        rates = WaveParams(1.5, (0.3, -0.4)).tail_rates(PhysParams(2.0, 1.0, 3.0))
+        assert rates == pytest.approx([np.sqrt(24.0 - 0.25) / 4.0, np.sqrt(6.0 - 0.25) / 2.0, np.sqrt(18.0 - 0.25) / 6.0], rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kappa=st.tuples(*[st.floats(0.1, 10.0)] * 3),
+        omega=st.floats(1e-3, 10.0),
+        c=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+        ulps=st.one_of(st.none(), st.integers(-2, 2)),
+    )
+    def test_admissible_exactly_when_every_tail_decays(self, kappa, omega, c, ulps):
+        # with ulps, omega sits that many floats from the edge sigma |c|^2 / 4
+        phys = PhysParams(*kappa)
+        if ulps is not None:
+            omega = phys.sigma * float(np.linalg.norm(c)) ** 2 / 4.0
+            for _ in range(abs(ulps)):
+                omega = np.nextafter(omega, np.inf if ulps > 0 else 0.0)
+        wave = WaveParams(omega, tuple(c))
+        assert wave.admissible(phys) == (min(wave.tail_rates(phys)) > 0.0)
+
     def test_empty_window(self):
         g = Grid(64, 20.0)
         with pytest.raises(FitWindowEmpty):

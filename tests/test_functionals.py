@@ -213,6 +213,39 @@ class TestReport:
             assert abs(C[i] - c) <= 1e-12 * np.linalg.norm(pair) * np.linalg.norm(F[i][2]) * g.weight
             assert np.max(np.abs(P[i] - p)) <= 1e-12 * (q + l)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2, 3]),
+        dealias=st.booleans(),
+        batch=st.sampled_from([(), (3,), (2, 2)]),
+    )
+    def test_parts_are_the_quadrature_sums(self, seed, d, dealias, batch):
+        # the moments give the plain sums over the spectrum: sum |F|^2,
+        # sum k2 |F|^2 and sum xi_k |F|^2, and C by one vdot per state
+        g = Grid((16, 8, 8)[:d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        phys = PhysParams(1.0, 1.5, 0.7)
+        rng = np.random.default_rng(seed)
+        u = np.stack([random_state(g, rng).u for _ in range(int(np.prod(batch)))]).reshape(*batch, 3, d, *g.shape)
+        F = g.fft(u)
+        pair = g.nonlinear_gradient(F, pair_only=True)
+        Q, L, C, P = _parts(g, F, phys, pair)
+        absF2 = np.abs(F) ** 2
+        rows = tuple(range(-d - 1, 0))  # a component's vector rows and the grid
+        mass, k2_mass = np.sum(absF2, axis=rows), np.sum(g.k2 * absF2, axis=rows)
+        Q_sum = (mass[..., 0] + 0.5 * mass[..., 1] + 0.5 * mass[..., 2]) * g.weight
+        L_sum = 0.5 * (phys.alpha * k2_mass[..., 0] + phys.beta * k2_mass[..., 1] + phys.gamma * k2_mass[..., 2]) * g.weight
+        assert np.all(np.abs(Q - Q_sum) <= 1e-13 * Q_sum)
+        assert np.all(np.abs(L - L_sum) <= 1e-13 * L_sum)
+        for k in range(d):
+            P_sum = -0.5 * np.sum(g.xi[k] * absF2, axis=(-d - 2, *rows)) * g.weight
+            P_abs = 0.5 * np.sum(np.abs(g.xi[k]) * absF2, axis=(-d - 2, *rows)) * g.weight
+            assert np.all(np.abs(P[..., k] - P_sum) <= 1e-13 * P_abs)
+        for i in np.ndindex(*batch):
+            C_sum = np.vdot(pair[i], F[i][2]) * g.weight
+            C_abs = np.sum(np.abs(pair[i]) * np.abs(F[i][2])) * g.weight
+            assert abs(np.asarray(C)[i] - C_sum) <= 1e-13 * C_abs
+
     def test_translation_invariance(self, rng):
         g = Grid(64, 13.0)
         wave = wave1d(1.0, 0.3)

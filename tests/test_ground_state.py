@@ -254,12 +254,17 @@ class TestSampleBelowLevel:
             assert rep.S < gs_1d.mu
 
     def test_reports_without_states_are_the_same(self, gs_1d):
-        # the same rng stream gives the same reports, in the same order, and leaves the rng in the same place
+        # the same rng stream gives the samples' reports as one batch, bit for
+        # bit and in the same order (K < 0 first), and leaves the rng in the same place
         g, wave = Grid(512, 40.0), WaveParams(1.0, (0.3,))
         rng_states, rng_reports = np.random.default_rng(7), np.random.default_rng(7)
         samples = sample_below_level(g, PHYS, wave, gs_1d.mu, rng_states, 200)
-        reports = reports_below_level(g, PHYS, wave, gs_1d.mu, rng_reports, 200)
-        assert reports == [rep for _, rep in samples]
+        batch = reports_below_level(g, PHYS, wave, gs_1d.mu, rng_reports, 200)
+        for name in "QLNP":
+            stacked = np.array([getattr(rep, name) for _, rep in samples])
+            column = getattr(batch, name)
+            assert column.shape == stacked.shape and column.tobytes() == stacked.tobytes(), name
+        assert np.all(batch.K[:100] < 0.0) and np.all(batch.K[100:] > 0.0)
         assert rng_states.random() == rng_reports.random()
 
     @pytest.mark.parametrize("dealias", [False, True])
@@ -274,6 +279,18 @@ class TestSampleBelowLevel:
         rounds = rng.calls["standard_normal"]
         assert rounds <= 40
         assert fft_calls["calls"] <= 3 * rounds
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_reports_transform_u1_and_u2_alone(self, gs_1d, dealias, fft_calls):
+        # the reports path never forms u: its inverse transforms carry the 2d
+        # rows u1 and u2 of each draw to the product grid, and no others
+        g = Grid(512, 40.0, dealias=dealias)
+        rng = CountingGenerator(7)
+        batch = reports_below_level(g, PHYS, WaveParams(1.0, (0.3,)), gs_1d.mu, rng, 200)
+        assert len(batch.Q) == 200
+        draws = rng.drawn // (3 * g.d * g.size * 2)
+        product_points = 768 if dealias else 512
+        assert fft_calls["inverse_points"] == draws * 2 * g.d * product_points
 
     def test_draws_stop_at_the_cap(self):
         # a ray solved for S = t mu with t < 1 ends above a negative level
