@@ -168,8 +168,8 @@ def _parts(grid: Grid, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
     if d == 1:
         squares = real * real
     else:
-        rows = real.reshape(*lead, 3, d, -1)
-        squares = np.einsum("...vx,...vx->...x", rows, rows).reshape(*lead, 3, *grid.shape[:-1], -1)
+        vectors = real.reshape(*lead, 3, d, -1)
+        squares = np.einsum("...vx,...vx->...x", vectors, vectors).reshape(*lead, 3, *grid.shape[:-1], -1)
     spatial = tuple(range(-d, 0))
     moments = []
     for k, rows in enumerate(grid.moments):
