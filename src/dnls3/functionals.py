@@ -152,10 +152,9 @@ def _parts(grid: Grid, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
     them in pairs. In 1D the marginal is those squares, reshaped; in d >= 2
     they are summed over the vector rows as they are formed, which leaves
     2/d of |F|^2's entries as the only array of the grid's size.
-    C = (u3, grad(u1 . conj(u2)))
-    by Parseval, with ``grad_pair`` the third block of dN
-    (``grid.nonlinear_gradient``); the coupling functional is N = Re C, and
-    rotating u3 by e^{i theta} turns C into e^{i theta} C.
+    C = (u3, grad(u1 . conj(u2))) by Parseval, with ``grad_pair`` the third
+    block of dN (``grid.nonlinear_gradient``); the coupling functional is
+    N = Re C, and rotating u3 by e^{i theta} turns C into e^{i theta} C.
 
     ``F`` has shape ``(..., 3, d, *grid.shape)``, contiguous, and
     ``grad_pair`` shape ``(..., d, *grid.shape)``: leading axes are batch

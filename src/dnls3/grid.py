@@ -142,8 +142,9 @@ class Grid:
         # i xi_k of div u3; the unpad folds the transform scale into the
         # symbols (-1, -1, i xi) of the gradient
         ones = np.ones(self.shape)
-        self._pad_rows = np.array([pad * ones] * (2 * d) + [pad * ik * ones for ik in self.ik]).reshape(3 * d, *self._band_split)
-        self._unpad_rows = np.array([-unpad * ones] * (2 * d) + [unpad * ik * ones for ik in self.ik]).reshape(3 * d, *self._band_split)
+        rows = (3 * d, *self._band_split)
+        self._pad_rows = np.array([pad * ones] * (2 * d) + [pad * ik * ones for ik in self.ik]).reshape(rows)
+        self._unpad_rows = np.array([-unpad * ones] * (2 * d) + [unpad * ik * ones for ik in self.ik]).reshape(rows)
 
         #: the band's modes on the split product grid
         self._band_modes = (..., *band_modes)
@@ -271,6 +272,7 @@ class Grid:
             kept = slice(0, min(stop, rows))
             div_terms = range(1, d) if stop == 3 * d else ()
             return SimpleNamespace(
+                # the weighted rows, and the band they go to in F's layout
                 pad=(weighted[(..., kept, *split)], np.moveaxis(fine[(kept, ..., *band)], 0, batch)),
                 weighted=weighted,
                 terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in div_terms],

@@ -548,12 +548,13 @@ def sample_below_level(
     when that cap is hit.
     """
     spectra = []
-    report, order = _stacked(wave, _below_level(grid, phys, wave, mu, rng, n, spectra))
+    report, order = _below_level(grid, phys, wave, mu, rng, n, spectra)
     if not order.size:
         return []
     u = grid.ifft(np.concatenate([F for F, _ in spectra])[order])
     s = np.concatenate([s for _, s in spectra])[order]
-    return [(State(grid, s[i] * u[i]), _row(report, i)) for i in range(len(order))]
+    rows = zip(report.Q, report.L, report.N, report.P)
+    return [(State(grid, s_i * u_i), FunctionalReport.from_parts(*row, report.omega, report.c)) for s_i, u_i, row in zip(s, u, rows)]
 
 
 def reports_below_level(
@@ -571,35 +572,20 @@ def reports_below_level(
     round keeps only the report rows of its kept draws, so the memory holds
     one round's batch and n rows of scalars.
     """
-    return _stacked(wave, _below_level(grid, phys, wave, mu, rng, n))[0]
+    return _below_level(grid, phys, wave, mu, rng, n)[0]
 
 
-def _stacked(wave: WaveParams, rounds: list):
-    """The batch report of the rounds' kept draws, K < 0 first and each side in draw order, and that order.
+def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
+    """The draws of sample_below_level: the batch report of those kept and the order it puts them in.
 
-    Each round holds its kept draws' K < 0 flags and (Q, L, N, P) rows, as ``_below_level`` returns them.
+    Each round keeps the K < 0 flags and the (Q, L, N, P) rows of sU of the
+    draws it kept; the report holds them with K < 0 first, each side in draw
+    order, and ``order`` maps its rows to the kept draws in draw order.
+    Given a list ``spectra``, each round also appends (spectra, s) of its
+    kept draws, u3 negated where the draw was flipped; without it no
+    spectrum outlives its round.
     """
-    empty = (np.zeros(0, dtype=bool), (np.zeros(0),) * 3 + (np.zeros((0, wave.d)),))
-    negative, parts = zip(empty, *rounds)
-    order = np.argsort(~np.concatenate(negative), kind="stable")
-    Q, L, N, P = (np.concatenate(column)[order] for column in zip(*parts))
-    return FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array), order
-
-
-def _row(report: FunctionalReport, i: int) -> FunctionalReport:
-    """The report of the i-th state of a batch report."""
-    return FunctionalReport.from_parts(report.Q[i], report.L[i], report.N[i], report.P[i], report.omega, report.c)
-
-
-def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None) -> list:
-    """The draws of sample_below_level, one (negative, (Q, L, N, P)) per round for the draws it kept.
-
-    ``negative`` flags the kept draws meant for K < 0 and (Q, L, N, P) are
-    the report parts of their sU, in draw order. Given a list ``spectra``,
-    each round also appends (spectra, s) of its kept draws, u3 negated where
-    the draw was flipped; without it no spectrum outlives its round.
-    """
-    rounds = []
+    flags, rows = [np.zeros(0, dtype=bool)], [(np.zeros(0),) * 3 + (np.zeros((0, grid.d)),)]
     taken = taken_negative = attempts = 0  # draws kept, those among them meant for K < 0, draws made
     want_negative = round(n / 2)
     per_round = max(1, SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
@@ -631,11 +617,13 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None) -> l
         s[np.isinf(s)] = np.nan
         at = batch.scaled(s)
         kept = np.flatnonzero((at.S < mu) & np.where(negative, at.K < 0.0, at.K > 0.0))
-        kept_negative = negative[kept]
+        flags.append(negative[kept])
+        rows.append((at.Q[kept], at.L[kept], at.N[kept], at.P[kept]))
         taken += len(kept)
-        taken_negative += int(np.count_nonzero(kept_negative))
-        rounds.append((kept_negative, (at.Q[kept], at.L[kept], at.N[kept], at.P[kept])))
+        taken_negative += int(np.count_nonzero(flags[-1]))
         if spectra is not None:
             F[flip, 2] *= -1.0
             spectra.append((F[kept], s[kept]))
-    return rounds
+    order = np.argsort(~np.concatenate(flags), kind="stable")
+    Q, L, N, P = (np.concatenate(column)[order] for column in zip(*rows))
+    return FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array), order

@@ -535,7 +535,8 @@ class TestCli:
 
         def first(*args):
             batch = sample(*args)
-            return FunctionalReport.from_parts(batch.Q[:kept], batch.L[:kept], batch.N[:kept], batch.P[:kept], batch.omega, batch.c)
+            Q, L, N, P = (getattr(batch, name)[:kept] for name in "QLNP")
+            return FunctionalReport.from_parts(Q, L, N, P, batch.omega, batch.c)
 
         monkeypatch.setattr(cli, "reports_below_level", first)
         cfg_path, outdir = small_config(tmp_path, "short_check", experiment={"samples": 10})

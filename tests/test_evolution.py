@@ -452,7 +452,8 @@ class TestDecayFit:
     def test_exact_rates(self):
         # r_j = sqrt(4 m_j kappa_j omega - |c|^2) / (2 kappa_j), m = (2, 1, 1)
         rates = WaveParams(1.5, (0.3, -0.4)).tail_rates(PhysParams(2.0, 1.0, 3.0))
-        assert rates == pytest.approx([np.sqrt(24.0 - 0.25) / 4.0, np.sqrt(6.0 - 0.25) / 2.0, np.sqrt(18.0 - 0.25) / 6.0], rel=1e-15)
+        exact = [np.sqrt(24.0 - 0.25) / 4.0, np.sqrt(6.0 - 0.25) / 2.0, np.sqrt(18.0 - 0.25) / 6.0]
+        assert rates == pytest.approx(exact, rel=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(
