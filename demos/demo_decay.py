@@ -1,6 +1,8 @@
 # Ground-state tails decay exponentially; the fitted rates are compared to
 # the guaranteed bound p_max/2 with
-# p_max = sqrt(4 omega sigma0) (1 - sqrt(sigma/(4 omega)) |c|).
+# p_max = sqrt(4 omega sigma0) (1 - sqrt(sigma/(4 omega)) |c|),
+# and to the exact rates of the linear tail equation,
+# r_j = sqrt(4 m_j kappa_j omega - |c|^2) / (2 kappa_j).
 
 import numpy as np
 
@@ -21,7 +23,7 @@ for c in (0.0, 0.5):
     print(f"omega=1, c={c}:")
     print(f"  p_max = {rep.p_max:.4f}, guaranteed half-rate = {rep.half_bound:.4f}")
     for j, rate in enumerate(rep.rates):
-        print(f"  component {j + 1}: fitted rate {rate:.4f}  (fit rms {rep.fit_residuals[j]:.2e})")
+        print(f"  component {j + 1}: fitted rate {rate:.4f}, exact {rep.exact_rates[j]:.4f}  (fit rms {rep.fit_residuals[j]:.2e})")
     print()
 
 # calibration on a synthetic profile with known rate 2
