@@ -19,7 +19,7 @@ print(f"level mu = {res.mu:.8f}")
 cert = coercivity_certificate(phys, wave)
 print()
 print("coercivity certificate:")
-print(f"  A = ({cert.A1:.4f}, {cert.A2:.4f}, {cert.A3:.4f})")
+print(f"  A = {np.round(cert.A, 4)}")
 print(f"  gradient coefficients {np.round(cert.grad_coeffs, 4)}")
 print(f"  mass coefficients     {np.round(cert.mass_coeffs, 4)}")
 print(f"  min coefficient       {cert.min_coeff:.4f}  (bounds Lqc / ||U||_H1^2 from below)")

@@ -276,7 +276,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path, field) -> int:
             "fourd_residual": gates["fourd"],
             "identities_passed": identities_passed,
             "coercivity": {
-                "A": [cert.A1, cert.A2, cert.A3],
+                "A": list(cert.A),
                 "grad_coeffs": list(cert.grad_coeffs),
                 "mass_coeffs": list(cert.mass_coeffs),
                 "min_coeff": cert.min_coeff,

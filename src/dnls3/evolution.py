@@ -102,7 +102,7 @@ class EvolveConfig:
     def effective_dt(self, grid: Grid, phys: PhysParams) -> float:
         if self.dt is not None:
             return self.dt
-        return 1e-3 * min(grid.spacing) ** 2 / max(phys.alpha, phys.beta, phys.gamma)
+        return 1e-3 * min(grid.spacing) ** 2 / float(phys.kappa.max())
 
 
 @dataclass
@@ -149,8 +149,7 @@ def coupling_rhs(state: State, phys: PhysParams) -> State:
 
 def _linear_phases(grid: Grid, phys: PhysParams, t: float) -> np.ndarray:
     """Symbols exp(-i kappa_j |xi|^2 t) of the linear flow, broadcasting over a spectrum."""
-    kappa = np.array([phys.alpha, phys.beta, phys.gamma]).reshape(3, *[1] * (grid.d + 1))
-    return np.exp(-1j * t * kappa * grid.k2)
+    return np.exp(-1j * t * phys.kappa.reshape(3, *[1] * (grid.d + 1)) * grid.k2)
 
 
 def _rk4_coupling(grid: Grid, F: np.ndarray, dt: float) -> np.ndarray:

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNonlinearity
+from .errors import DegenerateNonlinearity, InadmissibleParameters
 from .grid import Grid, State
-from .params import PhysParams, WaveParams
+from .params import MASSES, PhysParams, WaveParams
 
 
 @dataclass
@@ -191,7 +191,7 @@ def _parts(grid: Grid, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
 def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
     """L2 gradient of the action: Re <grad, V> is the derivative of S along V.
 
-    Component expressions (m1, m2, m3 = 2, 1, 1):
+    Component expressions (m = ``params.MASSES``):
 
         G_j = -kappa_j Lap(u_j) + m_j omega u_j + i (c.grad) u_j + dN_j
 
@@ -202,21 +202,21 @@ def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
     """
     g = state.grid
     F = g.fft(state.u)
-    symbols = np.stack(linear_symbols(g, phys, wave))[:, None]
-    return State(g, g.ifft(symbols * F + g.nonlinear_gradient(F)))
+    return State(g, g.ifft(linear_symbols(g, phys, wave) * F + g.nonlinear_gradient(F)))
 
 
-def linear_symbols(grid: Grid, phys: PhysParams, wave: WaveParams):
-    """Fourier symbols of the three linear operators in the action gradient.
+def linear_symbols(grid: Grid, phys: PhysParams, wave: WaveParams) -> np.ndarray:
+    """Fourier symbols of the three linear operators in the action gradient, as one array.
 
-    symbol_j = kappa_j |xi|^2 + m_j omega - c.xi, strictly positive on the
-    whole grid whenever (omega, c) is admissible.
+    Row j is kappa_j |xi|^2 + m_j omega - c.xi, at least D_j / (4 kappa_j)
+    everywhere (``WaveParams.margins``), so strictly positive on the whole
+    grid whenever (omega, c) is admissible. The shape (3, 1, *grid.shape)
+    multiplies a spectrum, or a batch of spectra, as it stands.
     """
     c = wave.c_array
     cdotxi = sum(c[k] * grid.xi[k] for k in range(grid.d))
-    kappa = (phys.alpha, phys.beta, phys.gamma)
-    masses = (2.0, 1.0, 1.0)
-    return [k * grid.k2 + m * wave.omega - cdotxi for k, m in zip(kappa, masses)]
+    column = (3, 1) + (1,) * grid.d
+    return phys.kappa.reshape(column) * grid.k2 + (MASSES * wave.omega).reshape(column) - cdotxi
 
 
 def nehari_rescale(state: State, phys: PhysParams, wave: WaveParams):
@@ -234,38 +234,42 @@ def nehari_rescale(state: State, phys: PhysParams, wave: WaveParams):
 class CoercivityCertificate:
     """Explicit constants certifying positivity of the quadratic part.
 
-    With A_j as below, Lqc(U) decomposes into six weighted squared norms
-    plus a manifestly nonnegative cross term, so
+    With A_j = (kappa_j + |c|^2 / (4 m_j omega)) / 4, one per component,
+    Lqc(U) decomposes into six weighted squared norms plus a manifestly
+    nonnegative cross term, so
 
         Lqc(U) >= min_coeff * ||U||_{H1}^2 .
+
+    The gradient coefficients kappa_j - 2 A_j and the mass coefficients
+    m_j omega - |c|^2 / (8 A_j) are formed from the margins D_j
+    (``WaveParams.margins``), as D_j / (8 m_j omega) and
+    m_j omega D_j / (D_j + 2 |c|^2), so each is positive exactly when
+    the pair is admissible, short of underflow.
     """
 
-    A1: float
-    A2: float
-    A3: float
+    A: tuple
     grad_coeffs: tuple
     mass_coeffs: tuple
     min_coeff: float
 
 
 def coercivity_certificate(phys: PhysParams, wave: WaveParams) -> CoercivityCertificate:
+    """The certificate of an admissible pair; InadmissibleParameters otherwise.
+
+    Also raised when a coefficient underflows to 0, which needs omega below
+    about 1e-300 with c != 0.
+    """
     wave.require_admissible(phys)
     c2 = wave.speed**2
-    omega = wave.omega
-    A1 = 0.25 * (phys.alpha + c2 / (8.0 * omega))
-    A2 = 0.25 * (phys.beta + c2 / (4.0 * omega))
-    A3 = 0.25 * (phys.gamma + c2 / (4.0 * omega))
-    grad_coeffs = (phys.alpha - 2.0 * A1, phys.beta - 2.0 * A2, phys.gamma - 2.0 * A3)
-    mass_coeffs = (
-        2.0 * omega - c2 / (8.0 * A1),
-        omega - c2 / (8.0 * A2),
-        omega - c2 / (8.0 * A3),
-    )
-    min_coeff = min(*grad_coeffs, *mass_coeffs)
-    if min_coeff <= 0:
-        # cannot happen under admissibility; guards against rounding at the boundary
-        raise ArithmeticError(f"certificate degenerate: min coefficient {min_coeff}")
-    return CoercivityCertificate(A1, A2, A3, grad_coeffs, mass_coeffs, min_coeff)
+    mass_omega = MASSES * wave.omega
+    margins = wave.margins(phys)
+    A = (phys.kappa + c2 / (4.0 * mass_omega)) / 4.0
+    grad_coeffs = margins / (8.0 * mass_omega)
+    mass_coeffs = mass_omega * (margins / (margins + 2.0 * c2))
+    min_coeff = float(min(grad_coeffs.min(), mass_coeffs.min()))
+    if not min_coeff > 0.0:
+        raise InadmissibleParameters(f"certificate degenerate at omega={wave.omega}: min coefficient {min_coeff}")
+    return CoercivityCertificate(tuple(A.tolist()), tuple(grad_coeffs.tolist()), tuple(mass_coeffs.tolist()), min_coeff)
 
 
 @dataclass(frozen=True)

@@ -407,10 +407,10 @@ class Grid:
         outer = np.zeros(self.shape, dtype=bool)
         for k in range(self.d):
             outer |= np.abs(mesh[k]) > 0.9 * self.extent[k] / 2.0
-        total = np.sum(np.abs(f) ** 2)
+        mass = np.abs(f) ** 2
+        total = np.sum(mass)
         if total == 0.0:
             return 0.0
-        mass = np.abs(f) ** 2
         # collapse any leading component axes before masking
         mass = mass.reshape(-1, *self.shape).sum(axis=0)
         return float(mass[outer].sum() / total)

@@ -102,21 +102,16 @@ class GroundStateResult:
         return self.tail_mass < 1e-8
 
 
-def resolvent_symbols(grid: Grid, phys: PhysParams, wave: WaveParams):
-    """Inverse symbols 1/(kappa_j |xi|^2 + m_j omega - c.xi) of the linear part."""
+def resolvent_symbols(grid: Grid, phys: PhysParams, wave: WaveParams) -> np.ndarray:
+    """Inverse symbols 1/(kappa_j |xi|^2 + m_j omega - c.xi) of the linear part, shaped as ``linear_symbols``."""
     wave.require_admissible(phys)
-    return [1.0 / s for s in linear_symbols(grid, phys, wave)]
+    return 1.0 / linear_symbols(grid, phys, wave)
 
 
 def precondition(g_state: State, phys: PhysParams, wave: WaveParams) -> State:
     """Apply the three resolvents componentwise (positive-definite smoothing)."""
     grid = g_state.grid
-    sym = resolvent_symbols(grid, phys, wave)
-    F = grid.fft(g_state.u)
-    out = np.empty_like(F)
-    for j in range(3):
-        out[j] = sym[j] * F[j]
-    return State(grid, grid.ifft(out))
+    return State(grid, grid.ifft(resolvent_symbols(grid, phys, wave) * grid.fft(g_state.u)))
 
 
 # Width of the Gaussian seed and half-width of the range its restart centers
@@ -244,7 +239,7 @@ def _descend(grid, phys, wave, config, start: State):
     holds spectra only; its final state is transformed once, when it ends.
     Returns (state, report, history), history a DescentHistory.
     """
-    sym_inv = np.stack(resolvent_symbols(grid, phys, wave))[:, None]
+    sym_inv = resolvent_symbols(grid, phys, wave)
     weights = (1.0 + grid.k2) * grid.weight
     root = np.sqrt(weights)
 

@@ -1,9 +1,13 @@
 """Dispersion coefficients and solitary-wave parameters.
 
-The model has three positive dispersion coefficients (alpha, beta, gamma).
-A solitary wave is labelled by a frequency omega and a speed vector c; the
-pair is admissible when omega > sigma*|c|^2/4, which makes the three
-frequency-shifted resolvent symbols strictly positive.
+The model has three positive dispersion coefficients kappa = (alpha, beta,
+gamma) and masses m = (2, 1, 1): the linear part of component j has the
+symbol kappa_j |xi|^2 + m_j omega - c.xi for a solitary wave of frequency
+omega and speed vector c. Over all xi that symbol is least at xi = c/(2 kappa_j),
+where it equals D_j / (4 kappa_j) with the margin D_j = 4 m_j kappa_j omega - |c|^2.
+The pair is admissible when every margin is positive, omega > sigma*|c|^2/4;
+the tail rates, the decay bound and the coercivity certificate are read off
+the same table.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InadmissibleParameters
+
+#: Masses m_j of the three components: the frequency enters symbol j as m_j omega
+MASSES = np.array([2.0, 1.0, 1.0])
+MASSES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -35,14 +43,19 @@ class PhysParams:
             raise ValueError("dispersion coefficients must be positive and finite")
 
     @property
+    def kappa(self) -> np.ndarray:
+        """The dispersion coefficients (alpha, beta, gamma) as one array, in the order of ``MASSES``."""
+        return np.array([self.alpha, self.beta, self.gamma])
+
+    @property
     def sigma(self) -> float:
-        """1 / min(2*alpha, beta, gamma); governs admissibility of (omega, c)."""
-        return 1.0 / min(2.0 * self.alpha, self.beta, self.gamma)
+        """1 / min_j m_j kappa_j = 1 / min(2*alpha, beta, gamma); governs admissibility of (omega, c)."""
+        return 1.0 / float(np.min(MASSES * self.kappa))
 
     @property
     def sigma0(self) -> float:
-        """min(2/alpha, 1/beta, 1/gamma); governs the exponential decay bound."""
-        return min(2.0 / self.alpha, 1.0 / self.beta, 1.0 / self.gamma)
+        """min_j m_j / kappa_j = min(2/alpha, 1/beta, 1/gamma); governs the exponential decay bound."""
+        return float(np.min(MASSES / self.kappa))
 
 
 @dataclass(frozen=True)
@@ -67,24 +80,31 @@ class WaveParams:
     def speed(self) -> float:
         return float(np.linalg.norm(self.c_array))
 
-    def admissible(self, phys: PhysParams) -> bool:
-        """omega > sigma |c|^2 / 4, written as 4 min(2 alpha, beta, gamma) omega > |c|^2.
+    def margins(self, phys: PhysParams) -> np.ndarray:
+        """The margins D_j = 4 m_j kappa_j omega - |c|^2, one per component.
 
-        That form rounds as ``tail_rates`` does, so the two agree to the last bit.
+        Symbol j, kappa_j |xi|^2 + m_j omega - c.xi, is at least D_j / (4 kappa_j)
+        for every xi, with equality at xi = c / (2 kappa_j).
         """
-        return 4.0 * min(2.0 * phys.alpha, phys.beta, phys.gamma) * self.omega > self.speed**2
+        return 4.0 * MASSES * phys.kappa * self.omega - self.speed**2
+
+    def admissible(self, phys: PhysParams) -> bool:
+        """omega > sigma |c|^2 / 4, that is, every margin D_j is positive.
+
+        4 m_j is exact and rounding is monotone, so this is 4 min(2 alpha, beta,
+        gamma) omega > |c|^2 to the last bit, and ``tail_rates`` agrees with it.
+        """
+        return bool(np.all(self.margins(phys) > 0.0))
 
     def tail_rates(self, phys: PhysParams) -> np.ndarray:
-        """Exact decay rates r_j = sqrt(4 m_j kappa_j omega - |c|^2) / (2 kappa_j) of a profile's tails.
+        """Exact decay rates r_j = sqrt(D_j) / (2 kappa_j) of a profile's tails.
 
         In the tail the profile equation is linear, -kappa_j Lap u_j +
-        m_j omega u_j + i c.grad u_j = 0 with m = (2, 1, 1) and
-        kappa = (alpha, beta, gamma), so |u_j| falls as exp(-r_j |x|) (in
-        d >= 2 times |x|^{-(d-1)/2}). A component whose root is not real
+        m_j omega u_j + i c.grad u_j = 0, so |u_j| falls as exp(-r_j |x|) (in
+        d >= 2 times |x|^{-(d-1)/2}). A component whose margin is not positive
         gets 0, so min_j r_j > 0 exactly when the pair is admissible.
         """
-        kappa = np.array([phys.alpha, phys.beta, phys.gamma])
-        return np.sqrt(np.maximum(4.0 * np.array([2.0, 1.0, 1.0]) * kappa * self.omega - self.speed**2, 0.0)) / (2.0 * kappa)
+        return np.sqrt(np.maximum(self.margins(phys), 0.0)) / (2.0 * phys.kappa)
 
     def on_curve(self, scale: float | None = None, omega: float | None = None) -> tuple:
         """(s, pair) for the point (s^2 omega, s c) of the scaling curve through this pair.

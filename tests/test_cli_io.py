@@ -546,6 +546,28 @@ class TestCli:
         assert payload["identities_passed"] is True
         assert (payload["well_samples"], payload["well_disagreements"]) == (kept, 0)
 
+    @pytest.mark.parametrize(
+        "omega, c, code", [(1.0000000000000002, 2.0, 3), (2.5e-319, 1e-159, 2)], ids=["one_float_from_edge", "underflow"]
+    )
+    def test_check_certificate_at_the_admissibility_edge(self, tmp_path, rng, capsys, omega, c, code):
+        # the first pair is admissible by one float and keeps a positive certificate; the random
+        # field fails the identities, so the run ends 3. The second underflows and is refused.
+        field = tmp_path / "edge.ldsf"
+        save_field(random_state(Grid(64, 40.0), rng), field)
+        cfg_path, outdir = small_config(
+            tmp_path,
+            "edge_check",
+            wave={"omega": omega, "c": [c]},
+            grid={"n": [64]},
+            experiment={"field": str(field), "samples": 20},
+        )
+        capsys.readouterr()
+        assert run_subcommand(["check", "--config", str(cfg_path)]) == code
+        if code == 3:
+            assert json.loads((outdir / "check.json").read_text())["coercivity"]["min_coeff"] > 0.0
+        else:
+            assert json.loads(capsys.readouterr().err.strip())["error"] == "InadmissibleParameters"
+
     def test_byte_reproducibility(self, tmp_path):
         outputs = []
         for name in ("rep_a", "rep_b"):

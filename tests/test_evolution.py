@@ -22,10 +22,10 @@ from dnls3.evolution import (
     stability_experiment,
     step,
 )
-from dnls3.functionals import FunctionalReport, WellMembership, evaluate
+from dnls3.functionals import FunctionalReport, WellMembership, coercivity_certificate, evaluate, linear_symbols
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import SolverConfig, solve_ground_state
-from dnls3.params import PhysParams, WaveParams
+from dnls3.params import MASSES, PhysParams, WaveParams
 
 from tests.conftest import band_limited_state, random_state, reference_nonlinear_gradient
 
@@ -470,7 +470,25 @@ class TestDecayFit:
             for _ in range(abs(ulps)):
                 omega = np.nextafter(omega, np.inf if ulps > 0 else 0.0)
         wave = WaveParams(omega, tuple(c))
-        assert wave.admissible(phys) == (min(wave.tail_rates(phys)) > 0.0)
+        admissible = wave.admissible(phys)
+        assert admissible == (min(wave.tail_rates(phys)) > 0.0)
+        if not admissible:
+            return
+        # the certificate holds wherever the pair is admissible; only an underflow at omega < 1e-300 may refuse it
+        try:
+            assert coercivity_certificate(phys, wave).min_coeff > 0.0
+        except InadmissibleParameters:
+            assert omega < 1e-300 and wave.speed > 0.0
+        # symbol j is at least D_j / (4 kappa_j) at every point, less rounding
+        d = len(c)
+        g = Grid((8,) * d, (10.0,) * d)
+        symbols = linear_symbols(g, phys, wave)
+        cdotxi = sum(ck * xk for ck, xk in zip(c, g.xi))
+        column = (3, 1) + (1,) * d
+        kappa, masses = phys.kappa.reshape(column), MASSES.reshape(column)
+        floor = (wave.margins(phys) / (4.0 * phys.kappa)).reshape(column)
+        slack = 8.0 * np.finfo(float).eps * (kappa * g.k2 + masses * omega + np.abs(cdotxi) + wave.speed**2 / (4.0 * kappa))
+        assert np.all(symbols >= floor - slack)
 
     def test_empty_window(self):
         g = Grid(64, 20.0)

@@ -382,7 +382,7 @@ class TestNehariRescale:
 class TestCoercivity:
     def test_zero_speed_certificate(self):
         cert = coercivity_certificate(PhysParams(1.0, 2.0, 3.0), wave1d(1.0, 0.0))
-        assert cert.A1 == 0.25 and cert.A2 == 0.5 and cert.A3 == 0.75
+        assert cert.A == (0.25, 0.5, 0.75)
         assert cert.grad_coeffs == (0.5, 1.0, 1.5)
         assert min(cert.mass_coeffs) > 0
 
