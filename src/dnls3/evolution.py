@@ -23,12 +23,13 @@ action gradient uses): one batched inverse transform of (u1, u2, div u3),
 zero-padded once onto the 3/2 grid when dealiasing, the three products,
 and one batched forward transform back to the band. RK4 takes the complex
 step h = -i dt on dN and forms its stage inputs and stage sum in place.
-``evolve`` keeps the state as a spectrum between records, builds the
-linear phases once per step size, and fuses the closing half-step of one
-Strang step with the opening half-step of the next into one full linear
-step (linear(dt/2) o linear(dt/2) = linear(dt)); it goes back to physical
-space only to record. A Strang step then costs 8 transforms, and ``step``
-adds one forward and one inverse transform around it.
+Both ``step`` and ``evolve`` take a step through ``_advance``, which for
+Strang multiplies the spectrum in place by the half-step phases, takes the
+RK4 substep and multiplies by them again. ``evolve`` keeps the state as a
+spectrum between records, builds the linear phases once per step size and
+goes back to physical space only to record. A Strang step costs 8
+transforms, and ``step`` adds one forward and one inverse transform around
+it.
 
 Where a step's time goes: 8 transforms is the floor for Strang splitting
 with an RK4 substep and 3/2 padding. On the dealiased 512-point 1D grid
@@ -188,18 +189,28 @@ def _if_rk4_step(grid: Grid, F0: np.ndarray, dt: float, half: np.ndarray, full: 
     return full * F0 + (h / 6.0) * (full * a + 2.0 * half * (b + c) + d)
 
 
+def _advance(grid: Grid, F: np.ndarray, dt: float, scheme: str, half: np.ndarray, full: np.ndarray | None) -> np.ndarray:
+    """One step of ``scheme`` on the spectrum F, with the linear phases over dt/2 and dt.
+
+    A Strang step multiplies F in place by ``half`` and returns a new
+    spectrum; ``full`` is read only by if_rk4.
+    """
+    if scheme == "if_rk4":
+        return _if_rk4_step(grid, F, dt, half, full)
+    F *= half
+    F = _rk4_coupling(grid, F, dt)
+    F *= half
+    return F
+
+
 def step(state: State, phys: PhysParams, dt: float, scheme: str = "strang") -> State:
     """One time step; order 2 (strang) or 4 (if_rk4)."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     g = state.grid
     half = _linear_phases(g, phys, dt / 2.0)
-    F = g.fft(state.u)
-    if scheme == "strang":
-        F = half * _rk4_coupling(g, half * F, dt)
-    else:
-        F = _if_rk4_step(g, F, dt, half, _linear_phases(g, phys, dt))
-    return State(g, g.ifft(F))
+    full = _linear_phases(g, phys, dt) if scheme == "if_rk4" else None
+    return State(g, g.ifft(_advance(g, g.fft(state.u), dt, scheme, half, full)))
 
 
 def evolve(
@@ -217,10 +228,8 @@ def evolve(
     the divergence time is recorded in the partial trace attached to the
     NonFinite error.
 
-    The state is carried as its spectrum between records. Strang steps
-    owe their closing linear half-step to the next step, whose opening
-    half-step it fuses with into one full linear step; the debt is paid
-    only before a record.
+    The state is carried as its spectrum between records, and each step
+    is ``_advance`` with the linear phases of its step size, built once.
     """
     if abs((phys.alpha - phys.gamma) * (phys.beta + phys.gamma)) < 1e-14:
         warnings.warn(
@@ -257,31 +266,16 @@ def evolve(
     record(0.0, U)
     phases = {}  # step size -> linear phases over its half and its whole
     F = grid.fft(U.u)
-    owed = None  # step size whose closing linear half-step F still owes
     t = 0.0
     for i in range(1, n_steps + 1):
         dt_i = min(dt, config.t_final - t)
         if dt_i not in phases:
             phases[dt_i] = (_linear_phases(grid, phys, dt_i / 2.0), _linear_phases(grid, phys, dt_i))
-        half, full = phases[dt_i]
-        if config.scheme == "if_rk4":
-            F = _if_rk4_step(grid, F, dt_i, half, full)
-        else:
-            if owed == dt_i:
-                F *= full  # the owed closing half-step fused with this opening one
-            else:
-                if owed is not None:
-                    F *= phases[owed][0]
-                F *= half
-            F = _rk4_coupling(grid, F, dt_i)
-            owed = dt_i
+        F = _advance(grid, F, dt_i, config.scheme, *phases[dt_i])
         t = i * dt if i < n_steps else config.t_final
         if not np.isfinite(F).all():
             raise NonFinite(t, build_trace(divergence_time=t))
         if i % config.record_stride == 0 or i == n_steps:
-            if owed is not None:
-                F *= phases[owed][0]
-                owed = None
             U = State(grid, grid.ifft(F))
             record(t, U)
     return U, build_trace()

@@ -152,9 +152,10 @@ def _parts(grid: Grid, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
     them in pairs. In 1D the marginal is those squares, reshaped; in d >= 2
     they are summed over the vector rows as they are formed, which leaves
     2/d of |F|^2's entries as the only array of the grid's size.
-    C = (u3, grad(u1 . conj(u2))) by Parseval, with ``grad_pair`` the third
-    block of dN (``grid.nonlinear_gradient``); the coupling functional is
-    N = Re C, and rotating u3 by e^{i theta} turns C into e^{i theta} C.
+    C = (u3, grad(u1 . conj(u2))) by Parseval, one ``np.vecdot`` for a
+    state and for a batch alike, with ``grad_pair`` the third block of dN
+    (``grid.nonlinear_gradient``); the coupling functional is N = Re C,
+    and rotating u3 by e^{i theta} turns C into e^{i theta} C.
 
     ``F`` has shape ``(..., 3, d, *grid.shape)``, contiguous, and
     ``grad_pair`` shape ``(..., d, *grid.shape)``: leading axes are batch
@@ -179,11 +180,7 @@ def _parts(grid: Grid, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
     k2_parts = sum(m[..., 1] for m in moments)
     L = 0.5 * (phys.alpha * k2_parts[..., 0] + phys.beta * k2_parts[..., 1] + phys.gamma * k2_parts[..., 2]) * grid.weight
     u3 = F[(..., 2, slice(None), *grid._space)]
-    if lead:
-        C = np.einsum("...k,...k->...", grad_pair.reshape(*lead, -1).conj(), u3.reshape(*lead, -1)) * grid.weight
-    else:
-        # a single state keeps BLAS's dot product, which the solver and the stepper's reports have always used
-        C = complex(np.vdot(grad_pair, u3)) * grid.weight
+    C = np.vecdot(grad_pair.reshape(*lead, -1), u3.reshape(*lead, -1)) * grid.weight
     P = np.stack([m[..., 2].sum(axis=-1) for m in moments], axis=-1) * (-0.5 * grid.weight)
     return Q, L, C, P
 

@@ -505,7 +505,7 @@ class TestSpectralStepping:
         "n,extent,dealias",
         [(128, 20.0, False), (128, 20.0, True), ((32, 32), (12.0, 12.0), True)],
     )
-    def test_fused_evolve_matches_step_loop(self, n, extent, dealias):
+    def test_evolve_matches_step_loop(self, n, extent, dealias):
         g = Grid(n, extent, dealias=dealias)
         wave = WaveParams(1.0, (0.0,) * g.d)
         state = smooth_state(g, amp=0.8)
@@ -566,7 +566,7 @@ class TestSpectralStepping:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            # same two records in both runs: the difference is 20 fused steps
+            # same two records in both runs: the difference is 20 steps
             per_step = (run(40) - run(20)) / 20
         assert per_step <= 8
         assert count(lambda: step(state, PHYS, 1e-3)) <= 10
@@ -591,7 +591,7 @@ def reference_rk4_coupling(g, F, dt):
 
 
 def reference_evolve(state, wave, dt, t_final, stride, reference):
-    """Strang steps with fused linear half-steps, as ``evolve`` takes them, on the reference substep: final state and records."""
+    """Strang steps, as ``evolve`` takes them, on the reference substep: final state and records."""
     g = state.grid
     n_steps = int(np.ceil(t_final / dt - 1e-12))
     records = []
@@ -601,21 +601,13 @@ def reference_evolve(state, wave, dt, t_final, stride, reference):
         records.append([t, rep.Q, rep.E, *rep.P, rep.S, rep.K, norm_h1(U), orbit_distance(U, reference).distance])
 
     record(0.0, state)
-    F, owed, t, U = g.fft(state.u), None, 0.0, state
+    F, t, U = g.fft(state.u), 0.0, state
     for i in range(1, n_steps + 1):
         dt_i = min(dt, t_final - t)
-        if owed == dt_i:
-            F = F * _linear_phases(g, PHYS, dt_i)
-        else:
-            if owed is not None:
-                F = F * _linear_phases(g, PHYS, owed / 2.0)
-            F = F * _linear_phases(g, PHYS, dt_i / 2.0)
-        F = reference_rk4_coupling(g, F, dt_i)
-        owed = dt_i
+        half = _linear_phases(g, PHYS, dt_i / 2.0)
+        F = reference_rk4_coupling(g, F * half, dt_i) * half
         t = i * dt if i < n_steps else t_final
         if i % stride == 0 or i == n_steps:
-            F = F * _linear_phases(g, PHYS, owed / 2.0)
-            owed = None
             U = State(g, g.ifft(F))
             record(t, U)
     return U, np.array(records)
