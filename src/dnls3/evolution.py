@@ -34,17 +34,24 @@ it.
 Where a step's time goes: 8 transforms is the floor for Strang splitting
 with an RK4 substep and 3/2 padding. On the dealiased 512-point 1D grid
 each kernel call makes two, each a batch of 3 rows of 768 points, and
-they take about 70% of the call (75 of 106 us) and about two thirds of a
-step; about an eighth of a transform's time is numpy's Python wrapper
-(BENCH_18.json has the figures). The kernel works in scratch it keeps on
-the grid and both transforms write into it, so a call allocates only its
-result. The rest of the call is 10 small numpy calls (the pad, the
-conjugates and products, and the copies into and out of the band), and
-the rest of the step is 13 in-place RK4 stage operations, the linear
-phases and the finiteness check. Each costs little beyond numpy's
-per-call overhead on arrays of this size. ``scipy.fft`` transforms the
-kernel's rows about 13% faster, but importing it costs 0.32-0.40 s in
-every fresh process, so the transforms stay in ``numpy.fft``.
+they take about 39 of the call's 55 us and about 155 of a step's 241 us
+(BENCH_26.json); about an eighth of a transform's time is numpy's Python
+wrapper (BENCH_18.json). The rest of the call is 8 small numpy calls: the pad's
+multiply and its copy into the padded grid, one conjugate of u2 and
+div u3 (adjacent rows), the three products, and the unpad's copy of the
+band into contiguous rows and its multiply into the result. The RK4
+substep makes its stage sum, stage input and stage derivative once and
+the kernel writes each stage's dN into one of them (``out``), so a step
+makes 3 state-sized arrays. The rest of the step is 13 in-place RK4 stage
+operations, the linear phases and the finiteness check; each of these
+calls costs little beyond numpy's per-call overhead on arrays of this
+size. Two merges that
+would save a call more are slower with numpy >= 2.3, which buffers a
+copy of an operand broadcast along an outer axis or of a reversed row
+block: one multiply of both conjugates by u1, and one conjugate written
+in reversed row order. ``scipy.fft`` transforms the kernel's rows about
+13% faster, but importing it costs 0.32-0.40 s in every fresh process, so
+the transforms stay in ``numpy.fft``.
 
 Charge and momentum are conserved exactly by the linear flow and by the
 coupling flow separately, so their numerical drift is set by the RK4
@@ -157,19 +164,23 @@ def _rk4_coupling(grid: Grid, F: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of the coupling-only system i dt F = dN, on the spectrum.
 
     The right side is -i dN, so the stages take the complex step h = -i dt.
-    Stage inputs and the stage sum are formed in place; F is not written.
+    The stage sum, the stage input and the stage derivative are three
+    arrays made once per call: the kernel writes each stage's dN into one
+    of them, and the stage inputs and the stage sum are formed in place. F
+    is not written.
     """
     h = -1j * dt
-    total = grid.nonlinear_gradient(F)  # becomes k1 + 2 k2 + 2 k3 + k4
-    stage = np.multiply(total, 0.5 * h)
+    total, stage, k = np.empty_like(F), np.empty_like(F), np.empty_like(F)
+    grid.nonlinear_gradient(F, out=total)  # becomes k1 + 2 k2 + 2 k3 + k4
+    np.multiply(total, 0.5 * h, out=stage)
     stage += F
     for weight in (0.5, 1.0):
-        k = grid.nonlinear_gradient(stage)
+        grid.nonlinear_gradient(stage, out=k)
         np.multiply(k, weight * h, out=stage)
         stage += F
         k *= 2.0
         total += k
-    total += grid.nonlinear_gradient(stage)
+    total += grid.nonlinear_gradient(stage, out=k)
     total *= h / 6.0
     total += F
     return total

@@ -137,14 +137,14 @@ class Grid:
             self._product_shape = self._band_split = self._product_split = self.shape
             band_modes = space
             pad = unpad = 1.0 / np.sqrt(self.size)
-        # symbols of the coupling kernel, one per state row on the split band:
-        # the pad weights u1 and u2 by the band scale and u3 by the terms
-        # i xi_k of div u3; the unpad folds the transform scale into the
-        # symbols (-1, -1, i xi) of the gradient
+        # symbols of the coupling kernel, in the state's layout: the pad
+        # weights u1 and u2 by the band scale and u3 by the terms i xi_k of
+        # div u3; the unpad folds the transform scale into the symbols
+        # (-1, -1, i xi) of the gradient
         ones = np.ones(self.shape)
-        rows = (3 * d, *self._band_split)
-        self._pad_rows = np.array([pad * ones] * (2 * d) + [pad * ik * ones for ik in self.ik]).reshape(rows)
-        self._unpad_rows = np.array([-unpad * ones] * (2 * d) + [unpad * ik * ones for ik in self.ik]).reshape(rows)
+        rows = (3, d, *self.shape)
+        self._pad_symbols = np.array([pad * ones] * (2 * d) + [pad * ik * ones for ik in self.ik]).reshape(rows)
+        self._unpad_symbols = np.array([-unpad * ones] * (2 * d) + [unpad * ik * ones for ik in self.ik]).reshape(rows)
 
         #: the band's modes on the split product grid
         self._band_modes = (..., *band_modes)
@@ -229,17 +229,19 @@ class Grid:
         """The coupling kernel's scratch for batch axes ``lead``: its views by kernel mode.
 
         Built on the first call and kept; a call with other batch axes
-        replaces it. The band spectra times their pad symbols (3d rows, in
-        F's layout), then three buffers of 2d+1 rows on the product grid: the
-        padded spectra, zeroed once (only the band is ever written, so the
-        padding stays zero), the values (on a plain grid, the padded spectra
-        transformed in place) and the products, transformed in place. These
-        three hold their rows in front of the batch axes, so the rows a mode
-        transforms are one contiguous block whatever the batch: a transform of
-        a strided block costs numpy a copy of it. A mode pads F's rows u1 and
-        u2 (``pair``) or u1, u2 and u3 (``full``), the terms of div u3 summed
-        into row 2d, into the same rows of the padded spectra, and forms the
-        pair sum in the last product row.
+        replaces it. First the band rows (3d rows, in F's layout): F times
+        its pad symbols, and later the band of the transformed products,
+        which the unpad symbols multiply into the result. Then three buffers
+        of 2d+1 rows on the product grid: the padded spectra, zeroed once
+        (only the band is ever written, so the padding stays zero), the
+        values (on a plain grid, the padded spectra transformed in place) and
+        the products, transformed in place. These three hold their rows in
+        front of the batch axes, so the rows a mode transforms are one
+        contiguous block whatever the batch: a transform of a strided block
+        costs numpy a copy of it. A mode pads F's rows u1 and u2 (``pair``)
+        or u1, u2 and u3 (``full``), the terms of div u3 summed into row 2d,
+        into the same rows of the padded spectra, and forms the pair sum in
+        the last product row.
         """
         if lead == self._scratch_lead:
             return self._scratch
@@ -253,53 +255,71 @@ class Grid:
         values = np.empty_like(padded) if self.dealias else padded
         products = np.empty_like(padded)
         spectra = products.reshape(fine.shape)
-        unpad_rows, batch = self._unpad_rows, len(lead)
+        batch = len(lead)
 
         def band_of(index):
             """The band of product rows ``index``, in F's layout (behind the batch axes)."""
             return np.moveaxis(spectra[(index, ..., *band)], 0, batch)
 
-        # the band of the pair sum's spectrum times the symbols i xi of grad
-        pair_cut = (band_of(slice(2 * d, rows)), unpad_rows[2 * d :])
-        # gradient rows 0..2d from the same product rows, then grad from the pair row (for d = 1, the same row)
-        cut = 3 * d if d == 1 else 2 * d
-        full_cut = [(band_of(slice(0, cut)), unpad_rows[:cut], (..., slice(0, cut), *split))]
+        # the band goes back to the band rows: product rows 0..2d as they are,
+        # then the pair row once per row of grad (for d = 1, one block); in
+        # pair mode grad alone, in the front of the band rows' memory, where
+        # its d rows are one contiguous block whatever the batch
+        direct = 3 * d if d == 1 else 2 * d
+        full_cut = [(band_of(slice(0, direct)), weighted[(..., slice(0, direct), *split)])]
         if d > 1:
-            full_cut.append((*pair_cut, (..., slice(2 * d, 3 * d), *split)))
+            full_cut.append((band_of(slice(2 * d, rows)), weighted[(..., slice(2 * d, 3 * d), *split)]))
+        grad_rows = weighted.reshape(-1)[: weighted.size // 3].reshape(*lead, d, *self._band_split)
 
-        def mode(stop, conj, transformed, unpad, shape):
-            """F's rows 0..stop padded, conj(u2) formed in ``conj``; the ``transformed`` products cut by ``unpad`` into a result of ``shape``."""
+        def mode(stop, conj, pair_terms, transformed, cut, cut_rows, unpad):
+            """F's rows 0..stop padded, the conjugates formed in ``conj`` and the pair terms in ``pair_terms``; the ``transformed`` products ``cut`` to ``cut_rows``, which ``unpad`` multiplies into the result."""
             kept = slice(0, min(stop, rows))
             div_terms = range(1, d) if stop == 3 * d else ()
             return SimpleNamespace(
                 # the weighted rows, and the band they go to in F's layout
                 pad=(weighted[(..., kept, *split)], np.moveaxis(fine[(kept, ..., *band)], 0, batch)),
-                weighted=weighted,
+                weighted=weighted.reshape(*lead, 3, d, *self.shape),
                 terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in div_terms],
                 padded=padded[kept],
                 values=values[kept],
                 u1=values[first],
                 u2=values[second],
+                # u2 and div u3 are adjacent rows, conjugated in one call
+                u2_div=values[d:],
                 div=values[div_row],
                 conj=conj,
+                conj_u2=conj[:d],
+                conj_div=conj[d:],
+                pair_terms=pair_terms,
                 pair=products[last],
                 div_u2=products[first],
                 conj_div_u1=products[second],
                 transformed=transformed,
+                cut=cut,
+                cut_rows=cut_rows.reshape(*lead, *unpad.shape),
                 unpad=unpad,
-                shape=shape,
+                shape=unpad.shape,
             )
 
-        state_shape = (3, d, *self.shape)
-        # conj(u2) goes to rows that are free until the products take them
+        # the conjugates go to rows that are free until the products take them:
+        # in full mode conj(u2) and conj(div u3) as a block whose last row is
+        # not among the rows of conj(div u3) u1. In 1D the pair term is the pair
+        # sum and goes straight to its row; otherwise the d terms are summed
+        # into it, in full mode from the rows (div u3) u2 takes last
+        if d == 1:
+            full_conj, full_terms, pair_terms = products[:2], products[last:], products[last:]
+        else:
+            full_conj, full_terms, pair_terms = products[d:], products[first], values[second]
         self._scratch = {
-            "full": mode(3 * d, products[second], products, full_cut, state_shape),
-            "pair": mode(2 * d, values[second], products[2 * d :], [(*pair_cut, (..., slice(0, d), *split))], (d, *self.shape)),
+            "full": mode(3 * d, full_conj, full_terms, products, full_cut, weighted, self._unpad_symbols),
+            "pair": mode(2 * d, values[second], pair_terms, products[2 * d :], [(band_of(slice(2 * d, rows)), grad_rows)], grad_rows, self._unpad_symbols[2]),
         }
         self._scratch_lead = lead
         return self._scratch
 
-    def nonlinear_gradient(self, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False) -> np.ndarray:
+    def nonlinear_gradient(
+        self, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Spectrum of dN, the coupling part of the action gradient, of the state with spectrum F.
 
         ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``, or
@@ -322,16 +342,24 @@ class Grid:
         with ``pair_only`` on a plain grid: there it supplies u1 and u2, and
         the call makes its forward transform alone. Otherwise u is not read
         and every value comes from F. Every intermediate lives in the grid's
-        scratch (``_kernel_scratch``) and both transforms write into it, so a
-        call allocates little beyond its result; the result is a new array
-        and shares no memory with the inputs, the scratch or another call's
-        result.
+        scratch (``_kernel_scratch``) and both transforms write into it.
+
+        With ``out``, a complex128 array of the result's shape, the result
+        is written there and ``out`` is returned, and the call allocates
+        next to nothing. F and u are read in full before ``out`` is written,
+        so ``out`` may be F itself or share memory with F or u; the one
+        memory it may not share is the grid's scratch, which no call hands
+        out. Without ``out`` the result is a new array that shares no memory
+        with the inputs, the scratch or another call's result, and the call
+        allocates little beyond it.
         """
         d = self.d
         lead = F.shape[: -d - 2]
-        given = u is not None and pair_only and not self.dealias
         mode = self._kernel_scratch(lead)["pair" if pair_only else "full"]
-        if given:
+        shape = (*lead, *mode.shape)
+        if out is not None and (out.shape != shape or out.dtype != np.complex128):
+            raise ValueError(f"out must be a complex128 array of shape {shape}")
+        if u is not None and pair_only and not self.dealias:
             first, second = self._kernel_rows[:2]
             values = np.moveaxis(u.reshape(*lead, 3 * d, *self.shape), len(lead), 0)
             u1, u2 = values[first], values[second]
@@ -340,32 +368,31 @@ class Grid:
             # the batch, then the mode's rows are copied into the padded grid: a
             # ufunc on a strided block (the band, or some rows of a batch) buffers it
             kept, band = mode.pad
-            np.multiply(F.reshape(*lead, 3 * d, *self._band_split), self._pad_rows, out=mode.weighted)
+            np.multiply(F, self._pad_symbols, out=mode.weighted)
             for div, term in mode.terms:
                 np.add(div, term, out=div)
             np.copyto(band, kept)
             self._ifftn(mode.padded, "forward", out=mode.values)
             u1, u2 = mode.u1, mode.u2
-        conj, pair = np.conjugate(u2, out=mode.conj), mode.pair
-        # the pair sum u1 . conj(u2), row by row
-        np.multiply(conj[0], u1[0], out=pair)
-        for row in range(1, d):
-            np.multiply(conj[row], u1[row], out=conj[row])
-            np.add(pair, conj[row], out=pair)
+        # conj(u2), and in full mode conj(div u3) after it; each product keeps
+        # the conjugate as its first factor and u1 or u2 as its second
+        np.conjugate(u2 if pair_only else mode.u2_div, out=mode.conj)
+        np.multiply(mode.conj_u2, u1, out=mode.pair_terms)
         if not pair_only:
             # div u3 and its conjugate keep a unit row axis, to pair with each of the d rows of u1 and u2
+            np.multiply(mode.conj_div, u1, out=mode.conj_div_u1)
+        if d > 1:
+            np.add.reduce(mode.pair_terms, axis=0, out=mode.pair)
+        if not pair_only:
             np.multiply(mode.div, u2, out=mode.div_u2)
-            np.multiply(np.conjugate(mode.div, out=mode.div), u1, out=mode.conj_div_u1)
         self._fftn(mode.transformed, "backward", out=mode.transformed)
-        out = np.empty((*lead, *mode.shape), dtype=np.complex128)
-        cut = out.reshape(*lead, -1, *self._band_split)
         # the band is copied out before it is multiplied: a ufunc reading the
-        # strided band would buffer a copy of it beside the result
-        for source, symbols, target in mode.unpad:
-            band = cut[target]
-            np.copyto(band, source)
-            np.multiply(band, symbols, out=band)
-        return out
+        # strided band would buffer a copy of it
+        for source, rows in mode.cut:
+            np.copyto(rows, source)
+        if out is None:
+            out = np.empty(shape, dtype=np.complex128)
+        return np.multiply(mode.cut_rows, mode.unpad, out=out)
 
     def product_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sum over the leading axis of pointwise products a_m * b_m.
@@ -377,12 +404,12 @@ class Grid:
             return np.sum(a * b, axis=0)
         spectra = self.fft(np.stack([a, b]))
         lead = spectra.shape[: -self.d]
-        band_scale = self._pad_rows[0]
+        band_scale = self._pad_symbols[0, 0].reshape(self._band_split)
         fine = np.zeros((*lead, *self._product_split), dtype=np.complex128)
         np.multiply(spectra.reshape(*lead, *self._band_split), band_scale, out=fine[self._band_modes])
         values = self._ifftn(fine.reshape(*lead, *self._product_shape), "forward")
         spectrum = self._fftn(np.sum(values[0] * values[1], axis=0), "backward").reshape(self._product_split)
-        unpad_scale = -self._unpad_rows[0]
+        unpad_scale = -self._unpad_symbols[0, 0].reshape(self._band_split)
         return self.ifft((spectrum[self._band_modes] * unpad_scale).reshape(self.shape))
 
     # -- diagnostics ---------------------------------------------------------

@@ -5,12 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls3.evolution import h1_perturbation, step
+from dnls3.evolution import _advance, _linear_phases, h1_perturbation, step
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import sample_below_level
 from dnls3.params import PhysParams, WaveParams
 
 from tests.conftest import band_limited_state, random_state, reference_nonlinear_gradient
+
+
+def scratch_arrays(g: Grid):
+    """Every array the kernel keeps in the grid's scratch, over its modes."""
+    stack = [vars(mode) for mode in g._scratch.values()]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
 
 
 def dft_direct(f):
@@ -400,6 +413,45 @@ class TestKernelOracle:
                 result = g.nonlinear_gradient(F, values, pair_only=pair_only)
                 assert np.array_equal(result, reference_nonlinear_gradient(g, F, values, pair_only=pair_only))
 
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_writes_into_out_exactly(self, d, dealias, lead):
+        g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        rng = np.random.default_rng(200 + 100 * d + 10 * dealias + len(lead))
+        shape = (*lead, 3, d, *g.shape)
+        u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
+        F = g.fft(u)
+        for values in (None, u):
+            for pair_only in (False, True):
+                expected = reference_nonlinear_gradient(g, F, values, pair_only=pair_only)
+                # stale values in the caller's array must not reach the result
+                out = np.full(expected.shape, np.nan, dtype=np.complex128)
+                result = g.nonlinear_gradient(F, values, pair_only=pair_only, out=out)
+                assert result is out
+                assert np.array_equal(out, expected)
+                assert not np.shares_memory(out, F)
+                assert not any(np.shares_memory(out, buffer) for buffer in scratch_arrays(g))
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_out_may_be_the_spectrum(self, d, dealias, rng):
+        # F is read in full before out is written
+        g = Grid({1: (32,), 2: (16, 8)}[d], (7.0, 5.0)[:d], dealias=dealias)
+        F = g.fft(random_state(g, rng).u)
+        expected = reference_nonlinear_gradient(g, F)
+        assert np.array_equal(g.nonlinear_gradient(F, out=F), expected)
+        assert np.array_equal(F, expected)
+
+    def test_out_of_another_shape_or_type_is_refused(self, rng):
+        g = Grid(32, 7.0)
+        F = g.fft(random_state(g, rng).u)
+        for out in (np.empty((2, *F.shape), dtype=np.complex128), np.empty(F.shape, dtype=np.complex64)):
+            with pytest.raises(ValueError):
+                g.nonlinear_gradient(F, out=out)
+        with pytest.raises(ValueError):
+            g.nonlinear_gradient(F, pair_only=True, out=np.empty_like(F))
+
     @pytest.mark.parametrize("pair_only", [False, True])
     def test_call_allocates_only_its_result(self, pair_only, rng):
         # after a first call has built the scratch, a call allocates little beyond its result
@@ -413,3 +465,25 @@ class TestKernelOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * result.nbytes
+
+    def test_strang_step_allocates_only_its_rk4_arrays(self, rng):
+        # the RK4 substep makes its stage sum, stage input and stage derivative
+        # once and the kernel writes into them, so after a warm-up step a step
+        # allocates little beyond those three, and a kernel call into a
+        # caller's array next to nothing
+        g = Grid(512, 40.0, dealias=True)
+        half = _linear_phases(g, PhysParams(), 5e-4)
+        F = _advance(g, g.fft(random_state(g, rng).u), 1e-3, "strang", half, None)
+        out = np.empty_like(F)
+        tracemalloc.start()
+        try:
+            F = _advance(g, F, 1e-3, "strang", half, None)
+            step_peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            g.nonlinear_gradient(F, out=out)
+            kernel_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert step_peak <= 3 * F.nbytes + 4096
+        assert kernel_peak <= 4096
