@@ -102,8 +102,9 @@ class EvolveConfig:
             raise ValueError("dt must be positive and finite")
         if not 0 <= self.t_final < np.inf:
             raise ValueError("t_final must be nonnegative and finite")
-        if not 1 <= self.record_stride < np.inf:
-            raise ValueError("record_stride must be a finite count >= 1")
+        if not (1 <= self.record_stride < np.inf and float(self.record_stride).is_integer()):
+            raise ValueError(f"record_stride must be a finite whole count >= 1, got {self.record_stride!r}")
+        object.__setattr__(self, "record_stride", int(self.record_stride))
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 

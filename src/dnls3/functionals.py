@@ -129,17 +129,19 @@ def evaluate(state: State, phys: PhysParams, wave: WaveParams) -> FunctionalRepo
 
     The functionals are defined for any (omega, c); classification and
     solving require admissibility, which is checked where they happen.
+    Q, L and P are read off the state's spectrum (``_parts``) and N = Re C
+    from ``Grid.coupling``: one forward and one inverse transform.
     """
     if wave.d != state.grid.d:
         raise ValueError(f"wave speed has {wave.d} components but grid is {state.grid.d}-dimensional")
     g = state.grid
     F = g.fft(state.u)
-    Q, L, C, P = _parts(g, F, phys, g.nonlinear_gradient(F, state.u, pair_only=True))
-    return FunctionalReport.from_parts(Q, L, C.real, P, wave.omega, wave.c_array)
+    Q, L, P = _parts(g, F, phys)
+    return FunctionalReport.from_parts(Q, L, g.coupling(F).real, P, wave.omega, wave.c_array)
 
 
-def _parts(grid: Grid, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
-    """(Q, L, C, P) of the state with spectrum F, whose grad(u1 . conj(u2)) spectrum the caller holds.
+def _parts(grid: Grid, F: np.ndarray, phys: PhysParams):
+    """(Q, L, P) of the state with spectrum F: the quadratic functionals.
 
     Every part is read off the spectrum: the transform is unitary, so Q sums
     |F|^2 as it would |u|^2. Q, L and P are moments of |F|^2: per axis k,
@@ -151,16 +153,12 @@ def _parts(grid: Grid, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
     side as F's float64 view has them; the last axis's moment rows take
     them in pairs. In 1D the marginal is those squares, reshaped; in d >= 2
     they are summed over the vector rows as they are formed, which leaves
-    2/d of |F|^2's entries as the only array of the grid's size.
-    C = (u3, grad(u1 . conj(u2))) by Parseval, one ``np.vecdot`` for a
-    state and for a batch alike, with ``grad_pair`` the third block of dN
-    (``grid.nonlinear_gradient``); the coupling functional is N = Re C,
-    and rotating u3 by e^{i theta} turns C into e^{i theta} C.
+    2/d of |F|^2's entries as the only array of the grid's size. The
+    coupling C, whose real part is N, comes from ``Grid.coupling``.
 
-    ``F`` has shape ``(..., 3, d, *grid.shape)``, contiguous, and
-    ``grad_pair`` shape ``(..., d, *grid.shape)``: leading axes are batch
-    axes, each part has their shape (P with d entries more), and a state
-    without them gets scalars and a d-vector P.
+    ``F`` has shape ``(..., 3, d, *grid.shape)``, contiguous: leading axes
+    are batch axes, each part has their shape (P with d entries more), and a
+    state without them gets scalars and a d-vector P.
     """
     d = grid.d
     lead = F.shape[: -d - 2]
@@ -179,10 +177,8 @@ def _parts(grid: Grid, F: np.ndarray, phys: PhysParams, grad_pair: np.ndarray):
     Q = (mass[..., 0] + 0.5 * mass[..., 1] + 0.5 * mass[..., 2]) * grid.weight
     k2_parts = sum(m[..., 1] for m in moments)
     L = 0.5 * (phys.alpha * k2_parts[..., 0] + phys.beta * k2_parts[..., 1] + phys.gamma * k2_parts[..., 2]) * grid.weight
-    u3 = F[(..., 2, slice(None), *grid._space)]
-    C = np.vecdot(grad_pair.reshape(*lead, -1), u3.reshape(*lead, -1)) * grid.weight
     P = np.stack([m[..., 2].sum(axis=-1) for m in moments], axis=-1) * (-0.5 * grid.weight)
-    return Q, L, C, P
+    return Q, L, P
 
 
 def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:

@@ -39,7 +39,8 @@ class Grid:
     Parameters
     ----------
     n : int or sequence of int
-        Points per axis; each must be a power of two >= 8.
+        Points per axis; each must be a power of two >= 8, and whole: 512.0
+        counts as 512, 512.7 is refused.
     extent : float or sequence of float
         Box length per axis.
     dealias : bool
@@ -49,23 +50,24 @@ class Grid:
         band of the fields themselves. Off by default: the states of
         interest are spectrally well resolved, where aliasing is negligible.
 
-    The coupling kernel (``nonlinear_gradient``) keeps scratch on the grid,
-    one set of buffers that its modes share, built on its first call and
-    reused by every later one. So one Grid must not be used from several
-    threads at once; give each thread its own Grid.
+    The coupling kernel (``nonlinear_gradient``, and ``coupling``, which
+    runs its first half) keeps scratch on the grid, one set of buffers built
+    on the first call and reused by every later one. So one Grid must not be
+    used from several threads at once; give each thread its own Grid.
     """
 
     def __init__(self, n, extent, dealias: bool = False):
-        n = tuple(int(v) for v in np.atleast_1d(n))
+        counts = np.atleast_1d(n)
+        n = tuple(int(v) for v in counts)
         extent = tuple(float(v) for v in np.atleast_1d(extent))
         if len(n) != len(extent):
             raise ValueError("n and extent must have the same length")
         d = len(n)
         if not 1 <= d <= 3:
             raise ValueError(f"dimension must be 1..3, got {d}")
-        for nk in n:
-            if nk < 8 or not _is_power_of_two(nk):
-                raise ValueError(f"points per axis must be a power of two >= 8, got {nk}")
+        for nk, count in zip(n, counts):
+            if nk != float(count) or nk < 8 or not _is_power_of_two(nk):
+                raise ValueError(f"points per axis must be a whole power of two >= 8, got {count}")
         for ek in extent:
             if not 0 < ek < np.inf:
                 raise ValueError(f"extent must be positive and finite, got {ek}")
@@ -80,7 +82,7 @@ class Grid:
         #: quadrature weight of one cell
         self.weight = float(np.prod(self.spacing))
         self._spatial_axes = tuple(range(-d, 0))
-        self._space = space = (slice(None),) * d
+        space = (slice(None),) * d
         # the kernel's rows, in front of any batch axes: u1 and u2 (and the
         # products that take their places), the pair sum, and div u3 (the
         # last row, kept as a unit row axis)
@@ -137,6 +139,8 @@ class Grid:
             self._product_shape = self._band_split = self._product_split = self.shape
             band_modes = space
             pad = unpad = 1.0 / np.sqrt(self.size)
+        #: C's quadrature weight on the product grid, signed for the integration by parts
+        self._coupling_weight = -self.weight * self.size / int(np.prod(self._product_shape))
         # symbols of the coupling kernel, in the state's layout: the pad
         # weights u1 and u2 by the band scale and u3 by the terms i xi_k of
         # div u3; the unpad folds the transform scale into the symbols
@@ -225,8 +229,8 @@ class Grid:
 
     # -- quadratic products --------------------------------------------------
 
-    def _kernel_scratch(self, lead: tuple) -> dict:
-        """The coupling kernel's scratch for batch axes ``lead``: its views by kernel mode.
+    def _kernel_scratch(self, lead: tuple) -> SimpleNamespace:
+        """The coupling kernel's scratch for batch axes ``lead``, as named views.
 
         Built on the first call and kept; a call with other batch axes
         replaces it. First the band rows (3d rows, in F's layout): F times
@@ -236,12 +240,11 @@ class Grid:
         (only the band is ever written, so the padding stays zero), the
         values (on a plain grid, the padded spectra transformed in place) and
         the products, transformed in place. These three hold their rows in
-        front of the batch axes, so the rows a mode transforms are one
+        front of the batch axes, so the rows a call transforms are one
         contiguous block whatever the batch: a transform of a strided block
-        costs numpy a copy of it. A mode pads F's rows u1 and u2 (``pair``)
-        or u1, u2 and u3 (``full``), the terms of div u3 summed into row 2d,
-        into the same rows of the padded spectra, and forms the pair sum in
-        the last product row.
+        costs numpy a copy of it. F's rows u1, u2 and u3, the terms of div u3
+        summed into row 2d, go to the same rows of the padded spectra, and
+        the pair sum takes the last product row.
         """
         if lead == self._scratch_lead:
             return self._scratch
@@ -262,64 +265,63 @@ class Grid:
             return np.moveaxis(spectra[(index, ..., *band)], 0, batch)
 
         # the band goes back to the band rows: product rows 0..2d as they are,
-        # then the pair row once per row of grad (for d = 1, one block); in
-        # pair mode grad alone, in the front of the band rows' memory, where
-        # its d rows are one contiguous block whatever the batch
+        # then the pair row once per row of grad (for d = 1, one block)
         direct = 3 * d if d == 1 else 2 * d
-        full_cut = [(band_of(slice(0, direct)), weighted[(..., slice(0, direct), *split)])]
+        cut = [(band_of(slice(0, direct)), weighted[(..., slice(0, direct), *split)])]
         if d > 1:
-            full_cut.append((band_of(slice(2 * d, rows)), weighted[(..., slice(2 * d, 3 * d), *split)]))
-        grad_rows = weighted.reshape(-1)[: weighted.size // 3].reshape(*lead, d, *self._band_split)
-
-        def mode(stop, conj, pair_terms, transformed, cut, cut_rows, unpad):
-            """F's rows 0..stop padded, the conjugates formed in ``conj`` and the pair terms in ``pair_terms``; the ``transformed`` products ``cut`` to ``cut_rows``, which ``unpad`` multiplies into the result."""
-            kept = slice(0, min(stop, rows))
-            div_terms = range(1, d) if stop == 3 * d else ()
-            return SimpleNamespace(
-                # the weighted rows, and the band they go to in F's layout
-                pad=(weighted[(..., kept, *split)], np.moveaxis(fine[(kept, ..., *band)], 0, batch)),
-                weighted=weighted.reshape(*lead, 3, d, *self.shape),
-                terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in div_terms],
-                padded=padded[kept],
-                values=values[kept],
-                u1=values[first],
-                u2=values[second],
-                # u2 and div u3 are adjacent rows, conjugated in one call
-                u2_div=values[d:],
-                div=values[div_row],
-                conj=conj,
-                conj_u2=conj[:d],
-                conj_div=conj[d:],
-                pair_terms=pair_terms,
-                pair=products[last],
-                div_u2=products[first],
-                conj_div_u1=products[second],
-                transformed=transformed,
-                cut=cut,
-                cut_rows=cut_rows.reshape(*lead, *unpad.shape),
-                unpad=unpad,
-                shape=unpad.shape,
-            )
-
+            cut.append((band_of(slice(2 * d, rows)), weighted[(..., slice(2 * d, 3 * d), *split)]))
         # the conjugates go to rows that are free until the products take them:
-        # in full mode conj(u2) and conj(div u3) as a block whose last row is
-        # not among the rows of conj(div u3) u1. In 1D the pair term is the pair
-        # sum and goes straight to its row; otherwise the d terms are summed
-        # into it, in full mode from the rows (div u3) u2 takes last
-        if d == 1:
-            full_conj, full_terms, pair_terms = products[:2], products[last:], products[last:]
-        else:
-            full_conj, full_terms, pair_terms = products[d:], products[first], values[second]
-        self._scratch = {
-            "full": mode(3 * d, full_conj, full_terms, products, full_cut, weighted, self._unpad_symbols),
-            "pair": mode(2 * d, values[second], pair_terms, products[2 * d :], [(band_of(slice(2 * d, rows)), grad_rows)], grad_rows, self._unpad_symbols[2]),
-        }
+        # conj(u2) and conj(div u3) as a block whose last row is not among the
+        # rows of conj(div u3) u1. In 1D the pair term is the pair sum and goes
+        # straight to its row; otherwise the d terms are summed into it from
+        # the rows (div u3) u2 takes last
+        conj, pair_terms = (products[:2], products[last:]) if d == 1 else (products[d:], products[first])
+        self._scratch = SimpleNamespace(
+            # the weighted rows u1, u2 and div u3, and the band they go to in F's layout
+            kept=weighted[(..., slice(0, rows), *split)],
+            band=np.moveaxis(fine[(slice(None), ..., *band)], 0, batch),
+            weighted=weighted.reshape(*lead, 3, d, *self.shape),
+            terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in range(1, d)],
+            padded=padded,
+            values=values,
+            u1=values[first],
+            u2=values[second],
+            # u2 and div u3 are adjacent rows, conjugated in one call
+            u2_div=values[d:],
+            div=values[div_row],
+            conj_u2_div=conj,
+            conj_u2=conj[:d],
+            conj_div=conj[d:],
+            pair_terms=pair_terms,
+            pair=products[last],
+            div_u2=products[first],
+            conj_div_u1=products[second],
+            products=products,
+            cut=cut,
+            # the factors of C, each flattened behind the batch axes: in 1D the
+            # pair sum is the pair term, formed in the row of u2
+            pair_points=(values[1] if d == 1 else products[last]).reshape(*lead, -1),
+            div_points=values[last].reshape(*lead, -1),
+        )
         self._scratch_lead = lead
         return self._scratch
 
-    def nonlinear_gradient(
-        self, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _product_values(self, F: np.ndarray) -> SimpleNamespace:
+        """The scratch for F's batch axes, holding u1, u2 and div u3 of F on the product grid.
+
+        All 3d rows of the band are weighted, one contiguous block whatever the
+        batch, before the 2d+1 rows are copied into the padded grid (a ufunc on
+        a strided block buffers it) and go there in one inverse transform.
+        """
+        s = self._kernel_scratch(F.shape[: -self.d - 2])
+        np.multiply(F, self._pad_symbols, out=s.weighted)
+        for div, term in s.terms:
+            np.add(div, term, out=div)
+        np.copyto(s.band, s.kept)
+        self._ifftn(s.padded, "forward", out=s.values)
+        return s
+
+    def nonlinear_gradient(self, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Spectrum of dN, the coupling part of the action gradient, of the state with spectrum F.
 
         ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``, or
@@ -334,65 +336,60 @@ class Grid:
         scalars) go to the product grid in one batched inverse transform,
         the products are formed there, and one batched forward transform
         brings them back; the transform scale and the symbols (-1, -1, i xi)
-        are folded into the multiply that cuts out the band. With
-        ``pair_only`` only the block grad(u1 . conj(u2)) is formed, shape
-        ``(..., d, *shape)``.
+        are folded into the multiply that cuts out the band. Every
+        intermediate lives in the grid's scratch (``_kernel_scratch``) and
+        both transforms write into it.
 
-        ``u``, the state's values with the batch axes of ``F``, is read only
-        with ``pair_only`` on a plain grid: there it supplies u1 and u2, and
-        the call makes its forward transform alone. Otherwise u is not read
-        and every value comes from F. Every intermediate lives in the grid's
-        scratch (``_kernel_scratch``) and both transforms write into it.
-
-        With ``out``, a complex128 array of the result's shape, the result
-        is written there and ``out`` is returned, and the call allocates
-        next to nothing. F and u are read in full before ``out`` is written,
-        so ``out`` may be F itself or share memory with F or u; the one
-        memory it may not share is the grid's scratch, which no call hands
-        out. Without ``out`` the result is a new array that shares no memory
-        with the inputs, the scratch or another call's result, and the call
-        allocates little beyond it.
+        With ``out``, a complex128 array of F's shape, the result is written
+        there and ``out`` is returned, and the call allocates next to
+        nothing. F is read in full before ``out`` is written, so ``out`` may
+        be F itself or share memory with it; the one memory it may not share
+        is the grid's scratch, which no call hands out. Without ``out`` the
+        result is a new array that shares no memory with F, the scratch or
+        another call's result, and the call allocates little beyond it.
         """
-        d = self.d
-        lead = F.shape[: -d - 2]
-        mode = self._kernel_scratch(lead)["pair" if pair_only else "full"]
-        shape = (*lead, *mode.shape)
-        if out is not None and (out.shape != shape or out.dtype != np.complex128):
-            raise ValueError(f"out must be a complex128 array of shape {shape}")
-        if u is not None and pair_only and not self.dealias:
-            first, second = self._kernel_rows[:2]
-            values = np.moveaxis(u.reshape(*lead, 3 * d, *self.shape), len(lead), 0)
-            u1, u2 = values[first], values[second]
-        else:
-            # all 3d rows of the band are weighted, one contiguous block whatever
-            # the batch, then the mode's rows are copied into the padded grid: a
-            # ufunc on a strided block (the band, or some rows of a batch) buffers it
-            kept, band = mode.pad
-            np.multiply(F, self._pad_symbols, out=mode.weighted)
-            for div, term in mode.terms:
-                np.add(div, term, out=div)
-            np.copyto(band, kept)
-            self._ifftn(mode.padded, "forward", out=mode.values)
-            u1, u2 = mode.u1, mode.u2
-        # conj(u2), and in full mode conj(div u3) after it; each product keeps
-        # the conjugate as its first factor and u1 or u2 as its second
-        np.conjugate(u2 if pair_only else mode.u2_div, out=mode.conj)
-        np.multiply(mode.conj_u2, u1, out=mode.pair_terms)
-        if not pair_only:
-            # div u3 and its conjugate keep a unit row axis, to pair with each of the d rows of u1 and u2
-            np.multiply(mode.conj_div, u1, out=mode.conj_div_u1)
-        if d > 1:
-            np.add.reduce(mode.pair_terms, axis=0, out=mode.pair)
-        if not pair_only:
-            np.multiply(mode.div, u2, out=mode.div_u2)
-        self._fftn(mode.transformed, "backward", out=mode.transformed)
+        if out is not None and (out.shape != F.shape or out.dtype != np.complex128):
+            raise ValueError(f"out must be a complex128 array of shape {F.shape}")
+        s = self._product_values(F)
+        # conj(u2) and conj(div u3); each product keeps the conjugate as its
+        # first factor and u1 or u2 as its second
+        np.conjugate(s.u2_div, out=s.conj_u2_div)
+        np.multiply(s.conj_u2, s.u1, out=s.pair_terms)
+        # div u3 and its conjugate keep a unit row axis, to pair with each of the d rows of u1 and u2
+        np.multiply(s.conj_div, s.u1, out=s.conj_div_u1)
+        if self.d > 1:
+            np.add.reduce(s.pair_terms, axis=0, out=s.pair)
+        np.multiply(s.div, s.u2, out=s.div_u2)
+        self._fftn(s.products, "backward", out=s.products)
         # the band is copied out before it is multiplied: a ufunc reading the
         # strided band would buffer a copy of it
-        for source, rows in mode.cut:
+        for source, rows in s.cut:
             np.copyto(rows, source)
         if out is None:
-            out = np.empty(shape, dtype=np.complex128)
-        return np.multiply(mode.cut_rows, mode.unpad, out=out)
+            out = np.empty(F.shape, dtype=np.complex128)
+        return np.multiply(s.weighted, self._unpad_symbols, out=out)
+
+    def coupling(self, F: np.ndarray):
+        """C = (u3, grad(u1 . conj(u2))) of the state with spectrum F, or of each state of a batch.
+
+        ``F`` is shaped as for ``nonlinear_gradient``; C is a complex scalar for
+        a state, an array over the batch axes for a batch. N = Re C, and turning
+        u3 by e^{i theta} turns C by e^{i theta}. Integrated by parts,
+        C = -(div u3, u1 . conj(u2)): C is the rectangle rule on the product grid
+        of the pair sum's conjugate times div u3, after the kernel's inverse
+        transform. By Parseval that is the C of the full kernel's band, also
+        when dealiasing, as the pair sum's aliased modes fall outside the band
+        of div u3. No forward transform is made, and a call on one state
+        allocates no array of the grid's size.
+        """
+        s = self._product_values(F)
+        # the pair terms conj(u2) u1 are formed in place in the rows of u2:
+        # writing fewer product rows keeps the call's memory traffic down
+        np.conjugate(s.u2, out=s.u2)
+        np.multiply(s.u2, s.u1, out=s.u2)
+        if self.d > 1:
+            np.add.reduce(s.u2, axis=0, out=s.pair)
+        return np.vecdot(s.pair_points, s.div_points) * self._coupling_weight
 
     def product_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sum over the leading axis of pointwise products a_m * b_m.

@@ -57,15 +57,14 @@ class SolverConfig:
     restarts: int = 3
 
     def __post_init__(self):
-        # each check is written so that NaN and inf fail it
-        if not 1 <= self.max_iter < np.inf:
-            raise ValueError("max_iter must be a finite count >= 1")
+        # each check is written so that NaN and inf fail it; an integral float becomes its int
+        for name, least in (("max_iter", 1), ("seed", 0), ("restarts", 1)):
+            value = getattr(self, name)
+            if not (least <= value < np.inf and float(value).is_integer()):
+                raise ValueError(f"{name} must be a finite whole number >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0 < self.residual_tol < np.inf:
             raise ValueError("the residual tolerance must be positive and finite")
-        if not 0 <= self.seed < np.inf:
-            raise ValueError("seed must be >= 0")
-        if not 1 <= self.restarts < np.inf:
-            raise ValueError("restarts must be a finite count >= 1")
 
 
 @dataclass
@@ -187,7 +186,9 @@ def _project(grid: Grid, phys: PhysParams, wave: WaveParams, F: np.ndarray):
     state, or None when C vanishes.
     """
     dN = grid.nonlinear_gradient(F)
-    Q, L, C, P = _parts(grid, F, phys, dN[2])
+    Q, L, P = _parts(grid, F, phys)
+    # C = (u3, grad(u1 . conj(u2))) by Parseval, off the gradient block of dN
+    C = np.vecdot(dN[2].reshape(-1), F[2].reshape(-1)) * grid.weight
     rep = FunctionalReport.from_parts(Q, L, -abs(C), P, wave.omega, wave.c_array)
     try:
         lam = rep.nehari_factor()
@@ -531,11 +532,11 @@ def sample_below_level(
     most SAMPLE_ROUND_POINTS complex points in all, as one batch of shape
     ``(b, 3, d, *grid.shape)``. Its spectrum is drawn directly and smoothed
     by ``Grid.noise_spectrum`` (power 2, no Nyquist mode). It is evaluated
-    off the spectrum into one batch report, by ``_parts`` and one batched
-    kernel call, whose inverse transform carries only the rows u1 and u2,
-    and its ray equations are solved by one batched eigensolve of their
-    companion matrices (the one ``np.roots`` makes per polynomial); the
-    report of sU follows from that of U (FunctionalReport.scaled). A draw
+    off the spectrum into one batch report, by ``_parts`` and
+    ``Grid.coupling``, whose one batched inverse transform of the rows u1,
+    u2 and div u3 is the round's only transform, and its ray equations are
+    solved by one batched eigensolve of their companion matrices (the one
+    ``np.roots`` makes per polynomial); the report of sU follows from that of U (FunctionalReport.scaled). A draw
     meant for K < 0 whose N is positive has its u3 negated: that maps N to
     -N and keeps Q, L and P, and the smoothed Gaussian law is symmetric
     under u3 -> -u3, so the law of the draws kept is that of draws with
@@ -576,7 +577,7 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
     Each round keeps the K < 0 flags and the (Q, L, N, P) rows of sU of the
     draws it kept; the report holds them with K < 0 first, each side in draw
     order, and ``order`` maps its rows to the kept draws in draw order.
-    Given a list ``spectra``, each round also appends (spectra, s) of its
+    Their C, whose real part is N, comes from ``Grid.coupling``. Given a list ``spectra``, each round also appends (spectra, s) of its
     kept draws, u3 negated where the draw was flipped; without it no
     spectrum outlives its round.
     """
@@ -589,7 +590,8 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
         attempts += b
         negative = np.arange(b) < want_negative - taken_negative
         F = grid.noise_spectrum(rng, (b, 3, grid.d), 2)
-        Q, L, C, P = _parts(grid, F, phys, grid.nonlinear_gradient(F, pair_only=True))
+        Q, L, P = _parts(grid, F, phys)
+        C = grid.coupling(F)
         flip = negative & (C.real > 0)
         N = np.where(flip, -C.real, C.real)
         batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)

@@ -96,14 +96,13 @@ def evaluate_calls(monkeypatch):
     return counter
 
 
-def reference_nonlinear_gradient(g: Grid, F: np.ndarray, u: np.ndarray | None = None, pair_only: bool = False) -> np.ndarray:
+def reference_nonlinear_gradient(g: Grid, F: np.ndarray) -> np.ndarray:
     """The coupling kernel written plainly: an exact oracle for ``Grid.nonlinear_gradient``.
 
     Every symbol, product and sum is formed by the same floating-point
     operations in the same order as the library's kernel, by plainer
     means: the whole spectrum is weighted, zero-padded by copying blocks,
-    and cut back block by block with per-call indices. Like the kernel, it
-    reads ``u`` only with ``pair_only`` on a plain grid. Results must agree
+    and cut back block by block with per-call indices. Results must agree
     bit for bit.
     """
     d = g.d
@@ -157,22 +156,11 @@ def reference_nonlinear_gradient(g: Grid, F: np.ndarray, u: np.ndarray | None = 
     rows = weighted.reshape(*lead, 3 * d, *g.shape)
     for k in range(1, d):
         rows[last] += rows[row(2 * d + k)]
-    if u is not None and pair_only and not g.dealias:
-        values = u.reshape(*lead, 3 * d, *g.shape)
-        div = None
-    else:
-        values = product_values(rows[row(slice(0, 2 * d if pair_only else 2 * d + 1))])
-        div = None if pair_only else values[last]
-    u1, u2 = values[first], values[second]
+    values = product_values(rows[row(slice(0, 2 * d + 1))])
+    u1, u2, div = values[first], values[second], values[row(slice(2 * d, 2 * d + 1))]
     pair = np.conjugate(u2)
     pair *= u1
-    if pair_only:
-        spectrum = fftn(np.add.reduce(pair, axis=-d - 1, keepdims=True), "backward")
-        out = np.empty((*lead, d, *g.shape), dtype=np.complex128)
-        cut(spectrum, unpad_symbols[2 * d :], out)
-        return out
     products = np.empty((*lead, 2 * d + 1, *product_shape), dtype=np.complex128)
-    div = div[row(None)]
     np.multiply(div, u2, out=products[first])
     np.add.reduce(pair, axis=-d - 1, out=products[last])
     np.conjugate(div, out=div)

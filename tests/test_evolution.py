@@ -169,6 +169,13 @@ class TestStep:
         with pytest.raises(ValueError):
             step(State.zeros(grid1d_box), PHYS, 0.01, "euler")
 
+    def test_fractional_record_stride_rejected(self):
+        # a stride of 2.5 recorded every 5 steps; an integral float is kept as its int
+        with pytest.raises(ValueError, match="record_stride"):
+            EvolveConfig(record_stride=2.5)
+        assert EvolveConfig(record_stride=5.0).record_stride == 5
+        assert isinstance(EvolveConfig(record_stride=5.0).record_stride, int)
+
 
 class TestEvolve:
     def test_zero_stays_zero(self, grid1d_box):

@@ -198,19 +198,19 @@ class TestReport:
         rng = np.random.default_rng(seed)
         u = np.stack([random_state(g, rng).u for _ in range(int(np.prod(batch)))]).reshape(*batch, 3, d, *g.shape)
         F = g.fft(u)
-        for values, pair_only in ((None, False), (None, True), (u, True)):
-            batched = g.nonlinear_gradient(F, values, pair_only=pair_only)
-            for i in np.ndindex(*batch):
-                one = g.nonlinear_gradient(F[i], None if values is None else u[i], pair_only=pair_only)
-                assert np.max(np.abs(batched[i] - one)) <= 1e-12 * np.max(np.abs(one))
-        Q, L, C, P = _parts(g, F, phys, g.nonlinear_gradient(F, u, pair_only=True))
+        batched = g.nonlinear_gradient(F)
+        for i in np.ndindex(*batch):
+            one = g.nonlinear_gradient(F[i])
+            assert np.max(np.abs(batched[i] - one)) <= 1e-12 * np.max(np.abs(one))
+        Q, L, P = _parts(g, F, phys)
+        C = g.coupling(F)
         assert Q.shape == L.shape == C.shape == batch and P.shape == (*batch, d)
         for i in np.ndindex(*batch):
-            pair = g.nonlinear_gradient(F[i], u[i], pair_only=True)
-            q, l, c, p = _parts(g, F[i], phys, pair)
+            q, l, p = _parts(g, F[i], phys)
+            c = g.coupling(F[i])
             assert Q[i] == pytest.approx(q, rel=1e-12, abs=0.0)
             assert L[i] == pytest.approx(l, rel=1e-12, abs=0.0)
-            assert abs(C[i] - c) <= 1e-12 * np.linalg.norm(pair) * np.linalg.norm(F[i][2]) * g.weight
+            assert abs(C[i] - c) <= 1e-12 * np.linalg.norm(batched[i][2]) * np.linalg.norm(F[i][2]) * g.weight
             assert np.max(np.abs(P[i] - p)) <= 1e-12 * (q + l)
 
     @settings(max_examples=40, deadline=None)
@@ -222,14 +222,16 @@ class TestReport:
     )
     def test_parts_are_the_quadrature_sums(self, seed, d, dealias, batch):
         # the moments give the plain sums over the spectrum: sum |F|^2,
-        # sum k2 |F|^2 and sum xi_k |F|^2, and C by one vdot per state
+        # sum k2 |F|^2 and sum xi_k |F|^2; C is one vdot per state with the
+        # kernel's gradient block
         g = Grid((16, 8, 8)[:d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
         phys = PhysParams(1.0, 1.5, 0.7)
         rng = np.random.default_rng(seed)
         u = np.stack([random_state(g, rng).u for _ in range(int(np.prod(batch)))]).reshape(*batch, 3, d, *g.shape)
         F = g.fft(u)
-        pair = g.nonlinear_gradient(F, pair_only=True)
-        Q, L, C, P = _parts(g, F, phys, pair)
+        dN = g.nonlinear_gradient(F)
+        Q, L, P = _parts(g, F, phys)
+        C = g.coupling(F)
         absF2 = np.abs(F) ** 2
         rows = tuple(range(-d - 1, 0))  # a component's vector rows and the grid
         mass, k2_mass = np.sum(absF2, axis=rows), np.sum(g.k2 * absF2, axis=rows)
@@ -242,8 +244,8 @@ class TestReport:
             P_abs = 0.5 * np.sum(np.abs(g.xi[k]) * absF2, axis=(-d - 2, *rows)) * g.weight
             assert np.all(np.abs(P[..., k] - P_sum) <= 1e-13 * P_abs)
         for i in np.ndindex(*batch):
-            C_sum = np.vdot(pair[i], F[i][2]) * g.weight
-            C_abs = np.sum(np.abs(pair[i]) * np.abs(F[i][2])) * g.weight
+            C_sum = np.vdot(dN[i][2], F[i][2]) * g.weight
+            C_abs = np.sum(np.abs(dN[i][2]) * np.abs(F[i][2])) * g.weight
             assert abs(np.asarray(C)[i] - C_sum) <= 1e-13 * C_abs
 
     def test_translation_invariance(self, rng):
@@ -335,14 +337,15 @@ class TestActionGradient:
 
 
 class TestTransformCounts:
-    """Transforms per call on a plain grid, where values in hand are reused."""
+    """Transforms per call."""
 
     def test_evaluate(self, rng, fft_calls):
-        g = Grid(64, 13.0)
-        state = random_state(g, rng)
-        before = fft_calls["calls"]
-        evaluate(state, PHYS, wave1d(1.0, 0.2))
-        assert fft_calls["calls"] - before <= 2
+        # the state's spectrum, then C's inverse transform, on a plain and a dealiased grid
+        for g in (Grid(64, 13.0), Grid(64, 13.0, dealias=True)):
+            state = random_state(g, rng)
+            before = fft_calls["calls"]
+            evaluate(state, PHYS, wave1d(1.0, 0.2))
+            assert fft_calls["calls"] - before <= 2
 
     def test_action_gradient(self, rng, fft_calls):
         g = Grid(64, 13.0)

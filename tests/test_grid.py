@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnls3.evolution import _advance, _linear_phases, h1_perturbation, step
+from dnls3.functionals import gauge_phases
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import sample_below_level
 from dnls3.params import PhysParams, WaveParams
@@ -14,8 +15,8 @@ from tests.conftest import band_limited_state, random_state, reference_nonlinear
 
 
 def scratch_arrays(g: Grid):
-    """Every array the kernel keeps in the grid's scratch, over its modes."""
-    stack = [vars(mode) for mode in g._scratch.values()]
+    """Every array the kernel keeps in the grid's scratch."""
+    stack = [vars(g._scratch)]
     while stack:
         item = stack.pop()
         if isinstance(item, np.ndarray):
@@ -72,6 +73,14 @@ class TestTransforms:
             Grid(16, -1.0)
         with pytest.raises(ValueError):
             Grid((16, 16, 16, 16), (1.0, 1.0, 1.0, 1.0))
+
+    def test_fractional_points_rejected(self):
+        # int() would truncate 512.7 to a 512-point grid; an integral float is a count
+        with pytest.raises(ValueError, match="512.7"):
+            Grid(512.7, 40.0)
+        with pytest.raises(ValueError, match="16.5"):
+            Grid((16, 16.5), (1.0, 1.0))
+        assert Grid(512.0, 40.0) == Grid(512, 40.0)
 
 
 class TestDerivatives:
@@ -280,6 +289,14 @@ def double_padding_rows(g: Grid, F: np.ndarray) -> np.ndarray:
     return band_spectrum(np.concatenate([div3 * u2, np.conj(div3) * u1, [np.sum(u1 * np.conj(u2), axis=0)]]))
 
 
+def reference_coupling(g: Grid, F: np.ndarray):
+    """C = (u3, grad(u1 . conj(u2))) by Parseval off the oracle's gradient block, and the sum of its terms' moduli."""
+    lead = F.shape[: -g.d - 2]
+    grad_pair = reference_nonlinear_gradient(g, F).reshape(*lead, 3, -1)[..., 2, :]
+    u3 = F.reshape(*lead, 3, -1)[..., 2, :]
+    return np.vecdot(grad_pair, u3) * g.weight, np.sum(np.abs(grad_pair) * np.abs(u3), axis=-1) * g.weight
+
+
 def gradient_from_rows(g: Grid, rows: np.ndarray) -> np.ndarray:
     """dN = (-(div u3) u2, -conj(div u3) u1, grad(u1 . conj(u2))) assembled from product rows."""
     d = g.d
@@ -340,9 +357,9 @@ class TestCouplingKernel:
             np.stack([g.deriv(pair, k) for k in range(g.d)]),
         ])
         assert np.max(np.abs(g.ifft(dN) - expected)) < 1e-12 * np.max(np.abs(expected))
-        # the pair-only call, with and without the physical values, gives the same block
-        for values in (None, state.u):
-            assert np.max(np.abs(g.nonlinear_gradient(F, values, pair_only=True) - dN[2])) < 1e-12 * np.max(np.abs(dN))
+        # C is the rectangle rule of (u3, grad(u1 . conj(u2))) on the same fields
+        C = np.vdot(expected[2], state.u3) * g.weight
+        assert abs(g.coupling(F) - C) < 1e-12 * np.sum(np.abs(expected[2]) * np.abs(state.u3)) * g.weight
 
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("n,extent", [(64, 12.0), ((16, 8), (6.0, 9.0))])
@@ -352,14 +369,12 @@ class TestCouplingKernel:
         a, b = random_state(g, rng), random_state(g, rng, scale=3.0)
         Fa, Fb = g.fft(a.u), g.fft(b.u)
         kept_Fa = Fa.copy()
-        for values_a, values_b in ((None, None), (a.u, b.u)):
-            dN = g.nonlinear_gradient(Fa, values_a)
-            pair = g.nonlinear_gradient(Fa, values_a, pair_only=True)
-            kept, kept_pair = dN.copy(), pair.copy()
-            other = g.nonlinear_gradient(Fb, values_b)
-            g.nonlinear_gradient(Fb, values_b, pair_only=True)
-            assert np.array_equal(dN, kept) and np.array_equal(pair, kept_pair)
-            assert not np.shares_memory(dN, other) and not np.shares_memory(dN, Fa)
+        dN = g.nonlinear_gradient(Fa)
+        kept = dN.copy()
+        other = g.nonlinear_gradient(Fb)
+        g.coupling(Fb)
+        assert np.array_equal(dN, kept)
+        assert not np.shares_memory(dN, other) and not np.shares_memory(dN, Fa)
         assert np.array_equal(Fa, kept_Fa)
         phys = PhysParams(1.0, 1.0, 1.0)
         kept_a = a.u.copy()
@@ -370,9 +385,42 @@ class TestCouplingKernel:
             assert np.array_equal(first.u, kept)
             assert np.array_equal(a.u, kept_a)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2, 3]),
+        dealias=st.booleans(),
+        lead=st.sampled_from([(), (3,), (2, 2)]),
+    )
+    def test_coupling_matches_the_spectral_oracle_and_its_symmetries(self, seed, d, dealias, lead):
+        # bounds are relative to the sum of the moduli of C's terms
+        g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        rng = np.random.default_rng(seed)
+        shape = (*lead, 3, d, *g.shape)
+        u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
+        F = g.fft(u)
+        C = g.coupling(F)
+        expected, scale = reference_coupling(g, F)
+        assert np.shape(C) == lead
+        assert np.all(np.abs(C - expected) <= 1e-13 * scale)
+        for i in np.ndindex(*lead):
+            assert abs(C[i] - g.coupling(F[i])) <= 1e-14 * scale[i]
+        # the gauge (e^{ia} u1, e^{ib} u2, e^{i(a-b)} u3) and grid-aligned rolls keep C
+        a, b, theta = rng.uniform(0.0, 2.0 * np.pi, 3)
+        gauged = F * gauge_phases(a, b).reshape(3, *[1] * (d + 1))
+        rolled = g.fft(np.roll(u, tuple(rng.integers(1, g.n)), axis=tuple(range(-d, 0))))
+        for moved in (gauged, rolled):
+            assert np.all(np.abs(g.coupling(moved) - C) <= 1e-13 * scale)
+        # turning u3 by e^{i theta} turns C by e^{i theta}, and negating u3 negates C exactly
+        turned, negated = F.copy(), F.copy()
+        turned.reshape(*lead, 3, -1)[..., 2, :] *= np.exp(1j * theta)
+        negated.reshape(*lead, 3, -1)[..., 2, :] *= -1.0
+        assert np.all(np.abs(g.coupling(turned) - np.exp(1j * theta) * C) <= 1e-13 * scale)
+        assert np.array_equal(g.coupling(negated), -C)
+
 
 class TestKernelOracle:
-    """The lean kernel against the reference kernel, bit for bit, in every mode."""
+    """The lean kernel against the reference kernel, bit for bit."""
 
     @pytest.mark.parametrize("lead", [(), (2,), (2, 2)])
     @pytest.mark.parametrize("dealias", [False, True])
@@ -383,35 +431,35 @@ class TestKernelOracle:
         shape = (*lead, 3, d, *g.shape)
         u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
         F = g.fft(u)
-        kept_F, kept_u = F.copy(), u.copy()
-        for values in (None, u):
-            for pair_only in (False, True):
-                result = g.nonlinear_gradient(F, values, pair_only=pair_only)
-                expected = reference_nonlinear_gradient(g, F, values, pair_only=pair_only)
-                assert result.shape == expected.shape
-                assert np.array_equal(result, expected)
-                # the contract: the result is the kernel's own
-                other = g.nonlinear_gradient(F, values, pair_only=pair_only)
-                assert not np.shares_memory(result, F)
-                assert not np.shares_memory(result, u)
-                assert not np.shares_memory(result, other)
-        assert np.array_equal(F, kept_F) and np.array_equal(u, kept_u)
+        kept_F = F.copy()
+        result = g.nonlinear_gradient(F)
+        expected = reference_nonlinear_gradient(g, F)
+        assert result.shape == expected.shape
+        assert np.array_equal(result, expected)
+        # the contract: the result is the kernel's own
+        other = g.nonlinear_gradient(F)
+        assert not np.shares_memory(result, F)
+        assert not np.shares_memory(result, other)
+        assert np.array_equal(F, kept_F)
 
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_reused_scratch_matches_reference(self, d, dealias):
-        # one grid keeps its scratch across calls: interleave the modes, with
-        # and without values, over batch shapes, each call on a new state, so
-        # a stale pad region or a buffer two modes share would show
+        # one grid keeps its scratch across calls: interleave the kernel and C
+        # over batch shapes, each call on a new state, so a stale pad region
+        # or a buffer the two calls share would show
         g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
         rng = np.random.default_rng(7 + 10 * d + dealias)
         for lead in ((), (2,), (3,), ()):
-            for with_values, pair_only in ((False, False), (True, True), (True, False), (False, True), (False, False)):
+            for coupling in (False, True, True, False):
                 shape = (*lead, 3, d, *g.shape)
                 u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
-                F, values = g.fft(u), u if with_values else None
-                result = g.nonlinear_gradient(F, values, pair_only=pair_only)
-                assert np.array_equal(result, reference_nonlinear_gradient(g, F, values, pair_only=pair_only))
+                F = g.fft(u)
+                if coupling:
+                    expected, scale = reference_coupling(g, F)
+                    assert np.all(np.abs(g.coupling(F) - expected) <= 1e-13 * scale)
+                else:
+                    assert np.array_equal(g.nonlinear_gradient(F), reference_nonlinear_gradient(g, F))
 
     @pytest.mark.parametrize("lead", [(), (2,)])
     @pytest.mark.parametrize("dealias", [False, True])
@@ -422,16 +470,14 @@ class TestKernelOracle:
         shape = (*lead, 3, d, *g.shape)
         u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
         F = g.fft(u)
-        for values in (None, u):
-            for pair_only in (False, True):
-                expected = reference_nonlinear_gradient(g, F, values, pair_only=pair_only)
-                # stale values in the caller's array must not reach the result
-                out = np.full(expected.shape, np.nan, dtype=np.complex128)
-                result = g.nonlinear_gradient(F, values, pair_only=pair_only, out=out)
-                assert result is out
-                assert np.array_equal(out, expected)
-                assert not np.shares_memory(out, F)
-                assert not any(np.shares_memory(out, buffer) for buffer in scratch_arrays(g))
+        expected = reference_nonlinear_gradient(g, F)
+        # stale values in the caller's array must not reach the result
+        out = np.full(expected.shape, np.nan, dtype=np.complex128)
+        result = g.nonlinear_gradient(F, out=out)
+        assert result is out
+        assert np.array_equal(out, expected)
+        assert not np.shares_memory(out, F)
+        assert not any(np.shares_memory(out, buffer) for buffer in scratch_arrays(g))
 
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("d", [1, 2])
@@ -449,22 +495,28 @@ class TestKernelOracle:
         for out in (np.empty((2, *F.shape), dtype=np.complex128), np.empty(F.shape, dtype=np.complex64)):
             with pytest.raises(ValueError):
                 g.nonlinear_gradient(F, out=out)
-        with pytest.raises(ValueError):
-            g.nonlinear_gradient(F, pair_only=True, out=np.empty_like(F))
 
-    @pytest.mark.parametrize("pair_only", [False, True])
-    def test_call_allocates_only_its_result(self, pair_only, rng):
-        # after a first call has built the scratch, a call allocates little beyond its result
-        g = Grid((32, 32), (10.0, 10.0), dealias=True)
+    @pytest.mark.parametrize(
+        "g", [Grid(512, 40.0, dealias=True), Grid((32, 32), (10.0, 10.0), dealias=True)], ids=["1d", "2d"]
+    )
+    def test_call_allocates_only_its_result(self, g, rng):
+        # after a first call has built the scratch, a kernel call allocates
+        # little beyond its result, and C less than one row of the product
+        # grid (12 KB in 1D, 36 KB in 2D): no temporary of the grid's size
         F = g.fft(random_state(g, rng).u)
-        g.nonlinear_gradient(F, pair_only=pair_only)
+        g.nonlinear_gradient(F)
         tracemalloc.start()
         try:
-            result = g.nonlinear_gradient(F, pair_only=pair_only)
-            peak = tracemalloc.get_traced_memory()[1]
+            result = g.nonlinear_gradient(F)
+            kernel_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            g.coupling(F)
+            coupling_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * result.nbytes
+        assert kernel_peak <= 1.25 * result.nbytes
+        assert coupling_peak <= 4096
 
     def test_strang_step_allocates_only_its_rk4_arrays(self, rng):
         # the RK4 substep makes its stage sum, stage input and stage derivative

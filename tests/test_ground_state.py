@@ -160,6 +160,18 @@ class TestSolve:
         with pytest.raises(ValueError, match="restarts"):
             SolverConfig(restarts=0)
 
+    def test_fractional_counts_rejected(self):
+        # max_iter=10.5 ran 11 iterations, and restarts=1.5 and seed=1.5 failed
+        # in range() and default_rng(); an integral float is kept as its int
+        for name in ("max_iter", "seed", "restarts"):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: 1.5})
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: 10.5})
+        config = SolverConfig(max_iter=10.0, seed=3.0, restarts=2.0)
+        assert config == SolverConfig(max_iter=10, seed=3, restarts=2)
+        assert all(isinstance(v, int) for v in (config.max_iter, config.seed, config.restarts))
+
     def test_translated_starts_same_level(self):
         # restarts perturb the seed profile's center; the level is translation invariant
         g = Grid(256, 40.0)
@@ -281,16 +293,18 @@ class TestSampleBelowLevel:
         assert fft_calls["calls"] <= 3 * rounds
 
     @pytest.mark.parametrize("dealias", [False, True])
-    def test_reports_transform_u1_and_u2_alone(self, gs_1d, dealias, fft_calls):
-        # the reports path never forms u: its inverse transforms carry the 2d
-        # rows u1 and u2 of each draw to the product grid, and no others
+    def test_reports_make_one_inverse_transform_per_draw(self, gs_1d, dealias, fft_calls):
+        # the reports path never forms u: its inverse transforms carry the
+        # 2d+1 rows u1, u2 and div u3 of each draw to the product grid, and it
+        # makes no forward transform
         g = Grid(512, 40.0, dealias=dealias)
         rng = CountingGenerator(7)
         batch = reports_below_level(g, PHYS, WaveParams(1.0, (0.3,)), gs_1d.mu, rng, 200)
         assert len(batch.Q) == 200
         draws = rng.drawn // (3 * g.d * g.size * 2)
         product_points = 768 if dealias else 512
-        assert fft_calls["inverse_points"] == draws * 2 * g.d * product_points
+        assert fft_calls["inverse_points"] == draws * (2 * g.d + 1) * product_points
+        assert fft_calls["points"] - fft_calls["inverse_points"] == 0
 
     def test_draws_stop_at_the_cap(self):
         # a ray solved for S = t mu with t < 1 ends above a negative level
