@@ -54,21 +54,10 @@ def _fmt(x) -> str:
     return x if isinstance(x, str) else f"{x:.17g}"
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as sorted, indented JSON; numpy scalars and arrays are written as their Python values."""
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, default=lambda v: v.tolist())
         fh.write("\n")
 
 
@@ -117,9 +106,7 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     outdir = Path(cfg.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "effective_config.json", "w") as fh:
-            fh.write(json.dumps(cfg.effective, sort_keys=True, indent=2))
-            fh.write("\n")
+        _write_json(outdir / "effective_config.json", cfg.effective)
     except OSError as exc:
         raise ValidationError("output.dir", f"{outdir} is not a writable directory: {exc}") from exc
     return outdir

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import InadmissibleParameters, ParseError, ValidationError
 from .evolution import EvolveConfig
-from .grid import DEFAULT_EXTENT, Grid
+from .grid import DEFAULT_EXTENT, Grid, _is_number
 from .ground_state import SolverConfig
 from .params import PhysParams, WaveParams
 
@@ -89,7 +89,7 @@ def _group(doc: dict, name: str) -> dict:
 
 
 def _number(value, field, positive=False, integer=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValidationError(field, f"expected a number, got {value!r}")
     if integer and not (isinstance(value, int) or value.is_integer()):
         raise ValidationError(field, f"expected an integer, got {value!r}")

@@ -26,10 +26,14 @@ step h = -i dt on dN and forms its stage inputs and stage sum in place.
 Both ``step`` and ``evolve`` take a step through ``_advance``, which for
 Strang multiplies the spectrum in place by the half-step phases, takes the
 RK4 substep and multiplies by them again. ``evolve`` keeps the state as a
-spectrum between records, builds the linear phases once per step size and
-goes back to physical space only to record. A Strang step costs 8
-transforms, and ``step`` adds one forward and one inverse transform around
-it.
+spectrum from start to end and builds the linear phases once per step
+size. Its records read the spectrum: the report (``functionals._report``),
+the H1 norm (``grid._norm_h1``) and, with a reference, the orbit distance
+of ``_orbit_to``, which prepares the reference once per run. A record
+makes one transform, the coupling's, and one more with a reference, the
+orbit scan's. The final state is transformed back once. A Strang step
+costs 8 transforms, and ``step`` adds one forward and one inverse
+transform around it.
 
 Where a step's time goes: 8 transforms is the floor for Strang splitting
 with an RK4 substep and 3/2 padding. On the dealiased 512-point 1D grid
@@ -68,8 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitWindowEmpty, InadmissibleParameters, NonFinite
-from .functionals import FunctionalReport, WellMembership, evaluate, gauge_phases
-from .grid import Grid, State, norm_h1
+from .functionals import FunctionalReport, WellMembership, _report, gauge_phases
+from .grid import Grid, State, _is_number, _norm_h1, norm_h1
 from .params import PhysParams, WaveParams
 
 SCHEMES = ("strang", "if_rk4")
@@ -97,12 +101,12 @@ class EvolveConfig:
     scheme: str = "strang"
 
     def __post_init__(self):
-        # each check is written so that NaN and inf fail it
+        # each check is written so that NaN and inf fail it; a bool or a string is no count
         if self.dt is not None and not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
         if not 0 <= self.t_final < np.inf:
             raise ValueError("t_final must be nonnegative and finite")
-        if not (1 <= self.record_stride < np.inf and float(self.record_stride).is_integer()):
+        if not (_is_number(self.record_stride) and 1 <= self.record_stride < np.inf and float(self.record_stride).is_integer()):
             raise ValueError(f"record_stride must be a finite whole count >= 1, got {self.record_stride!r}")
         object.__setattr__(self, "record_stride", int(self.record_stride))
         if self.scheme not in SCHEMES:
@@ -240,8 +244,12 @@ def evolve(
     the divergence time is recorded in the partial trace attached to the
     NonFinite error.
 
-    The state is carried as its spectrum between records, and each step
-    is ``_advance`` with the linear phases of its step size, built once.
+    The state is carried as its spectrum from start to end: each step is
+    ``_advance`` with the linear phases of its step size, built once, and
+    each record reads the spectrum through ``_report``, ``_norm_h1`` and the
+    orbit distance of ``_orbit_to``, whose reference part is built once per
+    run. The final state is transformed back once; with no step taken it
+    is a copy of the input.
     """
     if abs((phys.alpha - phys.gamma) * (phys.beta + phys.gamma)) < 1e-14:
         warnings.warn(
@@ -254,15 +262,16 @@ def evolve(
     n_steps = int(np.ceil(config.t_final / dt - 1e-12)) if config.t_final > 0 else 0
 
     rows = {k: [] for k in ("t", "Q", "E", "P", "S", "K", "h1", "orbit")}
+    orbit = _orbit_to(reference, grid) if reference is not None else None
 
-    def record(t, U):
-        rep = evaluate(U, phys, wave)
+    def record(t, F):
+        rep = _report(grid, F, phys, wave)
         for key in ("Q", "E", "P", "S", "K"):
             rows[key].append(getattr(rep, key))
         rows["t"].append(t)
-        rows["h1"].append(norm_h1(U))
-        if reference is not None:
-            rows["orbit"].append(orbit_distance(U, reference).distance)
+        rows["h1"].append(_norm_h1(grid, F))
+        if orbit is not None:
+            rows["orbit"].append(orbit(F).distance)
 
     def build_trace(divergence_time=None):
         return EvolutionTrace(
@@ -274,10 +283,9 @@ def evolve(
             **{key: np.asarray(rows[key]) for key in ("Q", "E", "S", "K")},
         )
 
-    U = state.copy()
-    record(0.0, U)
+    F = grid.fft(state.u)
+    record(0.0, F)
     phases = {}  # step size -> linear phases over its half and its whole
-    F = grid.fft(U.u)
     t = 0.0
     for i in range(1, n_steps + 1):
         dt_i = min(dt, config.t_final - t)
@@ -288,9 +296,8 @@ def evolve(
         if not np.isfinite(F).all():
             raise NonFinite(t, build_trace(divergence_time=t))
         if i % config.record_stride == 0 or i == n_steps:
-            U = State(grid, grid.ifft(F))
-            record(t, U)
-    return U, build_trace()
+            record(t, F)
+    return State(grid, grid.ifft(F)) if n_steps else state.copy(), build_trace()
 
 
 def gauge_apply(state: State, theta: float) -> State:
@@ -363,101 +370,119 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
     difference of O(norm2) terms has a floor near sqrt(eps norm2). The scan,
     the refine and the distance move phi with the full wavenumbers
     ``Grid.xi_full``, as ``Grid.translate`` does.
-    """
-    g = state.grid
-    if g != phi.grid:
-        raise ValueError("orbit distance requires a shared grid")
-    d, size = g.d, g.size
-    w = (1.0 + g.k2) * g.weight
-    FU = g.fft(state.u)
-    FP = g.fft(phi.u)
 
-    # weighted cross-spectra per gauge block
-    W = np.sum(w * FU * np.conj(FP), axis=1)
-    # pairings against phi translated to each grid offset, the three blocks in one transform
-    A1, A2, A3 = g._ifftn(W, "forward").reshape(3, -1)
+    This is the distance of ``_orbit_to(phi, grid)`` at the state's
+    spectrum; ``evolve`` prepares its reference that way once per run.
+    """
+    return _orbit_to(phi, state.grid)(state.grid.fft(state.u))
+
+
+def _orbit_to(phi: State, grid: Grid):
+    """The distance to the symmetry orbit of ``phi``, as a function of a state's spectrum on ``grid``.
+
+    The function returns the ``OrbitDistance`` that ``orbit_distance`` does.
+    What depends on phi and the grid alone is built here, once: phi's
+    spectrum, the H1 weights, the wavenumber rows, the moment basis and the
+    factors of the curvature bound. ``evolve`` prepares its reference so.
+    """
+    if grid != phi.grid:
+        raise ValueError("orbit distance requires a shared grid")
+    d, size = grid.d, grid.size
+    w = (1.0 + grid.k2) * grid.weight
+    FP = grid.fft(phi.u)
+    conj_FP = np.conj(FP)
 
     # best u1-phase given the relative phase b: |A1 + e^{ib} A3| absorbs the
     # u3 term, leaving a circle search over b
     bs = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     eib = np.exp(1j * bs)[:, None]
 
-    def scan(shifts):
-        return np.abs(A1[shifts] + eib * A3[shifts]) + np.real(np.conj(eib) * A2[shifts])
-
-    # no phase gains more than |A1| + |A2| + |A3| at a shift, so only the
-    # shifts whose bound reaches the best phase of the most promising one
-    # (less a rounding slack) can hold the winner; scanning them in index
-    # order keeps the winner, ties included, that of the full scan
-    bound = np.abs(A1) + np.abs(A2) + np.abs(A3)
-    top = int(np.argmax(bound))
-    floor = scan(np.array([top])).max() - 1e-12 * bound[top]
-    shifts = np.flatnonzero(~(bound < floor))
-    pair = scan(shifts)
-    i_b, i_cand = np.unravel_index(np.argmax(pair), pair.shape)
-    i_shift = shifts[i_cand]
-    idx = np.unravel_index(i_shift, g.shape)
-    y0 = np.array([g.spacing[k] * idx[k] for k in range(d)])
-    b0 = bs[i_b]
-    a0 = float(np.angle(A1[i_shift] + np.exp(1j * b0) * A3[i_shift]))
-
     # with p = (y, a, b), block j of the gain is Re sum_xi T_j for the terms
     # T_j = W_j e^{i p.kappa_j}, kappa_j = (xi, -s_j), s_j the block's weights of (a, b)
-    xi = np.array([np.broadcast_to(xk, g.shape).reshape(-1) for xk in g.xi_full])
+    xi = np.array([np.broadcast_to(xk, grid.shape).reshape(-1) for xk in grid.xi_full])
     s = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
     upper = np.triu_indices(d)
     basis = np.concatenate([np.ones((1, size)), xi, xi[upper[0]] * xi[upper[1]]]).T.astype(complex)
-    W = W.reshape(3, size)
-    # G's curvature is at most sum |W_j| |kappa_j|^2: the gradient step's scale
-    curvature = float(np.sum(np.abs(W) * (np.sum(xi**2, axis=0) + np.sum(s**2, axis=1)[:, None])))
+    kappa2 = np.sum(xi**2, axis=0) + np.sum(s**2, axis=1)[:, None]  # |kappa_j|^2
+    extent = np.asarray(grid.extent)
 
-    def terms(p):
-        return W * np.exp(-1j * (s @ p[d:]))[:, None] * np.exp(1j * (p[:d] @ xi))
+    def distance(FU: np.ndarray) -> OrbitDistance:
+        # weighted cross-spectra per gauge block
+        W = np.sum(w * FU * conj_FP, axis=1)
+        # pairings against phi translated to each grid offset, the three blocks in one transform
+        A1, A2, A3 = grid._ifftn(W, "forward").reshape(3, -1)
 
-    def rises(T, step):
-        # G's change over the step, Re sum T (e^{ix} - 1) for x = step.kappa,
-        # with e^{ix} - 1 = 2i sin(x/2) e^{ix/2}: it keeps its relative
-        # accuracy near the optimum, where the difference of two gains
-        # drowns in their O(norm2) rounding
-        x = step[:d] @ xi - (s @ step[d:])[:, None]
-        return np.sum((T * (2j * np.sin(x / 2.0) * np.exp(0.5j * x))).real) >= 0.0
+        def scan(shifts):
+            return np.abs(A1[shifts] + eib * A3[shifts]) + np.real(np.conj(eib) * A2[shifts])
 
-    p = np.concatenate([y0, [a0, b0]])
-    T = terms(p)
-    for _ in range(REFINE_MAX_ITER):
-        # moments sum_xi T_j {1, xi_k, xi_k xi_l} give G's gradient and Hessian
-        M = T @ basis
-        m0, m1, m2 = M[:, 0], M[:, 1 : 1 + d], M[:, 1 + d :]
-        grad = np.concatenate([-m1.imag.sum(axis=0), s.T @ m0.imag])
-        if not np.any(grad):
-            break
-        hess = np.empty((d + 2, d + 2))
-        hess[upper] = hess[upper[::-1]] = -m2.real.sum(axis=0)
-        hess[:d, d:] = m1.real.T @ s
-        hess[d:, :d] = hess[:d, d:].T
-        hess[d:, d:] = -(s.T * m0.real) @ s
-        step = _ascent_step(grad, hess, curvature)
-        up = rises(T, step)
-        while not up and np.linalg.norm(step) >= REFINE_STEP_TOL:
-            step = step / 2.0
+        # no phase gains more than |A1| + |A2| + |A3| at a shift, so only the
+        # shifts whose bound reaches the best phase of the most promising one
+        # (less a rounding slack) can hold the winner; scanning them in index
+        # order keeps the winner, ties included, that of the full scan
+        bound = np.abs(A1) + np.abs(A2) + np.abs(A3)
+        top = int(np.argmax(bound))
+        floor = scan(np.array([top])).max() - 1e-12 * bound[top]
+        shifts = np.flatnonzero(~(bound < floor))
+        pair = scan(shifts)
+        i_b, i_cand = np.unravel_index(np.argmax(pair), pair.shape)
+        i_shift = shifts[i_cand]
+        idx = np.unravel_index(i_shift, grid.shape)
+        y0 = np.array([grid.spacing[k] * idx[k] for k in range(d)])
+        b0 = bs[i_b]
+        a0 = float(np.angle(A1[i_shift] + np.exp(1j * b0) * A3[i_shift]))
+
+        W = W.reshape(3, size)
+        # G's curvature is at most sum |W_j| |kappa_j|^2: the gradient step's scale
+        curvature = float(np.sum(np.abs(W) * kappa2))
+
+        def terms(p):
+            return W * np.exp(-1j * (s @ p[d:]))[:, None] * np.exp(1j * (p[:d] @ xi))
+
+        def rises(T, step):
+            # G's change over the step, Re sum T (e^{ix} - 1) for x = step.kappa,
+            # with e^{ix} - 1 = 2i sin(x/2) e^{ix/2}: it keeps its relative
+            # accuracy near the optimum, where the difference of two gains
+            # drowns in their O(norm2) rounding
+            x = step[:d] @ xi - (s @ step[d:])[:, None]
+            return np.sum((T * (2j * np.sin(x / 2.0) * np.exp(0.5j * x))).real) >= 0.0
+
+        p = np.concatenate([y0, [a0, b0]])
+        T = terms(p)
+        for _ in range(REFINE_MAX_ITER):
+            # moments sum_xi T_j {1, xi_k, xi_k xi_l} give G's gradient and Hessian
+            M = T @ basis
+            m0, m1, m2 = M[:, 0], M[:, 1 : 1 + d], M[:, 1 + d :]
+            grad = np.concatenate([-m1.imag.sum(axis=0), s.T @ m0.imag])
+            if not np.any(grad):
+                break
+            hess = np.empty((d + 2, d + 2))
+            hess[upper] = hess[upper[::-1]] = -m2.real.sum(axis=0)
+            hess[:d, d:] = m1.real.T @ s
+            hess[d:, :d] = hess[:d, d:].T
+            hess[d:, d:] = -(s.T * m0.real) @ s
+            step = _ascent_step(grad, hess, curvature)
             up = rises(T, step)
-        if up:
-            p = p + step
-            T = terms(p)
-        # the last, short step is still taken when G does not fall
-        if np.linalg.norm(step) < REFINE_STEP_TOL:
-            break
+            while not up and np.linalg.norm(step) >= REFINE_STEP_TOL:
+                step = step / 2.0
+                up = rises(T, step)
+            if up:
+                p = p + step
+                T = terms(p)
+            # the last, short step is still taken when G does not fall
+            if np.linalg.norm(step) < REFINE_STEP_TOL:
+                break
 
-    y, phases = p[:d], gauge_phases(p[d], p[d + 1])
-    shifted = phases.reshape(3, 1, *[1] * d) * np.exp(-1j * sum(y[k] * g.xi_full[k] for k in range(d))) * FP
-    dist = float(np.sqrt(np.sum(w * np.abs(FU - shifted) ** 2)))
-    extent = np.asarray(g.extent)
-    return OrbitDistance(
-        dist,
-        (y + extent / 2.0) % extent - extent / 2.0,
-        float(p[d] % (2.0 * np.pi)),
-        float(p[d + 1] % (2.0 * np.pi)),
-    )
+        y, phases = p[:d], gauge_phases(p[d], p[d + 1])
+        shifted = phases.reshape(3, 1, *[1] * d) * np.exp(-1j * sum(y[k] * grid.xi_full[k] for k in range(d))) * FP
+        dist = float(np.sqrt(np.sum(w * np.abs(FU - shifted) ** 2)))
+        return OrbitDistance(
+            dist,
+            (y + extent / 2.0) % extent - extent / 2.0,
+            float(p[d] % (2.0 * np.pi)),
+            float(p[d + 1] % (2.0 * np.pi)),
+        )
+
+    return distance
 
 
 def _ascent_step(grad: np.ndarray, hess: np.ndarray, curvature: float) -> np.ndarray:

@@ -129,15 +129,21 @@ def evaluate(state: State, phys: PhysParams, wave: WaveParams) -> FunctionalRepo
 
     The functionals are defined for any (omega, c); classification and
     solving require admissibility, which is checked where they happen.
-    Q, L and P are read off the state's spectrum (``_parts``) and N = Re C
-    from ``Grid.coupling``: one forward and one inverse transform.
+    The report is ``_report`` of the state's spectrum: one forward and one
+    inverse transform.
     """
-    if wave.d != state.grid.d:
-        raise ValueError(f"wave speed has {wave.d} components but grid is {state.grid.d}-dimensional")
-    g = state.grid
-    F = g.fft(state.u)
-    Q, L, P = _parts(g, F, phys)
-    return FunctionalReport.from_parts(Q, L, g.coupling(F).real, P, wave.omega, wave.c_array)
+    return _report(state.grid, state.grid.fft(state.u), phys, wave)
+
+
+def _report(grid: Grid, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> FunctionalReport:
+    """The report of the state with spectrum F: Q, L and P from ``_parts``, N = Re C from ``Grid.coupling``.
+
+    One inverse transform, the coupling's; ``evolve`` records its spectrum through it.
+    """
+    if wave.d != grid.d:
+        raise ValueError(f"wave speed has {wave.d} components but grid is {grid.d}-dimensional")
+    Q, L, P = _parts(grid, F, phys)
+    return FunctionalReport.from_parts(Q, L, grid.coupling(F).real, P, wave.omega, wave.c_array)
 
 
 def _parts(grid: Grid, F: np.ndarray, phys: PhysParams):

@@ -23,6 +23,7 @@ Conventions fixed here once and used consistently everywhere:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -33,6 +34,11 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _is_number(value) -> bool:
+    """An int or a float, Python's or numpy's; a bool or a string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class Grid:
     """Uniform periodic grid on [-extent_k/2, extent_k/2) per axis.
 
@@ -40,9 +46,9 @@ class Grid:
     ----------
     n : int or sequence of int
         Points per axis; each must be a power of two >= 8, and whole: 512.0
-        counts as 512, 512.7 is refused.
+        counts as 512, 512.7 is refused, and so are "512" and True.
     extent : float or sequence of float
-        Box length per axis.
+        Box length per axis, a number: "40" and True are refused.
     dealias : bool
         If True, quadratic products (the only nonlinearity) are evaluated
         alias-free by 3/2 zero padding, which for quadratic terms gives the
@@ -57,9 +63,11 @@ class Grid:
     """
 
     def __init__(self, n, extent, dealias: bool = False):
-        counts = np.atleast_1d(n)
+        counts, extents = (np.atleast_1d(np.asarray(v, dtype=object)) for v in (n, extent))
+        if not all(map(_is_number, [*counts, *extents])):
+            raise ValueError(f"points and box lengths must be numbers, got {n!r} and {extent!r}")
         n = tuple(int(v) for v in counts)
-        extent = tuple(float(v) for v in np.atleast_1d(extent))
+        extent = tuple(float(v) for v in extents)
         if len(n) != len(extent):
             raise ValueError("n and extent must have the same length")
         d = len(n)
@@ -501,6 +509,10 @@ class State:
 
 
 def norm_h1(state: State) -> float:
-    """H1 norm: sqrt(sum_j ||u_j||^2 + ||grad u_j||^2), read off the unitary spectrum."""
-    g = state.grid
-    return float(np.sqrt(np.sum((1.0 + g.k2) * np.abs(g.fft(state.u)) ** 2) * g.weight))
+    """H1 norm: sqrt(sum_j ||u_j||^2 + ||grad u_j||^2), read off the unitary spectrum (``_norm_h1``)."""
+    return _norm_h1(state.grid, state.grid.fft(state.u))
+
+
+def _norm_h1(grid: Grid, F: np.ndarray) -> float:
+    """H1 norm of the state with spectrum F."""
+    return float(np.sqrt(np.sum((1.0 + grid.k2) * np.abs(F) ** 2) * grid.weight))

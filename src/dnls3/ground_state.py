@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateNonlinearity, DomainTooSmall, InadmissibleParameters, NoConvergence, WrongDimension
 from .functionals import FunctionalReport, _parts, evaluate, gauge_phases, linear_symbols, nehari_rescale
-from .grid import Grid, State
+from .grid import Grid, State, _is_number
 from .params import PhysParams, WaveParams
 
 
@@ -57,10 +57,11 @@ class SolverConfig:
     restarts: int = 3
 
     def __post_init__(self):
-        # each check is written so that NaN and inf fail it; an integral float becomes its int
+        # each check is written so that NaN and inf fail it; an integral float becomes its int,
+        # a bool or a string is refused
         for name, least in (("max_iter", 1), ("seed", 0), ("restarts", 1)):
             value = getattr(self, name)
-            if not (least <= value < np.inf and float(value).is_integer()):
+            if not (_is_number(value) and least <= value < np.inf and float(value).is_integer()):
                 raise ValueError(f"{name} must be a finite whole number >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
         if not 0 < self.residual_tol < np.inf:

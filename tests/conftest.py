@@ -82,7 +82,7 @@ def fft_calls(monkeypatch):
 @pytest.fixture
 def evaluate_calls(monkeypatch):
     """Counts functional evaluations while the test runs, in every module that imports ``evaluate``."""
-    from dnls3 import cli, evolution, functionals, ground_state
+    from dnls3 import cli, functionals, ground_state
 
     counter = {"calls": 0}
     original = functionals.evaluate
@@ -91,7 +91,7 @@ def evaluate_calls(monkeypatch):
         counter["calls"] += 1
         return original(*args, **kwargs)
 
-    for module in (functionals, ground_state, evolution, cli):
+    for module in (functionals, ground_state, cli):
         monkeypatch.setattr(module, "evaluate", counted)
     return counter
 

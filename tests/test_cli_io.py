@@ -290,6 +290,31 @@ class TestConfig:
             parse_config(json.dumps(doc))
 
 
+def test_write_json_writes_numpy_values_as_their_python_values(tmp_path):
+    # numpy scalars (a bool included), 0-d and 2-d arrays, NaN and inf, nested in tuples and dicts
+    payload = {
+        "f64": np.float64(0.1),
+        "f32": np.float32(0.1),
+        "i64": np.int64(-7),
+        "flag": np.bool_(True),
+        "nested": ({"nan": np.float64(np.nan), "inf": np.array(-np.inf)}, (np.int32(3), np.False_)),
+        "grid": np.array([[1.5, np.nan], [np.inf, 2.0]]),
+        "ints": np.arange(3),
+    }
+    plain = {
+        "f64": 0.1,
+        "f32": float(np.float32(0.1)),
+        "i64": -7,
+        "flag": True,
+        "nested": [{"nan": float("nan"), "inf": float("-inf")}, [3, False]],
+        "grid": [[1.5, float("nan")], [float("inf"), 2.0]],
+        "ints": [0, 1, 2],
+    }
+    cli._write_json(tmp_path / "numpy.json", payload)
+    cli._write_json(tmp_path / "plain.json", plain)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 def small_config(tmp_path, outname, **overrides):
     doc = {
         "physics": {"alpha": 1, "beta": 1, "gamma": 1},

@@ -11,6 +11,7 @@ from dnls3.evolution import (
     EvolutionTrace,
     EvolveConfig,
     _linear_phases,
+    _orbit_to,
     coupling_rhs,
     decay_rate_fit,
     evolve,
@@ -22,8 +23,8 @@ from dnls3.evolution import (
     stability_experiment,
     step,
 )
-from dnls3.functionals import FunctionalReport, WellMembership, coercivity_certificate, evaluate, linear_symbols
-from dnls3.grid import Grid, State, norm_h1
+from dnls3.functionals import FunctionalReport, WellMembership, _report, coercivity_certificate, evaluate, linear_symbols
+from dnls3.grid import Grid, State, _norm_h1, norm_h1
 from dnls3.ground_state import SolverConfig, solve_ground_state
 from dnls3.params import MASSES, PhysParams, WaveParams
 
@@ -176,6 +177,12 @@ class TestStep:
         assert EvolveConfig(record_stride=5.0).record_stride == 5
         assert isinstance(EvolveConfig(record_stride=5.0).record_stride, int)
 
+    @pytest.mark.parametrize("value", [True, np.True_, "10"], ids=["bool", "numpy-bool", "string"])
+    def test_string_and_bool_record_stride_rejected(self, value):
+        # record_stride=True recorded every step
+        with pytest.raises(ValueError, match="record_stride"):
+            EvolveConfig(record_stride=value)
+
 
 class TestEvolve:
     def test_zero_stays_zero(self, grid1d_box):
@@ -195,7 +202,7 @@ class TestEvolve:
         assert len(trace.times) == 1
         rep = evaluate(state, PHYS, WAVE0)
         assert trace.Q[0] == rep.Q
-        assert np.array_equal(final.u, state.u)
+        assert np.array_equal(final.u, state.u) and final.u is not state.u
 
     def test_short_conservation(self):
         g = Grid(256, 40.0, dealias=True)
@@ -598,26 +605,29 @@ def reference_rk4_coupling(g, F, dt):
 
 
 def reference_evolve(state, wave, dt, t_final, stride, reference):
-    """Strang steps, as ``evolve`` takes them, on the reference substep: final state and records."""
+    """Strang steps, as ``evolve`` takes them, on the reference substep: final state and records.
+
+    Each record reads the loop's spectrum through the same entry points as ``evolve``'s.
+    """
     g = state.grid
     n_steps = int(np.ceil(t_final / dt - 1e-12))
     records = []
+    orbit = _orbit_to(reference, g)
 
-    def record(t, U):
-        rep = evaluate(U, PHYS, wave)
-        records.append([t, rep.Q, rep.E, *rep.P, rep.S, rep.K, norm_h1(U), orbit_distance(U, reference).distance])
+    def record(t, F):
+        rep = _report(g, F, PHYS, wave)
+        records.append([t, rep.Q, rep.E, *rep.P, rep.S, rep.K, _norm_h1(g, F), orbit(F).distance])
 
-    record(0.0, state)
-    F, t, U = g.fft(state.u), 0.0, state
+    F, t = g.fft(state.u), 0.0
+    record(0.0, F)
     for i in range(1, n_steps + 1):
         dt_i = min(dt, t_final - t)
         half = _linear_phases(g, PHYS, dt_i / 2.0)
         F = reference_rk4_coupling(g, F * half, dt_i) * half
         t = i * dt if i < n_steps else t_final
         if i % stride == 0 or i == n_steps:
-            U = State(g, g.ifft(F))
-            record(t, U)
-    return U, np.array(records)
+            record(t, F)
+    return State(g, g.ifft(F)), np.array(records)
 
 
 class TestStepperBitForBit:
@@ -634,6 +644,69 @@ class TestStepperBitForBit:
         assert np.array_equal(final.u, expected_final.u)
         recorded = np.column_stack([trace.times, trace.Q, trace.E, trace.P, trace.S, trace.K, trace.h1, trace.orbit_distance])
         assert np.array_equal(recorded, expected)
+
+
+RECORD_GRIDS = [Grid(256, 40.0), Grid(256, 40.0, dealias=True), Grid((32, 32), (12.0, 12.0))]
+
+
+def _record_case(g, seed):
+    """A wave with a speed, a smooth reference phi and a state near its moved orbit, on grid g."""
+    wave = WaveParams(1.0, (0.3,) + (0.1,) * (g.d - 1))
+    phi = smooth_state(g, amp=0.8)
+    moved = gauge_apply(State(g, g.translate(phi.u, np.full(g.d, 1.3))), 0.4)
+    return wave, phi, State(g, moved.u + random_state(g, np.random.default_rng(seed), scale=0.05).u)
+
+
+class TestSpectralRecords:
+    @pytest.mark.parametrize("g", RECORD_GRIDS, ids=["1d", "1d-dealiased", "2d"])
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_record_transforms(self, g, with_reference, fft_calls):
+        # a record reads the loop's spectrum: the coupling's inverse transform, and the orbit scan's with a reference
+        wave, phi, state = _record_case(g, 3)
+
+        def calls(stride):
+            before = fft_calls["calls"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                evolve(state, PHYS, wave, EvolveConfig(dt=1e-3, t_final=8e-3, record_stride=stride), reference=phi if with_reference else None)
+            return fft_calls["calls"] - before
+
+        # the same 8 steps, recorded 9 times and twice: the difference is 7 records
+        per_record = (calls(1) - calls(1000)) / 7
+        assert per_record <= (2 if with_reference else 1)
+
+    @pytest.mark.parametrize("g", RECORD_GRIDS, ids=["1d", "1d-dealiased", "2d"])
+    def test_spectral_entry_points_match_the_state_functions(self, g):
+        wave, phi, state = _record_case(g, 4)
+        F = g.fft(state.u)
+        U = State(g, g.ifft(F))
+        spectral, physical = _report(g, F, PHYS, wave), evaluate(U, PHYS, wave)
+        scale = abs(physical.L) + abs(physical.N) + abs(physical.omega * physical.Q) + abs(physical.cP)
+        for key in ("Q", "L", "N", "E", "P", "S", "K", "Lqc"):
+            assert np.max(np.abs(getattr(spectral, key) - getattr(physical, key))) <= 1e-13 * scale
+        h1 = norm_h1(U)
+        assert abs(_norm_h1(g, F) - h1) <= 1e-14 * h1
+        assert abs(_orbit_to(phi, g)(F).distance - orbit_distance(U, phi).distance) <= 1e-12 * h1
+
+    @pytest.mark.parametrize("g", RECORD_GRIDS, ids=["1d", "1d-dealiased", "2d"])
+    def test_prepared_orbit_is_the_orbit_distance_at_every_call(self, g):
+        # one preparation serves many states, each with the bits of a fresh orbit_distance
+        wave, phi, _ = _record_case(g, 5)
+        orbit = _orbit_to(phi, g)
+        for seed in (5, 6, 7):
+            state = _record_case(g, seed)[2]
+            a, b = orbit(g.fft(state.u)), orbit_distance(state, phi)
+            assert (a.distance, a.phase1, a.phase2) == (b.distance, b.phase1, b.phase2)
+            assert np.array_equal(a.shift, b.shift)
+
+    def test_reference_on_another_grid_is_refused(self):
+        g, other = Grid(64, 20.0), Grid(64, 20.0, dealias=True)
+        state = smooth_state(g)
+        with pytest.raises(ValueError, match="shared grid"):
+            orbit_distance(state, State(other, state.u))
+        with pytest.raises(ValueError, match="shared grid"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evolve(state, PHYS, WAVE0, EvolveConfig(dt=1e-3, t_final=1e-3), reference=State(other, state.u))
 
 
 # a smooth localized state, fixed once: hypothesis varies the symmetry only

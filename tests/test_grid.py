@@ -82,6 +82,17 @@ class TestTransforms:
             Grid((16, 16.5), (1.0, 1.0))
         assert Grid(512.0, 40.0) == Grid(512, 40.0)
 
+    @pytest.mark.parametrize(
+        "n,extent",
+        [("512", 40.0), (64, "40"), (64, True), ((16, True), (1.0, 1.0)), (16, (1.0, np.True_))],
+        ids=["string-count", "string-extent", "bool-extent", "bool-count", "numpy-bool-extent"],
+    )
+    def test_strings_and_bools_rejected(self, n, extent):
+        # "512" built a 512-point grid through int(), and True a box of length 1
+        with pytest.raises(ValueError, match="must be numbers"):
+            Grid(n, extent)
+        assert Grid(np.int64(16), np.float64(1.0)) == Grid(16, 1.0)
+
 
 class TestDerivatives:
     def test_eigenfunction(self):

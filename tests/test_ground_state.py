@@ -172,6 +172,13 @@ class TestSolve:
         assert config == SolverConfig(max_iter=10, seed=3, restarts=2)
         assert all(isinstance(v, int) for v in (config.max_iter, config.seed, config.restarts))
 
+    @pytest.mark.parametrize("value", [True, np.True_, "3"], ids=["bool", "numpy-bool", "string"])
+    def test_strings_and_bools_rejected(self, value):
+        # restarts=True and max_iter=True meant one descent of one iteration
+        for name in ("max_iter", "seed", "restarts"):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: value})
+
     def test_translated_starts_same_level(self):
         # restarts perturb the seed profile's center; the level is translation invariant
         g = Grid(256, 40.0)
