@@ -101,11 +101,11 @@ class EvolveConfig:
     scheme: str = "strang"
 
     def __post_init__(self):
-        # each check is written so that NaN and inf fail it; a bool or a string is no count
-        if self.dt is not None and not 0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
-        if not 0 <= self.t_final < np.inf:
-            raise ValueError("t_final must be nonnegative and finite")
+        # each check is written so that NaN and inf fail it; a bool or a string is refused
+        if self.dt is not None and not (_is_number(self.dt) and 0 < self.dt < np.inf):
+            raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
+        if not (_is_number(self.t_final) and 0 <= self.t_final < np.inf):
+            raise ValueError(f"t_final must be a nonnegative finite number, got {self.t_final!r}")
         if not (_is_number(self.record_stride) and 1 <= self.record_stride < np.inf and float(self.record_stride).is_integer()):
             raise ValueError(f"record_stride must be a finite whole count >= 1, got {self.record_stride!r}")
         object.__setattr__(self, "record_stride", int(self.record_stride))

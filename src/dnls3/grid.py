@@ -58,14 +58,21 @@ class Grid:
 
     The coupling kernel (``nonlinear_gradient``, and ``coupling``, which
     runs its first half) keeps scratch on the grid, one set of buffers built
-    on the first call and reused by every later one. So one Grid must not be
-    used from several threads at once; give each thread its own Grid.
+    on the first call and reused by every later one. So the kernel of one
+    Grid must not run on several threads at once; give each thread its own
+    Grid. ``noise_spectrum`` reads only arrays no method writes (``band``
+    and ``k2``), so it may run on another thread beside the kernel, as the
+    well sampler draws its next round while it evaluates the current one.
     """
 
     def __init__(self, n, extent, dealias: bool = False):
         counts, extents = (np.atleast_1d(np.asarray(v, dtype=object)) for v in (n, extent))
         if not all(map(_is_number, [*counts, *extents])):
             raise ValueError(f"points and box lengths must be numbers, got {n!r} and {extent!r}")
+        for count in counts:
+            # NaN and inf fail the first test, before int() could refuse them with another error
+            if not (8 <= count < np.inf and float(count).is_integer() and _is_power_of_two(int(count))):
+                raise ValueError(f"points per axis must be a whole power of two >= 8, got {count}")
         n = tuple(int(v) for v in counts)
         extent = tuple(float(v) for v in extents)
         if len(n) != len(extent):
@@ -73,9 +80,6 @@ class Grid:
         d = len(n)
         if not 1 <= d <= 3:
             raise ValueError(f"dimension must be 1..3, got {d}")
-        for nk, count in zip(n, counts):
-            if nk != float(count) or nk < 8 or not _is_power_of_two(nk):
-                raise ValueError(f"points per axis must be a whole power of two >= 8, got {count}")
         for ek in extent:
             if not 0 < ek < np.inf:
                 raise ValueError(f"extent must be positive and finite, got {ek}")

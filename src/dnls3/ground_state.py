@@ -64,8 +64,8 @@ class SolverConfig:
             if not (_is_number(value) and least <= value < np.inf and float(value).is_integer()):
                 raise ValueError(f"{name} must be a finite whole number >= {least}, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if not 0 < self.residual_tol < np.inf:
-            raise ValueError("the residual tolerance must be positive and finite")
+        if not (_is_number(self.residual_tol) and 0 < self.residual_tol < np.inf):
+            raise ValueError(f"the residual tolerance must be a positive finite number, got {self.residual_tol!r}")
 
 
 @dataclass
@@ -504,9 +504,11 @@ def h_curve(
 
 #: Complex points a round of the well sampler draws, over all its states:
 #: small states share each round's transforms, and the cap bounds the memory
-#: of a round (about 10 draws of a 512-point 1D state, one 2D 128^2 draw).
+#: of a round (about 10 draws of a 512-point 1D state, one 2D 128^2 draw);
+#: the sampler holds at most two rounds' draws, this one's and the next's.
 #: It fixes the rounds and so the order of the rng calls: a given rng gives
-#: the same draws whatever the sampler keeps of them.
+#: the same draws whatever the sampler keeps of them, and whichever thread
+#: makes them.
 SAMPLE_ROUND_POINTS = 2**14
 
 
@@ -532,8 +534,10 @@ def sample_below_level(
     Draws come in rounds: each round draws every state still missing, at
     most SAMPLE_ROUND_POINTS complex points in all, as one batch of shape
     ``(b, 3, d, *grid.shape)``. Its spectrum is drawn directly and smoothed
-    by ``Grid.noise_spectrum`` (power 2, no Nyquist mode). It is evaluated
-    off the spectrum into one batch report, by ``_parts`` and
+    by ``Grid.noise_spectrum`` (power 2, no Nyquist mode), and its t right
+    after it; while a round is evaluated, a worker thread draws the next
+    one when its size is already certain (see ``_below_level``). It is
+    evaluated off the spectrum into one batch report, by ``_parts`` and
     ``Grid.coupling``, whose one batched inverse transform of the rows u1,
     u2 and div u3 is the round's only transform, and its ray equations are
     solved by one batched eigensolve of their companion matrices (the one
@@ -567,7 +571,8 @@ def reports_below_level(
     Its rows are the kept draws, those with K < 0 first, each side in draw
     order, and the rng is left where ``sample_below_level`` leaves it. Each
     round keeps only the report rows of its kept draws, so the memory holds
-    one round's batch and n rows of scalars.
+    at most two rounds' draws (one evaluated, the next drawn beside it) and
+    n rows of scalars.
     """
     return _below_level(grid, phys, wave, mu, rng, n)[0]
 
@@ -578,50 +583,82 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
     Each round keeps the K < 0 flags and the (Q, L, N, P) rows of sU of the
     draws it kept; the report holds them with K < 0 first, each side in draw
     order, and ``order`` maps its rows to the kept draws in draw order.
-    Their C, whose real part is N, comes from ``Grid.coupling``. Given a list ``spectra``, each round also appends (spectra, s) of its
-    kept draws, u3 negated where the draw was flipped; without it no
-    spectrum outlives its round.
+    Their C, whose real part is N, comes from ``Grid.coupling``. Given a
+    list ``spectra``, each round also appends (spectra, s) of its kept
+    draws, u3 negated where the draw was flipped; without it no spectrum
+    outlives its round.
+
+    A round's rng calls are its spectrum, then its t, back to back (``draw``).
+    When a round's draws are in hand and at least per_round draws are still
+    missing beyond them, below the 50 n cap, the next round is full whatever
+    this one keeps: its size is min(per_round, draws left under the cap). A
+    worker thread then makes its draws while this round is evaluated:
+    ``Generator.standard_normal`` releases the GIL, and the noise reads only
+    the grid's immutable arrays, never the kernel's scratch. Every other
+    round is drawn on the caller's thread, and only while no draw is pending
+    on the worker, so the rng is never used by two threads at once and its
+    calls come in the order of one round at a time. The worker is made only
+    when a round is drawn ahead, one per call; it is joined before the call
+    returns or raises, and an error it raises reaches the caller.
     """
     flags, rows = [np.zeros(0, dtype=bool)], [(np.zeros(0),) * 3 + (np.zeros((0, grid.d)),)]
     taken = taken_negative = attempts = 0  # draws kept, those among them meant for K < 0, draws made
     want_negative = round(n / 2)
     per_round = max(1, SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
-    while taken < n and attempts < 50 * n:
-        b = min(n - taken, per_round, 50 * n - attempts)
-        attempts += b
-        negative = np.arange(b) < want_negative - taken_negative
-        F = grid.noise_spectrum(rng, (b, 3, grid.d), 2)
-        Q, L, P = _parts(grid, F, phys)
-        C = grid.coupling(F)
-        flip = negative & (C.real > 0)
-        N = np.where(flip, -C.real, C.real)
-        batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
-        target = rng.uniform(0.2, 0.95, size=b) * mu
-        # S(sU) = t mu as the cubic N s^3 + (Lqc/2) s^2 - t mu = 0; a draw with
-        # N exactly 0 (a null event) has no cubic and is not kept
-        live = np.flatnonzero(N != 0.0)
-        companion = np.zeros((len(live), 3, 3))
-        companion[:, 0, 0] = -batch.Lqc[live] / 2.0 / N[live]
-        companion[:, 0, 2] = target[live] / N[live]
-        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-        roots = np.linalg.eigvals(companion)
-        real = (np.abs(roots.imag) < 1e-10 * np.maximum(1.0, np.abs(roots))) & (roots.real > 0)
-        # the falling-branch root is the largest positive one, the rising-branch root the smallest
-        largest = np.where(real, roots.real, -np.inf).max(axis=1)
-        smallest = np.where(real, roots.real, np.inf).min(axis=1)
-        # a draw without its root keeps s = NaN, which fails both tests below
-        s = np.full(b, np.nan)
-        s[live] = np.where(negative[live], largest, smallest)
-        s[np.isinf(s)] = np.nan
-        at = batch.scaled(s)
-        kept = np.flatnonzero((at.S < mu) & np.where(negative, at.K < 0.0, at.K > 0.0))
-        flags.append(negative[kept])
-        rows.append((at.Q[kept], at.L[kept], at.N[kept], at.P[kept]))
-        taken += len(kept)
-        taken_negative += int(np.count_nonzero(flags[-1]))
-        if spectra is not None:
-            F[flip, 2] *= -1.0
-            spectra.append((F[kept], s[kept]))
+
+    def draw(b):
+        """A round's two rng calls, back to back: its spectrum and its level fractions t."""
+        return grid.noise_spectrum(rng, (b, 3, grid.d), 2), rng.uniform(0.2, 0.95, size=b)
+
+    pool = ahead = None  # the worker and the next round's draws it is making
+    try:
+        while taken < n and attempts < 50 * n:
+            b = min(n - taken, per_round, 50 * n - attempts)
+            attempts += b
+            F, t = draw(b) if ahead is None else ahead.result()
+            ahead = None
+            # the next round is full whatever this one keeps: its draws are made beside this round's work
+            if n - taken - b >= per_round and 50 * n - attempts > 0:
+                if pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    pool = ThreadPoolExecutor(max_workers=1)
+                ahead = pool.submit(draw, min(per_round, 50 * n - attempts))
+            negative = np.arange(b) < want_negative - taken_negative
+            Q, L, P = _parts(grid, F, phys)
+            C = grid.coupling(F)
+            flip = negative & (C.real > 0)
+            N = np.where(flip, -C.real, C.real)
+            batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
+            # S(sU) = t mu as the cubic N s^3 + (Lqc/2) s^2 - t mu = 0; a draw with
+            # N exactly 0 (a null event) has no cubic and is not kept
+            live = np.flatnonzero(N != 0.0)
+            companion = np.zeros((len(live), 3, 3))
+            companion[:, 0, 0] = -batch.Lqc[live] / 2.0 / N[live]
+            companion[:, 0, 2] = t[live] * mu / N[live]
+            companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+            roots = np.linalg.eigvals(companion)
+            real = (np.abs(roots.imag) < 1e-10 * np.maximum(1.0, np.abs(roots))) & (roots.real > 0)
+            # the falling-branch root is the largest positive one, the rising-branch root the smallest
+            largest = np.where(real, roots.real, -np.inf).max(axis=1)
+            smallest = np.where(real, roots.real, np.inf).min(axis=1)
+            # a draw without its root keeps s = NaN, which fails both tests below
+            s = np.full(b, np.nan)
+            s[live] = np.where(negative[live], largest, smallest)
+            s[np.isinf(s)] = np.nan
+            at = batch.scaled(s)
+            kept = np.flatnonzero((at.S < mu) & np.where(negative, at.K < 0.0, at.K > 0.0))
+            flags.append(negative[kept])
+            rows.append((at.Q[kept], at.L[kept], at.N[kept], at.P[kept]))
+            taken += len(kept)
+            taken_negative += int(np.count_nonzero(flags[-1]))
+            if spectra is not None:
+                F[flip, 2] *= -1.0
+                spectra.append((F[kept], s[kept]))
+    finally:
+        if pool is not None:
+            # joins the worker, after the draw it may still be making when a round raised
+            pool.shutdown()
     order = np.argsort(~np.concatenate(flags), kind="stable")
     Q, L, N, P = (np.concatenate(column)[order] for column in zip(*rows))
     return FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array), order

@@ -728,11 +728,14 @@ class TestCli:
     def test_cold_start_leaves_scipy_unloaded(self):
         # importing the CLI pulls in every library module, which need numpy
         # alone; scipy.fft adds about 0.3 s to a cold start and scipy.optimize
-        # would nearly quadruple it
+        # would nearly quadruple it. The well sampler's worker pool
+        # (concurrent.futures, about 6 ms with the logging it loads) is
+        # imported by the sampler when it first draws a round ahead
         src = Path(cli.__file__).resolve().parents[1]
         code = (
             "import json, sys, dnls3.cli; "
-            "print(json.dumps([dnls3.cli.__file__, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]]))"
+            "print(json.dumps([dnls3.cli.__file__, [m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')]]))"
         )
         run = subprocess.run(
             [sys.executable, "-c", code],

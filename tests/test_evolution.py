@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnls3 import evolution
@@ -182,6 +182,13 @@ class TestStep:
         # record_stride=True recorded every step
         with pytest.raises(ValueError, match="record_stride"):
             EvolveConfig(record_stride=value)
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1e-3"], ids=["bool", "numpy-bool", "string"])
+    def test_string_and_bool_times_rejected(self, value):
+        # dt=True stepped with dt = 1, and "1e-3" raised TypeError in the comparison
+        for name in ("dt", "t_final"):
+            with pytest.raises(ValueError, match=name):
+                EvolveConfig(**{name: value})
 
 
 class TestEvolve:
@@ -476,6 +483,8 @@ class TestDecayFit:
         c=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
         ulps=st.one_of(st.none(), st.integers(-2, 2)),
     )
+    # omega = 1e-323 (subnormal): the floor D_1 / (4 kappa_1) rounded up past the exact symbol m_1 omega
+    @example(kappa=(0.109375, 1.0, 1.0), omega=1.0, c=[0.0], ulps=2)
     def test_admissible_exactly_when_every_tail_decays(self, kappa, omega, c, ulps):
         # with ulps, omega sits that many floats from the edge sigma |c|^2 / 4
         phys = PhysParams(*kappa)
@@ -493,14 +502,14 @@ class TestDecayFit:
             assert coercivity_certificate(phys, wave).min_coeff > 0.0
         except InadmissibleParameters:
             assert omega < 1e-300 and wave.speed > 0.0
-        # symbol j is at least D_j / (4 kappa_j) at every point, less rounding
+        # symbol j is at least D_j / (4 kappa_j) = m_j omega - |c|^2 / (4 kappa_j) at every point, less rounding
         d = len(c)
         g = Grid((8,) * d, (10.0,) * d)
         symbols = linear_symbols(g, phys, wave)
         cdotxi = sum(ck * xk for ck, xk in zip(c, g.xi))
         column = (3, 1) + (1,) * d
         kappa, masses = phys.kappa.reshape(column), MASSES.reshape(column)
-        floor = (wave.margins(phys) / (4.0 * phys.kappa)).reshape(column)
+        floor = masses * omega - wave.speed**2 / (4.0 * kappa)
         slack = 8.0 * np.finfo(float).eps * (kappa * g.k2 + masses * omega + np.abs(cdotxi) + wave.speed**2 / (4.0 * kappa))
         assert np.all(symbols >= floor - slack)
 

@@ -82,6 +82,14 @@ class TestTransforms:
             Grid((16, 16.5), (1.0, 1.0))
         assert Grid(512.0, 40.0) == Grid(512, 40.0)
 
+    @pytest.mark.parametrize("count", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_infinite_and_nan_points_rejected(self, count):
+        # int() raised OverflowError on inf and an unnamed ValueError on NaN
+        with pytest.raises(ValueError, match="points per axis"):
+            Grid(count, 40.0)
+        with pytest.raises(ValueError, match="points per axis"):
+            Grid((16, count), (1.0, 1.0))
+
     @pytest.mark.parametrize(
         "n,extent",
         [("512", 40.0), (64, "40"), (64, True), ((16, True), (1.0, 1.0)), (16, (1.0, np.True_))],

@@ -1,3 +1,5 @@
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +15,7 @@ from dnls3.errors import (
     WrongDimension,
 )
 from dnls3.evolution import orbit_distance
-from dnls3.functionals import evaluate
+from dnls3.functionals import FunctionalReport, _parts, evaluate
 from dnls3.grid import Grid, State, norm_h1
 from dnls3.ground_state import (
     GroundStateResult,
@@ -178,6 +180,9 @@ class TestSolve:
         for name in ("max_iter", "seed", "restarts"):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: value})
+        # "1e-9" raised TypeError in the comparison, and True was a tolerance of 1
+        with pytest.raises(ValueError, match="residual tolerance"):
+            SolverConfig(residual_tol=value)
 
     def test_translated_starts_same_level(self):
         # restarts perturb the seed profile's center; the level is translation invariant
@@ -250,6 +255,52 @@ class CountingGenerator:
         return self.rng.uniform(*args, **kwargs)
 
 
+def synchronous_below_level(grid, phys, wave, mu, rng, n):
+    """The well sampler drawn one round at a time, every rng call on the caller's thread.
+
+    Returns the kept draws' Q, L, N and P columns and states, those with K < 0
+    first, each side in draw order: the rows of ``reports_below_level`` and
+    the states of ``sample_below_level`` for the same rng.
+    """
+    flags, rows, spectra, scales = [], [], [], []
+    taken = taken_negative = attempts = 0
+    per_round = max(1, ground_state.SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
+    while taken < n and attempts < 50 * n:
+        b = min(n - taken, per_round, 50 * n - attempts)
+        attempts += b
+        negative = np.arange(b) < round(n / 2) - taken_negative
+        F = grid.noise_spectrum(rng, (b, 3, grid.d), 2)
+        Q, L, P = _parts(grid, F, phys)
+        C = grid.coupling(F)
+        flip = negative & (C.real > 0)
+        N = np.where(flip, -C.real, C.real)
+        batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
+        target = rng.uniform(0.2, 0.95, size=b) * mu
+        s = np.full(b, np.nan)
+        for i in np.flatnonzero(N != 0.0):
+            companion = np.zeros((1, 3, 3))
+            companion[0, 0, 0] = -batch.Lqc[i] / 2.0 / N[i]
+            companion[0, 0, 2] = target[i] / N[i]
+            companion[0, 1, 0] = companion[0, 2, 1] = 1.0
+            roots = np.linalg.eigvals(companion)[0]
+            positive = roots.real[(np.abs(roots.imag) < 1e-10 * np.maximum(1.0, np.abs(roots))) & (roots.real > 0)]
+            if positive.size:
+                s[i] = positive.max() if negative[i] else positive.min()
+        at = batch.scaled(s)
+        kept = np.flatnonzero((at.S < mu) & np.where(negative, at.K < 0.0, at.K > 0.0))
+        flags.append(negative[kept])
+        rows.append((at.Q[kept], at.L[kept], at.N[kept], at.P[kept]))
+        taken += len(kept)
+        taken_negative += int(np.count_nonzero(negative[kept]))
+        F[flip, 2] *= -1.0
+        spectra.append(F[kept])
+        scales.append(s[kept])
+    order = np.argsort(~np.concatenate(flags), kind="stable")
+    scales = np.concatenate(scales)[order].reshape(-1, *(1,) * (2 + grid.d))
+    columns = tuple(np.concatenate(column)[order] for column in zip(*rows))
+    return columns, scales * grid.ifft(np.concatenate(spectra)[order])
+
+
 class TestSampleBelowLevel:
     @pytest.mark.parametrize("dealias", [False, True])
     def test_reports_are_the_samples_own(self, gs_1d, dealias):
@@ -312,6 +363,145 @@ class TestSampleBelowLevel:
         product_points = 768 if dealias else 512
         assert fft_calls["inverse_points"] == draws * (2 * g.d + 1) * product_points
         assert fft_calls["points"] - fft_calls["inverse_points"] == 0
+
+    @pytest.mark.parametrize(
+        "points,n,level,seeds",
+        [
+            (512, 200, 1.0, range(2)),
+            (512, 37, 1.0, range(6)),
+            (512, 23, 1e4, range(6)),
+            (512, 7, 3e4, range(6)),
+            (512, 5, 1e8, range(6)),
+            (512, 37, 1e8, range(2)),
+            (512, 200, 3e4, range(1)),
+            # below a negative level no draw is kept; in rounds of 21, the last
+            # one before the cap of 2250 draws is drawn ahead with 3
+            (256, 45, -1.0, range(2)),
+        ],
+    )
+    def test_draws_ahead_match_the_synchronous_loop(self, gs_1d, points, n, level, seeds):
+        # the next round's draws are made on a worker while this round is
+        # evaluated; rows, states and the rng's position are those of one
+        # round at a time on the caller's thread, with rejections (high
+        # levels reject rising-branch draws with N < 0) and the 50 n cap
+        g, wave = Grid(points, 40.0), WaveParams(1.0, (0.3,))
+        for seed in seeds:
+            self.assert_matches_synchronous(g, wave, level * gs_1d.mu, seed, n)
+
+    @pytest.mark.parametrize(
+        "grid,wave,n",
+        [
+            (Grid(512, 40.0, dealias=True), WaveParams(1.0, (0.3,)), 37),
+            # a 2D round is one draw: every round but the last is drawn ahead
+            (Grid((128, 128), (20.0, 20.0)), WaveParams(1.0, (0.3, 0.1)), 6),
+        ],
+        ids=["1d-dealiased", "2d"],
+    )
+    def test_draws_ahead_match_the_synchronous_loop_on_other_grids(self, gs_1d, grid, wave, n):
+        for seed in range(2):
+            self.assert_matches_synchronous(grid, wave, gs_1d.mu, seed, n)
+
+    @staticmethod
+    def assert_matches_synchronous(grid, wave, mu, seed, n):
+        rng_oracle = np.random.default_rng(seed)
+        columns, states = synchronous_below_level(grid, PHYS, wave, mu, rng_oracle, n)
+        after = rng_oracle.random()
+        rng = np.random.default_rng(seed)
+        batch = reports_below_level(grid, PHYS, wave, mu, rng, n)
+        for name, column in zip("QLNP", columns):
+            assert getattr(batch, name).shape == column.shape and getattr(batch, name).tobytes() == column.tobytes(), name
+        assert rng.random() == after
+        rng = np.random.default_rng(seed)
+        samples = sample_below_level(grid, PHYS, wave, mu, rng, n)
+        assert len(samples) == len(states) and np.array([state.u for state, _ in samples]).tobytes() == states.tobytes()
+        for name, column in zip("QLNP", columns):
+            assert np.array([getattr(rep, name) for _, rep in samples]).tobytes() == column.tobytes(), name
+        assert rng.random() == after
+
+    @pytest.mark.parametrize("failing_call", [2, 5])
+    def test_worker_error_reaches_the_caller(self, gs_1d, failing_call):
+        # a round drawn ahead raises on the worker; the caller gets the error
+        # and the worker thread is joined before it does
+        class FailingGenerator(CountingGenerator):
+            def standard_normal(self, size):
+                if self.calls["standard_normal"] + 1 == failing_call:
+                    self.thread = threading.current_thread()
+                    raise FloatingPointError("draw failed")
+                return super().standard_normal(size)
+
+        rng = FailingGenerator(7)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            reports_below_level(Grid(512, 40.0), PHYS, WaveParams(1.0, (0.3,)), gs_1d.mu, rng, 200)
+        assert rng.thread is not threading.main_thread()
+        assert threading.active_count() == threads
+
+    def test_round_error_joins_the_worker(self, gs_1d, monkeypatch):
+        # a round that raises while the next one is drawn ahead leaves no thread behind
+        g = Grid(512, 40.0)
+        coupling, calls = g.coupling, []
+
+        def failing_coupling(F):
+            calls.append(F.shape[0])
+            if len(calls) == 3:
+                raise FloatingPointError("round failed")
+            return coupling(F)
+
+        monkeypatch.setattr(g, "coupling", failing_coupling)
+        rng = CountingGenerator(7)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="round failed"):
+            reports_below_level(g, PHYS, WaveParams(1.0, (0.3,)), gs_1d.mu, rng, 200)
+        assert threading.active_count() == threads
+        # the fourth round was drawn ahead, and its draws were finished before the error left
+        assert rng.calls == {"standard_normal": 4, "uniform": 4}
+
+    def test_concurrent_samplers_keep_their_draws(self, gs_1d):
+        # samplers on their own grids and rngs in more threads than cores,
+        # switching threads every microsecond: each gets the draws it gets alone
+        # and never uses its rng from two threads at once
+        class ExclusiveGenerator(CountingGenerator):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.lock, self.busy, self.overlaps = threading.Lock(), 0, 0
+
+            def alone(self, call, *args, **kwargs):
+                with self.lock:
+                    self.busy += 1
+                    self.overlaps += self.busy > 1
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    with self.lock:
+                        self.busy -= 1
+
+            def standard_normal(self, size):
+                return self.alone(super().standard_normal, size)
+
+            def uniform(self, *args, **kwargs):
+                return self.alone(super().uniform, *args, **kwargs)
+
+        wave, seeds = WaveParams(1.0, (0.3,)), range(4)
+        alone = [reports_below_level(Grid(256, 40.0), PHYS, wave, gs_1d.mu, np.random.default_rng(seed), 120) for seed in seeds]
+        rngs, results = [ExclusiveGenerator(seed) for seed in seeds], {}
+
+        def run(seed):
+            results[seed] = reports_below_level(Grid(256, 40.0), PHYS, wave, gs_1d.mu, rngs[seed], 120)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in seeds:
+            assert results[seed].Q.tobytes() == alone[seed].Q.tobytes()
+            assert rngs[seed].overlaps == 0
 
     def test_draws_stop_at_the_cap(self):
         # a ray solved for S = t mu with t < 1 ends above a negative level
