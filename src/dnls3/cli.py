@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import RunConfig, _judged, _path, parse_config
 from .errors import (
     Dnls3Error,
     FormatError,
@@ -44,7 +44,7 @@ from .errors import (
 from .evolution import decay_rate_fit, evolve, perturbed, sandwich_points, stability_experiment
 from .functionals import WellMembership, coercivity_certificate, evaluate
 from .grid import State
-from .ground_state import MuScalePoint, h_curve, h_curve_points, mu_scaling_check, reports_below_level, solve_ground_state
+from .ground_state import MuScalePoint, h_curve, h_curve_points, mu_scaling_check, mu_scan_unit, reports_below_level, solve_ground_state
 from .snapshot import FORMAT_VERSION, load_field, save_field
 
 USER_ERRORS = (ParseError, ValidationError, InadmissibleParameters, FormatError, LengthMismatch, UnsupportedVersion)
@@ -92,13 +92,11 @@ def _report_dict(rep) -> dict:
 
 def _load_config(args, experiment: str) -> RunConfig:
     cfg = parse_config(args.config, experiment=experiment)
+    # the flags pass the rules of the keys they override
     if args.seed is not None:
-        try:
-            cfg.solver = dataclasses.replace(cfg.solver, seed=args.seed)
-        except ValueError as exc:
-            raise ValidationError("solver.seed", str(exc)) from exc
+        cfg.solver = _judged("solver.seed", dataclasses.replace, cfg.solver, seed=args.seed)
     if args.out is not None:
-        cfg.output_dir = args.out
+        cfg.output_dir = _path(args.out, "output.dir")
     return cfg
 
 
@@ -329,6 +327,7 @@ def _cmd_decay(cfg: RunConfig, outdir: Path, field) -> int:
 # the subcommands that check their scaling-curve points, beside reading
 # experiment.field, before the output directory exists and before any solve
 PRECHECKS = {
+    "mu-scan": lambda cfg: mu_scan_unit(cfg.phys, cfg.wave.c),
     "h-curve": lambda cfg: h_curve_points(cfg.wave, cfg.experiment["tau_step"]),
     "stability": lambda cfg: sandwich_points(cfg.wave, cfg.experiment["tau0s"]),
 }

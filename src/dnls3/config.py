@@ -3,24 +3,29 @@
 A config document has exactly the key groups "physics", "wave", "grid",
 "solver", "evolve", "experiment" and "output". The keys and defaults of
 "physics", "solver" and "evolve" are the fields of their dataclasses, and
-each value passes its field's own rule; the experiment keys a subcommand
+the dataclass alone judges each value; the experiment keys a subcommand
 reads, and their defaults, are its row of ``EXPERIMENTS``. Unknown keys
 are rejected by name. ``parse_config`` fills every default and returns the
 constructed parameter objects; the fully-expanded document is built from
 them, and its canonical serialization (sorted keys) is hashed into run
 manifests.
+
+Every number is judged by one rule, ``grid._setting``: a bool, a string,
+NaN, an infinity, an int past float range (such as 2**1100), a fraction
+where a count is due and a value below its bound are refused. The
+parameter objects and ``Grid`` apply the rule themselves; the config adds
+the field's name, so a refused value is a ValidationError naming it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InadmissibleParameters, ParseError, ValidationError
 from .evolution import EvolveConfig
-from .grid import DEFAULT_EXTENT, Grid, _is_number
+from .grid import DEFAULT_EXTENT, Grid, _setting
 from .ground_state import SolverConfig
 from .params import PhysParams, WaveParams
 
@@ -88,23 +93,31 @@ def _group(doc: dict, name: str) -> dict:
     return group
 
 
-def _number(value, field, positive=False, integer=False):
-    if not _is_number(value):
-        raise ValidationError(field, f"expected a number, got {value!r}")
-    if integer and not (isinstance(value, int) or value.is_integer()):
-        raise ValidationError(field, f"expected an integer, got {value!r}")
-    if positive and not value > 0:
-        raise ValidationError(field, f"must be positive, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(field, f"must be finite, got {value!r}")
-    return int(value) if integer else float(value)
+def _judged(field, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; the ValueError of a value it refuses becomes a ValidationError naming ``field``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(field, str(exc)) from exc
 
 
-def _numbers(value, field, positive=False):
-    """A non-empty list of numbers."""
-    if not isinstance(value, list) or not value:
+def _number(value, field, **rule):
+    """``value`` judged by the one rule for a numeric setting (``grid._setting``), a failure named by ``field``."""
+    return _judged(field, _setting, value, "the value", **rule)
+
+
+def _numbers(value, field, lone=None, **rule):
+    """The list ``value``, each entry judged as ``_number`` judges it.
+
+    Given ``lone``, a value that is not a list stands for ``lone`` equal
+    entries, and the caller checks the length; without it the value must be
+    a non-empty list.
+    """
+    if lone is not None and not isinstance(value, list):
+        value = [value] * lone
+    if not isinstance(value, list) or not (value or lone):
         raise ValidationError(field, f"expected a non-empty list of numbers, got {value!r}")
-    return [_number(v, field, positive) for v in value]
+    return [_number(v, field, **rule) for v in value]
 
 
 def _path(value, field):
@@ -125,11 +138,11 @@ def _window(value, field):
 # the rule of each experiment key, whichever subcommand reads it
 _EXPERIMENT_RULES = {
     "field": _path,
-    "samples": lambda v, f: _number(v, f, positive=True, integer=True),
+    "samples": lambda v, f: _number(v, f, whole=True, least=1),
     "delta": _number,
-    "tau_step": lambda v, f: _number(v, f, positive=True),
-    "omegas": lambda v, f: _numbers(v, f, positive=True),
-    "tau0s": lambda v, f: _numbers(v, f, positive=True),
+    "tau_step": lambda v, f: _number(v, f, above=0),
+    "omegas": lambda v, f: _numbers(v, f, above=0),
+    "tau0s": lambda v, f: _numbers(v, f, above=0),
     "window": _window,
 }
 
@@ -137,25 +150,15 @@ _EXPERIMENT_RULES = {
 def _params(doc: dict, name: str, cls):
     """The key group ``name`` read into the dataclass ``cls``.
 
-    Its keys and defaults are the fields of ``cls``. A value is read as a
-    number (an integer where the default is one) unless the default is a
-    string or both it and the value are null; it then passes its field's
-    own rule, ``cls``'s ``__post_init__``, and a failure names the field.
+    Its keys and defaults are the fields of ``cls``, and ``cls`` alone
+    judges each value: a value it refuses is a ValidationError naming the
+    field.
     """
     group = _group(doc, name)
-    defaults = {f.name: f.default for f in fields(cls)}
-    _require_keys(group, defaults, name)
-    values = {}
+    _require_keys(group, {f.name for f in fields(cls)}, name)
     for key, value in group.items():
-        field, default = f"{name}.{key}", defaults[key]
-        if not (isinstance(default, str) or (default is None and value is None)):
-            value = _number(value, field, integer=isinstance(default, int))
-        try:
-            cls(**{key: value})
-        except ValueError as exc:
-            raise ValidationError(field, str(exc)) from exc
-        values[key] = value
-    return cls(**values)
+        _judged(f"{name}.{key}", cls, **{key: value})
+    return cls(**group)
 
 
 def parse_config(source: str, experiment: str = "gs") -> RunConfig:
@@ -179,6 +182,8 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than Python converts to an int
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("config root must be an object")
 
@@ -192,39 +197,26 @@ def parse_config(source: str, experiment: str = "gs") -> RunConfig:
     # -- grid ---------------------------------------------------------------
     grid_doc = _group(doc, "grid")
     _require_keys(grid_doc, {"d", "n", "extent", "dealias"}, "grid")
-    n = grid_doc.get("n", [512])
-    if isinstance(n, (int, float)):
-        n = [n]
-    if not isinstance(n, list) or not n:
-        raise ValidationError("grid.n", f"expected a list of point counts, got {n!r}")
-    n = [_number(nk, "grid.n", integer=True) for nk in n]
-    d = _number(grid_doc.get("d", len(n)), "grid.d", integer=True)
+    n = _numbers(grid_doc.get("n", 512), "grid.n", lone=1, whole=True)
+    if not n:
+        raise ValidationError("grid.n", "expected at least one point count, got []")
+    d = _number(grid_doc.get("d", len(n)), "grid.d", whole=True)
     if d != len(n):
         raise ValidationError("grid.d", f"d={d} but n has {len(n)} axes")
-    extent = grid_doc.get("extent", [DEFAULT_EXTENT.get(len(n), 40.0)] * len(n))
-    if isinstance(extent, (int, float)):
-        extent = [extent] * len(n)
-    if not isinstance(extent, list):
-        raise ValidationError("grid.extent", f"expected a list of box lengths, got {extent!r}")
-    extent = [_number(ek, "grid.extent") for ek in extent]
+    extent = _numbers(grid_doc.get("extent", DEFAULT_EXTENT.get(d, 40.0)), "grid.extent", lone=d)
     dealias = grid_doc.get("dealias", False)
     if not isinstance(dealias, bool):
         raise ValidationError("grid.dealias", f"expected true/false, got {dealias!r}")
-    try:
-        grid = Grid(n, extent, dealias=dealias)
-    except ValueError as exc:
-        raise ValidationError("grid", str(exc)) from exc
+    grid = _judged("grid", Grid, n, extent, dealias=dealias)
 
     # -- wave ---------------------------------------------------------------
     wave_doc = _group(doc, "wave")
     _require_keys(wave_doc, {"omega", "c"}, "wave")
     omega = _number(wave_doc.get("omega", 1.0), "wave.omega")
-    c = wave_doc.get("c", [0.0] * grid.d)
-    if isinstance(c, (int, float)):
-        c = [c]
-    if not isinstance(c, list) or len(c) != grid.d:
+    c = _numbers(wave_doc.get("c", [0.0] * grid.d), "wave.c", lone=1)
+    if len(c) != grid.d:
         raise ValidationError("wave.c", f"expected {grid.d} speed components, got {c!r}")
-    wave = WaveParams(omega, tuple(_number(ck, "wave.c") for ck in c))
+    wave = WaveParams(omega, tuple(c))
     try:
         wave.require_admissible(phys)
     except InadmissibleParameters as exc:

@@ -73,7 +73,7 @@ import numpy as np
 
 from .errors import FitWindowEmpty, InadmissibleParameters, NonFinite
 from .functionals import FunctionalReport, WellMembership, _report, gauge_phases
-from .grid import Grid, State, _is_number, _norm_h1, norm_h1
+from .grid import Grid, State, _norm_h1, _setting, norm_h1
 from .params import PhysParams, WaveParams
 
 SCHEMES = ("strang", "if_rk4")
@@ -92,7 +92,9 @@ class EvolveConfig:
     step's limit is the split-step resonance edge near
     dt * kappa * xi_max^2 = pi, about 300 times above this default on the
     512-point, extent-40 grid (ROADMAP item 2). The acceptance-scale
-    experiments override it explicitly.
+    experiments override it explicitly. ``dt`` (unless None), ``t_final``
+    and ``record_stride`` are settings (``_setting``): a positive step, a
+    nonnegative end time and a whole stride >= 1.
     """
 
     dt: float | None = None
@@ -101,14 +103,10 @@ class EvolveConfig:
     scheme: str = "strang"
 
     def __post_init__(self):
-        # each check is written so that NaN and inf fail it; a bool or a string is refused
-        if self.dt is not None and not (_is_number(self.dt) and 0 < self.dt < np.inf):
-            raise ValueError(f"dt must be a positive finite number, got {self.dt!r}")
-        if not (_is_number(self.t_final) and 0 <= self.t_final < np.inf):
-            raise ValueError(f"t_final must be a nonnegative finite number, got {self.t_final!r}")
-        if not (_is_number(self.record_stride) and 1 <= self.record_stride < np.inf and float(self.record_stride).is_integer()):
-            raise ValueError(f"record_stride must be a finite whole count >= 1, got {self.record_stride!r}")
-        object.__setattr__(self, "record_stride", int(self.record_stride))
+        if self.dt is not None:
+            object.__setattr__(self, "dt", _setting(self.dt, "dt", above=0))
+        object.__setattr__(self, "t_final", _setting(self.t_final, "t_final", least=0))
+        object.__setattr__(self, "record_stride", _setting(self.record_stride, "record_stride", whole=True, least=1))
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 

@@ -24,6 +24,7 @@ Conventions fixed here once and used consistently everywhere:
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -34,9 +35,34 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _is_number(value) -> bool:
-    """An int or a float, Python's or numpy's; a bool or a string is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _entries(value) -> np.ndarray:
+    """The entries of a number or a sequence of them, each as it is: none is converted."""
+    return np.atleast_1d(np.asarray(value, dtype=object))
+
+
+def _setting(value, name: str, whole: bool = False, above=None, least=None):
+    """``value`` judged by the one rule for a numeric setting: a float, or an int if ``whole``.
+
+    A setting is an int or a float, Python's or numpy's (a bool or a string
+    is not one), that a float holds finitely, above ``above`` and at least
+    ``least`` where they are given, and whole (512.0 counts as 512, 512.7 is
+    refused) if ``whole``. Anything else, NaN, an infinity and an int past
+    float range among them, raises a ValueError naming ``name``. Every test
+    compares the value as it is, so a Python int is never converted to a
+    float to be judged.
+    """
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+        and (not whole or isinstance(value, numbers.Integral) or float(value).is_integer())
+        and (above is None or value > above)
+        and (least is None or value >= least)
+    ):
+        return int(value) if whole else float(value)
+    bounds = "".join(f" {op} {v}" for op, v in ((">", above), (">=", least)) if v is not None)
+    kind = "whole" if whole else "real"
+    raise ValueError(f"{name} must be a {kind} number{bounds} that a float holds finitely, got {value!r}")
 
 
 class Grid:
@@ -45,10 +71,12 @@ class Grid:
     Parameters
     ----------
     n : int or sequence of int
-        Points per axis; each must be a power of two >= 8, and whole: 512.0
-        counts as 512, 512.7 is refused, and so are "512" and True.
+        Points per axis; each is a whole setting (``_setting``) that is a
+        power of two >= 8 and that an array can index: 512.0 counts as 512,
+        512.7 is refused, and so are "512", True and 2**1100.
     extent : float or sequence of float
-        Box length per axis, a number: "40" and True are refused.
+        Box length per axis, a positive finite setting: "40" and True are
+        refused.
     dealias : bool
         If True, quadratic products (the only nonlinearity) are evaluated
         alias-free by 3/2 zero padding, which for quadratic terms gives the
@@ -66,23 +94,16 @@ class Grid:
     """
 
     def __init__(self, n, extent, dealias: bool = False):
-        counts, extents = (np.atleast_1d(np.asarray(v, dtype=object)) for v in (n, extent))
-        if not all(map(_is_number, [*counts, *extents])):
-            raise ValueError(f"points and box lengths must be numbers, got {n!r} and {extent!r}")
-        for count in counts:
-            # NaN and inf fail the first test, before int() could refuse them with another error
-            if not (8 <= count < np.inf and float(count).is_integer() and _is_power_of_two(int(count))):
-                raise ValueError(f"points per axis must be a whole power of two >= 8, got {count}")
-        n = tuple(int(v) for v in counts)
-        extent = tuple(float(v) for v in extents)
+        n = tuple(_setting(count, "points per axis", whole=True, least=8) for count in _entries(n))
+        for count in n:
+            if not (_is_power_of_two(count) and count <= sys.maxsize):
+                raise ValueError(f"points per axis must be powers of two that an array can index, got {count}")
+        extent = tuple(_setting(ek, "box length per axis", above=0) for ek in _entries(extent))
         if len(n) != len(extent):
             raise ValueError("n and extent must have the same length")
         d = len(n)
         if not 1 <= d <= 3:
             raise ValueError(f"dimension must be 1..3, got {d}")
-        for ek in extent:
-            if not 0 < ek < np.inf:
-                raise ValueError(f"extent must be positive and finite, got {ek}")
 
         self.d = d
         self.n = n

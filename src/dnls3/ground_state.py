@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateNonlinearity, DomainTooSmall, InadmissibleParameters, NoConvergence, WrongDimension
 from .functionals import FunctionalReport, _parts, evaluate, gauge_phases, linear_symbols, nehari_rescale
-from .grid import Grid, State, _is_number
+from .grid import Grid, State, _setting
 from .params import PhysParams, WaveParams
 
 
@@ -48,7 +48,9 @@ class SolverConfig:
 
     ``restarts`` bounds the number of descents: a descent from a translated
     seed (center drawn from the nonnegative ``seed``) runs only after the
-    previous one failed to converge.
+    previous one failed to converge. Each field is a setting (``_setting``):
+    the counts and the seed whole, the tolerance positive; 3.0 counts as 3,
+    and 1.5, True, "3" and 2**1100 are refused.
     """
 
     max_iter: int = 20000
@@ -57,15 +59,9 @@ class SolverConfig:
     restarts: int = 3
 
     def __post_init__(self):
-        # each check is written so that NaN and inf fail it; an integral float becomes its int,
-        # a bool or a string is refused
         for name, least in (("max_iter", 1), ("seed", 0), ("restarts", 1)):
-            value = getattr(self, name)
-            if not (_is_number(value) and least <= value < np.inf and float(value).is_integer()):
-                raise ValueError(f"{name} must be a finite whole number >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not (_is_number(self.residual_tol) and 0 < self.residual_tol < np.inf):
-            raise ValueError(f"the residual tolerance must be a positive finite number, got {self.residual_tol!r}")
+            object.__setattr__(self, name, _setting(getattr(self, name), name, whole=True, least=least))
+        object.__setattr__(self, "residual_tol", _setting(self.residual_tol, "residual_tol", above=0))
 
 
 @dataclass
@@ -376,6 +372,19 @@ class MuScalePoint:
     status: str = "ok"
 
 
+def mu_scan_unit(phys: PhysParams, c0) -> WaveParams:
+    """The unit pair (1, c0) whose scaling curve ``mu_scaling_check`` solves along.
+
+    Raises InadmissibleParameters naming the pair unless it is admissible;
+    the frequency of the wave c0 came with plays no part.
+    """
+    unit = WaveParams(1.0, c0)
+    if not unit.admissible(phys):
+        bound = phys.sigma * unit.speed**2 / 4.0
+        raise InadmissibleParameters(f"the unit pair (1, c)=(1, {list(unit.c)}) of the mu scan is not admissible: 1 <= sigma*|c|^2/4={bound}")
+    return unit
+
+
 def mu_scaling_check(
     grid: Grid,
     phys: PhysParams,
@@ -386,7 +395,8 @@ def mu_scaling_check(
     """Verify the frequency power laws of the solved ground states.
 
     Each omega is solved at exactly that frequency, at the point (omega, s c0)
-    of the scaling curve through (1, c0) (``WaveParams.on_curve``), where
+    of the scaling curve through the unit pair (1, c0) (``mu_scan_unit``,
+    checked before the first solve, and ``WaveParams.on_curve``), where
     s = sqrt(omega) and the level and the charge follow
 
         mu(omega, s c0) = s^(4-d) mu(1, c0)   (rel_error)
@@ -399,7 +409,7 @@ def mu_scaling_check(
     fails, every point carries that failure.
     """
     config = config or SolverConfig()
-    unit = WaveParams(1.0, tuple(np.atleast_1d(np.asarray(c0, dtype=float))))
+    unit = mu_scan_unit(phys, c0)
     d = grid.d
 
     def solve(wave):

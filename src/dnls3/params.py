@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InadmissibleParameters
+from .grid import _entries, _setting
 
 #: Masses m_j of the three components: the frequency enters symbol j as m_j omega
 MASSES = np.array([2.0, 1.0, 1.0])
@@ -30,7 +31,8 @@ class PhysParams:
 
     The sign-definite case alpha, beta, gamma > 0 is required; the
     all-negative case reduces to it by the reflection (t, x) -> (-t, -x)
-    and is not handled here.
+    and is not handled here. Each is a positive setting (``_setting``),
+    kept as a float: True, "1", NaN and 2**1100 are refused.
     """
 
     alpha: float = 1.0
@@ -38,9 +40,8 @@ class PhysParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN and inf fail it
-        if not all(0 < v < np.inf for v in (self.alpha, self.beta, self.gamma)):
-            raise ValueError("dispersion coefficients must be positive and finite")
+        for name in ("alpha", "beta", "gamma"):
+            object.__setattr__(self, name, _setting(getattr(self, name), name, above=0))
 
     @property
     def kappa(self) -> np.ndarray:
@@ -60,13 +61,18 @@ class PhysParams:
 
 @dataclass(frozen=True)
 class WaveParams:
-    """Frequency omega and speed vector c of a solitary wave; ``on_curve`` maps it along its scaling curve."""
+    """Frequency omega and speed vector c of a solitary wave; ``on_curve`` maps it along its scaling curve.
+
+    omega and each component of c (a number or a sequence of them) are
+    settings (``_setting``), kept as floats.
+    """
 
     omega: float
     c: tuple = field(default=(0.0,))
 
     def __post_init__(self):
-        object.__setattr__(self, "c", tuple(float(ck) for ck in np.atleast_1d(self.c)))
+        object.__setattr__(self, "omega", _setting(self.omega, "omega"))
+        object.__setattr__(self, "c", tuple(_setting(ck, "c") for ck in _entries(self.c)))
 
     @property
     def d(self) -> int:

@@ -10,13 +10,15 @@ Layout (all little-endian):
     payload      components in order u1^(1..d), u2^(1..d), u3^(1..d),
                  each prod(n) complex values as (re f64, im f64), row-major
 
-The payload is exactly 3*d*prod(n)*16 bytes; the loader validates magic,
-version, length and grid before touching the content. Round trips are
-bit-exact.
+The payload is exactly 3*d*prod(n)*16 bytes, a product taken in exact
+integers, so no header's counts wrap it around to a size the file has; the
+loader validates magic, version, length and grid, in that order, before
+touching the content. Round trips are bit-exact.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -59,7 +61,7 @@ def load_field(path) -> State:
     offset += d * 8
     extent = struct.unpack_from(f"<{d}d", blob, offset)
     offset += d * 8
-    count = 3 * d * int(np.prod(n))
+    count = 3 * d * math.prod(n)  # Python ints: no product wraps around
     expected = count * 16
     if len(blob) - offset != expected:
         raise LengthMismatch(f"payload is {len(blob) - offset} bytes, header promises {expected}")

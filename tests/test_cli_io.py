@@ -1,16 +1,21 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dnls3 import cli, config, ground_state
+from dnls3 import cli, config, ground_state, snapshot
 from dnls3.cli import run_subcommand
 from dnls3.config import parse_config
 from dnls3.errors import (
@@ -91,7 +96,189 @@ class TestSnapshot:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "FormatError"
 
 
+    def test_header_whose_point_product_wraps_around(self, tmp_path, monkeypatch):
+        # in int64, 3 d prod(n) wraps to 0 for n = (2**32, 2**32), so this
+        # header alone passed the length check and reached a Grid whose one
+        # coordinate axis alone would take 32 GiB
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the header reached Grid")
+
+        monkeypatch.setattr(snapshot, "Grid", no_grid)
+        path = tmp_path / "wrapped.ldsf"
+        path.write_bytes(b"LDSF" + struct.pack("<II2Q2d", FORMAT_VERSION, 2, 2**32, 2**32, 40.0, 40.0))
+        with pytest.raises(LengthMismatch, match=f"header promises {3 * 2 * 2**64 * 16}"):
+            load_field(path)
+
+
+def _rule(value, whole=False, above=None, least=None):
+    """The rule for a numeric setting written out: the value as an int (if whole) or a float, or None if refused.
+
+    The values drawn below are Python ints, floats and bools, numpy bools and strings.
+    """
+    if type(value) not in (int, float) or not -sys.float_info.max <= value <= sys.float_info.max:
+        return None
+    if whole and not float(value).is_integer():
+        return None
+    if (above is not None and not value > above) or (least is not None and not value >= least):
+        return None
+    return int(value) if whole else float(value)
+
+
+# each numeric config field: (field, subcommand, the config's rule, the object and its
+# name for the value, the object's rule, and the field that names a value the rule
+# passes but the object's own checks (a grid, an admissible pair, a window) refuse)
+NUMERIC_FIELDS = {
+    "physics.alpha": ("gs", {"above": 0}, lambda v: PhysParams(alpha=v), "alpha", None, None),
+    "physics.beta": ("gs", {"above": 0}, lambda v: PhysParams(beta=v), "beta", None, None),
+    "physics.gamma": ("gs", {"above": 0}, lambda v: PhysParams(gamma=v), "gamma", None, None),
+    "solver.max_iter": ("gs", {"whole": True, "least": 1}, lambda v: SolverConfig(max_iter=v), "max_iter", None, None),
+    "solver.residual_tol": ("gs", {"above": 0}, lambda v: SolverConfig(residual_tol=v), "residual_tol", None, None),
+    "solver.seed": ("gs", {"whole": True, "least": 0}, lambda v: SolverConfig(seed=v), "seed", None, None),
+    "solver.restarts": ("gs", {"whole": True, "least": 1}, lambda v: SolverConfig(restarts=v), "restarts", None, None),
+    "evolve.dt": ("evolve", {"above": 0}, lambda v: EvolveConfig(dt=v), "dt", None, None),
+    "evolve.t_final": ("evolve", {"least": 0}, lambda v: EvolveConfig(t_final=v), "t_final", None, None),
+    "evolve.record_stride": (
+        "evolve", {"whole": True, "least": 1}, lambda v: EvolveConfig(record_stride=v), "record_stride", None, None,
+    ),
+    "grid.n": ("gs", {"whole": True}, lambda v: Grid(v, 40.0), "points per axis", None, "grid"),
+    "grid.d": ("gs", {"whole": True}, None, None, None, "grid.d"),
+    "grid.extent": ("gs", {}, lambda v: Grid(16, v), "box length per axis", {"above": 0}, "grid"),
+    "wave.omega": ("gs", {}, lambda v: WaveParams(v), "omega", {}, "wave"),
+    "wave.c": ("gs", {}, lambda v: WaveParams(1.0, (v,)), "c", {}, "wave"),
+    "experiment.samples": ("check", {"whole": True, "least": 1}, None, None, None, None),
+    "experiment.delta": ("evolve", {}, None, None, None, None),
+    "experiment.tau_step": ("h-curve", {"above": 0}, None, None, None, None),
+    "experiment.omegas": ("mu-scan", {"above": 0}, None, None, None, None),
+    "experiment.tau0s": ("stability", {"above": 0}, None, None, None, None),
+    "experiment.window": ("decay", {}, None, None, None, "experiment.window"),
+}
+# bools, numpy bools, numeric strings, NaN, infinities, ints past float range, fractions and
+# values below every bound, beside counts and reals; no power of two a grid could be built on
+# beyond 1024 points, so an accepted count never allocates much
+NUMERIC_VALUES = st.one_of(
+    st.sampled_from(
+        [
+            True, False, np.True_, np.False_, "1", "512", "0.5", float("nan"), float("inf"), float("-inf"),
+            2**1100, -(2**1100), 2**1024, 2**1023, 10**400, 0, -1, 1, 8, 16, 512, 0.0, -0.0, 0.5, 1.5, 16.0,
+            512.7, -2.5, 1e-300, 1e308,
+        ]
+    ),
+    st.integers(-1024, 1024),
+    st.floats(-1024.0, 1024.0),
+)
+
+
+def _numeric_config(field, value, lone):
+    """A small valid document with ``value`` at ``field``: as a list entry where the field is a list, or alone."""
+    doc = {"physics": {}, "wave": {"omega": 1, "c": [0]}, "grid": {"n": [256], "extent": [40]}, "solver": {"restarts": 1}}
+    group, key = field.split(".")
+    entry = {"window": [value, 0.9], "omegas": [value], "tau0s": [value]}.get(key, value)
+    if key in ("n", "extent", "c") and not lone:
+        entry = [value]
+    doc.setdefault(group, {})[key] = entry
+    # json writes a numpy bool as the bool it is
+    return json.dumps(doc, default=bool)
+
+
 class TestConfig:
+    @settings(max_examples=400, deadline=None)
+    @given(field=st.sampled_from(sorted(NUMERIC_FIELDS)), value=NUMERIC_VALUES, lone=st.booleans())
+    def test_every_numeric_setting_is_judged_by_one_rule(self, field, value, lone):
+        # the config's reader and the object that holds the value accept it or refuse it by
+        # name, whatever it is: at the parent 2**1100 raised OverflowError, and the objects
+        # accepted or raised TypeError on values the config refused
+        command, rule, build, name, object_rule, domain_field = NUMERIC_FIELDS[field]
+        expected = _rule(value, **rule)
+        text = _numeric_config(field, value, lone)
+        try:
+            cfg = parse_config(text, experiment=command)
+        except ValidationError as exc:
+            assert exc.field == field if expected is None else exc.field == domain_field
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+                out = Path(tmp) / "out"
+                assert run_subcommand([command, "--config", text, "--out", str(out)]) == 2
+                assert not out.exists()
+            assert json.loads(err.getvalue())["message"].startswith(f"{exc.field}:")
+        else:
+            assert expected is not None
+            group, key = field.split(".")
+            read = {
+                "physics": cfg.phys, "solver": cfg.solver, "evolve": cfg.evolve, "grid": cfg.grid, "wave": cfg.wave,
+            }.get(group, cfg.experiment)
+            read = read[key] if group == "experiment" else getattr(read, key)
+            read = read[0] if isinstance(read, (list, tuple)) else read
+            assert read == expected and type(read) is type(expected)
+        if build is None:
+            return
+        expected = _rule(value, **(rule if object_rule is None else object_rule))
+        try:
+            built = build(value)
+        except ValueError as exc:
+            assert name in str(exc)
+            # only a grid refuses more than its rule: counts that are no power of two
+            assert expected is None or field == "grid.n"
+        else:
+            assert expected is not None
+            assert built is not None
+
+    @pytest.mark.parametrize(
+        "command, group, value, field",
+        [
+            ("gs", "grid", {"n": [2**1100]}, "grid.n"),
+            ("gs", "grid", {"n": 2**1100}, "grid.n"),
+            ("gs", "grid", {"extent": [-(2**1100)]}, "grid.extent"),
+            ("gs", "wave", {"omega": 2**1100}, "wave.omega"),
+            ("gs", "physics", {"alpha": 2**1100}, "physics.alpha"),
+            ("gs", "solver", {"seed": 2**1100}, "solver.seed"),
+            ("gs", "solver", {"max_iter": 2**1100}, "solver.max_iter"),
+            ("evolve", "evolve", {"record_stride": 2**1100}, "evolve.record_stride"),
+            ("mu-scan", "experiment", {"omegas": [2**1100]}, "experiment.omegas"),
+            ("check", "experiment", {"samples": 2**1100}, "experiment.samples"),
+        ],
+        ids=["n", "lone_n", "extent", "omega", "alpha", "seed", "max_iter", "record_stride", "omegas", "samples"],
+    )
+    def test_ints_past_float_range_refused_by_name(self, tmp_path, capsys, command, group, value, field):
+        # each raised OverflowError at the parent, past the run's start
+        cfg_path, outdir = small_config(tmp_path, "huge", **{group: value})
+        with pytest.raises(ValidationError) as info:
+            parse_config(str(cfg_path), experiment=command)
+        assert info.value.field == field
+        capsys.readouterr()
+        assert run_subcommand([command, "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith(f"{field}:")
+        assert not outdir.exists()
+
+    def test_seed_flag_past_float_range_refused_by_name(self, tmp_path, capsys):
+        cfg_path, outdir = small_config(tmp_path, "huge_seed")
+        capsys.readouterr()
+        assert run_subcommand(["gs", "--config", str(cfg_path), "--seed", str(2**1100)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["message"].startswith("solver.seed:")
+        assert not outdir.exists()
+
+    def test_integer_literal_too_long_to_read(self, tmp_path, capsys):
+        # Python reads no int literal of more than 4300 digits: json.loads raised a bare ValueError
+        text = MINIMAL.replace("[512]", "[" + "1" * 5000 + "]")
+        with pytest.raises(ParseError):
+            parse_config(text)
+        capsys.readouterr()
+        assert run_subcommand(["gs", "--config", text, "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
+        assert not (tmp_path / "out").exists()
+
+    def test_constructors_name_the_value_they_refuse(self):
+        # PhysParams took True as 1 and raised TypeError on "1"; Grid raised OverflowError on 2**1100
+        for value in (True, np.True_, "1", 2**1100):
+            with pytest.raises(ValueError, match="alpha"):
+                PhysParams(alpha=value)
+        with pytest.raises(ValueError, match="points per axis"):
+            Grid(2**1100, 40.0)
+        with pytest.raises(ValueError, match="points per axis"):
+            Grid(2**1000, 40.0)
+        assert PhysParams(1, 2, 1) == PhysParams(1.0, 2.0, 1.0)
+        assert type(PhysParams(alpha=1).alpha) is float
+
     def test_minimal_config_accepts_and_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.grid.n == (512,)
@@ -489,6 +676,30 @@ class TestCli:
         assert record["error"] == "InadmissibleParameters"
         assert "tau_step=" in record["message"]
         assert not outdir.exists()
+
+    def test_mu_scan_checks_its_unit_pair_before_writing(self, tmp_path, capsys, monkeypatch):
+        # (4, [3]) is admissible, but mu-scan solves along the curve through (1, [3]), which is not:
+        # the run wrote effective_config.json, then failed on omega=1.0, a value the config never set
+        cfg_path, outdir = small_config(tmp_path, "mu_unit", wave={"omega": 4, "c": [3]}, experiment={"omegas": [4.0]})
+        monkeypatch.setattr(ground_state, "solve_ground_state", _no_solve)
+        capsys.readouterr()
+        assert run_subcommand(["mu-scan", "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InadmissibleParameters"
+        assert "unit pair (1, c)=(1, [3.0])" in record["message"]
+        assert not outdir.exists()
+
+    def test_empty_out_refused_as_output_dir(self, tmp_path, capsys, monkeypatch):
+        # --out '' ran in the working directory and wrote an effective_config.json that did not parse
+        monkeypatch.chdir(tmp_path)
+        cfg_path, outdir = small_config(tmp_path, "empty_out")
+        monkeypatch.setattr(cli, "solve_ground_state", _no_solve)
+        capsys.readouterr()
+        assert run_subcommand(["gs", "--config", str(cfg_path), "--out", ""]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("output.dir:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [cfg_path.name]
 
     def test_divergence_time_in_error_record(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):

@@ -91,13 +91,19 @@ class TestTransforms:
             Grid((16, count), (1.0, 1.0))
 
     @pytest.mark.parametrize(
-        "n,extent",
-        [("512", 40.0), (64, "40"), (64, True), ((16, True), (1.0, 1.0)), (16, (1.0, np.True_))],
+        "n,extent,named",
+        [
+            ("512", 40.0, "points per axis .* got '512'"),
+            (64, "40", "box length per axis .* got '40'"),
+            (64, True, "box length per axis .* got True"),
+            ((16, True), (1.0, 1.0), "points per axis .* got True"),
+            (16, (1.0, np.True_), "box length per axis .* got np.True_"),
+        ],
         ids=["string-count", "string-extent", "bool-extent", "bool-count", "numpy-bool-extent"],
     )
-    def test_strings_and_bools_rejected(self, n, extent):
+    def test_strings_and_bools_rejected(self, n, extent, named):
         # "512" built a 512-point grid through int(), and True a box of length 1
-        with pytest.raises(ValueError, match="must be numbers"):
+        with pytest.raises(ValueError, match=f"{named}$"):
             Grid(n, extent)
         assert Grid(np.int64(16), np.float64(1.0)) == Grid(16, 1.0)
 

@@ -181,7 +181,7 @@ class TestSolve:
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: value})
         # "1e-9" raised TypeError in the comparison, and True was a tolerance of 1
-        with pytest.raises(ValueError, match="residual tolerance"):
+        with pytest.raises(ValueError, match="residual_tol"):
             SolverConfig(residual_tol=value)
 
     def test_translated_starts_same_level(self):
