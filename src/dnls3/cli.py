@@ -92,9 +92,9 @@ def _report_dict(rep) -> dict:
 
 def _load_config(args, experiment: str) -> RunConfig:
     cfg = parse_config(args.config, experiment=experiment)
-    # the flags pass the rules of the keys they override
+    # the flags pass the rules of the keys they override; --seed's text is read as the JSON value it spells
     if args.seed is not None:
-        cfg.solver = _judged("solver.seed", dataclasses.replace, cfg.solver, seed=args.seed)
+        cfg.solver = _judged("solver.seed", lambda text: dataclasses.replace(cfg.solver, seed=json.loads(text)), args.seed)
     if args.out is not None:
         cfg.output_dir = _path(args.out, "output.dir")
     return cfg
@@ -354,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file or literal JSON text")
-        p.add_argument("--seed", type=int, default=None, help="the run seed: overrides solver.seed")
+        p.add_argument("--seed", default=None, help="the run seed, a JSON number: overrides solver.seed")
         p.add_argument("--out", default=None, help="override the output directory")
     return parser
 

@@ -20,11 +20,12 @@ class NoConvergence(Dnls3Error):
     result holds its own; the rest is read off them. ``iterations`` counts
     the iterations of all descents, ``residual`` is the best residual the
     last descent reached and ``reason``, a key of REASONS, says why it
-    stopped.
+    stopped: "iteration_cap" only when it made ``max_iter`` iterations.
     """
 
     REASONS = {
         "iteration_cap": "hit the iteration cap",
+        "non_finite": "the descent reached a state whose action or residual is not finite",
         "invalid_step": "stalled: halving the step below 1e-10 left no projected trial that is valid and does not raise the action",
         "residual_growth": "stalled: MEMORY + 1 steps in a row did not lower the best residual",
     }

@@ -76,7 +76,8 @@ class Grid:
         512.7 is refused, and so are "512", True and 2**1100.
     extent : float or sequence of float
         Box length per axis, a positive finite setting: "40" and True are
-        refused.
+        refused, and so is a box so small that the cell's volume underflows
+        to 0 or the grid's wavenumbers or their squares pass float range.
     dealias : bool
         If True, quadratic products (the only nonlinearity) are evaluated
         alias-free by 3/2 zero padding, which for quadratic terms gives the
@@ -114,6 +115,10 @@ class Grid:
         self.size = int(np.prod(n))
         #: quadrature weight of one cell
         self.weight = float(np.prod(self.spacing))
+        # every derived number must fit in a float: the cell, the Nyquist wavenumbers
+        # pi / h and |xi|^2 at the corner mode, which bounds k2 and the symbols on it
+        if not (self.weight > 0 and sum((np.pi / h) * (np.pi / h) for h in self.spacing) < np.inf):
+            raise ValueError(f"box length per axis {list(extent)} is too small for {list(n)} points: its cell or wavenumbers pass float range")
         self._spatial_axes = tuple(range(-d, 0))
         space = (slice(None),) * d
         # the kernel's rows, in front of any batch axes: u1 and u2 (and the

@@ -9,7 +9,9 @@ iteration of Petviashvili type, accelerated by Anderson mixing:
        resolvents), which equalizes spectral stiffness,
     3. step against it with the fixed step STEP, and combine that step with
        the last MEMORY ones so that the preconditioned gradients'
-       differences best cancel the current one (Anderson, J. ACM 12, 1965),
+       differences best cancel the current one (Anderson, J. ACM 12, 1965):
+       the differences sit in fixed ring slots, and the combination solves
+       the at most MEMORY x MEMORY normal equations of their Gram matrix,
        and
     4. project the trial (see _project): rotate u3 so that the complex
        coupling C = (u3, grad(u1 . conj(u2))) is real and negative, then
@@ -18,9 +20,10 @@ iteration of Petviashvili type, accelerated by Anderson mixing:
 The phase rotation removes the one direction that neither the gauge nor
 the rescaling controls (the relative phase of u3 against u1 . conj(u2));
 without it no fixed step near 1 converges. A mixed trial that is invalid or
-raises the action is retried as a plain step and the history is dropped,
-and only a plain step is halved; the iteration stops when MEMORY + 1
-steps in a row fail to lower the best preconditioned residual.
+raises the action, or whose Gram matrix is singular, is retried as a plain
+step and the history is dropped, and only a plain step is halved; the
+iteration stops when MEMORY + 1 steps in a row fail to lower the best
+preconditioned residual, or when it reaches a state that is not finite.
 The minimizer is a stationary point of the unconstrained action because
 the constraint's Lagrange multiplier vanishes there.
 
@@ -225,16 +228,23 @@ def _descend(grid, phys, wave, config, start: State):
 
     The map is G(F) = F - STEP Fpg(F), a step against the preconditioned
     gradient. The trial G(F_k) - sum_i gamma_i (G(F_{i+1}) - G(F_i)) runs
-    over the last MEMORY iterates, gamma being the least-squares fit of
-    Fpg_k by the differences Fpg_{i+1} - Fpg_i in the residual's weighted
-    inner product. The trial is projected (_project) and accepted when it
-    is valid and does not raise S beyond a 1e-12 rounding slack. A mixed
-    trial that fails is retried plain, G(F_k), and the history is dropped;
-    only a plain step is halved. An accepted trial that does not lower the
-    best residual so far, after MEMORY accepted ones that did not either,
-    ends the descent with the state before it. S thus never rises, and each
-    iteration makes one projection unless a trial is rejected. The descent
-    holds spectra only; its final state is transformed once, when it ends.
+    over the last MEMORY iterates, gamma solving the normal equations of the
+    least-squares fit of Fpg_k by the differences Fpg_{i+1} - Fpg_i in the
+    residual's weighted inner product: a k x k system of their Gram matrix,
+    k <= MEMORY. The differences sit in two blocks of MEMORY slots, allocated
+    once and filled in ring order, so the fit's right-hand side, the Gram
+    matrix's new row and the mixing are each one matrix-vector product. The
+    trial is projected (_project) and accepted when it is valid and does
+    not raise S beyond a 1e-12 rounding slack. A mixed trial that fails, or
+    whose Gram matrix is singular or gives a non-finite gamma, is retried
+    plain, G(F_k), and the history is dropped; only a plain step is halved.
+    An accepted trial that does not lower the best residual so far, after
+    MEMORY accepted ones that did not either, ends the descent with the
+    state before it. S thus never rises, and each iteration makes one
+    projection unless a trial is rejected. A state whose action or residual
+    is not finite ends the descent ("non_finite"), and "iteration_cap" means
+    max_iter iterations were made. The descent holds spectra only; its final
+    state is transformed once, when it ends.
     Returns (state, report, history), history a DescentHistory.
     """
     sym_inv = resolvent_symbols(grid, phys, wave)
@@ -268,29 +278,33 @@ def _descend(grid, phys, wave, config, start: State):
         S, res, steps, mixed = (np.array(column) for column in zip(*rows))
         return State(grid, grid.ifft(F)), rep, DescentHistory(S, res, steps, mixed, it, termination)
 
-    # the history, oldest first: differences of G and of the weighted gradient,
-    # and in the leading block of gram the Gram matrix of the latter
-    dG, dW, gram = [], [], np.empty((MEMORY, MEMORY))
-    best, stale = residual, 0
-    it = 0
-    while residual >= config.residual_tol and it < config.max_iter:
+    # the history in two blocks of MEMORY ring slots: differences of G (complex
+    # rows held through their float64 view, real and imaginary parts side by
+    # side) and of the weighted gradient, and the Gram matrix of the latter, in
+    # slot order. Of the differences written since the history was last
+    # dropped, ``held``, the last MEMORY fill the leading slots, so a slice
+    # [:held] reads them
+    (dG, dW), gram = np.empty((2, MEMORY, wpg.size)), np.empty((MEMORY, MEMORY))
+    held, best, stale, it = 0, residual, 0, 0
+    while (finite := np.isfinite(rep.S) and np.isfinite(residual)) and residual >= config.residual_tol and it < config.max_iter:
         it += 1
-        step, mixed = STEP, bool(dG)
+        step, mixed = STEP, held > 0
         if mixed:
-            k = len(dW)
-            gamma = np.linalg.lstsq(gram[:k, :k], [np.dot(w, wpg) for w in dW], rcond=None)[0]
+            try:
+                gamma = np.linalg.solve(gram[:held, :held], dW[:held] @ wpg)
+                mixed = bool(np.isfinite(gamma).all())
+            except np.linalg.LinAlgError:  # a singular Gram matrix
+                mixed = False
         while True:
             F_trial = F - step * Fpg
             if mixed:
-                for g, d in zip(gamma, dG):
-                    F_trial -= g * d
+                F_trial -= (gamma @ dG[:held]).view(np.complex128).reshape(F.shape)
             trial = iterate(F_trial)
             # a non-finite action fails the comparison too
             if trial is not None and trial[1].S <= rep.S + 1e-12 * (1.0 + abs(rep.S)):
                 break
             if mixed:
                 mixed = False
-                dG, dW = [], []
                 continue
             step *= 0.5
             if step < 1e-10:
@@ -301,18 +315,16 @@ def _descend(grid, phys, wave, config, start: State):
             return finish("residual_growth")
         else:
             stale += 1
-        dG.append((trial[0] - F) - STEP * (trial[2] - Fpg))
-        dW.append(trial[3] - wpg)
-        if len(dG) > MEMORY:
-            del dG[0], dW[0]
-            gram[:-1, :-1] = gram[1:, 1:]
-        k = len(dW)
-        if k:
-            gram[k - 1, :k] = gram[:k, k - 1] = [np.dot(w, dW[-1]) for w in dW]
+        if MEMORY:
+            # the next slot in ring order; a plain step drops the history (it was empty, or its mix failed)
+            held, slot = (held + 1, held % MEMORY) if mixed else (1, 0)
+            dG[slot] = ((trial[0] - F) - STEP * (trial[2] - Fpg)).view(np.float64).ravel()
+            np.subtract(trial[3], wpg, out=dW[slot])
+            gram[slot, :held] = gram[:held, slot] = dW[:held] @ dW[slot]
         F, rep, Fpg, wpg, residual = trial
         rows.append((rep.S, residual, step, mixed))
 
-    return finish("converged" if residual < config.residual_tol else "iteration_cap")
+    return finish("non_finite" if not finite else "converged" if residual < config.residual_tol else "iteration_cap")
 
 
 def solve_ground_state(

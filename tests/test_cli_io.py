@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnls3 import cli, config, ground_state, snapshot
@@ -82,7 +82,9 @@ class TestSnapshot:
             load_field(path)
 
     @pytest.mark.parametrize(
-        "n, extent", [(7, 40.0), (16, -40.0), (16, float("nan"))], ids=["n7", "negative_extent", "nan_extent"]
+        "n, extent",
+        [(7, 40.0), (16, -40.0), (16, float("nan")), (16, 5e-324)],
+        ids=["n7", "negative_extent", "nan_extent", "subnormal_extent"],
     )
     def test_header_without_a_grid(self, tmp_path, capsys, n, extent):
         # consistent magic, version and length, but no grid has these points or box
@@ -183,6 +185,7 @@ def _numeric_config(field, value, lone):
 class TestConfig:
     @settings(max_examples=400, deadline=None)
     @given(field=st.sampled_from(sorted(NUMERIC_FIELDS)), value=NUMERIC_VALUES, lone=st.booleans())
+    @example(field="grid.extent", value=5e-324, lone=False)
     def test_every_numeric_setting_is_judged_by_one_rule(self, field, value, lone):
         # the config's reader and the object that holds the value accept it or refuse it by
         # name, whatever it is: at the parent 2**1100 raised OverflowError, and the objects
@@ -215,8 +218,10 @@ class TestConfig:
             built = build(value)
         except ValueError as exc:
             assert name in str(exc)
-            # only a grid refuses more than its rule: counts that are no power of two
-            assert expected is None or field == "grid.n"
+            # only a grid refuses more than its rule: counts that are no power of two, and boxes
+            # too small for the cell or the wavenumbers to fit in a float (5e-324 raised
+            # ZeroDivisionError, and 1e-300 built infinite wavenumbers)
+            assert expected is None or field in ("grid.n", "grid.extent")
         else:
             assert expected is not None
             assert built is not None
@@ -256,6 +261,29 @@ class TestConfig:
         assert run_subcommand(["gs", "--config", str(cfg_path), "--seed", str(2**1100)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["message"].startswith("solver.seed:")
         assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "text", ["1.5", "-1", "true", '"3"', "NaN", "1e400", "abc", ""],
+        ids=["fraction", "negative", "bool", "string", "nan", "inf", "not-json", "empty"],
+    )
+    def test_seed_flag_refused_as_the_key_is(self, tmp_path, capsys, text):
+        # argparse's int() read the flag: --seed 1.5 printed its usage text and no JSON record
+        cfg_path, outdir = small_config(tmp_path, "bad_seed")
+        capsys.readouterr()
+        assert run_subcommand(["gs", "--config", str(cfg_path), "--seed", text]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ValidationError" and record["message"].startswith("solver.seed:")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("text", ["3", "3.0", "3e0"])
+    def test_seed_flag_accepted_as_the_key_is(self, tmp_path, text):
+        # --seed 3.0 was refused, although solver.seed: 3.0 is accepted as 3
+        cfg_path, _ = small_config(tmp_path, "seed")
+        flag = cli._load_config(cli._build_parser().parse_args(["gs", "--config", str(cfg_path), "--seed", text]), "gs")
+        key_path, _ = small_config(tmp_path, "seed", solver={"seed": json.loads(text)})
+        key = parse_config(str(key_path))
+        assert flag.solver == key.solver == SolverConfig(seed=3, restarts=1)
+        assert type(flag.solver.seed) is int and flag.config_hash() == key.config_hash()
 
     def test_integer_literal_too_long_to_read(self, tmp_path, capsys):
         # Python reads no int literal of more than 4300 digits: json.loads raised a bare ValueError

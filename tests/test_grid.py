@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ class TestTransforms:
         with pytest.raises(ValueError, match=f"{named}$"):
             Grid(n, extent)
         assert Grid(np.int64(16), np.float64(1.0)) == Grid(16, 1.0)
+
+    @pytest.mark.parametrize(
+        "n,extent",
+        [(256, 5e-324), (16, 1e-300), ((8, 8, 8), (1e-120, 1e-120, 1e-120)), ((16, 16), (5.03e-153, 5.03e-153))],
+        ids=["zero-spacing", "infinite-k2", "zero-cell", "corner-k2"],
+    )
+    def test_box_past_float_range_rejected(self, n, extent):
+        # the spacing of 5e-324 underflowed to 0 and fftfreq raised ZeroDivisionError, 1e-300
+        # built a grid with 14 of 16 k2 entries infinite, and the 3D cell weighed 0; on the
+        # 2D grid each axis's (pi / h)^2 is about 1e308, and their sum passes float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="box length per axis"):
+                Grid(n, extent)
+            g = Grid(16, 5.03e-153)
+        assert g.weight > 0 and np.isfinite(g.k2).all() and np.isfinite(np.concatenate(g.moments)).all()
 
 
 class TestDerivatives:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 from types import SimpleNamespace
@@ -571,16 +572,71 @@ class TestProjectedIteration:
         assert np.allclose(dN, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)))
 
 
+# the grids and speeds on which the mixed descent is held to its oracles
+MIXING_CASES = [(Grid(256, 40.0), (0.3,)), (Grid(256, 40.0, dealias=True), (0.2,)), (Grid((32, 32), (16.0, 16.0)), (0.2, 0.0))]
+MIXING_IDS = ["1d-plain", "1d-dealiased", "2d"]
+
+
+def lstsq_descent(grid, wave, config, start):
+    """The descent as it mixed before its history sat in ring slots: (S, iterations, termination).
+
+    The oracle of ``_descend``'s step: the history in lists, oldest first,
+    with one dot product per Gram entry and per entry of the right-hand
+    side, gamma from ``np.linalg.lstsq`` and the mix made one column at a
+    time. The projection, the acceptance, the retry of a failed mixed trial,
+    the halving and the stall window are ``_descend``'s.
+    """
+    sym_inv = resolvent_symbols(grid, PHYS, wave)
+    weights = (1.0 + grid.k2) * grid.weight
+    root = np.sqrt(weights)
+
+    def iterate(F):
+        projected = _project(grid, PHYS, wave, F)
+        if projected is None:
+            return None
+        F, rep, dN = projected
+        Fpg = sym_inv * dN + F
+        wpg = (root * Fpg).view(np.float64).ravel()
+        return F, rep, Fpg, wpg, float(np.sqrt(np.dot(wpg, wpg) / np.sum(weights * np.abs(F) ** 2)))
+
+    F, rep, Fpg, wpg, residual = iterate(grid.fft(start.u))
+    dG, dW, best, stale, it = [], [], residual, 0, 0
+    while residual >= config.residual_tol and it < config.max_iter:
+        it += 1
+        step, mixed = ground_state.STEP, bool(dG)
+        if mixed:
+            gram = [[np.dot(v, w) for w in dW] for v in dW]
+            gamma = np.linalg.lstsq(gram, [np.dot(w, wpg) for w in dW], rcond=None)[0]
+        while True:
+            F_trial = F - step * Fpg
+            if mixed:
+                for g, d in zip(gamma, dG):
+                    F_trial -= g * d
+            trial = iterate(F_trial)
+            if trial is not None and trial[1].S <= rep.S + 1e-12 * (1.0 + abs(rep.S)):
+                break
+            if mixed:
+                mixed, dG, dW = False, [], []
+                continue
+            step *= 0.5
+            if step < 1e-10:
+                return rep.S, it, "invalid_step"
+        if trial[4] < best:
+            best, stale = trial[4], 0
+        elif stale == ground_state.MEMORY:
+            return rep.S, it, "residual_growth"
+        else:
+            stale += 1
+        dG.append((trial[0] - F) - ground_state.STEP * (trial[2] - Fpg))
+        dW.append(trial[3] - wpg)
+        if len(dG) > ground_state.MEMORY:
+            del dG[0], dW[0]
+        F, rep, Fpg, wpg, residual = trial
+    return rep.S, it, "converged" if residual < config.residual_tol else "iteration_cap"
+
+
 class TestMomentum:
-    @pytest.mark.parametrize(
-        "grid, c",
-        [
-            (Grid(256, 40.0), (0.3,)),
-            (Grid(256, 40.0, dealias=True), (0.2,)),
-            (Grid((32, 32), (16.0, 16.0)), (0.2, 0.0)),
-        ],
-        ids=["1d-plain", "1d-dealiased", "2d"],
-    )
+    @pytest.mark.parametrize("grid, c", MIXING_CASES, ids=MIXING_IDS)
     def test_same_minimizer_as_plain_iteration(self, monkeypatch, grid, c):
         # the iteration without mixing is the oracle: the same level, and
         # the same profile up to the translations and the gauge
@@ -691,6 +747,127 @@ class TestMomentum:
         # a stalled descent reports the best residual it reached, not its last
         assert excinfo.value.residual == min(histories[-1].residual) < histories[-1].residual[-1]
         assert f"{excinfo.value.residual:.3e}" in str(excinfo.value)
+
+
+class TestMixingStep:
+    @pytest.mark.parametrize("grid, c", MIXING_CASES, ids=MIXING_IDS)
+    def test_same_level_as_the_lstsq_mixing(self, grid, c):
+        # the ring slots and the k x k solve reach the level of the list history and lstsq
+        wave = WaveParams(1.0, c)
+        start = initial_ansatz(grid, PHYS, wave)
+        _, rep, history = _descend(grid, PHYS, wave, FAST, start)
+        S, _, termination = lstsq_descent(grid, wave, FAST, start)
+        assert history.termination == termination == "converged"
+        assert abs(rep.S - S) <= 1e-12 * S
+
+    @staticmethod
+    def recorded_descent(monkeypatch, grid, wave, solve):
+        """The descent's history, every projection it made and the fits ``solve`` made for it.
+
+        Each fit is recorded as (projections made before it, Gram block, right-hand side).
+        """
+        projections, fits = [], []
+        project = ground_state._project
+
+        def recording_project(*args):
+            projections.append(project(*args))
+            return projections[-1]
+
+        def recording_solve(a, b):
+            fits.append((len(projections), a.copy(), b.copy()))
+            return solve(len(fits), a, b)
+
+        monkeypatch.setattr(ground_state, "_project", recording_project)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        history = _descend(grid, PHYS, wave, FAST, initial_ansatz(grid, PHYS, wave))[2]
+        monkeypatch.undo()
+        return history, projections, fits
+
+    def test_gram_block_is_the_ring_slots_gram(self, monkeypatch):
+        # each fit sees the Gram matrix and right-hand side of the differences in their
+        # ring slots: the i-th difference since the history was dropped sits in slot
+        # i mod MEMORY, also after the ring wraps around
+        g, wave = Grid(256, 40.0), WaveParams(1.0, (0.3,))
+        solve = np.linalg.solve
+        history, projections, fits = self.recorded_descent(monkeypatch, g, wave, lambda _, a, b: solve(a, b))
+        # no trial was rejected, so the projections are the accepted states and nothing was dropped
+        assert history.termination == "converged" and len(projections) == history.iterations + 1
+        assert len(fits) == history.iterations - 1 > 2 * ground_state.MEMORY
+        sym_inv = resolvent_symbols(g, PHYS, wave)
+        root = np.sqrt((1.0 + g.k2) * g.weight)
+        wpg = np.array([(root * (sym_inv * dN + F)).view(np.float64).ravel() for F, _, dN in projections])
+        dW = np.diff(wpg, axis=0)
+        for made, gram, rhs in fits:
+            held = made - 1
+            slots = np.empty((min(held, ground_state.MEMORY), dW.shape[1]))
+            for i in range(held):
+                slots[i % ground_state.MEMORY] = dW[i]
+            norms = np.linalg.norm(slots, axis=1)
+            # to rounding: a dot product's error is bounded by eps times the size times the norms
+            assert np.all(np.abs(gram - slots @ slots.T) <= 1e-12 * np.outer(norms, norms))
+            assert np.all(np.abs(rhs - slots @ wpg[held]) <= 1e-12 * norms * np.linalg.norm(wpg[held]))
+
+    @pytest.mark.parametrize("fault", ["duplicated_row", "non_finite"])
+    def test_failed_fit_takes_a_plain_step_and_drops_the_history(self, monkeypatch, fault):
+        # the fit of iteration 5, over 4 differences, sees a history whose second row
+        # repeats its first (an exactly singular Gram block) or returns a non-finite gamma
+        g, wave = Grid(256, 40.0), WaveParams(1.0, (0.3,))
+        solve = np.linalg.solve
+
+        def duplicated(a):
+            a = a.copy()
+            a[1], a[:, 1] = a[0], a[:, 0]
+            return a
+
+        def faulty(count, a, b):
+            if count != 4:
+                return solve(a, b)
+            return np.full(len(b), np.inf) if fault == "non_finite" else solve(duplicated(a), b)
+
+        history, projections, fits = self.recorded_descent(monkeypatch, g, wave, faulty)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(duplicated(fits[3][1]), fits[3][2])
+        assert history.termination == "converged"
+        # the failed fit costs no projection: its trial is plain from the start
+        assert len(projections) == history.iterations + 1
+        assert [len(b) for _, _, b in fits[:6]] == [1, 2, 3, 4, 1, 2]
+        assert history.mixed[4] and not history.mixed[5] and history.mixed[6]
+        assert history.step[5] == ground_state.STEP
+        _, rep, _ = _descend(g, PHYS, wave, FAST, initial_ansatz(g, PHYS, wave))
+        assert abs(history.S[-1] - rep.S) <= 1e-12 * rep.S
+
+    def test_non_finite_start_ends_the_descent(self, grid1d_box):
+        # a NaN residual ended the loop at once and was labelled iteration_cap
+        wave = WaveParams(1.0, (0.3,))
+        u = initial_ansatz(grid1d_box, PHYS, wave).u.copy()
+        u[0, 0, 100] = np.nan
+        # the start's coupling is NaN, and so is the phase NaN / NaN that aligns it
+        with np.errstate(invalid="ignore"):
+            history = _descend(grid1d_box, PHYS, wave, FAST, State(grid1d_box, u))[2]
+        assert history.termination == "non_finite"
+        assert history.iterations == 0 and np.isnan(history.residual[0])
+        error = NoConvergence([history])
+        assert error.reason == "non_finite" and "not finite" in str(error)
+
+    @pytest.mark.parametrize("part", ["action", "residual"])
+    def test_descent_going_non_finite_says_so(self, monkeypatch, grid1d_box, part):
+        # the fourth projection, the trial of iteration 3, has an action of -inf (which
+        # passes the acceptance test) or a NaN gradient: the descent ends after it
+        wave = WaveParams(1.0, (0.3,))
+        project, calls = ground_state._project, []
+
+        def failing(*args):
+            F, rep, dN = project(*args)
+            calls.append(None)
+            if len(calls) == 4:
+                rep, dN = (dataclasses.replace(rep, S=-np.inf), dN) if part == "action" else (rep, dN * np.nan)
+            return F, rep, dN
+
+        monkeypatch.setattr(ground_state, "_project", failing)
+        history = _descend(grid1d_box, PHYS, wave, FAST, initial_ansatz(grid1d_box, PHYS, wave))[2]
+        assert history.termination == "non_finite"
+        assert history.iterations == len(history.S) - 1 == 3 < FAST.max_iter
+        assert not np.isfinite(history.S[-1] + history.residual[-1])
 
 
 class TestIdentities:
