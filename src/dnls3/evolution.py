@@ -18,18 +18,20 @@ smoothing linear half-steps), half a linear step. An integrating-factor
 RK4 on the full right side is provided for order studies.
 
 Both schemes work on the spectrum. Each RK stage makes one call to the
-grid's kernel for dN (``Grid.nonlinear_gradient``, the same kernel the
+coupling kernel for dN (``Kernel.nonlinear_gradient``, the same kernel the
 action gradient uses): one batched inverse transform of (u1, u2, div u3),
 zero-padded once onto the 3/2 grid when dealiasing, the three products,
 and one batched forward transform back to the band. RK4 takes the complex
 step h = -i dt on dN and forms its stage inputs and stage sum in place.
 Both ``step`` and ``evolve`` take a step through ``_advance``, which for
 Strang multiplies the spectrum in place by the half-step phases, takes the
-RK4 substep and multiplies by them again. ``evolve`` keeps the state as a
-spectrum from start to end and builds the linear phases once per step
-size. Its records read the spectrum: the report (``functionals._report``),
-the H1 norm (``grid._norm_h1``) and, with a reference, the orbit distance
-of ``_orbit_to``, which prepares the reference once per run. A record
+RK4 substep and multiplies by them again. ``step`` builds a kernel
+(``grid.Kernel``) for its one step; ``evolve`` builds one per run, which its
+steps and its records share, keeps the state as a spectrum from start to
+end and builds the linear phases once per step size. Its records read the
+spectrum: the report (``functionals._report``), the H1 norm
+(``grid._norm_h1``) and, with a reference, the orbit distance of
+``_orbit_to``, which prepares the reference once per run. A record
 makes one transform, the coupling's, and one more with a reference, the
 orbit scan's. The final state is transformed back once. A Strang step
 costs 8 transforms, and ``step`` adds one forward and one inverse
@@ -73,7 +75,7 @@ import numpy as np
 
 from .errors import FitWindowEmpty, InadmissibleParameters, NonFinite
 from .functionals import FunctionalReport, WellMembership, _report, gauge_phases
-from .grid import Grid, State, _norm_h1, _setting, norm_h1
+from .grid import Grid, Kernel, State, _norm_h1, _setting, norm_h1
 from .params import PhysParams, WaveParams
 
 SCHEMES = ("strang", "if_rk4")
@@ -153,9 +155,9 @@ class EvolutionTrace:
 
 
 def coupling_rhs(state: State, phys: PhysParams) -> State:
-    """Time derivative of the coupling-only system (no Laplacians): -i dN."""
+    """Time derivative of the coupling-only system (no Laplacians): -i dN, on a kernel of its own."""
     g = state.grid
-    return State(g, g.ifft(-1j * g.nonlinear_gradient(g.fft(state.u))))
+    return State(g, g.ifft(-1j * Kernel(g).nonlinear_gradient(g.fft(state.u))))
 
 
 def _linear_phases(grid: Grid, phys: PhysParams, t: float) -> np.ndarray:
@@ -163,7 +165,7 @@ def _linear_phases(grid: Grid, phys: PhysParams, t: float) -> np.ndarray:
     return np.exp(-1j * t * phys.kappa.reshape(3, *[1] * (grid.d + 1)) * grid.k2)
 
 
-def _rk4_coupling(grid: Grid, F: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_coupling(kernel: Kernel, F: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of the coupling-only system i dt F = dN, on the spectrum.
 
     The right side is -i dN, so the stages take the complex step h = -i dt.
@@ -174,57 +176,57 @@ def _rk4_coupling(grid: Grid, F: np.ndarray, dt: float) -> np.ndarray:
     """
     h = -1j * dt
     total, stage, k = np.empty_like(F), np.empty_like(F), np.empty_like(F)
-    grid.nonlinear_gradient(F, out=total)  # becomes k1 + 2 k2 + 2 k3 + k4
+    kernel.nonlinear_gradient(F, out=total)  # becomes k1 + 2 k2 + 2 k3 + k4
     np.multiply(total, 0.5 * h, out=stage)
     stage += F
     for weight in (0.5, 1.0):
-        grid.nonlinear_gradient(stage, out=k)
+        kernel.nonlinear_gradient(stage, out=k)
         np.multiply(k, weight * h, out=stage)
         stage += F
         k *= 2.0
         total += k
-    total += grid.nonlinear_gradient(stage, out=k)
+    total += kernel.nonlinear_gradient(stage, out=k)
     total *= h / 6.0
     total += F
     return total
 
 
-def _if_rk4_step(grid: Grid, F0: np.ndarray, dt: float, half: np.ndarray, full: np.ndarray) -> np.ndarray:
+def _if_rk4_step(kernel: Kernel, F0: np.ndarray, dt: float, half: np.ndarray, full: np.ndarray) -> np.ndarray:
     """Integrating-factor RK4 on the full right side (exact linear phases), on the spectrum.
 
     ``half`` and ``full`` are the linear phases over dt/2 and dt; the
     coupling stages take the complex step h = -i dt, as in _rk4_coupling.
     """
     h = -1j * dt
-    a = grid.nonlinear_gradient(F0)
-    b = grid.nonlinear_gradient(half * (F0 + 0.5 * h * a))
-    c = grid.nonlinear_gradient(half * F0 + 0.5 * h * b)
-    d = grid.nonlinear_gradient(full * F0 + h * half * c)
+    a = kernel.nonlinear_gradient(F0)
+    b = kernel.nonlinear_gradient(half * (F0 + 0.5 * h * a))
+    c = kernel.nonlinear_gradient(half * F0 + 0.5 * h * b)
+    d = kernel.nonlinear_gradient(full * F0 + h * half * c)
     return full * F0 + (h / 6.0) * (full * a + 2.0 * half * (b + c) + d)
 
 
-def _advance(grid: Grid, F: np.ndarray, dt: float, scheme: str, half: np.ndarray, full: np.ndarray | None) -> np.ndarray:
-    """One step of ``scheme`` on the spectrum F, with the linear phases over dt/2 and dt.
+def _advance(kernel: Kernel, F: np.ndarray, dt: float, scheme: str, half: np.ndarray, full: np.ndarray | None) -> np.ndarray:
+    """One step of ``scheme`` on the spectrum F, with the linear phases over dt/2 and dt, on ``kernel``.
 
     A Strang step multiplies F in place by ``half`` and returns a new
     spectrum; ``full`` is read only by if_rk4.
     """
     if scheme == "if_rk4":
-        return _if_rk4_step(grid, F, dt, half, full)
+        return _if_rk4_step(kernel, F, dt, half, full)
     F *= half
-    F = _rk4_coupling(grid, F, dt)
+    F = _rk4_coupling(kernel, F, dt)
     F *= half
     return F
 
 
 def step(state: State, phys: PhysParams, dt: float, scheme: str = "strang") -> State:
-    """One time step; order 2 (strang) or 4 (if_rk4)."""
+    """One time step, on a kernel of its own; order 2 (strang) or 4 (if_rk4)."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     g = state.grid
     half = _linear_phases(g, phys, dt / 2.0)
     full = _linear_phases(g, phys, dt) if scheme == "if_rk4" else None
-    return State(g, g.ifft(_advance(g, g.fft(state.u), dt, scheme, half, full)))
+    return State(g, g.ifft(_advance(Kernel(g), g.fft(state.u), dt, scheme, half, full)))
 
 
 def evolve(
@@ -246,8 +248,9 @@ def evolve(
     ``_advance`` with the linear phases of its step size, built once, and
     each record reads the spectrum through ``_report``, ``_norm_h1`` and the
     orbit distance of ``_orbit_to``, whose reference part is built once per
-    run. The final state is transformed back once; with no step taken it
-    is a copy of the input.
+    run. The steps and the records share one kernel, built once per run.
+    The final state is transformed back once; with no step taken it is a
+    copy of the input.
     """
     if abs((phys.alpha - phys.gamma) * (phys.beta + phys.gamma)) < 1e-14:
         warnings.warn(
@@ -256,6 +259,7 @@ def evolve(
             stacklevel=2,
         )
     grid = state.grid
+    kernel = Kernel(grid)
     dt = config.effective_dt(grid, phys)
     n_steps = int(np.ceil(config.t_final / dt - 1e-12)) if config.t_final > 0 else 0
 
@@ -263,7 +267,7 @@ def evolve(
     orbit = _orbit_to(reference, grid) if reference is not None else None
 
     def record(t, F):
-        rep = _report(grid, F, phys, wave)
+        rep = _report(kernel, F, phys, wave)
         for key in ("Q", "E", "P", "S", "K"):
             rows[key].append(getattr(rep, key))
         rows["t"].append(t)
@@ -289,7 +293,7 @@ def evolve(
         dt_i = min(dt, config.t_final - t)
         if dt_i not in phases:
             phases[dt_i] = (_linear_phases(grid, phys, dt_i / 2.0), _linear_phases(grid, phys, dt_i))
-        F = _advance(grid, F, dt_i, config.scheme, *phases[dt_i])
+        F = _advance(kernel, F, dt_i, config.scheme, *phases[dt_i])
         t = i * dt if i < n_steps else config.t_final
         if not np.isfinite(F).all():
             raise NonFinite(t, build_trace(divergence_time=t))

@@ -26,7 +26,6 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -85,13 +84,11 @@ class Grid:
         band of the fields themselves. Off by default: the states of
         interest are spectrally well resolved, where aliasing is negligible.
 
-    The coupling kernel (``nonlinear_gradient``, and ``coupling``, which
-    runs its first half) keeps scratch on the grid, one set of buffers built
-    on the first call and reused by every later one. So the kernel of one
-    Grid must not run on several threads at once; give each thread its own
-    Grid. ``noise_spectrum`` reads only arrays no method writes (``band``
-    and ``k2``), so it may run on another thread beside the kernel, as the
-    well sampler draws its next round while it evaluates the current one.
+    A grid is a value: it compares and hashes by (n, extent, dealias), and
+    nothing it holds changes after ``__init__``, the symbols and splits of
+    the coupling kernel included. So threads may share one grid. The
+    kernel's scratch lives in a ``Kernel`` built on the grid, one per loop
+    or per thread.
     """
 
     def __init__(self, n, extent, dealias: bool = False):
@@ -121,10 +118,6 @@ class Grid:
             raise ValueError(f"box length per axis {list(extent)} is too small for {list(n)} points: its cell or wavenumbers pass float range")
         self._spatial_axes = tuple(range(-d, 0))
         space = (slice(None),) * d
-        # the kernel's rows, in front of any batch axes: u1 and u2 (and the
-        # products that take their places), the pair sum, and div u3 (the
-        # last row, kept as a unit row axis)
-        self._kernel_rows = (slice(0, d), slice(d, 2 * d), 2 * d, slice(-1, None))
 
         # per-axis coordinates and wavenumbers, broadcastable over the grid
         self.axes = []
@@ -190,9 +183,6 @@ class Grid:
 
         #: the band's modes on the split product grid
         self._band_modes = (..., *band_modes)
-        #: the batch axes the kernel's scratch is built for, and the scratch (see _kernel_scratch)
-        self._scratch_lead = None
-        self._scratch = None
 
     # -- coordinates -------------------------------------------------------
 
@@ -267,173 +257,11 @@ class Grid:
 
     # -- quadratic products --------------------------------------------------
 
-    def _kernel_scratch(self, lead: tuple) -> SimpleNamespace:
-        """The coupling kernel's scratch for batch axes ``lead``, as named views.
-
-        Built on the first call and kept; a call with other batch axes
-        replaces it. First the band rows (3d rows, in F's layout): F times
-        its pad symbols, and later the band of the transformed products,
-        which the unpad symbols multiply into the result. Then three buffers
-        of 2d+1 rows on the product grid: the padded spectra, zeroed once
-        (only the band is ever written, so the padding stays zero), the
-        values (on a plain grid, the padded spectra transformed in place) and
-        the products, transformed in place. These three hold their rows in
-        front of the batch axes, so the rows a call transforms are one
-        contiguous block whatever the batch: a transform of a strided block
-        costs numpy a copy of it. F's rows u1, u2 and u3, the terms of div u3
-        summed into row 2d, go to the same rows of the padded spectra, and
-        the pair sum takes the last product row.
-        """
-        if lead == self._scratch_lead:
-            return self._scratch
-        d = self.d
-        rows = 2 * d + 1
-        first, second, last, div_row = self._kernel_rows
-        split, band = (slice(None),) * len(self._band_split), self._band_modes[1:]
-        weighted = np.empty((*lead, 3 * d, *self._band_split), dtype=np.complex128)
-        fine = np.zeros((rows, *lead, *self._product_split), dtype=np.complex128)
-        padded = fine.reshape(rows, *lead, *self._product_shape)
-        values = np.empty_like(padded) if self.dealias else padded
-        products = np.empty_like(padded)
-        spectra = products.reshape(fine.shape)
-        batch = len(lead)
-
-        def band_of(index):
-            """The band of product rows ``index``, in F's layout (behind the batch axes)."""
-            return np.moveaxis(spectra[(index, ..., *band)], 0, batch)
-
-        # the band goes back to the band rows: product rows 0..2d as they are,
-        # then the pair row once per row of grad (for d = 1, one block)
-        direct = 3 * d if d == 1 else 2 * d
-        cut = [(band_of(slice(0, direct)), weighted[(..., slice(0, direct), *split)])]
-        if d > 1:
-            cut.append((band_of(slice(2 * d, rows)), weighted[(..., slice(2 * d, 3 * d), *split)]))
-        # the conjugates go to rows that are free until the products take them:
-        # conj(u2) and conj(div u3) as a block whose last row is not among the
-        # rows of conj(div u3) u1. In 1D the pair term is the pair sum and goes
-        # straight to its row; otherwise the d terms are summed into it from
-        # the rows (div u3) u2 takes last
-        conj, pair_terms = (products[:2], products[last:]) if d == 1 else (products[d:], products[first])
-        self._scratch = SimpleNamespace(
-            # the weighted rows u1, u2 and div u3, and the band they go to in F's layout
-            kept=weighted[(..., slice(0, rows), *split)],
-            band=np.moveaxis(fine[(slice(None), ..., *band)], 0, batch),
-            weighted=weighted.reshape(*lead, 3, d, *self.shape),
-            terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in range(1, d)],
-            padded=padded,
-            values=values,
-            u1=values[first],
-            u2=values[second],
-            # u2 and div u3 are adjacent rows, conjugated in one call
-            u2_div=values[d:],
-            div=values[div_row],
-            conj_u2_div=conj,
-            conj_u2=conj[:d],
-            conj_div=conj[d:],
-            pair_terms=pair_terms,
-            pair=products[last],
-            div_u2=products[first],
-            conj_div_u1=products[second],
-            products=products,
-            cut=cut,
-            # the factors of C, each flattened behind the batch axes: in 1D the
-            # pair sum is the pair term, formed in the row of u2
-            pair_points=(values[1] if d == 1 else products[last]).reshape(*lead, -1),
-            div_points=values[last].reshape(*lead, -1),
-        )
-        self._scratch_lead = lead
-        return self._scratch
-
-    def _product_values(self, F: np.ndarray) -> SimpleNamespace:
-        """The scratch for F's batch axes, holding u1, u2 and div u3 of F on the product grid.
-
-        All 3d rows of the band are weighted, one contiguous block whatever the
-        batch, before the 2d+1 rows are copied into the padded grid (a ufunc on
-        a strided block buffers it) and go there in one inverse transform.
-        """
-        s = self._kernel_scratch(F.shape[: -self.d - 2])
-        np.multiply(F, self._pad_symbols, out=s.weighted)
-        for div, term in s.terms:
-            np.add(div, term, out=div)
-        np.copyto(s.band, s.kept)
-        self._ifftn(s.padded, "forward", out=s.values)
-        return s
-
-    def nonlinear_gradient(self, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Spectrum of dN, the coupling part of the action gradient, of the state with spectrum F.
-
-        ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``, or
-        of a batch of states, shape ``(..., 3, d, *shape)``: leading axes are
-        batch axes, and every transform below covers the whole batch in one
-        call. The result has the shape of ``F`` and holds the spectra of
-
-            dN = (-(div u3) u2, -conj(div u3) u1, grad(u1 . conj(u2))),
-
-        so that the action gradient is its linear part plus dN and the
-        coupling flow is i dt U = dN. The fields u1, u2 and div u3 (2d+1
-        scalars) go to the product grid in one batched inverse transform,
-        the products are formed there, and one batched forward transform
-        brings them back; the transform scale and the symbols (-1, -1, i xi)
-        are folded into the multiply that cuts out the band. Every
-        intermediate lives in the grid's scratch (``_kernel_scratch``) and
-        both transforms write into it.
-
-        With ``out``, a complex128 array of F's shape, the result is written
-        there and ``out`` is returned, and the call allocates next to
-        nothing. F is read in full before ``out`` is written, so ``out`` may
-        be F itself or share memory with it; the one memory it may not share
-        is the grid's scratch, which no call hands out. Without ``out`` the
-        result is a new array that shares no memory with F, the scratch or
-        another call's result, and the call allocates little beyond it.
-        """
-        if out is not None and (out.shape != F.shape or out.dtype != np.complex128):
-            raise ValueError(f"out must be a complex128 array of shape {F.shape}")
-        s = self._product_values(F)
-        # conj(u2) and conj(div u3); each product keeps the conjugate as its
-        # first factor and u1 or u2 as its second
-        np.conjugate(s.u2_div, out=s.conj_u2_div)
-        np.multiply(s.conj_u2, s.u1, out=s.pair_terms)
-        # div u3 and its conjugate keep a unit row axis, to pair with each of the d rows of u1 and u2
-        np.multiply(s.conj_div, s.u1, out=s.conj_div_u1)
-        if self.d > 1:
-            np.add.reduce(s.pair_terms, axis=0, out=s.pair)
-        np.multiply(s.div, s.u2, out=s.div_u2)
-        self._fftn(s.products, "backward", out=s.products)
-        # the band is copied out before it is multiplied: a ufunc reading the
-        # strided band would buffer a copy of it
-        for source, rows in s.cut:
-            np.copyto(rows, source)
-        if out is None:
-            out = np.empty(F.shape, dtype=np.complex128)
-        return np.multiply(s.weighted, self._unpad_symbols, out=out)
-
-    def coupling(self, F: np.ndarray):
-        """C = (u3, grad(u1 . conj(u2))) of the state with spectrum F, or of each state of a batch.
-
-        ``F`` is shaped as for ``nonlinear_gradient``; C is a complex scalar for
-        a state, an array over the batch axes for a batch. N = Re C, and turning
-        u3 by e^{i theta} turns C by e^{i theta}. Integrated by parts,
-        C = -(div u3, u1 . conj(u2)): C is the rectangle rule on the product grid
-        of the pair sum's conjugate times div u3, after the kernel's inverse
-        transform. By Parseval that is the C of the full kernel's band, also
-        when dealiasing, as the pair sum's aliased modes fall outside the band
-        of div u3. No forward transform is made, and a call on one state
-        allocates no array of the grid's size.
-        """
-        s = self._product_values(F)
-        # the pair terms conj(u2) u1 are formed in place in the rows of u2:
-        # writing fewer product rows keeps the call's memory traffic down
-        np.conjugate(s.u2, out=s.u2)
-        np.multiply(s.u2, s.u1, out=s.u2)
-        if self.d > 1:
-            np.add.reduce(s.u2, axis=0, out=s.pair)
-        return np.vecdot(s.pair_points, s.div_points) * self._coupling_weight
-
     def product_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sum over the leading axis of pointwise products a_m * b_m.
 
         Alias-free on a dealiased grid: both factors go to the product grid
-        in one batched transform, the same path as :meth:`nonlinear_gradient`.
+        in one batched transform, the same path as ``Kernel.nonlinear_gradient``.
         """
         if not self.dealias:
             return np.sum(a * b, axis=0)
@@ -490,6 +318,184 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(n={self.n}, extent={self.extent}, dealias={self.dealias})"
+
+
+class Kernel:
+    """The coupling kernel of one grid: dN (``nonlinear_gradient``) and C (``coupling``), in scratch it keeps.
+
+    The scratch is built on the first call for F's batch axes and rebuilt
+    only when a call comes with other ones. Each loop builds one kernel and
+    keeps it (a descent, an evolve, a run of the well sampler), and each
+    one-shot call builds its own (``evaluate``, ``action_gradient``,
+    ``coupling_rhs``, ``step``), so no loop rebuilds for another's batch
+    shape. A kernel must not run on several threads at once; threads may
+    share its grid, each with its own kernel.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        #: the batch axes the scratch is built for; the scratch is this kernel's other attributes (see _build)
+        self._lead = None
+
+    def _build(self, lead: tuple) -> None:
+        """The scratch for batch axes ``lead``, as named views set on the kernel.
+
+        First the band rows (3d rows, in F's layout): F times its pad
+        symbols, and later the band of the transformed products, which the
+        unpad symbols multiply into the result. Then three buffers of 2d+1
+        rows on the product grid: the padded spectra, zeroed once (only the
+        band is ever written, so the padding stays zero), the values (on a
+        plain grid, the padded spectra transformed in place) and the
+        products, transformed in place. These three hold their rows in front
+        of the batch axes, so the rows a call transforms are one contiguous
+        block whatever the batch: a transform of a strided block costs numpy
+        a copy of it. F's rows u1, u2 and u3, the terms of div u3 summed into
+        row 2d, go to the same rows of the padded spectra, and the pair sum
+        takes the last product row.
+        """
+        grid, d = self.grid, self.grid.d
+        rows = 2 * d + 1
+        # the rows, in front of the batch axes: u1 and u2 (and the products that take
+        # their places), the pair sum, and div u3 (the last row, kept as a unit row axis)
+        first, second, last, div_row = slice(0, d), slice(d, 2 * d), 2 * d, slice(-1, None)
+        split, band = (slice(None),) * len(grid._band_split), grid._band_modes[1:]
+        weighted = np.empty((*lead, 3 * d, *grid._band_split), dtype=np.complex128)
+        fine = np.zeros((rows, *lead, *grid._product_split), dtype=np.complex128)
+        padded = fine.reshape(rows, *lead, *grid._product_shape)
+        values = np.empty_like(padded) if grid.dealias else padded
+        products = np.empty_like(padded)
+        spectra = products.reshape(fine.shape)
+
+        def band_of(index):
+            """The band of product rows ``index``, in F's layout (behind the batch axes)."""
+            return np.moveaxis(spectra[(index, ..., *band)], 0, len(lead))
+
+        # the band goes back to the band rows: product rows 0..2d as they are,
+        # then the pair row once per row of grad (for d = 1, one block)
+        direct = 3 * d if d == 1 else 2 * d
+        cut = [(band_of(slice(0, direct)), weighted[(..., slice(0, direct), *split)])]
+        if d > 1:
+            cut.append((band_of(slice(2 * d, rows)), weighted[(..., slice(2 * d, 3 * d), *split)]))
+        # the conjugates go to rows that are free until the products take them:
+        # conj(u2) and conj(div u3) as a block whose last row is not among the
+        # rows of conj(div u3) u1. In 1D the pair term is the pair sum and goes
+        # straight to its row; otherwise the d terms are summed into it from
+        # the rows (div u3) u2 takes last
+        conj, pair_terms = (products[:2], products[last:]) if d == 1 else (products[d:], products[first])
+        vars(self).update(
+            # the weighted rows u1, u2 and div u3, and the band they go to in F's layout
+            kept=weighted[(..., slice(0, rows), *split)],
+            band=np.moveaxis(fine[(slice(None), ..., *band)], 0, len(lead)),
+            weighted=weighted.reshape(*lead, 3, d, *grid.shape),
+            terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in range(1, d)],
+            padded=padded,
+            values=values,
+            u1=values[first],
+            u2=values[second],
+            # u2 and div u3 are adjacent rows, conjugated in one call
+            u2_div=values[d:],
+            div=values[div_row],
+            conj_u2_div=conj,
+            conj_u2=conj[:d],
+            conj_div=conj[d:],
+            pair_terms=pair_terms,
+            pair=products[last],
+            div_u2=products[first],
+            conj_div_u1=products[second],
+            products=products,
+            cut=cut,
+            # the factors of C, each flattened behind the batch axes: in 1D the
+            # pair sum is the pair term, formed in the row of u2
+            pair_points=(values[1] if d == 1 else products[last]).reshape(*lead, -1),
+            div_points=values[last].reshape(*lead, -1),
+        )
+        self._lead = lead
+
+    def _product_values(self, F: np.ndarray) -> None:
+        """Put u1, u2 and div u3 of F on the product grid, in the scratch for F's batch axes.
+
+        All 3d rows of the band are weighted, one contiguous block whatever the
+        batch, before the 2d+1 rows are copied into the padded grid (a ufunc on
+        a strided block buffers it) and go there in one inverse transform.
+        """
+        lead = F.shape[: -self.grid.d - 2]
+        if lead != self._lead:
+            self._build(lead)
+        np.multiply(F, self.grid._pad_symbols, out=self.weighted)
+        for div, term in self.terms:
+            np.add(div, term, out=div)
+        np.copyto(self.band, self.kept)
+        self.grid._ifftn(self.padded, "forward", out=self.values)
+
+    def nonlinear_gradient(self, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Spectrum of dN, the coupling part of the action gradient, of the state with spectrum F.
+
+        ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``, or
+        of a batch of states, shape ``(..., 3, d, *shape)``: leading axes are
+        batch axes, and every transform below covers the whole batch in one
+        call. The result has the shape of ``F`` and holds the spectra of
+
+            dN = (-(div u3) u2, -conj(div u3) u1, grad(u1 . conj(u2))),
+
+        so that the action gradient is its linear part plus dN and the
+        coupling flow is i dt U = dN. The fields u1, u2 and div u3 (2d+1
+        scalars) go to the product grid in one batched inverse transform,
+        the products are formed there, and one batched forward transform
+        brings them back; the transform scale and the symbols (-1, -1, i xi)
+        are folded into the multiply that cuts out the band. Every
+        intermediate lives in the kernel's scratch (``_build``) and both
+        transforms write into it.
+
+        With ``out``, a complex128 array of F's shape, the result is written
+        there and ``out`` is returned, and the call allocates next to
+        nothing. F is read in full before ``out`` is written, so ``out`` may
+        be F itself or share memory with it; the one memory it may not share
+        is the kernel's scratch, which no call hands out. Without ``out`` the
+        result is a new array that shares no memory with F, the scratch or
+        another call's result, and the call allocates little beyond it.
+        """
+        if out is not None and (out.shape != F.shape or out.dtype != np.complex128):
+            raise ValueError(f"out must be a complex128 array of shape {F.shape}")
+        self._product_values(F)
+        # conj(u2) and conj(div u3); each product keeps the conjugate as its
+        # first factor and u1 or u2 as its second
+        np.conjugate(self.u2_div, out=self.conj_u2_div)
+        np.multiply(self.conj_u2, self.u1, out=self.pair_terms)
+        # div u3 and its conjugate keep a unit row axis, to pair with each of the d rows of u1 and u2
+        np.multiply(self.conj_div, self.u1, out=self.conj_div_u1)
+        if self.grid.d > 1:
+            np.add.reduce(self.pair_terms, axis=0, out=self.pair)
+        np.multiply(self.div, self.u2, out=self.div_u2)
+        self.grid._fftn(self.products, "backward", out=self.products)
+        # the band is copied out before it is multiplied: a ufunc reading the
+        # strided band would buffer a copy of it
+        for source, rows in self.cut:
+            np.copyto(rows, source)
+        if out is None:
+            out = np.empty(F.shape, dtype=np.complex128)
+        return np.multiply(self.weighted, self.grid._unpad_symbols, out=out)
+
+    def coupling(self, F: np.ndarray):
+        """C = (u3, grad(u1 . conj(u2))) of the state with spectrum F, or of each state of a batch.
+
+        ``F`` is shaped as for ``nonlinear_gradient``; C is a complex scalar for
+        a state, an array over the batch axes for a batch. N = Re C, and turning
+        u3 by e^{i theta} turns C by e^{i theta}. Integrated by parts,
+        C = -(div u3, u1 . conj(u2)): C is the rectangle rule on the product grid
+        of the pair sum's conjugate times div u3, after the kernel's inverse
+        transform. By Parseval that is the C of the full kernel's band, also
+        when dealiasing, as the pair sum's aliased modes fall outside the band
+        of div u3. No forward transform is made, and a call on one state
+        allocates no array of the grid's size.
+        """
+        self._product_values(F)
+        # the pair terms conj(u2) u1 are formed in place in the rows of u2:
+        # writing fewer product rows keeps the call's memory traffic down
+        np.conjugate(self.u2, out=self.u2)
+        np.multiply(self.u2, self.u1, out=self.u2)
+        if self.grid.d > 1:
+            np.add.reduce(self.u2, axis=0, out=self.pair)
+        return np.vecdot(self.pair_points, self.div_points) * self.grid._coupling_weight
 
 
 #: per-axis box length by dimension. At unit frequency the 1D default keeps the

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateNonlinearity, DomainTooSmall, InadmissibleParameters, NoConvergence, WrongDimension
 from .functionals import FunctionalReport, _parts, evaluate, gauge_phases, linear_symbols, nehari_rescale
-from .grid import Grid, State, _setting
+from .grid import Grid, Kernel, State, _setting
 from .params import PhysParams, WaveParams
 
 
@@ -175,7 +175,7 @@ STEP = 0.9
 MEMORY = 8
 
 
-def _project(grid: Grid, phys: PhysParams, wave: WaveParams, F: np.ndarray):
+def _project(kernel: Kernel, phys: PhysParams, wave: WaveParams, F: np.ndarray):
     """Align the coupling phase of the state with spectrum F, then rescale it onto the constraint.
 
     u3 turns by the phase that makes C = (u3, grad(u1 . conj(u2))) real and
@@ -183,13 +183,17 @@ def _project(grid: Grid, phys: PhysParams, wave: WaveParams, F: np.ndarray):
     zeroes K. The report and the nonlinear gradient dN of the result follow
     from the trial's spectrum and its one product batch, with no transform
     of the trial to physical space. Returns (F, report, dN) of the projected
-    state, or None when C vanishes.
+    state, or None when C vanishes. A state whose C is not finite has no
+    phase to align: it comes back unprojected, with its report, whose S is
+    not finite either. ``kernel`` is the descent's, on F's grid.
     """
-    dN = grid.nonlinear_gradient(F)
-    Q, L, P = _parts(grid, F, phys)
+    dN = kernel.nonlinear_gradient(F)
+    Q, L, P = _parts(kernel.grid, F, phys)
     # C = (u3, grad(u1 . conj(u2))) by Parseval, off the gradient block of dN
-    C = np.vecdot(dN[2].reshape(-1), F[2].reshape(-1)) * grid.weight
+    C = np.vecdot(dN[2].reshape(-1), F[2].reshape(-1)) * kernel.grid.weight
     rep = FunctionalReport.from_parts(Q, L, -abs(C), P, wave.omega, wave.c_array)
+    if not np.isfinite(C):
+        return F, rep, dN
     try:
         lam = rep.nehari_factor()
     except DegenerateNonlinearity:
@@ -244,10 +248,12 @@ def _descend(grid, phys, wave, config, start: State):
     projection unless a trial is rejected. A state whose action or residual
     is not finite ends the descent ("non_finite"), and "iteration_cap" means
     max_iter iterations were made. The descent holds spectra only; its final
-    state is transformed once, when it ends.
+    state is transformed once, when it ends. Its projections share one
+    kernel, built once per descent.
     Returns (state, report, history), history a DescentHistory.
     """
     sym_inv = resolvent_symbols(grid, phys, wave)
+    kernel = Kernel(grid)
     weights = (1.0 + grid.k2) * grid.weight
     root = np.sqrt(weights)
 
@@ -257,7 +263,7 @@ def _descend(grid, phys, wave, config, start: State):
         The gradient comes twice: as Fpg, and weighted as real numbers (wpg),
         whose dot products are the residual's inner product.
         """
-        projected = _project(grid, phys, wave, F)
+        projected = _project(kernel, phys, wave, F)
         if projected is None:
             return None
         F, rep, dN = projected
@@ -416,7 +422,8 @@ def mu_scaling_check(
 
     Each point is an independent solve, compared with the law through the
     unit-frequency solve. A point whose solve fails (NoConvergence,
-    DomainTooSmall or DegenerateNonlinearity) is kept with NaN values and
+    DomainTooSmall or DegenerateNonlinearity, or InadmissibleParameters
+    for a point whose margins pass float range) is kept with NaN values and
     the error's name as its ``status``; when the unit-frequency solve
     fails, every point carries that failure.
     """
@@ -427,7 +434,7 @@ def mu_scaling_check(
     def solve(wave):
         try:
             return solve_ground_state(grid, phys, wave, config)
-        except (NoConvergence, DomainTooSmall, DegenerateNonlinearity) as exc:
+        except (NoConvergence, DomainTooSmall, DegenerateNonlinearity, InadmissibleParameters) as exc:
             return type(exc).__name__
 
     base = solve(unit)
@@ -560,7 +567,7 @@ def sample_below_level(
     after it; while a round is evaluated, a worker thread draws the next
     one when its size is already certain (see ``_below_level``). It is
     evaluated off the spectrum into one batch report, by ``_parts`` and
-    ``Grid.coupling``, whose one batched inverse transform of the rows u1,
+    ``Kernel.coupling``, whose one batched inverse transform of the rows u1,
     u2 and div u3 is the round's only transform, and its ray equations are
     solved by one batched eigensolve of their companion matrices (the one
     ``np.roots`` makes per polynomial); the report of sU follows from that of U (FunctionalReport.scaled). A draw
@@ -605,10 +612,12 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
     Each round keeps the K < 0 flags and the (Q, L, N, P) rows of sU of the
     draws it kept; the report holds them with K < 0 first, each side in draw
     order, and ``order`` maps its rows to the kept draws in draw order.
-    Their C, whose real part is N, comes from ``Grid.coupling``. Given a
-    list ``spectra``, each round also appends (spectra, s) of its kept
-    draws, u3 negated where the draw was flipped; without it no spectrum
-    outlives its round.
+    Their C, whose real part is N, comes from ``Kernel.coupling``, on one
+    kernel per call: after the first round only a round of another size,
+    such as the shorter last one, rebuilds its scratch. Given a list
+    ``spectra``, each round also appends (spectra, s) of its kept draws, u3
+    negated where the draw was flipped; without it no spectrum outlives its
+    round.
 
     A round's rng calls are its spectrum, then its t, back to back (``draw``).
     When a round's draws are in hand and at least per_round draws are still
@@ -616,17 +625,18 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
     this one keeps: its size is min(per_round, draws left under the cap). A
     worker thread then makes its draws while this round is evaluated:
     ``Generator.standard_normal`` releases the GIL, and the noise reads only
-    the grid's immutable arrays, never the kernel's scratch. Every other
-    round is drawn on the caller's thread, and only while no draw is pending
-    on the worker, so the rng is never used by two threads at once and its
-    calls come in the order of one round at a time. The worker is made only
-    when a round is drawn ahead, one per call; it is joined before the call
+    the grid, which nothing changes after it is made. Every other round is
+    drawn on the caller's thread, and only while no draw is pending on the
+    worker, so the rng is never used by two threads at once and its calls
+    come in the order of one round at a time. The worker is made only when
+    a round is drawn ahead, one per call; it is joined before the call
     returns or raises, and an error it raises reaches the caller.
     """
     flags, rows = [np.zeros(0, dtype=bool)], [(np.zeros(0),) * 3 + (np.zeros((0, grid.d)),)]
     taken = taken_negative = attempts = 0  # draws kept, those among them meant for K < 0, draws made
     want_negative = round(n / 2)
     per_round = max(1, SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
+    kernel = Kernel(grid)
 
     def draw(b):
         """A round's two rng calls, back to back: its spectrum and its level fractions t."""
@@ -648,7 +658,7 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
                 ahead = pool.submit(draw, min(per_round, 50 * n - attempts))
             negative = np.arange(b) < want_negative - taken_negative
             Q, L, P = _parts(grid, F, phys)
-            C = grid.coupling(F)
+            C = kernel.coupling(F)
             flip = negative & (C.real > 0)
             N = np.where(flip, -C.real, C.real)
             batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)

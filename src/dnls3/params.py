@@ -90,17 +90,22 @@ class WaveParams:
         """The margins D_j = 4 m_j kappa_j omega - |c|^2, one per component.
 
         Symbol j, kappa_j |xi|^2 + m_j omega - c.xi, is at least D_j / (4 kappa_j)
-        for every xi, with equality at xi = c / (2 kappa_j).
+        for every xi, with equality at xi = c / (2 kappa_j). They are formed in
+        floats, |c|^2 as the sum of the c_k^2, so a margin past float range is
+        inf or NaN with no warning.
         """
-        return 4.0 * MASSES * phys.kappa * self.omega - self.speed**2
+        c2 = sum(ck * ck for ck in self.c)
+        return np.array([4.0 * m * k * self.omega - c2 for m, k in zip(MASSES.tolist(), phys.kappa.tolist())])
 
     def admissible(self, phys: PhysParams) -> bool:
-        """omega > sigma |c|^2 / 4, that is, every margin D_j is positive.
+        """omega > sigma |c|^2 / 4, that is, every margin D_j is positive and finite.
 
         4 m_j is exact and rounding is monotone, so this is 4 min(2 alpha, beta,
         gamma) omega > |c|^2 to the last bit, and ``tail_rates`` agrees with it.
+        A pair whose margins pass float range is refused.
         """
-        return bool(np.all(self.margins(phys) > 0.0))
+        D = self.margins(phys)
+        return bool(np.all((D > 0.0) & (D < np.inf)))
 
     def tail_rates(self, phys: PhysParams) -> np.ndarray:
         """Exact decay rates r_j = sqrt(D_j) / (2 kappa_j) of a profile's tails.
@@ -108,7 +113,8 @@ class WaveParams:
         In the tail the profile equation is linear, -kappa_j Lap u_j +
         m_j omega u_j + i c.grad u_j = 0, so |u_j| falls as exp(-r_j |x|) (in
         d >= 2 times |x|^{-(d-1)/2}). A component whose margin is not positive
-        gets 0, so min_j r_j > 0 exactly when the pair is admissible.
+        gets 0, so min_j r_j > 0 exactly when the pair is admissible or has a
+        margin past float range.
         """
         return np.sqrt(np.maximum(self.margins(phys), 0.0)) / (2.0 * phys.kappa)
 
@@ -131,5 +137,6 @@ class WaveParams:
     def require_admissible(self, phys: PhysParams) -> None:
         if not self.admissible(phys):
             raise InadmissibleParameters(
-                f"omega={self.omega} <= sigma*|c|^2/4={phys.sigma * self.speed ** 2 / 4.0}: not admissible"
+                f"(omega, c)=({self.omega}, {list(self.c)}) is not admissible at kappa={phys.kappa.tolist()}: its margins "
+                f"4 m_j kappa_j omega - |c|^2 = {self.margins(phys).tolist()} must be finite and positive"
             )

@@ -97,7 +97,7 @@ def evaluate_calls(monkeypatch):
 
 
 def reference_nonlinear_gradient(g: Grid, F: np.ndarray) -> np.ndarray:
-    """The coupling kernel written plainly: an exact oracle for ``Grid.nonlinear_gradient``.
+    """The coupling kernel written plainly: an exact oracle for ``Kernel.nonlinear_gradient``.
 
     Every symbol, product and sum is formed by the same floating-point
     operations in the same order as the library's kernel, by plainer

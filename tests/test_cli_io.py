@@ -128,11 +128,13 @@ def _rule(value, whole=False, above=None, least=None):
 
 # each numeric config field: (field, subcommand, the config's rule, the object and its
 # name for the value, the object's rule, and the field that names a value the rule
-# passes but the object's own checks (a grid, an admissible pair, a window) refuse)
+# passes but the object's own checks (a grid, an admissible pair, a window) refuse; a
+# dispersion coefficient near float range makes the pair's margins overflow, which the
+# pair refuses by the name wave)
 NUMERIC_FIELDS = {
-    "physics.alpha": ("gs", {"above": 0}, lambda v: PhysParams(alpha=v), "alpha", None, None),
-    "physics.beta": ("gs", {"above": 0}, lambda v: PhysParams(beta=v), "beta", None, None),
-    "physics.gamma": ("gs", {"above": 0}, lambda v: PhysParams(gamma=v), "gamma", None, None),
+    "physics.alpha": ("gs", {"above": 0}, lambda v: PhysParams(alpha=v), "alpha", None, "wave"),
+    "physics.beta": ("gs", {"above": 0}, lambda v: PhysParams(beta=v), "beta", None, "wave"),
+    "physics.gamma": ("gs", {"above": 0}, lambda v: PhysParams(gamma=v), "gamma", None, "wave"),
     "solver.max_iter": ("gs", {"whole": True, "least": 1}, lambda v: SolverConfig(max_iter=v), "max_iter", None, None),
     "solver.residual_tol": ("gs", {"above": 0}, lambda v: SolverConfig(residual_tol=v), "residual_tol", None, None),
     "solver.seed": ("gs", {"whole": True, "least": 0}, lambda v: SolverConfig(seed=v), "seed", None, None),
@@ -239,11 +241,13 @@ class TestConfig:
             ("evolve", "evolve", {"record_stride": 2**1100}, "evolve.record_stride"),
             ("mu-scan", "experiment", {"omegas": [2**1100]}, "experiment.omegas"),
             ("check", "experiment", {"samples": 2**1100}, "experiment.samples"),
+            ("gs", "wave", {"omega": 1e308}, "wave"),
         ],
-        ids=["n", "lone_n", "extent", "omega", "alpha", "seed", "max_iter", "record_stride", "omegas", "samples"],
+        ids=["n", "lone_n", "extent", "omega", "alpha", "seed", "max_iter", "record_stride", "omegas", "samples", "margins"],
     )
     def test_ints_past_float_range_refused_by_name(self, tmp_path, capsys, command, group, value, field):
-        # each raised OverflowError at the parent, past the run's start
+        # each raised OverflowError past the run's start, and omega 1e308, whose margins
+        # overflow, wrote effective_config.json and exited 3 on Lqc=inf
         cfg_path, outdir = small_config(tmp_path, "huge", **{group: value})
         with pytest.raises(ValidationError) as info:
             parse_config(str(cfg_path), experiment=command)

@@ -24,7 +24,7 @@ from dnls3.evolution import (
     step,
 )
 from dnls3.functionals import FunctionalReport, WellMembership, _report, coercivity_certificate, evaluate, linear_symbols
-from dnls3.grid import Grid, State, _norm_h1, norm_h1
+from dnls3.grid import Grid, Kernel, State, _norm_h1, norm_h1
 from dnls3.ground_state import SolverConfig, solve_ground_state
 from dnls3.params import MASSES, PhysParams, WaveParams
 
@@ -57,11 +57,11 @@ def fd_deriv(f, h, axis):
 
 
 def rhs(state):
-    """Full right side -i (kappa k2 F + dN) of the flow, in physical space, from the grid's kernel."""
+    """Full right side -i (kappa k2 F + dN) of the flow, in physical space, from the coupling kernel."""
     g = state.grid
     kappa = np.array([PHYS.alpha, PHYS.beta, PHYS.gamma]).reshape(3, *[1] * (g.d + 1))
     F = g.fft(state.u)
-    return g.ifft(-1j * (kappa * g.k2 * F + g.nonlinear_gradient(F)))
+    return g.ifft(-1j * (kappa * g.k2 * F + Kernel(g).nonlinear_gradient(F)))
 
 
 class TestRhs:
@@ -621,10 +621,10 @@ def reference_evolve(state, wave, dt, t_final, stride, reference):
     g = state.grid
     n_steps = int(np.ceil(t_final / dt - 1e-12))
     records = []
-    orbit = _orbit_to(reference, g)
+    orbit, kernel = _orbit_to(reference, g), Kernel(g)
 
     def record(t, F):
-        rep = _report(g, F, PHYS, wave)
+        rep = _report(kernel, F, PHYS, wave)
         records.append([t, rep.Q, rep.E, *rep.P, rep.S, rep.K, _norm_h1(g, F), orbit(F).distance])
 
     F, t = g.fft(state.u), 0.0
@@ -689,7 +689,7 @@ class TestSpectralRecords:
         wave, phi, state = _record_case(g, 4)
         F = g.fft(state.u)
         U = State(g, g.ifft(F))
-        spectral, physical = _report(g, F, PHYS, wave), evaluate(U, PHYS, wave)
+        spectral, physical = _report(Kernel(g), F, PHYS, wave), evaluate(U, PHYS, wave)
         scale = abs(physical.L) + abs(physical.N) + abs(physical.omega * physical.Q) + abs(physical.cP)
         for key in ("Q", "L", "N", "E", "P", "S", "K", "Lqc"):
             assert np.max(np.abs(getattr(spectral, key) - getattr(physical, key))) <= 1e-13 * scale

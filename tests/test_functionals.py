@@ -18,7 +18,7 @@ from dnls3.functionals import (
     linear_symbols,
     nehari_rescale,
 )
-from dnls3.grid import Grid, State, norm_h1
+from dnls3.grid import Grid, Kernel, State, norm_h1
 from dnls3.params import PhysParams, WaveParams
 
 from tests.conftest import random_state
@@ -198,16 +198,17 @@ class TestReport:
         rng = np.random.default_rng(seed)
         u = np.stack([random_state(g, rng).u for _ in range(int(np.prod(batch)))]).reshape(*batch, 3, d, *g.shape)
         F = g.fft(u)
-        batched = g.nonlinear_gradient(F)
+        kernel = Kernel(g)
+        batched = kernel.nonlinear_gradient(F)
         for i in np.ndindex(*batch):
-            one = g.nonlinear_gradient(F[i])
+            one = kernel.nonlinear_gradient(F[i])
             assert np.max(np.abs(batched[i] - one)) <= 1e-12 * np.max(np.abs(one))
         Q, L, P = _parts(g, F, phys)
-        C = g.coupling(F)
+        C = kernel.coupling(F)
         assert Q.shape == L.shape == C.shape == batch and P.shape == (*batch, d)
         for i in np.ndindex(*batch):
             q, l, p = _parts(g, F[i], phys)
-            c = g.coupling(F[i])
+            c = kernel.coupling(F[i])
             assert Q[i] == pytest.approx(q, rel=1e-12, abs=0.0)
             assert L[i] == pytest.approx(l, rel=1e-12, abs=0.0)
             assert abs(C[i] - c) <= 1e-12 * np.linalg.norm(batched[i][2]) * np.linalg.norm(F[i][2]) * g.weight
@@ -229,9 +230,10 @@ class TestReport:
         rng = np.random.default_rng(seed)
         u = np.stack([random_state(g, rng).u for _ in range(int(np.prod(batch)))]).reshape(*batch, 3, d, *g.shape)
         F = g.fft(u)
-        dN = g.nonlinear_gradient(F)
+        kernel = Kernel(g)
+        dN = kernel.nonlinear_gradient(F)
         Q, L, P = _parts(g, F, phys)
-        C = g.coupling(F)
+        C = kernel.coupling(F)
         absF2 = np.abs(F) ** 2
         rows = tuple(range(-d - 1, 0))  # a component's vector rows and the grid
         mass, k2_mass = np.sum(absF2, axis=rows), np.sum(g.k2 * absF2, axis=rows)

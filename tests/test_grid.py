@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -6,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnls3.evolution import _advance, _linear_phases, h1_perturbation, step
+from dnls3.evolution import EvolveConfig, _advance, _linear_phases, evolve, h1_perturbation, step
 from dnls3.functionals import gauge_phases
-from dnls3.grid import Grid, State, norm_h1
-from dnls3.ground_state import sample_below_level
+from dnls3.grid import Grid, Kernel, State, norm_h1
+from dnls3.ground_state import SolverConfig, _descend, initial_ansatz, reports_below_level, sample_below_level
 from dnls3.params import PhysParams, WaveParams
 
 from tests.conftest import band_limited_state, random_state, reference_nonlinear_gradient
 
 
-def scratch_arrays(g: Grid):
-    """Every array the kernel keeps in the grid's scratch."""
-    stack = [vars(g._scratch)]
+def scratch_arrays(kernel: Kernel):
+    """Every array the kernel keeps in its scratch."""
+    stack = [vars(kernel)]
     while stack:
         item = stack.pop()
         if isinstance(item, np.ndarray):
@@ -26,6 +28,15 @@ def scratch_arrays(g: Grid):
             stack.extend(item.values())
         elif isinstance(item, (list, tuple)):
             stack.extend(item)
+
+
+def fingerprint(value):
+    """The identity and the bits of a value, and of every item a list or tuple of it holds."""
+    if isinstance(value, np.ndarray):
+        return id(value), value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return id(value), tuple(fingerprint(item) for item in value)
+    return id(value), repr(value)
 
 
 def dft_direct(f):
@@ -363,10 +374,11 @@ class TestCouplingKernel:
     @pytest.mark.parametrize("n,extent", [(32, 10.0), ((16, 8), (6.0, 9.0))])
     def test_padded_products_match_double_padding(self, n, extent, rng):
         g = Grid(n, extent, dealias=True)
+        kernel = Kernel(g)
         state = random_state(g, rng, smooth=False)
         F = g.fft(state.u)
         expected = gradient_from_rows(g, double_padding_rows(g, F))
-        dN = g.nonlinear_gradient(F)
+        dN = kernel.nonlinear_gradient(F)
         assert np.max(np.abs(dN - expected)) < 1e-12 * np.max(np.abs(expected))
 
     @settings(max_examples=30, deadline=None)
@@ -377,20 +389,22 @@ class TestCouplingKernel:
         # the band, so they get states below n/4
         n = {1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d]
         g = Grid(n, (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        kernel = Kernel(g)
         rng = np.random.default_rng(seed)
         state = random_state(g, rng, smooth=False) if dealias else band_limited_state(g, rng, 0.25)
         F = g.fft(state.u)
         rows = double_padding_rows(g, F)
         expected = np.stack([1j * rows[:d], 1j * rows[d : 2 * d], np.stack([xi * rows[2 * d] for xi in g.xi])])
-        flow = -1j * g.nonlinear_gradient(F)
+        flow = -1j * kernel.nonlinear_gradient(F)
         assert np.max(np.abs(flow - expected)) < 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("dealias", [False, True])
     def test_kernel_rows(self, dealias, rng):
         g = Grid((16, 32), (6.0, 9.0), dealias=dealias)
+        kernel = Kernel(g)
         state = band_limited_state(g, rng, 0.25)
         F = g.fft(state.u)
-        dN = g.nonlinear_gradient(F)
+        dN = kernel.nonlinear_gradient(F)
         div3 = sum(g.deriv(state.u3[k], k) for k in range(g.d))
         pair = np.sum(state.u1 * np.conj(state.u2), axis=0)
         expected = np.stack([
@@ -401,20 +415,21 @@ class TestCouplingKernel:
         assert np.max(np.abs(g.ifft(dN) - expected)) < 1e-12 * np.max(np.abs(expected))
         # C is the rectangle rule of (u3, grad(u1 . conj(u2))) on the same fields
         C = np.vdot(expected[2], state.u3) * g.weight
-        assert abs(g.coupling(F) - C) < 1e-12 * np.sum(np.abs(expected[2]) * np.abs(state.u3)) * g.weight
+        assert abs(kernel.coupling(F) - C) < 1e-12 * np.sum(np.abs(expected[2]) * np.abs(state.u3)) * g.weight
 
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("n,extent", [(64, 12.0), ((16, 8), (6.0, 9.0))])
     def test_results_do_not_alias(self, n, extent, dealias, rng):
         # a result held from one call must survive later calls on other states
         g = Grid(n, extent, dealias=dealias)
+        kernel = Kernel(g)
         a, b = random_state(g, rng), random_state(g, rng, scale=3.0)
         Fa, Fb = g.fft(a.u), g.fft(b.u)
         kept_Fa = Fa.copy()
-        dN = g.nonlinear_gradient(Fa)
+        dN = kernel.nonlinear_gradient(Fa)
         kept = dN.copy()
-        other = g.nonlinear_gradient(Fb)
-        g.coupling(Fb)
+        other = kernel.nonlinear_gradient(Fb)
+        kernel.coupling(Fb)
         assert np.array_equal(dN, kept)
         assert not np.shares_memory(dN, other) and not np.shares_memory(dN, Fa)
         assert np.array_equal(Fa, kept_Fa)
@@ -437,28 +452,29 @@ class TestCouplingKernel:
     def test_coupling_matches_the_spectral_oracle_and_its_symmetries(self, seed, d, dealias, lead):
         # bounds are relative to the sum of the moduli of C's terms
         g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        kernel = Kernel(g)
         rng = np.random.default_rng(seed)
         shape = (*lead, 3, d, *g.shape)
         u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
         F = g.fft(u)
-        C = g.coupling(F)
+        C = kernel.coupling(F)
         expected, scale = reference_coupling(g, F)
         assert np.shape(C) == lead
         assert np.all(np.abs(C - expected) <= 1e-13 * scale)
         for i in np.ndindex(*lead):
-            assert abs(C[i] - g.coupling(F[i])) <= 1e-14 * scale[i]
+            assert abs(C[i] - kernel.coupling(F[i])) <= 1e-14 * scale[i]
         # the gauge (e^{ia} u1, e^{ib} u2, e^{i(a-b)} u3) and grid-aligned rolls keep C
         a, b, theta = rng.uniform(0.0, 2.0 * np.pi, 3)
         gauged = F * gauge_phases(a, b).reshape(3, *[1] * (d + 1))
         rolled = g.fft(np.roll(u, tuple(rng.integers(1, g.n)), axis=tuple(range(-d, 0))))
         for moved in (gauged, rolled):
-            assert np.all(np.abs(g.coupling(moved) - C) <= 1e-13 * scale)
+            assert np.all(np.abs(kernel.coupling(moved) - C) <= 1e-13 * scale)
         # turning u3 by e^{i theta} turns C by e^{i theta}, and negating u3 negates C exactly
         turned, negated = F.copy(), F.copy()
         turned.reshape(*lead, 3, -1)[..., 2, :] *= np.exp(1j * theta)
         negated.reshape(*lead, 3, -1)[..., 2, :] *= -1.0
-        assert np.all(np.abs(g.coupling(turned) - np.exp(1j * theta) * C) <= 1e-13 * scale)
-        assert np.array_equal(g.coupling(negated), -C)
+        assert np.all(np.abs(kernel.coupling(turned) - np.exp(1j * theta) * C) <= 1e-13 * scale)
+        assert np.array_equal(kernel.coupling(negated), -C)
 
 
 class TestKernelOracle:
@@ -469,17 +485,18 @@ class TestKernelOracle:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_reference_exactly(self, d, dealias, lead):
         g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        kernel = Kernel(g)
         rng = np.random.default_rng(100 * d + 10 * dealias + len(lead))
         shape = (*lead, 3, d, *g.shape)
         u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
         F = g.fft(u)
         kept_F = F.copy()
-        result = g.nonlinear_gradient(F)
+        result = kernel.nonlinear_gradient(F)
         expected = reference_nonlinear_gradient(g, F)
         assert result.shape == expected.shape
         assert np.array_equal(result, expected)
         # the contract: the result is the kernel's own
-        other = g.nonlinear_gradient(F)
+        other = kernel.nonlinear_gradient(F)
         assert not np.shares_memory(result, F)
         assert not np.shares_memory(result, other)
         assert np.array_equal(F, kept_F)
@@ -487,10 +504,11 @@ class TestKernelOracle:
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_reused_scratch_matches_reference(self, d, dealias):
-        # one grid keeps its scratch across calls: interleave the kernel and C
+        # one kernel keeps its scratch across calls: interleave the kernel and C
         # over batch shapes, each call on a new state, so a stale pad region
         # or a buffer the two calls share would show
         g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        kernel = Kernel(g)
         rng = np.random.default_rng(7 + 10 * d + dealias)
         for lead in ((), (2,), (3,), ()):
             for coupling in (False, True, True, False):
@@ -499,15 +517,16 @@ class TestKernelOracle:
                 F = g.fft(u)
                 if coupling:
                     expected, scale = reference_coupling(g, F)
-                    assert np.all(np.abs(g.coupling(F) - expected) <= 1e-13 * scale)
+                    assert np.all(np.abs(kernel.coupling(F) - expected) <= 1e-13 * scale)
                 else:
-                    assert np.array_equal(g.nonlinear_gradient(F), reference_nonlinear_gradient(g, F))
+                    assert np.array_equal(kernel.nonlinear_gradient(F), reference_nonlinear_gradient(g, F))
 
     @pytest.mark.parametrize("lead", [(), (2,)])
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_writes_into_out_exactly(self, d, dealias, lead):
         g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
+        kernel = Kernel(g)
         rng = np.random.default_rng(200 + 100 * d + 10 * dealias + len(lead))
         shape = (*lead, 3, d, *g.shape)
         u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
@@ -515,28 +534,30 @@ class TestKernelOracle:
         expected = reference_nonlinear_gradient(g, F)
         # stale values in the caller's array must not reach the result
         out = np.full(expected.shape, np.nan, dtype=np.complex128)
-        result = g.nonlinear_gradient(F, out=out)
+        result = kernel.nonlinear_gradient(F, out=out)
         assert result is out
         assert np.array_equal(out, expected)
         assert not np.shares_memory(out, F)
-        assert not any(np.shares_memory(out, buffer) for buffer in scratch_arrays(g))
+        assert not any(np.shares_memory(out, buffer) for buffer in scratch_arrays(kernel))
 
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("d", [1, 2])
     def test_out_may_be_the_spectrum(self, d, dealias, rng):
         # F is read in full before out is written
         g = Grid({1: (32,), 2: (16, 8)}[d], (7.0, 5.0)[:d], dealias=dealias)
+        kernel = Kernel(g)
         F = g.fft(random_state(g, rng).u)
         expected = reference_nonlinear_gradient(g, F)
-        assert np.array_equal(g.nonlinear_gradient(F, out=F), expected)
+        assert np.array_equal(kernel.nonlinear_gradient(F, out=F), expected)
         assert np.array_equal(F, expected)
 
     def test_out_of_another_shape_or_type_is_refused(self, rng):
         g = Grid(32, 7.0)
+        kernel = Kernel(g)
         F = g.fft(random_state(g, rng).u)
         for out in (np.empty((2, *F.shape), dtype=np.complex128), np.empty(F.shape, dtype=np.complex64)):
             with pytest.raises(ValueError):
-                g.nonlinear_gradient(F, out=out)
+                kernel.nonlinear_gradient(F, out=out)
 
     @pytest.mark.parametrize(
         "g", [Grid(512, 40.0, dealias=True), Grid((32, 32), (10.0, 10.0), dealias=True)], ids=["1d", "2d"]
@@ -545,15 +566,16 @@ class TestKernelOracle:
         # after a first call has built the scratch, a kernel call allocates
         # little beyond its result, and C less than one row of the product
         # grid (12 KB in 1D, 36 KB in 2D): no temporary of the grid's size
+        kernel = Kernel(g)
         F = g.fft(random_state(g, rng).u)
-        g.nonlinear_gradient(F)
+        kernel.nonlinear_gradient(F)
         tracemalloc.start()
         try:
-            result = g.nonlinear_gradient(F)
+            result = kernel.nonlinear_gradient(F)
             kernel_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            g.coupling(F)
+            kernel.coupling(F)
             coupling_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -566,18 +588,78 @@ class TestKernelOracle:
         # allocates little beyond those three, and a kernel call into a
         # caller's array next to nothing
         g = Grid(512, 40.0, dealias=True)
+        kernel = Kernel(g)
         half = _linear_phases(g, PhysParams(), 5e-4)
-        F = _advance(g, g.fft(random_state(g, rng).u), 1e-3, "strang", half, None)
+        F = _advance(kernel, g.fft(random_state(g, rng).u), 1e-3, "strang", half, None)
         out = np.empty_like(F)
         tracemalloc.start()
         try:
-            F = _advance(g, F, 1e-3, "strang", half, None)
+            F = _advance(kernel, F, 1e-3, "strang", half, None)
             step_peak = tracemalloc.get_traced_memory()[1]
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            g.nonlinear_gradient(F, out=out)
+            kernel.nonlinear_gradient(F, out=out)
             kernel_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert step_peak <= 3 * F.nbytes + 4096
         assert kernel_peak <= 4096
+
+
+KERNEL_GRIDS = {1: ((32,), (7.0,)), 2: ((16, 8), (7.0, 5.0)), 3: ((8, 8, 8), (7.0, 5.0, 6.0))}
+
+
+class TestGridIsAValue:
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_no_attribute_changes(self, d, dealias):
+        # every attribute stays the same object with the same bits through the
+        # kernel on several batch shapes, a descent, an evolve with a reference
+        # and the well sampler
+        g = Grid(*KERNEL_GRIDS[d], dealias=dealias)
+        before = {name: fingerprint(value) for name, value in vars(g).items()}
+        phys, wave = PhysParams(), WaveParams(1.0, (0.2,) + (0.0,) * (d - 1))
+        kernel, rng = Kernel(g), np.random.default_rng(d)
+        for lead in ((), (2,), (3,), ()):
+            F = g.fft(random_state(g, rng).u * np.ones((*lead, 1, 1, *[1] * d)))
+            kernel.nonlinear_gradient(F)
+            kernel.coupling(F)
+        state = initial_ansatz(g, phys, wave)
+        _descend(g, phys, wave, SolverConfig(max_iter=5), state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evolve(state, phys, wave, EvolveConfig(dt=1e-3, t_final=3e-3, record_stride=1), reference=state)
+        reports_below_level(g, phys, wave, 10.0, rng, 4)
+        g.product_sum(state.u1, np.conj(state.u2))
+        assert {name: fingerprint(value) for name, value in vars(g).items()} == before
+
+    def test_threads_share_one_grid(self):
+        # four threads on one grid, each with its own kernel, alternate a state and
+        # a pair of states while switching threads every microsecond (sharing the
+        # grid's kernel scratch, this got about a tenth of the results wrong)
+        g = Grid(64, 10.0, dealias=True)
+        rng = np.random.default_rng(5)
+        cases = []
+        for _ in range(4):
+            one, pair = random_state(g, rng).u, np.stack([random_state(g, rng).u for _ in range(2)])
+            cases.append([(F, reference_nonlinear_gradient(g, F)) for F in (g.fft(one), g.fft(pair))])
+        wrong = [0] * len(cases)
+
+        def run(i):
+            kernel = Kernel(g)
+            for _ in range(500):
+                for F, expected in cases[i]:
+                    wrong[i] += not np.array_equal(kernel.nonlinear_gradient(F), expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [0] * len(cases)

@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +18,7 @@ from dnls3.errors import (
 )
 from dnls3.evolution import orbit_distance
 from dnls3.functionals import FunctionalReport, _parts, evaluate
-from dnls3.grid import Grid, State, norm_h1
+from dnls3.grid import Grid, Kernel, State, norm_h1
 from dnls3.ground_state import (
     GroundStateResult,
     SolverConfig,
@@ -266,13 +267,14 @@ def synchronous_below_level(grid, phys, wave, mu, rng, n):
     flags, rows, spectra, scales = [], [], [], []
     taken = taken_negative = attempts = 0
     per_round = max(1, ground_state.SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
+    kernel = Kernel(grid)
     while taken < n and attempts < 50 * n:
         b = min(n - taken, per_round, 50 * n - attempts)
         attempts += b
         negative = np.arange(b) < round(n / 2) - taken_negative
         F = grid.noise_spectrum(rng, (b, 3, grid.d), 2)
         Q, L, P = _parts(grid, F, phys)
-        C = grid.coupling(F)
+        C = kernel.coupling(F)
         flip = negative & (C.real > 0)
         N = np.where(flip, -C.real, C.real)
         batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
@@ -440,15 +442,15 @@ class TestSampleBelowLevel:
     def test_round_error_joins_the_worker(self, gs_1d, monkeypatch):
         # a round that raises while the next one is drawn ahead leaves no thread behind
         g = Grid(512, 40.0)
-        coupling, calls = g.coupling, []
+        coupling, calls = Kernel.coupling, []
 
-        def failing_coupling(F):
+        def failing_coupling(kernel, F):
             calls.append(F.shape[0])
             if len(calls) == 3:
                 raise FloatingPointError("round failed")
-            return coupling(F)
+            return coupling(kernel, F)
 
-        monkeypatch.setattr(g, "coupling", failing_coupling)
+        monkeypatch.setattr(Kernel, "coupling", failing_coupling)
         rng = CountingGenerator(7)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="round failed"):
@@ -458,9 +460,9 @@ class TestSampleBelowLevel:
         assert rng.calls == {"standard_normal": 4, "uniform": 4}
 
     def test_concurrent_samplers_keep_their_draws(self, gs_1d):
-        # samplers on their own grids and rngs in more threads than cores,
-        # switching threads every microsecond: each gets the draws it gets alone
-        # and never uses its rng from two threads at once
+        # samplers on one shared grid, each with its own rng, in more threads than
+        # cores, switching threads every microsecond: each gets the draws it gets
+        # alone and never uses its rng from two threads at once
         class ExclusiveGenerator(CountingGenerator):
             def __init__(self, seed):
                 super().__init__(seed)
@@ -482,12 +484,12 @@ class TestSampleBelowLevel:
             def uniform(self, *args, **kwargs):
                 return self.alone(super().uniform, *args, **kwargs)
 
-        wave, seeds = WaveParams(1.0, (0.3,)), range(4)
-        alone = [reports_below_level(Grid(256, 40.0), PHYS, wave, gs_1d.mu, np.random.default_rng(seed), 120) for seed in seeds]
+        g, wave, seeds = Grid(256, 40.0), WaveParams(1.0, (0.3,)), range(4)
+        alone = [reports_below_level(g, PHYS, wave, gs_1d.mu, np.random.default_rng(seed), 120) for seed in seeds]
         rngs, results = [ExclusiveGenerator(seed) for seed in seeds], {}
 
         def run(seed):
-            results[seed] = reports_below_level(Grid(256, 40.0), PHYS, wave, gs_1d.mu, rngs[seed], 120)
+            results[seed] = reports_below_level(g, PHYS, wave, gs_1d.mu, rngs[seed], 120)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -557,7 +559,7 @@ class TestProjectedIteration:
         turned = State(g, state.u * np.array([1.0, 1.0, 1j]).reshape(3, *[1] * (d + 1)))
         abs_c = np.hypot(before.N, evaluate(turned, PHYS, wave).N)
 
-        F, rep, dN = _project(g, PHYS, wave, g.fft(state.u))
+        F, rep, dN = _project(Kernel(g), PHYS, wave, g.fft(state.u))
         after = evaluate(State(g, g.ifft(F)), PHYS, wave)
         lam2 = after.Q / before.Q
         lam = np.sqrt(lam2)
@@ -568,7 +570,7 @@ class TestProjectedIteration:
         assert abs(after.K) <= 1e-12 * after.Lqc
         # the report and nonlinear gradient carried through the projection are the projected state's own
         assert rep.S == pytest.approx(after.S, rel=1e-12, abs=1e-12 * after.Lqc)
-        direct = g.nonlinear_gradient(F)
+        direct = Kernel(g).nonlinear_gradient(F)
         assert np.allclose(dN, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)))
 
 
@@ -589,9 +591,10 @@ def lstsq_descent(grid, wave, config, start):
     sym_inv = resolvent_symbols(grid, PHYS, wave)
     weights = (1.0 + grid.k2) * grid.weight
     root = np.sqrt(weights)
+    kernel = Kernel(grid)
 
     def iterate(F):
-        projected = _project(grid, PHYS, wave, F)
+        projected = _project(kernel, PHYS, wave, F)
         if projected is None:
             return None
         F, rep, dN = projected
@@ -841,8 +844,9 @@ class TestMixingStep:
         wave = WaveParams(1.0, (0.3,))
         u = initial_ansatz(grid1d_box, PHYS, wave).u.copy()
         u[0, 0, 100] = np.nan
-        # the start's coupling is NaN, and so is the phase NaN / NaN that aligns it
-        with np.errstate(invalid="ignore"):
+        # the start's coupling is NaN: the phase NaN / NaN that would align it warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             history = _descend(grid1d_box, PHYS, wave, FAST, State(grid1d_box, u))[2]
         assert history.termination == "non_finite"
         assert history.iterations == 0 and np.isnan(history.residual[0])
@@ -882,11 +886,14 @@ class TestIdentities:
         assert rep.fourd_residual(rep.S) > 1e-2
 
     def test_mu_scaling_small(self):
-        # omega=1 point is exact by construction
-        pts = mu_scaling_check(Grid(512, 40.0), PHYS, (0.0,), [1.0, 2.0], FAST)
+        # omega=1 point is exact by construction; the margins of the omega=1e308
+        # point pass float range, and its status names that refusal (its solve
+        # failed as DegenerateNonlinearity, Lqc=inf)
+        pts = mu_scaling_check(Grid(512, 40.0), PHYS, (0.0,), [1.0, 2.0, 1e308], FAST)
         assert pts[0].rel_error == 0.0
         assert pts[1].rel_error < 1e-3
         assert pts[1].q_scaling_error < 1e-6
+        assert pts[2].status == "InadmissibleParameters" and np.isnan(pts[2].mu)
 
     def test_mu_scaling_unit_failure_marks_every_point(self, monkeypatch):
         # the laws go through the unit-frequency solve: without it no point has a value
