@@ -142,22 +142,16 @@ def _cmd_gs(cfg: RunConfig, outdir: Path, field) -> int:
         raise
     save_field(res.phi, outdir / "ground_state.ldsf")
     _write_solver_history(outdir / "solver_history.csv", res.histories)
-    gates, passed = _identity_gates(res.report, res.mu)
     _write_json(
         outdir / "ground_state.json",
         {
-            "mu": res.mu,
+            **_identity_block(res.report, res.mu),
             "iterations": res.iterations,
             "final_residual": res.histories[-1].residual[-1],
-            "pohozaev_residual": gates["pohozaev"],
-            "fourd_residual": gates["fourd"],
             "stability_margin": res.report.stability_margin(),
             "tail_mass": res.tail_mass,
             "domain_converged": res.domain_converged,
             "termination": [h.termination for h in res.histories],
-            "identities_passed": passed,
-            "thresholds": CHECK_THRESHOLDS,
-            "report": _report_dict(res.report),
         },
     )
     return 0
@@ -216,23 +210,34 @@ CHECK_THRESHOLDS = {
 }
 
 
-def _identity_gates(rep, mu: float):
-    """Residuals of the four identities that CHECK_THRESHOLDS gate, read off the report, and whether all pass."""
+def _identity_block(rep, mu: float) -> dict:
+    """The keys that ground_state.json and check.json share, read off the report at level ``mu``.
+
+    They are mu, the Pohozaev and (4-d) residuals, ``identities_passed`` (each of
+    the four residuals that CHECK_THRESHOLDS gate is below its threshold), the
+    thresholds and the report.
+    """
     residuals = {
         "identity_max": max(rep.identity_residuals().values()),
         "nehari_K": rep.nehari_residual(),
         "pohozaev": rep.pohozaev_residual(),
         "fourd": rep.fourd_residual(mu),
     }
-    return residuals, all(residuals[key] < limit for key, limit in CHECK_THRESHOLDS.items())
+    return {
+        "mu": mu,
+        "pohozaev_residual": residuals["pohozaev"],
+        "fourd_residual": residuals["fourd"],
+        "identities_passed": all(residuals[key] < limit for key, limit in CHECK_THRESHOLDS.items()),
+        "thresholds": CHECK_THRESHOLDS,
+        "report": _report_dict(rep),
+    }
 
 
 def _cmd_check(cfg: RunConfig, outdir: Path, field) -> int:
     phi, res = _start_profile(cfg, field)
     rep = evaluate(phi, cfg.phys, cfg.wave) if res is None else res.report
     mu = rep.S
-
-    gates, identities_passed = _identity_gates(rep, mu)
+    identities = _identity_block(rep, mu)
 
     cert = coercivity_certificate(cfg.phys, cfg.wave)
     rng = np.random.default_rng(cfg.solver.seed)
@@ -245,7 +250,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path, field) -> int:
 
     # a well check passes on the samples it asked for, not on fewer
     passed = (
-        identities_passed
+        identities["identities_passed"]
         and cert.min_coeff > 0
         and samples == wanted
         and disagreements == 0
@@ -254,12 +259,9 @@ def _cmd_check(cfg: RunConfig, outdir: Path, field) -> int:
     _write_json(
         outdir / "check.json",
         {
-            "mu": mu,
+            **identities,
             "identity_residuals": rep.identity_residuals(),
-            "nehari_K_residual": gates["nehari_K"],
-            "pohozaev_residual": gates["pohozaev"],
-            "fourd_residual": gates["fourd"],
-            "identities_passed": identities_passed,
+            "nehari_K_residual": rep.nehari_residual(),
             "coercivity": {
                 "A": list(cert.A),
                 "grad_coeffs": list(cert.grad_coeffs),
@@ -269,9 +271,7 @@ def _cmd_check(cfg: RunConfig, outdir: Path, field) -> int:
             "well_samples": samples,
             "well_disagreements": disagreements,
             "lqc_nonpositive": lqc_nonpositive,
-            "thresholds": CHECK_THRESHOLDS,
             "passed": passed,
-            "report": _report_dict(rep),
         },
     )
     return 0 if passed else 3
@@ -324,11 +324,25 @@ def _cmd_decay(cfg: RunConfig, outdir: Path, field) -> int:
     return 0
 
 
+def _require_admissible(phys, points) -> None:
+    """Refuse a run unless the pair of each (scale, pair) point it solves is admissible (``WaveParams.require_admissible``)."""
+    for _, wave in points:
+        wave.require_admissible(phys)
+
+
+def _mu_scan_points(cfg: RunConfig) -> list:
+    """The (scale, pair) points of ``mu_scaling_check``'s curve through its unit pair, one per omega."""
+    unit = mu_scan_unit(cfg.phys, cfg.wave.c)
+    return [unit.on_curve(omega=omega) for omega in cfg.experiment["omegas"]]
+
+
 # the subcommands that check their scaling-curve points, beside reading
-# experiment.field, before the output directory exists and before any solve
+# experiment.field, before the output directory exists and before any solve:
+# each point that mu-scan or h-curve solves must be admissible, while the
+# sandwich pairs of stability are never solved (the scaling law gives their levels)
 PRECHECKS = {
-    "mu-scan": lambda cfg: mu_scan_unit(cfg.phys, cfg.wave.c),
-    "h-curve": lambda cfg: h_curve_points(cfg.wave, cfg.experiment["tau_step"]),
+    "mu-scan": lambda cfg: _require_admissible(cfg.phys, _mu_scan_points(cfg)),
+    "h-curve": lambda cfg: _require_admissible(cfg.phys, h_curve_points(cfg.wave, cfg.experiment["tau_step"])[1]),
     "stability": lambda cfg: sandwich_points(cfg.wave, cfg.experiment["tau0s"]),
 }
 

@@ -31,9 +31,11 @@ steps and its records share, keeps the state as a spectrum from start to
 end and builds the linear phases once per step size. Its records read the
 spectrum: the report (``functionals._report``), the H1 norm
 (``grid._norm_h1``) and, with a reference, the orbit distance of
-``_orbit_to``, which prepares the reference once per run. A record
-makes one transform, the coupling's, and one more with a reference, the
-orbit scan's. The final state is transformed back once. A Strang step
+``_orbit_to``, which prepares the reference once per run; its refine
+carries one table of phase factors from the scan's start to the distance,
+with one complex exponential per trial step. A record makes one
+transform, the coupling's, and one more with a reference, the orbit
+scan's. The final state is transformed back once. A Strang step
 costs 8 transforms, and ``step`` adds one forward and one inverse
 transform around it.
 
@@ -367,11 +369,17 @@ def orbit_distance(state: State, phi: State) -> OrbitDistance:
     or the gradient vanishes (a zero state stops at once), after at most
     REFINE_MAX_ITER steps. The result's gain is thus at least that of the
     scan's start, which contains the identity, so the result never exceeds
-    ||U - phi||_{H1}. The distance is computed directly at the result, as
-    the weighted norm of FU - e^{i theta_j} e^{-i y.xi} FP: the gain form's
-    difference of O(norm2) terms has a floor near sqrt(eps norm2). The scan,
-    the refine and the distance move phi with the full wavenumbers
-    ``Grid.xi_full``, as ``Grid.translate`` does.
+    ||U - phi||_{H1}. The refine holds one table of phase factors,
+    E_j = e^{i p.kappa_j} at its element p = (y, a, b) with
+    kappa_j = (xi, -s_j) and s_j block j's weights of (a, b), from the
+    scan's start to the result: a trial step x = step.kappa_j makes one
+    exponential, h = e^{ix/2}, whose imaginary part is the sin(x/2) of G's
+    change, and an accepted step multiplies E by h^2. The distance is
+    computed directly at the result, as the weighted norm of FU - conj(E) FP,
+    phi moved blockwise by the table: the gain form's difference of O(norm2)
+    terms has a floor near sqrt(eps norm2). The scan, the refine and the
+    distance move phi with the full wavenumbers ``Grid.xi_full``, as
+    ``Grid.translate`` does.
 
     This is the distance of ``_orbit_to(phi, grid)`` at the state's
     spectrum; ``evolve`` prepares its reference that way once per run.
@@ -437,20 +445,15 @@ def _orbit_to(phi: State, grid: Grid):
         # G's curvature is at most sum |W_j| |kappa_j|^2: the gradient step's scale
         curvature = float(np.sum(np.abs(W) * kappa2))
 
-        def terms(p):
-            return W * np.exp(-1j * (s @ p[d:]))[:, None] * np.exp(1j * (p[:d] @ xi))
+        def phase_rows(q):
+            return q[:d] @ xi - (s @ q[d:])[:, None]  # q.kappa_j, one row per block
 
-        def rises(T, step):
-            # G's change over the step, Re sum T (e^{ix} - 1) for x = step.kappa,
-            # with e^{ix} - 1 = 2i sin(x/2) e^{ix/2}: it keeps its relative
-            # accuracy near the optimum, where the difference of two gains
-            # drowns in their O(norm2) rounding
-            x = step[:d] @ xi - (s @ step[d:])[:, None]
-            return np.sum((T * (2j * np.sin(x / 2.0) * np.exp(0.5j * x))).real) >= 0.0
-
+        # the table E_j = e^{i p.kappa_j}: from the scan's start, each accepted step
+        # multiplies in its factors, and at the end it moves phi blockwise
         p = np.concatenate([y0, [a0, b0]])
-        T = terms(p)
+        E = np.exp(1j * phase_rows(p))
         for _ in range(REFINE_MAX_ITER):
+            T = W * E
             # moments sum_xi T_j {1, xi_k, xi_k xi_l} give G's gradient and Hessian
             M = T @ basis
             m0, m1, m2 = M[:, 0], M[:, 1 : 1 + d], M[:, 1 + d :]
@@ -463,23 +466,29 @@ def _orbit_to(phi: State, grid: Grid):
             hess[d:, :d] = hess[:d, d:].T
             hess[d:, d:] = -(s.T * m0.real) @ s
             step = _ascent_step(grad, hess, curvature)
-            up = rises(T, step)
-            while not up and np.linalg.norm(step) >= REFINE_STEP_TOL:
+            while True:
+                # G's change over the step, Re sum T (e^{ix} - 1) with e^{ix} - 1 =
+                # 2i sin(x/2) e^{ix/2} and sin(x/2) = Im e^{ix/2}: it keeps its relative
+                # accuracy near the optimum, where the difference of two gains
+                # drowns in their O(norm2) rounding; a step that is not finite (a state
+                # that is not) ends the halving as a short one does
+                h = np.exp(0.5j * phase_rows(step))
+                up = np.sum((T * (2j * h.imag * h)).real) >= 0.0
+                if up or not np.linalg.norm(step) >= REFINE_STEP_TOL:
+                    break
                 step = step / 2.0
-                up = rises(T, step)
             if up:
                 p = p + step
-                T = terms(p)
+                E *= h * h
             # the last, short step is still taken when G does not fall
             if np.linalg.norm(step) < REFINE_STEP_TOL:
                 break
 
-        y, phases = p[:d], gauge_phases(p[d], p[d + 1])
-        shifted = phases.reshape(3, 1, *[1] * d) * np.exp(-1j * sum(y[k] * grid.xi_full[k] for k in range(d))) * FP
-        dist = float(np.sqrt(np.sum(w * np.abs(FU - shifted) ** 2)))
+        moved = np.conj(E).reshape(3, 1, *grid.shape) * FP
+        dist = float(np.sqrt(np.sum(w * np.abs(FU - moved) ** 2)))
         return OrbitDistance(
             dist,
-            (y + extent / 2.0) % extent - extent / 2.0,
+            (p[:d] + extent / 2.0) % extent - extent / 2.0,
             float(p[d] % (2.0 * np.pi)),
             float(p[d + 1] % (2.0 * np.pi)),
         )

@@ -23,6 +23,7 @@ Conventions fixed here once and used consistently everywhere:
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -111,11 +112,14 @@ class Grid:
         self.shape = n
         self.size = int(np.prod(n))
         #: quadrature weight of one cell
-        self.weight = float(np.prod(self.spacing))
+        self.weight = math.prod(self.spacing)
         # every derived number must fit in a float: the cell, the Nyquist wavenumbers
         # pi / h and |xi|^2 at the corner mode, which bounds k2 and the symbols on it
         if not (self.weight > 0 and sum((np.pi / h) * (np.pi / h) for h in self.spacing) < np.inf):
             raise ValueError(f"box length per axis {list(extent)} is too small for {list(n)} points: its cell or wavenumbers pass float range")
+        # and the cell's weight and |x|^2 at the box's corner, which bounds every radius on the grid
+        if not (self.weight < np.inf and sum((ek / 2.0) * (ek / 2.0) for ek in extent) < np.inf):
+            raise ValueError(f"box length per axis {list(extent)} is too large: its cell or squared corner radius passes float range")
         self._spatial_axes = tuple(range(-d, 0))
         space = (slice(None),) * d
 

@@ -83,8 +83,8 @@ class TestSnapshot:
 
     @pytest.mark.parametrize(
         "n, extent",
-        [(7, 40.0), (16, -40.0), (16, float("nan")), (16, 5e-324)],
-        ids=["n7", "negative_extent", "nan_extent", "subnormal_extent"],
+        [(7, 40.0), (16, -40.0), (16, float("nan")), (16, 5e-324), (16, 1e300)],
+        ids=["n7", "negative_extent", "nan_extent", "subnormal_extent", "huge_extent"],
     )
     def test_header_without_a_grid(self, tmp_path, capsys, n, extent):
         # consistent magic, version and length, but no grid has these points or box
@@ -242,12 +242,17 @@ class TestConfig:
             ("mu-scan", "experiment", {"omegas": [2**1100]}, "experiment.omegas"),
             ("check", "experiment", {"samples": 2**1100}, "experiment.samples"),
             ("gs", "wave", {"omega": 1e308}, "wave"),
+            ("gs", "grid", {"extent": [1e300]}, "grid"),
         ],
-        ids=["n", "lone_n", "extent", "omega", "alpha", "seed", "max_iter", "record_stride", "omegas", "samples", "margins"],
+        ids=[
+            "n", "lone_n", "extent", "omega", "alpha", "seed", "max_iter", "record_stride", "omegas", "samples", "margins",
+            "huge_box",
+        ],
     )
     def test_ints_past_float_range_refused_by_name(self, tmp_path, capsys, command, group, value, field):
-        # each raised OverflowError past the run's start, and omega 1e308, whose margins
-        # overflow, wrote effective_config.json and exited 3 on Lqc=inf
+        # each raised OverflowError past the run's start, omega 1e308, whose margins
+        # overflow, wrote effective_config.json and exited 3 on Lqc=inf, and a box of 1e300,
+        # whose squared radii overflow, did the same on Lqc=4.688e+298
         cfg_path, outdir = small_config(tmp_path, "huge", **{group: value})
         with pytest.raises(ValidationError) as info:
             parse_config(str(cfg_path), experiment=command)
@@ -697,29 +702,49 @@ class TestCli:
         assert "tau0=" in record["message"]
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("tau_step", [0.5, 2.8])
-    def test_h_curve_rejects_tau_step_off_the_curve(self, tmp_path, capsys, monkeypatch, tau_step):
-        # at omega = 1 the point at tau = 2 tau_step leaves the scaling curve once 2 tau_step >= 1
-        cfg_path, outdir = small_config(tmp_path, "hc_tau", experiment={"tau_step": tau_step})
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            ({"experiment": {"tau_step": 0.5}}, "tau_step="),
+            ({"experiment": {"tau_step": 2.8}}, "tau_step="),
+            ({"wave": {"omega": 2e307}}, "(omega, c)=(2.4200000000000004e+307, [0.0]) is not admissible"),
+        ],
+        ids=["0.5", "2.8", "margins"],
+    )
+    def test_h_curve_rejects_tau_step_off_the_curve(self, tmp_path, capsys, monkeypatch, overrides, fragment):
+        # at omega = 1 the point at tau = 2 tau_step leaves the scaling curve once 2 tau_step >= 1;
+        # at omega = 2e307 the margins of the point at tau = -2 tau_step pass float range, and
+        # the run wrote effective_config.json before its solve refused that point
+        cfg_path, outdir = small_config(tmp_path, "hc_tau", **overrides)
         monkeypatch.setattr(ground_state, "solve_ground_state", _no_solve)
         capsys.readouterr()
-        assert run_subcommand(["h-curve", "--config", str(cfg_path)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_subcommand(["h-curve", "--config", str(cfg_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "InadmissibleParameters"
-        assert "tau_step=" in record["message"]
+        assert fragment in record["message"]
         assert not outdir.exists()
 
     def test_mu_scan_checks_its_unit_pair_before_writing(self, tmp_path, capsys, monkeypatch):
         # (4, [3]) is admissible, but mu-scan solves along the curve through (1, [3]), which is not:
-        # the run wrote effective_config.json, then failed on omega=1.0, a value the config never set
-        cfg_path, outdir = small_config(tmp_path, "mu_unit", wave={"omega": 4, "c": [3]}, experiment={"omegas": [4.0]})
+        # the run wrote effective_config.json, then failed on omega=1.0, a value the config never set;
+        # the margins of the point at omega = 1e308 pass float range, and the run wrote
+        # mu_scan.csv and its manifest before it exited 3 on that point
         monkeypatch.setattr(ground_state, "solve_ground_state", _no_solve)
-        capsys.readouterr()
-        assert run_subcommand(["mu-scan", "--config", str(cfg_path)]) == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "InadmissibleParameters"
-        assert "unit pair (1, c)=(1, [3.0])" in record["message"]
-        assert not outdir.exists()
+        for name, wave, omegas, fragment in (
+            ("mu_unit", {"omega": 4, "c": [3]}, [4.0], "unit pair (1, c)=(1, [3.0])"),
+            ("mu_margins", {}, [1.0, 1e308], "(omega, c)=(1e+308, [0.0]) is not admissible"),
+        ):
+            cfg_path, outdir = small_config(tmp_path, name, wave=wave, experiment={"omegas": omegas})
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_subcommand(["mu-scan", "--config", str(cfg_path)]) == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error"] == "InadmissibleParameters"
+            assert fragment in record["message"]
+            assert not outdir.exists()
 
     def test_empty_out_refused_as_output_dir(self, tmp_path, capsys, monkeypatch):
         # --out '' ran in the working directory and wrote an effective_config.json that did not parse

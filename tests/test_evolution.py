@@ -23,7 +23,7 @@ from dnls3.evolution import (
     stability_experiment,
     step,
 )
-from dnls3.functionals import FunctionalReport, WellMembership, _report, coercivity_certificate, evaluate, linear_symbols
+from dnls3.functionals import FunctionalReport, WellMembership, _report, coercivity_certificate, evaluate, gauge_phases, linear_symbols
 from dnls3.grid import Grid, Kernel, State, _norm_h1, norm_h1
 from dnls3.ground_state import SolverConfig, solve_ground_state
 from dnls3.params import MASSES, PhysParams, WaveParams
@@ -433,6 +433,115 @@ class TestOrbitDistance:
             assert np.array_equal(od.shift, (y0 + extent / 2.0) % extent - extent / 2.0)
             assert od.phase1 == a0 % (2.0 * np.pi)
             assert od.phase2 == bs[i_b] % (2.0 * np.pi)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(256, 40.0), Grid(512, 40.0, dealias=True), Grid((64, 64), (20.0, 20.0))],
+        ids=["1d-plain", "1d-dealiased", "2d"],
+    )
+    def test_refine_matches_the_refine_that_rebuilds_its_terms(self, grid):
+        # the phase table carried from the scan to the distance gives the distance and the
+        # element of a refine that forms W e^{i p.kappa} afresh from p after each accepted
+        # step and moves phi through gauge_phases and xi_full at the end, to rounding
+        phi = smooth_state(grid)
+        rng = np.random.default_rng(5)
+        u = phi.u * np.exp(1j * np.array([0.9, 0.2, 0.7])).reshape(3, 1, *[1] * grid.d)
+        states = [State.zeros(grid)]
+        for delta in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
+            moved = grid.translate(u, rng.uniform(-3.0, 3.0, grid.d))
+            states.append(State(grid, moved + delta * h1_perturbation(grid, rng).u))
+        for U in states:
+            od = orbit_distance(U, phi)
+            dist, shift, phase1, phase2 = reference_orbit_distance(U, phi)
+            assert abs(od.distance - dist) <= 1e-14 * (norm_h1(U) or norm_h1(phi))
+            assert np.all(np.abs(od.shift - shift) <= 1e-12)
+            for got, want in ((od.phase1, phase1), (od.phase2, phase2)):
+                assert abs((got - want + np.pi) % (2.0 * np.pi) - np.pi) <= 1e-12
+
+    def test_half_angle_sine_is_the_imaginary_part_of_the_half_angle_exponential(self):
+        # the rise test reads sin(x/2) off the trial step's e^{ix/2}; on this numpy they agree bit for bit
+        x = np.concatenate([np.geomspace(1e-12, 1e2, 200_000), -np.geomspace(1e-12, 1e2, 200_000)])
+        assert np.array_equal(np.exp(0.5j * x).imag.view(np.uint64), np.sin(x / 2.0).view(np.uint64))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_state_that_is_not_finite_ends_the_refine(self, value):
+        # its step is NaN, which no halving makes short: a loop that waited for a short
+        # step or a rise never returned
+        grid = Grid(64, 10.0)
+        phi = smooth_state(grid)
+        u = phi.u.copy()
+        u[0, 0, 3] = value
+        with np.errstate(invalid="ignore"):  # the transform of such a state warns as any would
+            assert np.isnan(orbit_distance(State(grid, u), phi).distance)
+
+
+def reference_orbit_distance(U, phi):
+    """(distance, shift, phase1, phase2) of a refine that rebuilds its terms from p after each accepted step.
+
+    The start is the first maximum of a scan of every shift and phase; each
+    accepted Newton step forms T = W e^{-i s.(a, b)} e^{i y.xi} from p, the
+    rise test forms its own sine, and the distance moves phi through
+    ``gauge_phases`` and the shift exponential on ``Grid.xi_full``.
+    """
+    g = phi.grid
+    d, size = g.d, g.size
+    w = (1.0 + g.k2) * g.weight
+    FU, FP = g.fft(U.u), g.fft(phi.u)
+    W = np.sum(w * FU * np.conj(FP), axis=1)
+    A1, A2, A3 = (np.fft.ifftn(Wj).reshape(-1) * size for Wj in W)
+    bs = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    eib = np.exp(1j * bs)[:, None]
+    i_b, i_shift = np.unravel_index(np.argmax(np.abs(A1 + eib * A3) + np.real(np.conj(eib) * A2)), (64, size))
+    y0 = np.array(np.unravel_index(i_shift, g.shape)) * np.asarray(g.spacing)
+    a0 = float(np.angle(A1[i_shift] + np.exp(1j * bs[i_b]) * A3[i_shift]))
+
+    xi = np.array([np.broadcast_to(xk, g.shape).reshape(-1) for xk in g.xi_full])
+    s = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    upper = np.triu_indices(d)
+    basis = np.concatenate([np.ones((1, size)), xi, xi[upper[0]] * xi[upper[1]]]).T.astype(complex)
+    W = W.reshape(3, size)
+    curvature = float(np.sum(np.abs(W) * (np.sum(xi**2, axis=0) + np.sum(s**2, axis=1)[:, None])))
+
+    def terms(p):
+        return W * np.exp(-1j * (s @ p[d:]))[:, None] * np.exp(1j * (p[:d] @ xi))
+
+    def rises(T, step):
+        x = step[:d] @ xi - (s @ step[d:])[:, None]
+        return np.sum((T * (2j * np.sin(x / 2.0) * np.exp(0.5j * x))).real) >= 0.0
+
+    p = np.concatenate([y0, [a0, bs[i_b]]])
+    T = terms(p)
+    for _ in range(evolution.REFINE_MAX_ITER):
+        M = T @ basis
+        m0, m1, m2 = M[:, 0], M[:, 1 : 1 + d], M[:, 1 + d :]
+        grad = np.concatenate([-m1.imag.sum(axis=0), s.T @ m0.imag])
+        if not np.any(grad):
+            break
+        hess = np.empty((d + 2, d + 2))
+        hess[upper] = hess[upper[::-1]] = -m2.real.sum(axis=0)
+        hess[:d, d:] = m1.real.T @ s
+        hess[d:, :d] = hess[:d, d:].T
+        hess[d:, d:] = -(s.T * m0.real) @ s
+        step = evolution._ascent_step(grad, hess, curvature)
+        up = rises(T, step)
+        while not up and np.linalg.norm(step) >= evolution.REFINE_STEP_TOL:
+            step = step / 2.0
+            up = rises(T, step)
+        if up:
+            p = p + step
+            T = terms(p)
+        if np.linalg.norm(step) < evolution.REFINE_STEP_TOL:
+            break
+
+    y, phases = p[:d], gauge_phases(p[d], p[d + 1])
+    shifted = phases.reshape(3, 1, *[1] * d) * np.exp(-1j * sum(y[k] * g.xi_full[k] for k in range(d))) * FP
+    extent = np.asarray(g.extent)
+    return (
+        float(np.sqrt(np.sum(w * np.abs(FU - shifted) ** 2))),
+        (y + extent / 2.0) % extent - extent / 2.0,
+        p[d] % (2.0 * np.pi),
+        p[d + 1] % (2.0 * np.pi),
+    )
 
 
 def orbit_h1_distance(U, phi, element):

@@ -121,13 +121,19 @@ class TestTransforms:
 
     @pytest.mark.parametrize(
         "n,extent",
-        [(256, 5e-324), (16, 1e-300), ((8, 8, 8), (1e-120, 1e-120, 1e-120)), ((16, 16), (5.03e-153, 5.03e-153))],
-        ids=["zero-spacing", "infinite-k2", "zero-cell", "corner-k2"],
+        [
+            (256, 5e-324), (16, 1e-300), ((8, 8, 8), (1e-120, 1e-120, 1e-120)), ((16, 16), (5.03e-153, 5.03e-153)),
+            (64, 1e300), ((16, 16), (2e154, 2e154)), ((8, 8, 8), (1e154, 1e154, 1e154)),
+        ],
+        ids=["zero-spacing", "infinite-k2", "zero-cell", "corner-k2", "infinite-r2", "corner-r2", "infinite-cell"],
     )
     def test_box_past_float_range_rejected(self, n, extent):
         # the spacing of 5e-324 underflowed to 0 and fftfreq raised ZeroDivisionError, 1e-300
         # built a grid with 14 of 16 k2 entries infinite, and the 3D cell weighed 0; on the
-        # 2D grid each axis's (pi / h)^2 is about 1e308, and their sum passes float range
+        # 2D grid each axis's (pi / h)^2 is about 1e308, and their sum passes float range.
+        # At the other end a box of 1e300 overflowed the seed's |x|^2, the 2D corner's
+        # |x|^2 = 2e308 passes float range though each axis's 1e308 does not, and the 3D
+        # cell of 1e154 / 8 per axis weighed inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="box length per axis"):

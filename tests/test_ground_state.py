@@ -27,6 +27,7 @@ from dnls3.ground_state import (
     h_curve,
     initial_ansatz,
     mu_scaling_check,
+    mu_scan_unit,
     pohozaev_residual,
     precondition,
     reports_below_level,
@@ -904,6 +905,13 @@ class TestIdentities:
         pts = mu_scaling_check(Grid(64, 10.0), PHYS, (0.0,), [0.5, 1.0], FAST)
         assert [p.status for p in pts] == ["DomainTooSmall"] * 2
         assert all(np.isnan([p.mu, p.mu_predicted, p.rel_error, p.q_scaling_error]).all() for p in pts)
+
+    def test_mu_scan_unit_refuses_a_speed_past_float_range_without_warning(self):
+        # its message formed sigma |c|^2 / 4 through np.linalg.norm, which warned "overflow encountered in dot"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InadmissibleParameters, match=r"sigma\*\|c\|\^2/4=inf"):
+                mu_scan_unit(PhysParams(), (1e200,))
 
     def test_q_scaling_error_is_the_charge_law_of_separate_solves(self):
         # Q(omega, sqrt(omega) c0) = omega^{1-d/2} Q(1, c0) between independent solves
