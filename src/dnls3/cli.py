@@ -7,9 +7,11 @@ Every run writes into its output directory:
     manifest.json           config hash, seed, format version, wall clock
     <subcommand outputs>    field snapshots (.ldsf), CSV series, JSON reports
 
-Exit codes: 0 success, 2 invalid configuration or input files, 3 numerical
-failure (no convergence, divergence, domain too small). Errors also emit a
-one-line JSON record on stderr. A failed run keeps what explains it: a
+Exit codes: 0 success, 2 invalid configuration or input files (USER_ERRORS),
+refused before any solve and before the output directory is made, 3
+numerical failure (no convergence, divergence, domain too small, a
+degenerate coupling). Errors also emit a one-line JSON record on stderr.
+A failed run keeps what explains it: a
 ``gs`` whose descents all fail writes solver_history.csv and adds each
 descent's termination to its record, and a diverging ``evolve`` or
 ``stability`` writes its trace up to the divergence. All outputs other than
@@ -30,24 +32,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, _judged, _path, parse_config
-from .errors import (
-    Dnls3Error,
-    FormatError,
-    InadmissibleParameters,
-    LengthMismatch,
-    NoConvergence,
-    NonFinite,
-    ParseError,
-    UnsupportedVersion,
-    ValidationError,
-)
-from .evolution import decay_rate_fit, evolve, perturbed, sandwich_points, stability_experiment
+from .errors import Dnls3Error, NoConvergence, NonFinite
+from .errors import FitWindowEmpty, FormatError, InadmissibleParameters, LengthMismatch, ParseError, UnsupportedVersion, ValidationError, WrongDimension
+from .evolution import decay_rate_fit, decay_window, evolve, perturbed, sandwich_points, stability_experiment
 from .functionals import WellMembership, coercivity_certificate, evaluate
 from .grid import State
-from .ground_state import MuScalePoint, h_curve, h_curve_points, mu_scaling_check, mu_scan_unit, reports_below_level, solve_ground_state
+from .ground_state import MuScalePoint, h_curve, h_curve_points, mu_scaling_check, mu_scan_points, reports_below_level, solve_ground_state
 from .snapshot import FORMAT_VERSION, load_field, save_field
 
-USER_ERRORS = (ParseError, ValidationError, InadmissibleParameters, FormatError, LengthMismatch, UnsupportedVersion)
+# the errors of a run's inputs (exit 2); every other Dnls3Error is a numerical failure (exit 3)
+USER_ERRORS = (ParseError, ValidationError, InadmissibleParameters, WrongDimension, FitWindowEmpty, FormatError, LengthMismatch, UnsupportedVersion)
 
 
 def _fmt(x) -> str:
@@ -324,26 +318,14 @@ def _cmd_decay(cfg: RunConfig, outdir: Path, field) -> int:
     return 0
 
 
-def _require_admissible(phys, points) -> None:
-    """Refuse a run unless the pair of each (scale, pair) point it solves is admissible (``WaveParams.require_admissible``)."""
-    for _, wave in points:
-        wave.require_admissible(phys)
-
-
-def _mu_scan_points(cfg: RunConfig) -> list:
-    """The (scale, pair) points of ``mu_scaling_check``'s curve through its unit pair, one per omega."""
-    unit = mu_scan_unit(cfg.phys, cfg.wave.c)
-    return [unit.on_curve(omega=omega) for omega in cfg.experiment["omegas"]]
-
-
-# the subcommands that check their scaling-curve points, beside reading
-# experiment.field, before the output directory exists and before any solve:
-# each point that mu-scan or h-curve solves must be admissible, while the
-# sandwich pairs of stability are never solved (the scaling law gives their levels)
+# each experiment's judge of its inputs, the library call its experiment makes
+# first, run beside reading experiment.field before the output directory
+# exists and before any solve
 PRECHECKS = {
-    "mu-scan": lambda cfg: _require_admissible(cfg.phys, _mu_scan_points(cfg)),
-    "h-curve": lambda cfg: _require_admissible(cfg.phys, h_curve_points(cfg.wave, cfg.experiment["tau_step"])[1]),
+    "mu-scan": lambda cfg: mu_scan_points(cfg.phys, cfg.wave.c, cfg.experiment["omegas"]),
+    "h-curve": lambda cfg: h_curve_points(cfg.grid, cfg.phys, cfg.wave, cfg.experiment["tau_step"]),
     "stability": lambda cfg: sandwich_points(cfg.wave, cfg.experiment["tau0s"]),
+    "decay": lambda cfg: decay_window(cfg.grid, cfg.experiment["window"]),
 }
 
 COMMANDS = {

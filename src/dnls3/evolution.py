@@ -653,37 +653,52 @@ class DecayReport:
     exact_rates: np.ndarray
 
 
+def decay_window(grid: Grid, window=(0.5, 0.9)) -> tuple:
+    """The grid points of ``decay_rate_fit``'s window on ``grid``: (r, inside, (r_lo, r_hi)).
+
+    The window [lo, hi] is a fraction of the half-box, min(extent) / 2,
+    giving [r_lo, r_hi]; ``inside`` marks the flattened grid points whose
+    radius lies in it, and r holds their radii. Raises FitWindowEmpty when
+    no grid point lies in it.
+    """
+    half = min(grid.extent) / 2.0
+    r_lo, r_hi = window[0] * half, window[1] * half
+    r = grid.radius().ravel()
+    inside = (r >= r_lo) & (r <= r_hi)
+    if not np.any(inside):
+        raise FitWindowEmpty(f"no grid points with radius in [{r_lo:.3g}, {r_hi:.3g}]")
+    return r[inside], inside, (r_lo, r_hi)
+
+
 def decay_rate_fit(
     phi: State, phys: PhysParams, wave: WaveParams, window: tuple = (0.5, 0.9)
 ) -> DecayReport:
     """Least-squares tail slope of log amplitude vs radius, per component.
 
     The window is a fraction of the half-box (the outer 10% is excluded by
-    default: periodic wrap contaminates it); for d >= 2 amplitudes are
-    radially bin-averaged before fitting.
+    default: periodic wrap contaminates it), and its radii come from
+    ``decay_window``, which raises FitWindowEmpty before any fit when it
+    holds no grid point. For d >= 2 amplitudes are radially bin-averaged
+    before fitting; the fit reads their slope as the rate, with no
+    r^{-(d-1)/2} factor for the tail's algebraic prefactor.
     """
     g = phi.grid
-    half = min(g.extent) / 2.0
-    r_lo, r_hi = window[0] * half, window[1] * half
-    r = g.radius().ravel()
-    mask = (r >= r_lo) & (r <= r_hi)
-    if not np.any(mask):
-        raise FitWindowEmpty(f"no grid points with radius in [{r_lo:.3g}, {r_hi:.3g}]")
+    r, inside, (r_lo, r_hi) = decay_window(g, window)
 
     p_max = float(np.sqrt(4.0 * wave.omega * phys.sigma0) * (1.0 - np.sqrt(phys.sigma / (4.0 * wave.omega)) * wave.speed))
 
     rates = np.empty(3)
     residuals = np.empty(3)
     for j in range(3):
-        amp = np.sqrt(np.sum(np.abs(phi.u[j]) ** 2, axis=0)).ravel()
+        amp = np.sqrt(np.sum(np.abs(phi.u[j]) ** 2, axis=0)).ravel()[inside]
         if g.d == 1:
-            rr, aa = r[mask], amp[mask]
+            rr, aa = r, amp
         else:
             nbins = max(8, int((r_hi - r_lo) / max(g.spacing)))
             edges = np.linspace(r_lo, r_hi, nbins + 1)
-            which = np.digitize(r[mask], edges) - 1
+            which = np.digitize(r, edges) - 1
             which = np.clip(which, 0, nbins - 1)
-            sums = np.bincount(which, weights=amp[mask], minlength=nbins)
+            sums = np.bincount(which, weights=amp, minlength=nbins)
             counts = np.bincount(which, minlength=nbins)
             good = counts > 0
             rr = 0.5 * (edges[:-1] + edges[1:])[good]

@@ -333,6 +333,7 @@ def _descend(grid, phys, wave, config, start: State):
     return finish("non_finite" if not finite else "converged" if residual < config.residual_tol else "iteration_cap")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_ground_state(
     grid: Grid, phys: PhysParams, wave: WaveParams, config: SolverConfig | None = None
 ) -> GroundStateResult:
@@ -346,7 +347,11 @@ def solve_ground_state(
     descent's DescentHistory. Deterministic for a given (config, seed).
     Raises NoConvergence, carrying every descent's history, when no descent
     meets the residual tolerance, and DomainTooSmall when the profile leaks
-    more than 1e-6 of its mass into the outer 10% of the box.
+    more than 1e-6 of its mass into the outer 10% of the box. A number
+    past float range says so through the result, not through numpy's
+    overflow and invalid-value warnings, which the solve does not raise: a
+    seed whose Lqc is not finite raises DegenerateNonlinearity, and a
+    descent whose action or residual is not finite ends "non_finite".
     """
     config = config or SolverConfig()
     wave.require_admissible(phys)
@@ -390,19 +395,25 @@ class MuScalePoint:
     status: str = "ok"
 
 
-def mu_scan_unit(phys: PhysParams, c0) -> WaveParams:
-    """The unit pair (1, c0) whose scaling curve ``mu_scaling_check`` solves along.
+def mu_scan_points(phys: PhysParams, c0, omegas) -> tuple:
+    """The unit pair (1, c0) of ``mu_scaling_check``'s scaling curve and its (scale, pair) point at each omega.
 
-    Raises InadmissibleParameters naming the pair unless it is admissible;
-    the frequency of the wave c0 came with plays no part. The message forms
-    sigma |c|^2 / 4 in floats, |c|^2 as the sum of the c_k^2, so a speed
-    past float range reads inf with no warning.
+    Each point is ``unit.on_curve(omega=omega)``, solved at exactly that
+    omega. Raises InadmissibleParameters naming the unit pair unless it is
+    admissible (the frequency of the wave c0 came with plays no part; the
+    message forms sigma |c|^2 / 4 in floats, |c|^2 as the sum of the c_k^2,
+    so a speed past float range reads inf with no warning), and naming the
+    first point whose pair is not admissible (``WaveParams.require_admissible``:
+    at omega 1e308 its margins pass float range).
     """
     unit = WaveParams(1.0, c0)
     if not unit.admissible(phys):
         bound = phys.sigma * sum(ck * ck for ck in unit.c) / 4.0
         raise InadmissibleParameters(f"the unit pair (1, c)=(1, {list(unit.c)}) of the mu scan is not admissible: 1 <= sigma*|c|^2/4={bound}")
-    return unit
+    points = [unit.on_curve(omega=omega) for omega in omegas]
+    for _, wave in points:
+        wave.require_admissible(phys)
+    return unit, points
 
 
 def mu_scaling_check(
@@ -415,34 +426,34 @@ def mu_scaling_check(
     """Verify the frequency power laws of the solved ground states.
 
     Each omega is solved at exactly that frequency, at the point (omega, s c0)
-    of the scaling curve through the unit pair (1, c0) (``mu_scan_unit``,
-    checked before the first solve, and ``WaveParams.on_curve``), where
+    of the scaling curve through the unit pair (1, c0) (``mu_scan_points``,
+    which judges the unit pair and every point before the first solve), where
     s = sqrt(omega) and the level and the charge follow
 
         mu(omega, s c0) = s^(4-d) mu(1, c0)   (rel_error)
         Q(omega, s c0)  = s^(2-d) Q(1, c0)    (q_scaling_error)
 
     Each point is an independent solve, compared with the law through the
-    unit-frequency solve. A point whose solve fails (NoConvergence,
-    DomainTooSmall or DegenerateNonlinearity, or InadmissibleParameters
-    for a point whose margins pass float range) is kept with NaN values and
-    the error's name as its ``status``; when the unit-frequency solve
-    fails, every point carries that failure.
+    unit-frequency solve. An inadmissible point (such as omega 1e308, whose
+    margins pass float range) raises InadmissibleParameters before any
+    solve. A point whose solve fails (NoConvergence, DomainTooSmall or
+    DegenerateNonlinearity) is kept with NaN values and the error's name as
+    its ``status``; when the unit-frequency solve fails, every point carries
+    that failure.
     """
     config = config or SolverConfig()
-    unit = mu_scan_unit(phys, c0)
+    unit, points = mu_scan_points(phys, c0, omegas)
     d = grid.d
 
     def solve(wave):
         try:
             return solve_ground_state(grid, phys, wave, config)
-        except (NoConvergence, DomainTooSmall, DegenerateNonlinearity, InadmissibleParameters) as exc:
+        except (NoConvergence, DomainTooSmall, DegenerateNonlinearity) as exc:
             return type(exc).__name__
 
     base = solve(unit)
     out = []
-    for omega in omegas:
-        s, wave = unit.on_curve(omega=omega)
+    for omega, (s, wave) in zip(omegas, points):
         res = base if omega == 1.0 or isinstance(base, str) else solve(wave)
         if isinstance(res, str):
             out.append(MuScalePoint(wave.omega, np.nan, np.nan, np.nan, np.nan, res))
@@ -483,19 +494,29 @@ class HCurveReport:
     rel_h2: float
 
 
-def h_curve_points(wave: WaveParams, tau_step: float | None = None):
-    """The taus -2..2 tau_step of ``h_curve`` (tau_step defaults to 0.05 sqrt(omega)) and their points.
+def h_curve_points(grid: Grid, phys: PhysParams, wave: WaveParams, tau_step: float | None = None):
+    """The taus -2..2 tau_step of ``h_curve`` (tau_step defaults to 0.05 sqrt(omega)) and their points, judged.
 
-    Each point is the (scale, pair) of ``wave.on_curve`` at scale 1 - tau/sqrt(omega);
-    2 tau_step >= sqrt(omega) takes the last one off the branch: InadmissibleParameters.
+    Each point is the (scale, pair) of ``wave.on_curve`` at scale 1 - tau/sqrt(omega).
+    Raises WrongDimension unless the grid has d in {1, 2}, where the
+    scaling-curve analysis is defined; InadmissibleParameters naming
+    tau_step when 2 tau_step >= sqrt(omega) takes the last point off the
+    branch; and InadmissibleParameters naming the first point whose pair is
+    not admissible (``WaveParams.require_admissible``: at omega 2e307 the
+    margins of the tau = -2 tau_step point pass float range).
     """
+    if grid.d not in (1, 2):
+        raise WrongDimension(f"scaling-curve analysis is defined for d in {{1, 2}}, not d={grid.d}")
     sw = float(np.sqrt(wave.omega))
     step = 0.05 * sw if tau_step is None else tau_step
     taus = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * step
     try:
-        return taus, [wave.on_curve(1.0 - tau / sw) for tau in taus]
+        points = [wave.on_curve(1.0 - tau / sw) for tau in taus]
     except InadmissibleParameters as exc:
         raise InadmissibleParameters(f"tau_step={step:g}: 2 tau_step must be below sqrt(omega)={sw:g}; {exc}") from None
+    for _, w_tau in points:
+        w_tau.require_admissible(phys)
+    return taus, points
 
 
 def h_curve(
@@ -507,13 +528,11 @@ def h_curve(
 ) -> HCurveReport:
     """Compare finite-difference derivatives of the level curve to closed forms.
 
-    Its points (``h_curve_points``) are checked before the first solve.
+    ``h_curve_points`` judges the dimension, tau_step and every point before the first solve.
     """
     d = grid.d
-    if d not in (1, 2):
-        raise WrongDimension("scaling-curve analysis is defined for d in {1, 2}")
     config = config or SolverConfig()
-    taus, points = h_curve_points(wave, tau_step)
+    taus, points = h_curve_points(grid, phys, wave, tau_step)
     results = [solve_ground_state(grid, phys, w_tau, config) for _, w_tau in points]
     mus = np.array([res.mu for res in results])
     center = results[2]

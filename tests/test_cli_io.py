@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -19,8 +20,10 @@ from dnls3 import cli, config, ground_state, snapshot
 from dnls3.cli import run_subcommand
 from dnls3.config import parse_config
 from dnls3.errors import (
+    Dnls3Error,
     FormatError,
     LengthMismatch,
+    NoConvergence,
     NonFinite,
     ParseError,
     UnsupportedVersion,
@@ -110,6 +113,57 @@ class TestSnapshot:
         path.write_bytes(b"LDSF" + struct.pack("<II2Q2d", FORMAT_VERSION, 2, 2**32, 2**32, 40.0, 40.0))
         with pytest.raises(LengthMismatch, match=f"header promises {3 * 2 * 2**64 * 16}"):
             load_field(path)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "blob, error, fragment",
+        [
+            (b"LDSF\x01\x00\x00\x00", LengthMismatch, "truncated header"),
+            (b"LDSF" + struct.pack("<II2Q", FORMAT_VERSION, 2, 16, 16), LengthMismatch, "truncated header"),
+            (b"LDSF" + struct.pack("<II", FORMAT_VERSION, 4) + b"\x00" * 64, FormatError, "dimension 4 out of range"),
+            (b"LDSF" + struct.pack("<II", FORMAT_VERSION, 0), FormatError, "dimension 0 out of range"),
+        ],
+        ids=["no-version-or-dimension", "no-extent", "dimension-4", "dimension-0"],
+    )
+    def test_snapshot_header_refused(self, tmp_path, capsys, monkeypatch, blob, error, fragment):
+        path = tmp_path / "field.ldsf"
+        path.write_bytes(blob)
+        with pytest.raises(error, match=fragment):
+            load_field(path)
+        # named by experiment.field, the snapshot is read before any solve and any write
+        cfg_path, outdir = small_config(tmp_path, "bad_header", experiment={"field": str(path), "samples": 20})
+        monkeypatch.setattr(cli, "solve_ground_state", _no_solve)
+        capsys.readouterr()
+        assert run_subcommand(["check", "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == error.__name__ and fragment in record["message"]
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "source, written, error, field, fragment",
+        [
+            ("absent.json", None, ParseError, None, "cannot read config"),
+            ("root.json", "[1, 2]", ParseError, None, "config root must be an object"),
+            ('{"grid": {"n": []}}', None, ValidationError, "grid.n", "expected at least one point count"),
+            ('{"grid": {"dealias": "yes"}}', None, ValidationError, "grid.dealias", "expected true/false"),
+            ('{"grid": {"dealias": 1}}', None, ValidationError, "grid.dealias", "expected true/false"),
+        ],
+        ids=["unreadable-path", "list-root", "no-point-counts", "string-dealias", "int-dealias"],
+    )
+    def test_config_refused(self, tmp_path, capsys, monkeypatch, source, written, error, field, fragment):
+        monkeypatch.chdir(tmp_path)
+        if written is not None:
+            Path(source).write_text(written)
+        with pytest.raises(error, match=fragment) as info:
+            parse_config(source)
+        assert field is None or info.value.field == field
+        capsys.readouterr()
+        assert run_subcommand(["gs", "--config", source, "--out", "out"]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == error.__name__ and fragment in record["message"]
+        assert field is None or record["message"].startswith(f"{field}:")
+        assert not Path("out").exists()
 
 
 def _rule(value, whole=False, above=None, least=None):
@@ -642,15 +696,29 @@ class TestCli:
         assert len(rows) >= 1 and rows[0, 0] == 0.0
         assert np.all(rows[:, 0] < record["divergence_time"]) and np.all(np.isfinite(rows))
 
-    def test_wrong_dimension_exit_code(self, tmp_path, capsys):
-        cfg_path, _ = small_config(
+    def test_wrong_dimension_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a 3D h-curve is an invalid input: it exited 3 after writing effective_config.json
+        cfg_path, outdir = small_config(
             tmp_path, "hc_3d", grid={"d": 3, "n": [8, 8, 8], "extent": [10, 10, 10]}, wave={"c": [0, 0, 0]}
         )
+        monkeypatch.setattr(ground_state, "solve_ground_state", _no_solve)
         capsys.readouterr()
-        assert run_subcommand(["h-curve", "--config", str(cfg_path)]) == 3
+        assert run_subcommand(["h-curve", "--config", str(cfg_path)]) == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "WrongDimension"
+        assert not outdir.exists()
+
+    def test_decay_window_without_grid_points_exit_code(self, tmp_path, capsys, monkeypatch):
+        # on 512/40 no point has a radius in [18, 18.002]: the run exited 3 after a solve and a write
+        cfg_path, outdir = small_config(tmp_path, "decay_empty", grid={"n": [512]}, experiment={"window": [0.9, 0.9001]})
+        monkeypatch.setattr(cli, "solve_ground_state", _no_solve)
+        capsys.readouterr()
+        assert run_subcommand(["decay", "--config", str(cfg_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "FitWindowEmpty"
+        assert "[18, 18]" in record["message"]
+        assert not outdir.exists()
 
     @pytest.mark.parametrize(
         "case, field",
@@ -1031,3 +1099,166 @@ class TestCli:
             tmp_path, "check_from_field", experiment={"field": str(field), "samples": 20}
         )
         assert run_subcommand(["check", "--config", str(cfg2)]) == 0
+
+
+def _error_types(cls=Dnls3Error):
+    """Every subclass of ``cls``, however deep."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_types(sub)
+
+
+def _readme_exit_list(code):
+    """The error names the README lists for exit ``code``: "<code> <what> (`A`, `B`, ...)" in its exit-code sentence."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(rf"Exit codes: .*?\b{code} [a-z /]+ \(([^)]*)\)", readme, re.S)
+    return set(re.findall(r"`(\w+)`", listed.group(1)))
+
+
+def _descent_confirms(termination, rows, solver):
+    """Whether one descent's rows of solver_history.csv show how it ended.
+
+    A row holds (descent, iteration, S, residual, step, mixed); the descent's
+    rows are its start and each accepted step.
+    """
+    its, S, residual = int(rows[-1, 1]), rows[:, 2], rows[:, 3]
+    finite = bool(np.isfinite(S[-1]) and np.isfinite(residual[-1]))
+    unconverged = finite and residual[-1] >= solver.residual_tol
+    return {
+        "converged": finite and residual[-1] < solver.residual_tol,
+        "iteration_cap": unconverged and its == solver.max_iter,
+        "non_finite": not finite,
+        # the best residual came MEMORY accepted steps before the end, and the next trial did not lower it either
+        "residual_growth": unconverged and len(rows) - 1 - int(np.argmin(residual)) == ground_state.MEMORY,
+        "invalid_step": unconverged and its < solver.max_iter,
+    }[termination]
+
+
+def _finite(value):
+    """Every number in a JSON value is finite."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or np.isfinite(value)
+
+
+# a whole gs config: moderate values of every key, on which the dealiased 64-point 1D
+# grid converges, and extreme but valid values (None leaves a key out) for up to four
+# keys drawn at once; a speed is a fraction of the admissibility edge
+MODERATE_KEYS = {
+    "d": [1],
+    "alpha": [None, 1.0],
+    "beta": [None, 1.0],
+    "gamma": [None, 1.0],
+    "omega": [4.0, 2.0],
+    "edge_fraction": [0.0, 0.5],
+    "n": [64],
+    "extent": [16.0, 24.0],
+    "dealias": [True],
+    "max_iter": [400],
+    "residual_tol": [None, 1e-6],
+    "restarts": [None, 1, 2],
+    "seed": [None, 0],
+}
+EXTREME_KEYS = {
+    "d": [2],
+    "alpha": [1e-300, 1e300],
+    "beta": [1e-300, 1e300],
+    "gamma": [1e-300, 1e300],
+    "omega": [None, 1e-300, 1e300],
+    "edge_fraction": [0.99, 1.0 - 2.0**-40, 1.0 + 2.0**-40],
+    "n": [8, 16, 32],
+    "extent": [None, 1e-300, 1e100, 1e300],
+    "dealias": [None, False],
+    "max_iter": [1, 2],
+    "residual_tol": [1e-300, 1e300],
+    "seed": [2**53],
+}
+
+
+@st.composite
+def gs_configs(draw):
+    """A whole gs config on a grid of 8 to 64 points: 1D, or 2D on 8 x 8."""
+    extreme = draw(st.sets(st.sampled_from(sorted(EXTREME_KEYS)), max_size=4))
+    pick = {key: draw(st.sampled_from(EXTREME_KEYS[key] if key in extreme else values)) for key, values in MODERATE_KEYS.items()}
+    d = pick["d"]
+    omega = 1.0 if pick["omega"] is None else pick["omega"]
+    sigma = min(2.0 * (pick["alpha"] or 1.0), pick["beta"] or 1.0, pick["gamma"] or 1.0)
+    # |c| = f sqrt(4 omega sigma) zeroes the least margin; past float range the speed is 0
+    edge = np.sqrt(4.0 * omega * sigma) if np.isfinite(4.0 * omega * sigma) else 0.0
+    groups = {
+        "physics": {key: pick[key] for key in ("alpha", "beta", "gamma")},
+        "wave": {"omega": pick["omega"], "c": [pick["edge_fraction"] * edge] + [0.0] * (d - 1)},
+        "grid": {
+            "d": d,
+            "n": [pick["n"]] if d == 1 else [8, 8],
+            "extent": None if pick["extent"] is None else [pick["extent"]] * d,
+            "dealias": pick["dealias"],
+        },
+        "solver": {key: pick[key] for key in ("max_iter", "residual_tol", "restarts", "seed")},
+    }
+    return {name: {k: v for k, v in group.items() if v is not None} for name, group in groups.items()}
+
+
+class TestExitContract:
+    @settings(max_examples=80, deadline=None)
+    @given(doc=gs_configs())
+    def test_gs_exit_says_what_happened(self, doc):
+        # exit 0 with finite outputs, 2 naming a field before any write, or 3 with a
+        # termination that the written history confirms
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+            out = Path(tmp) / "out"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_subcommand(["gs", "--config", json.dumps(doc), "--out", str(out)])
+            record = json.loads(err.getvalue()) if code else None
+            if code == 2:
+                assert record["error"] == "ValidationError"
+                assert record["message"].split(":")[0].split(".")[0] in doc
+                assert not out.exists()
+                return
+            solver = parse_config(json.dumps(doc)).solver
+            if code == 3 and record["error"] != "NoConvergence":
+                # the seed's Nehari projection or the converged profile's box check failed: no descent ended so
+                assert record["error"] in ("DegenerateNonlinearity", "DomainTooSmall")
+                assert record["error"] in _readme_exit_list(3)
+                return
+            if code == 0:
+                payload = json.loads((out / "ground_state.json").read_text())
+                assert _finite(payload) and np.isfinite(load_field(out / "ground_state.ldsf").u).all()
+                terminations = payload["termination"]
+                assert terminations[-1] == "converged" and "converged" not in terminations[:-1]
+            else:
+                assert code == 3
+                terminations = record["termination"]
+                assert "converged" not in terminations
+            lines = (out / "solver_history.csv").read_text().splitlines()[1:]
+            rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+            assert code == 3 or np.isfinite(rows).all()
+            assert sorted(set(rows[:, 0])) == list(range(len(terminations)))
+            for k, termination in enumerate(terminations):
+                assert _descent_confirms(termination, rows[rows[:, 0] == k], solver), (k, termination)
+
+    def test_every_error_type_has_one_exit_code(self, tmp_path, capsys, monkeypatch):
+        # WrongDimension and FitWindowEmpty were in neither class and exited 3 on invalid inputs
+        user, numerical = _readme_exit_list(2), _readme_exit_list(3)
+        types = list(_error_types())
+        assert user == {cls.__name__ for cls in cli.USER_ERRORS}
+        assert numerical <= {cls.__name__ for cls in types} and not user & numerical
+        args = {
+            ValidationError: ("grid", "refused"),
+            NonFinite: (0.5,),
+            NoConvergence: ([ground_state.DescentHistory(*np.ones((4, 1)), 1, "iteration_cap")],),
+        }
+        cfg_path, _ = small_config(tmp_path, "raises")
+        for cls in types:
+            assert (cls.__name__ in user) != (cls.__name__ in numerical), cls.__name__
+
+            def raise_it(cfg, outdir, field, cls=cls):
+                raise cls(*args.get(cls, ("raised",)))
+
+            monkeypatch.setitem(cli.COMMANDS, "gs", raise_it)
+            capsys.readouterr()
+            assert run_subcommand(["gs", "--config", str(cfg_path)]) == (2 if cls.__name__ in user else 3)
+            assert json.loads(capsys.readouterr().err)["error"] == cls.__name__

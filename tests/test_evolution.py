@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnls3 import evolution
+from dnls3.cli import run_subcommand
 from dnls3.errors import FitWindowEmpty, InadmissibleParameters, NonFinite
 from dnls3.evolution import (
     EvolutionTrace,
@@ -27,6 +29,7 @@ from dnls3.functionals import FunctionalReport, WellMembership, _report, coerciv
 from dnls3.grid import Grid, Kernel, State, _norm_h1, norm_h1
 from dnls3.ground_state import SolverConfig, solve_ground_state
 from dnls3.params import MASSES, PhysParams, WaveParams
+from dnls3.snapshot import save_field
 
 from tests.conftest import band_limited_state, random_state, reference_nonlinear_gradient
 
@@ -169,6 +172,19 @@ class TestStep:
     def test_unknown_scheme(self, grid1d_box):
         with pytest.raises(ValueError):
             step(State.zeros(grid1d_box), PHYS, 0.01, "euler")
+
+    @pytest.mark.parametrize("scheme", ["euler", "Strang", "", None])
+    def test_unknown_scheme_refused_by_the_config(self, tmp_path, capsys, scheme):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            EvolveConfig(scheme=scheme)
+        out = tmp_path / "out"
+        doc = {"grid": {"n": [64], "extent": [10.0]}, "evolve": {"scheme": scheme}}
+        capsys.readouterr()
+        assert run_subcommand(["evolve", "--config", json.dumps(doc), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("evolve.scheme: unknown scheme")
+        assert not out.exists()
 
     def test_fractional_record_stride_rejected(self):
         # a stride of 2.5 recorded every 5 steps; an integral float is kept as its int
@@ -463,6 +479,33 @@ class TestOrbitDistance:
         x = np.concatenate([np.geomspace(1e-12, 1e2, 200_000), -np.geomspace(1e-12, 1e2, 200_000)])
         assert np.array_equal(np.exp(0.5j * x).imag.view(np.uint64), np.sin(x / 2.0).view(np.uint64))
 
+    @pytest.mark.parametrize("grid", [Grid(256, 40.0), Grid((32, 32), (16.0, 16.0))], ids=["1d", "2d"])
+    def test_overshooting_step_is_halved(self, monkeypatch, grid):
+        # near the optimum G(p + t s) - G(p) = (t - t^2 / 2) q for the Newton step s: at
+        # t = 2.2 the gain falls, so the refine goes on only by halving to 1.1 s, whose
+        # error contracts by 0.1 per iteration; a refine that never accepted a halved
+        # step would end at its scan's start, far from the unpatched distance
+        phi = smooth_state(grid)
+        rng = np.random.default_rng(5)
+        u = phi.u * np.exp(1j * np.array([0.9, 0.2, 0.7])).reshape(3, 1, *[1] * grid.d)
+        states = [
+            State(grid, grid.translate(u, rng.uniform(-3.0, 3.0, grid.d)) + delta * h1_perturbation(grid, rng).u)
+            for delta in (1.0, 1e-2, 1e-4)
+        ]
+        unpatched = [orbit_distance(U, phi).distance for U in states]
+        ascent_step, overshoots = evolution._ascent_step, []
+
+        def overshooting(*args):
+            overshoots.append(None)
+            return 2.2 * ascent_step(*args)
+
+        monkeypatch.setattr(evolution, "_ascent_step", overshooting)
+        for U, want in zip(states, unpatched):
+            got = orbit_distance(U, phi).distance
+            assert abs(got - want) <= 1e-10 * want
+            assert got <= norm_h1(State(grid, U.u - phi.u))
+        assert overshoots
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_state_that_is_not_finite_ends_the_refine(self, value):
         # its step is NaN, which no halving makes short: a loop that waited for a short
@@ -563,6 +606,38 @@ class TestDecayFit:
         assert np.all(np.abs(rep.rates - 2.0) < 1e-3)
         assert abs(rep.p_max - 2.0) < 1e-12  # sigma0 = 1 at unit coefficients
         assert abs(rep.half_bound - 1.0) < 1e-12
+
+    @staticmethod
+    def radial_exponential(grid, rates):
+        """Component j of every vector entry is exp(-rates[j] |x|) / sqrt(d), so its amplitude is exp(-rates[j] |x|)."""
+        r = grid.radius()
+        u = np.empty((3, grid.d, *grid.shape), dtype=complex)
+        for j, a in enumerate(rates):
+            u[j] = np.exp(-a * r) / np.sqrt(grid.d)
+        return State(grid, u)
+
+    @pytest.mark.parametrize("n, extent", [((64, 64), (40.0, 40.0)), ((64, 128), (30.0, 40.0))], ids=["square", "oblong"])
+    def test_radial_bins_recover_the_rate_in_2d(self, n, extent):
+        # the window's amplitudes are averaged over radial bins before the fit
+        g, rates = Grid(n, extent), np.array([0.5, 1.0, 2.0])
+        rep = decay_rate_fit(self.radial_exponential(g, rates), PHYS, WaveParams(1.0, (0.0, 0.0)))
+        assert np.all(np.abs(rep.rates - rates) <= rep.fit_residuals)
+        half = min(extent) / 2.0
+        assert rep.window == (0.5 * half, 0.9 * half)
+
+    def test_decay_subcommand_in_2d(self, tmp_path):
+        g, rates = Grid((64, 64), (40.0, 40.0)), np.array([0.5, 1.0, 2.0])
+        field = tmp_path / "radial.ldsf"
+        save_field(self.radial_exponential(g, rates), field)
+        doc = {
+            "grid": {"n": [64, 64], "extent": [40.0, 40.0]},
+            "wave": {"c": [0.0, 0.0]},
+            "experiment": {"field": str(field)},
+            "output": {"dir": str(tmp_path / "out")},
+        }
+        assert run_subcommand(["decay", "--config", json.dumps(doc)]) == 0
+        payload = json.loads((tmp_path / "out" / "decay.json").read_text())
+        assert np.all(np.abs(np.array(payload["rates"]) - rates) <= np.array(payload["fit_residuals"]))
 
     def test_speed_shrinks_bound(self):
         rep0 = decay_rate_fit(smooth_state(Grid(64, 20.0)), PHYS, WAVE0)

@@ -11,6 +11,7 @@ from dnls3.functionals import (
     FunctionalReport,
     WellMembership,
     _parts,
+    _report,
     action_gradient,
     coercivity_certificate,
     evaluate,
@@ -277,6 +278,19 @@ class TestReport:
 def _same_field(a, b) -> bool:
     """Equal bit for bit: the same value, the same None, or the same array."""
     return (a is None and b is None) or np.array_equal(a, b)
+
+
+class TestReportInputs:
+    @pytest.mark.parametrize("n, c", [((64,), (0.0, 0.0)), ((8, 8), (0.3,)), ((8, 8, 8), (0.0, 0.0))], ids=["1d-2c", "2d-1c", "3d-2c"])
+    def test_wave_of_another_dimension_refused(self, n, c):
+        # a config cannot get here: it refuses a wave.c whose length is not the grid's d
+        g = Grid(n, (10.0,) * len(n))
+        wave = WaveParams(1.0, c)
+        match = f"wave speed has {len(c)} components but grid is {g.d}-dimensional"
+        with pytest.raises(ValueError, match=match):
+            _report(Kernel(g), g.fft(State.zeros(g).u), PHYS, wave)
+        with pytest.raises(ValueError, match=match):
+            evaluate(State.zeros(g), PHYS, wave)
 
 
 class TestBatchReport:

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnls3.cli import run_subcommand
 from dnls3.evolution import EvolveConfig, _advance, _linear_phases, evolve, h1_perturbation, step
 from dnls3.functionals import gauge_phases
 from dnls3.grid import Grid, Kernel, State, norm_h1
@@ -669,3 +671,19 @@ class TestGridIsAValue:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == [0] * len(cases)
+
+
+class TestGridInputs:
+    @pytest.mark.parametrize("n, extent", [([64], [10.0, 10.0]), ([8, 8], [10.0]), ([8, 8], [10.0, 10.0, 10.0])])
+    def test_n_and_extent_of_other_lengths_refused(self, tmp_path, capsys, n, extent):
+        with pytest.raises(ValueError, match="n and extent must have the same length"):
+            Grid(n, extent)
+        # through a config the grid's own check names it, before any write
+        out = tmp_path / "out"
+        doc = {"grid": {"n": n, "extent": extent}, "wave": {"c": [0.0] * len(n)}}
+        capsys.readouterr()
+        assert run_subcommand(["gs", "--config", json.dumps(doc), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("grid: n and extent must have the same length")
+        assert not out.exists()

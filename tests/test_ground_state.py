@@ -27,7 +27,7 @@ from dnls3.ground_state import (
     h_curve,
     initial_ansatz,
     mu_scaling_check,
-    mu_scan_unit,
+    mu_scan_points,
     pohozaev_residual,
     precondition,
     reports_below_level,
@@ -41,6 +41,10 @@ from tests.conftest import random_state
 
 PHYS = PhysParams(1.0, 1.0, 1.0)
 FAST = SolverConfig(restarts=1)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved although the inputs are invalid")
 
 
 @pytest.fixture(scope="module")
@@ -875,6 +879,40 @@ class TestMixingStep:
         assert not np.isfinite(history.S[-1] + history.residual[-1])
 
 
+class TestStepHalving:
+    def test_plain_step_that_raises_the_action_is_halved(self, monkeypatch, grid1d_box):
+        # with a step of 3 the component rescalings' error grows by 1 - 2 * 3 = -5 per
+        # step: the first plain trial raises S, and 3 / 4 is the first step that does not
+        wave = WaveParams(1.0, (0.3,))
+        start = initial_ansatz(grid1d_box, PHYS, wave)
+        _, rep0, _ = _descend(grid1d_box, PHYS, wave, FAST, start)
+        monkeypatch.setattr(ground_state, "STEP", 3.0)
+        _, rep, history = _descend(grid1d_box, PHYS, wave, FAST, start)
+        assert history.termination == "converged"
+        assert history.step[1] == 0.75 and not history.mixed[1]
+        assert np.all(np.diff(history.S) <= 1e-12 * (1.0 + np.abs(history.S[:-1])))
+        assert abs(rep.S - rep0.S) <= 1e-12 * rep0.S
+
+    def test_descent_whose_every_trial_fails_ends_invalid_step(self, monkeypatch, grid1d_box):
+        # every trial after the start has an action of +inf, above any level: the plain
+        # step is halved from STEP until it is below 1e-10, 0.9 / 2**33 being the last tried
+        wave = WaveParams(1.0, (0.3,))
+        project, calls = ground_state._project, []
+
+        def rising(*args):
+            F, rep, dN = project(*args)
+            calls.append(None)
+            return F, (rep if len(calls) == 1 else dataclasses.replace(rep, S=np.inf)), dN
+
+        monkeypatch.setattr(ground_state, "_project", rising)
+        history = _descend(grid1d_box, PHYS, wave, FAST, initial_ansatz(grid1d_box, PHYS, wave))[2]
+        assert history.termination == "invalid_step"
+        assert history.iterations == 1 and len(history.S) == 1
+        assert len(calls) == 1 + 34
+        error = NoConvergence([history])
+        assert error.reason == "invalid_step" and "halving the step below 1e-10" in str(error)
+
+
 class TestIdentities:
     def test_pohozaev_large_off_solution(self, grid1d_box):
         wave = WaveParams(1.0, (0.0,))
@@ -886,15 +924,17 @@ class TestIdentities:
         rep = evaluate(scaled_phi, gs_1d.phys, gs_1d.wave)
         assert rep.fourd_residual(rep.S) > 1e-2
 
-    def test_mu_scaling_small(self):
-        # omega=1 point is exact by construction; the margins of the omega=1e308
-        # point pass float range, and its status names that refusal (its solve
-        # failed as DegenerateNonlinearity, Lqc=inf)
-        pts = mu_scaling_check(Grid(512, 40.0), PHYS, (0.0,), [1.0, 2.0, 1e308], FAST)
+    def test_mu_scaling_small(self, monkeypatch):
+        # omega=1 point is exact by construction
+        pts = mu_scaling_check(Grid(512, 40.0), PHYS, (0.0,), [1.0, 2.0], FAST)
         assert pts[0].rel_error == 0.0
         assert pts[1].rel_error < 1e-3
         assert pts[1].q_scaling_error < 1e-6
-        assert pts[2].status == "InadmissibleParameters" and np.isnan(pts[2].mu)
+        # the margins of the omega=1e308 point pass float range: the scan is refused
+        # before its first solve, with the error the CLI reports for the same omegas
+        monkeypatch.setattr(ground_state, "solve_ground_state", _no_solve)
+        with pytest.raises(InadmissibleParameters, match=r"\(omega, c\)=\(1e\+308, \[0.0\]\) is not admissible"):
+            mu_scaling_check(Grid(512, 40.0), PHYS, (0.0,), [1.0, 2.0, 1e308], FAST)
 
     def test_mu_scaling_unit_failure_marks_every_point(self, monkeypatch):
         # the laws go through the unit-frequency solve: without it no point has a value
@@ -911,7 +951,7 @@ class TestIdentities:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InadmissibleParameters, match=r"sigma\*\|c\|\^2/4=inf"):
-                mu_scan_unit(PhysParams(), (1e200,))
+                mu_scan_points(PhysParams(), (1e200,), [1.0])
 
     def test_q_scaling_error_is_the_charge_law_of_separate_solves(self):
         # Q(omega, sqrt(omega) c0) = omega^{1-d/2} Q(1, c0) between independent solves
@@ -1018,7 +1058,9 @@ class TestHCurve:
         assert solved[2] == WaveParams(omega, (0.3,))
         assert rep.mu_curve_predicted[-1] < 1e-20
 
-    def test_h_curve_rejects_3d(self):
+    def test_h_curve_rejects_3d(self, monkeypatch):
+        # refused before the first solve, with the error the CLI reports for the same grid
         g3 = Grid((8, 8, 8), (10.0, 10.0, 10.0))
-        with pytest.raises(WrongDimension):
+        monkeypatch.setattr(ground_state, "solve_ground_state", _no_solve)
+        with pytest.raises(WrongDimension, match="d=3"):
             h_curve(g3, PHYS, WaveParams(1.0, (0.0, 0.0, 0.0)), config=FAST)
