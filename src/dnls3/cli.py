@@ -4,19 +4,21 @@ Subcommands: gs, evolve, check, mu-scan, h-curve, stability, decay.
 Every run writes into its output directory:
 
     effective_config.json   the fully-defaulted config that was executed
-    manifest.json           config hash, seed, format version, wall clock
+    manifest.json           config hash, seed, format version, regime flag,
+                            exit code, error record, wall clock
     <subcommand outputs>    field snapshots (.ldsf), CSV series, JSON reports
 
 Exit codes: 0 success, 2 invalid configuration or input files (USER_ERRORS),
 refused before any solve and before the output directory is made, 3
 numerical failure (no convergence, divergence, domain too small, a
-degenerate coupling). Errors also emit a one-line JSON record on stderr.
-A failed run keeps what explains it: a
-``gs`` whose descents all fail writes solver_history.csv and adds each
-descent's termination to its record, and a diverging ``evolve`` or
-``stability`` writes its trace up to the divergence. All outputs other than
-the manifest (which records the wall clock) are byte-reproducible for a
-fixed config and seed.
+degenerate coupling). Errors also emit a one-line JSON record on stderr,
+the error's ``record``. A failed run keeps what explains it, written by
+``run_subcommand`` alone, whichever subcommand failed: the descents the
+error carries go to solver_history.csv (their terminations are in the
+record), its trace up to a divergence to the subcommand's own trace file
+(TRACE_FILES), and the record to the manifest, whose ``error`` is null on
+success. All outputs other than the manifest (which records the wall
+clock) are byte-reproducible for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, _judged, _path, parse_config
-from .errors import Dnls3Error, NoConvergence, NonFinite
+from .errors import Dnls3Error
 from .errors import FitWindowEmpty, FormatError, InadmissibleParameters, LengthMismatch, ParseError, UnsupportedVersion, ValidationError, WrongDimension
 from .evolution import decay_rate_fit, decay_window, evolve, perturbed, sandwich_points, stability_experiment
 from .functionals import WellMembership, coercivity_certificate, evaluate
@@ -73,12 +75,6 @@ def _write_trace_csv(path: Path, trace) -> None:
     _write_csv(path, header, zip(*columns))
 
 
-def _write_partial_trace(path: Path, exc: NonFinite) -> None:
-    """The records of a diverging run, up to the divergence, when the error carries them."""
-    if exc.trace is not None:
-        _write_trace_csv(path, exc.trace)
-
-
 def _report_dict(rep) -> dict:
     """The report's fields, less the pair (omega, c) it was evaluated at."""
     return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name not in ("omega", "c")}
@@ -104,7 +100,8 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     return outdir
 
 
-def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, started: float) -> None:
+def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, started: float, code: int, error: dict | None) -> None:
+    """The run's identity, its regime flag (``PhysParams.well_posedness_unknown``), exit code, error record (None on success) and wall clock."""
     _write_json(
         outdir / "manifest.json",
         {
@@ -112,6 +109,9 @@ def _write_manifest(outdir: Path, cfg: RunConfig, subcommand: str, started: floa
             "config_hash": cfg.config_hash(),
             "seed": cfg.solver.seed,
             "field_format_version": FORMAT_VERSION,
+            "well_posedness_unknown": cfg.phys.well_posedness_unknown,
+            "exit_code": code,
+            "error": error,
             "wall_clock_seconds": time.time() - started,
         },
     )
@@ -128,12 +128,7 @@ def _write_solver_history(path: Path, histories) -> None:
 
 
 def _cmd_gs(cfg: RunConfig, outdir: Path, field) -> int:
-    try:
-        res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
-    except NoConvergence as exc:
-        # the failed descents explain the failure
-        _write_solver_history(outdir / "solver_history.csv", exc.histories)
-        raise
+    res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
     save_field(res.phi, outdir / "ground_state.ldsf")
     _write_solver_history(outdir / "solver_history.csv", res.histories)
     _write_json(
@@ -187,12 +182,8 @@ def _cmd_evolve(cfg: RunConfig, outdir: Path, field) -> int:
     state, res = _start_profile(cfg, field)
     reference = None if res is None else state
     state = perturbed(state, cfg.experiment["delta"], cfg.solver.seed)
-    try:
-        _, trace = evolve(state, cfg.phys, cfg.wave, cfg.evolve, reference=reference)
-    except NonFinite as exc:
-        _write_partial_trace(outdir / "trace.csv", exc)
-        raise
-    _write_trace_csv(outdir / "trace.csv", trace)
+    _, trace = evolve(state, cfg.phys, cfg.wave, cfg.evolve, reference=reference)
+    _write_trace_csv(outdir / TRACE_FILES["evolve"], trace)
     return 0
 
 
@@ -292,12 +283,8 @@ def _cmd_h_curve(cfg: RunConfig, outdir: Path, field) -> int:
 def _cmd_stability(cfg: RunConfig, outdir: Path, field) -> int:
     res = solve_ground_state(cfg.grid, cfg.phys, cfg.wave, cfg.solver)
     delta = cfg.experiment["delta"]
-    try:
-        report = stability_experiment(res, delta, cfg.evolve, tau0s=cfg.experiment["tau0s"], seed=cfg.solver.seed)
-    except NonFinite as exc:
-        _write_partial_trace(outdir / "stability.csv", exc)
-        raise
-    _write_trace_csv(outdir / "stability.csv", report.trace)
+    report = stability_experiment(res, delta, cfg.evolve, tau0s=cfg.experiment["tau0s"], seed=cfg.solver.seed)
+    _write_trace_csv(outdir / TRACE_FILES["stability"], report.trace)
     _write_json(
         outdir / "verdict.json",
         {
@@ -317,6 +304,9 @@ def _cmd_decay(cfg: RunConfig, outdir: Path, field) -> int:
     _write_json(outdir / "decay.json", dataclasses.asdict(rep))
     return 0
 
+
+# the trace file of each subcommand that integrates, on success and up to a divergence alike
+TRACE_FILES = {"evolve": "trace.csv", "stability": "stability.csv"}
 
 # each experiment's judge of its inputs, the library call its experiment makes
 # first, run beside reading experiment.field before the output directory
@@ -368,20 +358,20 @@ def run_subcommand(argv) -> int:
         if args.subcommand in PRECHECKS:
             PRECHECKS[args.subcommand](cfg)
         outdir = _prepare_outdir(cfg)
-        code = COMMANDS[args.subcommand](cfg, outdir, field)
-        _write_manifest(outdir, cfg, args.subcommand, started)
-        return code
+        code, error = COMMANDS[args.subcommand](cfg, outdir, field), None
     except USER_ERRORS as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        print(json.dumps(exc.record), file=sys.stderr)
         return 2
     except Dnls3Error as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, NonFinite):
-            record["divergence_time"] = exc.time
-        if isinstance(exc, NoConvergence):
-            record["termination"] = [h.termination for h in exc.histories]
-        print(json.dumps(record), file=sys.stderr)
-        return 3
+        # a numerical failure comes after the output directory exists: what explains it is written there
+        code, error = 3, exc.record
+        print(json.dumps(error), file=sys.stderr)
+        if exc.histories:
+            _write_solver_history(outdir / "solver_history.csv", exc.histories)
+        if exc.trace is not None:
+            _write_trace_csv(outdir / TRACE_FILES[args.subcommand], exc.trace)
+    _write_manifest(outdir, cfg, args.subcommand, started, code, error)
+    return code
 
 
 def main() -> None:

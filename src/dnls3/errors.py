@@ -1,8 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error carries what explains it: the descents a failed solve made
+(``histories``), the records of a run up to its divergence (``trace``) and
+its one-line ``record``. The command-line driver writes all three into the
+run's output directory, whichever subcommand raised it.
+"""
 
 
 class Dnls3Error(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``histories`` holds the DescentHistory of each descent the failed solve
+    made, in order, and ``trace`` the records before a divergence; an error
+    that has none keeps the class defaults, no descents and no trace.
+    """
+
+    histories = ()
+    trace = None
+
+    @property
+    def record(self) -> dict:
+        """The error's name and message, with each descent's termination when it carries descents."""
+        termination = {"termination": [h.termination for h in self.histories]} if self.histories else {}
+        return {"error": type(self).__name__, "message": str(self), **termination}
 
 
 class InadmissibleParameters(Dnls3Error):
@@ -42,7 +62,17 @@ class NoConvergence(Dnls3Error):
 
 
 class DomainTooSmall(Dnls3Error):
-    """Converged profile carries too much mass near the box boundary."""
+    """Converged profile carries too much mass near the box boundary.
+
+    ``histories`` holds the descents of the solve, the last one converged:
+    the guard refuses the profile that descent reached. The mass is there
+    when the box is too small for the profile's decay, or when the grid is
+    too coarse and its aliased product leaves it there.
+    """
+
+    def __init__(self, message: str, histories=()):
+        super().__init__(message)
+        self.histories = tuple(histories)
 
 
 class WrongDimension(Dnls3Error):
@@ -50,12 +80,20 @@ class WrongDimension(Dnls3Error):
 
 
 class NonFinite(Dnls3Error):
-    """State overflowed or became NaN during time integration."""
+    """State overflowed or became NaN during time integration.
+
+    ``time`` is the divergence time, which the record carries as
+    ``divergence_time`` with or without a ``trace``.
+    """
 
     def __init__(self, time: float, trace=None):
         super().__init__(f"non-finite state at t={time:.6g}")
         self.time = time
         self.trace = trace
+
+    @property
+    def record(self) -> dict:
+        return {**super().record, "divergence_time": self.time}
 
 
 class FitWindowEmpty(Dnls3Error):

@@ -254,7 +254,7 @@ def evolve(
     The final state is transformed back once; with no step taken it is a
     copy of the input.
     """
-    if abs((phys.alpha - phys.gamma) * (phys.beta + phys.gamma)) < 1e-14:
+    if phys.well_posedness_unknown:
         warnings.warn(
             "(alpha - gamma)(beta + gamma) = 0: outside the known well-posedness "
             "regime; integrating anyway",

@@ -346,8 +346,10 @@ def solve_ground_state(
     to ``config.restarts`` descents in all. The result keeps each
     descent's DescentHistory. Deterministic for a given (config, seed).
     Raises NoConvergence, carrying every descent's history, when no descent
-    meets the residual tolerance, and DomainTooSmall when the profile leaks
-    more than 1e-6 of its mass into the outer 10% of the box. A number
+    meets the residual tolerance, and DomainTooSmall, carrying the same
+    histories (the last one converged), when the profile leaks more than
+    1e-6 of its mass into the outer 10% of the box, whether the box is too
+    small or the grid too coarse. A number
     past float range says so through the result, not through numpy's
     overflow and invalid-value warnings, which the solve does not raise: a
     seed whose Lqc is not finite raises DegenerateNonlinearity, and a
@@ -372,10 +374,17 @@ def solve_ground_state(
 
     # box-adequacy guard on the resolved envelope: smoothing filters out
     # band-edge truncation ringing, which is a resolution (not domain) issue
-    # and is already visible through the result's tail_mass / domain_converged
+    # and is already visible through the result's tail_mass / domain_converged;
+    # the mass a coarse grid's aliased product leaves in the tail survives it,
+    # so the message names both causes
     envelope_tail = grid.tail_mass(U.u, smooth=3.0 * max(grid.spacing))
     if envelope_tail > 1e-6:
-        raise DomainTooSmall(f"resolved-profile tail mass {envelope_tail:.3e} > 1e-6; enlarge the box")
+        raise DomainTooSmall(
+            f"resolved-profile tail mass {envelope_tail:.3e} > 1e-6 on n={list(grid.n)}, extent={list(grid.extent)}: "
+            "the box is too small for the profile's decay (enlarge it), or the grid is too coarse "
+            "and its aliased product leaves mass there (add points or dealias)",
+            histories,
+        )
     return GroundStateResult(U, rep, grid.tail_mass(U.u), phys, wave, tuple(histories))
 
 

@@ -54,6 +54,11 @@ class PhysParams:
         return 1.0 / float(np.min(MASSES * self.kappa))
 
     @property
+    def well_posedness_unknown(self) -> bool:
+        """(alpha - gamma)(beta + gamma) = 0, to 1e-14: outside the regime where the Cauchy problem is known to be well posed."""
+        return abs((self.alpha - self.gamma) * (self.beta + self.gamma)) < 1e-14
+
+    @property
     def sigma0(self) -> float:
         """min_j m_j / kappa_j = min(2/alpha, 1/beta, 1/gamma); governs the exponential decay bound."""
         return float(np.min(MASSES / self.kappa))

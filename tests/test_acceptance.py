@@ -322,3 +322,87 @@ def test_invariant_aplus_flow_bound(gs_c0_da):
         ok,
         f"{len(samples)} positive-well samples over T=1",
     )
+
+
+# ROADMAP item 13(a): the criteria that take no time step, at a dispersion triple with
+# alpha != gamma and no tie among the m_j kappa_j (2, 1, 3), with the tolerances of (1, 1, 1)
+GENERIC = PhysParams(2.0, 1.0, 3.0)
+
+
+def test_criterion_01_identity_suite_generic(grid_1d):
+    t0 = time.time()
+    details = []
+    ok = True
+    for c in (0.0, 0.5):
+        res = solve_ground_state(grid_1d, GENERIC, WaveParams(1.0, (c,)), SOLVER)
+        k_res = abs(res.report.K) / max(1.0, res.report.Lqc)
+        ident = max(res.report.identity_residuals().values())
+        poho, fourd = res.report.pohozaev_residual(), res.report.fourd_residual(res.mu)
+        ok &= k_res < 1e-8 and poho < 1e-6
+        ok &= fourd < 1e-6 and ident < 1e-13
+        details.append(f"c={c}: |K|={k_res:.1e} poho={poho:.1e} 4-d={fourd:.1e} skl={ident:.1e}")
+    elapsed = time.time() - t0
+    ok &= elapsed < 120.0
+    report("criterion 1 (identity suite) at kappa=(2, 1, 3)", ok, "; ".join(details) + f"; {elapsed:.0f}s")
+
+
+def test_criterion_02_mu_scaling_generic(grid_1d):
+    # the 1D half of criterion 2
+    t0 = time.time()
+    pts = mu_scaling_check(grid_1d, GENERIC, (0.0,), [0.5, 2.0, 4.0], SOLVER)
+    worst = max(p.rel_error for p in pts)
+    elapsed = time.time() - t0
+    ok = worst < 1e-3 and elapsed < 600.0
+    report("criterion 2 (mu scaling) at kappa=(2, 1, 3)", ok, f"d=1 worst={worst:.2e} (<1e-3), {elapsed:.0f}s")
+
+
+def test_criterion_05_well_equality_generic():
+    grid = Grid(256, 40.0)
+    res = solve_ground_state(grid, GENERIC, WaveParams(1.0, (0.0,)), SOLVER)
+    rng = np.random.default_rng(5)
+    samples = sample_below_level(grid, GENERIC, res.wave, res.mu, rng, 200)
+    disagreements = 0
+    for _, rep in samples:
+        if (rep.K > 0) != (rep.N > -2.0 * res.mu):
+            disagreements += 1
+        if (rep.K < 0) != (rep.N < -2.0 * res.mu):
+            disagreements += 1
+    ok = len(samples) == 200 and disagreements == 0
+    report(
+        "criterion 5 (potential-well equality) at kappa=(2, 1, 3)",
+        ok,
+        f"{len(samples)} states below mu, {disagreements} disagreements",
+    )
+
+
+def test_criterion_09_h_curve_generic(grid_1d):
+    rep = h_curve(grid_1d, GENERIC, WaveParams(1.0, (0.0,)), config=SOLVER)
+    ok = rep.rel_h1 < 2e-2 and rep.rel_h2 < 5e-2
+    report(
+        "criterion 9 (h-curve derivatives) at kappa=(2, 1, 3)",
+        ok,
+        f"h'(0) rel={rep.rel_h1:.2e} (<2e-2), h''(0) rel={rep.rel_h2:.2e} (<5e-2)",
+    )
+
+
+def test_criterion_10_decay_generic(grid_1d):
+    tight = SolverConfig(restarts=1, residual_tol=1e-11)
+    res = solve_ground_state(grid_1d, GENERIC, WaveParams(1.0, (0.0,)), tight)
+    rep = decay_rate_fit(res.phi, GENERIC, res.wave)
+    min_rate = float(np.min(rep.rates))
+    # at c = 0 the half bound p_max / 2 is the slowest exact tail rate min_j r_j, sqrt(1/3) here
+    slowest = float(np.min(res.wave.tail_rates(GENERIC)))
+    # synthetic calibration
+    x = grid_1d.axes[0]
+    u = np.zeros((3, 1, 512), dtype=complex)
+    for j in range(3):
+        u[j, 0] = np.exp(-2.0 * np.abs(x))
+    cal = decay_rate_fit(State(grid_1d, u), GENERIC, res.wave)
+    cal_err = float(np.max(np.abs(cal.rates - 2.0)))
+    ok = rep.half_bound == slowest and min_rate >= 0.9 * rep.half_bound and cal_err < 1e-3
+    report(
+        "criterion 10 (exponential decay) at kappa=(2, 1, 3)",
+        ok,
+        f"min rate={min_rate:.3f} (>={0.9 * rep.half_bound:.3f}=0.9*p_max/2, p_max/2={rep.half_bound:.6f}, "
+        f"min_j r_j={slowest:.6f}), calibration err={cal_err:.1e} (<1e-3)",
+    )

@@ -677,6 +677,30 @@ class TestCli:
         assert np.array_equal(rows[:, 1], np.tile(np.arange(4.0), 2))
         assert not (outdir / "ground_state.json").exists()
 
+    @pytest.mark.parametrize("subcommand", ["gs", "evolve", "check", "decay", "stability", "h-curve"])
+    @pytest.mark.parametrize(
+        "error,overrides,termination",
+        [
+            ("NoConvergence", {"solver": {"max_iter": 1}}, ["iteration_cap"]),
+            # the descent converges, and the box check refuses its profile
+            ("DomainTooSmall", {"grid": {"n": [128], "extent": [14]}}, ["converged"]),
+        ],
+        ids=["NoConvergence", "DomainTooSmall"],
+    )
+    def test_failed_solve_keeps_its_descents(self, tmp_path, capsys, subcommand, error, overrides, termination):
+        # every subcommand that solves keeps a failed solve's descents and a manifest whose error is the stderr record
+        cfg_path, outdir = small_config(tmp_path, "failed", evolve={"dt": 1e-3, "t_final": 0.01}, **overrides)
+        capsys.readouterr()
+        assert run_subcommand([subcommand, "--config", str(cfg_path)]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["termination"]) == (error, termination)
+        lines = (outdir / "solver_history.csv").read_text().splitlines()[1:]
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert set(rows[:, 0]) == {0.0}
+        assert _descent_confirms(termination[0], rows, parse_config(str(cfg_path)).solver)
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["subcommand"], manifest["exit_code"], manifest["error"]) == (subcommand, 3, record)
+
     @pytest.mark.parametrize("subcommand,name", [("evolve", "trace.csv"), ("stability", "stability.csv")])
     def test_diverging_run_keeps_its_trace(self, tmp_path, capsys, subcommand, name):
         # a kick of 200 on a step of 0.05 overflows the state: the records before it are kept
@@ -837,6 +861,33 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "NonFinite"
         assert record["divergence_time"] == 0.5
+
+    def test_manifest_records_the_exit(self, tmp_path, capsys, monkeypatch):
+        # a NonFinite with no trace writes no trace file, and its record still reaches the manifest
+        def diverge(*args, **kwargs):
+            raise NonFinite(0.5)
+
+        monkeypatch.setattr(cli, "evolve", diverge)
+        cfg_path, outdir = small_config(tmp_path, "diverge_no_trace", evolve={"dt": 1e-3, "t_final": 1.0})
+        capsys.readouterr()
+        assert run_subcommand(["evolve", "--config", str(cfg_path)]) == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["exit_code"], manifest["error"]) == (3, record)
+        assert sorted(p.name for p in outdir.iterdir()) == ["effective_config.json", "manifest.json"]
+
+    @pytest.mark.parametrize(
+        "physics,unknown",
+        [({"alpha": 1, "beta": 1, "gamma": 1}, True), ({"alpha": 2, "beta": 1, "gamma": 3}, False)],
+        ids=["kappa-1-1-1", "kappa-2-1-3"],
+    )
+    def test_manifest_records_the_regime_flag(self, tmp_path, physics, unknown):
+        # (alpha - gamma)(beta + gamma) = 0 is outside the known well-posedness regime: every manifest says so
+        cfg_path, outdir = small_config(tmp_path, "regime", physics=physics)
+        assert run_subcommand(["gs", "--config", str(cfg_path)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert (manifest["well_posedness_unknown"], manifest["exit_code"], manifest["error"]) == (unknown, 0, None)
+        assert PhysParams(**physics).well_posedness_unknown is unknown
 
     def test_evolve_zero_time_single_row(self, tmp_path):
         cfg_path, outdir = small_config(
@@ -1206,7 +1257,8 @@ class TestExitContract:
     @given(doc=gs_configs())
     def test_gs_exit_says_what_happened(self, doc):
         # exit 0 with finite outputs, 2 naming a field before any write, or 3 with a
-        # termination that the written history confirms
+        # termination that the written history confirms; every exit 0 or 3 leaves a
+        # manifest whose error is the stderr record (null on success)
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
             out = Path(tmp) / "out"
             with warnings.catch_warnings():
@@ -1218,21 +1270,25 @@ class TestExitContract:
                 assert record["message"].split(":")[0].split(".")[0] in doc
                 assert not out.exists()
                 return
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert (manifest["exit_code"], manifest["error"]) == (code, record)
             solver = parse_config(json.dumps(doc)).solver
-            if code == 3 and record["error"] != "NoConvergence":
-                # the seed's Nehari projection or the converged profile's box check failed: no descent ended so
-                assert record["error"] in ("DegenerateNonlinearity", "DomainTooSmall")
+            if code == 3 and record["error"] == "DegenerateNonlinearity":
+                # the seed's Nehari projection failed: no descent ran
                 assert record["error"] in _readme_exit_list(3)
                 return
             if code == 0:
                 payload = json.loads((out / "ground_state.json").read_text())
                 assert _finite(payload) and np.isfinite(load_field(out / "ground_state.ldsf").u).all()
                 terminations = payload["termination"]
-                assert terminations[-1] == "converged" and "converged" not in terminations[:-1]
             else:
-                assert code == 3
+                assert code == 3 and record["error"] in ("NoConvergence", "DomainTooSmall")
                 terminations = record["termination"]
+            if code == 3 and record["error"] == "NoConvergence":
                 assert "converged" not in terminations
+            else:
+                # a success, or a DomainTooSmall: the box check refused the profile the last descent converged to
+                assert terminations[-1] == "converged" and "converged" not in terminations[:-1]
             lines = (out / "solver_history.csv").read_text().splitlines()[1:]
             rows = np.array([[float(v) for v in line.split(",")] for line in lines])
             assert code == 3 or np.isfinite(rows).all()

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 import warnings
@@ -230,6 +231,20 @@ class TestSolve:
     def test_domain_too_small(self):
         with pytest.raises(DomainTooSmall):
             solve_ground_state(Grid(128, 14.0), PHYS, WaveParams(1.0, (0.0,)), FAST)
+
+    def test_domain_too_small_names_both_causes(self):
+        # at omega 4 the plain 128-point grid passes on extent 8 and fails on 16 and 40: the
+        # aliased product, not the box, leaves the mass, so the message names both causes
+        with pytest.raises(DomainTooSmall) as excinfo:
+            solve_ground_state(Grid(128, 40.0), PHYS, WaveParams(4.0, (0.0,)), FAST)
+        message = str(excinfo.value)
+        tail = float(re.search(r"tail mass (\S+) > 1e-6", message).group(1))
+        assert 1e-6 < tail < 1.0
+        assert "n=[128], extent=[40.0]" in message
+        assert "box is too small" in message and "grid is too coarse" in message and "aliased product" in message
+        # the descent converged: the guard refused the profile it reached
+        assert [h.termination for h in excinfo.value.histories] == ["converged"]
+        assert excinfo.value.record["termination"] == ["converged"]
 
     def test_unconverged_domain_flag(self):
         res = solve_ground_state(Grid(128, 18.0), PHYS, WaveParams(1.0, (0.0,)), FAST)
