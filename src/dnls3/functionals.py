@@ -2,7 +2,7 @@
 
 For U = (u1, u2, u3) the basic quantities are
 
-    Q  = ||u1||^2 + ||u2||^2/2 + ||u3||^2/2                     (charge)
+    Q  = (1/2) sum_j m_j ||u_j||^2, m = MASSES = (2, 1, 1)      (charge)
     L  = (alpha/2)||grad u1||^2 + (beta/2)||grad u2||^2
          + (gamma/2)||grad u3||^2                               (kinetic)
     N  = Re (u3, grad(u1 . conj(u2)))_L2                        (coupling)
@@ -180,7 +180,9 @@ def _parts(grid: Grid, F: np.ndarray, phys: PhysParams):
         marginal = squares if d == 1 else squares.sum(axis=spatial[:k] + spatial[k + 1 :])
         moments.append((marginal.reshape(-1, len(rows)) @ rows).reshape(*lead, 3, 3))
     mass = moments[0][..., 0]
-    Q = (mass[..., 0] + 0.5 * mass[..., 1] + 0.5 * mass[..., 2]) * grid.weight
+    # halving and doubling are exact, so this gives the bits of n1 + n2/2 + n3/2
+    m1, m2, m3 = MASSES.tolist()
+    Q = 0.5 * (m1 * mass[..., 0] + m2 * mass[..., 1] + m3 * mass[..., 2]) * grid.weight
     k2_parts = sum(m[..., 1] for m in moments)
     L = 0.5 * (phys.alpha * k2_parts[..., 0] + phys.beta * k2_parts[..., 1] + phys.gamma * k2_parts[..., 2]) * grid.weight
     P = np.stack([m[..., 2].sum(axis=-1) for m in moments], axis=-1) * (-0.5 * grid.weight)

@@ -342,7 +342,7 @@ class Kernel:
         self._lead = None
 
     def _build(self, lead: tuple) -> None:
-        """The scratch for batch axes ``lead``, as named views set on the kernel.
+        """The scratch for batch axes ``lead``, as named views set on the kernel: those ``coupling`` reads.
 
         First the band rows (3d rows, in F's layout): F times its pad
         symbols, and later the band of the transformed products, which the
@@ -355,65 +355,78 @@ class Kernel:
         block whatever the batch: a transform of a strided block costs numpy
         a copy of it. F's rows u1, u2 and u3, the terms of div u3 summed into
         row 2d, go to the same rows of the padded spectra, and the pair sum
-        takes the last product row.
+        takes the last product row. The views only ``nonlinear_gradient``
+        reads are added on its first call for these axes
+        (``_build_gradient``), so a one-shot C builds no more than it reads.
+        ``np.rollaxis`` moves the row axis behind the batch axes: it makes
+        the view ``np.moveaxis`` makes, at a tenth of its cost.
         """
         grid, d = self.grid, self.grid.d
         rows = 2 * d + 1
-        # the rows, in front of the batch axes: u1 and u2 (and the products that take
-        # their places), the pair sum, and div u3 (the last row, kept as a unit row axis)
-        first, second, last, div_row = slice(0, d), slice(d, 2 * d), 2 * d, slice(-1, None)
         split, band = (slice(None),) * len(grid._band_split), grid._band_modes[1:]
         weighted = np.empty((*lead, 3 * d, *grid._band_split), dtype=np.complex128)
         fine = np.zeros((rows, *lead, *grid._product_split), dtype=np.complex128)
         padded = fine.reshape(rows, *lead, *grid._product_shape)
         values = np.empty_like(padded) if grid.dealias else padded
         products = np.empty_like(padded)
-        spectra = products.reshape(fine.shape)
+        vars(self).update(
+            # the weighted rows u1, u2 and div u3, and the band they go to in F's layout
+            kept=weighted[(..., slice(0, rows), *split)],
+            band=np.rollaxis(fine[(slice(None), ..., *band)], 0, len(lead) + 1),
+            weighted=weighted.reshape(*lead, 3, d, *grid.shape),
+            terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in range(1, d)],
+            padded=padded,
+            values=values,
+            # the rows, in front of the batch axes: u1 and u2 (and the products that take
+            # their places), the pair sum, and div u3 (the last row)
+            u1=values[:d],
+            u2=values[d : 2 * d],
+            pair=products[2 * d],
+            products=products,
+            # the factors of C, each flattened behind the batch axes: in 1D the
+            # pair sum is the pair term, formed in the row of u2
+            pair_points=(values[1] if d == 1 else products[2 * d]).reshape(*lead, -1),
+            div_points=values[2 * d].reshape(*lead, -1),
+            cut=None,
+        )
+        self._lead = lead
+
+    def _build_gradient(self) -> None:
+        """The views of the scratch that ``nonlinear_gradient`` reads besides those of ``_build``."""
+        grid, d, lead, values, products = self.grid, self.grid.d, self._lead, self.values, self.products
+        split, band = (slice(None),) * len(grid._band_split), grid._band_modes[1:]
+        weighted = self.weighted.reshape(*lead, 3 * d, *grid._band_split)
+        spectra = products.reshape(2 * d + 1, *lead, *grid._product_split)
 
         def band_of(index):
             """The band of product rows ``index``, in F's layout (behind the batch axes)."""
-            return np.moveaxis(spectra[(index, ..., *band)], 0, len(lead))
+            return np.rollaxis(spectra[(index, ..., *band)], 0, len(lead) + 1)
 
         # the band goes back to the band rows: product rows 0..2d as they are,
         # then the pair row once per row of grad (for d = 1, one block)
         direct = 3 * d if d == 1 else 2 * d
         cut = [(band_of(slice(0, direct)), weighted[(..., slice(0, direct), *split)])]
         if d > 1:
-            cut.append((band_of(slice(2 * d, rows)), weighted[(..., slice(2 * d, 3 * d), *split)]))
+            cut.append((band_of(slice(2 * d, 2 * d + 1)), weighted[(..., slice(2 * d, 3 * d), *split)]))
         # the conjugates go to rows that are free until the products take them:
         # conj(u2) and conj(div u3) as a block whose last row is not among the
         # rows of conj(div u3) u1. In 1D the pair term is the pair sum and goes
         # straight to its row; otherwise the d terms are summed into it from
         # the rows (div u3) u2 takes last
-        conj, pair_terms = (products[:2], products[last:]) if d == 1 else (products[d:], products[first])
+        conj, pair_terms = (products[:2], products[2:]) if d == 1 else (products[d:], products[:d])
         vars(self).update(
-            # the weighted rows u1, u2 and div u3, and the band they go to in F's layout
-            kept=weighted[(..., slice(0, rows), *split)],
-            band=np.moveaxis(fine[(slice(None), ..., *band)], 0, len(lead)),
-            weighted=weighted.reshape(*lead, 3, d, *grid.shape),
-            terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in range(1, d)],
-            padded=padded,
-            values=values,
-            u1=values[first],
-            u2=values[second],
-            # u2 and div u3 are adjacent rows, conjugated in one call
+            # u2 and div u3 are adjacent rows, conjugated in one call; div u3
+            # keeps a unit row axis
             u2_div=values[d:],
-            div=values[div_row],
+            div=values[-1:],
             conj_u2_div=conj,
             conj_u2=conj[:d],
             conj_div=conj[d:],
             pair_terms=pair_terms,
-            pair=products[last],
-            div_u2=products[first],
-            conj_div_u1=products[second],
-            products=products,
+            div_u2=products[:d],
+            conj_div_u1=products[d : 2 * d],
             cut=cut,
-            # the factors of C, each flattened behind the batch axes: in 1D the
-            # pair sum is the pair term, formed in the row of u2
-            pair_points=(values[1] if d == 1 else products[last]).reshape(*lead, -1),
-            div_points=values[last].reshape(*lead, -1),
         )
-        self._lead = lead
 
     def _product_values(self, F: np.ndarray) -> None:
         """Put u1, u2 and div u3 of F on the product grid, in the scratch for F's batch axes.
@@ -461,6 +474,8 @@ class Kernel:
         if out is not None and (out.shape != F.shape or out.dtype != np.complex128):
             raise ValueError(f"out must be a complex128 array of shape {F.shape}")
         self._product_values(F)
+        if self.cut is None:
+            self._build_gradient()
         # conj(u2) and conj(div u3); each product keeps the conjugate as its
         # first factor and u1 or u2 as its second
         np.conjugate(self.u2_div, out=self.conj_u2_div)

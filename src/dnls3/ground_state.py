@@ -564,10 +564,9 @@ def h_curve(
 #: Complex points a round of the well sampler draws, over all its states:
 #: small states share each round's transforms, and the cap bounds the memory
 #: of a round (about 10 draws of a 512-point 1D state, one 2D 128^2 draw);
-#: the sampler holds at most two rounds' draws, this one's and the next's.
-#: It fixes the rounds and so the order of the rng calls: a given rng gives
-#: the same draws whatever the sampler keeps of them, and whichever thread
-#: makes them.
+#: the sampler holds one round's draws at a time. It fixes the rounds and so
+#: the order of the rng calls: a given rng gives the same draws whatever the
+#: sampler keeps of them.
 SAMPLE_ROUND_POINTS = 2**14
 
 
@@ -594,8 +593,7 @@ def sample_below_level(
     most SAMPLE_ROUND_POINTS complex points in all, as one batch of shape
     ``(b, 3, d, *grid.shape)``. Its spectrum is drawn directly and smoothed
     by ``Grid.noise_spectrum`` (power 2, no Nyquist mode), and its t right
-    after it; while a round is evaluated, a worker thread draws the next
-    one when its size is already certain (see ``_below_level``). It is
+    after it, on the caller's thread (see ``_below_level``). It is
     evaluated off the spectrum into one batch report, by ``_parts`` and
     ``Kernel.coupling``, whose one batched inverse transform of the rows u1,
     u2 and div u3 is the round's only transform, and its ray equations are
@@ -630,8 +628,7 @@ def reports_below_level(
     Its rows are the kept draws, those with K < 0 first, each side in draw
     order, and the rng is left where ``sample_below_level`` leaves it. Each
     round keeps only the report rows of its kept draws, so the memory holds
-    at most two rounds' draws (one evaluated, the next drawn beside it) and
-    n rows of scalars.
+    one round's draws and n rows of scalars.
     """
     return _below_level(grid, phys, wave, mu, rng, n)[0]
 
@@ -649,85 +646,56 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
     negated where the draw was flipped; without it no spectrum outlives its
     round.
 
-    A round's rng calls are its spectrum, then its t, back to back (``draw``).
-    When a round's draws are in hand and at least per_round draws are still
-    missing beyond them, below the 50 n cap, the next round is full whatever
-    this one keeps: its size is min(per_round, draws left under the cap). A
-    worker thread then makes its draws while this round is evaluated:
-    ``Generator.standard_normal`` releases the GIL, and the noise reads only
-    the grid, which nothing changes after it is made. Every other round is
-    drawn on the caller's thread, and only while no draw is pending on the
-    worker, so the rng is never used by two threads at once and its calls
-    come in the order of one round at a time. The worker is made only when
-    a round is drawn ahead, one per call; it is joined before the call
-    returns or raises, and an error it raises reaches the caller.
-
-    Drawing ahead pays only while a second core is free. On a 2-core host
-    where two threads of transforms ran in about 0.55 of their sequential
-    time, 200 samples on the plain 512-point grid took about 13.4 ms with
-    the worker and 15.7 ms on the caller's thread alone; on a host where
-    they ran in 0.9-1.1 of it, the caller's thread alone was faster, about
-    13.8 ms against 15.5 ms.
+    A round's two rng calls, its spectrum and then its t, are made on the
+    caller's thread right before the round is evaluated, so they come in the
+    order of one round at a time. Drawing the next round on a worker thread
+    while this one is evaluated pays only while a second core is free, which
+    the sampler cannot observe: on a 2-core host where two threads of numpy
+    transforms ran in 0.99-1.09 of their sequential time, 200 samples on the
+    plain 512-point grid took 15.1-16.5 ms on the caller's thread alone and
+    16.7-18.0 ms with such a worker.
     """
     flags, rows = [np.zeros(0, dtype=bool)], [(np.zeros(0),) * 3 + (np.zeros((0, grid.d)),)]
     taken = taken_negative = attempts = 0  # draws kept, those among them meant for K < 0, draws made
     want_negative = round(n / 2)
     per_round = max(1, SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
     kernel = Kernel(grid)
-
-    def draw(b):
-        """A round's two rng calls, back to back: its spectrum and its level fractions t."""
-        return grid.noise_spectrum(rng, (b, 3, grid.d), 2), rng.uniform(0.2, 0.95, size=b)
-
-    pool = ahead = None  # the worker and the next round's draws it is making
-    try:
-        while taken < n and attempts < 50 * n:
-            b = min(n - taken, per_round, 50 * n - attempts)
-            attempts += b
-            F, t = draw(b) if ahead is None else ahead.result()
-            ahead = None
-            # the next round is full whatever this one keeps: its draws are made beside this round's work
-            if n - taken - b >= per_round and 50 * n - attempts > 0:
-                if pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    pool = ThreadPoolExecutor(max_workers=1)
-                ahead = pool.submit(draw, min(per_round, 50 * n - attempts))
-            negative = np.arange(b) < want_negative - taken_negative
-            Q, L, P = _parts(grid, F, phys)
-            C = kernel.coupling(F)
-            flip = negative & (C.real > 0)
-            N = np.where(flip, -C.real, C.real)
-            batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
-            # S(sU) = t mu as the cubic N s^3 + (Lqc/2) s^2 - t mu = 0; a draw with
-            # N exactly 0 (a null event) has no cubic and is not kept
-            live = np.flatnonzero(N != 0.0)
-            companion = np.zeros((len(live), 3, 3))
-            companion[:, 0, 0] = -batch.Lqc[live] / 2.0 / N[live]
-            companion[:, 0, 2] = t[live] * mu / N[live]
-            companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-            roots = np.linalg.eigvals(companion)
-            real = (np.abs(roots.imag) < 1e-10 * np.maximum(1.0, np.abs(roots))) & (roots.real > 0)
-            # the falling-branch root is the largest positive one, the rising-branch root the smallest
-            largest = np.where(real, roots.real, -np.inf).max(axis=1)
-            smallest = np.where(real, roots.real, np.inf).min(axis=1)
-            # a draw without its root keeps s = NaN, which fails both tests below
-            s = np.full(b, np.nan)
-            s[live] = np.where(negative[live], largest, smallest)
-            s[np.isinf(s)] = np.nan
-            at = batch.scaled(s)
-            kept = np.flatnonzero((at.S < mu) & np.where(negative, at.K < 0.0, at.K > 0.0))
-            flags.append(negative[kept])
-            rows.append((at.Q[kept], at.L[kept], at.N[kept], at.P[kept]))
-            taken += len(kept)
-            taken_negative += int(np.count_nonzero(flags[-1]))
-            if spectra is not None:
-                F[flip, 2] *= -1.0
-                spectra.append((F[kept], s[kept]))
-    finally:
-        if pool is not None:
-            # joins the worker, after the draw it may still be making when a round raised
-            pool.shutdown()
+    while taken < n and attempts < 50 * n:
+        b = min(n - taken, per_round, 50 * n - attempts)
+        attempts += b
+        F = grid.noise_spectrum(rng, (b, 3, grid.d), 2)
+        t = rng.uniform(0.2, 0.95, size=b)
+        negative = np.arange(b) < want_negative - taken_negative
+        Q, L, P = _parts(grid, F, phys)
+        C = kernel.coupling(F)
+        flip = negative & (C.real > 0)
+        N = np.where(flip, -C.real, C.real)
+        batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
+        # S(sU) = t mu as the cubic N s^3 + (Lqc/2) s^2 - t mu = 0; a draw with
+        # N exactly 0 (a null event) has no cubic and is not kept
+        live = np.flatnonzero(N != 0.0)
+        companion = np.zeros((len(live), 3, 3))
+        companion[:, 0, 0] = -batch.Lqc[live] / 2.0 / N[live]
+        companion[:, 0, 2] = t[live] * mu / N[live]
+        companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+        roots = np.linalg.eigvals(companion)
+        real = (np.abs(roots.imag) < 1e-10 * np.maximum(1.0, np.abs(roots))) & (roots.real > 0)
+        # the falling-branch root is the largest positive one, the rising-branch root the smallest
+        largest = np.where(real, roots.real, -np.inf).max(axis=1)
+        smallest = np.where(real, roots.real, np.inf).min(axis=1)
+        # a draw without its root keeps s = NaN, which fails both tests below
+        s = np.full(b, np.nan)
+        s[live] = np.where(negative[live], largest, smallest)
+        s[np.isinf(s)] = np.nan
+        at = batch.scaled(s)
+        kept = np.flatnonzero((at.S < mu) & np.where(negative, at.K < 0.0, at.K > 0.0))
+        flags.append(negative[kept])
+        rows.append((at.Q[kept], at.L[kept], at.N[kept], at.P[kept]))
+        taken += len(kept)
+        taken_negative += int(np.count_nonzero(flags[-1]))
+        if spectra is not None:
+            F[flip, 2] *= -1.0
+            spectra.append((F[kept], s[kept]))
     order = np.argsort(~np.concatenate(flags), kind="stable")
     Q, L, N, P = (np.concatenate(column)[order] for column in zip(*rows))
     return FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array), order

@@ -1115,9 +1115,9 @@ class TestCli:
     def test_cold_start_leaves_scipy_unloaded(self):
         # importing the CLI pulls in every library module, which need numpy
         # alone; scipy.fft adds about 0.3 s to a cold start and scipy.optimize
-        # would nearly quadruple it. The well sampler's worker pool
-        # (concurrent.futures, about 6 ms with the logging it loads) is
-        # imported by the sampler when it first draws a round ahead
+        # would nearly quadruple it. concurrent.futures (about 6 ms with the
+        # logging it loads) is not needed: the well sampler draws on the
+        # caller's thread
         src = Path(cli.__file__).resolve().parents[1]
         code = (
             "import json, sys, dnls3.cli; "

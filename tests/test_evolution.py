@@ -20,6 +20,7 @@ from dnls3.evolution import (
     gauge_apply,
     h1_perturbation,
     orbit_distance,
+    perturbed,
     sandwich_points,
     solitary_wave,
     stability_experiment,
@@ -236,6 +237,29 @@ class TestEvolve:
         assert trace.drift("Q") < 1e-10
         assert trace.drift("P") < 1e-10
         assert trace.drift("E") < 1e-6
+
+    @pytest.mark.parametrize("scheme", ["strang", "if_rk4"])
+    @pytest.mark.parametrize("n,dealias,c,dt", [(256, False, 0.3, 1e-3), (512, True, 0.2, 5e-4)], ids=["plain", "dealiased"])
+    def test_each_gauge_charge_is_conserved(self, scheme, n, dealias, c, dt):
+        # the gauge (e^{ia} u1, e^{ib} u2, e^{i(a-b)} u3) has two parameters, so
+        # Q_a = (n1 + n3)/2 and Q_b = (n2 - n3)/2, n_j = ||u_j||^2, are each
+        # conserved (Q = 2 Q_a + Q_b), while a perturbed ground state trades
+        # mass between the components; kappa = (2, 1, 3) is a generic triple,
+        # and dt kappa_max xi_max^2 < pi keeps the step below the split-step edge
+        grid, wave, phys = Grid(n, 40.0, dealias=dealias), WaveParams(1.0, (c,)), PhysParams(2.0, 1.0, 3.0)
+        start = perturbed(solve_ground_state(grid, phys, wave, SolverConfig()).phi, 5e-2, 0)
+        end, _ = evolve(start, phys, wave, EvolveConfig(dt=dt, t_final=1.0, record_stride=1000, scheme=scheme))
+
+        def masses(state):
+            return np.array([np.sum(np.abs(u) ** 2) * grid.weight for u in state.u])
+
+        def charges(n1, n2, n3):
+            return np.array([(n1 + n3) / 2, (n2 - n3) / 2])
+
+        before, after = masses(start), masses(end)
+        assert np.max(np.abs(after - before) / before) > 1e-4
+        # the bound of criterion 6's Q drift
+        assert np.all(np.abs(charges(*after) - charges(*before)) < 1e-8 * np.abs(charges(*before)))
 
     def test_wellposedness_warning(self, grid1d_box):
         # alpha == gamma sits outside the known local theory

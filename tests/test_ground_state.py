@@ -1,8 +1,12 @@
 import dataclasses
+import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -398,15 +402,15 @@ class TestSampleBelowLevel:
             (512, 37, 1e8, range(2)),
             (512, 200, 3e4, range(1)),
             # below a negative level no draw is kept; in rounds of 21, the last
-            # one before the cap of 2250 draws is drawn ahead with 3
+            # one before the cap of 2250 draws has 3
             (256, 45, -1.0, range(2)),
         ],
     )
     def test_draws_ahead_match_the_synchronous_loop(self, gs_1d, points, n, level, seeds):
-        # the next round's draws are made on a worker while this round is
-        # evaluated; rows, states and the rng's position are those of one
-        # round at a time on the caller's thread, with rejections (high
-        # levels reject rising-branch draws with N < 0) and the 50 n cap
+        # the batched sampler's rows, states and the rng's position are those
+        # of the oracle's round at a time with one eigensolve per draw, with
+        # rejections (high levels reject rising-branch draws with N < 0) and
+        # the 50 n cap
         g, wave = Grid(points, 40.0), WaveParams(1.0, (0.3,))
         for seed in seeds:
             self.assert_matches_synchronous(g, wave, level * gs_1d.mu, seed, n)
@@ -415,7 +419,7 @@ class TestSampleBelowLevel:
         "grid,wave,n",
         [
             (Grid(512, 40.0, dealias=True), WaveParams(1.0, (0.3,)), 37),
-            # a 2D round is one draw: every round but the last is drawn ahead
+            # a 2D round is one draw
             (Grid((128, 128), (20.0, 20.0)), WaveParams(1.0, (0.3, 0.1)), 6),
         ],
         ids=["1d-dealiased", "2d"],
@@ -442,9 +446,9 @@ class TestSampleBelowLevel:
         assert rng.random() == after
 
     @pytest.mark.parametrize("failing_call", [2, 5])
-    def test_worker_error_reaches_the_caller(self, gs_1d, failing_call):
-        # a round drawn ahead raises on the worker; the caller gets the error
-        # and the worker thread is joined before it does
+    def test_draw_error_reaches_the_caller(self, gs_1d, failing_call):
+        # a round's draw raises on the caller's thread, and the error leaves
+        # the sampler with no thread started
         class FailingGenerator(CountingGenerator):
             def standard_normal(self, size):
                 if self.calls["standard_normal"] + 1 == failing_call:
@@ -456,11 +460,12 @@ class TestSampleBelowLevel:
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="draw failed"):
             reports_below_level(Grid(512, 40.0), PHYS, WaveParams(1.0, (0.3,)), gs_1d.mu, rng, 200)
-        assert rng.thread is not threading.main_thread()
+        assert rng.thread is threading.main_thread()
         assert threading.active_count() == threads
 
-    def test_round_error_joins_the_worker(self, gs_1d, monkeypatch):
-        # a round that raises while the next one is drawn ahead leaves no thread behind
+    def test_round_error_stops_the_draws(self, gs_1d, monkeypatch):
+        # a round that raises ends the draws: the rng was last called for that
+        # round, and no thread is left behind
         g = Grid(512, 40.0)
         coupling, calls = Kernel.coupling, []
 
@@ -476,8 +481,29 @@ class TestSampleBelowLevel:
         with pytest.raises(FloatingPointError, match="round failed"):
             reports_below_level(g, PHYS, WaveParams(1.0, (0.3,)), gs_1d.mu, rng, 200)
         assert threading.active_count() == threads
-        # the fourth round was drawn ahead, and its draws were finished before the error left
-        assert rng.calls == {"standard_normal": 4, "uniform": 4}
+        assert rng.calls == {"standard_normal": 3, "uniform": 3}
+
+    def test_sampler_loads_no_thread_pool(self, gs_1d):
+        # in a fresh interpreter, 200 samples of check's size draw every round
+        # on the caller's thread and import no concurrent.futures
+        code = (
+            "import json, sys, numpy as np; "
+            "from dnls3.grid import Grid; from dnls3.params import PhysParams, WaveParams; "
+            "from dnls3.ground_state import reports_below_level; "
+            "batch = reports_below_level(Grid(512, 40.0), PhysParams(1.0, 1.0, 1.0), WaveParams(1.0, (0.3,)), "
+            f"{gs_1d.mu!r}, np.random.default_rng(7), 200); "
+            "print(json.dumps([len(batch.Q), [m for m in sys.modules if m.startswith('concurrent.futures')]]))"
+        )
+        src = Path(ground_state.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert json.loads(run.stdout) == [200, []]
 
     def test_concurrent_samplers_keep_their_draws(self, gs_1d):
         # samplers on one shared grid, each with its own rng, in more threads than
