@@ -26,11 +26,12 @@ step h = -i dt on dN and forms its stage inputs and stage sum in place.
 Both ``step`` and ``evolve`` take a step through ``_advance``, which for
 Strang multiplies the spectrum in place by the half-step phases, takes the
 RK4 substep and multiplies by them again. ``step`` builds a kernel
-(``grid.Kernel``) for its one step; ``evolve`` builds one per run, which its
-steps and its records share, keeps the state as a spectrum from start to
-end and builds the linear phases once per step size. Its records read the
-spectrum: the report (``functionals._report``), the H1 norm
-(``grid._norm_h1``) and, with a reference, the orbit distance of
+(``grid.Kernel``) for its one step; ``evolve`` builds one per run for its
+steps, keeps the state as a spectrum from start to end and builds the
+linear phases once per step size. Its records read the spectrum and need
+no kernel: the report (``functionals._report``, whose C is
+``Grid.coupling``), the H1 norm (``grid._norm_h1``) and, with a
+reference, the orbit distance of
 ``_orbit_to``, which prepares the reference once per run; its refine
 carries one table of phase factors from the scan's start to the distance,
 with one complex exponential per trial step. A record makes one
@@ -250,7 +251,7 @@ def evolve(
     ``_advance`` with the linear phases of its step size, built once, and
     each record reads the spectrum through ``_report``, ``_norm_h1`` and the
     orbit distance of ``_orbit_to``, whose reference part is built once per
-    run. The steps and the records share one kernel, built once per run.
+    run. The steps share one kernel, built once per run; the records build none.
     The final state is transformed back once; with no step taken it is a
     copy of the input.
     """
@@ -269,7 +270,7 @@ def evolve(
     orbit = _orbit_to(reference, grid) if reference is not None else None
 
     def record(t, F):
-        rep = _report(kernel, F, phys, wave)
+        rep = _report(grid, F, phys, wave)
         for key in ("Q", "E", "P", "S", "K"):
             rows[key].append(getattr(rep, key))
         rows["t"].append(t)

@@ -129,21 +129,21 @@ def evaluate(state: State, phys: PhysParams, wave: WaveParams) -> FunctionalRepo
 
     The functionals are defined for any (omega, c); classification and
     solving require admissibility, which is checked where they happen.
-    The report is ``_report`` of the state's spectrum, on a kernel of its
-    own: one forward and one inverse transform.
+    The report is ``_report`` of the state's spectrum: one forward and one
+    inverse transform.
     """
-    return _report(Kernel(state.grid), state.grid.fft(state.u), phys, wave)
+    return _report(state.grid, state.grid.fft(state.u), phys, wave)
 
 
-def _report(kernel: Kernel, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> FunctionalReport:
-    """The report of the state with spectrum F: Q, L and P from ``_parts``, N = Re C from ``kernel.coupling``.
+def _report(grid: Grid, F: np.ndarray, phys: PhysParams, wave: WaveParams) -> FunctionalReport:
+    """The report of the state with spectrum F: Q, L and P from ``_parts``, N = Re C from ``grid.coupling``.
 
-    One inverse transform, the coupling's; ``evolve`` records its spectrum through it, on its own kernel.
+    One inverse transform, the coupling's; ``evolve`` records its spectrum through it.
     """
-    if wave.d != kernel.grid.d:
-        raise ValueError(f"wave speed has {wave.d} components but grid is {kernel.grid.d}-dimensional")
-    Q, L, P = _parts(kernel.grid, F, phys)
-    return FunctionalReport.from_parts(Q, L, kernel.coupling(F).real, P, wave.omega, wave.c_array)
+    if wave.d != grid.d:
+        raise ValueError(f"wave speed has {wave.d} components but grid is {grid.d}-dimensional")
+    Q, L, P = _parts(grid, F, phys)
+    return FunctionalReport.from_parts(Q, L, grid.coupling(F).real, P, wave.omega, wave.c_array)
 
 
 def _parts(grid: Grid, F: np.ndarray, phys: PhysParams):
@@ -160,7 +160,7 @@ def _parts(grid: Grid, F: np.ndarray, phys: PhysParams):
     them in pairs. In 1D the marginal is those squares, reshaped; in d >= 2
     they are summed over the vector rows as they are formed, which leaves
     2/d of |F|^2's entries as the only array of the grid's size. The
-    coupling C, whose real part is N, comes from ``Kernel.coupling``.
+    coupling C, whose real part is N, comes from ``Grid.coupling``.
 
     ``F`` has shape ``(..., 3, d, *grid.shape)``, contiguous: leading axes
     are batch axes, each part has their shape (P with d entries more), and a
@@ -198,8 +198,8 @@ def action_gradient(state: State, phys: PhysParams, wave: WaveParams) -> State:
 
     with nonlinear parts dN = (-(div u3) u2, -(conj div u3) u1,
     +grad(u1.conj(u2))) from the coupling kernel (``Kernel``, one of its
-    own), the same kernel as the coupling functional, so this stays its
-    exact gradient also in dealiased mode.
+    own), which pads as the coupling functional (``Grid.coupling``) does, so
+    this stays its exact gradient also in dealiased mode.
     """
     g = state.grid
     F = g.fft(state.u)

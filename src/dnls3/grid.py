@@ -261,23 +261,67 @@ class Grid:
 
     # -- quadratic products --------------------------------------------------
 
+    def _product_values(self, weighted: np.ndarray) -> np.ndarray:
+        """Values on the product grid of band spectra already weighted by the pad symbols.
+
+        ``weighted`` has shape ``(..., *shape)``, and one inverse transform
+        makes the values: in place on a plain grid, and on a dealiased grid
+        into a new array of shape ``(..., *product_shape)`` that zero-pads
+        them onto the 3/2 grid.
+        """
+        if not self.dealias:
+            return self._ifftn(weighted, "forward", out=weighted)
+        lead = weighted.shape[: -self.d]
+        fine = np.zeros((*lead, *self._product_split), dtype=np.complex128)
+        fine[self._band_modes] = weighted.reshape(*lead, *self._band_split)
+        fine = fine.reshape(*lead, *self._product_shape)
+        return self._ifftn(fine, "forward", out=fine)
+
     def product_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Sum over the leading axis of pointwise products a_m * b_m.
 
         Alias-free on a dealiased grid: both factors go to the product grid
-        in one batched transform, the same path as ``Kernel.nonlinear_gradient``.
+        in one batched transform (``_product_values``), the same path as ``coupling``.
         """
         if not self.dealias:
             return np.sum(a * b, axis=0)
-        spectra = self.fft(np.stack([a, b]))
-        lead = spectra.shape[: -self.d]
-        band_scale = self._pad_symbols[0, 0].reshape(self._band_split)
-        fine = np.zeros((*lead, *self._product_split), dtype=np.complex128)
-        np.multiply(spectra.reshape(*lead, *self._band_split), band_scale, out=fine[self._band_modes])
-        values = self._ifftn(fine.reshape(*lead, *self._product_shape), "forward")
+        values = self._product_values(self.fft(np.stack([a, b])) * self._pad_symbols[0, 0])
         spectrum = self._fftn(np.sum(values[0] * values[1], axis=0), "backward").reshape(self._product_split)
         unpad_scale = -self._unpad_symbols[0, 0].reshape(self._band_split)
         return self.ifft((spectrum[self._band_modes] * unpad_scale).reshape(self.shape))
+
+    def coupling(self, F: np.ndarray):
+        """C = (u3, grad(u1 . conj(u2))) of the state with spectrum F, or of each state of a batch.
+
+        ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``, or
+        of a batch, shape ``(..., 3, d, *shape)``; C is a complex scalar for a
+        state, an array over the batch axes for a batch. N = Re C, and turning
+        u3 by e^{i theta} turns C by e^{i theta}. Integrated by parts,
+        C = -(div u3, u1 . conj(u2)): F times its pad symbols gives the band
+        rows of u1, u2 and the terms of div u3, summed into one row, and these
+        2d+1 rows go to the product grid in one inverse transform
+        (``_product_values``). C is the rectangle rule there of the pair sum's
+        conjugate times div u3. By Parseval that is the C of ``Kernel``'s dN,
+        also when dealiasing, as the pair sum's aliased modes fall outside the
+        band of div u3. No forward transform is made and nothing is kept: a
+        call allocates its weighted rows, which a plain grid transforms in
+        place, the padded values on a dealiased grid and, in d >= 2, one
+        product row for the pair sum.
+        """
+        d = self.d
+        lead = F.shape[: -d - 2]
+        weighted = np.multiply(F, self._pad_symbols).reshape(*lead, 3 * d, -1)
+        for k in range(1, d):
+            weighted[..., 2 * d, :] += weighted[..., 2 * d + k, :]
+        values = self._product_values(weighted[..., : 2 * d + 1, :].reshape(*lead, 2 * d + 1, *self.shape))
+        values = values.reshape(*lead, 2 * d + 1, -1)
+        u1, u2 = values[..., :d, :], values[..., d : 2 * d, :]
+        # the pair terms conj(u2) u1 are formed in place in the rows of u2; in
+        # 1D the pair term is the pair sum
+        np.conjugate(u2, out=u2)
+        np.multiply(u2, u1, out=u2)
+        pair = u2[..., 0, :] if d == 1 else np.add.reduce(u2, axis=-2)
+        return np.vecdot(pair, values[..., 2 * d, :]) * self._coupling_weight
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -325,15 +369,15 @@ class Grid:
 
 
 class Kernel:
-    """The coupling kernel of one grid: dN (``nonlinear_gradient``) and C (``coupling``), in scratch it keeps.
+    """The scratch of dN (``nonlinear_gradient``) on one grid, kept across calls.
 
     The scratch is built on the first call for F's batch axes and rebuilt
     only when a call comes with other ones. Each loop builds one kernel and
-    keeps it (a descent, an evolve, a run of the well sampler), and each
-    one-shot call builds its own (``evaluate``, ``action_gradient``,
-    ``coupling_rhs``, ``step``), so no loop rebuilds for another's batch
-    shape. A kernel must not run on several threads at once; threads may
-    share its grid, each with its own kernel.
+    keeps it (a descent, an evolve), and each one-shot dN builds its own
+    (``action_gradient``, ``coupling_rhs``, ``step``), so no loop rebuilds for
+    another's batch shape. C needs no scratch: it is ``Grid.coupling``. A
+    kernel must not run on several threads at once; threads may share its
+    grid, each with its own kernel.
     """
 
     def __init__(self, grid: Grid):
@@ -342,7 +386,7 @@ class Kernel:
         self._lead = None
 
     def _build(self, lead: tuple) -> None:
-        """The scratch for batch axes ``lead``, as named views set on the kernel: those ``coupling`` reads.
+        """The scratch for batch axes ``lead``, as named views set on the kernel.
 
         First the band rows (3d rows, in F's layout): F times its pad
         symbols, and later the band of the transformed products, which the
@@ -352,14 +396,12 @@ class Kernel:
         plain grid, the padded spectra transformed in place) and the
         products, transformed in place. These three hold their rows in front
         of the batch axes, so the rows a call transforms are one contiguous
-        block whatever the batch: a transform of a strided block costs numpy
-        a copy of it. F's rows u1, u2 and u3, the terms of div u3 summed into
-        row 2d, go to the same rows of the padded spectra, and the pair sum
-        takes the last product row. The views only ``nonlinear_gradient``
-        reads are added on its first call for these axes
-        (``_build_gradient``), so a one-shot C builds no more than it reads.
-        ``np.rollaxis`` moves the row axis behind the batch axes: it makes
-        the view ``np.moveaxis`` makes, at a tenth of its cost.
+        block whatever the batch (a transform of a strided block costs numpy
+        a copy of it), and so is each row a product reads or writes. F's rows
+        u1, u2 and u3, the terms of div u3 summed into row 2d, go to the same
+        rows of the padded spectra, and the pair sum takes the last product
+        row. ``np.rollaxis`` moves the row axis behind the batch axes: it
+        makes the view ``np.moveaxis`` makes, at a tenth of its cost.
         """
         grid, d = self.grid, self.grid.d
         rows = 2 * d + 1
@@ -369,45 +411,18 @@ class Kernel:
         padded = fine.reshape(rows, *lead, *grid._product_shape)
         values = np.empty_like(padded) if grid.dealias else padded
         products = np.empty_like(padded)
-        vars(self).update(
-            # the weighted rows u1, u2 and div u3, and the band they go to in F's layout
-            kept=weighted[(..., slice(0, rows), *split)],
-            band=np.rollaxis(fine[(slice(None), ..., *band)], 0, len(lead) + 1),
-            weighted=weighted.reshape(*lead, 3, d, *grid.shape),
-            terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in range(1, d)],
-            padded=padded,
-            values=values,
-            # the rows, in front of the batch axes: u1 and u2 (and the products that take
-            # their places), the pair sum, and div u3 (the last row)
-            u1=values[:d],
-            u2=values[d : 2 * d],
-            pair=products[2 * d],
-            products=products,
-            # the factors of C, each flattened behind the batch axes: in 1D the
-            # pair sum is the pair term, formed in the row of u2
-            pair_points=(values[1] if d == 1 else products[2 * d]).reshape(*lead, -1),
-            div_points=values[2 * d].reshape(*lead, -1),
-            cut=None,
-        )
-        self._lead = lead
+        spectra = products.reshape(rows, *lead, *grid._product_split)
 
-    def _build_gradient(self) -> None:
-        """The views of the scratch that ``nonlinear_gradient`` reads besides those of ``_build``."""
-        grid, d, lead, values, products = self.grid, self.grid.d, self._lead, self.values, self.products
-        split, band = (slice(None),) * len(grid._band_split), grid._band_modes[1:]
-        weighted = self.weighted.reshape(*lead, 3 * d, *grid._band_split)
-        spectra = products.reshape(2 * d + 1, *lead, *grid._product_split)
-
-        def band_of(index):
-            """The band of product rows ``index``, in F's layout (behind the batch axes)."""
-            return np.rollaxis(spectra[(index, ..., *band)], 0, len(lead) + 1)
+        def band_of(buffer, index):
+            """The band of rows ``index`` of a split buffer, in F's layout (behind the batch axes)."""
+            return np.rollaxis(buffer[(index, ..., *band)], 0, len(lead) + 1)
 
         # the band goes back to the band rows: product rows 0..2d as they are,
         # then the pair row once per row of grad (for d = 1, one block)
         direct = 3 * d if d == 1 else 2 * d
-        cut = [(band_of(slice(0, direct)), weighted[(..., slice(0, direct), *split)])]
+        cut = [(band_of(spectra, slice(0, direct)), weighted[(..., slice(0, direct), *split)])]
         if d > 1:
-            cut.append((band_of(slice(2 * d, 2 * d + 1)), weighted[(..., slice(2 * d, 3 * d), *split)]))
+            cut.append((band_of(spectra, slice(2 * d, 2 * d + 1)), weighted[(..., slice(2 * d, 3 * d), *split)]))
         # the conjugates go to rows that are free until the products take them:
         # conj(u2) and conj(div u3) as a block whose last row is not among the
         # rows of conj(div u3) u1. In 1D the pair term is the pair sum and goes
@@ -415,34 +430,31 @@ class Kernel:
         # the rows (div u3) u2 takes last
         conj, pair_terms = (products[:2], products[2:]) if d == 1 else (products[d:], products[:d])
         vars(self).update(
-            # u2 and div u3 are adjacent rows, conjugated in one call; div u3
-            # keeps a unit row axis
+            # the weighted rows u1, u2 and div u3, and the band they go to in F's layout
+            kept=weighted[(..., slice(0, rows), *split)],
+            band=band_of(fine, slice(None)),
+            weighted=weighted.reshape(*lead, 3, d, *grid.shape),
+            terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in range(1, d)],
+            padded=padded,
+            values=values,
+            # the rows, in front of the batch axes: u1, then u2 and div u3 (the
+            # last row), adjacent rows conjugated in one call, and the products
+            # that take their places and the pair sum
+            u1=values[:d],
             u2_div=values[d:],
-            div=values[-1:],
+            pair=products[2 * d],
+            products=products,
             conj_u2_div=conj,
             conj_u2=conj[:d],
-            conj_div=conj[d:],
             pair_terms=pair_terms,
-            div_u2=products[:d],
-            conj_div_u1=products[d : 2 * d],
+            # the factors and the product of conj(div u3) u1 and (div u3) u2,
+            # one row of u1 or u2 at a time: a multiply broadcast along the
+            # rows buffers a product row
+            conj_div_u1=[(conj[d], values[k], products[d + k]) for k in range(d)],
+            div_u2=[(values[2 * d], values[d + k], products[k]) for k in range(d)],
             cut=cut,
         )
-
-    def _product_values(self, F: np.ndarray) -> None:
-        """Put u1, u2 and div u3 of F on the product grid, in the scratch for F's batch axes.
-
-        All 3d rows of the band are weighted, one contiguous block whatever the
-        batch, before the 2d+1 rows are copied into the padded grid (a ufunc on
-        a strided block buffers it) and go there in one inverse transform.
-        """
-        lead = F.shape[: -self.grid.d - 2]
-        if lead != self._lead:
-            self._build(lead)
-        np.multiply(F, self.grid._pad_symbols, out=self.weighted)
-        for div, term in self.terms:
-            np.add(div, term, out=div)
-        np.copyto(self.band, self.kept)
-        self.grid._ifftn(self.padded, "forward", out=self.values)
+        self._lead = lead
 
     def nonlinear_gradient(self, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Spectrum of dN, the coupling part of the action gradient, of the state with spectrum F.
@@ -455,13 +467,17 @@ class Kernel:
             dN = (-(div u3) u2, -conj(div u3) u1, grad(u1 . conj(u2))),
 
         so that the action gradient is its linear part plus dN and the
-        coupling flow is i dt U = dN. The fields u1, u2 and div u3 (2d+1
-        scalars) go to the product grid in one batched inverse transform,
-        the products are formed there, and one batched forward transform
-        brings them back; the transform scale and the symbols (-1, -1, i xi)
-        are folded into the multiply that cuts out the band. Every
-        intermediate lives in the kernel's scratch (``_build``) and both
-        transforms write into it.
+        coupling flow is i dt U = dN. All 3d rows of the band are weighted,
+        one contiguous block whatever the batch, before the 2d+1 rows u1, u2
+        and div u3 are copied into the padded grid (a ufunc on a strided
+        block buffers it); they go to the product grid in one batched
+        inverse transform, the products are formed there, and one batched
+        forward transform brings them back; the transform scale and the
+        symbols (-1, -1, i xi) are folded into the multiply that cuts out the
+        band. Every intermediate lives in the kernel's scratch (``_build``)
+        and both transforms write into it. In d >= 2 the products of div u3
+        and its conjugate are formed one row of u1 or u2 at a time: a
+        multiply broadcast along the rows buffers a product row.
 
         With ``out``, a complex128 array of F's shape, the result is written
         there and ``out`` is returned, and the call allocates next to
@@ -473,48 +489,33 @@ class Kernel:
         """
         if out is not None and (out.shape != F.shape or out.dtype != np.complex128):
             raise ValueError(f"out must be a complex128 array of shape {F.shape}")
-        self._product_values(F)
-        if self.cut is None:
-            self._build_gradient()
+        grid = self.grid
+        lead = F.shape[: -grid.d - 2]
+        if lead != self._lead:
+            self._build(lead)
+        np.multiply(F, grid._pad_symbols, out=self.weighted)
+        for div, term in self.terms:
+            np.add(div, term, out=div)
+        np.copyto(self.band, self.kept)
+        grid._ifftn(self.padded, "forward", out=self.values)
         # conj(u2) and conj(div u3); each product keeps the conjugate as its
         # first factor and u1 or u2 as its second
         np.conjugate(self.u2_div, out=self.conj_u2_div)
         np.multiply(self.conj_u2, self.u1, out=self.pair_terms)
-        # div u3 and its conjugate keep a unit row axis, to pair with each of the d rows of u1 and u2
-        np.multiply(self.conj_div, self.u1, out=self.conj_div_u1)
-        if self.grid.d > 1:
+        for factors in self.conj_div_u1:
+            np.multiply(*factors)
+        if grid.d > 1:
             np.add.reduce(self.pair_terms, axis=0, out=self.pair)
-        np.multiply(self.div, self.u2, out=self.div_u2)
-        self.grid._fftn(self.products, "backward", out=self.products)
+        for factors in self.div_u2:
+            np.multiply(*factors)
+        grid._fftn(self.products, "backward", out=self.products)
         # the band is copied out before it is multiplied: a ufunc reading the
         # strided band would buffer a copy of it
         for source, rows in self.cut:
             np.copyto(rows, source)
         if out is None:
             out = np.empty(F.shape, dtype=np.complex128)
-        return np.multiply(self.weighted, self.grid._unpad_symbols, out=out)
-
-    def coupling(self, F: np.ndarray):
-        """C = (u3, grad(u1 . conj(u2))) of the state with spectrum F, or of each state of a batch.
-
-        ``F`` is shaped as for ``nonlinear_gradient``; C is a complex scalar for
-        a state, an array over the batch axes for a batch. N = Re C, and turning
-        u3 by e^{i theta} turns C by e^{i theta}. Integrated by parts,
-        C = -(div u3, u1 . conj(u2)): C is the rectangle rule on the product grid
-        of the pair sum's conjugate times div u3, after the kernel's inverse
-        transform. By Parseval that is the C of the full kernel's band, also
-        when dealiasing, as the pair sum's aliased modes fall outside the band
-        of div u3. No forward transform is made, and a call on one state
-        allocates no array of the grid's size.
-        """
-        self._product_values(F)
-        # the pair terms conj(u2) u1 are formed in place in the rows of u2:
-        # writing fewer product rows keeps the call's memory traffic down
-        np.conjugate(self.u2, out=self.u2)
-        np.multiply(self.u2, self.u1, out=self.u2)
-        if self.grid.d > 1:
-            np.add.reduce(self.u2, axis=0, out=self.pair)
-        return np.vecdot(self.pair_points, self.div_points) * self.grid._coupling_weight
+        return np.multiply(self.weighted, grid._unpad_symbols, out=out)
 
 
 #: per-axis box length by dimension. At unit frequency the 1D default keeps the

@@ -595,7 +595,7 @@ def sample_below_level(
     by ``Grid.noise_spectrum`` (power 2, no Nyquist mode), and its t right
     after it, on the caller's thread (see ``_below_level``). It is
     evaluated off the spectrum into one batch report, by ``_parts`` and
-    ``Kernel.coupling``, whose one batched inverse transform of the rows u1,
+    ``Grid.coupling``, whose one batched inverse transform of the rows u1,
     u2 and div u3 is the round's only transform, and its ray equations are
     solved by one batched eigensolve of their companion matrices (the one
     ``np.roots`` makes per polynomial); the report of sU follows from that of U (FunctionalReport.scaled). A draw
@@ -639,9 +639,8 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
     Each round keeps the K < 0 flags and the (Q, L, N, P) rows of sU of the
     draws it kept; the report holds them with K < 0 first, each side in draw
     order, and ``order`` maps its rows to the kept draws in draw order.
-    Their C, whose real part is N, comes from ``Kernel.coupling``, on one
-    kernel per call: after the first round only a round of another size,
-    such as the shorter last one, rebuilds its scratch. Given a list
+    Their C, whose real part is N, comes from ``Grid.coupling``, which
+    keeps no scratch, so a round of any size costs no build. Given a list
     ``spectra``, each round also appends (spectra, s) of its kept draws, u3
     negated where the draw was flipped; without it no spectrum outlives its
     round.
@@ -659,7 +658,6 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
     taken = taken_negative = attempts = 0  # draws kept, those among them meant for K < 0, draws made
     want_negative = round(n / 2)
     per_round = max(1, SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
-    kernel = Kernel(grid)
     while taken < n and attempts < 50 * n:
         b = min(n - taken, per_round, 50 * n - attempts)
         attempts += b
@@ -667,7 +665,7 @@ def _below_level(grid, phys, wave, mu, rng, n, spectra: list | None = None):
         t = rng.uniform(0.2, 0.95, size=b)
         negative = np.arange(b) < want_negative - taken_negative
         Q, L, P = _parts(grid, F, phys)
-        C = kernel.coupling(F)
+        C = grid.coupling(F)
         flip = negative & (C.real > 0)
         N = np.where(flip, -C.real, C.real)
         batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)

@@ -829,10 +829,10 @@ def reference_evolve(state, wave, dt, t_final, stride, reference):
     g = state.grid
     n_steps = int(np.ceil(t_final / dt - 1e-12))
     records = []
-    orbit, kernel = _orbit_to(reference, g), Kernel(g)
+    orbit = _orbit_to(reference, g)
 
     def record(t, F):
-        rep = _report(kernel, F, PHYS, wave)
+        rep = _report(g, F, PHYS, wave)
         records.append([t, rep.Q, rep.E, *rep.P, rep.S, rep.K, _norm_h1(g, F), orbit(F).distance])
 
     F, t = g.fft(state.u), 0.0
@@ -897,7 +897,7 @@ class TestSpectralRecords:
         wave, phi, state = _record_case(g, 4)
         F = g.fft(state.u)
         U = State(g, g.ifft(F))
-        spectral, physical = _report(Kernel(g), F, PHYS, wave), evaluate(U, PHYS, wave)
+        spectral, physical = _report(g, F, PHYS, wave), evaluate(U, PHYS, wave)
         scale = abs(physical.L) + abs(physical.N) + abs(physical.omega * physical.Q) + abs(physical.cP)
         for key in ("Q", "L", "N", "E", "P", "S", "K", "Lqc"):
             assert np.max(np.abs(getattr(spectral, key) - getattr(physical, key))) <= 1e-13 * scale

@@ -205,11 +205,11 @@ class TestReport:
             one = kernel.nonlinear_gradient(F[i])
             assert np.max(np.abs(batched[i] - one)) <= 1e-12 * np.max(np.abs(one))
         Q, L, P = _parts(g, F, phys)
-        C = kernel.coupling(F)
+        C = g.coupling(F)
         assert Q.shape == L.shape == C.shape == batch and P.shape == (*batch, d)
         for i in np.ndindex(*batch):
             q, l, p = _parts(g, F[i], phys)
-            c = kernel.coupling(F[i])
+            c = g.coupling(F[i])
             assert Q[i] == pytest.approx(q, rel=1e-12, abs=0.0)
             assert L[i] == pytest.approx(l, rel=1e-12, abs=0.0)
             assert abs(C[i] - c) <= 1e-12 * np.linalg.norm(batched[i][2]) * np.linalg.norm(F[i][2]) * g.weight
@@ -231,10 +231,9 @@ class TestReport:
         rng = np.random.default_rng(seed)
         u = np.stack([random_state(g, rng).u for _ in range(int(np.prod(batch)))]).reshape(*batch, 3, d, *g.shape)
         F = g.fft(u)
-        kernel = Kernel(g)
-        dN = kernel.nonlinear_gradient(F)
+        dN = Kernel(g).nonlinear_gradient(F)
         Q, L, P = _parts(g, F, phys)
-        C = kernel.coupling(F)
+        C = g.coupling(F)
         absF2 = np.abs(F) ** 2
         rows = tuple(range(-d - 1, 0))  # a component's vector rows and the grid
         mass, k2_mass = np.sum(absF2, axis=rows), np.sum(g.k2 * absF2, axis=rows)
@@ -288,7 +287,7 @@ class TestReportInputs:
         wave = WaveParams(1.0, c)
         match = f"wave speed has {len(c)} components but grid is {g.d}-dimensional"
         with pytest.raises(ValueError, match=match):
-            _report(Kernel(g), g.fft(State.zeros(g).u), PHYS, wave)
+            _report(g, g.fft(State.zeros(g).u), PHYS, wave)
         with pytest.raises(ValueError, match=match):
             evaluate(State.zeros(g), PHYS, wave)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dnls3.cli import run_subcommand
 from dnls3.evolution import EvolveConfig, _advance, _linear_phases, evolve, h1_perturbation, step
-from dnls3.functionals import gauge_phases
+from dnls3.functionals import evaluate, gauge_phases, nehari_rescale
 from dnls3.grid import Grid, Kernel, State, norm_h1
 from dnls3.ground_state import SolverConfig, _descend, initial_ansatz, reports_below_level, sample_below_level
 from dnls3.params import PhysParams, WaveParams
@@ -423,7 +423,7 @@ class TestCouplingKernel:
         assert np.max(np.abs(g.ifft(dN) - expected)) < 1e-12 * np.max(np.abs(expected))
         # C is the rectangle rule of (u3, grad(u1 . conj(u2))) on the same fields
         C = np.vdot(expected[2], state.u3) * g.weight
-        assert abs(kernel.coupling(F) - C) < 1e-12 * np.sum(np.abs(expected[2]) * np.abs(state.u3)) * g.weight
+        assert abs(g.coupling(F) - C) < 1e-12 * np.sum(np.abs(expected[2]) * np.abs(state.u3)) * g.weight
 
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("n,extent", [(64, 12.0), ((16, 8), (6.0, 9.0))])
@@ -437,7 +437,7 @@ class TestCouplingKernel:
         dN = kernel.nonlinear_gradient(Fa)
         kept = dN.copy()
         other = kernel.nonlinear_gradient(Fb)
-        kernel.coupling(Fb)
+        g.coupling(Fb)
         assert np.array_equal(dN, kept)
         assert not np.shares_memory(dN, other) and not np.shares_memory(dN, Fa)
         assert np.array_equal(Fa, kept_Fa)
@@ -460,29 +460,28 @@ class TestCouplingKernel:
     def test_coupling_matches_the_spectral_oracle_and_its_symmetries(self, seed, d, dealias, lead):
         # bounds are relative to the sum of the moduli of C's terms
         g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
-        kernel = Kernel(g)
         rng = np.random.default_rng(seed)
         shape = (*lead, 3, d, *g.shape)
         u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
         F = g.fft(u)
-        C = kernel.coupling(F)
+        C = g.coupling(F)
         expected, scale = reference_coupling(g, F)
         assert np.shape(C) == lead
         assert np.all(np.abs(C - expected) <= 1e-13 * scale)
         for i in np.ndindex(*lead):
-            assert abs(C[i] - kernel.coupling(F[i])) <= 1e-14 * scale[i]
+            assert abs(C[i] - g.coupling(F[i])) <= 1e-14 * scale[i]
         # the gauge (e^{ia} u1, e^{ib} u2, e^{i(a-b)} u3) and grid-aligned rolls keep C
         a, b, theta = rng.uniform(0.0, 2.0 * np.pi, 3)
         gauged = F * gauge_phases(a, b).reshape(3, *[1] * (d + 1))
         rolled = g.fft(np.roll(u, tuple(rng.integers(1, g.n)), axis=tuple(range(-d, 0))))
         for moved in (gauged, rolled):
-            assert np.all(np.abs(kernel.coupling(moved) - C) <= 1e-13 * scale)
+            assert np.all(np.abs(g.coupling(moved) - C) <= 1e-13 * scale)
         # turning u3 by e^{i theta} turns C by e^{i theta}, and negating u3 negates C exactly
         turned, negated = F.copy(), F.copy()
         turned.reshape(*lead, 3, -1)[..., 2, :] *= np.exp(1j * theta)
         negated.reshape(*lead, 3, -1)[..., 2, :] *= -1.0
-        assert np.all(np.abs(kernel.coupling(turned) - np.exp(1j * theta) * C) <= 1e-13 * scale)
-        assert np.array_equal(kernel.coupling(negated), -C)
+        assert np.all(np.abs(g.coupling(turned) - np.exp(1j * theta) * C) <= 1e-13 * scale)
+        assert np.array_equal(g.coupling(negated), -C)
 
 
 class TestKernelOracle:
@@ -512,9 +511,9 @@ class TestKernelOracle:
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_reused_scratch_matches_reference(self, d, dealias):
-        # one kernel keeps its scratch across calls: interleave the kernel and C
-        # over batch shapes, each call on a new state, so a stale pad region
-        # or a buffer the two calls share would show
+        # one kernel keeps its scratch across calls: interleave the kernel and
+        # the grid's C over batch shapes, each call on a new state, so a stale
+        # pad region or a buffer the two calls share would show
         g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
         kernel = Kernel(g)
         rng = np.random.default_rng(7 + 10 * d + dealias)
@@ -525,7 +524,7 @@ class TestKernelOracle:
                 F = g.fft(u)
                 if coupling:
                     expected, scale = reference_coupling(g, F)
-                    assert np.all(np.abs(kernel.coupling(F) - expected) <= 1e-13 * scale)
+                    assert np.all(np.abs(g.coupling(F) - expected) <= 1e-13 * scale)
                 else:
                     assert np.array_equal(kernel.nonlinear_gradient(F), reference_nonlinear_gradient(g, F))
 
@@ -572,10 +571,14 @@ class TestKernelOracle:
     )
     def test_call_allocates_only_its_result(self, g, rng):
         # after a first call has built the scratch, a kernel call allocates
-        # little beyond its result, and C less than one row of the product
-        # grid (12 KB in 1D, 36 KB in 2D): no temporary of the grid's size
+        # little beyond its result, and into a caller's array next to nothing
+        # (in 2D a multiply broadcast along the rows would buffer a product
+        # row); C keeps no scratch, so it allocates its working set: the
+        # weighted rows, the 2d+1 rows of values on the product grid and, in
+        # d >= 2, one product row for the pair sum
         kernel = Kernel(g)
         F = g.fft(random_state(g, rng).u)
+        out = np.empty_like(F)
         kernel.nonlinear_gradient(F)
         tracemalloc.start()
         try:
@@ -583,12 +586,17 @@ class TestKernelOracle:
             kernel_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            kernel.coupling(F)
+            kernel.nonlinear_gradient(F, out=out)
+            out_peak = tracemalloc.get_traced_memory()[1] - held
+            tracemalloc.reset_peak()
+            g.coupling(F)
             coupling_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
+        row = int(np.prod(g._product_shape)) * 16
         assert kernel_peak <= 1.25 * result.nbytes
-        assert coupling_peak <= 4096
+        assert out_peak <= 4096
+        assert coupling_peak <= F.nbytes + (2 * g.d + 1) * row + (row if g.d > 1 else 0) + 4096
 
     def test_strang_step_allocates_only_its_rk4_arrays(self, rng):
         # the RK4 substep makes its stage sum, stage input and stage derivative
@@ -614,6 +622,30 @@ class TestKernelOracle:
         assert kernel_peak <= 4096
 
 
+class TestKernelBuilds:
+    def test_only_dN_builds_kernel_scratch(self, monkeypatch):
+        # C keeps no scratch, so a one-shot report, a Nehari rescale and the well
+        # sampler build no kernel; an evolve builds one for its steps, and its
+        # records, the orbit distance's included, build none
+        builds, build = [], Kernel._build
+
+        def counted(kernel, lead):
+            builds.append(lead)
+            build(kernel, lead)
+
+        monkeypatch.setattr(Kernel, "_build", counted)
+        g, phys, wave = Grid(512, 40.0), PhysParams(), WaveParams(1.0, (0.3,))
+        state = initial_ansatz(g, phys, wave)
+        rep = evaluate(state, phys, wave)
+        nehari_rescale(state, phys, wave)
+        assert len(reports_below_level(g, phys, wave, rep.S, np.random.default_rng(7), 200).Q) == 200
+        assert builds == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evolve(state, phys, wave, EvolveConfig(dt=1e-3, t_final=5e-3, record_stride=2), reference=state)
+        assert builds == [()]
+
+
 KERNEL_GRIDS = {1: ((32,), (7.0,)), 2: ((16, 8), (7.0, 5.0)), 3: ((8, 8, 8), (7.0, 5.0, 6.0))}
 
 
@@ -622,7 +654,7 @@ class TestGridIsAValue:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_no_attribute_changes(self, d, dealias):
         # every attribute stays the same object with the same bits through the
-        # kernel on several batch shapes, a descent, an evolve with a reference
+        # kernel and C on several batch shapes, a descent, an evolve with a reference
         # and the well sampler
         g = Grid(*KERNEL_GRIDS[d], dealias=dealias)
         before = {name: fingerprint(value) for name, value in vars(g).items()}
@@ -631,7 +663,7 @@ class TestGridIsAValue:
         for lead in ((), (2,), (3,), ()):
             F = g.fft(random_state(g, rng).u * np.ones((*lead, 1, 1, *[1] * d)))
             kernel.nonlinear_gradient(F)
-            kernel.coupling(F)
+            g.coupling(F)
         state = initial_ansatz(g, phys, wave)
         _descend(g, phys, wave, SolverConfig(max_iter=5), state)
         with warnings.catch_warnings():
@@ -643,21 +675,23 @@ class TestGridIsAValue:
 
     def test_threads_share_one_grid(self):
         # four threads on one grid, each with its own kernel, alternate a state and
-        # a pair of states while switching threads every microsecond (sharing the
-        # grid's kernel scratch, this got about a tenth of the results wrong)
+        # a pair of states, dN and C of each, while switching threads every
+        # microsecond (sharing the grid's kernel scratch, this got about a tenth
+        # of the results wrong); C is the grid's, with no scratch at all
         g = Grid(64, 10.0, dealias=True)
         rng = np.random.default_rng(5)
         cases = []
         for _ in range(4):
             one, pair = random_state(g, rng).u, np.stack([random_state(g, rng).u for _ in range(2)])
-            cases.append([(F, reference_nonlinear_gradient(g, F)) for F in (g.fft(one), g.fft(pair))])
+            cases.append([(F, reference_nonlinear_gradient(g, F), g.coupling(F)) for F in (g.fft(one), g.fft(pair))])
         wrong = [0] * len(cases)
 
         def run(i):
             kernel = Kernel(g)
             for _ in range(500):
-                for F, expected in cases[i]:
-                    wrong[i] += not np.array_equal(kernel.nonlinear_gradient(F), expected)
+                for F, dN, C in cases[i]:
+                    wrong[i] += not np.array_equal(kernel.nonlinear_gradient(F), dN)
+                    wrong[i] += not np.array_equal(g.coupling(F), C)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

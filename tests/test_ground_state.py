@@ -291,14 +291,13 @@ def synchronous_below_level(grid, phys, wave, mu, rng, n):
     flags, rows, spectra, scales = [], [], [], []
     taken = taken_negative = attempts = 0
     per_round = max(1, ground_state.SAMPLE_ROUND_POINTS // (3 * grid.d * grid.size))
-    kernel = Kernel(grid)
     while taken < n and attempts < 50 * n:
         b = min(n - taken, per_round, 50 * n - attempts)
         attempts += b
         negative = np.arange(b) < round(n / 2) - taken_negative
         F = grid.noise_spectrum(rng, (b, 3, grid.d), 2)
         Q, L, P = _parts(grid, F, phys)
-        C = kernel.coupling(F)
+        C = grid.coupling(F)
         flip = negative & (C.real > 0)
         N = np.where(flip, -C.real, C.real)
         batch = FunctionalReport.from_parts(Q, L, N, P, wave.omega, wave.c_array)
@@ -367,7 +366,7 @@ class TestSampleBelowLevel:
     @pytest.mark.parametrize("dealias", [False, True])
     def test_transforms_per_round(self, gs_1d, dealias, fft_calls):
         # each round draws its batch's spectrum, brings it to physical space
-        # with one inverse transform and evaluates it with one kernel call;
+        # with one inverse transform and evaluates it with one coupling call;
         # one draw at a time took 4 per draw
         g = Grid(512, 40.0, dealias=dealias)
         rng = CountingGenerator(7)
@@ -406,7 +405,7 @@ class TestSampleBelowLevel:
             (256, 45, -1.0, range(2)),
         ],
     )
-    def test_draws_ahead_match_the_synchronous_loop(self, gs_1d, points, n, level, seeds):
+    def test_sampler_matches_one_round_oracle(self, gs_1d, points, n, level, seeds):
         # the batched sampler's rows, states and the rng's position are those
         # of the oracle's round at a time with one eigensolve per draw, with
         # rejections (high levels reject rising-branch draws with N < 0) and
@@ -424,7 +423,7 @@ class TestSampleBelowLevel:
         ],
         ids=["1d-dealiased", "2d"],
     )
-    def test_draws_ahead_match_the_synchronous_loop_on_other_grids(self, gs_1d, grid, wave, n):
+    def test_sampler_matches_one_round_oracle_on_other_grids(self, gs_1d, grid, wave, n):
         for seed in range(2):
             self.assert_matches_synchronous(grid, wave, gs_1d.mu, seed, n)
 
@@ -467,15 +466,15 @@ class TestSampleBelowLevel:
         # a round that raises ends the draws: the rng was last called for that
         # round, and no thread is left behind
         g = Grid(512, 40.0)
-        coupling, calls = Kernel.coupling, []
+        coupling, calls = Grid.coupling, []
 
-        def failing_coupling(kernel, F):
+        def failing_coupling(grid, F):
             calls.append(F.shape[0])
             if len(calls) == 3:
                 raise FloatingPointError("round failed")
-            return coupling(kernel, F)
+            return coupling(grid, F)
 
-        monkeypatch.setattr(Kernel, "coupling", failing_coupling)
+        monkeypatch.setattr(Grid, "coupling", failing_coupling)
         rng = CountingGenerator(7)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="round failed"):
