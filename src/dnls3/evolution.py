@@ -19,10 +19,11 @@ RK4 on the full right side is provided for order studies.
 
 Both schemes work on the spectrum. Each RK stage makes one call to the
 coupling kernel for dN (``Kernel.nonlinear_gradient``, the same kernel the
-action gradient uses): one batched inverse transform of (u1, u2, div u3),
-zero-padded once onto the 3/2 grid when dealiasing, the three products,
-and one batched forward transform back to the band. RK4 takes the complex
-step h = -i dt on dN and forms its stage inputs and stage sum in place.
+action gradient uses, which serves one state): one inverse transform of the
+rows (u1, u2, div u3), zero-padded once onto the 3/2 grid when dealiasing,
+the three products, and one forward transform of their rows back to the
+band. RK4 takes the complex step h = -i dt on dN and forms its stage
+inputs and stage sum in place.
 Both ``step`` and ``evolve`` take a step through ``_advance``, which for
 Strang multiplies the spectrum in place by the half-step phases, takes the
 RK4 substep and multiplies by them again. ``step`` builds a kernel
@@ -42,7 +43,7 @@ transform around it.
 
 Where a step's time goes: 8 transforms is the floor for Strang splitting
 with an RK4 substep and 3/2 padding. On the dealiased 512-point 1D grid
-each kernel call makes two, each a batch of 3 rows of 768 points, and
+each kernel call makes two, each of 3 rows of 768 points, and
 they take about 39 of the call's 55 us and about 155 of a step's 241 us
 (BENCH_26.json); about an eighth of a transform's time is numpy's Python
 wrapper (BENCH_18.json). The rest of the call is 8 small numpy calls: the pad's
@@ -680,8 +681,9 @@ def decay_rate_fit(
     default: periodic wrap contaminates it), and its radii come from
     ``decay_window``, which raises FitWindowEmpty before any fit when it
     holds no grid point. For d >= 2 amplitudes are radially bin-averaged
-    before fitting; the fit reads their slope as the rate, with no
-    r^{-(d-1)/2} factor for the tail's algebraic prefactor.
+    before fitting. The fit is of log(amp r^{(d-1)/2}): the tail of the
+    linear tail equation is a Bessel tail, e^{-rate r} times r^{-(d-1)/2},
+    and the factor lifts that prefactor off (in 1D it is r^0 = 1).
     """
     g = phi.grid
     r, inside, (r_lo, r_hi) = decay_window(g, window)
@@ -704,7 +706,7 @@ def decay_rate_fit(
             good = counts > 0
             rr = 0.5 * (edges[:-1] + edges[1:])[good]
             aa = sums[good] / counts[good]
-        log_amp = np.log(aa + 1e-300)
+        log_amp = np.log(aa * rr ** ((g.d - 1) / 2) + 1e-300)
         slope, intercept = np.polyfit(rr, log_amp, 1)
         rates[j] = -slope
         residuals[j] = float(np.sqrt(np.mean((log_amp - (slope * rr + intercept)) ** 2)))

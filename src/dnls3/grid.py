@@ -369,24 +369,18 @@ class Grid:
 
 
 class Kernel:
-    """The scratch of dN (``nonlinear_gradient``) on one grid, kept across calls.
+    """The scratch of dN (``nonlinear_gradient``) for one state on one grid, kept across calls.
 
-    The scratch is built on the first call for F's batch axes and rebuilt
-    only when a call comes with other ones. Each loop builds one kernel and
-    keeps it (a descent, an evolve), and each one-shot dN builds its own
-    (``action_gradient``, ``coupling_rhs``, ``step``), so no loop rebuilds for
-    another's batch shape. C needs no scratch: it is ``Grid.coupling``. A
-    kernel must not run on several threads at once; threads may share its
-    grid, each with its own kernel.
+    ``Kernel(grid)`` builds the scratch for a spectrum of shape
+    ``(3, d, *grid.shape)``, and every call reuses it. Each loop builds one
+    kernel and keeps it (a descent, an evolve), and each one-shot dN builds
+    its own (``action_gradient``, ``coupling_rhs``, ``step``). C needs no
+    scratch: it is ``Grid.coupling``. A kernel must not run on several
+    threads at once; threads may share its grid, each with its own kernel.
     """
 
     def __init__(self, grid: Grid):
-        self.grid = grid
-        #: the batch axes the scratch is built for; the scratch is this kernel's other attributes (see _build)
-        self._lead = None
-
-    def _build(self, lead: tuple) -> None:
-        """The scratch for batch axes ``lead``, as named views set on the kernel.
+        """The scratch, as named views set on the kernel.
 
         First the band rows (3d rows, in F's layout): F times its pad
         symbols, and later the band of the transformed products, which the
@@ -394,90 +388,72 @@ class Kernel:
         rows on the product grid: the padded spectra, zeroed once (only the
         band is ever written, so the padding stays zero), the values (on a
         plain grid, the padded spectra transformed in place) and the
-        products, transformed in place. These three hold their rows in front
-        of the batch axes, so the rows a call transforms are one contiguous
-        block whatever the batch (a transform of a strided block costs numpy
-        a copy of it), and so is each row a product reads or writes. F's rows
-        u1, u2 and u3, the terms of div u3 summed into row 2d, go to the same
-        rows of the padded spectra, and the pair sum takes the last product
-        row. ``np.rollaxis`` moves the row axis behind the batch axes: it
-        makes the view ``np.moveaxis`` makes, at a tenth of its cost.
+        products, transformed in place. The rows a call transforms are one
+        contiguous block (a transform of a strided block costs numpy a copy
+        of it), and so is each row a product reads or writes. F's rows u1, u2
+        and u3, the terms of div u3 summed into row 2d, go to the same rows
+        of the padded spectra, and the pair sum takes the last product row.
         """
-        grid, d = self.grid, self.grid.d
+        self.grid = grid
+        d = grid.d
         rows = 2 * d + 1
-        split, band = (slice(None),) * len(grid._band_split), grid._band_modes[1:]
-        weighted = np.empty((*lead, 3 * d, *grid._band_split), dtype=np.complex128)
-        fine = np.zeros((rows, *lead, *grid._product_split), dtype=np.complex128)
-        padded = fine.reshape(rows, *lead, *grid._product_shape)
+        band = grid._band_modes[1:]
+        weighted = np.empty((3 * d, *grid._band_split), dtype=np.complex128)
+        fine = np.zeros((rows, *grid._product_split), dtype=np.complex128)
+        padded = fine.reshape(rows, *grid._product_shape)
         values = np.empty_like(padded) if grid.dealias else padded
         products = np.empty_like(padded)
-        spectra = products.reshape(rows, *lead, *grid._product_split)
-
-        def band_of(buffer, index):
-            """The band of rows ``index`` of a split buffer, in F's layout (behind the batch axes)."""
-            return np.rollaxis(buffer[(index, ..., *band)], 0, len(lead) + 1)
-
+        spectra = products.reshape(rows, *grid._product_split)
         # the band goes back to the band rows: product rows 0..2d as they are,
         # then the pair row once per row of grad (for d = 1, one block)
         direct = 3 * d if d == 1 else 2 * d
-        cut = [(band_of(spectra, slice(0, direct)), weighted[(..., slice(0, direct), *split)])]
+        self.cut = [(spectra[(slice(0, direct), *band)], weighted[:direct])]
         if d > 1:
-            cut.append((band_of(spectra, slice(2 * d, 2 * d + 1)), weighted[(..., slice(2 * d, 3 * d), *split)]))
+            self.cut.append((spectra[(slice(2 * d, 2 * d + 1), *band)], weighted[2 * d :]))
         # the conjugates go to rows that are free until the products take them:
         # conj(u2) and conj(div u3) as a block whose last row is not among the
         # rows of conj(div u3) u1. In 1D the pair term is the pair sum and goes
         # straight to its row; otherwise the d terms are summed into it from
         # the rows (div u3) u2 takes last
-        conj, pair_terms = (products[:2], products[2:]) if d == 1 else (products[d:], products[:d])
-        vars(self).update(
-            # the weighted rows u1, u2 and div u3, and the band they go to in F's layout
-            kept=weighted[(..., slice(0, rows), *split)],
-            band=band_of(fine, slice(None)),
-            weighted=weighted.reshape(*lead, 3, d, *grid.shape),
-            terms=[(weighted[(..., 2 * d, *split)], weighted[(..., 2 * d + k, *split)]) for k in range(1, d)],
-            padded=padded,
-            values=values,
-            # the rows, in front of the batch axes: u1, then u2 and div u3 (the
-            # last row), adjacent rows conjugated in one call, and the products
-            # that take their places and the pair sum
-            u1=values[:d],
-            u2_div=values[d:],
-            pair=products[2 * d],
-            products=products,
-            conj_u2_div=conj,
-            conj_u2=conj[:d],
-            pair_terms=pair_terms,
-            # the factors and the product of conj(div u3) u1 and (div u3) u2,
-            # one row of u1 or u2 at a time: a multiply broadcast along the
-            # rows buffers a product row
-            conj_div_u1=[(conj[d], values[k], products[d + k]) for k in range(d)],
-            div_u2=[(values[2 * d], values[d + k], products[k]) for k in range(d)],
-            cut=cut,
-        )
-        self._lead = lead
+        conj, self.pair_terms = (products[:2], products[2:]) if d == 1 else (products[d:], products[:d])
+        # the weighted rows u1, u2 and div u3, and the band they go to
+        self.kept = weighted[:rows]
+        self.band = fine[(slice(None), *band)]
+        self.weighted = weighted.reshape(3, d, *grid.shape)
+        self.terms = [(weighted[2 * d], weighted[2 * d + k]) for k in range(1, d)]
+        self.padded, self.values, self.products = padded, values, products
+        # the rows: u1, then u2 and div u3 (the last row), adjacent rows
+        # conjugated in one call, and the products that take their places and
+        # the pair sum
+        self.u1, self.u2_div, self.pair = values[:d], values[d:], products[2 * d]
+        self.conj_u2_div, self.conj_u2 = conj, conj[:d]
+        # the factors and the product of conj(div u3) u1 and (div u3) u2, one
+        # row of u1 or u2 at a time: a multiply broadcast along the rows
+        # buffers a product row
+        self.conj_div_u1 = [(conj[d], values[k], products[d + k]) for k in range(d)]
+        self.div_u2 = [(values[2 * d], values[d + k], products[k]) for k in range(d)]
 
     def nonlinear_gradient(self, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Spectrum of dN, the coupling part of the action gradient, of the state with spectrum F.
 
-        ``F`` is the unitary spectrum of a state, shape ``(3, d, *shape)``, or
-        of a batch of states, shape ``(..., 3, d, *shape)``: leading axes are
-        batch axes, and every transform below covers the whole batch in one
-        call. The result has the shape of ``F`` and holds the spectra of
+        ``F`` is the unitary spectrum of one state, shape ``(3, d, *shape)``;
+        a spectrum of any other shape is refused with a ValueError. The
+        result has the shape of ``F`` and holds the spectra of
 
             dN = (-(div u3) u2, -conj(div u3) u1, grad(u1 . conj(u2))),
 
         so that the action gradient is its linear part plus dN and the
         coupling flow is i dt U = dN. All 3d rows of the band are weighted,
-        one contiguous block whatever the batch, before the 2d+1 rows u1, u2
-        and div u3 are copied into the padded grid (a ufunc on a strided
-        block buffers it); they go to the product grid in one batched
-        inverse transform, the products are formed there, and one batched
-        forward transform brings them back; the transform scale and the
-        symbols (-1, -1, i xi) are folded into the multiply that cuts out the
-        band. Every intermediate lives in the kernel's scratch (``_build``)
-        and both transforms write into it. In d >= 2 the products of div u3
-        and its conjugate are formed one row of u1 or u2 at a time: a
-        multiply broadcast along the rows buffers a product row.
+        one contiguous block, before the 2d+1 rows u1, u2 and div u3 are
+        copied into the padded grid (a ufunc on a strided block buffers it);
+        they go to the product grid in one inverse transform of all their
+        rows, the products are formed there, and one forward transform
+        brings them back; the transform scale and the symbols (-1, -1, i xi)
+        are folded into the multiply that cuts out the band. Every
+        intermediate lives in the kernel's scratch (``__init__``) and both
+        transforms write into it. In d >= 2 the products of div u3 and its
+        conjugate are formed one row of u1 or u2 at a time: a multiply
+        broadcast along the rows buffers a product row.
 
         With ``out``, a complex128 array of F's shape, the result is written
         there and ``out`` is returned, and the call allocates next to
@@ -487,12 +463,10 @@ class Kernel:
         result is a new array that shares no memory with F, the scratch or
         another call's result, and the call allocates little beyond it.
         """
-        if out is not None and (out.shape != F.shape or out.dtype != np.complex128):
-            raise ValueError(f"out must be a complex128 array of shape {F.shape}")
+        shape = self.weighted.shape
+        if F.shape != shape or (out is not None and (out.shape != shape or out.dtype != np.complex128)):
+            raise ValueError(f"F and out must be arrays of shape {shape}, out a complex128 one")
         grid = self.grid
-        lead = F.shape[: -grid.d - 2]
-        if lead != self._lead:
-            self._build(lead)
         np.multiply(F, grid._pad_symbols, out=self.weighted)
         for div, term in self.terms:
             np.add(div, term, out=div)
@@ -514,7 +488,7 @@ class Kernel:
         for source, rows in self.cut:
             np.copyto(rows, source)
         if out is None:
-            out = np.empty(F.shape, dtype=np.complex128)
+            out = np.empty(shape, dtype=np.complex128)
         return np.multiply(self.weighted, grid._unpad_symbols, out=out)
 
 

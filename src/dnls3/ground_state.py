@@ -181,7 +181,7 @@ def _project(kernel: Kernel, phys: PhysParams, wave: WaveParams, F: np.ndarray):
     u3 turns by the phase that makes C = (u3, grad(u1 . conj(u2))) real and
     negative, so N = -|C| while Q, L and P stay; lambda = -Lqc / (3N) then
     zeroes K. The report and the nonlinear gradient dN of the result follow
-    from the trial's spectrum and its one product batch, with no transform
+    from the trial's spectrum and its one kernel call, with no transform
     of the trial to physical space. Returns (F, report, dN) of the projected
     state, or None when C vanishes. A state whose C is not finite has no
     phase to align: it comes back unprojected, with its report, whose S is

@@ -484,6 +484,12 @@ class TestCouplingKernel:
         assert np.array_equal(g.coupling(negated), -C)
 
 
+def smooth_spectrum(g: Grid, rng: np.random.Generator, lead: tuple = ()) -> np.ndarray:
+    """The spectrum of a random smooth state, or of a batch of them with batch axes ``lead``."""
+    shape = (*lead, 3, g.d, *g.shape)
+    return g.fft(g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2)))
+
+
 class TestKernelOracle:
     """The lean kernel against the reference kernel, bit for bit."""
 
@@ -491,12 +497,15 @@ class TestKernelOracle:
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_reference_exactly(self, d, dealias, lead):
+        # a kernel serves one state: a batch is refused, and the kernel that
+        # refused it still gives the reference dN of a state
         g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
         kernel = Kernel(g)
         rng = np.random.default_rng(100 * d + 10 * dealias + len(lead))
-        shape = (*lead, 3, d, *g.shape)
-        u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
-        F = g.fft(u)
+        if lead:
+            with pytest.raises(ValueError, match="shape"):
+                kernel.nonlinear_gradient(smooth_spectrum(g, rng, lead))
+        F = smooth_spectrum(g, rng)
         kept_F = F.copy()
         result = kernel.nonlinear_gradient(F)
         expected = reference_nonlinear_gradient(g, F)
@@ -511,21 +520,20 @@ class TestKernelOracle:
     @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_reused_scratch_matches_reference(self, d, dealias):
-        # one kernel keeps its scratch across calls: interleave the kernel and
-        # the grid's C over batch shapes, each call on a new state, so a stale
-        # pad region or a buffer the two calls share would show
+        # one kernel keeps its scratch across calls: interleave the kernel on
+        # states and the grid's C over batch shapes, each call on a new state,
+        # so a stale pad region or a buffer the two calls share would show
         g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
         kernel = Kernel(g)
         rng = np.random.default_rng(7 + 10 * d + dealias)
         for lead in ((), (2,), (3,), ()):
             for coupling in (False, True, True, False):
-                shape = (*lead, 3, d, *g.shape)
-                u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
-                F = g.fft(u)
                 if coupling:
+                    F = smooth_spectrum(g, rng, lead)
                     expected, scale = reference_coupling(g, F)
                     assert np.all(np.abs(g.coupling(F) - expected) <= 1e-13 * scale)
                 else:
+                    F = smooth_spectrum(g, rng)
                     assert np.array_equal(kernel.nonlinear_gradient(F), reference_nonlinear_gradient(g, F))
 
     @pytest.mark.parametrize("lead", [(), (2,)])
@@ -535,9 +543,14 @@ class TestKernelOracle:
         g = Grid({1: (32,), 2: (16, 8), 3: (8, 8, 8)}[d], (7.0, 5.0, 6.0)[:d], dealias=dealias)
         kernel = Kernel(g)
         rng = np.random.default_rng(200 + 100 * d + 10 * dealias + len(lead))
-        shape = (*lead, 3, d, *g.shape)
-        u = g.ifft(g.fft(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + g.k2))
-        F = g.fft(u)
+        if lead:
+            # a batch and its own out are refused, and nothing is written
+            batch = smooth_spectrum(g, rng, lead)
+            out = np.full(batch.shape, np.nan, dtype=np.complex128)
+            with pytest.raises(ValueError, match="shape"):
+                kernel.nonlinear_gradient(batch, out=out)
+            assert np.all(np.isnan(out))
+        F = smooth_spectrum(g, rng)
         expected = reference_nonlinear_gradient(g, F)
         # stale values in the caller's array must not reach the result
         out = np.full(expected.shape, np.nan, dtype=np.complex128)
@@ -627,13 +640,13 @@ class TestKernelBuilds:
         # C keeps no scratch, so a one-shot report, a Nehari rescale and the well
         # sampler build no kernel; an evolve builds one for its steps, and its
         # records, the orbit distance's included, build none
-        builds, build = [], Kernel._build
+        builds, build = [], Kernel.__init__
 
-        def counted(kernel, lead):
-            builds.append(lead)
-            build(kernel, lead)
+        def counted(kernel, grid):
+            builds.append(grid)
+            build(kernel, grid)
 
-        monkeypatch.setattr(Kernel, "_build", counted)
+        monkeypatch.setattr(Kernel, "__init__", counted)
         g, phys, wave = Grid(512, 40.0), PhysParams(), WaveParams(1.0, (0.3,))
         state = initial_ansatz(g, phys, wave)
         rep = evaluate(state, phys, wave)
@@ -643,7 +656,7 @@ class TestKernelBuilds:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             evolve(state, phys, wave, EvolveConfig(dt=1e-3, t_final=5e-3, record_stride=2), reference=state)
-        assert builds == [()]
+        assert builds == [g]
 
 
 KERNEL_GRIDS = {1: ((32,), (7.0,)), 2: ((16, 8), (7.0, 5.0)), 3: ((8, 8, 8), (7.0, 5.0, 6.0))}
@@ -654,16 +667,16 @@ class TestGridIsAValue:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_no_attribute_changes(self, d, dealias):
         # every attribute stays the same object with the same bits through the
-        # kernel and C on several batch shapes, a descent, an evolve with a reference
-        # and the well sampler
+        # kernel, C on several batch shapes, a descent, an evolve with a
+        # reference and the well sampler
         g = Grid(*KERNEL_GRIDS[d], dealias=dealias)
         before = {name: fingerprint(value) for name, value in vars(g).items()}
         phys, wave = PhysParams(), WaveParams(1.0, (0.2,) + (0.0,) * (d - 1))
         kernel, rng = Kernel(g), np.random.default_rng(d)
         for lead in ((), (2,), (3,), ()):
-            F = g.fft(random_state(g, rng).u * np.ones((*lead, 1, 1, *[1] * d)))
+            F = g.fft(random_state(g, rng).u)
             kernel.nonlinear_gradient(F)
-            g.coupling(F)
+            g.coupling(F * np.ones((*lead, 1, 1, *[1] * d)))
         state = initial_ansatz(g, phys, wave)
         _descend(g, phys, wave, SolverConfig(max_iter=5), state)
         with warnings.catch_warnings():
@@ -674,24 +687,26 @@ class TestGridIsAValue:
         assert {name: fingerprint(value) for name, value in vars(g).items()} == before
 
     def test_threads_share_one_grid(self):
-        # four threads on one grid, each with its own kernel, alternate a state and
-        # a pair of states, dN and C of each, while switching threads every
-        # microsecond (sharing the grid's kernel scratch, this got about a tenth
-        # of the results wrong); C is the grid's, with no scratch at all
+        # four threads on one grid, each with its own kernel, alternate dN and C
+        # of two states and C of the pair of them, while switching threads
+        # every microsecond (sharing the grid's kernel scratch, this got about
+        # a tenth of the results wrong); C is the grid's, with no scratch at all
         g = Grid(64, 10.0, dealias=True)
         rng = np.random.default_rng(5)
         cases = []
         for _ in range(4):
-            one, pair = random_state(g, rng).u, np.stack([random_state(g, rng).u for _ in range(2)])
-            cases.append([(F, reference_nonlinear_gradient(g, F), g.coupling(F)) for F in (g.fft(one), g.fft(pair))])
+            pair = g.fft(np.stack([random_state(g, rng).u for _ in range(2)]))
+            cases.append(([(F, reference_nonlinear_gradient(g, F), g.coupling(F)) for F in pair], pair, g.coupling(pair)))
         wrong = [0] * len(cases)
 
         def run(i):
             kernel = Kernel(g)
+            states, pair, C_pair = cases[i]
             for _ in range(500):
-                for F, dN, C in cases[i]:
+                for F, dN, C in states:
                     wrong[i] += not np.array_equal(kernel.nonlinear_gradient(F), dN)
                     wrong[i] += not np.array_equal(g.coupling(F), C)
+                wrong[i] += not np.array_equal(g.coupling(pair), C_pair)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
